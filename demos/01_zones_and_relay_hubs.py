@@ -30,5 +30,7 @@ print(f"\n{len(hubs)} relay hubs out of {sum(1 for _ in grid.all_zones())} zones
 for hz in sorted(hubs):
     print(f"  hub {tuple(hz)} saw {counts[hz]} pickups")
 
-print("\nnearest hub to (0, 0):", tuple(grid.nearest_hop_zone(ZoneId(0, 0))))
-print("nearest hub to (19, 19):", tuple(grid.nearest_hop_zone(ZoneId(19, 19))))
+print()
+for corner in (ZoneId(0, 0), ZoneId(19, 19)):
+    nearest = min(sorted(hubs), key=lambda hz: grid.distance(corner, hz))
+    print(f"nearest hub to {tuple(corner)}: {tuple(nearest)}")

@@ -9,12 +9,8 @@ from hopfleet.reward import (
     AgentRewardInputs,
     RewardWeights,
     agent_reward,
-    fleet_activations,
     global_objective,
     supply_demand_gap,
-    total_detour_overhead,
-    total_dispatch_time,
-    total_hops,
 )
 
 weights = RewardWeights.preset("init")
@@ -24,10 +20,10 @@ demand = [3, 1, 0, 2]
 supply = [1, 2, 1, 0]
 components = [
     supply_demand_gap(demand, supply),
-    total_dispatch_time([[3.0, 7.0]], [[0, 1]]),
-    total_detour_overhead([1.0, 2.0, 3.0]),
-    fleet_activations([1, 1, 0], [0, 1, 0]),
-    total_hops([("pkg7", "hub(0,3)")]),
+    7.0,  # dispatch travel: one vehicle sent on a 7-tick drive
+    sum([1.0, 2.0, 3.0]),  # shared-ride delay: extra ticks of three onboard orders
+    1.0,  # activations: one vehicle left idle this tick
+    1.0,  # hops: one package handed over at a relay hub
 ]
 print("components (gap, dispatch, detour, activations, hops):", components)
 print("fleet objective:", global_objective(components, weights))

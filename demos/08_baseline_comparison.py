@@ -6,9 +6,11 @@ config; see README for the full run.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
+from hopfleet.cli import load_config
 from hopfleet.engine import (
     BASELINE_FLEX_HOPS,
     BASELINE_FLEX_NOHOPS,
@@ -16,21 +18,20 @@ from hopfleet.engine import (
     MODE_EVAL,
     MODE_TRAIN,
     DispatchPolicy,
-    SimConfig,
     Simulation,
 )
 from hopfleet.metrics import build_report
 
+DESK = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.yaml").sim
+
+
 def config(baseline):
-    cfg = SimConfig(seed=11, baseline=baseline, n_vehicles=30, episode_ticks=300,
-                    warmup_ticks=50, t_n=600, ticks_per_day=150, max_hop_depth=2,
-                    reject_radius_m=900.0, separate_split=0.6)
-    cfg.grid.hop_count_radius = 2
-    cfg.grid.hop_min_pickups = 10
-    cfg.demand.passenger_rate_per_zone = 0.002
-    cfg.demand.origin_hot_rate = 0.35
-    cfg.demand.goods_location_rate = 0.15
-    return cfg
+    """The shipped desk config, scaled down to a 30-vehicle, 300-tick world."""
+    return replace(DESK, seed=11, baseline=baseline, n_vehicles=30, episode_ticks=300,
+                   warmup_ticks=50, t_n=600, ticks_per_day=150, separate_split=0.6,
+                   grid=replace(DESK.grid, hop_min_pickups=10),
+                   demand=replace(DESK.demand, passenger_rate_per_zone=0.002,
+                                  origin_hot_rate=0.35, goods_location_rate=0.15))
 
 rows = {}
 for baseline in (BASELINE_FLEX_HOPS, BASELINE_FLEX_NOHOPS, BASELINE_SEPARATE):

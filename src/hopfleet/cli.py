@@ -113,18 +113,26 @@ def _fail(message: str) -> int:
     return 2
 
 
+class ConfigError(Exception):
+    """The run's config cannot be used; the CLI prints why and exits 2."""
+
+
+def _run_config(args) -> ExperimentConfig:
+    """The ``--config`` file with the command-line overrides applied."""
+    try:
+        return _apply_overrides(load_config(args.config), args)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {args.config}") from None
+    except (yaml.YAMLError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config {args.config}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # train
 
 
 def cmd_train(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except FileNotFoundError:
-        return _fail(f"config file not found: {args.config}")
-    except (yaml.YAMLError, TypeError, ValueError) as exc:
-        return _fail(f"bad config {args.config}: {exc}")
-    cfg = _apply_overrides(cfg, args)
+    cfg = _run_config(args)
     out = _resolve_out(cfg, args.out)
 
     policy = DispatchPolicy(cfg.sim)
@@ -218,13 +226,7 @@ def evaluate(cfg: ExperimentConfig, checkpoint: str | None) -> dict:
 
 
 def cmd_eval(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except FileNotFoundError:
-        return _fail(f"config file not found: {args.config}")
-    except (yaml.YAMLError, TypeError, ValueError) as exc:
-        return _fail(f"bad config {args.config}: {exc}")
-    cfg = _apply_overrides(cfg, args)
+    cfg = _run_config(args)
     out = _resolve_out(cfg, args.out)
     if args.checkpoint:
         if not os.path.exists(args.checkpoint):
@@ -312,11 +314,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except FileNotFoundError:
-        return _fail(f"config file not found: {args.config}")
-    cfg = _apply_overrides(cfg, args)
+    cfg = _run_config(args)
     ticks = args.ticks or cfg.sim.episode_ticks
     requests = generate_workload(cfg.sim, ticks)
     write_trip_records(args.out, requests)
@@ -367,7 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -146,35 +146,24 @@ def poisson_sample(lam: float, rng: np.random.Generator, max_count: int = 10_000
 
 @dataclass
 class TripDistribution:
-    """Passenger destination model: uniform or neighborhood trips, with
-    optional hot zones.
+    """Passenger destination model: city-wide trips with optional hot zones.
 
     With probability ``hot_weight`` the destination is drawn uniformly from
-    ``hot_zones`` (skipping the origin), otherwise uniformly over the grid,
-    or over the ``local_radius`` neighborhood when one is set. Hot zones
-    outside the neighborhood are ignored for that origin.
+    ``hot_zones`` (skipping the origin), otherwise uniformly over the grid.
     """
 
     hot_zones: tuple = ()
     hot_weight: float = 0.0
-    local_radius: int = 0  # 0 means city-wide trips
 
     def __post_init__(self):
         if not (0.0 <= self.hot_weight <= 1.0):
             raise ValueError("hot_weight must be in [0, 1]")
-        if self.local_radius < 0:
-            raise ValueError("local_radius must be >= 0")
         self.hot_zones = tuple(ZoneId(*z) for z in self.hot_zones)
 
     def sample_destination(self, grid: GridWorld, origin: ZoneId, rng: np.random.Generator) -> ZoneId:
         hot = [z for z in self.hot_zones if z != origin]
-        if self.local_radius:
-            hot = [z for z in hot if manhattan(origin, z) <= self.local_radius]
         if hot and rng.random() < self.hot_weight:
             return hot[int(rng.integers(len(hot)))]
-        if self.local_radius:
-            local = grid.zones_within(origin, self.local_radius)
-            return local[int(rng.integers(len(local)))]
         while True:
             z = ZoneId(int(rng.integers(grid.height)), int(rng.integers(grid.width)))
             if z != origin:
@@ -317,12 +306,3 @@ class HistoricalAverageForecaster:
             else:
                 steps.append(overall.copy())
         return DemandForecast(start_tick=now, counts=np.stack(steps))
-
-
-def forecast_demand(history: Mapping[int, np.ndarray], now: int, horizon: int,
-                    grid: GridWorld, ticks_per_day: int = 1440) -> DemandForecast:
-    """Forecast from a {tick: per-zone count array} history mapping."""
-    fc = HistoricalAverageForecaster(grid, ticks_per_day)
-    for tick in sorted(history):
-        fc.record(tick, np.asarray(history[tick], dtype=float))
-    return fc.forecast(now, horizon)

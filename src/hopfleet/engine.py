@@ -8,8 +8,8 @@ Each tick runs a fixed phase order over vehicles in ascending id:
   3. idle vehicles query the dispatch policy with the scheduled probability;
      a self-targeted action holds the vehicle idle, anything else starts a
      dispatch drive
-  4. greedy matching binds queued requests to dispatched vehicles (and, by
-     default, to partially filled en-route vehicles); stale requests expire
+  4. greedy matching binds queued requests to dispatched vehicles and to
+     partially filled en-route vehicles; stale requests expire
   5. vehicles advance along their routes
   6. rewards and objective components are settled, decision transitions are
      pushed to replay, per-tick stats are logged
@@ -22,18 +22,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import demand as dm
 from . import dispatch_rl as rl
 from . import fleet as fl
-from .geo import GridWorld, ZoneId, designate_hop_zones, manhattan
+from .geo import GridWorld, ZoneId, designate_hop_zones, hub_lattice, manhattan
 from .hopplan import assign_hop_zones
 from .matching import match
-from .reward import AgentRewardInputs, RewardWeights, agent_reward, global_objective
+from .reward import (
+    AgentRewardInputs,
+    RewardWeights,
+    agent_reward,
+    global_objective,
+    supply_demand_gap,
+)
 
 BASELINE_FLEX_HOPS = "flex_hops"
 BASELINE_FLEX_NOHOPS = "flex_nohops"
@@ -65,24 +70,21 @@ class GridConfig:
     hop_min_pickups: int = 0
     hop_count_radius: int = 0  # neighborhood radius when tallying warmup pickups
 
+    def __post_init__(self):
+        if self.hop_stride < 1:
+            raise ValueError(f"grid.hop_stride must be >= 1, got {self.hop_stride}")
+
 
 @dataclass
 class DemandConfig:
     passenger_rate_per_zone: float = 0.004  # uniform base rate
     origin_hot_zone_count: int = 5
     origin_hot_rate: float = 0.5  # extra passenger rate at each hot origin
-    hot_zone_count: int = 4  # destination attractors when centers are not shared
-    hot_weight: float = 0.6
-    passenger_trip_radius: int = 0  # 0: city-wide rides; else neighborhood rides
-    shared_activity_centers: bool = True  # busy zones attract trips both ways
-    center_min_separation: int = 0  # pairwise zone distance between hot origins
+    hot_weight: float = 0.6  # share of passenger trips headed to a hot origin
     goods_locations_per_kind: int = 3
     goods_location_rate: float = 0.25
     goods_radius_zones: int = 12
-    goods_sites_near_hot_origins: bool = True
     goods_dest_hot_weight: float = 0.0  # share of packages headed near another center
-    goods_burst_period: int = 0  # 0: steady flow; else rush-cycle length in ticks
-    goods_burst_duty: float = 0.25  # fraction of the cycle that carries the flow
     trips_csv: str | None = None
 
 
@@ -95,8 +97,10 @@ class RLConfig:
     batch_size: int = 32
     buffer_capacity: int = rl.REPLAY_CAPACITY
     sync_period: int = rl.TARGET_SYNC_PERIOD
-    train_every: int = 1
-    per_vehicle: bool = False
+
+    def __post_init__(self):
+        if self.window % 2 == 0:
+            raise ValueError(f"rl.window must be odd, got {self.window}")
 
 
 @dataclass
@@ -122,7 +126,6 @@ class SimConfig:
     baseline: str = BASELINE_FLEX_HOPS
     warmup_ticks: int = 100
     episode_ticks: int = 750
-    enroute_matching: bool = True
     effective_distance_includes_dispatch: bool = True
 
     def __post_init__(self):
@@ -130,6 +133,8 @@ class SimConfig:
             raise ValueError(f"baseline must be one of {BASELINES}")
         if self.n_vehicles < 1 or self.horizon < 1 or self.episode_ticks < 0:
             raise ValueError("n_vehicles, horizon must be >= 1 and episode_ticks >= 0")
+        if not 0.0 <= self.separate_split <= 1.0:
+            raise ValueError(f"separate_split must be in [0, 1], got {self.separate_split}")
         if isinstance(self.grid, dict):
             self.grid = GridConfig(**self.grid)
         if isinstance(self.demand, dict):
@@ -137,6 +142,7 @@ class SimConfig:
         if isinstance(self.rl, dict):
             self.rl = RLConfig(**self.rl)
         self.rl.hidden = tuple(self.rl.hidden)
+        self.weights()  # an unknown weights_preset fails here, not at the first tick
 
     @property
     def reject_radius_zones(self) -> float:
@@ -223,11 +229,7 @@ class EpisodeLog:
 
 
 class DispatchPolicy:
-    """Q-networks plus replay, shared across the fleet by default.
-
-    The per-vehicle flag keeps one network and buffer per vehicle for
-    ablations; the shared default trains a single pair on one buffer.
-    """
+    """Online and target Q-networks plus one replay buffer, shared by the fleet."""
 
     def __init__(self, cfg: SimConfig, seed_seq: np.random.SeedSequence | None = None):
         self.cfg = cfg
@@ -236,49 +238,25 @@ class DispatchPolicy:
         seq = seed_seq or np.random.SeedSequence(cfg.seed)
         init_seq, sample_seq = seq.spawn(2)
         self.sample_rng = np.random.default_rng(sample_seq)
-        self.per_vehicle = cfg.rl.per_vehicle
-        keys = list(range(cfg.n_vehicles)) if self.per_vehicle else [None]
-        self.online = {}
-        self.target = {}
-        self.buffers = {}
-        for key, child in zip(keys, init_seq.spawn(len(keys))):
-            net = rl.QNetwork(self.input_dim, self.n_actions, cfg.rl.hidden,
-                              rng=np.random.default_rng(child))
-            self.online[key] = net
-            self.target[key] = net.clone()
-            self.buffers[key] = rl.ReplayBuffer(cfg.rl.buffer_capacity)
+        self.online = rl.QNetwork(self.input_dim, self.n_actions, cfg.rl.hidden,
+                                  rng=np.random.default_rng(init_seq.spawn(1)[0]))
+        self.target = self.online.clone()
+        self.buffer = rl.ReplayBuffer(cfg.rl.buffer_capacity)
         self.schedule_step = 0
 
-    def _key(self, vehicle_id: int):
-        return vehicle_id if self.per_vehicle else None
+    def q_net(self) -> rl.QNetwork:
+        return self.online
 
-    def q_net(self, vehicle_id: int) -> rl.QNetwork:
-        return self.online[self._key(vehicle_id)]
-
-    def store(self, vehicle_id: int, tr: rl.Transition):
-        self.buffers[self._key(vehicle_id)].push(tr)
+    def store(self, tr: rl.Transition):
+        self.buffer.push(tr)
 
     def train_tick(self):
-        """One scheduled training step; returns the mean loss or None."""
+        """One training step and the scheduled target sync; returns the loss or None."""
         self.schedule_step += 1
-        losses = []
-        if self.schedule_step % self.cfg.rl.train_every == 0:
-            for key in self.online:
-                loss = rl.train_step(
-                    self.buffers[key],
-                    self.online[key],
-                    self.target[key],
-                    self.cfg.rl.batch_size,
-                    self.cfg.rl.learning_rate,
-                    self.cfg.discount,
-                    self.sample_rng,
-                )
-                if loss is not None:
-                    losses.append(loss)
-        for key in self.online:
-            rl.sync_target(self.online[key], self.target[key], self.schedule_step,
-                           self.cfg.rl.sync_period)
-        return float(np.mean(losses)) if losses else None
+        loss = rl.train_step(self.buffer, self.online, self.target, self.cfg.rl.batch_size,
+                             self.cfg.rl.learning_rate, self.cfg.discount, self.sample_rng)
+        rl.sync_target(self.online, self.target, self.schedule_step, self.cfg.rl.sync_period)
+        return None if loss is None else float(loss)
 
     def epsilon(self, training: bool) -> float:
         if not training:
@@ -291,16 +269,12 @@ class DispatchPolicy:
         return rl.act_probability_at(self.schedule_step, self.cfg.t_n)
 
     def save(self, path, extra: dict | None = None):
-        if self.per_vehicle:
-            raise ValueError("checkpointing supports the shared-parameter mode only")
-        rl.save_checkpoint(path, self.online[None], self.target[None], self.schedule_step, extra)
+        rl.save_checkpoint(path, self.online, self.target, self.schedule_step, extra)
 
     def load(self, path):
         expected = {"input_dim": self.input_dim, "hidden": list(self.cfg.rl.hidden),
                     "n_actions": self.n_actions}
-        online, target, header = rl.load_checkpoint(path, expected=expected)
-        self.online[None] = online
-        self.target[None] = target
+        self.online, self.target, header = rl.load_checkpoint(path, expected=expected)
         self.schedule_step = int(header["step"])
         return header
 
@@ -349,6 +323,7 @@ class Simulation:
         self.dispatch_enabled = True
         self.pending: dict[int, _Pending] = {}
         self.prev_active: dict[int, bool] = {}
+        self._finalize: dict[int, tuple] = {}  # vehicle id -> (old decision, its successor state)
         self.log: EpisodeLog | None = None
         self.curve: list[dict] = []
         self._initialized = False
@@ -369,53 +344,29 @@ class Simulation:
             for r in records:
                 self._trip_table.setdefault(r.created_tick, []).append(r)
             return
-        def draw_zones(count, min_sep=0):
-            out = []
-            attempts = 0
-            while len(out) < count:
-                z = ZoneId(int(rng.integers(self.grid.height)), int(rng.integers(self.grid.width)))
-                attempts += 1
-                if attempts > 10_000:  # separation infeasible; relax it
-                    min_sep = 0
-                if z in out or any(manhattan(z, q) < min_sep for q in out):
-                    continue
-                out.append(z)
-            return out
-
-        self._origin_hot = draw_zones(cfg.demand.origin_hot_zone_count,
-                                      cfg.demand.center_min_separation)
-        if cfg.demand.shared_activity_centers:
-            dest_hot = list(self._origin_hot)
-        else:
-            dest_hot = draw_zones(cfg.demand.hot_zone_count)
+        self._origin_hot = []
+        while len(self._origin_hot) < cfg.demand.origin_hot_zone_count:
+            z = ZoneId(int(rng.integers(self.grid.height)), int(rng.integers(self.grid.width)))
+            if z not in self._origin_hot:
+                self._origin_hot.append(z)
+        # the busy centers both emit and attract passenger trips
         self._trip_distribution = dm.TripDistribution(
-            hot_zones=tuple(dest_hot),
+            hot_zones=tuple(self._origin_hot),
             hot_weight=cfg.demand.hot_weight,
-            local_radius=cfg.demand.passenger_trip_radius,
         )
         self._passenger_rates = {z: cfg.demand.passenger_rate_per_zone for z in self.grid.all_zones()}
         for z in self._origin_hot:
             self._passenger_rates[z] += cfg.demand.origin_hot_rate
 
-        def lattice_snap(zone):
-            stride, off = cfg.grid.hop_stride, cfg.grid.hop_offset % cfg.grid.hop_stride
-            best = None
-            for row in range(off, self.grid.height, stride):
-                for col in range(off, self.grid.width, stride):
-                    cand = ZoneId(row, col)
-                    d = manhattan(zone, cand)
-                    if best is None or d < best[0]:
-                        best = (d, cand)
-            return best[1]
-
+        lattice = hub_lattice(self.grid, cfg.grid.hop_stride, cfg.grid.hop_offset)
         self._locations = []
         for kind in ("postal", "meal", "supermarket"):
             for _ in range(cfg.demand.goods_locations_per_kind):
-                if cfg.demand.goods_sites_near_hot_origins and self._origin_hot:
+                if self._origin_hot:
                     # park goods sources on the relay lattice next to a busy
                     # center, so their own corner never splits their trips
                     hub = self._origin_hot[int(rng.integers(len(self._origin_hot)))]
-                    z = lattice_snap(hub)
+                    z = min(lattice, key=lambda cand: manhattan(hub, cand))
                 else:
                     z = ZoneId(int(rng.integers(self.grid.height)), int(rng.integers(self.grid.width)))
                 self._locations.append(dm.ServiceLocation(z, kind, cfg.demand.goods_location_rate))
@@ -429,17 +380,9 @@ class Simulation:
                                       tick, r.urgency))
                 self.next_request_id += 1
             return out
-        locations = self._locations
-        period = self.cfg.demand.goods_burst_period
-        if period > 0:
-            # rush cycles: the same mean flow, concentrated into bursts
-            duty = self.cfg.demand.goods_burst_duty
-            in_burst = (tick % period) < max(1, round(duty * period))
-            gain = 1.0 / duty if in_burst else 0.0
-            locations = [dm.ServiceLocation(l.zone, l.kind, l.rate * gain) for l in locations]
         reqs = dm.generate_tick_requests(
             self.grid,
-            locations,
+            self._locations,
             self._passenger_rates,
             tick,
             rng,
@@ -511,15 +454,11 @@ class Simulation:
             # candidates qualify on pickups in their neighborhood, so relay
             # hubs land next to busy blocks rather than exactly on them
             smoothed = {}
-            for row in range(cfg.grid.hop_offset % cfg.grid.hop_stride, self.grid.height,
-                             cfg.grid.hop_stride):
-                for col in range(cfg.grid.hop_offset % cfg.grid.hop_stride, self.grid.width,
-                                 cfg.grid.hop_stride):
-                    z = ZoneId(row, col)
-                    total = pickup_counts.get(z, 0)
-                    for nb in self.grid.zones_within(z, cfg.grid.hop_count_radius):
-                        total += pickup_counts.get(nb, 0)
-                    smoothed[z] = total
+            for z in hub_lattice(self.grid, cfg.grid.hop_stride, cfg.grid.hop_offset):
+                total = pickup_counts.get(z, 0)
+                for nb in self.grid.zones_within(z, cfg.grid.hop_count_radius):
+                    total += pickup_counts.get(nb, 0)
+                smoothed[z] = total
             counts_for_designation = smoothed
         else:
             counts_for_designation = pickup_counts
@@ -639,7 +578,7 @@ class Simulation:
             snap = rl.encode_state(self.grid, supply, forecast, v, self.tick,
                                    window=cfg.rl.window, ticks_per_day=cfg.ticks_per_day)
             vec = snap.vector()
-            net = self.policy.q_net(v.id)
+            net = self.policy.q_net()
             action = rl.select_action(net, vec, eps, self.explore_rng)
             q_maxes.append(float(np.max(net.q_values(vec))))
             old = self.pending.get(v.id)
@@ -661,13 +600,12 @@ class Simulation:
 
     def _match(self, detour: dict, detail: dict):
         cfg = self.cfg
-        pool = [v for v in self.vehicles if v.status == fl.DISPATCHED]
-        if cfg.enroute_matching:
-            pool += [
-                v for v in self.vehicles
-                if v.status in (fl.MATCHED, fl.SERVING) and fl.is_available(v)
-            ]
-        pool.sort(key=lambda v: v.id)
+        # dispatched vehicles and partly filled en-route ones, in id order
+        pool = [
+            v for v in self.vehicles
+            if v.status == fl.DISPATCHED
+            or (v.status in (fl.MATCHED, fl.SERVING) and fl.is_available(v))
+        ]
         requests = [self.registry[rid] for rid in self.queue]
         assignments = match(requests, pool, self.grid, cfg.reject_radius_zones, self.match_rng)
         by_id = {v.id: v for v in self.vehicles}
@@ -759,11 +697,11 @@ class Simulation:
                 pend.accum += (self.cfg.discount ** (self.tick - pend.tick - 1)) * rewards[vid]
         for vid, (old, next_vec) in self._finalize.items():
             old.accum += (self.cfg.discount ** (self.tick - old.tick - 1)) * rewards[vid]
-            self.policy.store(vid, rl.Transition(old.state, old.action, old.accum, next_vec,
-                                                 elapsed=self.tick - old.tick - 1))
+            self.policy.store(rl.Transition(old.state, old.action, old.accum, next_vec,
+                                            elapsed=self.tick - old.tick - 1))
         self._finalize = {}
 
-        gap = float(np.maximum(forecast.at(0) - supply.available, 0.0).sum())
+        gap = supply_demand_gap(forecast.at(0), supply.available)
         components = [gap, detail["dispatch_time"], total_detour_delay,
                       float(activations), float(detail["hops"])]
         detail["objective"] = global_objective(components, self.weights)
@@ -841,7 +779,6 @@ class Simulation:
             raise EngineInvariantError("call initialize() before step()")
         detail = {}
         detour: dict[int, float] = {}
-        self._finalize = {}
         self._intake(detail)
         self._arrivals(detour, detail)
         supply = fl.project_supply(self.vehicles, self.grid, self.cfg.horizon)
@@ -883,9 +820,8 @@ class Simulation:
             v = self.vehicles[vid]
             snap = rl.encode_state(self.grid, supply, forecast, v, self.tick,
                                    window=self.cfg.rl.window, ticks_per_day=self.cfg.ticks_per_day)
-            self.policy.store(vid, rl.Transition(pend.state, pend.action, pend.accum,
-                                                 snap.vector(),
-                                                 elapsed=max(0, self.tick - pend.tick - 1)))
+            self.policy.store(rl.Transition(pend.state, pend.action, pend.accum, snap.vector(),
+                                            elapsed=max(0, self.tick - pend.tick - 1)))
         self.pending = {}
 
     def run(self, ticks: int | None = None, mode: str = MODE_EVAL) -> EpisodeLog:

@@ -175,15 +175,8 @@ class VehicleState:
         return math.ceil(stops[-1][1] / speed) if stops else 0
 
 
-def availability(v: VehicleState) -> tuple:
-    """(seats_free, trunk_free) after subtracting committed work.
-
-    A vehicle is available for new work while either count is positive.
-    """
-    return (v.seats_free, v.trunk_free)
-
-
 def is_available(v: VehicleState) -> bool:
+    """Free for new work while a seat or a trunk slot is uncommitted."""
     return v.seats_free > 0 or v.trunk_free > 0
 
 
@@ -237,27 +230,12 @@ def move(v: VehicleState, grid: GridWorld) -> int:
     return moved
 
 
-def advance(v: VehicleState, grid: GridWorld, tick: int) -> tuple:
-    """One self-contained vehicle tick: resolve arrivals, then move.
-
-    Returns (events, steps_moved). The engine splits these two halves across
-    its per-tick phases; this composition is the standalone equivalent.
-    """
-    events = process_arrivals(v, tick)
-    moved = move(v, grid)
-    return events, moved
-
-
 @dataclass
 class FleetSnapshot:
     """Current and projected per-zone vehicle availability."""
 
     available: np.ndarray  # (height, width), vehicles with free capacity now
     projected: np.ndarray  # (horizon + 1, height, width), busy vehicles by finish tick
-
-    def available_by(self, step: int) -> np.ndarray:
-        """Vehicles free now plus those projected to free up within ``step`` ticks."""
-        return self.available + self.projected[1 : step + 1].sum(axis=0)
 
 
 def project_supply(vehicles: Sequence[VehicleState], grid: GridWorld, horizon: int) -> FleetSnapshot:

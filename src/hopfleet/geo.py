@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 
 class InvalidZoneError(ValueError):
@@ -82,9 +82,6 @@ class GridWorld:
             for col in range(self.width):
                 yield ZoneId(row, col)
 
-    def zone_index(self, zone: ZoneId) -> int:
-        return zone[0] * self.width + zone[1]
-
     def distance(self, a, b) -> int:
         """Manhattan distance in zone-units; a metric, zero iff a == b."""
         return manhattan(self.require(a), self.require(b))
@@ -105,18 +102,16 @@ class GridWorld:
                     out.append(ZoneId(row, col))
         return out
 
-    def nearest_hop_zone(self, origin, exclude: Iterable = ()) -> ZoneId | None:
-        """Closest hop-zone to ``origin``; ties broken by (row, col). None if no candidate."""
-        origin = self.require(origin)
-        excluded = {ZoneId(*z) for z in exclude}
-        best = None
-        for hz in sorted(self.hop_zones):
-            if hz in excluded:
-                continue
-            d = manhattan(origin, hz)
-            if best is None or d < best[0]:
-                best = (d, hz)
-        return best[1] if best else None
+
+def hub_lattice(grid: GridWorld, stride: int, offset: int = 0) -> list[ZoneId]:
+    """Relay-hub candidates in row-major order: the zones whose row and col
+    are both ``offset`` modulo ``stride``."""
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    start = offset % stride
+    return [ZoneId(row, col)
+            for row in range(start, grid.height, stride)
+            for col in range(start, grid.width, stride)]
 
 
 def designate_hop_zones(
@@ -128,20 +123,13 @@ def designate_hop_zones(
 ) -> frozenset:
     """Pick hop-zones on a stride lattice, keeping only busy-enough zones.
 
-    Candidates are zones with row % stride == offset and col % stride == offset;
-    a candidate survives when its pickup count is at least ``min_pickups``.
-    The result is stored on ``grid.hop_zones`` and returned.
+    Candidates are the :func:`hub_lattice` zones; a candidate survives when
+    its pickup count is at least ``min_pickups``. The result is stored on
+    ``grid.hop_zones`` and returned.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     if min_pickups < 0:
         raise ValueError("min_pickups must be >= 0")
     counts = {ZoneId(*z): c for z, c in pickup_counts.items()}
-    chosen = []
-    for row in range(offset % stride, grid.height, stride):
-        for col in range(offset % stride, grid.width, stride):
-            z = ZoneId(row, col)
-            if counts.get(z, 0) >= min_pickups:
-                chosen.append(z)
-    grid.hop_zones = frozenset(chosen)
+    grid.hop_zones = frozenset(z for z in hub_lattice(grid, stride, offset)
+                               if counts.get(z, 0) >= min_pickups)
     return grid.hop_zones

@@ -78,41 +78,6 @@ def supply_demand_gap(demand, supply) -> float:
     return float(np.maximum(d - v, 0.0).sum())
 
 
-def total_dispatch_time(eta_matrix, dispatch_indicator) -> float:
-    """Sum of travel times of this tick's dispatch moves.
-
-    ``dispatch_indicator`` is 0/1, one row per vehicle, at most one 1 per row.
-    """
-    h = np.asarray(eta_matrix, dtype=float)
-    u = np.asarray(dispatch_indicator)
-    if h.shape != u.shape:
-        raise ValueError("eta and indicator shapes differ")
-    if not np.isin(u, (0, 1)).all():
-        raise ValueError("indicator entries must be 0 or 1")
-    if u.ndim == 2 and (u.sum(axis=1) > 1).any():
-        raise ValueError("a vehicle cannot be dispatched to multiple zones")
-    return float((h * u).sum())
-
-
-def total_detour_overhead(order_delays) -> float:
-    """Plain sum of extra travel ticks across all onboard orders."""
-    return float(sum(order_delays))
-
-
-def total_hops(hop_events) -> float:
-    """Count of hop-transfer drops occurring this tick."""
-    return float(len(hop_events)) if hasattr(hop_events, "__len__") else float(hop_events)
-
-
-def fleet_activations(active_now, active_prev) -> float:
-    """Number of vehicles switching from idle to active this tick."""
-    now = np.asarray(active_now, dtype=float)
-    prev = np.asarray(active_prev, dtype=float)
-    if now.shape != prev.shape:
-        raise ValueError("flag vectors must have equal length")
-    return float(np.maximum(now - prev, 0.0).sum())
-
-
 def global_objective(components, weights: RewardWeights) -> float:
     """Negative weighted sum of the five cost components."""
     comp = np.asarray(components, dtype=float)

@@ -14,10 +14,12 @@ Criteria:
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hopfleet.cli import load_config
 from hopfleet.demand import GOODS, PASSENGER, Request, poisson_pmf
 from hopfleet.dispatch_rl import (
     QNetwork,
@@ -25,6 +27,7 @@ from hopfleet.dispatch_rl import (
     Transition,
     act_probability_at,
     ddqn_target,
+    ddqn_targets,
     epsilon_at,
     select_action,
     sync_target,
@@ -37,7 +40,6 @@ from hopfleet.engine import (
     DispatchPolicy,
     MODE_EVAL,
     MODE_TRAIN,
-    SimConfig,
     Simulation,
 )
 from hopfleet.geo import GridWorld, ZoneId, manhattan
@@ -261,7 +263,8 @@ class _TwoActionStub:
         self.n_actions = 2
 
     def q_values(self, x):
-        return self.values
+        # one row per input row for a batch, as QNetwork.q_values returns
+        return self.values if np.ndim(x) == 1 else np.tile(self.values, (len(x), 1))
 
 
 def test_criterion_4b_double_estimator_target():
@@ -270,11 +273,18 @@ def test_criterion_4b_double_estimator_target():
     target = _TwoActionStub([9.0, 4.0])
     z = ddqn_target(tr, online, target, gamma=0.5)
     single = ddqn_target(tr, target, target, gamma=0.5)
+    # train_step runs the batched targets; they must agree on the same cases
+    z_batch = ddqn_targets([tr], online, target, gamma=0.5)[0]
+    single_batch = ddqn_targets([tr], target, target, gamma=0.5)[0]
     ok = (
         z == pytest.approx(1.0 + 0.25 * 4.0)
         and single == pytest.approx(1.0 + 0.25 * 9.0)
         and ddqn_target(tr, online, target, gamma=0.0) == 1.0
         and z != single
+        and z_batch == pytest.approx(1.0 + 0.25 * 4.0)
+        and single_batch == pytest.approx(1.0 + 0.25 * 9.0)
+        and ddqn_targets([tr], online, target, gamma=0.0)[0] == 1.0
+        and z_batch != single_batch
     )
     verdict("criterion 4b: double-estimator target on crafted two-action cases", ok)
 
@@ -362,15 +372,12 @@ def test_criterion_4c_toy_grid_policy_matches_dp():
 # criterion 5: invariants and replay over full episodes
 
 
-def desk_cfg(baseline=BASELINE_FLEX_HOPS, seed=7, **kw):
-    cfg = SimConfig(seed=seed, baseline=baseline, episode_ticks=750, warmup_ticks=100,
-                    t_n=2000, ticks_per_day=250, max_hop_depth=2, reject_radius_m=900.0, **kw)
-    cfg.grid.hop_count_radius = 2
-    cfg.grid.hop_min_pickups = 15
-    cfg.demand.passenger_rate_per_zone = 0.003
-    cfg.demand.origin_hot_rate = 0.45
-    cfg.demand.goods_location_rate = 0.2
-    return cfg
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+
+
+def desk_cfg(baseline=BASELINE_FLEX_HOPS, seed=7):
+    """The shipped desk-scale world: configs/default.yaml with a seed and baseline."""
+    return replace(load_config(DESK_CONFIG).sim, seed=seed, baseline=baseline)
 
 
 def test_criterion_5_invariants_and_replay():

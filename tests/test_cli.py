@@ -49,6 +49,31 @@ def test_missing_config_exit_2():
     assert main(["gen-data", "--config", "/nonexistent/cfg.yaml", "--out", "x.csv"]) == 2
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "gen-data"])
+@pytest.mark.parametrize(
+    "sim",
+    [
+        {"rl": {"window": 14}},
+        {"grid": {"hop_stride": 0}},
+        {"separate_split": 1.5},
+        {"weights_preset": "greedy"},
+        {"rl": {"unknown_knob": 1}},  # a key SimConfig does not have, say one since removed
+    ],
+)
+def test_bad_config_exit_2(command, sim, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump({"sim": sim}))
+    out = str(tmp_path / ("trips.csv" if command == "gen-data" else "run"))
+    assert main([command, "--config", str(path), "--out", out]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
+def test_malformed_yaml_exit_2(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("sim: [unclosed\n")
+    assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+
+
 def test_train_smoke_writes_artifacts(smoke_config):
     path, cfg = smoke_config
     assert main(["train", "--config", path]) == 0

@@ -12,7 +12,6 @@ from hopfleet.demand import (
     ServiceLocation,
     TripDistribution,
     TripRecordError,
-    forecast_demand,
     generate_tick_requests,
     ingest_trip_records,
     poisson_pmf,
@@ -164,27 +163,29 @@ def test_trip_records_bad_rows(tmp_path, grid, row, msg):
 
 
 def test_forecast_empty_history(grid):
-    fc = forecast_demand({}, now=0, horizon=5, grid=grid, ticks_per_day=24)
+    fc = HistoricalAverageForecaster(grid, ticks_per_day=24).forecast(now=0, horizon=5)
     assert fc.counts.shape == (6, 10, 10)
     assert np.all(fc.counts == 0)
 
 
 def test_forecast_constant_rate(grid):
-    history = {t: np.full((10, 10), 0.0) for t in range(48)}
-    for t in history:
-        history[t][3, 3] = 2.0
-    fc = forecast_demand(history, now=48, horizon=4, grid=grid, ticks_per_day=24)
+    f = HistoricalAverageForecaster(grid, ticks_per_day=24)
+    for t in range(48):
+        arr = np.zeros((10, 10))
+        arr[3, 3] = 2.0
+        f.record(t, arr)
+    fc = f.forecast(now=48, horizon=4)
     assert np.allclose(fc.counts[:, 3, 3], 2.0)
 
 
 def test_forecast_tick_of_day_average(grid):
     # zone (1, 1) saw 1 then 3 requests at the same tick-of-day on two days
-    history = {}
+    f = HistoricalAverageForecaster(grid, ticks_per_day=24)
     for day in range(2):
         arr = np.zeros((10, 10))
         arr[1, 1] = 1.0 + 2.0 * day
-        history[5 + 24 * day] = arr
-    fc = forecast_demand(history, now=5 + 48, horizon=0, grid=grid, ticks_per_day=24)
+        f.record(5 + 24 * day, arr)
+    fc = f.forecast(now=5 + 48, horizon=0)
     assert fc.counts[0, 1, 1] == pytest.approx(2.0)
 
 

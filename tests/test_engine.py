@@ -33,7 +33,7 @@ class ScriptedPolicy:
         self.schedule_step = 0
         self._net = self._Net(offset_to_action(dr, dc))
 
-    def q_net(self, vid):
+    def q_net(self):
         return self._net
 
     def epsilon(self, training):
@@ -42,7 +42,7 @@ class ScriptedPolicy:
     def act_probability(self, training):
         return 1.0
 
-    def store(self, vid, tr):
+    def store(self, tr):
         pass
 
     def train_tick(self):
@@ -237,9 +237,9 @@ def test_eval_mode_leaves_policy_untouched():
     cfg = small_cfg(episode_ticks=30)
     sim = Simulation(cfg)
     sim.initialize()
-    before = sim.policy.online[None].parameters()
+    before = sim.policy.online.parameters()
     sim.run(ticks=30, mode="eval")
-    after = sim.policy.online[None].parameters()
+    after = sim.policy.online.parameters()
     for p, q in zip(before, after):
         assert np.array_equal(p, q)
 
@@ -249,7 +249,7 @@ def test_training_fills_buffer_and_logs_curve():
     sim = Simulation(cfg)
     sim.initialize()
     sim.run(ticks=80, mode="train")
-    assert len(sim.policy.buffers[None]) > 0
+    assert len(sim.policy.buffer) > 0
     assert len(sim.curve) == 80
     assert sim.policy.schedule_step == 80
 
@@ -264,11 +264,11 @@ def test_training_steps_move_parameters():
     rng = np.random.default_rng(0)
     dim = sim.policy.input_dim
     for _ in range(16):
-        sim.policy.store(0, Transition(rng.normal(size=dim), int(rng.integers(225)),
-                                       float(rng.normal()), rng.normal(size=dim), 0))
-    before = sim.policy.online[None].parameters()
+        sim.policy.store(Transition(rng.normal(size=dim), int(rng.integers(225)),
+                                    float(rng.normal()), rng.normal(size=dim), 0))
+    before = sim.policy.online.parameters()
     sim.run(ticks=10, mode="train")
-    after = sim.policy.online[None].parameters()
+    after = sim.policy.online.parameters()
     assert any(not np.array_equal(p, q) for p, q in zip(before, after))
     losses = [row["loss"] for row in sim.curve if row["loss"] is not None]
     assert losses
@@ -277,3 +277,18 @@ def test_training_steps_move_parameters():
 def test_bad_baseline_rejected():
     with pytest.raises(ValueError):
         SimConfig(baseline="warp_drive")
+
+
+@pytest.mark.parametrize(
+    "kw, msg",
+    [
+        (dict(rl={"window": 14}), "rl.window must be odd"),
+        (dict(grid={"hop_stride": 0}), "grid.hop_stride must be >= 1"),
+        (dict(separate_split=1.5), "separate_split must be in"),
+        (dict(separate_split=-0.1), "separate_split must be in"),
+        (dict(weights_preset="greedy"), "unknown weight preset"),
+    ],
+)
+def test_bad_config_rejected_when_built(kw, msg):
+    with pytest.raises(ValueError, match=msg):
+        SimConfig(**kw)

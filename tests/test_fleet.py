@@ -15,8 +15,6 @@ from hopfleet.fleet import (
     PickupEvent,
     VehicleState,
     VehicleStateError,
-    advance,
-    availability,
     is_available,
     move,
     process_arrivals,
@@ -37,7 +35,7 @@ def entry(rid, kind, origin, dest, onboard=False, leg_kind="direct"):
 
 def test_availability_examples():
     v = make_vehicle()
-    assert availability(v) == (4, 5)
+    assert (v.seats_free, v.trunk_free) == (4, 5)
     assert is_available(v)
 
     full = make_vehicle()
@@ -45,13 +43,13 @@ def test_availability_examples():
         full.add_entry(entry(i, PASSENGER, (1, 1), (2, 2), onboard=True))
     for i in range(5):
         full.add_entry(entry(10 + i, GOODS, (1, 1), (2, 2), onboard=True))
-    assert availability(full) == (0, 0)
+    assert (full.seats_free, full.trunk_free) == (0, 0)
     assert not is_available(full)
 
     partial = make_vehicle()
     partial.add_entry(entry(0, PASSENGER, (1, 1), (2, 2), onboard=True))
     partial.add_entry(entry(1, PASSENGER, (1, 1), (3, 3), onboard=True))
-    assert availability(partial) == (2, 5)
+    assert (partial.seats_free, partial.trunk_free) == (2, 5)
     assert is_available(partial)
 
 
@@ -100,7 +98,8 @@ def test_serving_last_delivery_goes_idle():
 def test_idle_vehicle_unchanged_by_advance():
     grid = GridWorld(width=10, height=10)
     v = make_vehicle(loc=(4, 4))
-    events, moved = advance(v, grid, tick=0)
+    events = process_arrivals(v, tick=0)
+    moved = move(v, grid)
     assert (v.status, v.location, events, moved) == (IDLE, ZoneId(4, 4), [], 0)
 
 
@@ -190,7 +189,6 @@ def test_project_supply_busy_vehicle_eta():
     assert snap.available.sum() == 0  # full vehicle
     assert snap.projected[3, 0, 3] == 1
     assert snap.projected.sum() == 1
-    assert snap.available_by(5)[0, 3] == 1
 
 
 def test_project_supply_beyond_horizon_ignored():

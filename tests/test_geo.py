@@ -9,7 +9,7 @@ from hopfleet.geo import (
     TravelEstimate,
     ZoneId,
     designate_hop_zones,
-    manhattan,
+    hub_lattice,
     step_toward,
 )
 
@@ -101,27 +101,13 @@ def test_designate_hop_zones_offset():
     assert chosen == frozenset(ZoneId(r, c) for r in (1, 4, 7) for c in (1, 4, 7))
 
 
-def test_nearest_hop_zone_tie_break_lexicographic():
-    g = make_grid(hop_zones={(0, 3), (3, 0)})
-    assert g.nearest_hop_zone((0, 0)) == ZoneId(0, 3)
-
-
-def test_nearest_hop_zone_empty_and_excluded():
-    g = make_grid()
-    assert g.nearest_hop_zone((0, 0)) is None
-    g2 = make_grid(hop_zones={(5, 5)})
-    assert g2.nearest_hop_zone((0, 0), exclude={(5, 5)}) is None
-
-
-def test_nearest_hop_zone_dominates_exhaustive_scan():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        hz = {ZoneId(int(r), int(c)) for r, c in rng.integers(0, 10, size=(6, 2))}
-        g = GridWorld(width=10, height=10, hop_zones=frozenset(hz))
-        frm = ZoneId(int(rng.integers(0, 10)), int(rng.integers(0, 10)))
-        got = g.nearest_hop_zone(frm)
-        best = min(manhattan(frm, z) for z in hz)
-        assert manhattan(frm, got) == best
+def test_hub_lattice_row_major_and_offset_wraps():
+    g = make_grid(w=7, h=5)
+    assert hub_lattice(g, stride=3) == [ZoneId(r, c) for r in (0, 3) for c in (0, 3, 6)]
+    assert hub_lattice(g, stride=3, offset=4) == hub_lattice(g, stride=3, offset=1)
+    assert hub_lattice(g, stride=1) == list(g.all_zones())
+    with pytest.raises(ValueError):
+        hub_lattice(g, stride=0)
 
 
 def test_step_toward_row_first():

@@ -5,12 +5,8 @@ from hopfleet.reward import (
     AgentRewardInputs,
     RewardWeights,
     agent_reward,
-    fleet_activations,
     global_objective,
     supply_demand_gap,
-    total_detour_overhead,
-    total_dispatch_time,
-    total_hops,
 )
 
 
@@ -33,38 +29,6 @@ def test_supply_demand_gap_nonnegative():
         gap = supply_demand_gap(d, v)
         assert gap >= 0
         assert (gap == 0) == bool(np.all(v >= d))
-
-
-def test_total_dispatch_time_examples():
-    h = np.array([[3.0, 7.0], [4.0, 2.0]])
-    assert total_dispatch_time(h, np.zeros_like(h)) == 0.0
-    assert total_dispatch_time(h, [[0, 1], [0, 0]]) == 7.0
-    assert total_dispatch_time(h, [[1, 0], [0, 1]]) == 5.0
-    assert total_dispatch_time([[3.0], [4.0]], [[1], [1]]) == 7.0
-
-
-def test_total_dispatch_time_rejects_double_dispatch():
-    with pytest.raises(ValueError):
-        total_dispatch_time([[1.0, 2.0]], [[1, 1]])
-    with pytest.raises(ValueError):
-        total_dispatch_time([[1.0]], [[2]])
-
-
-def test_total_detour_overhead_sums():
-    assert total_detour_overhead([]) == 0.0
-    assert total_detour_overhead([4]) == 4.0
-    assert total_detour_overhead([1, 2, 3]) == 6.0
-
-
-def test_total_hops_counts():
-    assert total_hops([]) == 0.0
-    assert total_hops([("pkg", 1), ("pkg", 2), ("pkg", 3)]) == 3.0
-
-
-def test_fleet_activations():
-    assert fleet_activations([0, 0], [0, 0]) == 0.0
-    assert fleet_activations([1, 1, 0], [0, 0, 0]) == 2.0
-    assert fleet_activations([0, 0], [1, 1]) == 0.0
 
 
 def test_global_objective_examples():
