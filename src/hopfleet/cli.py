@@ -43,14 +43,12 @@ ENV_OUT_DIR = "HOPFLEET_OUT"
 @dataclass
 class TrainSettings:
     episodes: int = 3
-    ticks: int | None = None  # None: SimConfig.episode_ticks
     checkpoint_every: int = 1  # episodes between checkpoint files
 
 
 @dataclass
 class EvalSettings:
     seeds: list = field(default_factory=lambda: [101, 102, 103, 104, 105])
-    ticks: int | None = None
 
 
 @dataclass
@@ -58,7 +56,6 @@ class ExperimentConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     train: TrainSettings = field(default_factory=TrainSettings)
     eval: EvalSettings = field(default_factory=EvalSettings)
-    mode: str = "both"  # train | eval | both
     out_dir: str = "runs/experiment"
 
     def __post_init__(self):
@@ -68,8 +65,6 @@ class ExperimentConfig:
             self.train = TrainSettings(**self.train)
         if isinstance(self.eval, dict):
             self.eval = EvalSettings(**self.eval)
-        if self.mode not in ("train", "eval", "both"):
-            raise ValueError("mode must be train, eval, or both")
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(asdict(self)))
@@ -158,7 +153,7 @@ def cmd_train(args) -> int:
         for episode in range(start_episode, start_episode + cfg.train.episodes):
             sim = Simulation(replace(cfg.sim, seed=cfg.sim.seed + episode), policy=policy)
             sim.initialize()
-            log = sim.run(ticks=cfg.train.ticks, mode=MODE_TRAIN)
+            log = sim.run(mode=MODE_TRAIN)
             last_log = log
             for row in sim.curve:
                 writer.writerow([row["step"], row["q_max"], row["loss"],
@@ -195,16 +190,15 @@ def cmd_train(args) -> int:
 # eval
 
 
-def evaluate(cfg: ExperimentConfig, checkpoint: str | None) -> dict:
-    """Frozen-policy evaluation over the held-out seeds; returns the report dict."""
-    policy = DispatchPolicy(cfg.sim)
-    if checkpoint:
-        policy.load(checkpoint)
+def evaluate(cfg: ExperimentConfig, policy: DispatchPolicy, checkpoint: str | None) -> dict:
+    """Frozen-policy evaluation over the held-out seeds; returns the report dict.
+
+    ``checkpoint`` names the file ``policy`` was loaded from, for the report."""
     per_seed = []
     for seed in cfg.eval.seeds:
         sim = Simulation(replace(cfg.sim, seed=int(seed)), policy=policy)
         sim.initialize()
-        log = sim.run(ticks=cfg.eval.ticks, mode=MODE_EVAL)
+        log = sim.run(mode=MODE_EVAL)
         report = mx.build_report(log, cfg.sim.effective_distance_includes_dispatch)
         per_seed.append(json.loads(report.to_json()))
     keys = ["accept_rate_overall", "accept_rate_passenger", "accept_rate_goods",
@@ -218,7 +212,7 @@ def evaluate(cfg: ExperimentConfig, checkpoint: str | None) -> dict:
         "baseline": cfg.sim.baseline,
         "checkpoint": checkpoint,
         "eval_seeds": [int(s) for s in cfg.eval.seeds],
-        "ticks": cfg.eval.ticks or cfg.sim.episode_ticks,
+        "ticks": cfg.sim.episode_ticks,
         "n_vehicles": cfg.sim.n_vehicles,
         "aggregate": aggregate,
         "per_seed": per_seed,
@@ -228,14 +222,15 @@ def evaluate(cfg: ExperimentConfig, checkpoint: str | None) -> dict:
 def cmd_eval(args) -> int:
     cfg = _run_config(args)
     out = _resolve_out(cfg, args.out)
+    policy = DispatchPolicy(cfg.sim)
     if args.checkpoint:
-        if not os.path.exists(args.checkpoint):
-            return _fail(f"checkpoint not found: {args.checkpoint}")
         try:
-            DispatchPolicy(cfg.sim).load(args.checkpoint)
+            policy.load(args.checkpoint)
+        except FileNotFoundError:
+            return _fail(f"checkpoint not found: {args.checkpoint}")
         except CheckpointShapeError as exc:
             return _fail(f"checkpoint rejected: {exc}")
-    report = evaluate(cfg, args.checkpoint)
+    report = evaluate(cfg, policy, args.checkpoint)
     path = os.path.join(out, f"report_{cfg.sim.baseline}.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

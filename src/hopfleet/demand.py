@@ -51,7 +51,9 @@ class Request:
 
     Hop-trip legs created mid-journey reference the original goods request
     through ``parent_id``; only original requests (parent_id None) count in
-    service metrics.
+    service metrics. A leg request's ``hops_completed`` is its index in its
+    relay chain: the original request is leg 0 and each handoff at a hub
+    creates the next leg with the index after the one dropped.
     """
 
     id: int

@@ -4,7 +4,9 @@ Each tick runs a fixed phase order over vehicles in ascending id:
 
   1. intake new requests; plan relay chains for goods
   2. per-vehicle arrival processing (status transitions, pickups, drops;
-     a hop-leg drop enqueues the next leg as a child request)
+     a drop that is not a chain's last leg enqueues the next leg as a child
+     request). A leg request's ``hops_completed`` is its index in its chain,
+     so ``legs[chain id][hops_completed]`` is the leg it carries
   3. idle vehicles query the dispatch policy with the scheduled probability;
      a self-targeted action holds the vehicle idle, anything else starts a
      dispatch drive
@@ -315,12 +317,10 @@ class Simulation:
         self.vehicles: list[fl.VehicleState] = []
         self.registry: dict[int, dm.Request] = {}
         self.queue: list[int] = []
-        self.chains: dict[int, dict] = {}  # original id -> {legs, cursor_rid, next_leg}
-        self.leg_of: dict[int, tuple] = {}  # leg request id -> (original id, leg index)
+        self.legs: dict[int, tuple] = {}  # relayed goods id -> HopTrip.legs
         self.next_request_id = 0
         self.tick = 0
         self.training = False
-        self.dispatch_enabled = True
         self.pending: dict[int, _Pending] = {}
         self.prev_active: dict[int, bool] = {}
         self._finalize: dict[int, tuple] = {}  # vehicle id -> (old decision, its successor state)
@@ -476,26 +476,18 @@ class Simulation:
 
     # -- per-tick helpers ----------------------------------------------------
 
-    def _leg_for(self, rid: int) -> tuple:
-        """(origin, destination, leg_kind, hops_done) of a queued request."""
-        req = self.registry[rid]
-        if rid in self.leg_of:
-            orig_id, idx = self.leg_of[rid]
-            legs = self.chains[orig_id]["legs"]
-            o, d = legs[idx]
-            kind = fl.HOP_LEG if idx < len(legs) - 1 else fl.DIRECT
-            return o, d, kind, req.hops_completed
-        if req.id in self.chains:
-            legs = self.chains[req.id]["legs"]
-            o, d = legs[0]
-            return o, d, fl.HOP_LEG if len(legs) > 1 else fl.DIRECT, 0
-        return req.origin, req.destination, fl.DIRECT, req.hops_completed
+    @staticmethod
+    def _chain_id(req: dm.Request) -> int:
+        """The primary request a leg belongs to (itself for a primary)."""
+        return req.id if req.parent_id is None else req.parent_id
 
-    def _original_of(self, rid: int) -> dm.Request:
-        req = self.registry[rid]
-        if req.parent_id is not None:
-            return self.registry[req.parent_id]
-        return req
+    def _leg_for(self, req: dm.Request) -> tuple:
+        """(origin, destination, is_last) of the leg a request carries."""
+        legs = self.legs.get(self._chain_id(req))
+        if legs is None:
+            return req.origin, req.destination, True
+        o, d = legs[req.hops_completed]
+        return o, d, req.hops_completed == len(legs) - 1
 
     def _intake(self, detail: dict):
         reqs = self._draw_requests(self.tick, self.demand_rng)
@@ -509,41 +501,35 @@ class Simulation:
             if r.kind == dm.GOODS and self.cfg.baseline == BASELINE_FLEX_HOPS:
                 trip = assign_hop_zones(r, self.grid, self.cfg.max_hop_depth)
                 if len(trip.legs) > 1:
-                    self.chains[r.id] = {"legs": trip.legs, "cursor_rid": r.id, "next_leg": 1}
+                    self.legs[r.id] = trip.legs
         detail["generated"] = len(reqs)
 
-    def _handle_drop(self, event: fl.DropEvent, detour: dict):
+    def _handle_drop(self, event: fl.DropEvent, detour: dict) -> bool:
+        """Deliver the package or hand it off at a hub; True for a handoff."""
         req = self.registry[event.request_id]
-        orig = self._original_of(event.request_id)
-        if event.leg_kind == fl.DIRECT:
-            if req.parent_id is not None:
-                req.set_status(dm.DELIVERED, event.tick)
-            if orig.status != dm.DELIVERED:
-                orig.set_status(dm.DELIVERED, event.tick)
-            self.log.add(event.tick, "deliver", request=orig.id, vehicle=event.vehicle_id,
-                         zone=event.zone, leg=event.request_id)
-            return
-        # hop handoff: close this leg and enqueue the next one
-        chain = self.chains[orig.id]
+        orig = self.registry[self._chain_id(req)]
         if req.parent_id is not None:
             req.set_status(dm.DELIVERED, event.tick)
-        orig.hops_completed += 1
-        idx = chain["next_leg"]
-        legs = chain["legs"]
-        o, d = legs[idx]
+        _, _, last = self._leg_for(req)
+        if last:
+            orig.set_status(dm.DELIVERED, event.tick)
+            self.log.add(event.tick, "deliver", request=orig.id, vehicle=event.vehicle_id,
+                         zone=event.zone, leg=event.request_id)
+            return False
+        # hop handoff: enqueue the next leg, indexed by its hops_completed
+        idx = req.hops_completed + 1
+        o, d = self.legs[orig.id][idx]
         if o != event.zone:
             raise EngineInvariantError(self._dump(f"hop chain misaligned for request {orig.id}"))
         child = dm.Request(self.next_request_id, dm.GOODS, o, d, event.tick, orig.urgency,
-                           hops_completed=orig.hops_completed, parent_id=orig.id)
+                           hops_completed=idx, parent_id=orig.id)
         self.next_request_id += 1
         self.registry[child.id] = child
-        self.leg_of[child.id] = (orig.id, idx)
-        chain["cursor_rid"] = child.id
-        chain["next_leg"] = idx + 1
         self.queue.append(child.id)
         detour[event.vehicle_id] = detour.get(event.vehicle_id, 0.0) + 1.0
         self.log.add(event.tick, "hop_drop", request=orig.id, leg=event.request_id,
-                     vehicle=event.vehicle_id, zone=event.zone, hops_done=orig.hops_completed)
+                     vehicle=event.vehicle_id, zone=event.zone, hops_done=idx)
+        return True
 
     def _arrivals(self, detour: dict, detail: dict):
         hops = 0
@@ -552,16 +538,11 @@ class Simulation:
                 if isinstance(event, fl.PickupEvent):
                     req = self.registry[event.request_id]
                     req.set_status(dm.PICKED_UP, self.tick)
-                    orig = self._original_of(event.request_id)
-                    if orig.id != req.id and orig.status == dm.ASSIGNED:
-                        orig.set_status(dm.PICKED_UP, self.tick)
                     self.log.add(self.tick, "pickup", request=event.request_id,
                                  parent=req.parent_id, vehicle=event.vehicle_id,
                                  zone=event.zone, wait=self.tick - req.created_tick)
-                else:
-                    if event.leg_kind == fl.HOP_LEG:
-                        hops += 1
-                    self._handle_drop(event, detour)
+                elif self._handle_drop(event, detour):
+                    hops += 1
         detail["hops"] = hops
 
     def _dispatch(self, supply: fl.FleetSnapshot, forecast: dm.DemandForecast, detail: dict):
@@ -571,7 +552,7 @@ class Simulation:
         dispatch_time = 0.0
         q_maxes = []
         for v in self.vehicles:
-            if v.status != fl.IDLE or not self.dispatch_enabled:
+            if v.status != fl.IDLE:
                 continue
             if self.explore_rng.random() >= beta:
                 continue
@@ -585,7 +566,6 @@ class Simulation:
             if old is not None:
                 self._finalize[v.id] = (old, vec)
             self.pending[v.id] = _Pending(vec, action, self.tick)
-            v.last_decision_tick = self.tick
             target = rl.action_target(self.grid, v.location, action, cfg.rl.action_radius)
             if target == v.location:
                 continue  # hold: stay idle, stay unmatched
@@ -612,17 +592,13 @@ class Simulation:
         for a in assignments:
             v = by_id[a.vehicle_id]
             req = self.registry[a.request_id]
-            origin, dest, leg_kind, hops_done = self._leg_for(a.request_id)
+            origin, dest, _ = self._leg_for(req)
             before = v.route_eta(self.grid.vehicle_speed) if v.manifest else None
-            v.add_entry(fl.ManifestEntry(req.id, req.kind, origin, dest, leg_kind=leg_kind,
-                                         hops_completed=hops_done))
+            v.add_entry(fl.ManifestEntry(req.id, req.kind, origin, dest))
             if before is not None:
                 after = v.route_eta(self.grid.vehicle_speed)
                 detour[v.id] = detour.get(v.id, 0.0) + max(0.0, after - before)
             req.set_status(dm.ASSIGNED)
-            orig = self._original_of(req.id)
-            if orig.id != req.id and orig.status == dm.QUEUED:
-                orig.set_status(dm.ASSIGNED)
             if v.status in (fl.DISPATCHED, fl.SERVING):
                 v.set_status(fl.MATCHED)
             self.queue.remove(req.id)
@@ -637,7 +613,7 @@ class Simulation:
         for rid in expired:
             self.queue.remove(rid)
             self.registry[rid].set_status(dm.REJECTED)
-            self.chains.pop(rid, None)
+            self.legs.pop(rid, None)
             self.log.add(self.tick, "reject", request=rid,
                          req_kind=self.registry[rid].kind)
         detail["assigned"] = len(assignments)
@@ -674,7 +650,7 @@ class Simulation:
                 delay = max(0.0, waited + t_actual - t_direct)
                 delays.append((req.urgency, delay))
                 if e.kind == dm.GOODS:
-                    hops.append(e.hops_completed)
+                    hops.append(req.hops_completed)
             active_now = int(v.active)
             active_prev = int(self.prev_active[v.id])
             activations += max(active_now - active_prev, 0)
@@ -751,26 +727,20 @@ class Simulation:
                 raise EngineInvariantError(self._dump(f"queued request {rid} not in queued status"))
         if not full:
             return
-        # every primary request sits in exactly one lifecycle bucket
+        # an open primary request has exactly one live leg, queued or in a
+        # manifest; a delivered or rejected one has none
+        live: dict[int, int] = {}
+        for rid in [*self.queue, *manifest_owner]:
+            chain_id = self._chain_id(self.registry[rid])
+            live[chain_id] = live.get(chain_id, 0) + 1
         for req in self.registry.values():
             if req.parent_id is not None:
                 continue
-            if req.status in (dm.DELIVERED, dm.REJECTED):
-                continue
-            if req.status == dm.QUEUED:
-                if req.id not in self.queue:
-                    raise EngineInvariantError(self._dump(f"request {req.id} queued but not in queue"))
-                continue
-            cursor = self.chains[req.id]["cursor_rid"] if req.id in self.chains else req.id
-            leg = self.registry[cursor]
-            if leg.status == dm.QUEUED:
-                if cursor not in self.queue:
-                    raise EngineInvariantError(self._dump(f"leg {cursor} lost from queue"))
-            elif leg.status in (dm.ASSIGNED, dm.PICKED_UP):
-                if cursor not in manifest_owner:
-                    raise EngineInvariantError(self._dump(f"leg {cursor} not in any manifest"))
-            else:
-                raise EngineInvariantError(self._dump(f"package {req.id} has no live leg"))
+            n = live.get(req.id, 0)
+            expect = 0 if req.status in (dm.DELIVERED, dm.REJECTED) else 1
+            if n != expect:
+                raise EngineInvariantError(self._dump(
+                    f"request {req.id} ({req.status}) has {n} live legs, expected {expect}"))
 
     # -- main loop -----------------------------------------------------------
 

@@ -39,10 +39,6 @@ ALLOWED_TRANSITIONS = {
     (SERVING, MATCHED),
 }
 
-DIRECT = "direct"
-HOP_LEG = "hop_leg"
-
-
 class VehicleStateError(RuntimeError):
     """Internal consistency violation in a vehicle's lifecycle."""
 
@@ -53,10 +49,8 @@ class ManifestEntry:
     kind: str  # passenger | goods
     origin: ZoneId
     destination: ZoneId
-    leg_kind: str = DIRECT
     onboard: bool = False
     pickup_tick: int | None = None
-    hops_completed: int = 0
 
 
 class PickupEvent(NamedTuple):
@@ -71,7 +65,6 @@ class DropEvent(NamedTuple):
     vehicle_id: int
     zone: ZoneId
     tick: int
-    leg_kind: str
 
 
 @dataclass
@@ -83,7 +76,6 @@ class VehicleState:
     trunk_total: int = 5
     manifest: list = field(default_factory=list)
     dispatch_target: ZoneId | None = None
-    last_decision_tick: int | None = None
 
     # ---- capacity -------------------------------------------------------
 
@@ -191,7 +183,7 @@ def process_arrivals(v: VehicleState, tick: int) -> list:
     if v.status in (MATCHED, SERVING):
         for e in [e for e in v.manifest if e.onboard and e.destination == v.location]:
             v.manifest.remove(e)
-            events.append(DropEvent(e.request_id, v.id, v.location, tick, e.leg_kind))
+            events.append(DropEvent(e.request_id, v.id, v.location, tick))
         picked = False
         for e in v.manifest:
             if not e.onboard and e.origin == v.location:

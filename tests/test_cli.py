@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -85,6 +86,19 @@ def test_train_smoke_writes_artifacts(smoke_config):
         summary = json.load(fh)
     assert summary["total_steps"] == 30
     assert len(summary["episodes"]) == 1
+
+
+def test_train_takes_gradient_steps(smoke_config):
+    # the first episode only fills the replay buffer: each vehicle decides
+    # once, and its transition is stored at the end-of-episode flush
+    path, cfg = smoke_config
+    cfg.train.episodes = 2
+    save_config(path, cfg)
+    assert main(["train", "--config", path]) == 0
+    with open(os.path.join(cfg.out_dir, "training_curve.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 60
+    assert any(row["loss"] for row in rows)
 
 
 def test_train_resume_continues_steps(smoke_config):

@@ -9,6 +9,7 @@ from hopfleet.engine import (
     BASELINE_FLEX_HOPS,
     BASELINE_FLEX_NOHOPS,
     BASELINE_SEPARATE,
+    EngineInvariantError,
     EpisodeLog,
     SimConfig,
     Simulation,
@@ -99,9 +100,8 @@ def test_step_without_requests_only_advances_clock(tmp_path):
     write_trip_records(path, reqs)
     cfg = small_cfg(n_vehicles=2, warmup_ticks=0, episode_ticks=5)
     cfg.demand.trips_csv = str(path)
-    sim = Simulation(cfg)
+    sim = Simulation(cfg, policy=ScriptedPolicy(0, 0))  # the hold action
     sim.initialize()
-    sim.dispatch_enabled = False
     before = [tuple(v.location) for v in sim.vehicles]
     for _ in range(5):
         sim.step()
@@ -161,6 +161,67 @@ def test_goods_relay_one_hop_two_vehicles():
     first_leg = next(p for p in pickups if p["parent"] is None)
     relay_leg = next(p for p in pickups if p["parent"] is not None)
     assert first_leg["vehicle"] != relay_leg["vehicle"]
+
+
+def test_goods_relay_three_legs_indexed_by_hops_completed():
+    cfg = small_cfg(n_vehicles=3, warmup_ticks=0, episode_ticks=40, max_hop_depth=2)
+    sim = Simulation(cfg, policy=ScriptedPolicy(1, 0))  # dispatch one zone south
+    sim.initialize()
+    for v, col in zip(sim.vehicles, (0, 3, 6)):
+        v.location = ZoneId(0, col)
+    inject_requests(sim, [Request(0, GOODS, ZoneId(0, 0), ZoneId(0, 9), 0, 0.5)])
+    log = sim.run(ticks=40)
+
+    hubs = [ZoneId(0, 0), ZoneId(0, 3), ZoneId(0, 6), ZoneId(0, 9)]
+    assert sim.legs[0] == tuple(zip(hubs, hubs[1:]))
+    hops = log.by_kind("hop_drop")
+    assert [h["hops_done"] for h in hops] == [1, 2]
+    assert [tuple(h["zone"]) for h in hops] == [(0, 3), (0, 6)]
+    deliver = log.by_kind("deliver")
+    assert len(deliver) == 1 and deliver[0]["request"] == 0
+    assert tuple(deliver[0]["zone"]) == (0, 9)
+
+    legs = sorted((r for r in sim.registry.values() if 0 in (r.id, r.parent_id)),
+                  key=lambda r: r.id)
+    assert [r.hops_completed for r in legs] == [0, 1, 2]
+    # each leg request was picked up and dropped at the ends of the leg its
+    # hops_completed indexes
+    picked = {e["request"]: tuple(e["zone"]) for e in log.by_kind("pickup")}
+    dropped = {e["leg"]: tuple(e["zone"]) for e in hops + deliver}
+    for r in legs:
+        origin, dest = sim.legs[0][r.hops_completed]
+        assert (picked[r.id], dropped[r.id]) == (tuple(origin), tuple(dest))
+        assert r.status == dm.DELIVERED
+
+
+def relay_waiting_at_hub():
+    """One vehicle carries the first leg of a 2-leg relay and drops it at the
+    hub; the second leg then waits queued, with no vehicle free to take it."""
+    cfg = small_cfg(n_vehicles=1, warmup_ticks=0, max_hop_depth=1)
+    sim = Simulation(cfg, policy=ScriptedPolicy(1, 0))
+    sim.initialize()
+    sim.vehicles[0].location = ZoneId(0, 0)
+    inject_requests(sim, [Request(0, GOODS, ZoneId(0, 0), ZoneId(0, 6), 0, 0.5)])
+    while not sim.log.by_kind("hop_drop"):
+        sim.step()
+    leg = next(r for r in sim.registry.values() if r.parent_id == 0)
+    assert sim.queue == [leg.id]
+    sim.run(ticks=0)  # the intact relay passes the full conservation check
+    return sim, leg
+
+
+def test_conservation_check_catches_a_lost_leg():
+    sim, leg = relay_waiting_at_hub()
+    sim.queue.remove(leg.id)
+    with pytest.raises(EngineInvariantError, match="request 0 .* 0 live legs, expected 1"):
+        sim.run(ticks=0)
+
+
+def test_conservation_check_catches_a_duplicated_leg():
+    sim, leg = relay_waiting_at_hub()
+    sim.queue.append(leg.id)
+    with pytest.raises(EngineInvariantError, match="request 0 .* 2 live legs, expected 1"):
+        sim.run(ticks=0)
 
 
 def test_flex_nohops_never_hops():

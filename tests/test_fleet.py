@@ -5,7 +5,6 @@ from hopfleet.demand import GOODS, PASSENGER
 from hopfleet.fleet import (
     DISPATCHED,
     DISPATCHING,
-    HOP_LEG,
     IDLE,
     MATCHED,
     SERVING,
@@ -27,8 +26,8 @@ def make_vehicle(loc=(0, 0), **kw):
     return VehicleState(id=0, location=ZoneId(*loc), **kw)
 
 
-def entry(rid, kind, origin, dest, onboard=False, leg_kind="direct"):
-    e = ManifestEntry(rid, kind, ZoneId(*origin), ZoneId(*dest), leg_kind=leg_kind)
+def entry(rid, kind, origin, dest, onboard=False):
+    e = ManifestEntry(rid, kind, ZoneId(*origin), ZoneId(*dest))
     e.onboard = onboard
     return e
 
@@ -92,7 +91,7 @@ def test_serving_last_delivery_goes_idle():
     events = process_arrivals(v, tick=9)
     assert v.status == IDLE
     assert v.manifest == []
-    assert events == [DropEvent(7, 0, ZoneId(3, 3), 9, "direct")]
+    assert events == [DropEvent(7, 0, ZoneId(3, 3), 9)]
 
 
 def test_idle_vehicle_unchanged_by_advance():
@@ -137,11 +136,13 @@ def test_location_changes_at_most_speed_per_tick():
             v.status = DISPATCHING  # keep roaming
 
 
-def test_hop_leg_drop_reports_leg_kind():
+def test_goods_drop_at_hub_reports_drop_event():
+    # the fleet reports a drop the same way for every leg; the engine decides
+    # from its leg table whether the package is delivered or handed off
     v = make_vehicle(loc=(0, 4), status=SERVING)
-    v.manifest.append(entry(5, GOODS, (0, 0), (0, 4), onboard=True, leg_kind=HOP_LEG))
+    v.manifest.append(entry(5, GOODS, (0, 0), (0, 4), onboard=True))
     events = process_arrivals(v, tick=4)
-    assert events == [DropEvent(5, 0, ZoneId(0, 4), 4, HOP_LEG)]
+    assert events == [DropEvent(5, 0, ZoneId(0, 4), 4)]
     assert v.status == IDLE
 
 
