@@ -10,6 +10,7 @@ import numpy as np
 from hopfleet.demand import (
     HistoricalAverageForecaster,
     ServiceLocation,
+    demand_sources,
     generate_tick_requests,
     poisson_pmf,
 )
@@ -26,13 +27,14 @@ locations = [
     ServiceLocation(ZoneId(7, 7), "meal", 0.8),
 ]
 passenger_rates = {z: 0.02 for z in grid.all_zones()}
+# laid out once: validated origins and each site's reachable destinations
+sources = demand_sources(grid, locations, passenger_rates, goods_radius=4)
 
 forecaster = HistoricalAverageForecaster(grid, ticks_per_day=48)
 total = {"passenger": 0, "goods": 0}
 next_id = 0
 for tick in range(96):  # two synthetic days
-    batch = generate_tick_requests(grid, locations, passenger_rates, tick, rng,
-                                   goods_radius=4, id_start=next_id)
+    batch = generate_tick_requests(sources, tick, rng, id_start=next_id)
     next_id += len(batch)
     forecaster.record_requests(tick, batch)
     for r in batch:

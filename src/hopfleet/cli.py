@@ -26,7 +26,7 @@ import yaml
 
 from . import metrics as mx
 from .demand import write_trip_records
-from .dispatch_rl import CheckpointShapeError
+from .dispatch_rl import CheckpointError
 from .engine import (
     BASELINES,
     MODE_EVAL,
@@ -137,8 +137,8 @@ def cmd_train(args) -> int:
             header = policy.load(args.checkpoint)
         except FileNotFoundError:
             return _fail(f"checkpoint not found: {args.checkpoint}")
-        except CheckpointShapeError as exc:
-            return _fail(str(exc))
+        except CheckpointError as exc:
+            return _fail(f"checkpoint rejected: {exc}")
         start_episode = int(header.get("extra", {}).get("episode", 0))
         print(f"resumed from {args.checkpoint} at step {policy.schedule_step}")
 
@@ -228,7 +228,7 @@ def cmd_eval(args) -> int:
             policy.load(args.checkpoint)
         except FileNotFoundError:
             return _fail(f"checkpoint not found: {args.checkpoint}")
-        except CheckpointShapeError as exc:
+        except CheckpointError as exc:
             return _fail(f"checkpoint rejected: {exc}")
     report = evaluate(cfg, policy, args.checkpoint)
     path = os.path.join(out, f"report_{cfg.sim.baseline}.json")

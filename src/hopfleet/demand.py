@@ -2,6 +2,9 @@
 
 Request counts per source follow a Poisson law sampled by CDF inversion from a
 seeded uniform stream, so identical seeds give bit-identical request streams.
+Generation takes two steps: :func:`demand_sources` lays the sources out once
+(validated origins in draw order, and each goods site's reachable
+destinations), then :func:`generate_tick_requests` draws one tick from them.
 The demand forecaster is a trailing tick-of-day historical average; it sits
 behind a plain ``forecast(now, horizon)`` call so other predictors can be
 swapped in.
@@ -172,44 +175,72 @@ class TripDistribution:
                 return z
 
 
-def generate_tick_requests(
+@dataclass(frozen=True)
+class DemandSources:
+    """Where demand arises, laid out once for a world by :func:`demand_sources`.
+
+    ``passenger`` holds ``(origin, rate)`` in ascending zone order, the order
+    of the per-zone draws. ``goods`` holds ``(origin, rate, candidates)`` per
+    goods site in site order, ``candidates`` being the zones within
+    ``goods_radius`` of the site; a site with no zone in reach is left out,
+    as it can emit nothing.
+    """
+
+    grid: GridWorld
+    passenger: tuple
+    goods: tuple
+    goods_radius: int
+
+
+def demand_sources(
     grid: GridWorld,
     locations: Sequence[ServiceLocation],
     passenger_rates: Mapping,
+    goods_radius: int,
+) -> DemandSources:
+    """Validate the demand sources against the grid and lay them out for drawing."""
+    if goods_radius <= 0:
+        raise ValueError("goods_radius must be > 0")
+    passenger = tuple((grid.require(zone), lam) for zone, lam in sorted(passenger_rates.items()))
+    goods = []
+    for loc in locations:
+        origin = grid.require(loc.zone)
+        candidates = tuple(grid.zones_within(origin, goods_radius))
+        if candidates:
+            goods.append((origin, loc.rate, candidates))
+    return DemandSources(grid, passenger, tuple(goods), goods_radius)
+
+
+def generate_tick_requests(
+    sources: DemandSources,
     tick: int,
     rng: np.random.Generator,
-    goods_radius: int,
     id_start: int = 0,
     trip_distribution: TripDistribution | None = None,
     urgency: Mapping | None = None,
     goods_dest_hot: Sequence = (),
     goods_dest_hot_weight: float = 0.0,
 ) -> list[Request]:
-    """Draw one tick of demand. Goods destinations stay within goods_radius;
-    optionally a share of them lands next to busy zones inside that radius."""
-    if goods_radius <= 0:
-        raise ValueError("goods_radius must be > 0")
+    """Draw one tick of demand. Goods destinations stay within the sources'
+    goods radius; optionally a share of them lands next to busy zones inside
+    that radius."""
+    grid, goods_radius = sources.grid, sources.goods_radius
     trip_distribution = trip_distribution or TripDistribution()
     urgency = dict(DEFAULT_URGENCY, **(urgency or {}))
     goods_dest_hot = [ZoneId(*z) for z in goods_dest_hot]
     out: list[Request] = []
     next_id = id_start
 
-    for zone, lam in sorted(passenger_rates.items()):
-        origin = grid.require(zone)
+    for origin, lam in sources.passenger:
         for _ in range(poisson_sample(lam, rng)):
             dest = trip_distribution.sample_destination(grid, origin, rng)
             out.append(Request(next_id, PASSENGER, origin, dest, tick, urgency[PASSENGER]))
             next_id += 1
 
-    for loc in locations:
-        origin = grid.require(loc.zone)
-        candidates = grid.zones_within(origin, goods_radius)
-        if not candidates:
-            continue
+    for origin, rate, candidates in sources.goods:
         hot_nearby = [z for z in goods_dest_hot
                       if z != origin and manhattan(origin, z) <= goods_radius]
-        for _ in range(poisson_sample(loc.rate, rng)):
+        for _ in range(poisson_sample(rate, rng)):
             if hot_nearby and rng.random() < goods_dest_hot_weight:
                 around = hot_nearby[int(rng.integers(len(hot_nearby)))]
                 near = [z for z in grid.zones_within(around, 2) + [around]

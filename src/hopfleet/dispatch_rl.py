@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -33,7 +34,11 @@ N_CHANNELS = 4  # demand, available now, freeing by +15, freeing by +30
 N_SCALARS = 6  # seats_free, trunk_free, sin/cos tick-of-day, sin/cos day-of-week
 
 
-class CheckpointShapeError(ValueError):
+class CheckpointError(ValueError):
+    """The file is not a hopfleet checkpoint that this build can load."""
+
+
+class CheckpointShapeError(CheckpointError):
     """Checkpoint architecture does not match the configured network."""
 
 
@@ -327,12 +332,12 @@ def sync_target(online: QNetwork, target: QNetwork, step: int, period: int = TAR
     return False
 
 
-def select_action(q: QNetwork, state: StateSnapshot | np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy over the action values; ties go to the lowest index."""
-    vec = state.vector() if isinstance(state, StateSnapshot) else np.asarray(state, dtype=float)
+def select_action(values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
+    """Epsilon-greedy over one state's row of action values; ties go to the
+    lowest index."""
     if rng.random() < epsilon:
-        return int(rng.integers(q.n_actions))
-    return int(np.argmax(q.q_values(vec)))
+        return int(rng.integers(len(values)))
+    return int(np.argmax(values))
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +383,23 @@ def save_checkpoint(path, online: QNetwork, target: QNetwork, step: int, extra: 
 
 def load_checkpoint(path, expected: dict | None = None) -> tuple:
     """Load (online, target, header). ``expected`` may pin input_dim / hidden /
-    n_actions; a mismatch raises CheckpointShapeError before any allocation."""
-    with np.load(path, allow_pickle=False) as blob:
-        header = json.loads(str(blob["header"]))
+    n_actions; a mismatch raises CheckpointShapeError before any allocation.
+
+    A missing file raises FileNotFoundError; anything else at ``path`` that
+    is not a checkpoint raises CheckpointError."""
+    try:
+        blob = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path} is not a checkpoint: {exc}") from None
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise CheckpointError(f"{path} is not a checkpoint: it holds a single array")
+    with blob:
+        try:
+            header = json.loads(str(blob["header"]))
+        except (KeyError, ValueError) as exc:
+            raise CheckpointError(f"{path} is not a checkpoint: no readable header ({exc})") from None
         if header.get("format_version") != CHECKPOINT_VERSION:
             raise CheckpointShapeError(f"unsupported checkpoint version {header.get('format_version')}")
         for key in ("input_dim", "hidden", "n_actions"):

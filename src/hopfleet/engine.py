@@ -328,8 +328,7 @@ class Simulation:
         self.curve: list[dict] = []
         self._initialized = False
         self._trip_table = None
-        self._locations: list[dm.ServiceLocation] = []
-        self._passenger_rates: dict = {}
+        self._sources: dm.DemandSources | None = None
         self._origin_hot: list[ZoneId] = []
         self._trip_distribution = dm.TripDistribution()
 
@@ -354,12 +353,12 @@ class Simulation:
             hot_zones=tuple(self._origin_hot),
             hot_weight=cfg.demand.hot_weight,
         )
-        self._passenger_rates = {z: cfg.demand.passenger_rate_per_zone for z in self.grid.all_zones()}
+        passenger_rates = {z: cfg.demand.passenger_rate_per_zone for z in self.grid.all_zones()}
         for z in self._origin_hot:
-            self._passenger_rates[z] += cfg.demand.origin_hot_rate
+            passenger_rates[z] += cfg.demand.origin_hot_rate
 
         lattice = hub_lattice(self.grid, cfg.grid.hop_stride, cfg.grid.hop_offset)
-        self._locations = []
+        locations = []
         for kind in ("postal", "meal", "supermarket"):
             for _ in range(cfg.demand.goods_locations_per_kind):
                 if self._origin_hot:
@@ -369,7 +368,9 @@ class Simulation:
                     z = min(lattice, key=lambda cand: manhattan(hub, cand))
                 else:
                     z = ZoneId(int(rng.integers(self.grid.height)), int(rng.integers(self.grid.width)))
-                self._locations.append(dm.ServiceLocation(z, kind, cfg.demand.goods_location_rate))
+                locations.append(dm.ServiceLocation(z, kind, cfg.demand.goods_location_rate))
+        self._sources = dm.demand_sources(self.grid, locations, passenger_rates,
+                                          cfg.demand.goods_radius_zones)
 
     def _draw_requests(self, tick: int, rng) -> list:
         if self._trip_table is not None:
@@ -381,12 +382,9 @@ class Simulation:
                 self.next_request_id += 1
             return out
         reqs = dm.generate_tick_requests(
-            self.grid,
-            self._locations,
-            self._passenger_rates,
+            self._sources,
             tick,
             rng,
-            goods_radius=self.cfg.demand.goods_radius_zones,
             id_start=self.next_request_id,
             trip_distribution=self._trip_distribution,
             goods_dest_hot=self._origin_hot,
@@ -417,8 +415,7 @@ class Simulation:
             guard = 0
             while len(origins) < cfg.n_vehicles:
                 batch = dm.generate_tick_requests(
-                    self.grid, self._locations, self._passenger_rates, 0, place_rng,
-                    goods_radius=cfg.demand.goods_radius_zones,
+                    self._sources, 0, place_rng,
                     trip_distribution=self._trip_distribution,
                 )
                 origins.extend(r.origin for r in batch)
@@ -559,9 +556,9 @@ class Simulation:
             snap = rl.encode_state(self.grid, supply, forecast, v, self.tick,
                                    window=cfg.rl.window, ticks_per_day=cfg.ticks_per_day)
             vec = snap.vector()
-            net = self.policy.q_net()
-            action = rl.select_action(net, vec, eps, self.explore_rng)
-            q_maxes.append(float(np.max(net.q_values(vec))))
+            values = self.policy.q_net().q_values(vec)
+            action = rl.select_action(values, eps, self.explore_rng)
+            q_maxes.append(float(np.max(values)))
             old = self.pending.get(v.id)
             if old is not None:
                 self._finalize[v.id] = (old, vec)

@@ -2,10 +2,13 @@
 
 Candidate (request, vehicle) pairs are those whose pickup ETA fits inside
 the reject radius and whose slot type (seat for passengers, trunk for goods)
-has free capacity. Pairs are consumed in ascending ETA order; when several
-vehicles tie at a request's best ETA, one of them is drawn uniformly at
-random. Capacity is decremented as assignments accrue, so a single call can
-never overbook a vehicle.
+has free capacity. They come from one requests x vehicles matrix of
+Manhattan distances, turned into ETAs by ceiling division by the vehicle
+speed, so no per-pair Python runs. Pairs are consumed in ascending
+(ETA, request id, vehicle id) order; when several vehicles tie at a
+request's best ETA, one of them is drawn uniformly at random. Capacity is
+decremented as assignments accrue, so a single call can never overbook a
+vehicle.
 """
 
 from __future__ import annotations
@@ -51,20 +54,25 @@ def match(
     fixed rng state.
     """
     bound = reject_radius_ticks(grid, reject_radius)
+    if not requests or not vehicles:
+        return []
     seats_free = {v.id: v.seats_free for v in vehicles}
     trunk_free = {v.id: v.trunk_free for v in vehicles}
-    by_id = {v.id: v for v in vehicles}
 
-    candidates = []  # (eta, request_id, vehicle_id)
-    for r in requests:
-        free = seats_free if r.kind == PASSENGER else trunk_free
-        for v in vehicles:
-            if free[v.id] <= 0:
-                continue
-            eta = grid.eta(v.location, r.origin).ticks
-            if eta <= bound:
-                candidates.append((eta, r.id, v.id))
-    candidates.sort()
+    origins = np.array([grid.require(r.origin) for r in requests])
+    locations = np.array([grid.require(v.location) for v in vehicles])
+    dist = np.abs(origins[:, None, :] - locations[None, :, :]).sum(axis=2)
+    eta = -(-dist // grid.vehicle_speed)
+    is_passenger = np.array([r.kind == PASSENGER for r in requests])
+    has_seat = np.array([seats_free[v.id] > 0 for v in vehicles])
+    has_trunk = np.array([trunk_free[v.id] > 0 for v in vehicles])
+    fits = np.where(is_passenger[:, None], has_seat[None, :], has_trunk[None, :])
+    ri, vi = np.nonzero(fits & (eta <= bound))
+    etas = eta[ri, vi]
+    rids = np.array([r.id for r in requests])[ri]
+    vids = np.array([v.id for v in vehicles])[vi]
+    order = np.lexsort((vids, rids, etas))
+    candidates = list(zip(etas[order].tolist(), rids[order].tolist(), vids[order].tolist()))
 
     req_by_id = {r.id: r for r in requests}
     assigned: dict[int, Assignment] = {}

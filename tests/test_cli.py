@@ -149,6 +149,20 @@ def test_eval_missing_checkpoint_exit_2(smoke_config):
     assert main(["eval", "--config", path, "--checkpoint", "/nonexistent.npz"]) == 2
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("kind", ["directory", "text file"])
+def test_not_a_checkpoint_exit_2(smoke_config, tmp_path, capsys, command, kind):
+    path, cfg = smoke_config
+    bad = tmp_path / "not_a_checkpoint"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_text("step,loss\n1,0.5\n")
+    assert main([command, "--config", path, "--checkpoint", str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert os.listdir(cfg.out_dir) == []  # rejected before anything ran
+
+
 def test_compare_identical_reports_zero_delta(smoke_config, tmp_path, capsys):
     path, cfg = smoke_config
     assert main(["eval", "--config", path]) == 0

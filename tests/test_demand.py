@@ -12,13 +12,14 @@ from hopfleet.demand import (
     ServiceLocation,
     TripDistribution,
     TripRecordError,
+    demand_sources,
     generate_tick_requests,
     ingest_trip_records,
     poisson_pmf,
     poisson_sample,
     write_trip_records,
 )
-from hopfleet.geo import GridWorld, ZoneId
+from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId
 
 
 @pytest.fixture
@@ -54,15 +55,16 @@ def test_poisson_sample_matches_rate():
 
 def test_generate_zero_rates_empty(grid):
     rng = np.random.default_rng(0)
-    reqs = generate_tick_requests(grid, [], {ZoneId(0, 0): 0.0}, 0, rng, goods_radius=2)
+    reqs = generate_tick_requests(demand_sources(grid, [], {ZoneId(0, 0): 0.0}, 2), 0, rng)
     assert reqs == []
 
 
 def test_generate_goods_radius_respected(grid):
     rng = np.random.default_rng(1)
     locs = [ServiceLocation(ZoneId(5, 5), "meal", 4.0), ServiceLocation(ZoneId(0, 0), "postal", 4.0)]
+    sources = demand_sources(grid, locs, {}, goods_radius=2)
     for tick in range(50):
-        for r in generate_tick_requests(grid, locs, {}, tick, rng, goods_radius=2):
+        for r in generate_tick_requests(sources, tick, rng):
             assert r.kind == GOODS
             assert 0 < grid.distance(r.origin, r.destination) <= 2
 
@@ -71,10 +73,11 @@ def test_generate_ids_unique_increasing(grid):
     rng = np.random.default_rng(2)
     rates = {z: 0.2 for z in grid.all_zones()}
     locs = [ServiceLocation(ZoneId(3, 3), "supermarket", 1.0)]
+    sources = demand_sources(grid, locs, rates, goods_radius=5)
     seen = []
     next_id = 0
     for tick in range(20):
-        batch = generate_tick_requests(grid, locs, rates, tick, rng, goods_radius=5, id_start=next_id)
+        batch = generate_tick_requests(sources, tick, rng, id_start=next_id)
         seen.extend(r.id for r in batch)
         next_id = seen[-1] + 1 if seen else 0
     assert seen == sorted(set(seen))
@@ -83,6 +86,7 @@ def test_generate_ids_unique_increasing(grid):
 def test_generate_seed_determinism(grid):
     rates = {z: 0.3 for z in grid.all_zones()}
     locs = [ServiceLocation(ZoneId(2, 7), "meal", 2.0)]
+    sources = demand_sources(grid, locs, rates, goods_radius=4)
 
     def stream(seed):
         rng = np.random.default_rng(seed)
@@ -90,8 +94,7 @@ def test_generate_seed_determinism(grid):
         for tick in range(30):
             out.extend(
                 (r.id, r.kind, tuple(r.origin), tuple(r.destination), r.created_tick, r.urgency)
-                for r in generate_tick_requests(grid, locs, rates, tick, rng, goods_radius=4,
-                                                id_start=len(out))
+                for r in generate_tick_requests(sources, tick, rng, id_start=len(out))
             )
         return out
 
@@ -103,7 +106,7 @@ def test_generate_default_urgency(grid):
     rng = np.random.default_rng(5)
     rates = {ZoneId(1, 1): 3.0}
     locs = [ServiceLocation(ZoneId(8, 8), "postal", 3.0)]
-    reqs = generate_tick_requests(grid, locs, rates, 0, rng, goods_radius=3)
+    reqs = generate_tick_requests(demand_sources(grid, locs, rates, goods_radius=3), 0, rng)
     for r in reqs:
         assert r.urgency == (1.0 if r.kind == PASSENGER else 0.5)
 
@@ -111,11 +114,37 @@ def test_generate_default_urgency(grid):
 def test_generate_mean_rate_statistics(grid):
     rng = np.random.default_rng(11)
     locs = [ServiceLocation(ZoneId(4, 4), "meal", 5.0)]
+    sources = demand_sources(grid, locs, {}, goods_radius=3)
     total = 0
     ticks = 10_000
     for tick in range(ticks):
-        total += len(generate_tick_requests(grid, locs, {}, tick, rng, goods_radius=3))
+        total += len(generate_tick_requests(sources, tick, rng))
     assert 4.8 <= total / ticks <= 5.2
+
+
+def test_sources_reject_off_grid_zones(grid):
+    with pytest.raises(InvalidZoneError):
+        demand_sources(grid, [], {ZoneId(0, 0): 0.1, ZoneId(10, 3): 0.1}, goods_radius=2)
+    with pytest.raises(InvalidZoneError):
+        demand_sources(grid, [ServiceLocation(ZoneId(3, -1), "meal", 1.0)], {}, goods_radius=2)
+
+
+@pytest.mark.parametrize("radius", [0, -1])
+def test_sources_reject_nonpositive_goods_radius(grid, radius):
+    with pytest.raises(ValueError, match="goods_radius"):
+        demand_sources(grid, [ServiceLocation(ZoneId(3, 3), "meal", 1.0)], {}, goods_radius=radius)
+
+
+def test_sources_laid_out_in_draw_order(grid):
+    rates = {ZoneId(4, 1): 0.5, ZoneId(0, 9): 0.2, (0, 3): 0.1}
+    locs = [ServiceLocation(ZoneId(9, 9), "meal", 2.0), ServiceLocation(ZoneId(0, 0), "postal", 1.0)]
+    sources = demand_sources(grid, locs, rates, goods_radius=2)
+    assert sources.passenger == ((ZoneId(0, 3), 0.1), (ZoneId(0, 9), 0.2), (ZoneId(4, 1), 0.5))
+    assert [(o, rate) for o, rate, _ in sources.goods] == [(ZoneId(9, 9), 2.0), (ZoneId(0, 0), 1.0)]
+    assert sources.goods[1][2] == tuple(grid.zones_within(ZoneId(0, 0), 2))
+    # on a 1x1 grid a goods site reaches no zone and emits nothing
+    lone = GridWorld(width=1, height=1)
+    assert demand_sources(lone, [ServiceLocation(ZoneId(0, 0), "meal", 5.0)], {}, 1).goods == ()
 
 
 def test_hot_zone_trip_distribution(grid):

@@ -110,31 +110,17 @@ def test_crop_window_identity_inside():
 def test_select_action_greedy_and_ties():
     rng = np.random.default_rng(0)
     net = QNetwork(4, 5, hidden=(8,), rng=np.random.default_rng(1))
-    s = np.ones(4)
-    q = net.q_values(s)
-    assert select_action(net, s, 0.0, rng) == int(np.argmax(q))
-
-    class Flat:
-        n_actions = 5
-
-        def q_values(self, x):
-            return np.zeros(5)
-
-    assert select_action(Flat(), s, 0.0, rng) == 0
+    q = net.q_values(np.ones(4))
+    assert select_action(q, 0.0, rng) == int(np.argmax(q))
+    assert select_action(np.zeros(5), 0.0, rng) == 0
 
 
 def test_select_action_epsilon_one_uniform():
-    class Flat:
-        n_actions = 10
-
-        def q_values(self, x):
-            return np.zeros(10)
-
     rng = np.random.default_rng(7)
     n = 10_000
     counts = np.zeros(10)
     for _ in range(n):
-        counts[select_action(Flat(), np.zeros(2), 1.0, rng)] += 1
+        counts[select_action(np.zeros(10), 1.0, rng)] += 1
     expected = n / 10
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 21.67  # chi-square 99th percentile, 9 dof

@@ -3,7 +3,7 @@ import pytest
 
 from hopfleet.demand import GOODS, PASSENGER, Request
 from hopfleet.fleet import ManifestEntry, VehicleState
-from hopfleet.geo import GridWorld, ZoneId
+from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId
 from hopfleet.matching import SEAT, TRUNK, Assignment, match, reject_radius_ticks
 
 
@@ -34,6 +34,13 @@ def occupy(v, n_pass=0, n_goods=0):
 def test_no_requests_returns_empty():
     rng = np.random.default_rng(0)
     assert match([], [vehicle(0, (0, 0))], make_grid(), 5, rng) == []
+
+
+def test_off_grid_vehicle_raises():
+    rng = np.random.default_rng(0)
+    vs = [vehicle(0, (0, 0)), vehicle(1, (12, 3))]
+    with pytest.raises(InvalidZoneError):
+        match([passenger(0, (0, 1))], vs, make_grid(), 5, rng)
 
 
 def test_passenger_goes_to_nearest_vehicle():
@@ -158,3 +165,86 @@ def test_random_instances_satisfy_dominance(seed):
     radius = int(rng.integers(2, 12))
     got = match(reqs, vehicles, grid, radius, np.random.default_rng(seed + 1))
     brute_force_check(reqs, vehicles, grid, radius, got)
+
+
+def reference_match(requests, vehicles, grid, reject_radius, rng):
+    """The scalar request x vehicle loop: one ``grid.eta`` per pair."""
+    bound = reject_radius_ticks(grid, reject_radius)
+    seats_free = {v.id: v.seats_free for v in vehicles}
+    trunk_free = {v.id: v.trunk_free for v in vehicles}
+
+    candidates = []  # (eta, request_id, vehicle_id)
+    for r in requests:
+        free = seats_free if r.kind == PASSENGER else trunk_free
+        for v in vehicles:
+            if free[v.id] <= 0:
+                continue
+            eta = grid.eta(v.location, r.origin).ticks
+            if eta <= bound:
+                candidates.append((eta, r.id, v.id))
+    candidates.sort()
+
+    req_by_id = {r.id: r for r in requests}
+    assigned = {}
+    out = []
+    i = 0
+    while i < len(candidates):
+        eta, rid, _ = candidates[i]
+        j = i
+        tied = []
+        while j < len(candidates) and candidates[j][0] == eta and candidates[j][1] == rid:
+            tied.append(candidates[j][2])
+            j += 1
+        i = j
+        if rid in assigned:
+            continue
+        kind = req_by_id[rid].kind
+        free = seats_free if kind == PASSENGER else trunk_free
+        tied = [vid for vid in tied if free[vid] > 0]
+        if not tied:
+            continue
+        vid = tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
+        free[vid] -= 1
+        a = Assignment(rid, vid, SEAT if kind == PASSENGER else TRUNK, eta)
+        assigned[rid] = a
+        out.append(a)
+    return out
+
+
+def random_instance(rng):
+    """Requests and vehicles on a small grid, with shared zones, full slots
+    and shuffled ids so that ETA ties and the id tie-breaks all occur."""
+    side = int(rng.integers(3, 9))
+    grid = GridWorld(width=side, height=side, vehicle_speed=int(rng.integers(1, 3)))
+    spots = [ZoneId(int(rng.integers(side)), int(rng.integers(side))) for _ in range(3)]
+
+    def zone():
+        if rng.random() < 0.5:
+            return spots[int(rng.integers(len(spots)))]
+        return ZoneId(int(rng.integers(side)), int(rng.integers(side)))
+
+    reqs = []
+    for rid in rng.permutation(int(rng.integers(0, 12))).tolist():
+        kind = PASSENGER if rng.random() < 0.5 else GOODS
+        o = zone()
+        d = ZoneId((o.row + 1) % side, o.col)
+        reqs.append(Request(100 + rid, kind, o, d, 0, 1.0 if kind == PASSENGER else 0.5))
+    vehicles = []
+    for vid in rng.permutation(int(rng.integers(0, 10))).tolist():
+        seats, trunk = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+        v = vehicle(vid, zone(), seats=seats, trunk=trunk)
+        if seats and rng.random() < 0.3:
+            occupy(v, n_pass=seats)
+        if trunk and rng.random() < 0.3:
+            occupy(v, n_goods=trunk)
+        vehicles.append(v)
+    return reqs, vehicles, grid, float(rng.integers(0, 2 * side))
+
+
+@pytest.mark.parametrize("seed", range(250))
+def test_matches_reference_loop(seed):
+    reqs, vehicles, grid, radius = random_instance(np.random.default_rng(seed))
+    rng_new, rng_ref = np.random.default_rng(seed + 7), np.random.default_rng(seed + 7)
+    assert match(reqs, vehicles, grid, radius, rng_new) == \
+        reference_match(reqs, vehicles, grid, radius, rng_ref)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
