@@ -17,7 +17,7 @@ def show(origin, dest, depth):
     direct = manhattan(req.origin, req.destination)
     chain = " -> ".join(str(tuple(z)) for z in [trip.legs[0][0]] + [d for _, d in trip.legs])
     print(f"{tuple(req.origin)} to {tuple(req.destination)} (direct {direct}, depth {depth}):")
-    print(f"  {chain}   total {trip.total_distance()} zones, {trip.n_hops} hop(s)")
+    print(f"  {chain}   total {trip.total_distance()} zones, {len(trip.legs) - 1} hop(s)")
 
 show((0, 0), (0, 18), depth=2)   # long corridor: two splits
 show((0, 0), (0, 18), depth=1)   # one split only

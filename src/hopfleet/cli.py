@@ -19,7 +19,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 import yaml
@@ -42,21 +43,21 @@ ENV_OUT_DIR = "HOPFLEET_OUT"
 
 @dataclass
 class TrainSettings:
-    episodes: int = 3
-    checkpoint_every: int = 1  # episodes between checkpoint files
+    episodes: int
+    checkpoint_every: int  # episodes between checkpoint files
 
 
 @dataclass
 class EvalSettings:
-    seeds: list = field(default_factory=lambda: [101, 102, 103, 104, 105])
+    seeds: list
 
 
 @dataclass
 class ExperimentConfig:
-    sim: SimConfig = field(default_factory=SimConfig)
-    train: TrainSettings = field(default_factory=TrainSettings)
-    eval: EvalSettings = field(default_factory=EvalSettings)
-    out_dir: str = "runs/experiment"
+    sim: SimConfig
+    train: TrainSettings
+    eval: EvalSettings
+    out_dir: str
 
     def __post_init__(self):
         if isinstance(self.sim, dict):
@@ -66,23 +67,29 @@ class ExperimentConfig:
         if isinstance(self.eval, dict):
             self.eval = EvalSettings(**self.eval)
 
-    def to_dict(self) -> dict:
-        return json.loads(json.dumps(asdict(self)))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return cls(**data)
+def _check_keys(data, cls, where: str = ""):
+    """Raise ValueError naming a key of ``data`` that ``cls`` does not have,
+    or a field of ``cls``, nested sections included, that ``data`` leaves
+    out: every key is required."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where.rstrip('.') or 'config'} must be a mapping")
+    types = get_type_hints(cls)
+    for key in data:
+        if key not in types:
+            raise ValueError(f"unknown key {where}{key}")
+    for f in fields(cls):
+        if f.name not in data:
+            raise ValueError(f"missing key {where}{f.name}")
+        if is_dataclass(types[f.name]):
+            _check_keys(data[f.name], types[f.name], f"{where}{f.name}.")
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
-    return ExperimentConfig.from_dict(data)
-
-
-def save_config(path, cfg: ExperimentConfig):
-    with open(path, "w") as fh:
-        yaml.safe_dump(cfg.to_dict(), fh, sort_keys=True)
+        data = yaml.safe_load(fh)
+    _check_keys(data, ExperimentConfig)
+    return ExperimentConfig(**data)
 
 
 def _resolve_out(cfg: ExperimentConfig, flag_value) -> str:

@@ -13,7 +13,6 @@ swapped in.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -109,15 +108,8 @@ class DemandForecast:
     start_tick: int
     counts: np.ndarray  # shape (horizon + 1, height, width)
 
-    @property
-    def horizon(self) -> int:
-        return self.counts.shape[0] - 1
-
     def at(self, step: int) -> np.ndarray:
         return self.counts[step]
-
-    def to_json(self) -> str:
-        return json.dumps({"start_tick": self.start_tick, "counts": self.counts.tolist()})
 
 
 def poisson_pmf(x: int, lam: float) -> float:
@@ -217,7 +209,6 @@ def generate_tick_requests(
     rng: np.random.Generator,
     id_start: int = 0,
     trip_distribution: TripDistribution | None = None,
-    urgency: Mapping | None = None,
     goods_dest_hot: Sequence = (),
     goods_dest_hot_weight: float = 0.0,
 ) -> list[Request]:
@@ -226,7 +217,6 @@ def generate_tick_requests(
     that radius."""
     grid, goods_radius = sources.grid, sources.goods_radius
     trip_distribution = trip_distribution or TripDistribution()
-    urgency = dict(DEFAULT_URGENCY, **(urgency or {}))
     goods_dest_hot = [ZoneId(*z) for z in goods_dest_hot]
     out: list[Request] = []
     next_id = id_start
@@ -234,7 +224,7 @@ def generate_tick_requests(
     for origin, lam in sources.passenger:
         for _ in range(poisson_sample(lam, rng)):
             dest = trip_distribution.sample_destination(grid, origin, rng)
-            out.append(Request(next_id, PASSENGER, origin, dest, tick, urgency[PASSENGER]))
+            out.append(Request(next_id, PASSENGER, origin, dest, tick, DEFAULT_URGENCY[PASSENGER]))
             next_id += 1
 
     for origin, rate, candidates in sources.goods:
@@ -249,14 +239,13 @@ def generate_tick_requests(
                     candidates[int(rng.integers(len(candidates)))]
             else:
                 dest = candidates[int(rng.integers(len(candidates)))]
-            out.append(Request(next_id, GOODS, origin, dest, tick, urgency[GOODS]))
+            out.append(Request(next_id, GOODS, origin, dest, tick, DEFAULT_URGENCY[GOODS]))
             next_id += 1
     return out
 
 
-def ingest_trip_records(path, grid: GridWorld, id_start: int = 0, urgency: Mapping | None = None) -> list[Request]:
+def ingest_trip_records(path, grid: GridWorld) -> list[Request]:
     """Load requests from a CSV with header pickup_tick,kind,origin_row,origin_col,dest_row,dest_col."""
-    urgency = dict(DEFAULT_URGENCY, **(urgency or {}))
     out: list[Request] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -281,7 +270,7 @@ def ingest_trip_records(path, grid: GridWorld, id_start: int = 0, urgency: Mappi
                 raise TripRecordError(f"{path}:{lineno}: zone outside grid")
             if origin == dest:
                 raise TripRecordError(f"{path}:{lineno}: origin equals destination")
-            out.append(Request(id_start + len(out), kind, origin, dest, tick, urgency[kind]))
+            out.append(Request(len(out), kind, origin, dest, tick, DEFAULT_URGENCY[kind]))
     return out
 
 
@@ -302,7 +291,7 @@ class HistoricalAverageForecaster:
     forecast is zero.
     """
 
-    def __init__(self, grid: GridWorld, ticks_per_day: int = 1440):
+    def __init__(self, grid: GridWorld, ticks_per_day: int):
         if ticks_per_day < 1:
             raise ValueError("ticks_per_day must be >= 1")
         self.grid = grid

@@ -29,6 +29,7 @@ EPSILON_FLOOR = 0.05
 ACT_PROBABILITY_START = 0.3
 TARGET_SYNC_PERIOD = 150
 REPLAY_CAPACITY = 10_000
+CLIP_NORM = 10.0  # global gradient-norm cap of one SGD step
 
 N_CHANNELS = 4  # demand, available now, freeing by +15, freeing by +30
 N_SCALARS = 6  # seats_free, trunk_free, sin/cos tick-of-day, sin/cos day-of-week
@@ -105,8 +106,8 @@ def encode_state(
     forecast: DemandForecast,
     vehicle: VehicleState,
     tick: int,
+    ticks_per_day: int,
     window: int = WINDOW,
-    ticks_per_day: int = 1440,
 ) -> StateSnapshot:
     """Deterministic per-vehicle observation: local demand/supply crops plus
     own free capacity and clock features."""
@@ -200,16 +201,15 @@ class QNetwork:
                 delta = (delta @ self.weights[i]) * (acts[i] > 0)
         return loss, (grads_w, grads_b)
 
-    def apply_gradients(self, grads, learning_rate: float, clip_norm: float = 10.0):
+    def apply_gradients(self, grads, learning_rate: float):
         grads_w, grads_b = grads
-        if clip_norm:
-            total = math.sqrt(
-                sum(float((g**2).sum()) for g in grads_w) + sum(float((g**2).sum()) for g in grads_b)
-            )
-            if total > clip_norm:
-                scale = clip_norm / total
-                grads_w = [g * scale for g in grads_w]
-                grads_b = [g * scale for g in grads_b]
+        total = math.sqrt(
+            sum(float((g**2).sum()) for g in grads_w) + sum(float((g**2).sum()) for g in grads_b)
+        )
+        if total > CLIP_NORM:
+            scale = CLIP_NORM / total
+            grads_w = [g * scale for g in grads_w]
+            grads_b = [g * scale for g in grads_b]
         for w, g in zip(self.weights, grads_w):
             w -= learning_rate * g
         for b, g in zip(self.biases, grads_b):
@@ -303,12 +303,11 @@ def train_step(
     learning_rate: float,
     gamma: float,
     rng: np.random.Generator,
-    clip_norm: float = 10.0,
 ):
     """One SGD step on the mean squared TD error; None when the buffer is short.
 
     ``learning_rate`` is the plain SGD step on the batch-mean gradient (after
-    norm clipping at ``clip_norm``), so one sampled transition moves its own
+    norm clipping at ``CLIP_NORM``), so one sampled transition moves its own
     value in proportion to ``learning_rate / batch_size``.
     """
     if len(buffer) < batch_size:
@@ -318,7 +317,7 @@ def train_step(
     states = np.stack([tr.state for tr in batch])
     actions = [tr.action for tr in batch]
     loss, grads = online.loss_and_gradients(states, actions, z)
-    online.apply_gradients(grads, learning_rate, clip_norm)
+    online.apply_gradients(grads, learning_rate)
     return loss
 
 

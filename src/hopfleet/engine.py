@@ -63,14 +63,14 @@ class EngineInvariantError(RuntimeError):
 
 @dataclass
 class GridConfig:
-    width: int = 20
-    height: int = 20
-    zone_edge_m: float = 150.0
-    vehicle_speed: int = 1
-    hop_stride: int = 3
-    hop_offset: int = 0
-    hop_min_pickups: int = 0
-    hop_count_radius: int = 0  # neighborhood radius when tallying warmup pickups
+    width: int
+    height: int
+    zone_edge_m: float
+    vehicle_speed: int
+    hop_stride: int
+    hop_offset: int
+    hop_min_pickups: int
+    hop_count_radius: int  # neighborhood radius when tallying warmup pickups
 
     def __post_init__(self):
         if self.hop_stride < 1:
@@ -79,26 +79,31 @@ class GridConfig:
 
 @dataclass
 class DemandConfig:
-    passenger_rate_per_zone: float = 0.004  # uniform base rate
-    origin_hot_zone_count: int = 5
-    origin_hot_rate: float = 0.5  # extra passenger rate at each hot origin
-    hot_weight: float = 0.6  # share of passenger trips headed to a hot origin
-    goods_locations_per_kind: int = 3
-    goods_location_rate: float = 0.25
-    goods_radius_zones: int = 12
-    goods_dest_hot_weight: float = 0.0  # share of packages headed near another center
-    trips_csv: str | None = None
+    passenger_rate_per_zone: float  # uniform base rate
+    origin_hot_zone_count: int
+    origin_hot_rate: float  # extra passenger rate at each hot origin
+    hot_weight: float  # share of passenger trips headed to a hot origin
+    goods_locations_per_kind: int
+    goods_location_rate: float
+    goods_radius_zones: int
+    goods_dest_hot_weight: float  # share of packages headed near another center
+    trips_csv: str | None
+
+    def __post_init__(self):
+        for name in ("passenger_rate_per_zone", "origin_hot_rate", "goods_location_rate"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"demand.{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
 class RLConfig:
-    window: int = 15
-    action_radius: int = 7
-    hidden: tuple = (128, 128)
-    learning_rate: float = 0.005
-    batch_size: int = 32
-    buffer_capacity: int = rl.REPLAY_CAPACITY
-    sync_period: int = rl.TARGET_SYNC_PERIOD
+    window: int
+    action_radius: int
+    hidden: tuple
+    learning_rate: float
+    batch_size: int
+    buffer_capacity: int
+    sync_period: int
 
     def __post_init__(self):
         if self.window % 2 == 0:
@@ -107,28 +112,30 @@ class RLConfig:
 
 @dataclass
 class SimConfig:
-    grid: GridConfig = field(default_factory=GridConfig)
-    demand: DemandConfig = field(default_factory=DemandConfig)
-    rl: RLConfig = field(default_factory=RLConfig)
-    n_vehicles: int = 50
-    seats: int = 4
-    trunk: int = 5
-    separate_split: float = 0.5
-    separate_goods_trunk: int = 10
-    horizon: int = 30
-    dt_minutes: float = 1.0
-    ticks_per_day: int = 1440
-    weights_preset: str = "eval"
-    discount: float = 0.98
-    t_n: int = 1500
-    seed: int = 0
-    reject_radius_m: float = 5000.0
-    patience_ticks: int = 10
-    max_hop_depth: int = 4
-    baseline: str = BASELINE_FLEX_HOPS
-    warmup_ticks: int = 100
-    episode_ticks: int = 750
-    effective_distance_includes_dispatch: bool = True
+    """One world and its learner; ``configs/default.yaml`` holds every field."""
+
+    grid: GridConfig
+    demand: DemandConfig
+    rl: RLConfig
+    n_vehicles: int
+    seats: int
+    trunk: int
+    separate_split: float
+    separate_goods_trunk: int
+    horizon: int
+    dt_minutes: float
+    ticks_per_day: int
+    weights_preset: str
+    discount: float
+    t_n: int
+    seed: int
+    reject_radius_m: float
+    patience_ticks: int
+    max_hop_depth: int
+    baseline: str
+    warmup_ticks: int
+    episode_ticks: int
+    effective_distance_includes_dispatch: bool
 
     def __post_init__(self):
         if self.baseline not in BASELINES:
@@ -245,9 +252,6 @@ class DispatchPolicy:
         self.target = self.online.clone()
         self.buffer = rl.ReplayBuffer(cfg.rl.buffer_capacity)
         self.schedule_step = 0
-
-    def q_net(self) -> rl.QNetwork:
-        return self.online
 
     def store(self, tr: rl.Transition):
         self.buffer.push(tr)
@@ -447,20 +451,16 @@ class Simulation:
                 pickup_counts[r.origin] = pickup_counts.get(r.origin, 0) + 1
         self.next_request_id = 0  # warmup ids are discarded with the requests
 
-        if cfg.grid.hop_count_radius > 0:
-            # candidates qualify on pickups in their neighborhood, so relay
-            # hubs land next to busy blocks rather than exactly on them
-            smoothed = {}
-            for z in hub_lattice(self.grid, cfg.grid.hop_stride, cfg.grid.hop_offset):
-                total = pickup_counts.get(z, 0)
-                for nb in self.grid.zones_within(z, cfg.grid.hop_count_radius):
-                    total += pickup_counts.get(nb, 0)
-                smoothed[z] = total
-            counts_for_designation = smoothed
-        else:
-            counts_for_designation = pickup_counts
-        designate_hop_zones(self.grid, cfg.grid.hop_stride, counts_for_designation,
-                            cfg.grid.hop_min_pickups, cfg.grid.hop_offset)
+        # candidates qualify on pickups in their neighborhood, so relay hubs
+        # land next to busy blocks rather than exactly on them
+        smoothed = {}
+        for z in hub_lattice(self.grid, cfg.grid.hop_stride, cfg.grid.hop_offset):
+            total = pickup_counts.get(z, 0)
+            for nb in self.grid.zones_within(z, cfg.grid.hop_count_radius):
+                total += pickup_counts.get(nb, 0)
+            smoothed[z] = total
+        designate_hop_zones(self.grid, cfg.grid.hop_stride, smoothed, cfg.grid.hop_min_pickups,
+                            cfg.grid.hop_offset)
 
         self.log = EpisodeLog(
             n_vehicles=cfg.n_vehicles,
@@ -556,7 +556,7 @@ class Simulation:
             snap = rl.encode_state(self.grid, supply, forecast, v, self.tick,
                                    window=cfg.rl.window, ticks_per_day=cfg.ticks_per_day)
             vec = snap.vector()
-            values = self.policy.q_net().q_values(vec)
+            values = self.policy.online.q_values(vec)
             action = rl.select_action(values, eps, self.explore_rng)
             q_maxes.append(float(np.max(values)))
             old = self.pending.get(v.id)

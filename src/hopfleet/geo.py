@@ -61,10 +61,6 @@ class GridWorld:
         for z in self.hop_zones:
             self.require(z)
 
-    @property
-    def n_zones(self) -> int:
-        return self.width * self.height
-
     def contains(self, zone) -> bool:
         row, col = zone
         return 0 <= row < self.height and 0 <= col < self.width

@@ -32,10 +32,6 @@ class HopTrip:
             if d1 != o2:
                 raise ValueError("legs must chain: each destination starts the next leg")
 
-    @property
-    def n_hops(self) -> int:
-        return len(self.legs) - 1
-
     def total_distance(self) -> int:
         return sum(manhattan(o, d) for o, d in self.legs)
 
@@ -67,7 +63,7 @@ def _split(grid: GridWorld, origin: ZoneId, dest: ZoneId, depth: int) -> list:
     return _split(grid, origin, hz, depth - 1) + _split(grid, hz, dest, depth - 1)
 
 
-def assign_hop_zones(req: Request, grid: GridWorld, max_depth: int = 4) -> HopTrip:
+def assign_hop_zones(req: Request, grid: GridWorld, max_depth: int) -> HopTrip:
     """Plan the relay chain for a goods request. Passengers are never split."""
     if req.kind != GOODS:
         raise ValueError(f"request {req.id} is not goods; only goods take hop-trips")

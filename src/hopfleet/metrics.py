@@ -8,9 +8,7 @@ charged per non-idle vehicle-hour at a flat gallons-per-hour burn rate.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .geo import manhattan
 
@@ -18,80 +16,92 @@ COST_PER_GALLON = 2.0
 GALLONS_PER_DRIVING_HOUR = 0.5
 
 
-def _primary_requests(log) -> dict:
-    """id -> record for requests that customers actually submitted."""
-    out = {}
-    for e in log.by_kind("request"):
-        if e.get("parent") is None:
-            out[e["request"]] = {
+@dataclass(frozen=True)
+class LogIndex:
+    """What the metrics read from one episode log, gathered by :func:`index_log`."""
+
+    requests: dict  # primary request id -> record
+    stats: list  # tick_stats events in tick order
+    hop_transfers: int
+    n_vehicles: int
+    dt_minutes: float
+    ticks_per_day: int
+
+
+def index_log(log) -> LogIndex:
+    """Index the primary requests, the tick stats and the hop drops of
+    ``log`` in one pass over its events. Events are in log order, so a
+    request's record exists before its pickup or delivery is read."""
+    requests, stats, hops = {}, [], 0
+    for e in log.events:
+        kind = e["kind"]
+        if kind == "tick_stats":
+            stats.append(e)
+        elif kind == "hop_drop":
+            hops += 1
+        elif kind == "request" and e.get("parent") is None:
+            requests[e["request"]] = {
                 "kind": e["req_kind"],
                 "origin": tuple(e["origin"]),
                 "destination": tuple(e["destination"]),
                 "created": e["tick"],
                 "picked": None,
                 "delivered": None,
-                "rejected": False,
             }
-    for e in log.by_kind("pickup"):
-        if e.get("parent") is None and e["request"] in out:
-            out[e["request"]]["picked"] = e["tick"]
-    for e in log.by_kind("deliver"):
-        if e["request"] in out:
-            out[e["request"]]["delivered"] = e["tick"]
-    for e in log.by_kind("reject"):
-        if e["request"] in out:
-            out[e["request"]]["rejected"] = True
-    return out
+        elif kind == "pickup" and e.get("parent") is None and e["request"] in requests:
+            requests[e["request"]]["picked"] = e["tick"]
+        elif kind == "deliver" and e["request"] in requests:
+            requests[e["request"]]["delivered"] = e["tick"]
+    return LogIndex(requests, stats, hops, log.n_vehicles, log.dt_minutes, log.ticks_per_day)
 
 
-def accept_rate(log, kind: str | None = None) -> float | None:
+def accept_rate(index: LogIndex, kind: str | None = None) -> float | None:
     """Picked-up fraction of generated requests; None when none were generated."""
-    reqs = [r for r in _primary_requests(log).values() if kind is None or r["kind"] == kind]
+    reqs = [r for r in index.requests.values() if kind is None or r["kind"] == kind]
     if not reqs:
         return None
     return sum(1 for r in reqs if r["picked"] is not None) / len(reqs)
 
 
-def vehicle_hours_active(log) -> float:
-    ticks_active = sum(e["active"] for e in log.by_kind("tick_stats"))
-    return ticks_active * log.dt_minutes / 60.0
+def vehicle_hours_active(index: LogIndex) -> float:
+    ticks_active = sum(e["active"] for e in index.stats)
+    return ticks_active * index.dt_minutes / 60.0
 
 
-def fuel_cost_per_delivery(log, cost_per_gallon: float = COST_PER_GALLON,
+def fuel_cost_per_delivery(index: LogIndex, cost_per_gallon: float = COST_PER_GALLON,
                            gallons_per_hour: float = GALLONS_PER_DRIVING_HOUR) -> float | None:
     """Dollars of fuel per delivered request; None when nothing was delivered."""
-    delivered = sum(1 for r in _primary_requests(log).values() if r["delivered"] is not None)
+    delivered = sum(1 for r in index.requests.values() if r["delivered"] is not None)
     if delivered == 0:
         return None
-    return vehicle_hours_active(log) * gallons_per_hour * cost_per_gallon / delivered
+    return vehicle_hours_active(index) * gallons_per_hour * cost_per_gallon / delivered
 
 
-def active_vehicle_ratio(log) -> float | None:
-    stats = log.by_kind("tick_stats")
-    if not stats:
+def active_vehicle_ratio(index: LogIndex) -> float | None:
+    if not index.stats:
         return None
-    return sum(e["active"] / log.n_vehicles for e in stats) / len(stats)
+    return sum(e["active"] / index.n_vehicles for e in index.stats) / len(index.stats)
 
 
-def mean_wait(log) -> float | None:
+def mean_wait(index: LogIndex) -> float | None:
     """Mean ticks from request creation to pickup, picked-up requests only."""
-    waits = [r["picked"] - r["created"] for r in _primary_requests(log).values()
+    waits = [r["picked"] - r["created"] for r in index.requests.values()
              if r["picked"] is not None]
     if not waits:
         return None
     return sum(waits) / len(waits)
 
 
-def effective_distance_ratio(log, include_dispatch: bool = True) -> float | None:
+def effective_distance_ratio(index: LogIndex, include_dispatch: bool = True) -> float | None:
     """Direct origin-destination distance of delivered requests over fleet
     distance actually driven. Above 1 means rides and relays packed well."""
     direct = sum(
         manhattan(r["origin"], r["destination"])
-        for r in _primary_requests(log).values()
+        for r in index.requests.values()
         if r["delivered"] is not None
     )
     key = "moved_total" if include_dispatch else "moved_serving"
-    driven = sum(e[key] for e in log.by_kind("tick_stats"))
+    driven = sum(e[key] for e in index.stats)
     if driven == 0:
         return None
     return direct / driven
@@ -119,10 +129,6 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, blob: str) -> "MetricsReport":
-        return cls(**json.loads(blob))
-
     def table(self) -> str:
         rows = [
             ("baseline", self.baseline),
@@ -148,18 +154,17 @@ def _fmt(value, digits=3):
     return "n/a" if value is None else f"{value:.{digits}f}"
 
 
-def per_day_series(log) -> list:
+def per_day_series(index: LogIndex) -> list:
     """Accept rate, wait, and activity bucketed by simulated day."""
-    tpd = log.ticks_per_day
-    reqs = _primary_requests(log)
-    stats = log.by_kind("tick_stats")
+    tpd = index.ticks_per_day
+    stats = index.stats
     if not stats:
         return []
     days = range(0, (max(e["tick"] for e in stats) // tpd) + 1)
     series = []
     for day in days:
         lo, hi = day * tpd, (day + 1) * tpd
-        in_day = [r for r in reqs.values() if lo <= r["created"] < hi]
+        in_day = [r for r in index.requests.values() if lo <= r["created"] < hi]
         picked = [r for r in in_day if r["picked"] is not None]
         day_stats = [e for e in stats if lo <= e["tick"] < hi]
         series.append({
@@ -168,45 +173,35 @@ def per_day_series(log) -> list:
             "accept_rate": len(picked) / len(in_day) if in_day else None,
             "mean_wait_ticks": (sum(r["picked"] - r["created"] for r in picked) / len(picked)
                                 if picked else None),
-            "active_vehicle_ratio": (sum(e["active"] / log.n_vehicles for e in day_stats) / len(day_stats)
-                                     if day_stats else None),
+            "active_vehicle_ratio": (sum(e["active"] / index.n_vehicles for e in day_stats)
+                                     / len(day_stats) if day_stats else None),
         })
     return series
 
 
 def build_report(log, include_dispatch_distance: bool = True) -> MetricsReport:
-    reqs = _primary_requests(log)
+    index = index_log(log)
+    reqs = index.requests.values()
     generated = {
-        "passenger": sum(1 for r in reqs.values() if r["kind"] == "passenger"),
-        "goods": sum(1 for r in reqs.values() if r["kind"] == "goods"),
+        "passenger": sum(1 for r in reqs if r["kind"] == "passenger"),
+        "goods": sum(1 for r in reqs if r["kind"] == "goods"),
     }
-    wait = mean_wait(log)
+    wait = mean_wait(index)
     return MetricsReport(
         baseline=log.baseline,
         seed=log.seed,
         ticks=log.ticks,
         n_vehicles=log.n_vehicles,
         generated=generated,
-        accept_rate_overall=accept_rate(log),
-        accept_rate_passenger=accept_rate(log, "passenger"),
-        accept_rate_goods=accept_rate(log, "goods"),
-        fuel_cost_per_delivery=fuel_cost_per_delivery(log),
-        active_vehicle_ratio=active_vehicle_ratio(log),
+        accept_rate_overall=accept_rate(index),
+        accept_rate_passenger=accept_rate(index, "passenger"),
+        accept_rate_goods=accept_rate(index, "goods"),
+        fuel_cost_per_delivery=fuel_cost_per_delivery(index),
+        active_vehicle_ratio=active_vehicle_ratio(index),
         mean_wait_ticks=wait,
-        mean_wait_minutes=None if wait is None else wait * log.dt_minutes,
-        effective_distance_ratio=effective_distance_ratio(log, include_dispatch_distance),
-        hop_transfers=len(log.by_kind("hop_drop")),
-        delivered=sum(1 for r in reqs.values() if r["delivered"] is not None),
-        per_day=per_day_series(log),
+        mean_wait_minutes=None if wait is None else wait * index.dt_minutes,
+        effective_distance_ratio=effective_distance_ratio(index, include_dispatch_distance),
+        hop_transfers=index.hop_transfers,
+        delivered=sum(1 for r in reqs if r["delivered"] is not None),
+        per_day=per_day_series(index),
     )
-
-
-def write_per_day_csv(path, report: MetricsReport):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "generated", "accept_rate", "mean_wait_ticks", "active_vehicle_ratio"])
-        for row in report.per_day:
-            writer.writerow([row["day"], row["generated"], row["accept_rate"],
-                             row["mean_wait_ticks"], row["active_vehicle_ratio"]])

@@ -43,7 +43,7 @@ class RewardWeights:
     @classmethod
     def preset(cls, name: str, discount: float = 0.98) -> "RewardWeights":
         if name not in WEIGHT_PRESETS:
-            raise ValueError(f"unknown weight preset {name!r}; choose from {sorted(WEIGHT_PRESETS)}")
+            raise ValueError(f"unknown weights_preset {name!r}; choose from {sorted(WEIGHT_PRESETS)}")
         return cls(*WEIGHT_PRESETS[name], discount=discount)
 
     def as_vector(self) -> np.ndarray:

@@ -14,12 +14,10 @@ Criteria:
 
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hopfleet.cli import load_config
 from hopfleet.demand import GOODS, PASSENGER, Request, poisson_pmf
 from hopfleet.dispatch_rl import (
     QNetwork,
@@ -45,10 +43,16 @@ from hopfleet.engine import (
 from hopfleet.geo import GridWorld, ZoneId, manhattan
 from hopfleet.hopplan import assign_hop_zones, eligible_hop_zone
 from hopfleet.matching import SEAT, TRUNK, match, reject_radius_ticks
-from hopfleet.metrics import build_report, effective_distance_ratio, fuel_cost_per_delivery
+from hopfleet.metrics import (
+    build_report,
+    effective_distance_ratio,
+    fuel_cost_per_delivery,
+    index_log,
+)
 from hopfleet.reward import AgentRewardInputs, RewardWeights, agent_reward
 from hopfleet.fleet import ManifestEntry, VehicleState
 
+from desk_config import desk_config
 from test_metrics import add_request, add_stats, empty_log
 
 
@@ -76,7 +80,7 @@ def test_criterion_1_unit_exactness():
     add_request(log, 1, kind="goods", origin=(0, 0), dest=(0, 2), picked=0, delivered=2)
     add_stats(log, 0, active=2, moved_total=1)
     add_stats(log, 1, active=2, moved_total=1)
-    ok_ratio = effective_distance_ratio(log) == pytest.approx(1.5)
+    ok_ratio = effective_distance_ratio(index_log(log)) == pytest.approx(1.5)
 
     ok_poisson = (
         abs(poisson_pmf(0, 0.0) - 1.0) < 1e-12
@@ -89,7 +93,7 @@ def test_criterion_1_unit_exactness():
     add_request(fuel_log, 0, picked=1, delivered=59)
     for t in range(60):
         add_stats(fuel_log, t, active=1, moved_total=1)
-    ok_fuel = fuel_cost_per_delivery(fuel_log) == pytest.approx(1.0)
+    ok_fuel = fuel_cost_per_delivery(index_log(fuel_log)) == pytest.approx(1.0)
 
     verdict("criterion 1: unit-exact reward/ratio/poisson/fuel arithmetic",
             ok_reward and ok_ratio and ok_poisson and ok_fuel)
@@ -372,12 +376,9 @@ def test_criterion_4c_toy_grid_policy_matches_dp():
 # criterion 5: invariants and replay over full episodes
 
 
-DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
-
-
 def desk_cfg(baseline=BASELINE_FLEX_HOPS, seed=7):
     """The shipped desk-scale world: configs/default.yaml with a seed and baseline."""
-    return replace(load_config(DESK_CONFIG).sim, seed=seed, baseline=baseline)
+    return replace(desk_config().sim, seed=seed, baseline=baseline)
 
 
 def test_criterion_5_invariants_and_replay():

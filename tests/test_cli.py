@@ -1,47 +1,56 @@
 import csv
+import inspect
 import json
 import os
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 import yaml
 
-from hopfleet.cli import ExperimentConfig, load_config, main, save_config
-from hopfleet.demand import ingest_trip_records
-from hopfleet.dispatch_rl import load_checkpoint
-from hopfleet.engine import SimConfig
+from hopfleet.cli import EvalSettings, ExperimentConfig, TrainSettings, load_config, main
+from hopfleet.demand import HistoricalAverageForecaster, ingest_trip_records
+from hopfleet.dispatch_rl import encode_state, load_checkpoint
+from hopfleet.engine import DemandConfig, GridConfig, RLConfig, SimConfig
 from hopfleet.geo import GridWorld
+from hopfleet.hopplan import assign_hop_zones
+
+from desk_config import desk_config, desk_yaml, leaf_keys, locate, write_config
+
+COMMANDS = ["train", "eval", "gen-data"]
 
 
 @pytest.fixture
 def smoke_config(tmp_path):
-    cfg = ExperimentConfig()
-    cfg.sim = SimConfig(
-        seed=11,
-        n_vehicles=6,
-        warmup_ticks=5,
-        episode_ticks=30,
-        t_n=60,
-    )
-    cfg.sim.rl.hidden = (16,)
-    cfg.sim.rl.batch_size = 4
+    """configs/default.yaml shrunk to a few vehicles, ticks and seeds."""
+    cfg = desk_config()
+    cfg.sim = replace(cfg.sim, seed=11, n_vehicles=6, warmup_ticks=5, episode_ticks=30, t_n=60,
+                      rl=replace(cfg.sim.rl, hidden=(16,), batch_size=4))
     cfg.train.episodes = 1
     cfg.eval.seeds = [201, 202]
     cfg.out_dir = str(tmp_path / "run")
     path = tmp_path / "smoke.yaml"
-    save_config(path, cfg)
+    write_config(path, cfg)
     return str(path), cfg
 
 
 def test_config_round_trip(tmp_path):
-    cfg = ExperimentConfig()
-    cfg.sim = SimConfig(seed=3, baseline="separate")
+    cfg = desk_config()
+    cfg.sim = replace(cfg.sim, seed=3, baseline="separate")
     path = tmp_path / "cfg.yaml"
-    save_config(path, cfg)
+    write_config(path, cfg)
     back = load_config(path)
-    assert back.to_dict() == cfg.to_dict()
-    save_config(tmp_path / "cfg2.yaml", back)
+    assert back == cfg
+    write_config(tmp_path / "cfg2.yaml", back)
     assert (tmp_path / "cfg2.yaml").read_text() == path.read_text()
+
+
+def _run_on(data, command, tmp_path):
+    """Run ``command`` on a config file holding ``data``; its exit code."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(data))
+    out = str(tmp_path / ("trips.csv" if command == "gen-data" else "run"))
+    return main([command, "--config", str(path), "--out", out])
 
 
 def test_missing_config_exit_2():
@@ -50,23 +59,53 @@ def test_missing_config_exit_2():
     assert main(["gen-data", "--config", "/nonexistent/cfg.yaml", "--out", "x.csv"]) == 2
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "gen-data"])
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize(
-    "sim",
+    "sim",  # a key of the sim section and the bad value it gets
     [
-        {"rl": {"window": 14}},
-        {"grid": {"hop_stride": 0}},
-        {"separate_split": 1.5},
-        {"weights_preset": "greedy"},
-        {"rl": {"unknown_knob": 1}},  # a key SimConfig does not have, say one since removed
+        ("rl.window", 14),
+        ("grid.hop_stride", 0),
+        ("separate_split", 1.5),
+        ("weights_preset", "greedy"),
+        ("rl.unknown_knob", 1),  # a key SimConfig does not have, say one since removed
+        ("demand.passenger_rate_per_zone", -0.1),
+        ("demand.origin_hot_rate", -0.5),
+        ("demand.goods_location_rate", -0.2),
     ],
 )
 def test_bad_config_exit_2(command, sim, tmp_path, capsys):
-    path = tmp_path / "bad.yaml"
-    path.write_text(yaml.safe_dump({"sim": sim}))
-    out = str(tmp_path / ("trips.csv" if command == "gen-data" else "run"))
-    assert main([command, "--config", str(path), "--out", out]) == 2
-    assert "bad config" in capsys.readouterr().err
+    key, value = sim
+    data = desk_yaml()
+    holder, leaf = locate(data["sim"], key)
+    holder[leaf] = value
+    assert _run_on(data, command, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and key in err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("key", leaf_keys(desk_yaml()))
+def test_missing_key_exit_2(command, key, tmp_path, capsys):
+    data = desk_yaml()
+    holder, leaf = locate(data, key)
+    del holder[leaf]
+    assert _run_on(data, command, tmp_path) == 2
+    assert f"bad config {tmp_path / 'cfg.yaml'}: missing key {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cls", [GridConfig, DemandConfig, RLConfig, SimConfig,
+                                 TrainSettings, EvalSettings, ExperimentConfig])
+def test_config_fields_have_no_default(cls):
+    # a default would be a second source of the value configs/default.yaml holds
+    assert [f.name for f in fields(cls)
+            if f.default is not MISSING or f.default_factory is not MISSING] == []
+
+
+@pytest.mark.parametrize("func, name", [(encode_state, "ticks_per_day"),
+                                        (HistoricalAverageForecaster, "ticks_per_day"),
+                                        (assign_hop_zones, "max_depth")])
+def test_config_parameters_have_no_default(func, name):
+    assert inspect.signature(func).parameters[name].default is inspect.Parameter.empty
 
 
 def test_malformed_yaml_exit_2(tmp_path):
@@ -93,7 +132,7 @@ def test_train_takes_gradient_steps(smoke_config):
     # once, and its transition is stored at the end-of-episode flush
     path, cfg = smoke_config
     cfg.train.episodes = 2
-    save_config(path, cfg)
+    write_config(path, cfg)
     assert main(["train", "--config", path]) == 0
     with open(os.path.join(cfg.out_dir, "training_curve.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -140,7 +179,7 @@ def test_eval_checkpoint_mismatch_rejected_before_sim(smoke_config, tmp_path):
     other = load_config(path)
     other.sim.rl.hidden = (32, 32)
     other_path = tmp_path / "other.yaml"
-    save_config(other_path, other)
+    write_config(other_path, other)
     assert main(["eval", "--config", str(other_path), "--checkpoint", ckpt]) == 2
 
 

@@ -233,19 +233,9 @@ def test_forecast_nonnegative_and_horizon_length(grid):
     for t in range(100):
         f.record(t, rng.poisson(1.0, size=(10, 10)).astype(float))
     fc = f.forecast(now=100, horizon=30)
+    assert fc.start_tick == 100
     assert fc.counts.shape[0] == 31
     assert np.all(fc.counts >= 0)
-
-
-def test_forecast_json_round_trip(grid):
-    f = HistoricalAverageForecaster(grid, ticks_per_day=24)
-    f.record(0, np.ones((10, 10)))
-    blob = f.forecast(0, 2).to_json()
-    import json
-
-    data = json.loads(blob)
-    assert data["start_tick"] == 0
-    assert np.asarray(data["counts"]).shape == (3, 10, 10)
 
 
 def test_request_lifecycle_guards():

@@ -74,7 +74,7 @@ def test_encode_corner_zero_padded():
     grid, supply, forecast = empty_world()
     supply.available[:, :] = 1.0
     v = VehicleState(id=0, location=ZoneId(0, 0))
-    snap = encode_state(grid, supply, forecast, v, tick=0)
+    snap = encode_state(grid, supply, forecast, v, tick=0, ticks_per_day=1440)
     avail = snap.channels[1]
     assert avail[7, 7] == 1.0  # own zone at the crop center
     assert np.all(avail[:7, :] == 0.0)  # off-map rows above
@@ -86,7 +86,7 @@ def test_encode_demand_offset_east():
     # 3 requests expected one step ahead, two zones east of the vehicle
     forecast.counts[1, 10, 12] = 3.0
     v = VehicleState(id=0, location=ZoneId(10, 10))
-    snap = encode_state(grid, supply, forecast, v, tick=0)
+    snap = encode_state(grid, supply, forecast, v, tick=0, ticks_per_day=1440)
     assert snap.channels[0][7, 9] == 3.0
     assert snap.channels[0].sum() == 3.0
 
@@ -96,8 +96,8 @@ def test_encode_deterministic():
     supply.available[3, 4] = 2
     forecast.counts[2, 5, 5] = 1.5
     v = VehicleState(id=0, location=ZoneId(5, 5))
-    a = encode_state(grid, supply, forecast, v, tick=77).vector()
-    b = encode_state(grid, supply, forecast, v, tick=77).vector()
+    a = encode_state(grid, supply, forecast, v, tick=77, ticks_per_day=1440).vector()
+    b = encode_state(grid, supply, forecast, v, tick=77, ticks_per_day=1440).vector()
     assert np.array_equal(a, b)
 
 

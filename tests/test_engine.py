@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from hopfleet.engine import (
 )
 from hopfleet.geo import ZoneId
 
+from desk_config import desk_config, desk_yaml, locate
+
 
 class ScriptedPolicy:
     """Always picks one fixed action offset with no exploration or learning."""
@@ -32,10 +36,7 @@ class ScriptedPolicy:
 
     def __init__(self, dr, dc):
         self.schedule_step = 0
-        self._net = self._Net(offset_to_action(dr, dc))
-
-    def q_net(self):
-        return self._net
+        self.online = self._Net(offset_to_action(dr, dc))
 
     def epsilon(self, training):
         return 0.0
@@ -52,16 +53,22 @@ class ScriptedPolicy:
 
 
 def small_cfg(**kw):
-    defaults = dict(
+    """The desk world of configs/default.yaml scaled down for fast tests;
+    ``kw`` overrides further SimConfig fields."""
+    desk = desk_config().sim
+    overrides = dict(
         seed=1,
-        n_vehicles=4,
-        warmup_ticks=5,
-        episode_ticks=40,
-        t_n=100,
-        patience_ticks=10,
+        n_vehicles=4,  # desk 50
+        warmup_ticks=5,  # desk 100
+        episode_ticks=40,  # desk 750
+        t_n=100,  # desk 2000: ramps the schedules within a short episode
+        # five warmup ticks never tally the desk's 15 pickups near a hub, so
+        # the desk threshold leaves no hub; at 0 every lattice zone is one
+        # and the relay path runs
+        grid=replace(desk.grid, hop_min_pickups=0),
     )
-    defaults.update(kw)
-    return SimConfig(**defaults)
+    overrides.update(kw)
+    return replace(desk, **overrides)
 
 
 def test_initialize_places_vehicles_at_first_request_origins(tmp_path):
@@ -336,20 +343,28 @@ def test_training_steps_move_parameters():
 
 
 def test_bad_baseline_rejected():
-    with pytest.raises(ValueError):
-        SimConfig(baseline="warp_drive")
+    with pytest.raises(ValueError, match="baseline must be one of"):
+        replace(desk_config().sim, baseline="warp_drive")
 
 
 @pytest.mark.parametrize(
     "kw, msg",
     [
-        (dict(rl={"window": 14}), "rl.window must be odd"),
-        (dict(grid={"hop_stride": 0}), "grid.hop_stride must be >= 1"),
-        (dict(separate_split=1.5), "separate_split must be in"),
-        (dict(separate_split=-0.1), "separate_split must be in"),
-        (dict(weights_preset="greedy"), "unknown weight preset"),
+        (("rl.window", 14), "rl.window must be odd"),
+        (("grid.hop_stride", 0), "grid.hop_stride must be >= 1"),
+        (("separate_split", 1.5), "separate_split must be in"),
+        (("separate_split", -0.1), "separate_split must be in"),
+        (("weights_preset", "greedy"), "unknown weights_preset"),
+        (("demand.passenger_rate_per_zone", -0.1), "demand.passenger_rate_per_zone must be >= 0"),
+        (("demand.origin_hot_rate", -0.5), "demand.origin_hot_rate must be >= 0"),
+        (("demand.goods_location_rate", -0.2), "demand.goods_location_rate must be >= 0"),
     ],
 )
 def test_bad_config_rejected_when_built(kw, msg):
+    # kw: a key of the YAML's sim section and the bad value it gets
+    key, value = kw
+    sim = desk_yaml()["sim"]
+    holder, leaf = locate(sim, key)
+    holder[leaf] = value
     with pytest.raises(ValueError, match=msg):
-        SimConfig(**kw)
+        SimConfig(**sim)

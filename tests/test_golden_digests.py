@@ -6,7 +6,9 @@ behaviour deterministically; these digests can. Each case pins the digest of
 the episode after a shorter one that fills the replay buffer, as successive
 ``hopfleet train`` episodes do, so that it takes gradient steps; it also pins
 the digest of the online network's parameters afterwards, because a train
-log alone does not change with the weights.
+log alone does not change with the weights. ``small_cfg`` is the desk world
+of ``configs/default.yaml`` scaled down, so these digests pin the YAML's
+settings too, and a ``flex_hops`` case must relay at least one package.
 
 A change that means to alter behaviour records new digests here and says
 why in CHANGES.md.
@@ -31,28 +33,28 @@ from test_engine import small_cfg
 
 GOLDEN = {
     (BASELINE_FLEX_HOPS, MODE_EVAL): (
-        "e9d918523ddcc137c030ed779699b5ef2d67f561ca4531d81b75882ab4f811fa",
+        "7444d4b24b795611eb025ee490df66215758cb22977e28263ff1ce3af18d7455",
         None,
     ),
     (BASELINE_FLEX_HOPS, MODE_TRAIN): (
-        "2b0de0ff562de05e4ede9524e58ca86e545d10ab73dcff7cff08275185206e00",
-        "b86f4804b958b42fb8fb45c642377e79805ed971bf3df4b17e90f4a1b379f87c",
+        "c73f70845cfac26f8da624f19cf38e2f5a5a9dfe6d3c8f5ece0b3bc40560f94c",
+        "415977a59d2c9628c5d4861d2dcdfcbd534b42cd389e762fc8854570905f2c6b",
     ),
     (BASELINE_FLEX_NOHOPS, MODE_EVAL): (
-        "701ccbae4b74ffc7fa92b963dbbbf2b349c2b1d953ee807397142daf842c307d",
+        "55479a36f460c9eb0b4fa5b450c1df9398dfb0a69a669f3bca2380aa57f26306",
         None,
     ),
     (BASELINE_FLEX_NOHOPS, MODE_TRAIN): (
-        "60baa713a33f2a576f48f071d4cdfafcdccc12d9bc44a2d6ca07d5f6e9b140e0",
-        "8d624942a39ad004ba9805714cb04440d73f9e29315c96379e39cac439336140",
+        "3978aeadda00d3a093e3962dab8a938f074ae28e9c31f5f89a8bed7c4d168dfe",
+        "73387fffd77f5e8fc106ca359321fe8907d09b2ce23b7ad2701440d49e52c5d0",
     ),
     (BASELINE_SEPARATE, MODE_EVAL): (
-        "41b374e29439ea637e56ff53d9493a85da22e3df8c78bf0f86209d84537b56dc",
+        "72403309c0b3918b502f1f9b9d5b436f2f73a83f07bb23d0bd2481e16ec8809c",
         None,
     ),
     (BASELINE_SEPARATE, MODE_TRAIN): (
-        "a500eb9089290fe7fe31bcadec910119dc05623b670dbc1e563dc924ff5f751f",
-        "ddf0507de32240640022febd93a5d1a504bdc538a8391fddcdab4721b0598254",
+        "d3eb658a42783bfcbe9658c0036f043ef4c1bc95fbe3a1f8112480a2dbb5b0a6",
+        "dde3e2a544cae9dd8d18d774d92a692d5023d756381ba5e1b8d165d17341a017",
     ),
 }
 
@@ -92,4 +94,6 @@ def test_episode_digest_pinned(baseline, mode, tmp_path):
     params = parameter_digest(sim.policy, tmp_path) if mode == MODE_TRAIN else None
     if mode == MODE_TRAIN:
         assert any(row["loss"] is not None for row in sim.curve), "no gradient step taken"
+    if baseline == BASELINE_FLEX_HOPS:
+        assert log.by_kind("hop_drop"), "no package relayed at a hub"
     assert (log_digest, params) == GOLDEN[(baseline, mode)]

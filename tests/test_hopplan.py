@@ -12,7 +12,7 @@ def goods(origin, dest, rid=0):
 
 def test_no_hop_zones_single_leg():
     grid = GridWorld(width=12, height=12)
-    trip = assign_hop_zones(goods((0, 0), (0, 10)), grid)
+    trip = assign_hop_zones(goods((0, 0), (0, 10)), grid, max_depth=4)
     assert trip.legs == ((ZoneId(0, 0), ZoneId(0, 10)),)
 
 
@@ -27,7 +27,7 @@ def test_single_split_example():
 
 def test_detour_too_large_keeps_direct_leg():
     grid = GridWorld(width=12, height=12, hop_zones=frozenset({(5, 5)}))
-    trip = assign_hop_zones(goods((0, 0), (0, 2)), grid)
+    trip = assign_hop_zones(goods((0, 0), (0, 2)), grid, max_depth=4)
     assert trip.legs == ((ZoneId(0, 0), ZoneId(0, 2)),)
 
 
@@ -41,7 +41,7 @@ def test_passengers_rejected():
     grid = GridWorld(width=12, height=12)
     r = Request(0, PASSENGER, ZoneId(0, 0), ZoneId(0, 5), 0, 1.0)
     with pytest.raises(ValueError):
-        assign_hop_zones(r, grid)
+        assign_hop_zones(r, grid, max_depth=4)
 
 
 def test_recursive_split_depth_two():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from hopfleet.metrics import (
     build_report,
     effective_distance_ratio,
     fuel_cost_per_delivery,
+    index_log,
     mean_wait,
     per_day_series,
 )
@@ -44,17 +46,17 @@ def test_accept_rate_examples():
     log = empty_log()
     for i in range(20):
         add_request(log, i, picked=1 if i < 19 else None, rejected=i == 19)
-    assert accept_rate(log) == pytest.approx(0.95)
+    assert accept_rate(index_log(log)) == pytest.approx(0.95)
 
     all_in = empty_log()
     for i in range(5):
         add_request(all_in, i, picked=2)
-    assert accept_rate(all_in) == 1.0
+    assert accept_rate(index_log(all_in)) == 1.0
 
     none_in = empty_log()
     for i in range(5):
         add_request(none_in, i, rejected=True)
-    assert accept_rate(none_in) == 0.0
+    assert accept_rate(index_log(none_in)) == 0.0
 
 
 def test_accept_rate_overall_is_count_weighted_mean():
@@ -63,16 +65,16 @@ def test_accept_rate_overall_is_count_weighted_mean():
         add_request(log, i, kind="passenger", picked=1)
     for i in range(6, 10):
         add_request(log, i, kind="goods", picked=1 if i < 8 else None)
-    ar_p = accept_rate(log, "passenger")
-    ar_g = accept_rate(log, "goods")
-    assert accept_rate(log) == pytest.approx((6 * ar_p + 4 * ar_g) / 10)
+    ar_p = accept_rate(index_log(log), "passenger")
+    ar_g = accept_rate(index_log(log), "goods")
+    assert accept_rate(index_log(log)) == pytest.approx((6 * ar_p + 4 * ar_g) / 10)
 
 
 def test_accept_rate_ignores_hop_children():
     log = empty_log()
     add_request(log, 0, kind="goods", picked=1, delivered=9)
     add_request(log, 1, kind="goods", parent=0, tick=4, picked=5)  # relay leg
-    assert accept_rate(log, "goods") == 1.0
+    assert accept_rate(index_log(log), "goods") == 1.0
 
 
 def test_fuel_cost_examples():
@@ -81,12 +83,12 @@ def test_fuel_cost_examples():
     add_request(log, 0, picked=1, delivered=59)
     for t in range(60):
         add_stats(log, t, active=1, moved_total=1)
-    assert fuel_cost_per_delivery(log) == pytest.approx(1.0)
+    assert fuel_cost_per_delivery(index_log(log)) == pytest.approx(1.0)
 
     # no deliveries: undefined
     log2 = empty_log()
     add_stats(log2, 0, active=1)
-    assert fuel_cost_per_delivery(log2) is None
+    assert fuel_cost_per_delivery(index_log(log2)) is None
 
     # 2 vehicle-hours over 4 deliveries: $0.50
     log3 = empty_log(n_vehicles=2, dt=1.0)
@@ -94,7 +96,7 @@ def test_fuel_cost_examples():
         add_request(log3, i, picked=1, delivered=50)
     for t in range(60):
         add_stats(log3, t, active=2, moved_total=2)
-    assert fuel_cost_per_delivery(log3) == pytest.approx(0.5)
+    assert fuel_cost_per_delivery(index_log(log3)) == pytest.approx(0.5)
 
 
 def test_fuel_cost_scales_with_price():
@@ -102,45 +104,45 @@ def test_fuel_cost_scales_with_price():
     add_request(log, 0, picked=1, delivered=5)
     for t in range(30):
         add_stats(log, t, active=1)
-    base = fuel_cost_per_delivery(log, cost_per_gallon=2.0)
-    assert fuel_cost_per_delivery(log, cost_per_gallon=6.0) == pytest.approx(3 * base)
+    base = fuel_cost_per_delivery(index_log(log), cost_per_gallon=2.0)
+    assert fuel_cost_per_delivery(index_log(log), cost_per_gallon=6.0) == pytest.approx(3 * base)
 
 
 def test_active_vehicle_ratio_examples():
     log = empty_log(n_vehicles=4)
     for t in range(10):
         add_stats(log, t, active=0)
-    assert active_vehicle_ratio(log) == 0.0
+    assert active_vehicle_ratio(index_log(log)) == 0.0
 
     log2 = empty_log(n_vehicles=4)
     for t in range(10):
         add_stats(log2, t, active=4)
-    assert active_vehicle_ratio(log2) == 1.0
+    assert active_vehicle_ratio(index_log(log2)) == 1.0
 
     log3 = empty_log(n_vehicles=4)
     for t in range(10):
         add_stats(log3, t, active=2)
-    assert active_vehicle_ratio(log3) == 0.5
+    assert active_vehicle_ratio(index_log(log3)) == 0.5
 
 
 def test_mean_wait_examples():
     log = empty_log()
     add_request(log, 0, tick=0, picked=0)
-    assert mean_wait(log) == 0.0
+    assert mean_wait(index_log(log)) == 0.0
 
     log2 = empty_log()
     add_request(log2, 0, tick=0, picked=2)
     add_request(log2, 1, tick=0, picked=4)
     add_request(log2, 2, tick=0, rejected=True)  # excluded
     add_request(log2, 3, tick=1, picked=5, parent=2)  # hop child excluded
-    assert mean_wait(log2) == pytest.approx(3.0)
+    assert mean_wait(index_log(log2)) == pytest.approx(3.0)
 
 
 def test_effective_distance_solo_direct_is_one():
     log = empty_log()
     add_request(log, 0, origin=(0, 0), dest=(0, 4), picked=0, delivered=4)
     add_stats(log, 0, active=1, moved_total=4)
-    assert effective_distance_ratio(log) == pytest.approx(1.0)
+    assert effective_distance_ratio(index_log(log)) == pytest.approx(1.0)
 
 
 def test_effective_distance_two_leg_relay_case():
@@ -151,19 +153,19 @@ def test_effective_distance_two_leg_relay_case():
     add_request(log, 1, kind="goods", origin=(0, 0), dest=(0, 2), picked=0, delivered=2)
     add_stats(log, 0, active=2, moved_total=1)  # carrier drives C -> B
     add_stats(log, 1, active=2, moved_total=1)  # shared vehicle drives B -> dest
-    assert effective_distance_ratio(log) == pytest.approx(1.5)
+    assert effective_distance_ratio(index_log(log)) == pytest.approx(1.5)
 
 
 def test_effective_distance_empty_log_undefined():
-    assert effective_distance_ratio(empty_log()) is None
+    assert effective_distance_ratio(index_log(empty_log())) is None
 
 
 def test_effective_distance_dispatch_toggle():
     log = empty_log()
     add_request(log, 0, origin=(0, 0), dest=(0, 4), picked=0, delivered=4)
     add_stats(log, 0, active=1, moved_total=6, moved_serving=4)
-    assert effective_distance_ratio(log, include_dispatch=True) == pytest.approx(4 / 6)
-    assert effective_distance_ratio(log, include_dispatch=False) == pytest.approx(1.0)
+    assert effective_distance_ratio(index_log(log), include_dispatch=True) == pytest.approx(4 / 6)
+    assert effective_distance_ratio(index_log(log), include_dispatch=False) == pytest.approx(1.0)
 
 
 def test_report_round_trip_and_table():
@@ -175,7 +177,7 @@ def test_report_round_trip_and_table():
     report = build_report(log)
     assert report.accept_rate_overall == 1.0
     assert report.delivered == 2
-    back = MetricsReport.from_json(report.to_json())
+    back = MetricsReport(**json.loads(report.to_json()))
     assert back.accept_rate_overall == report.accept_rate_overall
     assert "accept rate overall" in report.table()
 
@@ -187,7 +189,7 @@ def test_per_day_series_buckets():
     add_request(log, 2, tick=15, rejected=True)
     for t in range(20):
         add_stats(log, t, active=1)
-    days = per_day_series(log)
+    days = per_day_series(index_log(log))
     assert len(days) == 2
     assert days[0]["generated"] == 1 and days[0]["accept_rate"] == 1.0
     assert days[1]["generated"] == 2 and days[1]["accept_rate"] == 0.5
