@@ -5,6 +5,11 @@ seeded uniform stream, so identical seeds give bit-identical request streams.
 Generation takes two steps: :func:`demand_sources` lays the sources out once
 (validated origins in draw order, and each goods site's reachable
 destinations), then :func:`generate_tick_requests` draws one tick from them.
+A passenger zone emits nothing iff its uniform is at most exp(-rate), as most
+do, so the passenger uniforms are drawn in blocks to find the next zone that
+emits; the generator is rewound to it and it is drawn alone, which keeps the
+stream of the zone-by-zone draw. Thresholds are ``math.exp`` values, as in
+:func:`poisson_sample`: an ``np.exp`` one bit off would change the stream.
 The demand forecaster is a trailing tick-of-day historical average; it sits
 behind a plain ``forecast(now, horizon)`` call so other predictors can be
 swapped in.
@@ -172,14 +177,16 @@ class DemandSources:
     """Where demand arises, laid out once for a world by :func:`demand_sources`.
 
     ``passenger`` holds ``(origin, rate)`` in ascending zone order, the order
-    of the per-zone draws. ``goods`` holds ``(origin, rate, candidates)`` per
-    goods site in site order, ``candidates`` being the zones within
-    ``goods_radius`` of the site; a site with no zone in reach is left out,
-    as it can emit nothing.
+    of the per-zone draws, for each zone with a positive rate (a zero rate
+    draws no uniform); ``passenger_p0`` holds their thresholds exp(-rate).
+    ``goods`` holds ``(origin, rate, candidates)`` per goods site in site
+    order, ``candidates`` being the zones within ``goods_radius`` of the
+    site; a site with no zone in reach is left out, as it can emit nothing.
     """
 
     grid: GridWorld
     passenger: tuple
+    passenger_p0: np.ndarray
     goods: tuple
     goods_radius: int
 
@@ -193,14 +200,18 @@ def demand_sources(
     """Validate the demand sources against the grid and lay them out for drawing."""
     if goods_radius <= 0:
         raise ValueError("goods_radius must be > 0")
-    passenger = tuple((grid.require(zone), lam) for zone, lam in sorted(passenger_rates.items()))
+    passenger = [(grid.require(zone), lam) for zone, lam in sorted(passenger_rates.items())]
+    if any(lam < 0 for _, lam in passenger):
+        raise ValueError("passenger rates must be >= 0")
+    passenger = tuple((zone, lam) for zone, lam in passenger if lam > 0)
+    p0 = np.array([math.exp(-lam) for _, lam in passenger])
     goods = []
     for loc in locations:
         origin = grid.require(loc.zone)
         candidates = tuple(grid.zones_within(origin, goods_radius))
         if candidates:
             goods.append((origin, loc.rate, candidates))
-    return DemandSources(grid, passenger, tuple(goods), goods_radius)
+    return DemandSources(grid, passenger, p0, tuple(goods), goods_radius)
 
 
 def generate_tick_requests(
@@ -214,18 +225,31 @@ def generate_tick_requests(
 ) -> list[Request]:
     """Draw one tick of demand. Goods destinations stay within the sources'
     goods radius; optionally a share of them lands next to busy zones inside
-    that radius."""
+    that radius. ``rng`` needs a bit generator with ``advance``, as PCG64 has."""
     grid, goods_radius = sources.grid, sources.goods_radius
     trip_distribution = trip_distribution or TripDistribution()
     goods_dest_hot = [ZoneId(*z) for z in goods_dest_hot]
     out: list[Request] = []
     next_id = id_start
 
-    for origin, lam in sources.passenger:
+    bitgen, zones, p0 = rng.bit_generator, sources.passenger, sources.passenger_p0
+    i = 0
+    while i < len(zones):
+        saved = bitgen.state
+        hits = np.flatnonzero(rng.random(len(zones) - i) > p0[i:])
+        if not hits.size:
+            break  # no zone left emits; the block took their uniforms
+        j = i + int(hits[0])
+        bitgen.state = saved
+        bitgen.advance(j - i)
+        # advance drops the 32-bit half a previous rng.integers left buffered
+        bitgen.state = {**bitgen.state, **{k: saved[k] for k in ("has_uint32", "uinteger")}}
+        origin, lam = zones[j]
         for _ in range(poisson_sample(lam, rng)):
             dest = trip_distribution.sample_destination(grid, origin, rng)
             out.append(Request(next_id, PASSENGER, origin, dest, tick, DEFAULT_URGENCY[PASSENGER]))
             next_id += 1
+        i = j + 1
 
     for origin, rate, candidates in sources.goods:
         hot_nearby = [z for z in goods_dest_hot

@@ -73,8 +73,10 @@ class GridConfig:
     hop_count_radius: int  # neighborhood radius when tallying warmup pickups
 
     def __post_init__(self):
-        if self.hop_stride < 1:
-            raise ValueError(f"grid.hop_stride must be >= 1, got {self.hop_stride}")
+        for name, low in (("width", 1), ("height", 1), ("vehicle_speed", 1), ("hop_stride", 1),
+                          ("hop_min_pickups", 0), ("hop_count_radius", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"grid.{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -93,6 +95,11 @@ class DemandConfig:
         for name in ("passenger_rate_per_zone", "origin_hot_rate", "goods_location_rate"):
             if getattr(self, name) < 0:
                 raise ValueError(f"demand.{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("hot_weight", "goods_dest_hot_weight"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"demand.{name} must be in [0, 1], got {getattr(self, name)}")
+        if self.goods_radius_zones < 1:
+            raise ValueError(f"demand.goods_radius_zones must be >= 1, got {self.goods_radius_zones}")
 
 
 @dataclass
@@ -140,8 +147,8 @@ class SimConfig:
     def __post_init__(self):
         if self.baseline not in BASELINES:
             raise ValueError(f"baseline must be one of {BASELINES}")
-        if self.n_vehicles < 1 or self.horizon < 1 or self.episode_ticks < 0:
-            raise ValueError("n_vehicles, horizon must be >= 1 and episode_ticks >= 0")
+        if min(self.n_vehicles, self.horizon, self.ticks_per_day) < 1 or self.episode_ticks < 0:
+            raise ValueError("n_vehicles, horizon, ticks_per_day must be >= 1 and episode_ticks >= 0")
         if not 0.0 <= self.separate_split <= 1.0:
             raise ValueError(f"separate_split must be in [0, 1], got {self.separate_split}")
         if isinstance(self.grid, dict):
@@ -708,6 +715,8 @@ class Simulation:
                 raise EngineInvariantError(self._dump(f"vehicle {v.id} overcommitted"))
             if v.status not in fl.VEHICLE_STATUSES:
                 raise EngineInvariantError(self._dump(f"vehicle {v.id} bad status {v.status}"))
+            if full and v.stops != v.planned_stops():
+                raise EngineInvariantError(self._dump(f"vehicle {v.id} stored stop plan is stale"))
             for e in v.manifest:
                 if e.request_id in manifest_owner:
                     raise EngineInvariantError(self._dump(f"request {e.request_id} in two manifests"))

@@ -9,6 +9,10 @@ A vehicle's work is its manifest. Entries start as reserved pickups and
 become onboard at the pickup zone; seats and trunk slots are reserved at
 assignment time so matching can never overbook. Stops are ordered by a
 nearest-next greedy: all pending pickups first, then deliveries.
+The plan is stored as ``stops``, rebuilt only when the manifest changes (an
+added entry, a pickup, a drop); ``move`` subtracts the steps moved from its
+cumulative distances. That is exact: a step toward the first stop shortens
+only the first leg, and ties break on the zone, so the greedy order holds.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ class VehicleState:
     trunk_total: int = 5
     manifest: list = field(default_factory=list)
     dispatch_target: ZoneId | None = None
+    stops: list = field(default_factory=list)  # planned_stops() kept current
 
     # ---- capacity -------------------------------------------------------
 
@@ -120,6 +125,7 @@ class VehicleState:
         if entry.kind == GOODS and self.trunk_free <= 0:
             raise VehicleStateError(f"vehicle {self.id}: no trunk slot for request {entry.request_id}")
         self.manifest.append(entry)
+        self.stops = self.planned_stops()
 
     # ---- routing --------------------------------------------------------
 
@@ -149,13 +155,12 @@ class VehicleState:
         return stops
 
     def next_stop(self) -> ZoneId | None:
-        stops = self.planned_stops()
-        return stops[0][0] if stops else None
+        return self.stops[0][0] if self.stops else None
 
     def remaining_etas(self, speed: int) -> dict:
         """Estimated ticks until each onboard order's drop zone is reached."""
         etas = {}
-        for zone, cum in self.planned_stops():
+        for zone, cum in self.stops:
             for e in self.manifest:
                 if e.onboard and e.destination == zone and e.request_id not in etas:
                     etas[e.request_id] = math.ceil(cum / speed)
@@ -163,8 +168,7 @@ class VehicleState:
 
     def route_eta(self, speed: int) -> int:
         """Ticks to finish the whole manifest (last planned stop)."""
-        stops = self.planned_stops()
-        return math.ceil(stops[-1][1] / speed) if stops else 0
+        return math.ceil(self.stops[-1][1] / speed) if self.stops else 0
 
 
 def is_available(v: VehicleState) -> bool:
@@ -191,6 +195,8 @@ def process_arrivals(v: VehicleState, tick: int) -> list:
                 e.pickup_tick = tick
                 picked = True
                 events.append(PickupEvent(e.request_id, v.id, v.location, tick))
+        if events:
+            v.stops = v.planned_stops()
         if picked and v.status == MATCHED:
             v.set_status(SERVING)
         if v.status == SERVING and not v.manifest:
@@ -219,6 +225,8 @@ def move(v: VehicleState, grid: GridWorld) -> int:
     while moved < grid.vehicle_speed and v.location != target:
         v.location = step_toward(v.location, target)
         moved += 1
+    if moved and v.status != DISPATCHING:
+        v.stops = [(zone, cum - moved) for zone, cum in v.stops]
     return moved
 
 
@@ -239,10 +247,9 @@ def project_supply(vehicles: Sequence[VehicleState], grid: GridWorld, horizon: i
         if is_available(v):
             available[v.location.row, v.location.col] += 1
             continue
-        stops = v.planned_stops()
-        if not stops:
+        if not v.stops:
             continue
-        final_zone, cum = stops[-1]
+        final_zone, cum = v.stops[-1]
         eta = math.ceil(cum / grid.vehicle_speed)
         if eta <= horizon:
             projected[eta, final_zone.row, final_zone.col] += 1

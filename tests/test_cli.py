@@ -71,6 +71,15 @@ def test_missing_config_exit_2():
         ("demand.passenger_rate_per_zone", -0.1),
         ("demand.origin_hot_rate", -0.5),
         ("demand.goods_location_rate", -0.2),
+        ("demand.goods_radius_zones", 0),
+        ("ticks_per_day", 0),
+        ("grid.hop_min_pickups", -1),
+        ("grid.width", 0),
+        ("grid.height", 0),
+        ("grid.vehicle_speed", 0),
+        ("grid.hop_count_radius", -1),
+        ("demand.hot_weight", 1.5),
+        ("demand.goods_dest_hot_weight", -0.1),
     ],
 )
 def test_bad_config_exit_2(command, sim, tmp_path, capsys):

@@ -19,7 +19,7 @@ from hopfleet.demand import (
     poisson_sample,
     write_trip_records,
 )
-from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId
+from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId, manhattan
 
 
 @pytest.fixture
@@ -122,6 +122,112 @@ def test_generate_mean_rate_statistics(grid):
     assert 4.8 <= total / ticks <= 5.2
 
 
+def reference_generate(grid, passenger_rates, sources, tick, rng, trip_distribution,
+                       goods_dest_hot, goods_dest_hot_weight):
+    """The per-zone draw that the block draw of generate_tick_requests
+    replaced: one poisson_sample per passenger zone in ascending zone order,
+    zero-rate zones included, then the goods sites."""
+    out = []
+    for origin, lam in sorted(passenger_rates.items()):
+        for _ in range(poisson_sample(lam, rng)):
+            dest = trip_distribution.sample_destination(grid, origin, rng)
+            out.append(Request(len(out), PASSENGER, origin, dest, tick, 1.0))
+    for origin, rate, candidates in sources.goods:
+        hot_nearby = [z for z in goods_dest_hot
+                      if z != origin and manhattan(origin, z) <= sources.goods_radius]
+        for _ in range(poisson_sample(rate, rng)):
+            if hot_nearby and rng.random() < goods_dest_hot_weight:
+                around = hot_nearby[int(rng.integers(len(hot_nearby)))]
+                near = [z for z in grid.zones_within(around, 2) + [around]
+                        if z != origin and manhattan(origin, z) <= sources.goods_radius]
+                dest = near[int(rng.integers(len(near)))] if near else \
+                    candidates[int(rng.integers(len(candidates)))]
+            else:
+                dest = candidates[int(rng.integers(len(candidates)))]
+            out.append(Request(len(out), GOODS, origin, dest, tick, 0.5))
+    return out
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def generator_drawing_first(u: float, seed) -> np.random.Generator:
+    """``default_rng(seed)`` moved to the state from which the next
+    ``rng.random()`` returns ``u``, a float in [0.5, 1)."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    # random() keeps the top 53 bits of the next 64-bit output. PCG64 steps
+    # its 128-bit LCG state, then outputs high ^ low word rotated right by
+    # the top 6 bits, so a stepped state with high word 0 outputs its low word.
+    stepped = int(u * 2**53) << 11
+    state["state"]["state"] = ((stepped - state["state"]["inc"])
+                               * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128)
+    rng.bit_generator.state = state
+    return rng
+
+
+def random_world(rng, first_rate=None):
+    """A small world: zero-rate, quiet and busy passenger zones, hot zones
+    (their destination draws leave a 32-bit half buffered in the generator),
+    goods sites and goods hot spots. ``first_rate`` overrides zone (0, 0)."""
+    grid = GridWorld(width=int(rng.integers(1, 9)), height=int(rng.integers(2, 9)))
+    zones = list(grid.all_zones())
+    levels = rng.choice(3, size=len(zones), p=rng.dirichlet(np.ones(3)))
+    rates = {z: (0.0, float(rng.uniform(1e-3, 0.3)), float(rng.uniform(0.5, 3.0)))[k]
+             for z, k in zip(zones, levels)}
+    if first_rate is not None:
+        rates[ZoneId(0, 0)] = first_rate
+    hot = [zones[int(i)] for i in rng.choice(len(zones), size=int(rng.integers(0, 4)))]
+    locs = [ServiceLocation(zones[int(rng.integers(len(zones)))], "meal", float(rng.uniform(0, 2)))
+            for _ in range(int(rng.integers(0, 4)))]
+    sources = demand_sources(grid, locs, rates, goods_radius=int(rng.integers(1, 5)))
+    draw = dict(trip_distribution=TripDistribution(hot_zones=tuple(hot),
+                                                   hot_weight=float(rng.choice([rng.random(), 1.0]))),
+                goods_dest_hot=hot, goods_dest_hot_weight=float(rng.random()))
+    return grid, rates, sources, draw
+
+
+def test_block_draw_keeps_the_per_zone_stream():
+    key = lambda reqs: [(r.kind, r.origin, r.destination, r.created_tick) for r in reqs]
+    seen = dict(empty_ticks=0, buffered_half=0, zero_rate_zones=0, goods=0, boundary=0)
+    cases = [(seed, None, 6) for seed in range(200)]
+    # boundary cases: zone (0, 0) comes first and its uniform is the float
+    # just above its zero-count threshold, so it must emit
+    for seed, lam in enumerate(np.random.default_rng(7).uniform(0.0, math.log(2), 200), 200):
+        cases.append((seed, float(lam), 3))
+    for seed, first_rate, ticks in cases:
+        grid, rates, sources, draw = random_world(np.random.default_rng(seed), first_rate)
+        if first_rate is None:
+            ours, ref = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        else:
+            u = math.nextafter(math.exp(-first_rate), 1.0)
+            ours, ref = generator_drawing_first(u, seed), generator_drawing_first(u, seed)
+        seen["zero_rate_zones"] += 0.0 in rates.values()
+        for tick in range(ticks):
+            seen["buffered_half"] += ours.bit_generator.state["has_uint32"]
+            got = generate_tick_requests(sources, tick, ours, **draw)
+            want = reference_generate(grid, rates, sources, tick, ref, **draw)
+            assert key(got) == key(want), (seed, tick)
+            assert ours.bit_generator.state == ref.bit_generator.state, (seed, tick)
+            seen["empty_ticks"] += not want
+            seen["goods"] += sum(r.kind == GOODS for r in want)
+            if first_rate is not None and tick == 0:
+                assert want[0].origin == ZoneId(0, 0), seed
+                seen["boundary"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_block_draw_emits_just_above_the_threshold():
+    # math.exp and numpy's vectorised exp differ in the last bit for some
+    # rates on some hosts; a threshold one bit above poisson_sample's would
+    # skip a zone whose uniform lies just above the true threshold
+    grid = GridWorld(width=2, height=1)
+    for lam in np.random.default_rng(8).uniform(0.0, math.log(2), 20_000):
+        sources = demand_sources(grid, [], {ZoneId(0, 0): float(lam)}, goods_radius=1)
+        rng = generator_drawing_first(math.nextafter(math.exp(-lam), 1.0), 0)
+        assert generate_tick_requests(sources, 0, rng), lam
+
+
 def test_sources_reject_off_grid_zones(grid):
     with pytest.raises(InvalidZoneError):
         demand_sources(grid, [], {ZoneId(0, 0): 0.1, ZoneId(10, 3): 0.1}, goods_radius=2)
@@ -136,10 +242,14 @@ def test_sources_reject_nonpositive_goods_radius(grid, radius):
 
 
 def test_sources_laid_out_in_draw_order(grid):
-    rates = {ZoneId(4, 1): 0.5, ZoneId(0, 9): 0.2, (0, 3): 0.1}
+    rates = {ZoneId(4, 1): 0.5, ZoneId(0, 9): 0.2, (0, 3): 0.1, ZoneId(2, 2): 0.0}
     locs = [ServiceLocation(ZoneId(9, 9), "meal", 2.0), ServiceLocation(ZoneId(0, 0), "postal", 1.0)]
     sources = demand_sources(grid, locs, rates, goods_radius=2)
+    # a zero rate draws no uniform, so its zone is left out
     assert sources.passenger == ((ZoneId(0, 3), 0.1), (ZoneId(0, 9), 0.2), (ZoneId(4, 1), 0.5))
+    assert sources.passenger_p0.tolist() == [math.exp(-0.1), math.exp(-0.2), math.exp(-0.5)]
+    with pytest.raises(ValueError, match="passenger rates must be >= 0"):
+        demand_sources(grid, [], {ZoneId(1, 1): -0.1}, goods_radius=2)
     assert [(o, rate) for o, rate, _ in sources.goods] == [(ZoneId(9, 9), 2.0), (ZoneId(0, 0), 1.0)]
     assert sources.goods[1][2] == tuple(grid.zones_within(ZoneId(0, 0), 2))
     # on a 1x1 grid a goods site reaches no zone and emits nothing

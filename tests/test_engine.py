@@ -11,6 +11,7 @@ from hopfleet.engine import (
     BASELINE_FLEX_HOPS,
     BASELINE_FLEX_NOHOPS,
     BASELINE_SEPARATE,
+    BASELINES,
     EngineInvariantError,
     EpisodeLog,
     SimConfig,
@@ -228,6 +229,41 @@ def test_conservation_check_catches_a_duplicated_leg():
     sim, leg = relay_waiting_at_hub()
     sim.queue.append(leg.id)
     with pytest.raises(EngineInvariantError, match="request 0 .* 2 live legs, expected 1"):
+        sim.run(ticks=0)
+
+
+@pytest.mark.parametrize("speed", [1, 2])
+@pytest.mark.parametrize("baseline", BASELINES)
+def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed):
+    # each vehicle keeps its stop plan between manifest changes; after every
+    # phase that moves a vehicle or changes a manifest it must equal a plan
+    # built from scratch
+    checked = 0
+    for seed in (3, 4, 5):
+        cfg = small_cfg(baseline=baseline, seed=seed, n_vehicles=6,
+                        grid=replace(small_cfg().grid, vehicle_speed=speed))
+        sim = Simulation(cfg)
+        sim.initialize()
+        for phase in ("_arrivals", "_match", "_advance"):
+            def checked_phase(*args, _run=getattr(sim, phase), _phase=phase):
+                nonlocal checked
+                _run(*args)
+                for v in sim.vehicles:
+                    assert v.stops == v.planned_stops(), (seed, sim.tick, _phase, v.id)
+                    checked += len(v.stops) > 1
+            setattr(sim, phase, checked_phase)
+        sim.run(ticks=40)
+    assert checked > 50
+
+
+def test_full_check_catches_a_stale_stop_plan():
+    sim = Simulation(small_cfg(seed=3))
+    sim.initialize()
+    while not any(v.stops for v in sim.vehicles):
+        sim.step()
+    v = next(v for v in sim.vehicles if v.stops)
+    v.stops = [(zone, cum + 1) for zone, cum in v.stops]
+    with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} stored stop plan"):
         sim.run(ticks=0)
 
 

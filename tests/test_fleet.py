@@ -148,18 +148,19 @@ def test_goods_drop_at_hub_reports_drop_event():
 
 def test_planned_stops_pickups_before_deliveries():
     v = make_vehicle(loc=(0, 0), status=MATCHED)
-    v.manifest.append(entry(1, PASSENGER, (0, 5), (0, 9), onboard=False))
-    v.manifest.append(entry(2, PASSENGER, (0, 2), (0, 1), onboard=False))
+    v.add_entry(entry(1, PASSENGER, (0, 5), (0, 9), onboard=False))
+    v.add_entry(entry(2, PASSENGER, (0, 2), (0, 1), onboard=False))
     zones = [z for z, _ in v.planned_stops()]
     assert zones[0] == ZoneId(0, 2)  # nearest pickup first
     assert zones[1] == ZoneId(0, 5)
     assert set(zones[2:]) == {ZoneId(0, 9), ZoneId(0, 1)}
+    assert v.stops == v.planned_stops()
 
 
 def test_remaining_etas_follow_stop_plan():
     v = make_vehicle(loc=(0, 0), status=SERVING)
-    v.manifest.append(entry(1, PASSENGER, (0, 0), (0, 4), onboard=True))
-    v.manifest.append(entry(2, PASSENGER, (0, 0), (0, 6), onboard=True))
+    v.add_entry(entry(1, PASSENGER, (0, 0), (0, 4), onboard=True))
+    v.add_entry(entry(2, PASSENGER, (0, 0), (0, 6), onboard=True))
     etas = v.remaining_etas(speed=1)
     assert etas == {1: 4, 2: 6}
     assert v.route_eta(speed=1) == 6
@@ -185,7 +186,7 @@ def test_project_supply_all_idle():
 def test_project_supply_busy_vehicle_eta():
     grid = GridWorld(width=10, height=10)
     v = VehicleState(id=0, location=ZoneId(0, 0), status=SERVING, seats_total=1, trunk_total=0)
-    v.manifest.append(entry(1, PASSENGER, (0, 0), (0, 3), onboard=True))
+    v.add_entry(entry(1, PASSENGER, (0, 0), (0, 3), onboard=True))
     snap = project_supply([v], grid, horizon=5)
     assert snap.available.sum() == 0  # full vehicle
     assert snap.projected[3, 0, 3] == 1
@@ -195,6 +196,7 @@ def test_project_supply_busy_vehicle_eta():
 def test_project_supply_beyond_horizon_ignored():
     grid = GridWorld(width=10, height=10)
     v = VehicleState(id=0, location=ZoneId(0, 0), status=SERVING, seats_total=1, trunk_total=0)
-    v.manifest.append(entry(1, PASSENGER, (0, 0), (0, 9), onboard=True))
+    v.add_entry(entry(1, PASSENGER, (0, 0), (0, 9), onboard=True))
     snap = project_supply([v], grid, horizon=5)
     assert snap.projected.sum() == 0
+    assert project_supply([v], grid, horizon=9).projected[9, 0, 9] == 1
