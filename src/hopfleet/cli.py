@@ -8,6 +8,9 @@ Subcommands:
   compare   tabulate metric deltas between report files
   gen-data  emit a synthetic trip-record CSV
 
+``train`` and ``eval`` also write ``timings.json``: the host seconds each
+phase of a tick took, summed over the command's episodes, and the tick count.
+
 Config files are YAML; every run is fully determined by config plus seed.
 The output directory resolves flag > HOPFLEET_OUT > config value.
 """
@@ -32,6 +35,7 @@ from .engine import (
     BASELINES,
     MODE_EVAL,
     MODE_TRAIN,
+    PHASES,
     DispatchPolicy,
     SimConfig,
     Simulation,
@@ -115,6 +119,23 @@ def _fail(message: str) -> int:
     return 2
 
 
+class Timings:
+    """Host time per tick phase, summed over the episodes of one command."""
+
+    def __init__(self):
+        self.ticks = 0
+        self.phase_seconds = dict.fromkeys(PHASES, 0.0)
+
+    def add(self, sim: Simulation):
+        self.ticks += sim.tick
+        for phase, seconds in sim.phase_seconds.items():
+            self.phase_seconds[phase] += seconds
+
+    def write(self, out: str):
+        with open(os.path.join(out, "timings.json"), "w") as fh:
+            json.dump({"ticks": self.ticks, "phase_seconds": self.phase_seconds}, fh, indent=2)
+
+
 class ConfigError(Exception):
     """The run's config cannot be used; the CLI prints why and exits 2."""
 
@@ -152,6 +173,7 @@ def cmd_train(args) -> int:
     curve_path = os.path.join(out, "training_curve.csv")
     curve_mode = "a" if args.checkpoint and os.path.exists(curve_path) else "w"
     episode_rows = []
+    timings = Timings()
     with open(curve_path, curve_mode, newline="") as curve_fh:
         writer = csv.writer(curve_fh)
         if curve_mode == "w":
@@ -161,6 +183,7 @@ def cmd_train(args) -> int:
             sim = Simulation(replace(cfg.sim, seed=cfg.sim.seed + episode), policy=policy)
             sim.initialize()
             log = sim.run(mode=MODE_TRAIN)
+            timings.add(sim)
             last_log = log
             for row in sim.curve:
                 writer.writerow([row["step"], row["q_max"], row["loss"],
@@ -189,6 +212,7 @@ def cmd_train(args) -> int:
     }
     with open(os.path.join(out, "train_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
+    timings.write(out)
     print(f"wrote {final_ckpt}")
     return 0
 
@@ -197,8 +221,10 @@ def cmd_train(args) -> int:
 # eval
 
 
-def evaluate(cfg: ExperimentConfig, policy: DispatchPolicy, checkpoint: str | None) -> dict:
-    """Frozen-policy evaluation over the held-out seeds; returns the report dict.
+def evaluate(cfg: ExperimentConfig, policy: DispatchPolicy, checkpoint: str | None,
+             timings: Timings) -> dict:
+    """Frozen-policy evaluation over the held-out seeds; returns the report
+    dict and adds each episode's phase times to ``timings``.
 
     ``checkpoint`` names the file ``policy`` was loaded from, for the report."""
     per_seed = []
@@ -206,6 +232,7 @@ def evaluate(cfg: ExperimentConfig, policy: DispatchPolicy, checkpoint: str | No
         sim = Simulation(replace(cfg.sim, seed=int(seed)), policy=policy)
         sim.initialize()
         log = sim.run(mode=MODE_EVAL)
+        timings.add(sim)
         report = mx.build_report(log, cfg.sim.effective_distance_includes_dispatch)
         per_seed.append(json.loads(report.to_json()))
     keys = ["accept_rate_overall", "accept_rate_passenger", "accept_rate_goods",
@@ -237,10 +264,12 @@ def cmd_eval(args) -> int:
             return _fail(f"checkpoint not found: {args.checkpoint}")
         except CheckpointError as exc:
             return _fail(f"checkpoint rejected: {exc}")
-    report = evaluate(cfg, policy, args.checkpoint)
+    timings = Timings()
+    report = evaluate(cfg, policy, args.checkpoint, timings)
     path = os.path.join(out, f"report_{cfg.sim.baseline}.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
+    timings.write(out)
     day_csv = os.path.join(out, f"report_{cfg.sim.baseline}_days.csv")
     with open(day_csv, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -88,42 +88,47 @@ def state_dim(window: int = WINDOW) -> int:
 
 
 def crop_window(arr: np.ndarray, center: ZoneId, window: int) -> np.ndarray:
-    """Window x window crop centered on ``center``, zero-padded off-grid."""
+    """Window x window crop of the last two axes centered on ``center``,
+    zero-padded off-grid; leading axes are kept."""
     half = window // 2
-    out = np.zeros((window, window))
-    h, w = arr.shape
+    out = np.zeros(arr.shape[:-2] + (window, window))
+    h, w = arr.shape[-2:]
     r0, c0 = center.row - half, center.col - half
     rs, cs = max(r0, 0), max(c0, 0)
     re, ce = min(r0 + window, h), min(c0 + window, w)
     if rs < re and cs < ce:
-        out[rs - r0 : re - r0, cs - c0 : ce - c0] = arr[rs:re, cs:ce]
+        out[..., rs - r0 : re - r0, cs - c0 : ce - c0] = arr[..., rs:re, cs:ce]
     return out
 
 
+def observation_maps(supply: FleetSnapshot, forecast: DemandForecast) -> np.ndarray:
+    """The full-grid channels every vehicle's observation is cropped from,
+    (N_CHANNELS, height, width): demand over the next 15 steps, vehicles
+    available now, and busy vehicles freeing within 15 and within 30 steps.
+    They are the same for every vehicle of a tick, so a tick computes them once."""
+    return np.stack(
+        [
+            forecast.counts[1 : min(16, forecast.counts.shape[0])].sum(axis=0),
+            supply.available,
+            supply.projected[1 : min(16, supply.projected.shape[0])].sum(axis=0),
+            supply.projected[1 : min(31, supply.projected.shape[0])].sum(axis=0),
+        ]
+    )
+
+
 def encode_state(
-    grid: GridWorld,
-    supply: FleetSnapshot,
-    forecast: DemandForecast,
+    maps: np.ndarray,
     vehicle: VehicleState,
     tick: int,
     ticks_per_day: int,
     window: int = WINDOW,
 ) -> StateSnapshot:
-    """Deterministic per-vehicle observation: local demand/supply crops plus
-    own free capacity and clock features."""
+    """Deterministic per-vehicle observation: crops of the tick's
+    ``observation_maps`` around the vehicle plus its own free capacity and
+    clock features."""
     if window % 2 == 0:
         raise ValueError("window must be odd")
-    demand_next = forecast.counts[1 : min(16, forecast.counts.shape[0])].sum(axis=0)
-    freeing_15 = supply.projected[1 : min(16, supply.projected.shape[0])].sum(axis=0)
-    freeing_30 = supply.projected[1 : min(31, supply.projected.shape[0])].sum(axis=0)
-    channels = np.stack(
-        [
-            crop_window(demand_next, vehicle.location, window),
-            crop_window(supply.available, vehicle.location, window),
-            crop_window(freeing_15, vehicle.location, window),
-            crop_window(freeing_30, vehicle.location, window),
-        ]
-    )
+    channels = crop_window(maps, vehicle.location, window)
     tod = 2.0 * math.pi * (tick % ticks_per_day) / ticks_per_day
     dow = 2.0 * math.pi * ((tick // ticks_per_day) % 7) / 7.0
     scalars = np.array(

@@ -13,17 +13,21 @@ Each tick runs a fixed phase order over vehicles in ascending id:
   4. greedy matching binds queued requests to dispatched vehicles and to
      partially filled en-route vehicles; stale requests expire
   5. vehicles advance along their routes
-  6. rewards and objective components are settled, decision transitions are
-     pushed to replay, per-tick stats are logged
+  6. rewards and objective components are settled, per-tick stats are
+     logged; in training mode decision transitions are pushed to replay
+     (evaluation keeps no decisions in flight and pushes nothing)
   7. training mode takes one gradient step and syncs the target on schedule
 
-Identical seed and config give bit-identical episode logs.
+Identical seed and config give bit-identical episode logs. ``step`` also sums
+the host time of each phase into ``phase_seconds``, which is kept out of the
+log so that it stays bit-identical.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,6 +56,10 @@ MODE_EVAL = "eval"
 
 FULL_CHECK_EVERY = 25  # ticks between full conservation scans
 
+# the parts of Simulation.step timed into Simulation.phase_seconds, in order
+PHASES = ("intake", "arrivals", "supply", "forecast", "dispatch", "match", "advance",
+          "settle", "checks", "learn")
+
 
 class EngineInvariantError(RuntimeError):
     """A simulation invariant broke; the message carries a state dump."""
@@ -77,6 +85,10 @@ class GridConfig:
                           ("hop_min_pickups", 0), ("hop_count_radius", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"grid.{name} must be >= {low}, got {getattr(self, name)}")
+        if self.width * self.height < 2:
+            # a trip needs a destination other than its origin
+            raise ValueError(f"grid.width x grid.height must give at least 2 zones, "
+                             f"got {self.width}x{self.height}")
 
 
 @dataclass
@@ -337,6 +349,7 @@ class Simulation:
         self._finalize: dict[int, tuple] = {}  # vehicle id -> (old decision, its successor state)
         self.log: EpisodeLog | None = None
         self.curve: list[dict] = []
+        self.phase_seconds = dict.fromkeys(PHASES, 0.0)
         self._initialized = False
         self._trip_table = None
         self._sources: dm.DemandSources | None = None
@@ -549,27 +562,34 @@ class Simulation:
                     hops += 1
         detail["hops"] = hops
 
+    def _observe(self, maps: np.ndarray, v: fl.VehicleState) -> np.ndarray:
+        """The state vector of one vehicle, cropped from the tick's maps."""
+        return rl.encode_state(maps, v, self.tick, window=self.cfg.rl.window,
+                               ticks_per_day=self.cfg.ticks_per_day).vector()
+
     def _dispatch(self, supply: fl.FleetSnapshot, forecast: dm.DemandForecast, detail: dict):
         cfg = self.cfg
         beta = self.policy.act_probability(self.training)
         eps = self.policy.epsilon(self.training)
         dispatch_time = 0.0
         q_maxes = []
+        maps = None  # built for the tick's first decision
         for v in self.vehicles:
             if v.status != fl.IDLE:
                 continue
             if self.explore_rng.random() >= beta:
                 continue
-            snap = rl.encode_state(self.grid, supply, forecast, v, self.tick,
-                                   window=cfg.rl.window, ticks_per_day=cfg.ticks_per_day)
-            vec = snap.vector()
+            if maps is None:
+                maps = rl.observation_maps(supply, forecast)
+            vec = self._observe(maps, v)
             values = self.policy.online.q_values(vec)
             action = rl.select_action(values, eps, self.explore_rng)
             q_maxes.append(float(np.max(values)))
-            old = self.pending.get(v.id)
-            if old is not None:
-                self._finalize[v.id] = (old, vec)
-            self.pending[v.id] = _Pending(vec, action, self.tick)
+            if self.training:
+                old = self.pending.get(v.id)
+                if old is not None:
+                    self._finalize[v.id] = (old, vec)
+                self.pending[v.id] = _Pending(vec, action, self.tick)
             target = rl.action_target(self.grid, v.location, action, cfg.rl.action_radius)
             if target == v.location:
                 continue  # hold: stay idle, stay unmatched
@@ -592,9 +612,8 @@ class Simulation:
         ]
         requests = [self.registry[rid] for rid in self.queue]
         assignments = match(requests, pool, self.grid, cfg.reject_radius_zones, self.match_rng)
-        by_id = {v.id: v for v in self.vehicles}
         for a in assignments:
-            v = by_id[a.vehicle_id]
+            v = self.vehicles[a.vehicle_id]
             req = self.registry[a.request_id]
             origin, dest, _ = self._leg_for(req)
             before = v.route_eta(self.grid.vehicle_speed) if v.manifest else None
@@ -605,21 +624,22 @@ class Simulation:
             req.set_status(dm.ASSIGNED)
             if v.status in (fl.DISPATCHED, fl.SERVING):
                 v.set_status(fl.MATCHED)
-            self.queue.remove(req.id)
             self.log.add(self.tick, "assign", request=req.id, parent=req.parent_id,
                          vehicle=v.id, slot=a.slot, eta=a.eta_ticks)
         # expire stale primary requests; relay legs wait at their hop-zone
+        assigned = {a.request_id for a in assignments}
         expired = [
-            rid for rid in self.queue
-            if self.registry[rid].parent_id is None
-            and self.tick - self.registry[rid].created_tick >= cfg.patience_ticks
+            r for r in requests
+            if r.id not in assigned and r.parent_id is None
+            and self.tick - r.created_tick >= cfg.patience_ticks
         ]
-        for rid in expired:
-            self.queue.remove(rid)
-            self.registry[rid].set_status(dm.REJECTED)
-            self.legs.pop(rid, None)
-            self.log.add(self.tick, "reject", request=rid,
-                         req_kind=self.registry[rid].kind)
+        for r in expired:
+            r.set_status(dm.REJECTED)
+            self.legs.pop(r.id, None)
+            self.log.add(self.tick, "reject", request=r.id, req_kind=r.kind)
+        if assigned or expired:
+            gone = assigned.union(r.id for r in expired)
+            self.queue = [rid for rid in self.queue if rid not in gone]
         detail["assigned"] = len(assignments)
         detail["rejected"] = len(expired)
 
@@ -635,12 +655,30 @@ class Simulation:
         detail["moved_serving"] = moved_serving
 
     def _settle(self, supply, forecast, detour: dict, detail: dict):
-        cfg = self.cfg
         speed = self.grid.vehicle_speed
         total_detour_delay = 0.0
         activations = 0
+        active = 0
         rewards = {}
+        # a vehicle with no manifest and no detour has only its activation
+        # flags as reward inputs: one agent_reward per flag pair and tick
+        unladen = {}
         for v in self.vehicles:
+            is_active = v.active
+            active_now = int(is_active)
+            active_prev = int(self.prev_active[v.id])
+            activations += max(active_now - active_prev, 0)
+            active += active_now
+            self.prev_active[v.id] = is_active
+            if not v.manifest and v.id not in detour:
+                flags = (active_now, active_prev)
+                if flags not in unladen:
+                    unladen[flags] = agent_reward(AgentRewardInputs(
+                        passengers_onboard=0, packages_onboard=0, detour_ticks=0.0,
+                        order_delays=[], active_now=active_now, active_prev=active_prev,
+                        onboard_hops=[]), self.weights)
+                rewards[v.id] = unladen[flags]
+                continue
             etas = v.remaining_etas(speed) if v.status in (fl.MATCHED, fl.SERVING) else {}
             delays = []
             hops = []
@@ -648,16 +686,13 @@ class Simulation:
                 if not e.onboard:
                     continue
                 req = self.registry[e.request_id]
-                waited = (e.pickup_tick or self.tick) - req.created_tick
-                t_actual = (self.tick - (e.pickup_tick or self.tick)) + etas.get(e.request_id, 0)
+                waited = e.pickup_tick - req.created_tick
+                t_actual = (self.tick - e.pickup_tick) + etas.get(e.request_id, 0)
                 t_direct = math.ceil(manhattan(e.origin, e.destination) / speed)
                 delay = max(0.0, waited + t_actual - t_direct)
                 delays.append((req.urgency, delay))
                 if e.kind == dm.GOODS:
                     hops.append(req.hops_completed)
-            active_now = int(v.active)
-            active_prev = int(self.prev_active[v.id])
-            activations += max(active_now - active_prev, 0)
             inputs = AgentRewardInputs(
                 passengers_onboard=v.passengers_onboard,
                 packages_onboard=v.packages_onboard,
@@ -669,7 +704,6 @@ class Simulation:
             )
             rewards[v.id] = agent_reward(inputs, self.weights)
             total_detour_delay += sum(d for _, d in delays)
-            self.prev_active[v.id] = v.active
 
         # fold rewards into pending decisions, flush completed transitions
         for vid, pend in list(self.pending.items()):
@@ -689,7 +723,7 @@ class Simulation:
         detail["detour_delay"] = total_detour_delay
         detail["activations"] = activations
         detail["reward_mean"] = float(np.mean(list(rewards.values()))) if rewards else 0.0
-        detail["active"] = sum(1 for v in self.vehicles if v.active)
+        detail["active"] = active
         detail["queued"] = len(self.queue)
 
     # -- invariants ----------------------------------------------------------
@@ -715,8 +749,15 @@ class Simulation:
                 raise EngineInvariantError(self._dump(f"vehicle {v.id} overcommitted"))
             if v.status not in fl.VEHICLE_STATUSES:
                 raise EngineInvariantError(self._dump(f"vehicle {v.id} bad status {v.status}"))
-            if full and v.stops != v.planned_stops():
-                raise EngineInvariantError(self._dump(f"vehicle {v.id} stored stop plan is stale"))
+            if full:
+                if v.stops != v.planned_stops():
+                    raise EngineInvariantError(self._dump(f"vehicle {v.id} stored stop plan is stale"))
+                stored = (v.seats_committed, v.trunk_committed, v.passengers_onboard,
+                          v.packages_onboard)
+                if v.tallies() != stored:
+                    raise EngineInvariantError(self._dump(
+                        f"vehicle {v.id} stored tallies {stored} are stale, "
+                        f"the manifest counts {v.tallies()}"))
             for e in v.manifest:
                 if e.request_id in manifest_owner:
                     raise EngineInvariantError(self._dump(f"request {e.request_id} in two manifests"))
@@ -753,28 +794,25 @@ class Simulation:
     def step(self) -> dict:
         if not self._initialized:
             raise EngineInvariantError("call initialize() before step()")
+        clock = time.perf_counter
+        marks = [clock()]  # the end of each phase of PHASES follows its start
         detail = {}
         detour: dict[int, float] = {}
         self._intake(detail)
+        marks.append(clock())
         self._arrivals(detour, detail)
+        marks.append(clock())
         supply = fl.project_supply(self.vehicles, self.grid, self.cfg.horizon)
+        marks.append(clock())
         forecast = self.forecaster.forecast(self.tick, self.cfg.horizon)
+        marks.append(clock())
         self._dispatch(supply, forecast, detail)
+        marks.append(clock())
         self._match(detour, detail)
+        marks.append(clock())
         self._advance(detail)
+        marks.append(clock())
         self._settle(supply, forecast, detour, detail)
-        self._check_invariants(full=(self.tick % FULL_CHECK_EVERY == 0))
-
-        loss = self.policy.train_tick() if self.training else None
-        if self.training:
-            self.curve.append({
-                "step": self.policy.schedule_step,
-                "q_max": detail.get("q_max"),
-                "loss": loss,
-                "epsilon": self.policy.epsilon(True),
-                "act_probability": self.policy.act_probability(True),
-            })
-
         self.log.add(self.tick, "tick_stats", active=detail["active"],
                      moved_total=detail["moved_total"], moved_serving=detail["moved_serving"],
                      gap=detail["gap"], dispatch_time=detail["dispatch_time"],
@@ -783,20 +821,35 @@ class Simulation:
                      queued=detail["queued"], generated=detail["generated"],
                      assigned=detail["assigned"], rejected=detail["rejected"],
                      reward_mean=detail["reward_mean"])
+        marks.append(clock())
+        self._check_invariants(full=(self.tick % FULL_CHECK_EVERY == 0))
+        marks.append(clock())
+
+        if self.training:
+            loss = self.policy.train_tick()
+            self.curve.append({
+                "step": self.policy.schedule_step,
+                "q_max": detail.get("q_max"),
+                "loss": loss,
+                "epsilon": self.policy.epsilon(True),
+                "act_probability": self.policy.act_probability(True),
+            })
         self.tick += 1
         self.log.ticks = self.tick
+        marks.append(clock())
+        for phase, start, end in zip(PHASES, marks, marks[1:]):
+            self.phase_seconds[phase] += end - start
         return detail
 
     def _flush_pending(self):
         """Episode truncation: bootstrap every in-flight decision."""
         supply = fl.project_supply(self.vehicles, self.grid, self.cfg.horizon)
         forecast = self.forecaster.forecast(self.tick, self.cfg.horizon)
+        maps = rl.observation_maps(supply, forecast)
         for vid in sorted(self.pending):
             pend = self.pending[vid]
-            v = self.vehicles[vid]
-            snap = rl.encode_state(self.grid, supply, forecast, v, self.tick,
-                                   window=self.cfg.rl.window, ticks_per_day=self.cfg.ticks_per_day)
-            self.policy.store(rl.Transition(pend.state, pend.action, pend.accum, snap.vector(),
+            self.policy.store(rl.Transition(pend.state, pend.action, pend.accum,
+                                            self._observe(maps, self.vehicles[vid]),
                                             elapsed=max(0, self.tick - pend.tick - 1)))
         self.pending = {}
 

@@ -9,10 +9,13 @@ A vehicle's work is its manifest. Entries start as reserved pickups and
 become onboard at the pickup zone; seats and trunk slots are reserved at
 assignment time so matching can never overbook. Stops are ordered by a
 nearest-next greedy: all pending pickups first, then deliveries.
-The plan is stored as ``stops``, rebuilt only when the manifest changes (an
-added entry, a pickup, a drop); ``move`` subtracts the steps moved from its
-cumulative distances. That is exact: a step toward the first stop shortens
-only the first leg, and ties break on the zone, so the greedy order holds.
+The plan is stored as ``stops``, rebuilt by ``replan`` only when the manifest
+changes (an added entry, a pickup, a drop); ``move`` subtracts the steps
+moved from its cumulative distances. That is exact: a step toward the first
+stop shortens only the first leg, and ties break on the zone, so the greedy
+order holds. ``replan`` also recounts the manifest tallies (seats and trunk
+slots committed, passengers and packages onboard), so they are plain ints
+that change only with the plan.
 """
 
 from __future__ import annotations
@@ -81,16 +84,26 @@ class VehicleState:
     manifest: list = field(default_factory=list)
     dispatch_target: ZoneId | None = None
     stops: list = field(default_factory=list)  # planned_stops() kept current
+    # manifest tallies, recounted by replan() with the stop plan
+    seats_committed: int = field(default=0, init=False)
+    trunk_committed: int = field(default=0, init=False)
+    passengers_onboard: int = field(default=0, init=False)
+    packages_onboard: int = field(default=0, init=False)
 
     # ---- capacity -------------------------------------------------------
 
-    @property
-    def seats_committed(self) -> int:
-        return sum(1 for e in self.manifest if e.kind == PASSENGER)
-
-    @property
-    def trunk_committed(self) -> int:
-        return sum(1 for e in self.manifest if e.kind == GOODS)
+    def tallies(self) -> tuple:
+        """(seats committed, trunk committed, passengers onboard, packages
+        onboard), counted from the manifest."""
+        seats = trunk = passengers = packages = 0
+        for e in self.manifest:
+            if e.kind == PASSENGER:
+                seats += 1
+                passengers += e.onboard
+            elif e.kind == GOODS:
+                trunk += 1
+                packages += e.onboard
+        return seats, trunk, passengers, packages
 
     @property
     def seats_free(self) -> int:
@@ -99,14 +112,6 @@ class VehicleState:
     @property
     def trunk_free(self) -> int:
         return self.trunk_total - self.trunk_committed
-
-    @property
-    def passengers_onboard(self) -> int:
-        return sum(1 for e in self.manifest if e.kind == PASSENGER and e.onboard)
-
-    @property
-    def packages_onboard(self) -> int:
-        return sum(1 for e in self.manifest if e.kind == GOODS and e.onboard)
 
     @property
     def active(self) -> bool:
@@ -125,7 +130,13 @@ class VehicleState:
         if entry.kind == GOODS and self.trunk_free <= 0:
             raise VehicleStateError(f"vehicle {self.id}: no trunk slot for request {entry.request_id}")
         self.manifest.append(entry)
+        self.replan()
+
+    def replan(self):
+        """Rebuild the stop plan and the tallies after a manifest change."""
         self.stops = self.planned_stops()
+        (self.seats_committed, self.trunk_committed,
+         self.passengers_onboard, self.packages_onboard) = self.tallies()
 
     # ---- routing --------------------------------------------------------
 
@@ -196,7 +207,7 @@ def process_arrivals(v: VehicleState, tick: int) -> list:
                 picked = True
                 events.append(PickupEvent(e.request_id, v.id, v.location, tick))
         if events:
-            v.stops = v.planned_stops()
+            v.replan()
         if picked and v.status == MATCHED:
             v.set_status(SERVING)
         if v.status == SERVING and not v.manifest:

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 
 class InvalidZoneError(ValueError):
@@ -69,6 +72,17 @@ class GridWorld:
         if not self.contains(zone):
             raise InvalidZoneError(f"zone {tuple(zone)} outside {self.height}x{self.width} grid")
         return ZoneId(*zone)
+
+    def require_all(self, zones: list) -> np.ndarray:
+        """The zones as an (n, 2) int array of (row, col); the first one
+        outside the grid raises as ``require`` does."""
+        arr = np.fromiter(chain.from_iterable(zones), dtype=np.int64,
+                          count=2 * len(zones)).reshape(-1, 2)
+        rows, cols = arr[:, 0], arr[:, 1]
+        outside = (rows < 0) | (rows >= self.height) | (cols < 0) | (cols >= self.width)
+        if outside.any():
+            self.require(tuple(arr[int(np.argmax(outside))].tolist()))
+        return arr
 
     def clamp(self, row: int, col: int) -> ZoneId:
         return ZoneId(min(max(row, 0), self.height - 1), min(max(col, 0), self.width - 1))

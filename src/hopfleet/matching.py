@@ -56,47 +56,47 @@ def match(
     bound = reject_radius_ticks(grid, reject_radius)
     if not requests or not vehicles:
         return []
-    seats_free = {v.id: v.seats_free for v in vehicles}
-    trunk_free = {v.id: v.trunk_free for v in vehicles}
+    origins = grid.require_all([r.origin for r in requests])
+    locations = grid.require_all([v.location for v in vehicles])
+    vehicle_ids = [v.id for v in vehicles]
+    seats = [v.seats_total - v.seats_committed for v in vehicles]
+    trunk = [v.trunk_total - v.trunk_committed for v in vehicles]
 
-    origins = np.array([grid.require(r.origin) for r in requests])
-    locations = np.array([grid.require(v.location) for v in vehicles])
-    dist = np.abs(origins[:, None, :] - locations[None, :, :]).sum(axis=2)
+    dist = (np.abs(origins[:, 0, None] - locations[None, :, 0])
+            + np.abs(origins[:, 1, None] - locations[None, :, 1]))
     eta = -(-dist // grid.vehicle_speed)
     is_passenger = np.array([r.kind == PASSENGER for r in requests])
-    has_seat = np.array([seats_free[v.id] > 0 for v in vehicles])
-    has_trunk = np.array([trunk_free[v.id] > 0 for v in vehicles])
-    fits = np.where(is_passenger[:, None], has_seat[None, :], has_trunk[None, :])
+    fits = np.where(is_passenger[:, None], np.array(seats)[None, :] > 0,
+                    np.array(trunk)[None, :] > 0)
     ri, vi = np.nonzero(fits & (eta <= bound))
+    if not len(ri):
+        return []
     etas = eta[ri, vi]
     rids = np.array([r.id for r in requests])[ri]
-    vids = np.array([v.id for v in vehicles])[vi]
+    vids = np.array(vehicle_ids)[vi]
     order = np.lexsort((vids, rids, etas))
-    candidates = list(zip(etas[order].tolist(), rids[order].tolist(), vids[order].tolist()))
+    etas, rids, vids = etas[order], rids[order], vids[order]
+    # one group per (ETA, request): that request's vehicles tied at that ETA
+    starts = np.flatnonzero(np.r_[True, (etas[1:] != etas[:-1]) | (rids[1:] != rids[:-1])])
+    ends = [*starts[1:].tolist(), len(vids)]
+    vids = vids.tolist()
 
-    req_by_id = {r.id: r for r in requests}
-    assigned: dict[int, Assignment] = {}
+    seats_free = dict(zip(vehicle_ids, seats))
+    trunk_free = dict(zip(vehicle_ids, trunk))
+    kind_of = {r.id: r.kind for r in requests}
+    assigned: set = set()
     out: list[Assignment] = []
-    i = 0
-    while i < len(candidates):
-        eta, rid, _ = candidates[i]
-        # gather this request's vehicles tied at this ETA
-        j = i
-        tied = []
-        while j < len(candidates) and candidates[j][0] == eta and candidates[j][1] == rid:
-            tied.append(candidates[j][2])
-            j += 1
-        i = j
+    for start, end, eta, rid in zip(starts.tolist(), ends, etas[starts].tolist(),
+                                    rids[starts].tolist()):
         if rid in assigned:
             continue
-        kind = req_by_id[rid].kind
+        kind = kind_of[rid]
         free = seats_free if kind == PASSENGER else trunk_free
-        tied = [vid for vid in tied if free[vid] > 0]
+        tied = [vid for vid in vids[start:end] if free[vid] > 0]
         if not tied:
             continue
         vid = tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
         free[vid] -= 1
-        a = Assignment(rid, vid, SEAT if kind == PASSENGER else TRUNK, eta)
-        assigned[rid] = a
-        out.append(a)
+        assigned.add(rid)
+        out.append(Assignment(rid, vid, SEAT if kind == PASSENGER else TRUNK, eta))
     return out

@@ -11,7 +11,7 @@ import yaml
 from hopfleet.cli import EvalSettings, ExperimentConfig, TrainSettings, load_config, main
 from hopfleet.demand import HistoricalAverageForecaster, ingest_trip_records
 from hopfleet.dispatch_rl import encode_state, load_checkpoint
-from hopfleet.engine import DemandConfig, GridConfig, RLConfig, SimConfig
+from hopfleet.engine import PHASES, DemandConfig, GridConfig, RLConfig, SimConfig
 from hopfleet.geo import GridWorld
 from hopfleet.hopplan import assign_hop_zones
 
@@ -61,7 +61,7 @@ def test_missing_config_exit_2():
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize(
-    "sim",  # a key of the sim section and the bad value it gets
+    "sim",  # keys of the sim section, each followed by the bad value it gets
     [
         ("rl.window", 14),
         ("grid.hop_stride", 0),
@@ -80,16 +80,19 @@ def test_missing_config_exit_2():
         ("grid.hop_count_radius", -1),
         ("demand.hot_weight", 1.5),
         ("demand.goods_dest_hot_weight", -0.1),
+        # one zone: no trip has a destination other than its origin
+        ("grid.width", 1, "grid.height", 1),
     ],
 )
 def test_bad_config_exit_2(command, sim, tmp_path, capsys):
-    key, value = sim
     data = desk_yaml()
-    holder, leaf = locate(data["sim"], key)
-    holder[leaf] = value
+    keys = sim[::2]
+    for key, value in zip(keys, sim[1::2]):
+        holder, leaf = locate(data["sim"], key)
+        holder[leaf] = value
     assert _run_on(data, command, tmp_path) == 2
     err = capsys.readouterr().err
-    assert "bad config" in err and key in err
+    assert "bad config" in err and all(key in err for key in keys)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -134,6 +137,18 @@ def test_train_smoke_writes_artifacts(smoke_config):
         summary = json.load(fh)
     assert summary["total_steps"] == 30
     assert len(summary["episodes"]) == 1
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_timings_written_per_phase(smoke_config, command):
+    path, cfg = smoke_config
+    assert main([command, "--config", path]) == 0
+    with open(os.path.join(cfg.out_dir, "timings.json")) as fh:
+        timings = json.load(fh)
+    episodes = cfg.train.episodes if command == "train" else len(cfg.eval.seeds)
+    assert timings["ticks"] == episodes * cfg.sim.episode_ticks
+    assert list(timings["phase_seconds"]) == list(PHASES)
+    assert all(seconds > 0 for seconds in timings["phase_seconds"].values())
 
 
 def test_train_takes_gradient_steps(smoke_config):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from hopfleet.dispatch_rl import (
     encode_state,
     epsilon_at,
     load_checkpoint,
+    observation_maps,
     offset_to_action,
     save_checkpoint,
     select_action,
@@ -37,6 +40,10 @@ def empty_world(width=20, height=20, horizon=30):
     )
     forecast = DemandForecast(start_tick=0, counts=np.zeros((horizon + 1, height, width)))
     return grid, supply, forecast
+
+
+def encode(supply, forecast, v, tick):
+    return encode_state(observation_maps(supply, forecast), v, tick=tick, ticks_per_day=1440)
 
 
 def test_action_space_size_and_round_trip():
@@ -62,7 +69,7 @@ def test_action_target_clamped_to_grid():
 def test_encode_empty_world_only_time_features():
     grid, supply, forecast = empty_world()
     v = VehicleState(id=0, location=ZoneId(10, 10))
-    snap = encode_state(grid, supply, forecast, v, tick=0, ticks_per_day=1440)
+    snap = encode(supply, forecast, v, tick=0)
     assert np.all(snap.channels == 0)
     assert snap.scalars[0] == 4.0 and snap.scalars[1] == 5.0
     assert snap.scalars[2] == pytest.approx(0.0)  # sin of tick 0
@@ -74,7 +81,7 @@ def test_encode_corner_zero_padded():
     grid, supply, forecast = empty_world()
     supply.available[:, :] = 1.0
     v = VehicleState(id=0, location=ZoneId(0, 0))
-    snap = encode_state(grid, supply, forecast, v, tick=0, ticks_per_day=1440)
+    snap = encode(supply, forecast, v, tick=0)
     avail = snap.channels[1]
     assert avail[7, 7] == 1.0  # own zone at the crop center
     assert np.all(avail[:7, :] == 0.0)  # off-map rows above
@@ -86,7 +93,7 @@ def test_encode_demand_offset_east():
     # 3 requests expected one step ahead, two zones east of the vehicle
     forecast.counts[1, 10, 12] = 3.0
     v = VehicleState(id=0, location=ZoneId(10, 10))
-    snap = encode_state(grid, supply, forecast, v, tick=0, ticks_per_day=1440)
+    snap = encode(supply, forecast, v, tick=0)
     assert snap.channels[0][7, 9] == 3.0
     assert snap.channels[0].sum() == 3.0
 
@@ -96,9 +103,45 @@ def test_encode_deterministic():
     supply.available[3, 4] = 2
     forecast.counts[2, 5, 5] = 1.5
     v = VehicleState(id=0, location=ZoneId(5, 5))
-    a = encode_state(grid, supply, forecast, v, tick=77, ticks_per_day=1440).vector()
-    b = encode_state(grid, supply, forecast, v, tick=77, ticks_per_day=1440).vector()
+    a = encode(supply, forecast, v, tick=77).vector()
+    b = encode(supply, forecast, v, tick=77).vector()
     assert np.array_equal(a, b)
+
+
+def reference_encode(supply, forecast, v, tick, ticks_per_day, window):
+    """The observation as it was built before the per-tick maps: each call
+    sums the forecast and projection steps itself and crops each channel."""
+    demand_next = forecast.counts[1 : min(16, forecast.counts.shape[0])].sum(axis=0)
+    freeing_15 = supply.projected[1 : min(16, supply.projected.shape[0])].sum(axis=0)
+    freeing_30 = supply.projected[1 : min(31, supply.projected.shape[0])].sum(axis=0)
+    channels = np.stack([crop_window(m, v.location, window)
+                         for m in (demand_next, supply.available, freeing_15, freeing_30)])
+    tod = 2.0 * math.pi * (tick % ticks_per_day) / ticks_per_day
+    dow = 2.0 * math.pi * ((tick // ticks_per_day) % 7) / 7.0
+    scalars = [v.seats_free, v.trunk_free, math.sin(tod), math.cos(tod), math.sin(dow),
+               math.cos(dow)]
+    return np.concatenate([channels.ravel(), scalars])
+
+
+@pytest.mark.parametrize("horizon", [5, 15, 20, 30, 40])
+def test_encode_from_tick_maps_equals_per_call_sums(horizon):
+    rng = np.random.default_rng(horizon)
+    for trial in range(20):
+        height, width = (int(n) for n in rng.integers(1, 25, size=2))
+        _, supply, forecast = empty_world(width, height, horizon)
+        supply.available[:] = rng.integers(0, 3, size=(height, width))
+        supply.projected[:] = rng.poisson(0.3, size=supply.projected.shape)
+        forecast.counts[:] = rng.random(forecast.counts.shape) * 0.2
+        maps = observation_maps(supply, forecast)
+        for _ in range(10):
+            v = VehicleState(id=0, location=ZoneId(int(rng.integers(height)),
+                                                   int(rng.integers(width))),
+                             seats_total=int(rng.integers(5)), trunk_total=int(rng.integers(6)))
+            tick = int(rng.integers(5000))
+            window = int(rng.choice([1, 3, 15]))
+            got = encode_state(maps, v, tick, ticks_per_day=250, window=window).vector()
+            want = reference_encode(supply, forecast, v, tick, 250, window)
+            assert np.array_equal(got, want), (horizon, trial, v.location, window)
 
 
 def test_crop_window_identity_inside():

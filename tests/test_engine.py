@@ -235,9 +235,9 @@ def test_conservation_check_catches_a_duplicated_leg():
 @pytest.mark.parametrize("speed", [1, 2])
 @pytest.mark.parametrize("baseline", BASELINES)
 def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed):
-    # each vehicle keeps its stop plan between manifest changes; after every
-    # phase that moves a vehicle or changes a manifest it must equal a plan
-    # built from scratch
+    # each vehicle keeps its stop plan and its manifest tallies between
+    # manifest changes; after every phase that moves a vehicle or changes a
+    # manifest they must equal a plan built and a count made from scratch
     checked = 0
     for seed in (3, 4, 5):
         cfg = small_cfg(baseline=baseline, seed=seed, n_vehicles=6,
@@ -250,6 +250,8 @@ def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed):
                 _run(*args)
                 for v in sim.vehicles:
                     assert v.stops == v.planned_stops(), (seed, sim.tick, _phase, v.id)
+                    assert (v.seats_committed, v.trunk_committed, v.passengers_onboard,
+                            v.packages_onboard) == v.tallies(), (seed, sim.tick, _phase, v.id)
                     checked += len(v.stops) > 1
             setattr(sim, phase, checked_phase)
         sim.run(ticks=40)
@@ -264,6 +266,20 @@ def test_full_check_catches_a_stale_stop_plan():
     v = next(v for v in sim.vehicles if v.stops)
     v.stops = [(zone, cum + 1) for zone, cum in v.stops]
     with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} stored stop plan"):
+        sim.run(ticks=0)
+
+
+@pytest.mark.parametrize("tally", ["seats_committed", "trunk_committed",
+                                   "passengers_onboard", "packages_onboard"])
+def test_full_check_catches_stale_tallies(tally):
+    sim = Simulation(small_cfg(seed=3))
+    sim.initialize()
+    while not any(v.passengers_onboard and v.packages_onboard for v in sim.vehicles):
+        sim.step()
+    sim.run(ticks=0)  # the true tallies pass
+    v = next(v for v in sim.vehicles if v.passengers_onboard and v.packages_onboard)
+    setattr(v, tally, getattr(v, tally) - 1)
+    with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} stored tallies"):
         sim.run(ticks=0)
 
 

@@ -87,7 +87,7 @@ def test_dispatching_arrival_becomes_dispatched():
 
 def test_serving_last_delivery_goes_idle():
     v = make_vehicle(loc=(3, 3), status=SERVING)
-    v.manifest.append(entry(7, PASSENGER, (1, 1), (3, 3), onboard=True))
+    v.add_entry(entry(7, PASSENGER, (1, 1), (3, 3), onboard=True))
     events = process_arrivals(v, tick=9)
     assert v.status == IDLE
     assert v.manifest == []
@@ -104,7 +104,7 @@ def test_idle_vehicle_unchanged_by_advance():
 
 def test_matched_arrival_at_pickup_becomes_serving():
     v = make_vehicle(loc=(1, 1), status=MATCHED)
-    v.manifest.append(entry(3, GOODS, (1, 1), (5, 5)))
+    v.add_entry(entry(3, GOODS, (1, 1), (5, 5)))
     events = process_arrivals(v, tick=2)
     assert v.status == SERVING
     assert v.manifest[0].onboard and v.manifest[0].pickup_tick == 2
@@ -140,7 +140,7 @@ def test_goods_drop_at_hub_reports_drop_event():
     # the fleet reports a drop the same way for every leg; the engine decides
     # from its leg table whether the package is delivered or handed off
     v = make_vehicle(loc=(0, 4), status=SERVING)
-    v.manifest.append(entry(5, GOODS, (0, 0), (0, 4), onboard=True))
+    v.add_entry(entry(5, GOODS, (0, 0), (0, 4), onboard=True))
     events = process_arrivals(v, tick=4)
     assert events == [DropEvent(5, 0, ZoneId(0, 4), 4)]
     assert v.status == IDLE
@@ -200,3 +200,28 @@ def test_project_supply_beyond_horizon_ignored():
     snap = project_supply([v], grid, horizon=5)
     assert snap.projected.sum() == 0
     assert project_supply([v], grid, horizon=9).projected[9, 0, 9] == 1
+
+
+def stored_tallies(v):
+    return v.seats_committed, v.trunk_committed, v.passengers_onboard, v.packages_onboard
+
+
+def test_tallies_recounted_with_the_stop_plan():
+    v = make_vehicle(loc=(0, 0), status=MATCHED)
+    assert stored_tallies(v) == v.tallies() == (0, 0, 0, 0)
+    v.add_entry(entry(1, PASSENGER, (0, 0), (0, 2)))
+    v.add_entry(entry(2, GOODS, (0, 0), (0, 1)))
+    v.add_entry(entry(3, PASSENGER, (0, 1), (0, 3)))
+    assert stored_tallies(v) == v.tallies() == (2, 1, 0, 0)
+    assert (v.seats_free, v.trunk_free) == (2, 4)
+    grid = GridWorld(width=5, height=5)
+    seen = []
+    for tick in range(5):
+        process_arrivals(v, tick)
+        seen.append(stored_tallies(v))
+        assert seen[-1] == v.tallies()
+        move(v, grid)
+    # picked up 1 and 2 at (0, 0); dropped 2 and picked up 3 at (0, 1);
+    # dropped 1 at (0, 2) and 3 at (0, 3)
+    assert seen[:4] == [(2, 1, 1, 1), (2, 0, 2, 0), (1, 0, 1, 0), (0, 0, 0, 0)]
+    assert v.status == IDLE

@@ -15,17 +15,22 @@ why in CHANGES.md.
 """
 
 import hashlib
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+from hopfleet import engine
 from hopfleet.dispatch_rl import load_checkpoint
 from hopfleet.engine import (
     BASELINE_FLEX_HOPS,
     BASELINE_FLEX_NOHOPS,
     BASELINE_SEPARATE,
+    BASELINES,
     MODE_EVAL,
     MODE_TRAIN,
+    PHASES,
     Simulation,
 )
 
@@ -97,3 +102,43 @@ def test_episode_digest_pinned(baseline, mode, tmp_path):
     if baseline == BASELINE_FLEX_HOPS:
         assert log.by_kind("hop_drop"), "no package relayed at a hub"
     assert (log_digest, params) == GOLDEN[(baseline, mode)]
+
+
+@pytest.mark.parametrize("baseline", BASELINES)
+def test_eval_keeps_no_replay_bookkeeping(baseline):
+    # nothing samples the replay buffer in evaluation, so an eval episode
+    # keeps no decisions in flight and pushes no transitions
+    sim = Simulation(golden_cfg(baseline))
+    sim.initialize()
+    sim.training = False
+    decisions = 0
+    for _ in range(sim.cfg.episode_ticks):
+        decisions += sim.step()["q_max"] is not None
+        assert sim.pending == {} and sim._finalize == {}
+    assert decisions > 0
+    log = sim.run(ticks=0, mode=MODE_EVAL)
+    assert len(sim.policy.buffer) == 0
+    assert hashlib.sha256(log.canonical().encode()).hexdigest() == GOLDEN[(baseline, MODE_EVAL)][0]
+
+
+def test_phase_timers_cover_step_and_leave_the_log_alone(monkeypatch):
+    baseline = BASELINE_FLEX_HOPS
+    sim = Simulation(golden_cfg(baseline))
+    sim.initialize()
+    stepped = 0.0
+    for _ in range(sim.cfg.episode_ticks):
+        start = time.perf_counter()
+        sim.step()
+        stepped += time.perf_counter() - start
+    spent = sim.phase_seconds
+    assert list(spent) == list(PHASES) and min(spent.values()) > 0.0
+    assert 0.9 * stepped <= sum(spent.values()) <= stepped
+    timed = sim.log.canonical()
+    assert hashlib.sha256(timed.encode()).hexdigest() == GOLDEN[(baseline, MODE_EVAL)][0]
+
+    # the same episode with a clock that never moves, so the timers add nothing
+    monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    still = Simulation(golden_cfg(baseline))
+    still.initialize()
+    assert still.run(mode=MODE_EVAL).canonical() == timed
+    assert set(still.phase_seconds.values()) == {0.0}

@@ -38,9 +38,12 @@ def test_no_requests_returns_empty():
 
 def test_off_grid_vehicle_raises():
     rng = np.random.default_rng(0)
-    vs = [vehicle(0, (0, 0)), vehicle(1, (12, 3))]
-    with pytest.raises(InvalidZoneError):
+    vs = [vehicle(0, (0, 0)), vehicle(1, (12, 3)), vehicle(2, (-1, 0))]
+    with pytest.raises(InvalidZoneError, match=r"zone \(12, 3\) outside 12x12 grid"):
         match([passenger(0, (0, 1))], vs, make_grid(), 5, rng)
+    # request origins are checked before vehicle locations
+    with pytest.raises(InvalidZoneError, match=r"zone \(4, 12\) outside"):
+        match([passenger(0, (0, 1)), passenger(1, (4, 12))], vs, make_grid(), 5, rng)
 
 
 def test_passenger_goes_to_nearest_vehicle():
