@@ -6,7 +6,6 @@ on a local reward assembled from the same weights.
 """
 
 from hopfleet.reward import (
-    AgentRewardInputs,
     RewardWeights,
     agent_reward,
     global_objective,
@@ -29,19 +28,23 @@ print("components (gap, dispatch, detour, activations, hops):", components)
 print("fleet objective:", global_objective(components, weights))
 
 print("\nper-vehicle rewards:")
-empty = AgentRewardInputs()
-print("  idle empty vehicle:", agent_reward(empty, weights))
+# agent_reward prices a whole fleet at once; here each vehicle is a fleet of one
+empty = agent_reward(weights, onboard=[0], detour_ticks=[0], active_now=[0], active_prev=[0],
+                     max_hops=[0])
+print("  idle empty vehicle:", empty[0].item())
 
-busy = AgentRewardInputs(passengers_onboard=2, packages_onboard=1)
-print("  two riders + one package, no penalties:", agent_reward(busy, weights))
+busy = agent_reward(weights, onboard=[2 + 1], detour_ticks=[0], active_now=[0], active_prev=[0],
+                    max_hops=[0])
+print("  two riders + one package, no penalties:", busy[0].item())
 
-loaded = AgentRewardInputs(
-    passengers_onboard=1,
-    detour_ticks=2,
-    order_delays=[(0.5, 4)],  # one package delayed 4 ticks at half urgency
-    active_now=1,
-    active_prev=0,
-    onboard_hops=[1],
+loaded = agent_reward(
+    weights,
+    onboard=[1],
+    detour_ticks=[2],
+    active_now=[1],
+    active_prev=[0],
+    max_hops=[1],
+    # one package delayed 4 ticks at half urgency
+    order_vehicle=[0], order_urgency=[0.5], order_extra=[4],
 )
-print("  freshly deployed, detouring, carrying a once-hopped package:",
-      agent_reward(loaded, weights))
+print("  freshly deployed, detouring, carrying a once-hopped package:", loaded[0].item())

@@ -25,13 +25,12 @@ from .geo import GridWorld, TravelEstimate, ZoneId, designate_hop_zones
 from .hopplan import HopTrip, assign_hop_zones
 from .matching import Assignment, match
 from .metrics import MetricsReport, build_report
-from .reward import AgentRewardInputs, RewardWeights, agent_reward, global_objective
+from .reward import RewardWeights, agent_reward, global_objective
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
-    "AgentRewardInputs",
     "BASELINE_FLEX_HOPS",
     "BASELINE_FLEX_NOHOPS",
     "BASELINE_SEPARATE",

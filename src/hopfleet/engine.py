@@ -3,19 +3,21 @@
 Each tick runs a fixed phase order over vehicles in ascending id:
 
   1. intake new requests; plan relay chains for goods
-  2. per-vehicle arrival processing (status transitions, pickups, drops;
-     a drop that is not a chain's last leg enqueues the next leg as a child
-     request). A leg request's ``hops_completed`` is its index in its chain,
+  2. arrival processing for every vehicle that is not parked (status
+     transitions, pickups, drops; a drop that is not a chain's last leg
+     enqueues the next leg as a child request). A leg request's ``hops_completed`` is its index in its chain,
      so ``legs[chain id][hops_completed]`` is the leg it carries
   3. idle vehicles query the dispatch policy with the scheduled probability;
      a self-targeted action holds the vehicle idle, anything else starts a
      dispatch drive
   4. greedy matching binds queued requests to dispatched vehicles and to
      partially filled en-route vehicles; stale requests expire
-  5. vehicles advance along their routes
-  6. rewards and objective components are settled, per-tick stats are
-     logged; in training mode decision transitions are pushed to replay
-     (evaluation keeps no decisions in flight and pushes nothing)
+  5. vehicles that are not parked advance along their routes
+  6. rewards and objective components are settled: one ``agent_reward``
+     call prices the whole fleet from per-vehicle arrays and the flat list
+     of late onboard orders; per-tick stats are logged; in training mode
+     decision transitions are pushed to replay (evaluation keeps no
+     decisions in flight and pushes nothing)
   7. training mode takes one gradient step and syncs the target on schedule
 
 Identical seed and config give bit-identical episode logs. ``step`` also sums
@@ -39,7 +41,6 @@ from .geo import GridWorld, ZoneId, designate_hop_zones, hub_lattice, manhattan
 from .hopplan import assign_hop_zones
 from .matching import match
 from .reward import (
-    AgentRewardInputs,
     RewardWeights,
     agent_reward,
     global_objective,
@@ -112,6 +113,9 @@ class DemandConfig:
                 raise ValueError(f"demand.{name} must be in [0, 1], got {getattr(self, name)}")
         if self.goods_radius_zones < 1:
             raise ValueError(f"demand.goods_radius_zones must be >= 1, got {self.goods_radius_zones}")
+        if self.goods_locations_per_kind < 0:
+            raise ValueError(f"demand.goods_locations_per_kind must be >= 0, "
+                             f"got {self.goods_locations_per_kind}")
 
 
 @dataclass
@@ -170,6 +174,11 @@ class SimConfig:
         if isinstance(self.rl, dict):
             self.rl = RLConfig(**self.rl)
         self.rl.hidden = tuple(self.rl.hidden)
+        zones = self.grid.width * self.grid.height
+        if not 0 <= self.demand.origin_hot_zone_count <= zones:
+            # the hot zones are distinct zones of the grid
+            raise ValueError(f"demand.origin_hot_zone_count must be in [0, grid.width x "
+                             f"grid.height = {zones}], got {self.demand.origin_hot_zone_count}")
         self.weights()  # an unknown weights_preset fails here, not at the first tick
 
     @property
@@ -345,7 +354,7 @@ class Simulation:
         self.tick = 0
         self.training = False
         self.pending: dict[int, _Pending] = {}
-        self.prev_active: dict[int, bool] = {}
+        self.prev_active = np.zeros(0, dtype=np.int64)  # activation flags by vehicle id
         self._finalize: dict[int, tuple] = {}  # vehicle id -> (old decision, its successor state)
         self.log: EpisodeLog | None = None
         self.curve: list[dict] = []
@@ -459,7 +468,7 @@ class Simulation:
             self.vehicles.append(
                 fl.VehicleState(id=i, location=origins[i], seats_total=seats, trunk_total=trunk)
             )
-            self.prev_active[i] = False
+        self.prev_active = np.zeros(cfg.n_vehicles, dtype=np.int64)
 
         # warmup: demand history and pickup counts only, no dispatch, no queueing
         pickup_counts: dict[ZoneId, int] = {}
@@ -551,6 +560,8 @@ class Simulation:
     def _arrivals(self, detour: dict, detail: dict):
         hops = 0
         for v in self.vehicles:
+            if v.status in fl.PARKED:
+                continue
             for event in fl.process_arrivals(v, self.tick):
                 if isinstance(event, fl.PickupEvent):
                     req = self.registry[event.request_id]
@@ -647,6 +658,8 @@ class Simulation:
         moved_total = 0
         moved_serving = 0
         for v in self.vehicles:
+            if v.status in fl.PARKED:
+                continue
             moved = fl.move(v, self.grid)
             moved_total += moved
             if v.status in (fl.MATCHED, fl.SERVING):
@@ -656,61 +669,45 @@ class Simulation:
 
     def _settle(self, supply, forecast, detour: dict, detail: dict):
         speed = self.grid.vehicle_speed
-        total_detour_delay = 0.0
-        activations = 0
-        active = 0
-        rewards = {}
-        # a vehicle with no manifest and no detour has only its activation
-        # flags as reward inputs: one agent_reward per flag pair and tick
-        unladen = {}
-        for v in self.vehicles:
-            is_active = v.active
-            active_now = int(is_active)
-            active_prev = int(self.prev_active[v.id])
-            activations += max(active_now - active_prev, 0)
-            active += active_now
-            self.prev_active[v.id] = is_active
-            if not v.manifest and v.id not in detour:
-                flags = (active_now, active_prev)
-                if flags not in unladen:
-                    unladen[flags] = agent_reward(AgentRewardInputs(
-                        passengers_onboard=0, packages_onboard=0, detour_ticks=0.0,
-                        order_delays=[], active_now=active_now, active_prev=active_prev,
-                        onboard_hops=[]), self.weights)
-                rewards[v.id] = unladen[flags]
+        registry, tick = self.registry, self.tick
+        active_now = np.array([v.active for v in self.vehicles], dtype=np.int64)
+        active_prev, self.prev_active = self.prev_active, active_now
+        onboard = [v.passengers_onboard + v.packages_onboard for v in self.vehicles]
+        max_hops = [0] * len(onboard)
+        detour_ticks = np.zeros(len(onboard))
+        detour_ticks[list(detour)] = list(detour.values())
+        # the orders late against a direct trip, vehicle by vehicle in
+        # manifest order; an order on time adds +0.0 and is left out
+        owner, urgency, extra = [], [], []
+        for v, load in zip(self.vehicles, onboard):
+            if not load:
                 continue
-            etas = v.remaining_etas(speed) if v.status in (fl.MATCHED, fl.SERVING) else {}
-            delays = []
-            hops = []
+            etas = v.remaining_etas(speed)
             for e in v.manifest:
                 if not e.onboard:
                     continue
-                req = self.registry[e.request_id]
-                waited = e.pickup_tick - req.created_tick
-                t_actual = (self.tick - e.pickup_tick) + etas.get(e.request_id, 0)
-                t_direct = math.ceil(manhattan(e.origin, e.destination) / speed)
-                delay = max(0.0, waited + t_actual - t_direct)
-                delays.append((req.urgency, delay))
-                if e.kind == dm.GOODS:
-                    hops.append(req.hops_completed)
-            inputs = AgentRewardInputs(
-                passengers_onboard=v.passengers_onboard,
-                packages_onboard=v.packages_onboard,
-                detour_ticks=detour.get(v.id, 0.0),
-                order_delays=delays,
-                active_now=active_now,
-                active_prev=active_prev,
-                onboard_hops=hops,
-            )
-            rewards[v.id] = agent_reward(inputs, self.weights)
-            total_detour_delay += sum(d for _, d in delays)
+                req = registry[e.request_id]
+                delay = (tick - req.created_tick + etas[e.request_id]
+                         - math.ceil(manhattan(e.origin, e.destination) / speed))
+                if delay > 0:
+                    owner.append(v.id)
+                    urgency.append(req.urgency)
+                    extra.append(delay)
+                if e.kind == dm.GOODS and req.hops_completed > max_hops[v.id]:
+                    max_hops[v.id] = req.hops_completed
+        rewards = agent_reward(self.weights, onboard, detour_ticks, active_now, active_prev,
+                               max_hops, owner, urgency, extra)
+        total_detour_delay = float(sum(extra))
+        activations = int(np.maximum(active_now - active_prev, 0).sum())
+        active = int(active_now.sum())
 
         # fold rewards into pending decisions, flush completed transitions
-        for vid, pend in list(self.pending.items()):
+        reward_of = rewards.tolist()
+        for vid, pend in self.pending.items():
             if pend.tick < self.tick:
-                pend.accum += (self.cfg.discount ** (self.tick - pend.tick - 1)) * rewards[vid]
+                pend.accum += (self.cfg.discount ** (self.tick - pend.tick - 1)) * reward_of[vid]
         for vid, (old, next_vec) in self._finalize.items():
-            old.accum += (self.cfg.discount ** (self.tick - old.tick - 1)) * rewards[vid]
+            old.accum += (self.cfg.discount ** (self.tick - old.tick - 1)) * reward_of[vid]
             self.policy.store(rl.Transition(old.state, old.action, old.accum, next_vec,
                                             elapsed=self.tick - old.tick - 1))
         self._finalize = {}
@@ -722,7 +719,7 @@ class Simulation:
         detail["gap"] = gap
         detail["detour_delay"] = total_detour_delay
         detail["activations"] = activations
-        detail["reward_mean"] = float(np.mean(list(rewards.values()))) if rewards else 0.0
+        detail["reward_mean"] = float(np.mean(rewards))
         detail["active"] = active
         detail["queued"] = len(self.queue)
 

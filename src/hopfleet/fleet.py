@@ -16,6 +16,13 @@ stop shortens only the first leg, and ties break on the zone, so the greedy
 order holds. ``replan`` also recounts the manifest tallies (seats and trunk
 slots committed, passengers and packages onboard), so they are plain ints
 that change only with the plan.
+
+Arrival checks rely on the stored plan: every pending pickup's origin and
+every onboard order's destination is one of its stops, so
+``process_arrivals`` returns at once for a matched or serving vehicle that
+stands on none of them. Parked vehicles (idle or dispatched) hold position
+with nothing to resolve; the engine calls neither ``process_arrivals`` nor
+``move`` for them.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ MATCHED = "matched"
 SERVING = "serving"
 
 VEHICLE_STATUSES = (IDLE, DISPATCHING, DISPATCHED, MATCHED, SERVING)
+# a parked vehicle holds position with nothing to pick up or drop, so
+# process_arrivals and move leave it as it is
+PARKED = (IDLE, DISPATCHED)
 
 ALLOWED_TRANSITIONS = {
     (IDLE, DISPATCHING),
@@ -144,38 +154,41 @@ class VehicleState:
         """Greedy stop order from the current location: pickups, then drops.
 
         Returns [(zone, cumulative_distance)], merging co-located events.
+        The next stop is the nearest pending pickup, or once none is left the
+        nearest drop; equal distances go to the smaller zone.
         """
         pos = self.location
         cum = 0
-        pickups = {e.request_id: e for e in self.manifest if not e.onboard}
-        drops = {e.request_id: e for e in self.manifest if e.onboard}
+        origins = [e.origin for e in self.manifest if not e.onboard]
+        carried = [e.destination for e in self.manifest if not e.onboard]  # origins' drops
+        drops = [e.destination for e in self.manifest if e.onboard]
         stops = []
-        while pickups or drops:
-            if pickups:
-                zone = min((manhattan(pos, e.origin), e.origin, rid) for rid, e in pickups.items())[1]
-            else:
-                zone = min((manhattan(pos, e.destination), e.destination, rid) for rid, e in drops.items())[1]
-            cum += manhattan(pos, zone)
+        while origins or drops:
+            zone, dist = None, math.inf
+            for z in origins or drops:
+                d = manhattan(pos, z)
+                if d < dist or (d == dist and z < zone):
+                    zone, dist = z, d
+            cum += dist
             pos = zone
             stops.append((zone, cum))
             # everything co-located resolves at this stop
-            for rid in [rid for rid, e in pickups.items() if e.origin == zone]:
-                drops[rid] = pickups.pop(rid)
-            for rid in [rid for rid, e in drops.items() if e.destination == zone]:
-                drops.pop(rid)
+            if zone in origins:
+                drops += [d for o, d in zip(origins, carried) if o == zone]
+                carried = [d for o, d in zip(origins, carried) if o != zone]
+                origins = [o for o in origins if o != zone]
+            drops = [d for d in drops if d != zone]
         return stops
 
     def next_stop(self) -> ZoneId | None:
         return self.stops[0][0] if self.stops else None
 
     def remaining_etas(self, speed: int) -> dict:
-        """Estimated ticks until each onboard order's drop zone is reached."""
-        etas = {}
-        for zone, cum in self.stops:
-            for e in self.manifest:
-                if e.onboard and e.destination == zone and e.request_id not in etas:
-                    etas[e.request_id] = math.ceil(cum / speed)
-        return etas
+        """Estimated ticks until each onboard order's drop zone is reached:
+        the first planned stop at its destination."""
+        first = dict(reversed(self.stops))  # the earliest stop at a zone wins
+        return {e.request_id: math.ceil(first[e.destination] / speed)
+                for e in self.manifest if e.onboard}
 
     def route_eta(self, speed: int) -> int:
         """Ticks to finish the whole manifest (last planned stop)."""
@@ -196,6 +209,10 @@ def process_arrivals(v: VehicleState, tick: int) -> list:
         v.set_status(DISPATCHED)
 
     if v.status in (MATCHED, SERVING):
+        # every pickup origin and onboard destination is a stop of the plan:
+        # away from all of them nothing resolves
+        if v.manifest and all(zone != v.location for zone, _ in v.stops):
+            return events
         for e in [e for e in v.manifest if e.onboard and e.destination == v.location]:
             v.manifest.remove(e)
             events.append(DropEvent(e.request_id, v.id, v.location, tick))

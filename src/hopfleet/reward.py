@@ -1,4 +1,4 @@
-"""Fleet objective components and the per-vehicle reward.
+"""Fleet objective components and the per-vehicle rewards.
 
 The global objective is the negative weighted sum of five per-tick costs:
 unmet demand, dispatch travel time, shared-ride detour overhead, newly
@@ -9,12 +9,16 @@ local reward built from the same weights:
         - b3 * sum_u urgency_u * extra_ticks_u
         - b4 * max(active_now - active_prev, 0)
         - b5 * max_u hops_u
+
+``agent_reward`` computes it for the whole fleet at once, from per-vehicle
+arrays and flat per-order arrays; a single vehicle is a fleet of one. Each
+vehicle's delay sum adds its orders in the order given, so the result is
+bit-identical to the scalar left-to-right sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -50,25 +54,6 @@ class RewardWeights:
         return np.array([self.b1, self.b2, self.b3, self.b4, self.b5])
 
 
-@dataclass
-class AgentRewardInputs:
-    """Per-vehicle, per-tick reward ingredients."""
-
-    passengers_onboard: int = 0
-    packages_onboard: int = 0
-    detour_ticks: float = 0.0
-    order_delays: Sequence = ()  # (urgency, extra_ticks) per assigned order
-    active_now: int = 0
-    active_prev: int = 0
-    onboard_hops: Sequence = ()  # completed hop count per onboard package
-
-    def __post_init__(self):
-        if min(self.passengers_onboard, self.packages_onboard, 0) < 0:
-            raise ValueError("counts must be >= 0")
-        if self.detour_ticks < 0:
-            raise ValueError("detour_ticks must be >= 0")
-
-
 def supply_demand_gap(demand, supply) -> float:
     """Sum over zones of max(0, expected demand - available vehicles)."""
     d = np.asarray(demand, dtype=float).ravel()
@@ -86,15 +71,37 @@ def global_objective(components, weights: RewardWeights) -> float:
     return float(-(weights.as_vector() @ comp))
 
 
-def agent_reward(inputs: AgentRewardInputs, w: RewardWeights) -> float:
-    """Per-vehicle reward; the distributed counterpart of the global objective."""
-    delay_penalty = sum(urg * extra for urg, extra in inputs.order_delays)
-    activation = max(inputs.active_now - inputs.active_prev, 0)
-    max_hops = max(inputs.onboard_hops, default=0)
+def agent_reward(w: RewardWeights, onboard, detour_ticks, active_now, active_prev, max_hops,
+                 order_vehicle=(), order_urgency=(), order_extra=()) -> np.ndarray:
+    """Every vehicle's reward, one float64 per vehicle in the order given.
+
+    Per vehicle: onboard passengers plus packages, detour ticks, the
+    activation flags now and a tick ago, and the largest completed hop count
+    of its onboard packages. Per order: the index of the vehicle it rides,
+    its urgency and its extra ticks. Each vehicle's urgency-weighted delay is
+    summed in the order its orders are given.
+    """
+    onboard = np.asarray(onboard)
+    detour_ticks = np.asarray(detour_ticks, dtype=float)
+    owner = np.asarray(order_vehicle, dtype=np.intp)
+    urgency = np.asarray(order_urgency, dtype=float)
+    extra = np.asarray(order_extra, dtype=float)
+    n = len(onboard)
+    if any(np.shape(a) != (n,) for a in (detour_ticks, active_now, active_prev, max_hops)):
+        raise ValueError("per-vehicle inputs must have one entry per vehicle")
+    if not owner.shape == urgency.shape == extra.shape == (len(owner),):
+        raise ValueError("per-order inputs must have one entry per order")
+    if np.any(onboard < 0) or np.any(detour_ticks < 0):
+        raise ValueError("counts and detour_ticks must be >= 0")
+    if np.any(owner < 0) or np.any(owner >= n):
+        raise ValueError("an order's vehicle index must lie in [0, vehicles)")
+    # bincount adds each vehicle's weights in input order, as sum() would
+    delay_penalty = np.bincount(owner, weights=urgency * extra, minlength=n)
+    activation = np.maximum(np.subtract(active_now, active_prev), 0)
     return (
-        w.b1 * (inputs.passengers_onboard + inputs.packages_onboard)
-        - w.b2 * inputs.detour_ticks
+        w.b1 * onboard
+        - w.b2 * detour_ticks
         - w.b3 * delay_penalty
         - w.b4 * activation
-        - w.b5 * max_hops
+        - w.b5 * np.asarray(max_hops)
     )

@@ -49,7 +49,7 @@ from hopfleet.metrics import (
     fuel_cost_per_delivery,
     index_log,
 )
-from hopfleet.reward import AgentRewardInputs, RewardWeights, agent_reward
+from hopfleet.reward import RewardWeights, agent_reward
 from hopfleet.fleet import ManifestEntry, VehicleState
 
 from desk_config import desk_config
@@ -67,12 +67,13 @@ def verdict(criterion: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_unit_exactness():
     w = RewardWeights.preset("init")
-    reward_case = agent_reward(
-        AgentRewardInputs(passengers_onboard=1, detour_ticks=2, order_delays=[(0.5, 4)],
-                          active_now=1, active_prev=0, onboard_hops=[1]),
-        w,
-    )
-    ok_reward = reward_case == pytest.approx(3.95) and agent_reward(AgentRewardInputs(), w) == 0.0
+    # one laden, freshly deployed vehicle, then one idle empty vehicle
+    reward_case = agent_reward(w, onboard=[1], detour_ticks=[2], active_now=[1], active_prev=[0],
+                               max_hops=[1], order_vehicle=[0], order_urgency=[0.5],
+                               order_extra=[4])[0]
+    empty_case = agent_reward(w, onboard=[0], detour_ticks=[0], active_now=[0], active_prev=[0],
+                              max_hops=[0])[0]
+    ok_reward = reward_case == pytest.approx(3.95) and empty_case == 0.0
 
     # two-leg relay layout with unit split distances gives ratio 1 + 1/2
     log = empty_log(n_vehicles=2)

@@ -82,6 +82,11 @@ def test_missing_config_exit_2():
         ("demand.goods_dest_hot_weight", -0.1),
         # one zone: no trip has a destination other than its origin
         ("grid.width", 1, "grid.height", 1),
+        ("demand.origin_hot_zone_count", -1),
+        ("demand.origin_hot_zone_count", 401),  # the desk grid has 400 zones
+        ("demand.goods_locations_per_kind", -1),
+        # two zones cannot hold the desk's five distinct hot zones
+        ("grid.width", 2, "grid.height", 1, "demand.origin_hot_zone_count", 5),
     ],
 )
 def test_bad_config_exit_2(command, sim, tmp_path, capsys):

@@ -1,9 +1,12 @@
+import copy
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hopfleet import demand as dm
+from hopfleet import engine
 from hopfleet import fleet as fl
 from hopfleet.demand import GOODS, PASSENGER, Request, write_trip_records
 from hopfleet.dispatch_rl import offset_to_action
@@ -18,9 +21,11 @@ from hopfleet.engine import (
     Simulation,
     run_episode,
 )
-from hopfleet.geo import ZoneId
+from hopfleet.geo import ZoneId, manhattan
+from hopfleet.reward import agent_reward
 
 from desk_config import desk_config, desk_yaml, locate
+from test_reward import reference_agent_reward
 
 
 class ScriptedPolicy:
@@ -232,18 +237,75 @@ def test_conservation_check_catches_a_duplicated_leg():
         sim.run(ticks=0)
 
 
+def reference_process_arrivals(v, tick):
+    """process_arrivals as it was before it read the stored plan: a scan of
+    the whole manifest for every matched or serving vehicle."""
+    events = []
+    if v.status == fl.DISPATCHING and v.location == v.dispatch_target:
+        v.dispatch_target = None
+        v.set_status(fl.DISPATCHED)
+    if v.status in (fl.MATCHED, fl.SERVING):
+        for e in [e for e in v.manifest if e.onboard and e.destination == v.location]:
+            v.manifest.remove(e)
+            events.append(fl.DropEvent(e.request_id, v.id, v.location, tick))
+        picked = False
+        for e in v.manifest:
+            if not e.onboard and e.origin == v.location:
+                e.onboard = True
+                e.pickup_tick = tick
+                picked = True
+                events.append(fl.PickupEvent(e.request_id, v.id, v.location, tick))
+        if events:
+            v.replan()
+        if picked and v.status == fl.MATCHED:
+            v.set_status(fl.SERVING)
+        if v.status == fl.SERVING and not v.manifest:
+            v.set_status(fl.IDLE)
+    return events
+
+
+def vehicle_state(v):
+    return (v.status, v.location, v.dispatch_target, v.manifest, v.stops, v.seats_committed,
+            v.trunk_committed, v.passengers_onboard, v.packages_onboard)
+
+
 @pytest.mark.parametrize("speed", [1, 2])
 @pytest.mark.parametrize("baseline", BASELINES)
-def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed):
+def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed, monkeypatch):
     # each vehicle keeps its stop plan and its manifest tallies between
     # manifest changes; after every phase that moves a vehicle or changes a
     # manifest they must equal a plan built and a count made from scratch
     checked = 0
+    events_seen = []
+    process_arrivals = fl.process_arrivals
+
+    def recorded(v, tick):
+        events = process_arrivals(v, tick)
+        events_seen.extend(events)
+        return events
+
+    monkeypatch.setattr(fl, "process_arrivals", recorded)
+    resolved = 0
     for seed in (3, 4, 5):
         cfg = small_cfg(baseline=baseline, seed=seed, n_vehicles=6,
                         grid=replace(small_cfg().grid, vehicle_speed=speed))
         sim = Simulation(cfg)
         sim.initialize()
+
+        def arrivals_as_a_full_scan(*args, _run=sim._arrivals):
+            # the engine skips parked vehicles and process_arrivals skips a
+            # vehicle away from its stops; the full scan of every vehicle
+            # must give the same events and leave the same vehicles
+            copies = copy.deepcopy(sim.vehicles)
+            want = [ev for c in copies for ev in reference_process_arrivals(c, sim.tick)]
+            events_seen.clear()
+            _run(*args)
+            assert events_seen == want, (seed, sim.tick)
+            assert [vehicle_state(v) for v in sim.vehicles] == [vehicle_state(c) for c in copies]
+            nonlocal resolved
+            resolved += len(want)
+
+        sim._arrivals = arrivals_as_a_full_scan
         for phase in ("_arrivals", "_match", "_advance"):
             def checked_phase(*args, _run=getattr(sim, phase), _phase=phase):
                 nonlocal checked
@@ -256,6 +318,78 @@ def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed):
             setattr(sim, phase, checked_phase)
         sim.run(ticks=40)
     assert checked > 50
+    assert resolved > 100  # pickups and drops
+
+
+def reference_settle(sim, detour):
+    """The rewards, total detour delay and activations that _settle computed
+    vehicle by vehicle before the fleet form, with the scalar reward; and the
+    number of vehicles with more than one late order."""
+    speed = sim.grid.vehicle_speed
+    rewards, total_detour_delay, activations, several_late = [], 0.0, 0, 0
+    for v in sim.vehicles:
+        active_now, active_prev = int(v.active), int(sim.prev_active[v.id])
+        activations += max(active_now - active_prev, 0)
+        etas = {}
+        if v.status in (fl.MATCHED, fl.SERVING):
+            for zone, cum in v.stops:
+                for e in v.manifest:
+                    if e.onboard and e.destination == zone and e.request_id not in etas:
+                        etas[e.request_id] = math.ceil(cum / speed)
+        delays, hops = [], []
+        for e in v.manifest:
+            if not e.onboard:
+                continue
+            req = sim.registry[e.request_id]
+            waited = e.pickup_tick - req.created_tick
+            t_actual = (sim.tick - e.pickup_tick) + etas.get(e.request_id, 0)
+            t_direct = math.ceil(manhattan(e.origin, e.destination) / speed)
+            delays.append((req.urgency, max(0.0, waited + t_actual - t_direct)))
+            if e.kind == GOODS:
+                hops.append(req.hops_completed)
+        rewards.append(reference_agent_reward(
+            sim.weights, passengers_onboard=v.passengers_onboard,
+            packages_onboard=v.packages_onboard, detour_ticks=detour.get(v.id, 0.0),
+            order_delays=delays, active_now=active_now, active_prev=active_prev,
+            onboard_hops=hops))
+        total_detour_delay += sum(d for _, d in delays)
+        several_late += sum(d > 0 for _, d in delays) > 1
+    return rewards, total_detour_delay, activations, several_late
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("speed", [1, 2])
+@pytest.mark.parametrize("baseline", BASELINES)
+def test_settled_rewards_equal_the_per_vehicle_reference(baseline, speed, mode, monkeypatch):
+    settled = []
+
+    def recorded(*args, **kw):
+        settled.append(agent_reward(*args, **kw))
+        return settled[-1]
+
+    monkeypatch.setattr(engine, "agent_reward", recorded)
+    several_late = 0
+    for seed in (3, 4):
+        cfg = small_cfg(baseline=baseline, seed=seed, n_vehicles=6, episode_ticks=60,
+                        grid=replace(small_cfg().grid, vehicle_speed=speed))
+        sim = Simulation(cfg)
+        sim.initialize()
+
+        def checked_settle(supply, forecast, detour, detail, _run=sim._settle):
+            nonlocal several_late
+            want, want_delay, want_activations, late = reference_settle(sim, detour)
+            several_late += late
+            _run(supply, forecast, detour, detail)
+            (got,) = settled  # one agent_reward call per tick
+            settled.clear()
+            assert [r.hex() for r in got.tolist()] == [r.hex() for r in want], sim.tick
+            assert detail["detour_delay"].hex() == want_delay.hex()
+            assert detail["activations"] == want_activations
+            assert detail["reward_mean"].hex() == float(np.mean(want)).hex()
+
+        sim._settle = checked_settle
+        sim.run(mode=mode)
+    assert several_late > 200  # vehicle-ticks summing two or more late orders
 
 
 def test_full_check_catches_a_stale_stop_plan():

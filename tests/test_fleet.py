@@ -19,7 +19,7 @@ from hopfleet.fleet import (
     process_arrivals,
     project_supply,
 )
-from hopfleet.geo import GridWorld, ZoneId
+from hopfleet.geo import GridWorld, ZoneId, manhattan
 
 
 def make_vehicle(loc=(0, 0), **kw):
@@ -167,6 +167,33 @@ def test_remaining_etas_follow_stop_plan():
     assert v.route_eta(speed=2) == 3
 
 
+def test_remaining_etas_take_the_first_stop_at_a_zone():
+    # (0, 1) is planned twice: first to pick up 3 and drop the onboard 1,
+    # then to drop 2, picked up at (0, 3)
+    v = make_vehicle(loc=(0, 0), status=SERVING)
+    v.add_entry(entry(1, PASSENGER, (0, 0), (0, 1), onboard=True))
+    v.add_entry(entry(2, PASSENGER, (0, 3), (0, 1)))
+    v.add_entry(entry(3, GOODS, (0, 1), (0, 5)))
+    assert v.stops == [(ZoneId(0, 1), 1), (ZoneId(0, 3), 3), (ZoneId(0, 1), 5), (ZoneId(0, 5), 9)]
+    assert v.remaining_etas(speed=1) == {1: 1}
+    assert v.remaining_etas(speed=2) == {1: 1}
+
+
+def test_serving_without_manifest_goes_idle_on_arrival():
+    v = make_vehicle(loc=(3, 3), status=SERVING)
+    assert process_arrivals(v, tick=1) == []
+    assert v.status == IDLE
+
+
+def test_arrival_away_from_every_stop_changes_nothing():
+    v = make_vehicle(loc=(0, 0), status=MATCHED)
+    v.add_entry(entry(1, PASSENGER, (0, 2), (0, 4)))
+    v.location = ZoneId(0, 1)
+    v.stops = v.planned_stops()
+    assert process_arrivals(v, tick=1) == []
+    assert v.status == MATCHED and not v.manifest[0].onboard
+
+
 def test_serving_with_empty_plan_raises():
     grid = GridWorld(width=5, height=5)
     v = make_vehicle(loc=(0, 0), status=SERVING)
@@ -225,3 +252,55 @@ def test_tallies_recounted_with_the_stop_plan():
     # dropped 1 at (0, 2) and 3 at (0, 3)
     assert seen[:4] == [(2, 1, 1, 1), (2, 0, 2, 0), (1, 0, 1, 0), (0, 0, 0, 0)]
     assert v.status == IDLE
+
+
+def reference_planned_stops(v):
+    """planned_stops as it was before it kept plain lists of zones: each
+    candidate a (distance, zone, request id) tuple, pickups and drops dicts
+    rebuilt at every stop. Also returns how many stops broke a distance tie
+    between distinct zones."""
+    pos = v.location
+    cum = 0
+    ties = 0
+    pickups = {e.request_id: e for e in v.manifest if not e.onboard}
+    drops = {e.request_id: e for e in v.manifest if e.onboard}
+    stops = []
+    while pickups or drops:
+        if pickups:
+            cands = [(manhattan(pos, e.origin), e.origin, rid) for rid, e in pickups.items()]
+        else:
+            cands = [(manhattan(pos, e.destination), e.destination, rid)
+                     for rid, e in drops.items()]
+        dist, zone, _ = min(cands)
+        ties += any(d == dist and z != zone for d, z, _ in cands)
+        cum += manhattan(pos, zone)
+        pos = zone
+        stops.append((zone, cum))
+        for rid in [rid for rid, e in pickups.items() if e.origin == zone]:
+            drops[rid] = pickups.pop(rid)
+        for rid in [rid for rid, e in drops.items() if e.destination == zone]:
+            drops.pop(rid)
+    return stops, ties
+
+
+def test_planned_stops_equal_the_reference():
+    # a 4 x 4 grid makes equal distances, shared pickup zones and drops at a
+    # pickup zone common
+    rng = np.random.default_rng(11)
+
+    def zone():
+        return ZoneId(int(rng.integers(4)), int(rng.integers(4)))
+
+    ties = colocated = 0
+    for _ in range(3000):
+        v = make_vehicle(loc=zone(), status=MATCHED, seats_total=9, trunk_total=9)
+        for rid in rng.permutation(int(rng.integers(0, 9))):
+            e = ManifestEntry(int(rid), PASSENGER if rng.random() < 0.5 else GOODS, zone(), zone())
+            e.onboard = bool(rng.random() < 0.4)
+            v.manifest.append(e)
+        want, tied = reference_planned_stops(v)
+        assert v.planned_stops() == want
+        ties += tied
+        pending = {e.origin for e in v.manifest if not e.onboard}
+        colocated += any(e.destination in pending for e in v.manifest)
+    assert ties > 1000 and colocated > 1000
