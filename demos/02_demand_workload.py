@@ -41,7 +41,7 @@ for tick in range(96):  # two synthetic days
         total[r.kind] += 1
 
 print(f"\ntwo days of workload: {total} requests")
-fc = forecaster.forecast(now=96, horizon=5)
+fc = forecaster.forecast(now=96, steps=5)
 print("forecast for the postal source zone over the next 6 ticks:",
-      np.round(fc.counts[:, 2, 2], 2))
+      np.round(fc[:, 2, 2], 2))
 print("every goods destination lies within the 4-zone delivery radius.")

@@ -39,6 +39,7 @@ from .engine import (
     DispatchPolicy,
     SimConfig,
     Simulation,
+    check_lower_bounds,
     generate_workload,
 )
 
@@ -49,6 +50,9 @@ ENV_OUT_DIR = "HOPFLEET_OUT"
 class TrainSettings:
     episodes: int
     checkpoint_every: int  # episodes between checkpoint files
+
+    def __post_init__(self):
+        check_lower_bounds(self, "train.", (("checkpoint_every", 1),))
 
 
 @dataclass

@@ -11,7 +11,7 @@ emits; the generator is rewound to it and it is drawn alone, which keeps the
 stream of the zone-by-zone draw. Thresholds are ``math.exp`` values, as in
 :func:`poisson_sample`: an ``np.exp`` one bit off would change the stream.
 The demand forecaster is a trailing tick-of-day historical average; it sits
-behind a plain ``forecast(now, horizon)`` call so other predictors can be
+behind a plain ``forecast(now, steps)`` call so other predictors can be
 swapped in.
 """
 
@@ -104,17 +104,6 @@ class ServiceLocation:
     def __post_init__(self):
         if self.rate < 0:
             raise ValueError("rate must be >= 0")
-
-
-@dataclass
-class DemandForecast:
-    """Expected request counts per zone for ticks now..now+horizon."""
-
-    start_tick: int
-    counts: np.ndarray  # shape (horizon + 1, height, width)
-
-    def at(self, step: int) -> np.ndarray:
-        return self.counts[step]
 
 
 def poisson_pmf(x: int, lam: float) -> float:
@@ -309,7 +298,7 @@ def write_trip_records(path, requests: Iterable[Request]):
 class HistoricalAverageForecaster:
     """Trailing tick-of-day average of per-zone request counts.
 
-    For each horizon step the forecast is the mean count observed in past
+    For each step ahead the forecast is the mean count observed in past
     ticks sharing the same tick-of-day; when a tick-of-day has no history yet
     the overall per-zone mean is used, and with no history at all the
     forecast is zero.
@@ -342,13 +331,15 @@ class HistoricalAverageForecaster:
             counts[r.origin.row, r.origin.col] += 1
         self.record(tick, counts)
 
-    def forecast(self, now: int, horizon: int) -> DemandForecast:
-        steps = []
+    def forecast(self, now: int, steps: int) -> np.ndarray:
+        """Expected request counts per zone for ticks now..now+steps,
+        shape (steps + 1, height, width)."""
+        out = []
         overall = self._total / self._n if self._n else np.zeros_like(self._total)
-        for k in range(horizon + 1):
+        for k in range(steps + 1):
             tod = (now + k) % self.ticks_per_day
             if self._tod_n.get(tod):
-                steps.append(self._tod_sum[tod] / self._tod_n[tod])
+                out.append(self._tod_sum[tod] / self._tod_n[tod])
             else:
-                steps.append(overall.copy())
-        return DemandForecast(start_tick=now, counts=np.stack(steps))
+                out.append(overall)
+        return np.stack(out)

@@ -14,12 +14,10 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .demand import DemandForecast
 from .fleet import FleetSnapshot, VehicleState
 from .geo import GridWorld, ZoneId
 
@@ -31,7 +29,12 @@ TARGET_SYNC_PERIOD = 150
 REPLAY_CAPACITY = 10_000
 CLIP_NORM = 10.0  # global gradient-norm cap of one SGD step
 
-N_CHANNELS = 4  # demand, available now, freeing by +15, freeing by +30
+# the look-ahead of the observation: forecast demand summed over steps
+# 1..DEMAND_REACH, and busy vehicles freeing within 1..reach ticks, one
+# channel per reach
+DEMAND_REACH = 15
+FREEING_REACHES = (15, 30)
+N_CHANNELS = 2 + len(FREEING_REACHES)  # demand, available now, the freeing channels
 N_SCALARS = 6  # seats_free, trunk_free, sin/cos tick-of-day, sin/cos day-of-week
 
 
@@ -74,15 +77,6 @@ def action_target(grid: GridWorld, location: ZoneId, index: int, radius: int = A
 # state encoding
 
 
-@dataclass(frozen=True)
-class StateSnapshot:
-    channels: np.ndarray  # (N_CHANNELS, window, window)
-    scalars: np.ndarray  # (N_SCALARS,)
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.channels.ravel(), self.scalars])
-
-
 def state_dim(window: int = WINDOW) -> int:
     return N_CHANNELS * window * window + N_SCALARS
 
@@ -101,19 +95,19 @@ def crop_window(arr: np.ndarray, center: ZoneId, window: int) -> np.ndarray:
     return out
 
 
-def observation_maps(supply: FleetSnapshot, forecast: DemandForecast) -> np.ndarray:
+def observation_maps(supply: FleetSnapshot, forecast: np.ndarray) -> np.ndarray:
     """The full-grid channels every vehicle's observation is cropped from,
-    (N_CHANNELS, height, width): demand over the next 15 steps, vehicles
-    available now, and busy vehicles freeing within 15 and within 30 steps.
-    They are the same for every vehicle of a tick, so a tick computes them once."""
-    return np.stack(
-        [
-            forecast.counts[1 : min(16, forecast.counts.shape[0])].sum(axis=0),
-            supply.available,
-            supply.projected[1 : min(16, supply.projected.shape[0])].sum(axis=0),
-            supply.projected[1 : min(31, supply.projected.shape[0])].sum(axis=0),
-        ]
-    )
+    (N_CHANNELS, height, width): forecast demand over steps 1..DEMAND_REACH,
+    vehicles available now, and busy vehicles freeing within each of
+    FREEING_REACHES. ``forecast`` holds steps 0..DEMAND_REACH. The maps are
+    the same for every vehicle of a tick, so a tick computes them once."""
+    height, width = supply.available.shape
+    eta, rows, cols = supply.freeing.T
+    zones = rows * width + cols
+    freeing = [np.bincount(zones[(eta >= 1) & (eta <= reach)], minlength=height * width)
+               for reach in FREEING_REACHES]
+    return np.stack([forecast[1 : DEMAND_REACH + 1].sum(axis=0), supply.available,
+                     *(f.reshape(height, width) for f in freeing)])
 
 
 def encode_state(
@@ -122,26 +116,18 @@ def encode_state(
     tick: int,
     ticks_per_day: int,
     window: int = WINDOW,
-) -> StateSnapshot:
-    """Deterministic per-vehicle observation: crops of the tick's
-    ``observation_maps`` around the vehicle plus its own free capacity and
-    clock features."""
+) -> np.ndarray:
+    """Deterministic per-vehicle state vector: crops of the tick's
+    ``observation_maps`` around the vehicle, then its own free capacity and
+    clock features (N_SCALARS)."""
     if window % 2 == 0:
         raise ValueError("window must be odd")
     channels = crop_window(maps, vehicle.location, window)
     tod = 2.0 * math.pi * (tick % ticks_per_day) / ticks_per_day
     dow = 2.0 * math.pi * ((tick // ticks_per_day) % 7) / 7.0
-    scalars = np.array(
-        [
-            float(vehicle.seats_free),
-            float(vehicle.trunk_free),
-            math.sin(tod),
-            math.cos(tod),
-            math.sin(dow),
-            math.cos(dow),
-        ]
-    )
-    return StateSnapshot(channels=channels, scalars=scalars)
+    scalars = [float(vehicle.seats_free), float(vehicle.trunk_free),
+               math.sin(tod), math.cos(tod), math.sin(dow), math.cos(dow)]
+    return np.concatenate([channels.ravel(), scalars])
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,14 @@ class EngineInvariantError(RuntimeError):
 # configuration
 
 
+def check_lower_bounds(cfg, section: str, bounds):
+    """Raise ValueError naming the first ``(field, low)`` of ``bounds`` whose
+    value in ``cfg`` is below ``low``; ``section`` prefixes the name."""
+    for name, low in bounds:
+        if getattr(cfg, name) < low:
+            raise ValueError(f"{section}{name} must be >= {low}, got {getattr(cfg, name)}")
+
+
 @dataclass
 class GridConfig:
     width: int
@@ -77,15 +85,15 @@ class GridConfig:
     zone_edge_m: float
     vehicle_speed: int
     hop_stride: int
-    hop_offset: int
     hop_min_pickups: int
     hop_count_radius: int  # neighborhood radius when tallying warmup pickups
 
     def __post_init__(self):
-        for name, low in (("width", 1), ("height", 1), ("vehicle_speed", 1), ("hop_stride", 1),
-                          ("hop_min_pickups", 0), ("hop_count_radius", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"grid.{name} must be >= {low}, got {getattr(self, name)}")
+        check_lower_bounds(self, "grid.", (("width", 1), ("height", 1), ("vehicle_speed", 1),
+                                           ("hop_stride", 1), ("hop_min_pickups", 0),
+                                           ("hop_count_radius", 0)))
+        if not self.zone_edge_m > 0:
+            raise ValueError(f"grid.zone_edge_m must be > 0, got {self.zone_edge_m}")
         if self.width * self.height < 2:
             # a trip needs a destination other than its origin
             raise ValueError(f"grid.width x grid.height must give at least 2 zones, "
@@ -105,17 +113,12 @@ class DemandConfig:
     trips_csv: str | None
 
     def __post_init__(self):
-        for name in ("passenger_rate_per_zone", "origin_hot_rate", "goods_location_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"demand.{name} must be >= 0, got {getattr(self, name)}")
+        check_lower_bounds(self, "demand.", (("passenger_rate_per_zone", 0), ("origin_hot_rate", 0),
+                                             ("goods_location_rate", 0), ("goods_radius_zones", 1),
+                                             ("goods_locations_per_kind", 0)))
         for name in ("hot_weight", "goods_dest_hot_weight"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"demand.{name} must be in [0, 1], got {getattr(self, name)}")
-        if self.goods_radius_zones < 1:
-            raise ValueError(f"demand.goods_radius_zones must be >= 1, got {self.goods_radius_zones}")
-        if self.goods_locations_per_kind < 0:
-            raise ValueError(f"demand.goods_locations_per_kind must be >= 0, "
-                             f"got {self.goods_locations_per_kind}")
 
 
 @dataclass
@@ -131,6 +134,8 @@ class RLConfig:
     def __post_init__(self):
         if self.window % 2 == 0:
             raise ValueError(f"rl.window must be odd, got {self.window}")
+        check_lower_bounds(self, "rl.", (("window", 1), ("action_radius", 0), ("batch_size", 1),
+                                         ("buffer_capacity", 1), ("sync_period", 1)))
 
 
 @dataclass
@@ -145,7 +150,6 @@ class SimConfig:
     trunk: int
     separate_split: float
     separate_goods_trunk: int
-    horizon: int
     dt_minutes: float
     ticks_per_day: int
     weights_preset: str
@@ -163,8 +167,9 @@ class SimConfig:
     def __post_init__(self):
         if self.baseline not in BASELINES:
             raise ValueError(f"baseline must be one of {BASELINES}")
-        if min(self.n_vehicles, self.horizon, self.ticks_per_day) < 1 or self.episode_ticks < 0:
-            raise ValueError("n_vehicles, horizon, ticks_per_day must be >= 1 and episode_ticks >= 0")
+        check_lower_bounds(self, "", (("n_vehicles", 1), ("ticks_per_day", 1), ("t_n", 1),
+                                      ("episode_ticks", 0), ("seats", 0), ("trunk", 0),
+                                      ("separate_goods_trunk", 0), ("max_hop_depth", 0)))
         if not 0.0 <= self.separate_split <= 1.0:
             raise ValueError(f"separate_split must be in [0, 1], got {self.separate_split}")
         if isinstance(self.grid, dict):
@@ -390,7 +395,7 @@ class Simulation:
         for z in self._origin_hot:
             passenger_rates[z] += cfg.demand.origin_hot_rate
 
-        lattice = hub_lattice(self.grid, cfg.grid.hop_stride, cfg.grid.hop_offset)
+        lattice = hub_lattice(self.grid, cfg.grid.hop_stride)
         locations = []
         for kind in ("postal", "meal", "supermarket"):
             for _ in range(cfg.demand.goods_locations_per_kind):
@@ -483,13 +488,12 @@ class Simulation:
         # candidates qualify on pickups in their neighborhood, so relay hubs
         # land next to busy blocks rather than exactly on them
         smoothed = {}
-        for z in hub_lattice(self.grid, cfg.grid.hop_stride, cfg.grid.hop_offset):
+        for z in hub_lattice(self.grid, cfg.grid.hop_stride):
             total = pickup_counts.get(z, 0)
             for nb in self.grid.zones_within(z, cfg.grid.hop_count_radius):
                 total += pickup_counts.get(nb, 0)
             smoothed[z] = total
-        designate_hop_zones(self.grid, cfg.grid.hop_stride, smoothed, cfg.grid.hop_min_pickups,
-                            cfg.grid.hop_offset)
+        designate_hop_zones(self.grid, cfg.grid.hop_stride, smoothed, cfg.grid.hop_min_pickups)
 
         self.log = EpisodeLog(
             n_vehicles=cfg.n_vehicles,
@@ -576,9 +580,9 @@ class Simulation:
     def _observe(self, maps: np.ndarray, v: fl.VehicleState) -> np.ndarray:
         """The state vector of one vehicle, cropped from the tick's maps."""
         return rl.encode_state(maps, v, self.tick, window=self.cfg.rl.window,
-                               ticks_per_day=self.cfg.ticks_per_day).vector()
+                               ticks_per_day=self.cfg.ticks_per_day)
 
-    def _dispatch(self, supply: fl.FleetSnapshot, forecast: dm.DemandForecast, detail: dict):
+    def _dispatch(self, supply: fl.FleetSnapshot, forecast: np.ndarray, detail: dict):
         cfg = self.cfg
         beta = self.policy.act_probability(self.training)
         eps = self.policy.epsilon(self.training)
@@ -712,7 +716,7 @@ class Simulation:
                                             elapsed=self.tick - old.tick - 1))
         self._finalize = {}
 
-        gap = supply_demand_gap(forecast.at(0), supply.available)
+        gap = supply_demand_gap(forecast[0], supply.available)
         components = [gap, detail["dispatch_time"], total_detour_delay,
                       float(activations), float(detail["hops"])]
         detail["objective"] = global_objective(components, self.weights)
@@ -799,9 +803,9 @@ class Simulation:
         marks.append(clock())
         self._arrivals(detour, detail)
         marks.append(clock())
-        supply = fl.project_supply(self.vehicles, self.grid, self.cfg.horizon)
+        supply = fl.project_supply(self.vehicles, self.grid)
         marks.append(clock())
-        forecast = self.forecaster.forecast(self.tick, self.cfg.horizon)
+        forecast = self.forecaster.forecast(self.tick, rl.DEMAND_REACH)
         marks.append(clock())
         self._dispatch(supply, forecast, detail)
         marks.append(clock())
@@ -840,9 +844,8 @@ class Simulation:
 
     def _flush_pending(self):
         """Episode truncation: bootstrap every in-flight decision."""
-        supply = fl.project_supply(self.vehicles, self.grid, self.cfg.horizon)
-        forecast = self.forecaster.forecast(self.tick, self.cfg.horizon)
-        maps = rl.observation_maps(supply, forecast)
+        maps = rl.observation_maps(fl.project_supply(self.vehicles, self.grid),
+                                   self.forecaster.forecast(self.tick, rl.DEMAND_REACH))
         for vid in sorted(self.pending):
             pend = self.pending[vid]
             self.policy.store(rl.Transition(pend.state, pend.action, pend.accum,

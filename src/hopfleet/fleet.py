@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .demand import GOODS, PASSENGER
-from .geo import GridWorld, ZoneId, manhattan, step_toward
+from .geo import GridWorld, ZoneId, manhattan
 
 IDLE = "idle"
 DISPATCHING = "dispatching"
@@ -233,7 +233,8 @@ def process_arrivals(v: VehicleState, tick: int) -> list:
 
 
 def move(v: VehicleState, grid: GridWorld) -> int:
-    """Advance up to vehicle_speed lattice steps toward the current objective.
+    """Advance min(vehicle_speed, distance) lattice steps toward the current
+    objective in one move: row steps first, then column steps.
 
     Dispatching vehicles head for their dispatch target; matched/serving
     vehicles head for their next planned stop; idle and dispatched vehicles
@@ -249,36 +250,45 @@ def move(v: VehicleState, grid: GridWorld) -> int:
             raise VehicleStateError(f"vehicle {v.id}: {v.status} with an empty stop plan")
     else:
         return 0
-    moved = 0
-    while moved < grid.vehicle_speed and v.location != target:
-        v.location = step_toward(v.location, target)
-        moved += 1
-    if moved and v.status != DISPATCHING:
+    # plain comparisons: min() and abs() calls would cost more than the rest
+    (row, col), (t_row, t_col) = v.location, target
+    left = grid.vehicle_speed
+    if row != t_row:
+        step = t_row - row if row < t_row else row - t_row
+        step = step if step < left else left
+        row += step if row < t_row else -step
+        left -= step
+    if left and col != t_col:
+        step = t_col - col if col < t_col else col - t_col
+        step = step if step < left else left
+        col += step if col < t_col else -step
+        left -= step
+    moved = grid.vehicle_speed - left
+    if not moved:
+        return 0
+    v.location = ZoneId(row, col)
+    if v.status != DISPATCHING:
         v.stops = [(zone, cum - moved) for zone, cum in v.stops]
     return moved
 
 
 @dataclass
 class FleetSnapshot:
-    """Current and projected per-zone vehicle availability."""
+    """Vehicles free now per zone, and where and when each busy one frees."""
 
     available: np.ndarray  # (height, width), vehicles with free capacity now
-    projected: np.ndarray  # (horizon + 1, height, width), busy vehicles by finish tick
+    freeing: np.ndarray  # (busy vehicles, 3) int: ticks until free, row, col
 
 
-def project_supply(vehicles: Sequence[VehicleState], grid: GridWorld, horizon: int) -> FleetSnapshot:
-    """Count available vehicles per zone and project busy ones to their
-    final stop at now + remaining route ETA (when within the horizon)."""
+def project_supply(vehicles: Sequence[VehicleState], grid: GridWorld) -> FleetSnapshot:
+    """Count available vehicles per zone; a busy vehicle frees at its final
+    stop, after its remaining route ETA."""
     available = np.zeros((grid.height, grid.width))
-    projected = np.zeros((horizon + 1, grid.height, grid.width))
+    freeing = []
     for v in vehicles:
         if is_available(v):
             available[v.location.row, v.location.col] += 1
-            continue
-        if not v.stops:
-            continue
-        final_zone, cum = v.stops[-1]
-        eta = math.ceil(cum / grid.vehicle_speed)
-        if eta <= horizon:
-            projected[eta, final_zone.row, final_zone.col] += 1
-    return FleetSnapshot(available=available, projected=projected)
+        elif v.stops:
+            zone, cum = v.stops[-1]
+            freeing.append((math.ceil(cum / grid.vehicle_speed), zone.row, zone.col))
+    return FleetSnapshot(available, np.array(freeing, dtype=np.int64).reshape(-1, 3))

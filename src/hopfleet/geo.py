@@ -32,15 +32,6 @@ def manhattan(a: ZoneId, b: ZoneId) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def step_toward(a: ZoneId, b: ZoneId) -> ZoneId:
-    """One lattice step from ``a`` toward ``b``, row coordinate first."""
-    if a[0] != b[0]:
-        return ZoneId(a[0] + (1 if b[0] > a[0] else -1), a[1])
-    if a[1] != b[1]:
-        return ZoneId(a[0], a[1] + (1 if b[1] > a[1] else -1))
-    return ZoneId(*a)
-
-
 @dataclass
 class GridWorld:
     """Rectangular city grid with a designated set of hop-zones.
@@ -113,24 +104,18 @@ class GridWorld:
         return out
 
 
-def hub_lattice(grid: GridWorld, stride: int, offset: int = 0) -> list[ZoneId]:
+def hub_lattice(grid: GridWorld, stride: int) -> list[ZoneId]:
     """Relay-hub candidates in row-major order: the zones whose row and col
-    are both ``offset`` modulo ``stride``."""
+    are both multiples of ``stride``."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    start = offset % stride
     return [ZoneId(row, col)
-            for row in range(start, grid.height, stride)
-            for col in range(start, grid.width, stride)]
+            for row in range(0, grid.height, stride)
+            for col in range(0, grid.width, stride)]
 
 
-def designate_hop_zones(
-    grid: GridWorld,
-    stride: int,
-    pickup_counts: Mapping,
-    min_pickups: int,
-    offset: int = 0,
-) -> frozenset:
+def designate_hop_zones(grid: GridWorld, stride: int, pickup_counts: Mapping,
+                        min_pickups: int) -> frozenset:
     """Pick hop-zones on a stride lattice, keeping only busy-enough zones.
 
     Candidates are the :func:`hub_lattice` zones; a candidate survives when
@@ -140,6 +125,6 @@ def designate_hop_zones(
     if min_pickups < 0:
         raise ValueError("min_pickups must be >= 0")
     counts = {ZoneId(*z): c for z, c in pickup_counts.items()}
-    grid.hop_zones = frozenset(z for z in hub_lattice(grid, stride, offset)
+    grid.hop_zones = frozenset(z for z in hub_lattice(grid, stride)
                                if counts.get(z, 0) >= min_pickups)
     return grid.hop_zones

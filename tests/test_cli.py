@@ -61,7 +61,7 @@ def test_missing_config_exit_2():
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize(
-    "sim",  # keys of the sim section, each followed by the bad value it gets
+    "sim",  # keys of the sim section (or train.*), each followed by the bad value it gets
     [
         ("rl.window", 14),
         ("grid.hop_stride", 0),
@@ -87,13 +87,27 @@ def test_missing_config_exit_2():
         ("demand.goods_locations_per_kind", -1),
         # two zones cannot hold the desk's five distinct hot zones
         ("grid.width", 2, "grid.height", 1, "demand.origin_hot_zone_count", 5),
+        ("t_n", 0),
+        ("rl.sync_period", 0),
+        ("rl.batch_size", 0),
+        ("rl.buffer_capacity", 0),
+        ("max_hop_depth", -1),
+        ("grid.zone_edge_m", 0),
+        ("seats", -1),
+        ("trunk", -1),
+        ("separate_goods_trunk", -1),
+        ("rl.action_radius", -1),
+        ("rl.window", -1),
+        ("horizon", 30),  # removed: the observation fixes its own look-ahead
+        ("grid.hop_offset", 0),  # removed: hubs sit on multiples of hop_stride
+        ("train.checkpoint_every", 0),
     ],
 )
 def test_bad_config_exit_2(command, sim, tmp_path, capsys):
     data = desk_yaml()
     keys = sim[::2]
     for key, value in zip(keys, sim[1::2]):
-        holder, leaf = locate(data["sim"], key)
+        holder, leaf = locate(data if key.startswith("train.") else data["sim"], key)
         holder[leaf] = value
     assert _run_on(data, command, tmp_path) == 2
     err = capsys.readouterr().err

@@ -6,7 +6,6 @@ import pytest
 from hopfleet.demand import (
     GOODS,
     PASSENGER,
-    DemandForecast,
     HistoricalAverageForecaster,
     Request,
     ServiceLocation,
@@ -302,9 +301,9 @@ def test_trip_records_bad_rows(tmp_path, grid, row, msg):
 
 
 def test_forecast_empty_history(grid):
-    fc = HistoricalAverageForecaster(grid, ticks_per_day=24).forecast(now=0, horizon=5)
-    assert fc.counts.shape == (6, 10, 10)
-    assert np.all(fc.counts == 0)
+    fc = HistoricalAverageForecaster(grid, ticks_per_day=24).forecast(now=0, steps=5)
+    assert fc.shape == (6, 10, 10)
+    assert np.all(fc == 0)
 
 
 def test_forecast_constant_rate(grid):
@@ -313,8 +312,8 @@ def test_forecast_constant_rate(grid):
         arr = np.zeros((10, 10))
         arr[3, 3] = 2.0
         f.record(t, arr)
-    fc = f.forecast(now=48, horizon=4)
-    assert np.allclose(fc.counts[:, 3, 3], 2.0)
+    fc = f.forecast(now=48, steps=4)
+    assert np.allclose(fc[:, 3, 3], 2.0)
 
 
 def test_forecast_tick_of_day_average(grid):
@@ -324,8 +323,8 @@ def test_forecast_tick_of_day_average(grid):
         arr = np.zeros((10, 10))
         arr[1, 1] = 1.0 + 2.0 * day
         f.record(5 + 24 * day, arr)
-    fc = f.forecast(now=5 + 48, horizon=0)
-    assert fc.counts[0, 1, 1] == pytest.approx(2.0)
+    fc = f.forecast(now=5 + 48, steps=0)
+    assert fc[0, 1, 1] == pytest.approx(2.0)
 
 
 def test_forecaster_cold_tod_falls_back_to_overall_mean(grid):
@@ -333,8 +332,8 @@ def test_forecaster_cold_tod_falls_back_to_overall_mean(grid):
     arr = np.zeros((10, 10))
     arr[2, 2] = 4.0
     f.record(0, arr)
-    fc = f.forecast(now=7, horizon=0)  # tick-of-day 7 unseen
-    assert fc.counts[0, 2, 2] == pytest.approx(4.0)
+    fc = f.forecast(now=7, steps=0)  # tick-of-day 7 unseen
+    assert fc[0, 2, 2] == pytest.approx(4.0)
 
 
 def test_forecast_nonnegative_and_horizon_length(grid):
@@ -342,10 +341,9 @@ def test_forecast_nonnegative_and_horizon_length(grid):
     rng = np.random.default_rng(8)
     for t in range(100):
         f.record(t, rng.poisson(1.0, size=(10, 10)).astype(float))
-    fc = f.forecast(now=100, horizon=30)
-    assert fc.start_tick == 100
-    assert fc.counts.shape[0] == 31
-    assert np.all(fc.counts >= 0)
+    fc = f.forecast(now=100, steps=30)
+    assert fc.shape == (31, 10, 10)
+    assert np.all(fc >= 0)
 
 
 def test_request_lifecycle_guards():

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hopfleet.demand import DemandForecast
+from hopfleet.demand import GOODS, PASSENGER, HistoricalAverageForecaster
 from hopfleet.dispatch_rl import (
+    DEMAND_REACH,
+    N_CHANNELS,
+    N_SCALARS,
     CheckpointShapeError,
     QNetwork,
     ReplayBuffer,
-    StateSnapshot,
     Transition,
     act_probability_at,
     action_count,
@@ -28,22 +30,25 @@ from hopfleet.dispatch_rl import (
     sync_target,
     train_step,
 )
-from hopfleet.fleet import FleetSnapshot, VehicleState
+from hopfleet.fleet import FleetSnapshot, ManifestEntry, VehicleState, is_available, project_supply
 from hopfleet.geo import GridWorld, ZoneId
 
 
-def empty_world(width=20, height=20, horizon=30):
+def empty_world(width=20, height=20):
     grid = GridWorld(width=width, height=height)
-    supply = FleetSnapshot(
-        available=np.zeros((height, width)),
-        projected=np.zeros((horizon + 1, height, width)),
-    )
-    forecast = DemandForecast(start_tick=0, counts=np.zeros((horizon + 1, height, width)))
+    supply = FleetSnapshot(available=np.zeros((height, width)),
+                           freeing=np.zeros((0, 3), dtype=np.int64))
+    forecast = np.zeros((DEMAND_REACH + 1, height, width))
     return grid, supply, forecast
 
 
 def encode(supply, forecast, v, tick):
     return encode_state(observation_maps(supply, forecast), v, tick=tick, ticks_per_day=1440)
+
+
+def channels(vec, window=15):
+    """The cropped maps of a state vector, (N_CHANNELS, window, window)."""
+    return vec[:-N_SCALARS].reshape(N_CHANNELS, window, window)
 
 
 def test_action_space_size_and_round_trip():
@@ -69,20 +74,20 @@ def test_action_target_clamped_to_grid():
 def test_encode_empty_world_only_time_features():
     grid, supply, forecast = empty_world()
     v = VehicleState(id=0, location=ZoneId(10, 10))
-    snap = encode(supply, forecast, v, tick=0)
-    assert np.all(snap.channels == 0)
-    assert snap.scalars[0] == 4.0 and snap.scalars[1] == 5.0
-    assert snap.scalars[2] == pytest.approx(0.0)  # sin of tick 0
-    assert snap.scalars[3] == pytest.approx(1.0)
-    assert snap.vector().shape == (state_dim(),)
+    vec = encode(supply, forecast, v, tick=0)
+    assert vec.shape == (state_dim(),)
+    assert np.all(channels(vec) == 0)
+    scalars = vec[-N_SCALARS:]
+    assert scalars[0] == 4.0 and scalars[1] == 5.0
+    assert scalars[2] == pytest.approx(0.0)  # sin of tick 0
+    assert scalars[3] == pytest.approx(1.0)
 
 
 def test_encode_corner_zero_padded():
     grid, supply, forecast = empty_world()
     supply.available[:, :] = 1.0
     v = VehicleState(id=0, location=ZoneId(0, 0))
-    snap = encode(supply, forecast, v, tick=0)
-    avail = snap.channels[1]
+    avail = channels(encode(supply, forecast, v, tick=0))[1]
     assert avail[7, 7] == 1.0  # own zone at the crop center
     assert np.all(avail[:7, :] == 0.0)  # off-map rows above
     assert np.all(avail[:, :7] == 0.0)
@@ -91,31 +96,49 @@ def test_encode_corner_zero_padded():
 def test_encode_demand_offset_east():
     grid, supply, forecast = empty_world()
     # 3 requests expected one step ahead, two zones east of the vehicle
-    forecast.counts[1, 10, 12] = 3.0
+    forecast[1, 10, 12] = 3.0
     v = VehicleState(id=0, location=ZoneId(10, 10))
-    snap = encode(supply, forecast, v, tick=0)
-    assert snap.channels[0][7, 9] == 3.0
-    assert snap.channels[0].sum() == 3.0
+    demand = channels(encode(supply, forecast, v, tick=0))[0]
+    assert demand[7, 9] == 3.0
+    assert demand.sum() == 3.0
 
 
 def test_encode_deterministic():
     grid, supply, forecast = empty_world()
     supply.available[3, 4] = 2
-    forecast.counts[2, 5, 5] = 1.5
+    forecast[2, 5, 5] = 1.5
     v = VehicleState(id=0, location=ZoneId(5, 5))
-    a = encode(supply, forecast, v, tick=77).vector()
-    b = encode(supply, forecast, v, tick=77).vector()
+    a = encode(supply, forecast, v, tick=77)
+    b = encode(supply, forecast, v, tick=77)
     assert np.array_equal(a, b)
 
 
-def reference_encode(supply, forecast, v, tick, ticks_per_day, window):
-    """The observation as it was built before the per-tick maps: each call
-    sums the forecast and projection steps itself and crops each channel."""
-    demand_next = forecast.counts[1 : min(16, forecast.counts.shape[0])].sum(axis=0)
-    freeing_15 = supply.projected[1 : min(16, supply.projected.shape[0])].sum(axis=0)
-    freeing_30 = supply.projected[1 : min(31, supply.projected.shape[0])].sum(axis=0)
+def reference_project_supply(vehicles, grid, horizon=30):
+    """project_supply as it was: vehicles available now per zone, and busy
+    ones in a (horizon + 1)-deep cube by the tick they free."""
+    available = np.zeros((grid.height, grid.width))
+    projected = np.zeros((horizon + 1, grid.height, grid.width))
+    for v in vehicles:
+        if is_available(v):
+            available[v.location.row, v.location.col] += 1
+            continue
+        if not v.stops:
+            continue
+        final_zone, cum = v.stops[-1]
+        eta = math.ceil(cum / grid.vehicle_speed)
+        if eta <= horizon:
+            projected[eta, final_zone.row, final_zone.col] += 1
+    return available, projected
+
+
+def reference_encode(available, projected, forecast, v, tick, ticks_per_day, window):
+    """The observation as it was built from 30-step cubes: each call sums
+    the forecast and projection steps itself and crops each channel."""
+    demand_next = forecast[1 : min(16, forecast.shape[0])].sum(axis=0)
+    freeing_15 = projected[1 : min(16, projected.shape[0])].sum(axis=0)
+    freeing_30 = projected[1 : min(31, projected.shape[0])].sum(axis=0)
     channels = np.stack([crop_window(m, v.location, window)
-                         for m in (demand_next, supply.available, freeing_15, freeing_30)])
+                         for m in (demand_next, available, freeing_15, freeing_30)])
     tod = 2.0 * math.pi * (tick % ticks_per_day) / ticks_per_day
     dow = 2.0 * math.pi * ((tick // ticks_per_day) % 7) / 7.0
     scalars = [v.seats_free, v.trunk_free, math.sin(tod), math.cos(tod), math.sin(dow),
@@ -123,25 +146,55 @@ def reference_encode(supply, forecast, v, tick, ticks_per_day, window):
     return np.concatenate([channels.ravel(), scalars])
 
 
-@pytest.mark.parametrize("horizon", [5, 15, 20, 30, 40])
-def test_encode_from_tick_maps_equals_per_call_sums(horizon):
-    rng = np.random.default_rng(horizon)
+def random_fleet(rng, grid):
+    """Vehicles at random zones with random manifests; small capacities fill
+    up, so some are busy, and a few have no capacity and no plan at all."""
+    def zone():
+        return ZoneId(int(rng.integers(grid.height)), int(rng.integers(grid.width)))
+
+    fleet = []
+    for vid in range(int(rng.integers(1, 40))):
+        v = VehicleState(id=vid, location=zone(), seats_total=int(rng.integers(3)),
+                         trunk_total=int(rng.integers(3)))
+        for kind, free in ((PASSENGER, v.seats_total), (GOODS, v.trunk_total)):
+            for _ in range(int(rng.integers(free + 1))):
+                v.add_entry(ManifestEntry(len(v.manifest), kind, zone(), zone(),
+                                          onboard=bool(rng.integers(2))))
+        fleet.append(v)
+    return fleet
+
+
+@pytest.mark.parametrize("seed", [5, 15, 20, 30, 40])
+def test_encode_from_tick_maps_equals_per_call_sums(seed):
+    # the maps from the 15-step forecast and the freeing list are, bit for
+    # bit, the slices of the 30-step forecast and supply cubes
+    rng = np.random.default_rng(seed)
     for trial in range(20):
         height, width = (int(n) for n in rng.integers(1, 25, size=2))
-        _, supply, forecast = empty_world(width, height, horizon)
-        supply.available[:] = rng.integers(0, 3, size=(height, width))
-        supply.projected[:] = rng.poisson(0.3, size=supply.projected.shape)
-        forecast.counts[:] = rng.random(forecast.counts.shape) * 0.2
-        maps = observation_maps(supply, forecast)
-        for _ in range(10):
-            v = VehicleState(id=0, location=ZoneId(int(rng.integers(height)),
-                                                   int(rng.integers(width))),
-                             seats_total=int(rng.integers(5)), trunk_total=int(rng.integers(6)))
-            tick = int(rng.integers(5000))
+        grid = GridWorld(width=width, height=height, vehicle_speed=int(rng.integers(1, 4)))
+        forecaster = HistoricalAverageForecaster(grid, ticks_per_day=int(rng.integers(1, 60)))
+        for t in range(int(rng.integers(0, 80))):
+            forecaster.record(t, rng.poisson(0.3, size=(height, width)) * rng.random())
+        tick = int(rng.integers(5000))
+        fleet = random_fleet(rng, grid)
+        maps = observation_maps(project_supply(fleet, grid), forecaster.forecast(tick, DEMAND_REACH))
+        available, projected = reference_project_supply(fleet, grid)
+        cube = forecaster.forecast(tick, 30)
+        for v in fleet:
             window = int(rng.choice([1, 3, 15]))
-            got = encode_state(maps, v, tick, ticks_per_day=250, window=window).vector()
-            want = reference_encode(supply, forecast, v, tick, 250, window)
-            assert np.array_equal(got, want), (horizon, trial, v.location, window)
+            got = encode_state(maps, v, tick, ticks_per_day=250, window=window)
+            want = reference_encode(available, projected, cube, v, tick, 250, window)
+            assert got.tobytes() == want.tobytes(), (seed, trial, v.id, window)
+
+
+def test_freeing_channels_count_within_their_reach():
+    _, supply, forecast = empty_world(width=3, height=1)
+    # (ticks until free, row, col): eta 0 is free already, 31 is out of reach
+    supply.freeing = np.array([[0, 0, 0], [1, 0, 0], [15, 0, 1], [16, 0, 1], [30, 0, 2],
+                               [31, 0, 2]])
+    maps = observation_maps(supply, forecast)
+    assert maps[2].tolist() == [[1, 1, 0]]  # within 15 ticks
+    assert maps[3].tolist() == [[1, 2, 1]]  # within 30 ticks
 
 
 def test_crop_window_identity_inside():

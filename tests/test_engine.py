@@ -215,8 +215,11 @@ def relay_waiting_at_hub():
     sim.initialize()
     sim.vehicles[0].location = ZoneId(0, 0)
     inject_requests(sim, [Request(0, GOODS, ZoneId(0, 0), ZoneId(0, 6), 0, 0.5)])
-    while not sim.log.by_kind("hop_drop"):
+    for _ in range(30):  # the hop drop comes at tick 6; a stalled relay fails below
         sim.step()
+        if sim.log.by_kind("hop_drop"):
+            break
+    assert sim.log.by_kind("hop_drop"), "the first leg reached no hub within 30 ticks"
     leg = next(r for r in sim.registry.values() if r.parent_id == 0)
     assert sim.queue == [leg.id]
     sim.run(ticks=0)  # the intact relay passes the full conservation check

@@ -121,6 +121,50 @@ def test_move_respects_speed_and_row_first():
     assert v.location == ZoneId(3, 1)
 
 
+def reference_move(v, grid):
+    """move as it was before it reached its position in one step: one
+    lattice step at a time, row coordinate first."""
+    target = v.dispatch_target if v.status == DISPATCHING else v.next_stop()
+    moved = 0
+    while moved < grid.vehicle_speed and v.location != target:
+        (row, col), (t_row, t_col) = v.location, target
+        if row != t_row:
+            v.location = ZoneId(row + (1 if t_row > row else -1), col)
+        else:
+            v.location = ZoneId(row, col + (1 if t_col > col else -1))
+        moved += 1
+    if moved and v.status != DISPATCHING:
+        v.stops = [(zone, cum - moved) for zone, cum in v.stops]
+    return moved
+
+
+def test_move_matches_stepwise_reference():
+    rng = np.random.default_rng(3)
+
+    def zone(height, width):
+        return ZoneId(int(rng.integers(height)), int(rng.integers(width)))
+
+    for trial in range(400):
+        height, width = (int(n) for n in rng.integers(1, 12, size=2))
+        grid = GridWorld(width=width, height=height, vehicle_speed=int(rng.integers(1, 6)))
+        status = [DISPATCHING, MATCHED, SERVING][trial % 3]
+        pair = [make_vehicle(loc=zone(height, width), status=status) for _ in range(2)]
+        pair[1].location = pair[0].location
+        target = zone(height, width)
+        entries = [(int(rng.integers(2)), zone(height, width), zone(height, width))
+                   for _ in range(int(rng.integers(1, 4)))]
+        for v in pair:
+            if status == DISPATCHING:
+                v.dispatch_target = target
+            for rid, (onboard, origin, dest) in enumerate(entries):
+                v.add_entry(entry(rid, PASSENGER, origin, dest, onboard=bool(onboard)))
+        got, want = pair
+        for _ in range(3):  # consecutive moves, up to and past the target
+            assert move(got, grid) == reference_move(want, grid), trial
+            assert (got.location, got.stops) == (want.location, want.stops), trial
+            assert type(got.location) is ZoneId
+
+
 def test_location_changes_at_most_speed_per_tick():
     grid = GridWorld(width=20, height=20, vehicle_speed=3)
     rng = np.random.default_rng(0)
@@ -204,29 +248,19 @@ def test_serving_with_empty_plan_raises():
 def test_project_supply_all_idle():
     grid = GridWorld(width=6, height=6)
     vehicles = [VehicleState(id=i, location=ZoneId(2, 3)) for i in range(7)]
-    snap = project_supply(vehicles, grid, horizon=5)
+    snap = project_supply(vehicles, grid)
     assert snap.available[2, 3] == 7
     assert snap.available.sum() == 7
-    assert snap.projected.sum() == 0
+    assert snap.freeing.shape == (0, 3)
 
 
 def test_project_supply_busy_vehicle_eta():
     grid = GridWorld(width=10, height=10)
     v = VehicleState(id=0, location=ZoneId(0, 0), status=SERVING, seats_total=1, trunk_total=0)
     v.add_entry(entry(1, PASSENGER, (0, 0), (0, 3), onboard=True))
-    snap = project_supply([v], grid, horizon=5)
+    snap = project_supply([v], grid)
     assert snap.available.sum() == 0  # full vehicle
-    assert snap.projected[3, 0, 3] == 1
-    assert snap.projected.sum() == 1
-
-
-def test_project_supply_beyond_horizon_ignored():
-    grid = GridWorld(width=10, height=10)
-    v = VehicleState(id=0, location=ZoneId(0, 0), status=SERVING, seats_total=1, trunk_total=0)
-    v.add_entry(entry(1, PASSENGER, (0, 0), (0, 9), onboard=True))
-    snap = project_supply([v], grid, horizon=5)
-    assert snap.projected.sum() == 0
-    assert project_supply([v], grid, horizon=9).projected[9, 0, 9] == 1
+    assert snap.freeing.tolist() == [[3, 0, 3]]  # free in 3 ticks at (0, 3)
 
 
 def stored_tallies(v):

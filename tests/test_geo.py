@@ -10,7 +10,6 @@ from hopfleet.geo import (
     ZoneId,
     designate_hop_zones,
     hub_lattice,
-    step_toward,
 )
 
 
@@ -94,26 +93,12 @@ def test_designate_hop_zones_respects_filter_exactly():
         assert (z in chosen) == (counts[z] >= 10)
 
 
-def test_designate_hop_zones_offset():
-    g = make_grid(w=9, h=9)
-    counts = {z: 100 for z in g.all_zones()}
-    chosen = designate_hop_zones(g, stride=3, pickup_counts=counts, min_pickups=0, offset=1)
-    assert chosen == frozenset(ZoneId(r, c) for r in (1, 4, 7) for c in (1, 4, 7))
-
-
-def test_hub_lattice_row_major_and_offset_wraps():
+def test_hub_lattice_row_major():
     g = make_grid(w=7, h=5)
     assert hub_lattice(g, stride=3) == [ZoneId(r, c) for r in (0, 3) for c in (0, 3, 6)]
-    assert hub_lattice(g, stride=3, offset=4) == hub_lattice(g, stride=3, offset=1)
     assert hub_lattice(g, stride=1) == list(g.all_zones())
     with pytest.raises(ValueError):
         hub_lattice(g, stride=0)
-
-
-def test_step_toward_row_first():
-    assert step_toward(ZoneId(0, 0), ZoneId(2, 2)) == ZoneId(1, 0)
-    assert step_toward(ZoneId(2, 0), ZoneId(2, 2)) == ZoneId(2, 1)
-    assert step_toward(ZoneId(2, 2), ZoneId(2, 2)) == ZoneId(2, 2)
 
 
 def test_zones_within_radius():
