@@ -31,4 +31,4 @@ sim.initialize()
 log = sim.run(mode=MODE_EVAL)
 print(f"\nevaluation episode: {len(log.events)} logged events")
 print()
-print(build_report(log).table())
+print(build_report(log).to_json())

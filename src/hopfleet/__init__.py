@@ -19,7 +19,6 @@ from .engine import (
     EpisodeLog,
     SimConfig,
     Simulation,
-    run_episode,
 )
 from .geo import GridWorld, TravelEstimate, ZoneId, designate_hop_zones
 from .hopplan import HopTrip, assign_hop_zones
@@ -54,5 +53,4 @@ __all__ = [
     "global_objective",
     "match",
     "poisson_pmf",
-    "run_episode",
 ]

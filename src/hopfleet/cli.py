@@ -52,12 +52,16 @@ class TrainSettings:
     checkpoint_every: int  # episodes between checkpoint files
 
     def __post_init__(self):
-        check_lower_bounds(self, "train.", (("checkpoint_every", 1),))
+        check_lower_bounds(self, "train.", (("episodes", 1), ("checkpoint_every", 1)))
 
 
 @dataclass
 class EvalSettings:
     seeds: list
+
+    def __post_init__(self):
+        if not self.seeds:
+            raise ValueError(f"eval.seeds must list at least one seed, got {self.seeds}")
 
 
 @dataclass
@@ -67,37 +71,33 @@ class ExperimentConfig:
     eval: EvalSettings
     out_dir: str
 
-    def __post_init__(self):
-        if isinstance(self.sim, dict):
-            self.sim = SimConfig(**self.sim)
-        if isinstance(self.train, dict):
-            self.train = TrainSettings(**self.train)
-        if isinstance(self.eval, dict):
-            self.eval = EvalSettings(**self.eval)
 
+def build_config(cls, data, where: str = ""):
+    """``cls`` built from the mapping ``data``, nested sections included.
 
-def _check_keys(data, cls, where: str = ""):
-    """Raise ValueError naming a key of ``data`` that ``cls`` does not have,
-    or a field of ``cls``, nested sections included, that ``data`` leaves
-    out: every key is required."""
+    Raise ValueError naming a key of ``data`` that ``cls`` does not have, or
+    a field of ``cls`` that ``data`` leaves out: every key is required."""
     if not isinstance(data, dict):
         raise ValueError(f"{where.rstrip('.') or 'config'} must be a mapping")
     types = get_type_hints(cls)
     for key in data:
         if key not in types:
             raise ValueError(f"unknown key {where}{key}")
+    values = {}
     for f in fields(cls):
         if f.name not in data:
             raise ValueError(f"missing key {where}{f.name}")
+        value = data[f.name]
         if is_dataclass(types[f.name]):
-            _check_keys(data[f.name], types[f.name], f"{where}{f.name}.")
+            value = build_config(types[f.name], value, f"{where}{f.name}.")
+        values[f.name] = value
+    return cls(**values)
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         data = yaml.safe_load(fh)
-    _check_keys(data, ExperimentConfig)
-    return ExperimentConfig(**data)
+    return build_config(ExperimentConfig, data)
 
 
 def _resolve_out(cfg: ExperimentConfig, flag_value) -> str:
@@ -118,11 +118,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 class Timings:
     """Host time per tick phase, summed over the episodes of one command."""
 
@@ -140,8 +135,9 @@ class Timings:
             json.dump({"ticks": self.ticks, "phase_seconds": self.phase_seconds}, fh, indent=2)
 
 
-class ConfigError(Exception):
-    """The run's config cannot be used; the CLI prints why and exits 2."""
+class InputError(Exception):
+    """A config, checkpoint or report file cannot be used; the CLI prints why
+    and exits 2."""
 
 
 def _run_config(args) -> ExperimentConfig:
@@ -149,9 +145,19 @@ def _run_config(args) -> ExperimentConfig:
     try:
         return _apply_overrides(load_config(args.config), args)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}") from None
+        raise InputError(f"config file not found: {args.config}") from None
     except (yaml.YAMLError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config {args.config}: {exc}") from None
+        raise InputError(f"bad config {args.config}: {exc}") from None
+
+
+def _load_checkpoint(policy: DispatchPolicy, path: str) -> dict:
+    """Load the checkpoint at ``path`` into ``policy``; its header."""
+    try:
+        return policy.load(path)
+    except FileNotFoundError:
+        raise InputError(f"checkpoint not found: {path}") from None
+    except CheckpointError as exc:
+        raise InputError(f"checkpoint rejected: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +171,7 @@ def cmd_train(args) -> int:
     policy = DispatchPolicy(cfg.sim)
     start_episode = 0
     if args.checkpoint:
-        try:
-            header = policy.load(args.checkpoint)
-        except FileNotFoundError:
-            return _fail(f"checkpoint not found: {args.checkpoint}")
-        except CheckpointError as exc:
-            return _fail(f"checkpoint rejected: {exc}")
+        header = _load_checkpoint(policy, args.checkpoint)
         start_episode = int(header.get("extra", {}).get("episode", 0))
         print(f"resumed from {args.checkpoint} at step {policy.schedule_step}")
 
@@ -262,12 +263,7 @@ def cmd_eval(args) -> int:
     out = _resolve_out(cfg, args.out)
     policy = DispatchPolicy(cfg.sim)
     if args.checkpoint:
-        try:
-            policy.load(args.checkpoint)
-        except FileNotFoundError:
-            return _fail(f"checkpoint not found: {args.checkpoint}")
-        except CheckpointError as exc:
-            return _fail(f"checkpoint rejected: {exc}")
+        _load_checkpoint(policy, args.checkpoint)
     timings = Timings()
     report = evaluate(cfg, policy, args.checkpoint, timings)
     path = os.path.join(out, f"report_{cfg.sim.baseline}.json")
@@ -311,11 +307,15 @@ def cmd_compare(args) -> int:
     for path in args.reports:
         try:
             with open(path) as fh:
-                reports.append(json.load(fh))
+                report = json.load(fh)
         except FileNotFoundError:
-            return _fail(f"report not found: {path}")
+            raise InputError(f"report not found: {path}") from None
         except json.JSONDecodeError as exc:
-            return _fail(f"unreadable report {path}: {exc}")
+            raise InputError(f"unreadable report {path}: {exc}") from None
+        if not (isinstance(report, dict) and "baseline" in report
+                and isinstance(report.get("aggregate"), dict)):
+            raise InputError(f"not an eval report: {path}")
+        reports.append(report)
     base = reports[0]
     comparison = {"reference": base["baseline"], "metrics": {}}
     name_width = max(len(m) for m in COMPARE_DIRECTIONS)
@@ -350,10 +350,9 @@ def cmd_compare(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = _run_config(args)
-    ticks = args.ticks or cfg.sim.episode_ticks
-    requests = generate_workload(cfg.sim, ticks)
+    requests = generate_workload(cfg.sim, cfg.sim.episode_ticks)
     write_trip_records(args.out, requests)
-    print(f"wrote {len(requests)} requests over {ticks} ticks to {args.out}")
+    print(f"wrote {len(requests)} requests over {cfg.sim.episode_ticks} ticks to {args.out}")
     return 0
 
 
@@ -402,8 +401,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        return _fail(str(exc))
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -136,6 +136,7 @@ class RLConfig:
             raise ValueError(f"rl.window must be odd, got {self.window}")
         check_lower_bounds(self, "rl.", (("window", 1), ("action_radius", 0), ("batch_size", 1),
                                          ("buffer_capacity", 1), ("sync_period", 1)))
+        self.hidden = tuple(self.hidden)
 
 
 @dataclass
@@ -169,16 +170,14 @@ class SimConfig:
             raise ValueError(f"baseline must be one of {BASELINES}")
         check_lower_bounds(self, "", (("n_vehicles", 1), ("ticks_per_day", 1), ("t_n", 1),
                                       ("episode_ticks", 0), ("seats", 0), ("trunk", 0),
-                                      ("separate_goods_trunk", 0), ("max_hop_depth", 0)))
+                                      ("separate_goods_trunk", 0), ("max_hop_depth", 0),
+                                      ("reject_radius_m", 0), ("patience_ticks", 0),
+                                      ("warmup_ticks", 0)))
         if not 0.0 <= self.separate_split <= 1.0:
             raise ValueError(f"separate_split must be in [0, 1], got {self.separate_split}")
-        if isinstance(self.grid, dict):
-            self.grid = GridConfig(**self.grid)
-        if isinstance(self.demand, dict):
-            self.demand = DemandConfig(**self.demand)
-        if isinstance(self.rl, dict):
-            self.rl = RLConfig(**self.rl)
-        self.rl.hidden = tuple(self.rl.hidden)
+        if not self.dt_minutes > 0:
+            # the report's minute-based metrics scale by it
+            raise ValueError(f"dt_minutes must be > 0, got {self.dt_minutes}")
         zones = self.grid.width * self.grid.height
         if not 0 <= self.demand.origin_hot_zone_count <= zones:
             # the hot zones are distinct zones of the grid
@@ -249,22 +248,6 @@ class EpisodeLog:
         with open(path, "w") as fh:
             fh.write(self.canonical())
 
-    @classmethod
-    def from_jsonl(cls, path) -> "EpisodeLog":
-        with open(path) as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        head = lines[0]
-        log = cls(
-            n_vehicles=head["n_vehicles"],
-            dt_minutes=head["dt_minutes"],
-            ticks_per_day=head["ticks_per_day"],
-            baseline=head["baseline"],
-            seed=head["seed"],
-            ticks=head["ticks"],
-        )
-        log.events = lines[1:]
-        return log
-
 
 # ---------------------------------------------------------------------------
 # dispatch policy container
@@ -285,9 +268,6 @@ class DispatchPolicy:
         self.target = self.online.clone()
         self.buffer = rl.ReplayBuffer(cfg.rl.buffer_capacity)
         self.schedule_step = 0
-
-    def store(self, tr: rl.Transition):
-        self.buffer.push(tr)
 
     def train_tick(self):
         """One training step and the scheduled target sync; returns the loss or None."""
@@ -712,8 +692,8 @@ class Simulation:
                 pend.accum += (self.cfg.discount ** (self.tick - pend.tick - 1)) * reward_of[vid]
         for vid, (old, next_vec) in self._finalize.items():
             old.accum += (self.cfg.discount ** (self.tick - old.tick - 1)) * reward_of[vid]
-            self.policy.store(rl.Transition(old.state, old.action, old.accum, next_vec,
-                                            elapsed=self.tick - old.tick - 1))
+            self.policy.buffer.push(rl.Transition(old.state, old.action, old.accum, next_vec,
+                                                  elapsed=self.tick - old.tick - 1))
         self._finalize = {}
 
         gap = supply_demand_gap(forecast[0], supply.available)
@@ -814,14 +794,9 @@ class Simulation:
         self._advance(detail)
         marks.append(clock())
         self._settle(supply, forecast, detour, detail)
-        self.log.add(self.tick, "tick_stats", active=detail["active"],
-                     moved_total=detail["moved_total"], moved_serving=detail["moved_serving"],
-                     gap=detail["gap"], dispatch_time=detail["dispatch_time"],
-                     detour_delay=detail["detour_delay"], activations=detail["activations"],
-                     hops=detail["hops"], objective=detail["objective"],
-                     queued=detail["queued"], generated=detail["generated"],
-                     assigned=detail["assigned"], rejected=detail["rejected"],
-                     reward_mean=detail["reward_mean"])
+        # q_max feeds the training curve, not the log
+        self.log.add(self.tick, "tick_stats",
+                     **{k: v for k, v in detail.items() if k != "q_max"})
         marks.append(clock())
         self._check_invariants(full=(self.tick % FULL_CHECK_EVERY == 0))
         marks.append(clock())
@@ -848,9 +823,9 @@ class Simulation:
                                    self.forecaster.forecast(self.tick, rl.DEMAND_REACH))
         for vid in sorted(self.pending):
             pend = self.pending[vid]
-            self.policy.store(rl.Transition(pend.state, pend.action, pend.accum,
-                                            self._observe(maps, self.vehicles[vid]),
-                                            elapsed=max(0, self.tick - pend.tick - 1)))
+            self.policy.buffer.push(rl.Transition(pend.state, pend.action, pend.accum,
+                                                  self._observe(maps, self.vehicles[vid]),
+                                                  elapsed=max(0, self.tick - pend.tick - 1)))
         self.pending = {}
 
     def run(self, ticks: int | None = None, mode: str = MODE_EVAL) -> EpisodeLog:
@@ -867,17 +842,9 @@ class Simulation:
         return self.log
 
 
-def run_episode(cfg: SimConfig, mode: str = MODE_EVAL, ticks: int | None = None,
-                policy: DispatchPolicy | None = None) -> EpisodeLog:
-    """Initialize a fresh world from the config and run one episode."""
-    sim = Simulation(cfg, policy=policy)
-    sim.initialize()
-    return sim.run(ticks=ticks, mode=mode)
-
-
-def generate_workload(cfg: SimConfig, ticks: int, seed: int | None = None) -> list:
+def generate_workload(cfg: SimConfig, ticks: int) -> list:
     """Draw the request stream the config implies, without simulating the fleet."""
-    sim = Simulation(cfg if seed is None else replace(cfg, seed=seed))
+    sim = Simulation(cfg)
     sim._build_demand()
     rng = np.random.default_rng(sim.cfg.seed)
     out = []

@@ -8,7 +8,7 @@ charged per non-idle vehicle-hour at a flat gallons-per-hour burn rate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .geo import manhattan
 
@@ -129,30 +129,6 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True, indent=2)
 
-    def table(self) -> str:
-        rows = [
-            ("baseline", self.baseline),
-            ("seed", self.seed),
-            ("ticks", self.ticks),
-            ("vehicles", self.n_vehicles),
-            ("generated (p/g)", f"{self.generated.get('passenger', 0)}/{self.generated.get('goods', 0)}"),
-            ("accept rate overall", _fmt(self.accept_rate_overall)),
-            ("accept rate passenger", _fmt(self.accept_rate_passenger)),
-            ("accept rate goods", _fmt(self.accept_rate_goods)),
-            ("fuel cost / delivery ($)", _fmt(self.fuel_cost_per_delivery, 4)),
-            ("active vehicle ratio", _fmt(self.active_vehicle_ratio)),
-            ("mean wait (min)", _fmt(self.mean_wait_minutes)),
-            ("effective distance ratio", _fmt(self.effective_distance_ratio)),
-            ("hop transfers", self.hop_transfers),
-            ("delivered", self.delivered),
-        ]
-        width = max(len(str(k)) for k, _ in rows)
-        return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
-
-
-def _fmt(value, digits=3):
-    return "n/a" if value is None else f"{value:.{digits}f}"
-
 
 def per_day_series(index: LogIndex) -> list:
     """Accept rate, wait, and activity bucketed by simulated day."""
@@ -164,17 +140,17 @@ def per_day_series(index: LogIndex) -> list:
     series = []
     for day in days:
         lo, hi = day * tpd, (day + 1) * tpd
-        in_day = [r for r in index.requests.values() if lo <= r["created"] < hi]
-        picked = [r for r in in_day if r["picked"] is not None]
-        day_stats = [e for e in stats if lo <= e["tick"] < hi]
+        day_index = replace(
+            index,
+            requests={rid: r for rid, r in index.requests.items() if lo <= r["created"] < hi},
+            stats=[e for e in stats if lo <= e["tick"] < hi],
+        )
         series.append({
             "day": day,
-            "generated": len(in_day),
-            "accept_rate": len(picked) / len(in_day) if in_day else None,
-            "mean_wait_ticks": (sum(r["picked"] - r["created"] for r in picked) / len(picked)
-                                if picked else None),
-            "active_vehicle_ratio": (sum(e["active"] / index.n_vehicles for e in day_stats)
-                                     / len(day_stats) if day_stats else None),
+            "generated": len(day_index.requests),
+            "accept_rate": accept_rate(day_index),
+            "mean_wait_ticks": mean_wait(day_index),
+            "active_vehicle_ratio": active_vehicle_ratio(day_index),
         })
     return series
 

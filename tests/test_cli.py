@@ -61,7 +61,7 @@ def test_missing_config_exit_2():
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize(
-    "sim",  # keys of the sim section (or train.*), each followed by the bad value it gets
+    "sim",  # keys of the sim section (or train.*, eval.*), each followed by the bad value it gets
     [
         ("rl.window", 14),
         ("grid.hop_stride", 0),
@@ -101,13 +101,20 @@ def test_missing_config_exit_2():
         ("horizon", 30),  # removed: the observation fixes its own look-ahead
         ("grid.hop_offset", 0),  # removed: hubs sit on multiples of hop_stride
         ("train.checkpoint_every", 0),
+        ("dt_minutes", 0),  # the report's minute-based metrics would read 0.0
+        ("train.episodes", 0),
+        ("train.episodes", -2),
+        ("reject_radius_m", -1),
+        ("warmup_ticks", -3),
+        ("eval.seeds", []),
+        ("patience_ticks", -1),
     ],
 )
 def test_bad_config_exit_2(command, sim, tmp_path, capsys):
     data = desk_yaml()
     keys = sim[::2]
     for key, value in zip(keys, sim[1::2]):
-        holder, leaf = locate(data if key.startswith("train.") else data["sim"], key)
+        holder, leaf = locate(data if key.startswith(("train.", "eval.")) else data["sim"], key)
         holder[leaf] = value
     assert _run_on(data, command, tmp_path) == 2
     err = capsys.readouterr().err
@@ -260,6 +267,14 @@ def test_compare_identical_reports_zero_delta(smoke_config, tmp_path, capsys):
 
 def test_compare_missing_file_exit_2():
     assert main(["compare", "/nonexistent/report.json"]) == 2
+
+
+@pytest.mark.parametrize("content", ["{}", "[1]", "{unclosed"])
+def test_compare_non_report_exit_2(content, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(content)
+    assert main(["compare", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_gen_data_round_trips(smoke_config, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hopfleet import demand as dm
 from hopfleet import engine
 from hopfleet import fleet as fl
+from hopfleet.cli import build_config
 from hopfleet.demand import GOODS, PASSENGER, Request, write_trip_records
 from hopfleet.dispatch_rl import offset_to_action
 from hopfleet.engine import (
@@ -16,10 +17,8 @@ from hopfleet.engine import (
     BASELINE_SEPARATE,
     BASELINES,
     EngineInvariantError,
-    EpisodeLog,
     SimConfig,
     Simulation,
-    run_episode,
 )
 from hopfleet.geo import ZoneId, manhattan
 from hopfleet.reward import agent_reward
@@ -49,9 +48,6 @@ class ScriptedPolicy:
 
     def act_probability(self, training):
         return 1.0
-
-    def store(self, tr):
-        pass
 
     def train_tick(self):
         self.schedule_step += 1
@@ -421,7 +417,7 @@ def test_full_check_catches_stale_tallies(tally):
 
 
 def test_flex_nohops_never_hops():
-    log = run_episode(small_cfg(baseline=BASELINE_FLEX_NOHOPS, episode_ticks=40), mode="train")
+    log = Simulation(small_cfg(baseline=BASELINE_FLEX_NOHOPS, episode_ticks=40)).run(mode="train")
     assert log.by_kind("hop_drop") == []
 
 
@@ -443,8 +439,16 @@ def test_separate_never_mixes_kinds_in_one_vehicle():
             assert kinds != {PASSENGER, GOODS}
 
 
+def test_zero_patience_rejects_in_the_arrival_tick():
+    # patience 0 is a valid setting: a request must match in the tick it arrives
+    log = Simulation(small_cfg(episode_ticks=40, patience_ticks=0)).run(mode="eval")
+    created = {e["request"]: e["tick"] for e in log.by_kind("request")}
+    rejects = log.by_kind("reject")
+    assert rejects and all(e["tick"] == created[e["request"]] for e in rejects)
+
+
 def test_accept_accounting_identity():
-    log = run_episode(small_cfg(episode_ticks=60, seed=4), mode="train")
+    log = Simulation(small_cfg(episode_ticks=60, seed=4)).run(mode="train")
     originals = [e for e in log.by_kind("request") if e["parent"] is None]
     picked = {e["request"] for e in log.by_kind("pickup") if e["parent"] is None}
     rejected = {e["request"] for e in log.by_kind("reject")}
@@ -468,24 +472,23 @@ def test_goods_conservation_over_episode():
             assert req.delivery_tick >= req.pickup_tick
 
 
-def test_episode_log_round_trips_through_jsonl(tmp_path):
-    log = run_episode(small_cfg(episode_ticks=20), mode="eval")
+def test_to_jsonl_writes_canonical(tmp_path):
+    log = Simulation(small_cfg(episode_ticks=20)).run(mode="eval")
     path = tmp_path / "episode.jsonl"
     log.to_jsonl(path)
-    back = EpisodeLog.from_jsonl(path)
-    assert back.canonical() == log.canonical()
+    assert path.read_text() == log.canonical()
 
 
 def test_zero_tick_episode_empty_log():
-    log = run_episode(small_cfg(episode_ticks=0), mode="eval")
+    log = Simulation(small_cfg(episode_ticks=0)).run(mode="eval")
     assert log.ticks == 0
     assert log.events == []
 
 
 def test_replay_bit_identical():
-    a = run_episode(small_cfg(seed=21, episode_ticks=40), mode="train").canonical()
-    b = run_episode(small_cfg(seed=21, episode_ticks=40), mode="train").canonical()
-    c = run_episode(small_cfg(seed=22, episode_ticks=40), mode="train").canonical()
+    a = Simulation(small_cfg(seed=21, episode_ticks=40)).run(mode="train").canonical()
+    b = Simulation(small_cfg(seed=21, episode_ticks=40)).run(mode="train").canonical()
+    c = Simulation(small_cfg(seed=22, episode_ticks=40)).run(mode="train").canonical()
     assert a == b
     assert a != c
 
@@ -521,8 +524,8 @@ def test_training_steps_move_parameters():
     rng = np.random.default_rng(0)
     dim = sim.policy.input_dim
     for _ in range(16):
-        sim.policy.store(Transition(rng.normal(size=dim), int(rng.integers(225)),
-                                    float(rng.normal()), rng.normal(size=dim), 0))
+        sim.policy.buffer.push(Transition(rng.normal(size=dim), int(rng.integers(225)),
+                                          float(rng.normal()), rng.normal(size=dim), 0))
     before = sim.policy.online.parameters()
     sim.run(ticks=10, mode="train")
     after = sim.policy.online.parameters()
@@ -556,4 +559,4 @@ def test_bad_config_rejected_when_built(kw, msg):
     holder, leaf = locate(sim, key)
     holder[leaf] = value
     with pytest.raises(ValueError, match=msg):
-        SimConfig(**sim)
+        build_config(SimConfig, sim)
