@@ -7,6 +7,9 @@ passes so gradients can be verified by finite differences. Targets follow
 the double estimator: the online network picks the bootstrap action, the
 target network evaluates it, discounted by gamma^(1 + elapsed) where
 ``elapsed`` counts extra ticks between an agent's consecutive decisions.
+A training update takes the targets of a batch as arrays and the clipped
+SGD step in place on the fresh gradients; the tests hold both, bit for bit,
+to a per-row loop and an out-of-place step.
 """
 
 from __future__ import annotations
@@ -193,18 +196,22 @@ class QNetwork:
         return loss, (grads_w, grads_b)
 
     def apply_gradients(self, grads, learning_rate: float):
+        """One SGD step of ``learning_rate`` on ``grads`` after clipping their
+        global norm at CLIP_NORM. It consumes ``grads``: each array is scaled
+        in place into its step, so no parameter-sized temporary is built
+        beyond the squares the norm sums."""
         grads_w, grads_b = grads
         total = math.sqrt(
             sum(float((g**2).sum()) for g in grads_w) + sum(float((g**2).sum()) for g in grads_b)
         )
+        steps = [*grads_w, *grads_b]
         if total > CLIP_NORM:
             scale = CLIP_NORM / total
-            grads_w = [g * scale for g in grads_w]
-            grads_b = [g * scale for g in grads_b]
-        for w, g in zip(self.weights, grads_w):
-            w -= learning_rate * g
-        for b, g in zip(self.biases, grads_b):
-            b -= learning_rate * g
+            for g in steps:
+                g *= scale
+        for p, g in zip([*self.weights, *self.biases], steps):
+            g *= learning_rate
+            p -= g
 
     # -- parameters -------------------------------------------------------
 
@@ -212,15 +219,20 @@ class QNetwork:
         return [*(w.copy() for w in self.weights), *(b.copy() for b in self.biases)]
 
     def set_parameters(self, params: Sequence[np.ndarray]):
+        """Copy in the weights then the biases, as ``parameters`` lists them;
+        a wrong count or any wrong shape raises CheckpointShapeError and
+        leaves the network as it was."""
         k = len(self.weights)
-        for i, w in enumerate(params[:k]):
-            if w.shape != self.weights[i].shape:
+        if len(params) != 2 * k:
+            raise CheckpointShapeError(f"expected {2 * k} parameter arrays, got {len(params)}")
+        for i, (p, own) in enumerate(zip(params, [*self.weights, *self.biases])):
+            if p.shape != own.shape:
+                kind = "weights" if i < k else "bias"
                 raise CheckpointShapeError(
-                    f"layer {i}: expected {self.weights[i].shape}, got {w.shape}"
+                    f"layer {i % k} {kind}: expected {own.shape}, got {p.shape}"
                 )
-            self.weights[i] = w.copy()
-        for i, b in enumerate(params[k:]):
-            self.biases[i] = b.copy()
+        self.weights[:] = [w.copy() for w in params[:k]]
+        self.biases[:] = [b.copy() for b in params[k:]]
 
     def clone(self) -> "QNetwork":
         twin = QNetwork(self.input_dim, self.n_actions, self.hidden, rng=np.random.default_rng(0))
@@ -277,13 +289,16 @@ def ddqn_target(tr: Transition, online: QNetwork, target: QNetwork, gamma: float
 
 
 def ddqn_targets(batch: Sequence[Transition], online: QNetwork, target: QNetwork, gamma: float) -> np.ndarray:
+    """``ddqn_target``'s formula for a whole batch, with one forward pass per
+    network. Each discount is taken with Python's ``**``: ``np.power``
+    differs from it in the last bit for some exponents."""
     next_states = np.stack([tr.next_state for tr in batch])
     best = np.argmax(online.q_values(next_states), axis=1)
     boot = target.q_values(next_states)[np.arange(len(batch)), best]
-    out = np.empty(len(batch))
-    for i, tr in enumerate(batch):
-        out[i] = tr.reward if tr.terminal else tr.reward + gamma ** (1 + tr.elapsed) * boot[i]
-    return out
+    reward = np.array([tr.reward for tr in batch], dtype=float)
+    terminal = np.array([tr.terminal for tr in batch], dtype=bool)
+    discount = np.array([gamma ** (1 + tr.elapsed) for tr in batch], dtype=float)
+    return np.where(terminal, reward, reward + discount * boot)
 
 
 def train_step(
@@ -299,7 +314,8 @@ def train_step(
 
     ``learning_rate`` is the plain SGD step on the batch-mean gradient (after
     norm clipping at ``CLIP_NORM``), so one sampled transition moves its own
-    value in proportion to ``learning_rate / batch_size``.
+    value in proportion to ``learning_rate / batch_size``. The step consumes
+    the gradients ``loss_and_gradients`` returns.
     """
     if len(buffer) < batch_size:
         return None
@@ -401,7 +417,10 @@ def load_checkpoint(path, expected: dict | None = None) -> tuple:
         for tag in ("online", "target"):
             net = QNetwork(header["input_dim"], header["n_actions"], header["hidden"],
                            rng=np.random.default_rng(0))
-            n_params = 2 * (len(header["hidden"]) + 1)
-            net.set_parameters([blob[f"{tag}_{i}"] for i in range(n_params)])
+            names = [f"{tag}_{i}" for i in range(2 * (len(header["hidden"]) + 1))]
+            missing = [name for name in names if name not in blob]
+            if missing:
+                raise CheckpointError(f"{path} lacks parameter arrays {', '.join(missing)}")
+            net.set_parameters([blob[name] for name in names])
             nets.append(net)
     return nets[0], nets[1], header

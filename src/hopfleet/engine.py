@@ -599,6 +599,7 @@ class Simulation:
 
     def _match(self, detour: dict, detail: dict):
         cfg = self.cfg
+        speed = self.grid.vehicle_speed
         # dispatched vehicles and partly filled en-route ones, in id order
         pool = [
             v for v in self.vehicles
@@ -611,10 +612,11 @@ class Simulation:
             v = self.vehicles[a.vehicle_id]
             req = self.registry[a.request_id]
             origin, dest, _ = self._leg_for(req)
-            before = v.route_eta(self.grid.vehicle_speed) if v.manifest else None
-            v.add_entry(fl.ManifestEntry(req.id, req.kind, origin, dest))
+            before = v.route_eta(speed) if v.manifest else None
+            v.add_entry(fl.ManifestEntry(req.id, req.kind, origin, dest,
+                                         direct_ticks=math.ceil(manhattan(origin, dest) / speed)))
             if before is not None:
-                after = v.route_eta(self.grid.vehicle_speed)
+                after = v.route_eta(speed)
                 detour[v.id] = detour.get(v.id, 0.0) + max(0.0, after - before)
             req.set_status(dm.ASSIGNED)
             if v.status in (fl.DISPATCHED, fl.SERVING):
@@ -671,8 +673,7 @@ class Simulation:
                 if not e.onboard:
                     continue
                 req = registry[e.request_id]
-                delay = (tick - req.created_tick + etas[e.request_id]
-                         - math.ceil(manhattan(e.origin, e.destination) / speed))
+                delay = tick - req.created_tick + etas[e.request_id] - e.direct_ticks
                 if delay > 0:
                     owner.append(v.id)
                     urgency.append(req.urgency)

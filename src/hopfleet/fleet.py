@@ -68,6 +68,7 @@ class ManifestEntry:
     destination: ZoneId
     onboard: bool = False
     pickup_tick: int | None = None
+    direct_ticks: int = 0  # ticks of a direct trip origin -> destination, set at assignment
 
 
 class PickupEvent(NamedTuple):

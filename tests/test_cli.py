@@ -10,8 +10,8 @@ import yaml
 
 from hopfleet.cli import EvalSettings, ExperimentConfig, TrainSettings, load_config, main
 from hopfleet.demand import HistoricalAverageForecaster, ingest_trip_records
-from hopfleet.dispatch_rl import encode_state, load_checkpoint
-from hopfleet.engine import PHASES, DemandConfig, GridConfig, RLConfig, SimConfig
+from hopfleet.dispatch_rl import encode_state, load_checkpoint, save_checkpoint
+from hopfleet.engine import PHASES, DemandConfig, DispatchPolicy, GridConfig, RLConfig, SimConfig
 from hopfleet.geo import GridWorld
 from hopfleet.hopplan import assign_hop_zones
 
@@ -249,6 +249,20 @@ def test_not_a_checkpoint_exit_2(smoke_config, tmp_path, capsys, command, kind):
         bad.write_text("step,loss\n1,0.5\n")
     assert main([command, "--config", path, "--checkpoint", str(bad)]) == 2
     assert str(bad) in capsys.readouterr().err
+    assert os.listdir(cfg.out_dir) == []  # rejected before anything ran
+
+
+def test_checkpoint_missing_parameter_array_exit_2(smoke_config, tmp_path, capsys):
+    path, cfg = smoke_config
+    policy = DispatchPolicy(cfg.sim)
+    ckpt = tmp_path / "ckpt.npz"
+    save_checkpoint(ckpt, policy.online, policy.target, step=0)
+    with np.load(ckpt) as blob:
+        arrays = {name: blob[name] for name in blob.files if name != "online_3"}
+    np.savez(ckpt, **arrays)
+    assert main(["eval", "--config", path, "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint rejected" in err and "online_3" in err
     assert os.listdir(cfg.out_dir) == []  # rejected before anything ran
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from hopfleet.demand import GOODS, PASSENGER, HistoricalAverageForecaster
 from hopfleet.dispatch_rl import (
+    CLIP_NORM,
     DEMAND_REACH,
     N_CHANNELS,
     N_SCALARS,
@@ -276,6 +277,74 @@ def test_ddqn_targets_batch_matches_scalar():
         assert z[i] == pytest.approx(ddqn_target(tr, online, target, 0.9))
 
 
+def reference_ddqn_targets(batch, online, target, gamma):
+    """``ddqn_targets`` as a per-row loop, the form the array version replaced."""
+    next_states = np.stack([tr.next_state for tr in batch])
+    best = np.argmax(online.q_values(next_states), axis=1)
+    boot = target.q_values(next_states)[np.arange(len(batch)), best]
+    out = np.empty(len(batch))
+    for i, tr in enumerate(batch):
+        out[i] = tr.reward if tr.terminal else tr.reward + gamma ** (1 + tr.elapsed) * boot[i]
+    return out
+
+
+def test_ddqn_targets_bit_identical_to_per_row_reference():
+    # at gamma 0.98, np.power and Python's ** disagree in the last bit for
+    # some exponents 1 + elapsed (11, 24, 39 and 44 with numpy 2.4 on x86-64).
+    # A zero reward keeps that bit from being rounded away.
+    rng = np.random.default_rng(21)
+    online = QNetwork(10, 6, hidden=(16, 16), rng=np.random.default_rng(22))
+    target = QNetwork(10, 6, hidden=(16, 16), rng=np.random.default_rng(23))
+    batch = [
+        Transition(rng.normal(size=10), int(rng.integers(6)), reward, rng.normal(size=10),
+                   elapsed, terminal)
+        for elapsed in (0, 1, 10, 23, 38, 43, 77, 120)
+        for reward in (0.0, float(rng.normal(scale=5.0)))
+        for terminal in (False, True)
+    ]
+    z = ddqn_targets(batch, online, target, gamma=0.98)
+    assert np.array_equal(z, reference_ddqn_targets(batch, online, target, 0.98))
+    assert [z[i] == tr.reward for i, tr in enumerate(batch)] == [tr.terminal for tr in batch]
+
+
+def reference_apply_gradients(net, grads, learning_rate):
+    """``QNetwork.apply_gradients`` as it was before it stepped in place: new
+    arrays for the clipped gradients and for each step."""
+    grads_w, grads_b = grads
+    total = math.sqrt(
+        sum(float((g**2).sum()) for g in grads_w) + sum(float((g**2).sum()) for g in grads_b)
+    )
+    if total > CLIP_NORM:
+        scale = CLIP_NORM / total
+        grads_w = [g * scale for g in grads_w]
+        grads_b = [g * scale for g in grads_b]
+    for w, g in zip(net.weights, grads_w):
+        w -= learning_rate * g
+    for b, g in zip(net.biases, grads_b):
+        b -= learning_rate * g
+
+
+def gradient_norm(grads):
+    return math.sqrt(sum(float((g**2).sum()) for g in [*grads[0], *grads[1]]))
+
+
+@pytest.mark.parametrize("target_scale, clipped", [(0.01, False), (100.0, True)])
+def test_apply_gradients_bit_identical_to_reference(target_scale, clipped):
+    rng = np.random.default_rng(31)
+    net = QNetwork(24, 9, hidden=(32, 32), rng=np.random.default_rng(32))
+    twin = net.clone()
+    states = rng.normal(size=(32, 24))
+    actions = rng.integers(0, 9, size=32)
+    targets = net.q_values(states)[np.arange(32), actions] + rng.normal(scale=target_scale, size=32)
+    _, grads = net.loss_and_gradients(states, actions, targets)
+    assert (gradient_norm(grads) > CLIP_NORM) == clipped
+    _, twin_grads = twin.loss_and_gradients(states, actions, targets)
+    reference_apply_gradients(twin, twin_grads, 0.0173)
+    net.apply_gradients(grads, 0.0173)
+    for p, q in zip(net.parameters(), twin.parameters()):
+        assert np.array_equal(p, q)
+
+
 def fd_gradient(net, states, actions, targets, h=1e-6):
     grads_w = [np.zeros_like(w) for w in net.weights]
     grads_b = [np.zeros_like(b) for b in net.biases]
@@ -433,3 +502,27 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
         load_checkpoint(path, expected={"input_dim": 7, "hidden": [8], "n_actions": 4})
     with pytest.raises(CheckpointShapeError):
         load_checkpoint(path, expected={"input_dim": 6, "hidden": [16], "n_actions": 4})
+
+
+def test_checkpoint_bias_of_wrong_shape_rejected(tmp_path):
+    online = QNetwork(6, 4, hidden=(8, 8), rng=np.random.default_rng(1))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, online, online.clone(), step=0)
+    with np.load(path) as blob:
+        arrays = {name: blob[name] for name in blob.files}
+    arrays["online_3"] = np.array([0.5])  # the first layer's bias, shape (8,)
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointShapeError, match="layer 0 bias"):
+        load_checkpoint(path)
+
+
+def test_set_parameters_rejects_wrong_count_and_keeps_network():
+    net = QNetwork(6, 4, hidden=(8,), rng=np.random.default_rng(1))
+    before = net.parameters()
+    other = QNetwork(6, 4, hidden=(8,), rng=np.random.default_rng(2)).parameters()
+    with pytest.raises(CheckpointShapeError, match="expected 4 parameter arrays, got 3"):
+        net.set_parameters(other[:3])
+    with pytest.raises(CheckpointShapeError, match="layer 1 bias"):
+        net.set_parameters([*other[:3], np.zeros(5)])
+    for p, q in zip(before, net.parameters()):
+        assert np.array_equal(p, q)
