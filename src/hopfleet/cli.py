@@ -22,8 +22,9 @@ import csv
 import json
 import os
 import sys
+import types
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -57,11 +58,13 @@ class TrainSettings:
 
 @dataclass
 class EvalSettings:
-    seeds: list
+    seeds: list[int]
 
     def __post_init__(self):
         if not self.seeds:
             raise ValueError(f"eval.seeds must list at least one seed, got {self.seeds}")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"eval.seeds must all be >= 0, got {self.seeds}")
 
 
 @dataclass
@@ -72,24 +75,44 @@ class ExperimentConfig:
     out_dir: str
 
 
+def _fits(hint, value) -> bool:
+    """Whether the YAML ``value`` fits the type hint ``hint``: an int takes
+    no bool or float, a float takes an int but no bool, a list holds items
+    that fit its item type (a tuple field is read from a list)."""
+    if hint is int or hint is float:
+        allowed = int if hint is int else (int, float)
+        return isinstance(value, allowed) and not isinstance(value, bool)
+    origin = get_origin(hint)
+    if origin is types.UnionType:
+        return any(_fits(h, value) for h in get_args(hint))
+    if origin in (list, tuple):
+        item = get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(item, v) for v in value)
+    return isinstance(value, hint)
+
+
 def build_config(cls, data, where: str = ""):
     """``cls`` built from the mapping ``data``, nested sections included.
 
-    Raise ValueError naming a key of ``data`` that ``cls`` does not have, or
-    a field of ``cls`` that ``data`` leaves out: every key is required."""
+    Raise ValueError naming a key of ``data`` that ``cls`` does not have, a
+    field of ``cls`` that ``data`` leaves out (every key is required), or a
+    value that does not fit its field's type hint."""
     if not isinstance(data, dict):
         raise ValueError(f"{where.rstrip('.') or 'config'} must be a mapping")
-    types = get_type_hints(cls)
+    hints = get_type_hints(cls)
     for key in data:
-        if key not in types:
+        if key not in hints:
             raise ValueError(f"unknown key {where}{key}")
     values = {}
     for f in fields(cls):
         if f.name not in data:
             raise ValueError(f"missing key {where}{f.name}")
-        value = data[f.name]
-        if is_dataclass(types[f.name]):
-            value = build_config(types[f.name], value, f"{where}{f.name}.")
+        value, hint = data[f.name], hints[f.name]
+        if is_dataclass(hint):
+            value = build_config(hint, value, f"{where}{f.name}.")
+        elif not _fits(hint, value):
+            name = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ValueError(f"{where}{f.name} must be {name}, got {value!r}")
         values[f.name] = value
     return cls(**values)
 

@@ -220,16 +220,20 @@ class QNetwork:
 
     def set_parameters(self, params: Sequence[np.ndarray]):
         """Copy in the weights then the biases, as ``parameters`` lists them;
-        a wrong count or any wrong shape raises CheckpointShapeError and
-        leaves the network as it was."""
+        a wrong count, any wrong shape or any array that is not floating
+        point raises CheckpointShapeError and leaves the network as it was."""
         k = len(self.weights)
         if len(params) != 2 * k:
             raise CheckpointShapeError(f"expected {2 * k} parameter arrays, got {len(params)}")
         for i, (p, own) in enumerate(zip(params, [*self.weights, *self.biases])):
+            kind = "weights" if i < k else "bias"
             if p.shape != own.shape:
-                kind = "weights" if i < k else "bias"
                 raise CheckpointShapeError(
                     f"layer {i % k} {kind}: expected {own.shape}, got {p.shape}"
+                )
+            if not np.issubdtype(p.dtype, np.floating):
+                raise CheckpointShapeError(
+                    f"layer {i % k} {kind}: expected floating point, got {p.dtype}"
                 )
         self.weights[:] = [w.copy() for w in params[:k]]
         self.biases[:] = [b.copy() for b in params[k:]]

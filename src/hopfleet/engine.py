@@ -15,9 +15,12 @@ Each tick runs a fixed phase order over vehicles in ascending id:
   5. vehicles that are not parked advance along their routes
   6. rewards and objective components are settled: one ``agent_reward``
      call prices the whole fleet from per-vehicle arrays and the flat list
-     of late onboard orders; per-tick stats are logged; in training mode
-     decision transitions are pushed to replay (evaluation keeps no
-     decisions in flight and pushes nothing)
+     of late onboard orders; per-tick stats are logged. In training mode
+     each vehicle has at most one open decision: the tick's reward is added
+     to every open one, then each decision of the tick, in dispatch order,
+     pushes its vehicle's open decision to replay with its own state as the
+     next state, and opens in its place (evaluation keeps no decisions and
+     pushes nothing)
   7. training mode takes one gradient step and syncs the target on schedule
 
 Identical seed and config give bit-identical episode logs. ``step`` also sums
@@ -125,7 +128,7 @@ class DemandConfig:
 class RLConfig:
     window: int
     action_radius: int
-    hidden: tuple
+    hidden: tuple[int, ...]
     learning_rate: float
     batch_size: int
     buffer_capacity: int
@@ -137,6 +140,14 @@ class RLConfig:
         check_lower_bounds(self, "rl.", (("window", 1), ("action_radius", 0), ("batch_size", 1),
                                          ("buffer_capacity", 1), ("sync_period", 1)))
         self.hidden = tuple(self.hidden)
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"rl.hidden layers must each be >= 1 wide, got {list(self.hidden)}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"rl.learning_rate must be > 0, got {self.learning_rate}")
+        if self.batch_size > self.buffer_capacity:
+            # a batch larger than the buffer can never be sampled: no step is taken
+            raise ValueError(f"rl.batch_size must be <= rl.buffer_capacity, got "
+                             f"{self.batch_size} > {self.buffer_capacity}")
 
 
 @dataclass
@@ -168,8 +179,8 @@ class SimConfig:
     def __post_init__(self):
         if self.baseline not in BASELINES:
             raise ValueError(f"baseline must be one of {BASELINES}")
-        check_lower_bounds(self, "", (("n_vehicles", 1), ("ticks_per_day", 1), ("t_n", 1),
-                                      ("episode_ticks", 0), ("seats", 0), ("trunk", 0),
+        check_lower_bounds(self, "", (("seed", 0), ("n_vehicles", 1), ("ticks_per_day", 1),
+                                      ("t_n", 1), ("episode_ticks", 0), ("seats", 0), ("trunk", 0),
                                       ("separate_goods_trunk", 0), ("max_hop_depth", 0),
                                       ("reject_radius_m", 0), ("patience_ticks", 0),
                                       ("warmup_ticks", 0)))
@@ -256,12 +267,11 @@ class EpisodeLog:
 class DispatchPolicy:
     """Online and target Q-networks plus one replay buffer, shared by the fleet."""
 
-    def __init__(self, cfg: SimConfig, seed_seq: np.random.SeedSequence | None = None):
+    def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.input_dim = rl.state_dim(cfg.rl.window)
         self.n_actions = rl.action_count(cfg.rl.action_radius)
-        seq = seed_seq or np.random.SeedSequence(cfg.seed)
-        init_seq, sample_seq = seq.spawn(2)
+        init_seq, sample_seq = np.random.SeedSequence(cfg.seed).spawn(2)
         self.sample_rng = np.random.default_rng(sample_seq)
         self.online = rl.QNetwork(self.input_dim, self.n_actions, cfg.rl.hidden,
                                   rng=np.random.default_rng(init_seq.spawn(1)[0]))
@@ -315,13 +325,15 @@ class _Pending:
 class Simulation:
     def __init__(self, cfg: SimConfig, policy: DispatchPolicy | None = None):
         self.cfg = cfg
+        # child 4 is unused: the policy seeds from cfg.seed itself, and
+        # spawning six keeps the layout on child 5 and its stream
         seq = np.random.SeedSequence(cfg.seed)
         (self.demand_seq, self.place_seq, self.match_seq, self.explore_seq,
-         policy_seq, self._layout_seq) = seq.spawn(6)
+         _, self._layout_seq) = seq.spawn(6)
         self.demand_rng = np.random.default_rng(self.demand_seq)
         self.match_rng = np.random.default_rng(self.match_seq)
         self.explore_rng = np.random.default_rng(self.explore_seq)
-        self.policy = policy or DispatchPolicy(cfg, seed_seq=policy_seq)
+        self.policy = policy or DispatchPolicy(cfg)
         self.weights = cfg.weights()
 
         self.grid = GridWorld(
@@ -340,7 +352,7 @@ class Simulation:
         self.training = False
         self.pending: dict[int, _Pending] = {}
         self.prev_active = np.zeros(0, dtype=np.int64)  # activation flags by vehicle id
-        self._finalize: dict[int, tuple] = {}  # vehicle id -> (old decision, its successor state)
+        self._decisions: list[tuple] = []  # the tick's training (vehicle id, state, action)
         self.log: EpisodeLog | None = None
         self.curve: list[dict] = []
         self.phase_seconds = dict.fromkeys(PHASES, 0.0)
@@ -581,10 +593,7 @@ class Simulation:
             action = rl.select_action(values, eps, self.explore_rng)
             q_maxes.append(float(np.max(values)))
             if self.training:
-                old = self.pending.get(v.id)
-                if old is not None:
-                    self._finalize[v.id] = (old, vec)
-                self.pending[v.id] = _Pending(vec, action, self.tick)
+                self._decisions.append((v.id, vec, action))
             target = rl.action_target(self.grid, v.location, action, cfg.rl.action_radius)
             if target == v.location:
                 continue  # hold: stay idle, stay unmatched
@@ -686,16 +695,18 @@ class Simulation:
         activations = int(np.maximum(active_now - active_prev, 0).sum())
         active = int(active_now.sum())
 
-        # fold rewards into pending decisions, flush completed transitions
+        # the tick's reward goes to every open decision; then each decision
+        # of the tick closes its vehicle's open one and opens in its place
         reward_of = rewards.tolist()
         for vid, pend in self.pending.items():
-            if pend.tick < self.tick:
-                pend.accum += (self.cfg.discount ** (self.tick - pend.tick - 1)) * reward_of[vid]
-        for vid, (old, next_vec) in self._finalize.items():
-            old.accum += (self.cfg.discount ** (self.tick - old.tick - 1)) * reward_of[vid]
-            self.policy.buffer.push(rl.Transition(old.state, old.action, old.accum, next_vec,
-                                                  elapsed=self.tick - old.tick - 1))
-        self._finalize = {}
+            pend.accum += (self.cfg.discount ** (tick - pend.tick - 1)) * reward_of[vid]
+        for vid, vec, action in self._decisions:
+            old = self.pending.get(vid)
+            if old is not None:
+                self.policy.buffer.push(rl.Transition(old.state, old.action, old.accum, vec,
+                                                      elapsed=tick - old.tick - 1))
+            self.pending[vid] = _Pending(vec, action, tick)
+        self._decisions = []
 
         gap = supply_demand_gap(forecast[0], supply.available)
         components = [gap, detail["dispatch_time"], total_detour_delay,

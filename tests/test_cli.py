@@ -108,6 +108,22 @@ def test_missing_config_exit_2():
         ("warmup_ticks", -3),
         ("eval.seeds", []),
         ("patience_ticks", -1),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("eval.seeds", [-3]),
+        ("n_vehicles", 2.5),
+        ("rl.hidden", [0]),
+        ("rl.learning_rate", -1.0),
+        ("effective_distance_includes_dispatch", "yes"),
+        # a batch the buffer can never hold: training would take no step
+        ("rl.buffer_capacity", 10),
+        ("seats", True),  # an int field takes no bool
+        ("dt_minutes", True),  # nor does a float field
+        ("rl.learning_rate", "0.005"),
+        ("demand.trips_csv", 5),
+        ("rl.hidden", 128),
+        ("rl.hidden", [1.5]),
+        ("eval.seeds", [1.5]),
     ],
 )
 def test_bad_config_exit_2(command, sim, tmp_path, capsys):
@@ -119,6 +135,22 @@ def test_bad_config_exit_2(command, sim, tmp_path, capsys):
     assert _run_on(data, command, tmp_path) == 2
     err = capsys.readouterr().err
     assert "bad config" in err and all(key in err for key in keys)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_negative_seed_flag_exit_2(command, smoke_config, capsys):
+    path, cfg = smoke_config
+    out = os.path.join(cfg.out_dir, "trips.csv") if command == "gen-data" else cfg.out_dir
+    assert main([command, "--config", path, "--seed", "-1", "--out", out]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_linear_network_config_runs(smoke_config):
+    # an empty rl.hidden is a network without hidden layers, not a bad value
+    path, cfg = smoke_config
+    cfg.sim.rl.hidden = ()
+    write_config(path, cfg)
+    assert main(["train", "--config", path]) == 0
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -263,6 +295,22 @@ def test_checkpoint_missing_parameter_array_exit_2(smoke_config, tmp_path, capsy
     assert main(["eval", "--config", path, "--checkpoint", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert "checkpoint rejected" in err and "online_3" in err
+    assert os.listdir(cfg.out_dir) == []  # rejected before anything ran
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_integer_checkpoint_exit_2(smoke_config, tmp_path, capsys, command):
+    path, cfg = smoke_config
+    policy = DispatchPolicy(cfg.sim)
+    ckpt = tmp_path / "ckpt.npz"
+    save_checkpoint(ckpt, policy.online, policy.target, step=0)
+    with np.load(ckpt) as blob:
+        arrays = {name: blob[name] for name in blob.files}
+    arrays["online_0"] = np.round(arrays["online_0"]).astype(np.int64)
+    np.savez(ckpt, **arrays)
+    assert main([command, "--config", path, "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint rejected" in err and "layer 0 weights" in err
     assert os.listdir(cfg.out_dir) == []  # rejected before anything ran
 
 

@@ -516,6 +516,25 @@ def test_checkpoint_bias_of_wrong_shape_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_integer_checkpoint_rejected_and_network_kept(tmp_path):
+    # an int64 array of the right shape would load, and the first training
+    # step would then fail casting its float update into it
+    online = QNetwork(6, 4, hidden=(8,), rng=np.random.default_rng(1))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, online, online.clone(), step=0)
+    with np.load(path) as blob:
+        arrays = {name: blob[name] for name in blob.files}
+    arrays["online_0"] = np.round(arrays["online_0"]).astype(np.int64)
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointShapeError, match="layer 0 weights: expected floating point, got int64"):
+        load_checkpoint(path)
+    before = online.parameters()
+    with pytest.raises(CheckpointShapeError, match="layer 0 bias: expected floating point, got bool"):
+        online.set_parameters([before[0], before[1], before[2] > 0, before[3]])
+    for p, q in zip(before, online.parameters()):
+        assert np.array_equal(p, q)
+
+
 def test_set_parameters_rejects_wrong_count_and_keeps_network():
     net = QNetwork(6, 4, hidden=(8,), rng=np.random.default_rng(1))
     before = net.parameters()

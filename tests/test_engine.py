@@ -391,6 +391,58 @@ def test_settled_rewards_equal_the_per_vehicle_reference(baseline, speed, mode, 
     assert several_late > 200  # vehicle-ticks summing two or more late orders
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_replay_transitions_discount_the_rewards_between_decisions(seed, monkeypatch):
+    # the reference keeps each vehicle's last decision and, at the next one,
+    # sums the settled rewards of the ticks after it in tick order. Three
+    # decisions in four hold, so that idle vehicles decide again, and an
+    # idle vehicle decides in half the ticks, so that some transitions span
+    # ticks; a dispatch is priced in its own tick, so the decision it closes
+    # ends on a reward that is not zero
+    cfg = small_cfg(seed=seed, n_vehicles=6, episode_ticks=80)
+    sim = Simulation(cfg)
+    sim.initialize()
+    sim.training = True
+    sim.policy.act_probability = lambda training: 0.5
+    hold = offset_to_action(0, 0, cfg.rl.action_radius)
+    rewards, observed, actions = [], [], []
+
+    def settled(*args):
+        rewards.append(agent_reward(*args).tolist())
+        return np.array(rewards[-1])
+
+    def chosen(values, eps, rng, _select=engine.rl.select_action):
+        action = _select(values, eps, rng)
+        actions.append(action if len(actions) % 4 == 3 else hold)
+        return actions[-1]
+
+    def observe(maps, v, _observe=sim._observe):
+        observed.append((sim.tick, v.id, _observe(maps, v)))
+        return observed[-1][2]
+
+    monkeypatch.setattr(engine, "agent_reward", settled)
+    monkeypatch.setattr(engine.rl, "select_action", chosen)
+    sim._observe = observe
+    for _ in range(cfg.episode_ticks):
+        sim.step()
+
+    last, want = {}, []
+    for (tick, vid, state), action in zip(observed, actions, strict=True):
+        if vid in last:
+            state0, action0, tick0 = last[vid]
+            accum = 0.0
+            for k in range(tick0 + 1, tick + 1):
+                accum += (cfg.discount ** (k - tick0 - 1)) * rewards[k][vid]
+            want.append((state0, action0, accum, state, tick - tick0 - 1))
+        last[vid] = (state, action, tick)
+    got = sim.policy.buffer._data
+    assert len(got) == len(want)
+    assert sum(accum != 0.0 for _, _, accum, _, elapsed in want if elapsed > 0) >= 2
+    for tr, (state0, action0, accum, state, elapsed) in zip(got, want):
+        assert tr.state is state0 and tr.next_state is state and not tr.terminal
+        assert (tr.action, tr.reward.hex(), tr.elapsed) == (action0, accum.hex(), elapsed)
+
+
 def test_full_check_catches_a_stale_stop_plan():
     sim = Simulation(small_cfg(seed=3))
     sim.initialize()

@@ -9,6 +9,9 @@ the digest of the online network's parameters afterwards, because a train
 log alone does not change with the weights. ``small_cfg`` is the desk world
 of ``configs/default.yaml`` scaled down, so these digests pin the YAML's
 settings too, and a ``flex_hops`` case must relay at least one package.
+Each case runs the policy ``Simulation(cfg)`` builds, which is the
+``DispatchPolicy(cfg)`` that ``hopfleet train``, ``hopfleet eval`` and
+``bench/run.py`` build, so the pinned path is the one they run.
 
 A change that means to alter behaviour records new digests here and says
 why in CHANGES.md.
@@ -28,6 +31,7 @@ from hopfleet.engine import (
     BASELINE_FLEX_NOHOPS,
     BASELINE_SEPARATE,
     BASELINES,
+    DispatchPolicy,
     MODE_EVAL,
     MODE_TRAIN,
     PHASES,
@@ -38,28 +42,28 @@ from test_engine import small_cfg
 
 GOLDEN = {
     (BASELINE_FLEX_HOPS, MODE_EVAL): (
-        "7444d4b24b795611eb025ee490df66215758cb22977e28263ff1ce3af18d7455",
+        "e13865ceddd73d938f56e98c91ff800c6f76bebb088e971292c5420a7b154122",
         None,
     ),
     (BASELINE_FLEX_HOPS, MODE_TRAIN): (
         "c73f70845cfac26f8da624f19cf38e2f5a5a9dfe6d3c8f5ece0b3bc40560f94c",
-        "415977a59d2c9628c5d4861d2dcdfcbd534b42cd389e762fc8854570905f2c6b",
+        "69c01ea087f637e38ebdba52b1ef3372f96dfae0b729c83e98267c4139dde7bc",
     ),
     (BASELINE_FLEX_NOHOPS, MODE_EVAL): (
-        "55479a36f460c9eb0b4fa5b450c1df9398dfb0a69a669f3bca2380aa57f26306",
+        "e3050b8c1c36714681a463c1d1396a4f9bf30dc5c7c97c8934050b2d1b1ad55e",
         None,
     ),
     (BASELINE_FLEX_NOHOPS, MODE_TRAIN): (
         "3978aeadda00d3a093e3962dab8a938f074ae28e9c31f5f89a8bed7c4d168dfe",
-        "73387fffd77f5e8fc106ca359321fe8907d09b2ce23b7ad2701440d49e52c5d0",
+        "89154bf377b6bf255bf7d08529d7a00bb85612fb2b1898664da967778da4a848",
     ),
     (BASELINE_SEPARATE, MODE_EVAL): (
-        "72403309c0b3918b502f1f9b9d5b436f2f73a83f07bb23d0bd2481e16ec8809c",
+        "0f7c2984a79482f6eb475b442058b0fcce93792e57b1c93946b8232f89f8b508",
         None,
     ),
     (BASELINE_SEPARATE, MODE_TRAIN): (
         "d3eb658a42783bfcbe9658c0036f043ef4c1bc95fbe3a1f8112480a2dbb5b0a6",
-        "dde3e2a544cae9dd8d18d774d92a692d5023d756381ba5e1b8d165d17341a017",
+        "15cb0e1d740329893a964f8e36d556d93cd5e3236d7ece548c278e052bb7ca89",
     ),
 }
 
@@ -114,7 +118,7 @@ def test_eval_keeps_no_replay_bookkeeping(baseline):
     decisions = 0
     for _ in range(sim.cfg.episode_ticks):
         decisions += sim.step()["q_max"] is not None
-        assert sim.pending == {} and sim._finalize == {}
+        assert sim.pending == {} and sim._decisions == []
     assert decisions > 0
     log = sim.run(ticks=0, mode=MODE_EVAL)
     assert len(sim.policy.buffer) == 0
@@ -142,3 +146,21 @@ def test_phase_timers_cover_step_and_leave_the_log_alone(monkeypatch):
     still.initialize()
     assert still.run(mode=MODE_EVAL).canonical() == timed
     assert set(still.phase_seconds.values()) == {0.0}
+
+
+@pytest.mark.parametrize("baseline", BASELINES)
+def test_one_seed_one_network(baseline, tmp_path):
+    # train, eval and the bench hand Simulation a DispatchPolicy(cfg); the
+    # policy a Simulation builds for itself is the same network
+    cfg = golden_cfg(baseline)
+    eval_logs, train_logs, params = [], [], []
+    for make in (lambda: Simulation(cfg), lambda: Simulation(cfg, policy=DispatchPolicy(cfg))):
+        eval_logs.append(make().run(mode=MODE_EVAL).canonical())
+        first = make()
+        first.run(mode=MODE_TRAIN)  # fills the buffer, so that the next episode takes steps
+        sim = Simulation(replace(cfg, seed=cfg.seed + 1), policy=first.policy)
+        train_logs.append(sim.run(mode=MODE_TRAIN).canonical())
+        assert any(row["loss"] is not None for row in sim.curve), "no gradient step taken"
+        params.append(parameter_digest(sim.policy, tmp_path))
+    assert eval_logs[0] == eval_logs[1]
+    assert train_logs[0] == train_logs[1] and params[0] == params[1]
