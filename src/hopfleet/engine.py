@@ -4,8 +4,10 @@ Each tick runs a fixed phase order over vehicles in ascending id:
 
   1. intake new requests; plan relay chains for goods
   2. arrival processing for every vehicle that is not parked (status
-     transitions, pickups, drops; a drop that is not a chain's last leg
-     enqueues the next leg as a child request). A leg request's ``hops_completed`` is its index in its chain,
+     transitions, pickups, drops; a vehicle on its plan's first stop drops
+     that stop from the plan, a drop elsewhere rebuilds the plan; a drop
+     that is not a chain's last leg enqueues the next leg as a child
+     request). A leg request's ``hops_completed`` is its index in its chain,
      so ``legs[chain id][hops_completed]`` is the leg it carries
   3. idle vehicles query the dispatch policy with the scheduled probability;
      a self-targeted action holds the vehicle idle, anything else starts a
@@ -211,6 +213,11 @@ class SimConfig:
 # episode log
 
 
+# exact types a log event stores as they are; np.float64, a subclass of
+# float, and bool, a subclass of int, still go through _plain
+_AS_IS = frozenset({int, float, str, type(None)})
+
+
 def _plain(value):
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
@@ -236,7 +243,7 @@ class EpisodeLog:
     def add(self, tick: int, kind: str, **payload):
         event = {"tick": tick, "kind": kind}
         for key, value in payload.items():
-            event[key] = _plain(value)
+            event[key] = value if type(value) in _AS_IS else _plain(value)
         self.events.append(event)
 
     def by_kind(self, kind: str) -> list:

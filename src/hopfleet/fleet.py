@@ -9,11 +9,15 @@ A vehicle's work is its manifest. Entries start as reserved pickups and
 become onboard at the pickup zone; seats and trunk slots are reserved at
 assignment time so matching can never overbook. Stops are ordered by a
 nearest-next greedy: all pending pickups first, then deliveries.
-The plan is stored as ``stops``, rebuilt by ``replan`` only when the manifest
-changes (an added entry, a pickup, a drop); ``move`` subtracts the steps
-moved from its cumulative distances. That is exact: a step toward the first
-stop shortens only the first leg, and ties break on the zone, so the greedy
-order holds. ``replan`` also recounts the manifest tallies (seats and trunk
+The plan is stored as ``stops`` and updated once per manifest change:
+``move`` subtracts the steps moved from its cumulative distances. That is
+exact: a step toward the first stop shortens only the first leg, and ties
+break on the zone, so the greedy order holds. A vehicle that reaches the
+plan's first stop resolves there what the greedy resolved there (no entry
+ends where it starts), and the greedy from that stop, at cumulative distance
+0, is the rest of the plan, so ``process_arrivals`` drops the stop. Only an
+added entry or a drop at a later stop of the plan rebuilds it with
+``replan``. Every manifest change recounts the tallies (seats and trunk
 slots committed, passengers and packages onboard), so they are plain ints
 that change only with the plan.
 
@@ -34,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .demand import GOODS, PASSENGER
-from .geo import GridWorld, ZoneId, manhattan
+from .geo import GridWorld, ZoneId
 
 IDLE = "idle"
 DISPATCHING = "dispatching"
@@ -146,6 +150,10 @@ class VehicleState:
     def replan(self):
         """Rebuild the stop plan and the tallies after a manifest change."""
         self.stops = self.planned_stops()
+        self.recount()
+
+    def recount(self):
+        """Store the tallies of the manifest."""
         (self.seats_committed, self.trunk_committed,
          self.passengers_onboard, self.packages_onboard) = self.tallies()
 
@@ -158,7 +166,7 @@ class VehicleState:
         The next stop is the nearest pending pickup, or once none is left the
         nearest drop; equal distances go to the smaller zone.
         """
-        pos = self.location
+        row, col = self.location
         cum = 0
         origins = [e.origin for e in self.manifest if not e.onboard]
         carried = [e.destination for e in self.manifest if not e.onboard]  # origins' drops
@@ -167,11 +175,14 @@ class VehicleState:
         while origins or drops:
             zone, dist = None, math.inf
             for z in origins or drops:
-                d = manhattan(pos, z)
+                # manhattan(), inlined: a call per candidate costs more than the rest
+                z_row, z_col = z
+                d = ((row - z_row if row > z_row else z_row - row)
+                     + (col - z_col if col > z_col else z_col - col))
                 if d < dist or (d == dist and z < zone):
                     zone, dist = z, d
             cum += dist
-            pos = zone
+            row, col = zone
             stops.append((zone, cum))
             # everything co-located resolves at this stop
             if zone in origins:
@@ -198,7 +209,7 @@ class VehicleState:
 
 def is_available(v: VehicleState) -> bool:
     """Free for new work while a seat or a trunk slot is uncommitted."""
-    return v.seats_free > 0 or v.trunk_free > 0
+    return v.seats_committed < v.seats_total or v.trunk_committed < v.trunk_total
 
 
 def process_arrivals(v: VehicleState, tick: int) -> list:
@@ -225,7 +236,14 @@ def process_arrivals(v: VehicleState, tick: int) -> list:
                 picked = True
                 events.append(PickupEvent(e.request_id, v.id, v.location, tick))
         if events:
-            v.replan()
+            if v.stops[0][0] == v.location:
+                # the plan's first stop, at cumulative distance 0: the greedy
+                # from here is the rest of the plan, and it resolves here what
+                # was just resolved
+                del v.stops[0]
+                v.recount()
+            else:
+                v.replan()  # a drop on the way to another stop
         if picked and v.status == MATCHED:
             v.set_status(SERVING)
         if v.status == SERVING and not v.manifest:

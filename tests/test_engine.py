@@ -531,6 +531,29 @@ def test_to_jsonl_writes_canonical(tmp_path):
     assert path.read_text() == log.canonical()
 
 
+def value_types(event):
+    """The value types of an event, nested lists included."""
+    return {k: [type(x) for x in v] if type(v) is list else type(v) for k, v in event.items()}
+
+
+def test_log_add_stores_plain_values_as_the_plain_path_does():
+    # add() keeps values of exact type int, float, str and None as they are
+    # and converts the rest with _plain; np.float64 subclasses float, bool int
+    payload = dict(i=7, b=True, none=None, s="pickup", f=0.1, i64=np.int64(-3),
+                   f64=np.float64(2.5), zone=ZoneId(np.int64(2), 3),
+                   pair=(np.int32(1), np.int64(4)))
+    log = engine.EpisodeLog(n_vehicles=1, dt_minutes=1.0, ticks_per_day=10, baseline="separate",
+                            seed=0)
+    plain = copy.deepcopy(log)
+    log.add(5, "probe", **payload)
+    plain.events.append({"tick": 5, "kind": "probe",
+                         **{k: engine._plain(v) for k, v in payload.items()}})
+    assert log.events == plain.events
+    assert value_types(log.events[0]) == value_types(plain.events[0])
+    assert value_types(log.events[0])["f64"] is float and log.events[0]["zone"] == [2, 3]
+    assert log.canonical() == plain.canonical()
+
+
 def test_zero_tick_episode_empty_log():
     log = Simulation(small_cfg(episode_ticks=0)).run(mode="eval")
     assert log.ticks == 0

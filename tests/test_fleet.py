@@ -224,9 +224,9 @@ def test_remaining_etas_take_the_first_stop_at_a_zone():
 
 
 def test_serving_without_manifest_goes_idle_on_arrival():
-    v = make_vehicle(loc=(3, 3), status=SERVING)
-    assert process_arrivals(v, tick=1) == []
-    assert v.status == IDLE
+    v, ref = (make_vehicle(loc=(3, 3), status=SERVING) for _ in range(2))
+    assert process_arrivals(v, tick=1) == reference_process_arrivals(ref, 1) == []
+    assert v.status == IDLE and route_state(v) == route_state(ref)
 
 
 def test_arrival_away_from_every_stop_changes_nothing():
@@ -338,3 +338,130 @@ def test_planned_stops_equal_the_reference():
         pending = {e.origin for e in v.manifest if not e.onboard}
         colocated += any(e.destination in pending for e in v.manifest)
     assert ties > 1000 and colocated > 1000
+
+
+def reference_process_arrivals(v, tick):
+    """process_arrivals as it was before it advanced the plan: every
+    resolution rebuilds the stop plan with replan()."""
+    events = []
+    if v.status == DISPATCHING and v.location == v.dispatch_target:
+        v.dispatch_target = None
+        v.set_status(DISPATCHED)
+    if v.status in (MATCHED, SERVING):
+        if v.manifest and all(zone != v.location for zone, _ in v.stops):
+            return events
+        for e in [e for e in v.manifest if e.onboard and e.destination == v.location]:
+            v.manifest.remove(e)
+            events.append(DropEvent(e.request_id, v.id, v.location, tick))
+        picked = False
+        for e in v.manifest:
+            if not e.onboard and e.origin == v.location:
+                e.onboard = True
+                e.pickup_tick = tick
+                picked = True
+                events.append(PickupEvent(e.request_id, v.id, v.location, tick))
+        if events:
+            v.replan()
+        if picked and v.status == MATCHED:
+            v.set_status(SERVING)
+        if v.status == SERVING and not v.manifest:
+            v.set_status(IDLE)
+    return events
+
+
+def route_state(v):
+    return (v.status, v.location, v.manifest, v.stops, stored_tallies(v))
+
+
+def drive_against_the_reference(got, want, grid, tick=0, ticks=60):
+    """Alternate arrivals and moves on two copies of a vehicle, one through
+    process_arrivals and one through the reference, asserting equal events
+    and states; returns how many arrivals resolved at the plan's first stop
+    and how many resolved elsewhere on the plan."""
+    at_first = elsewhere = 0
+    for tick in range(tick, tick + ticks):
+        first = got.stops[0][0] if got.stops else None
+        events = process_arrivals(got, tick)
+        assert events == reference_process_arrivals(want, tick), tick
+        assert route_state(got) == route_state(want), tick
+        if events:
+            at_first += first == got.location
+            elsewhere += first != got.location
+        if got.status == IDLE:
+            break
+        move(got, grid)
+        move(want, grid)
+    return at_first, elsewhere
+
+
+def test_advanced_plan_equals_the_replanned_one():
+    # a vehicle standing on its plan's first stop drops that stop; anywhere
+    # else a resolution replans; both must match replanning every time
+    rng = np.random.default_rng(14)
+    at_first = elsewhere = 0
+    for trial in range(3000):
+        grid = GridWorld(width=5, height=5, vehicle_speed=1 + trial % 2)
+
+        def zone():
+            return ZoneId(int(rng.integers(5)), int(rng.integers(5)))
+
+        pair = [make_vehicle(loc=zone(), seats_total=9, trunk_total=9) for _ in range(2)]
+        pair[1].location = pair[0].location
+        entries = []
+        for rid in range(int(rng.integers(1, 7))):
+            origin, dest = zone(), zone()
+            while dest == origin:  # a request never ends where it starts
+                dest = zone()
+            entries.append((rid, GOODS if rng.random() < 0.5 else PASSENGER, origin, dest,
+                            bool(rng.random() < 0.4)))
+        # a matched vehicle still has a pickup ahead
+        pending = not all(onboard for *_, onboard in entries)
+        status = MATCHED if pending and rng.random() < 0.5 else SERVING
+        for v in pair:
+            v.status = status
+            for e in entries:
+                v.add_entry(ManifestEntry(*e))
+        got, want = pair
+        a, b = drive_against_the_reference(got, want, grid, ticks=int(rng.integers(1, 20)))
+        at_first, elsewhere = at_first + a, elsewhere + b
+        # new work mid-route, as matching adds it, then on to the end
+        rid = len(entries)
+        origin, dest = zone(), zone()
+        if dest != origin and got.status != IDLE and got.seats_free:
+            for v in pair:
+                v.add_entry(ManifestEntry(rid, PASSENGER, origin, dest))
+        a, b = drive_against_the_reference(got, want, grid, tick=20)
+        at_first, elsewhere = at_first + a, elsewhere + b
+        assert not got.manifest or got.status != IDLE
+    assert at_first > 5000 and elsewhere > 500
+
+
+def test_advanced_plan_at_a_zone_planned_twice():
+    # the plan visits (0, 1) twice: to drop 1 and pick up 3, and later to
+    # drop 2, picked up at (0, 3)
+    grid = GridWorld(width=6, height=1)
+    pair = [make_vehicle(loc=(0, 0), status=SERVING) for _ in range(2)]
+    for v in pair:
+        v.add_entry(entry(1, PASSENGER, (0, 0), (0, 1), onboard=True))
+        v.add_entry(entry(2, PASSENGER, (0, 3), (0, 1)))
+        v.add_entry(entry(3, GOODS, (0, 1), (0, 5)))
+    got, want = pair
+    assert got.stops == [(ZoneId(0, 1), 1), (ZoneId(0, 3), 3), (ZoneId(0, 1), 5), (ZoneId(0, 5), 9)]
+    assert drive_against_the_reference(got, want, grid) == (4, 0)
+    assert got.status == IDLE and not got.manifest
+
+
+def test_drop_on_the_way_to_a_pickup_replans():
+    # pickups come first, so the drop at (0, 2) is planned after the pickup
+    # at (0, 4); the vehicle passes (0, 2) on its way and drops there
+    grid = GridWorld(width=6, height=1)
+    pair = [make_vehicle(loc=(0, 0), status=SERVING) for _ in range(2)]
+    for v in pair:
+        v.add_entry(entry(1, PASSENGER, (0, 0), (0, 2), onboard=True))
+        v.add_entry(entry(2, PASSENGER, (0, 4), (0, 3)))
+    got, want = pair
+    assert got.stops == [(ZoneId(0, 4), 4), (ZoneId(0, 3), 5), (ZoneId(0, 2), 6)]
+    assert drive_against_the_reference(got, want, grid, ticks=3) == (0, 1)
+    assert got.stops == [(ZoneId(0, 4), 1), (ZoneId(0, 3), 2)]
+    assert drive_against_the_reference(got, want, grid, tick=3) == (2, 0)
+    assert got.status == IDLE

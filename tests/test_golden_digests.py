@@ -9,6 +9,9 @@ the digest of the online network's parameters afterwards, because a train
 log alone does not change with the weights. ``small_cfg`` is the desk world
 of ``configs/default.yaml`` scaled down, so these digests pin the YAML's
 settings too, and a ``flex_hops`` case must relay at least one package.
+In those train cases each vehicle decides once; one more train case has
+vehicles decide again, so that transitions pushed from the decision ledger
+reach its parameter digest.
 Each case runs the policy ``Simulation(cfg)`` builds, which is the
 ``DispatchPolicy(cfg)`` that ``hopfleet train``, ``hopfleet eval`` and
 ``bench/run.py`` build, so the pinned path is the one they run.
@@ -67,6 +70,15 @@ GOLDEN = {
     ),
 }
 
+# a train episode in which vehicles decide again after a busy spell, so that
+# _settle pushes transitions whose rewards sum many ticks: 16 vehicles on a
+# fifth of the desk demand, matched up to 20 zones away, go idle again once
+# their manifests empty; (log digest, parameter digest)
+GOLDEN_REPEAT_DECISIONS = (
+    "783d44ad97228e712df976640600471e5def50de83eafbb1521f72a813da778a",
+    "8b90511c1f75021803c0d9239079224b319c2e4df2fcd957a2c4beb6eb19631e",
+)
+
 WARM_TICKS = 20  # the episode that fills the buffer before a pinned train episode
 
 
@@ -74,6 +86,14 @@ def golden_cfg(baseline):
     cfg = small_cfg(seed=3, baseline=baseline)
     cfg.rl.batch_size = 4
     return cfg
+
+
+def warm_policy(cfg):
+    """The policy after a WARM_TICKS train episode, whose flush fills the
+    buffer so that the next episode takes gradient steps."""
+    warm = Simulation(replace(cfg, episode_ticks=WARM_TICKS))
+    warm.run(mode=MODE_TRAIN)
+    return warm.policy
 
 
 def parameter_digest(policy, tmp_path) -> str:
@@ -92,10 +112,7 @@ def test_episode_digest_pinned(baseline, mode, tmp_path):
     cfg = golden_cfg(baseline)
     policy = None
     if mode == MODE_TRAIN:
-        warm = Simulation(replace(cfg, episode_ticks=WARM_TICKS))
-        warm.initialize()
-        warm.run(mode=MODE_TRAIN)
-        cfg, policy = replace(cfg, seed=cfg.seed + 1), warm.policy
+        cfg, policy = replace(cfg, seed=cfg.seed + 1), warm_policy(cfg)
     sim = Simulation(cfg, policy=policy)
     sim.initialize()
     log = sim.run(mode=mode)
@@ -106,6 +123,29 @@ def test_episode_digest_pinned(baseline, mode, tmp_path):
     if baseline == BASELINE_FLEX_HOPS:
         assert log.by_kind("hop_drop"), "no package relayed at a hub"
     assert (log_digest, params) == GOLDEN[(baseline, mode)]
+
+
+def test_repeat_decisions_digest_pinned(tmp_path):
+    # the cases above decide once per vehicle, so all their transitions come
+    # from the end-of-episode flush; here the decision ledger in _settle, its
+    # discounted reward sums and its push order reach the parameter digest
+    cfg = golden_cfg(BASELINE_FLEX_HOPS)
+    cfg = replace(cfg, n_vehicles=16, episode_ticks=80, reject_radius_m=3000.0,
+                  demand=replace(cfg.demand, passenger_rate_per_zone=0.0006,
+                                 origin_hot_rate=0.09, goods_location_rate=0.04))
+    sim = Simulation(replace(cfg, seed=cfg.seed + 1), policy=warm_policy(cfg))
+    sim.initialize()
+    sim.training = True
+    filled = len(sim.policy.buffer)
+    for _ in range(cfg.episode_ticks):
+        sim.step()
+    settled = len(sim.policy.buffer) - filled
+    log = sim.run(ticks=0, mode=MODE_TRAIN)  # flushes the decisions still open
+    assert settled >= 5, "too few transitions pushed from _settle"
+    assert any(row["loss"] is not None for row in sim.curve), "no gradient step taken"
+    assert log.by_kind("hop_drop"), "no package relayed at a hub"
+    log_digest = hashlib.sha256(log.canonical().encode()).hexdigest()
+    assert (log_digest, parameter_digest(sim.policy, tmp_path)) == GOLDEN_REPEAT_DECISIONS
 
 
 @pytest.mark.parametrize("baseline", BASELINES)
