@@ -4,9 +4,10 @@ Each tick runs a fixed phase order over vehicles in ascending id:
 
   1. intake new requests; plan relay chains for goods
   2. arrival processing for every vehicle that is not parked (status
-     transitions, pickups, drops; a vehicle on its plan's first stop drops
-     that stop from the plan, a drop elsewhere rebuilds the plan; a drop
-     that is not a chain's last leg enqueues the next leg as a child
+     transitions, pickups, drops; a vehicle standing on no zone of its
+     plan's zone index returns at once, one on its plan's first stop drops
+     that stop and re-indexes the plan, a drop elsewhere rebuilds the plan;
+     a drop that is not a chain's last leg enqueues the next leg as a child
      request). A leg request's ``hops_completed`` is its index in its chain,
      so ``legs[chain id][hops_completed]`` is the leg it carries
   3. idle vehicles query the dispatch policy with the scheduled probability;
@@ -14,15 +15,17 @@ Each tick runs a fixed phase order over vehicles in ascending id:
      dispatch drive
   4. greedy matching binds queued requests to dispatched vehicles and to
      partially filled en-route vehicles; stale requests expire
-  5. vehicles that are not parked advance along their routes
+  5. vehicles that are not parked advance along their routes; a matched or
+     serving vehicle adds the steps moved to its plan's odometer
   6. rewards and objective components are settled: one ``agent_reward``
      call prices the whole fleet from per-vehicle arrays and the flat list
-     of late onboard orders; per-tick stats are logged. In training mode
-     each vehicle has at most one open decision: the tick's reward is added
-     to every open one, then each decision of the tick, in dispatch order,
-     pushes its vehicle's open decision to replay with its own state as the
-     next state, and opens in its place (evaluation keeps no decisions and
-     pushes nothing)
+     of late onboard orders, each order's ETA read from its drop zone's
+     entry in the zone index through ``VehicleState.ticks_to``; per-tick
+     stats are logged. In training mode each vehicle has at most one open
+     decision: the tick's reward is added to every open one, then each
+     decision of the tick, in dispatch order, pushes its vehicle's open
+     decision to replay with its own state as the next state, and opens in
+     its place (evaluation keeps no decisions and pushes nothing)
   7. training mode takes one gradient step and syncs the target on schedule
 
 Identical seed and config give bit-identical episode logs. ``step`` also sums
@@ -220,7 +223,7 @@ _AS_IS = frozenset({int, float, str, type(None)})
 
 def _plain(value):
     if isinstance(value, tuple):
-        return [_plain(v) for v in value]
+        return [v if type(v) in _AS_IS else _plain(v) for v in value]
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -684,12 +687,13 @@ class Simulation:
         for v, load in zip(self.vehicles, onboard):
             if not load:
                 continue
-            etas = v.remaining_etas(speed)
+            index = v.zone_index
             for e in v.manifest:
                 if not e.onboard:
                     continue
                 req = registry[e.request_id]
-                delay = tick - req.created_tick + etas[e.request_id] - e.direct_ticks
+                eta = v.ticks_to(index[e.destination], speed)
+                delay = tick - req.created_tick + eta - e.direct_ticks
                 if delay > 0:
                     owner.append(v.id)
                     urgency.append(req.urgency)
@@ -750,8 +754,10 @@ class Simulation:
             if v.status not in fl.VEHICLE_STATUSES:
                 raise EngineInvariantError(self._dump(f"vehicle {v.id} bad status {v.status}"))
             if full:
-                if v.stops != v.planned_stops():
+                if v.remaining_stops() != v.planned_stops():
                     raise EngineInvariantError(self._dump(f"vehicle {v.id} stored stop plan is stale"))
+                if v.zone_index != fl.stop_index(v.stops):
+                    raise EngineInvariantError(self._dump(f"vehicle {v.id} stored zone index is stale"))
                 stored = (v.seats_committed, v.trunk_committed, v.passengers_onboard,
                           v.packages_onboard)
                 if v.tallies() != stored:

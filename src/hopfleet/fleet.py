@@ -9,17 +9,22 @@ A vehicle's work is its manifest. Entries start as reserved pickups and
 become onboard at the pickup zone; seats and trunk slots are reserved at
 assignment time so matching can never overbook. Stops are ordered by a
 nearest-next greedy: all pending pickups first, then deliveries.
-The plan is stored as ``stops`` and updated once per manifest change:
-``move`` subtracts the steps moved from its cumulative distances. That is
-exact: a step toward the first stop shortens only the first leg, and ties
-break on the zone, so the greedy order holds. A vehicle that reaches the
-plan's first stop resolves there what the greedy resolved there (no entry
-ends where it starts), and the greedy from that stop, at cumulative distance
-0, is the rest of the plan, so ``process_arrivals`` drops the stop. Only an
-added entry or a drop at a later stop of the plan rebuilds it with
-``replan``. Every manifest change recounts the tallies (seats and trunk
-slots committed, passengers and packages onboard), so they are plain ints
-that change only with the plan.
+The plan is stored as ``stops``, with cumulative distances measured from
+where it was built, and kept on an odometer: ``driven`` counts the steps
+moved since then, so ``move`` adds one int and the plan as seen from the
+vehicle is ``(zone, cum - driven)``. That view is exact: a step toward the
+first stop shortens only the first leg, and ties break on the zone, so the
+greedy order holds. Every ETA is the one rule ``ticks_to``:
+``ceil((cum - driven) / speed)``. ``zone_index`` maps each stop zone to the
+cumulative distance of the plan's first stop there; it changes only with
+the plan. A vehicle that reaches the plan's first stop resolves there what
+the greedy resolved there (no entry ends where it starts), and the greedy
+from that stop is the rest of the plan, so ``process_arrivals`` drops the
+stop and re-indexes. Only an added entry or a drop at a later stop of the
+plan rebuilds it with ``replan``, which resets the odometer. Every manifest
+change recounts the tallies (seats and trunk slots committed, passengers
+and packages onboard), so they are plain ints that change only with the
+plan.
 
 Arrival checks rely on the stored plan: every pending pickup's origin and
 every onboard order's destination is one of its stops, so
@@ -98,7 +103,9 @@ class VehicleState:
     trunk_total: int = 5
     manifest: list = field(default_factory=list)
     dispatch_target: ZoneId | None = None
-    stops: list = field(default_factory=list)  # planned_stops() kept current
+    stops: list = field(default_factory=list)  # planned_stops() where it was built
+    driven: int = field(default=0, init=False)  # steps moved since the plan was built
+    zone_index: dict = field(default_factory=dict, init=False)  # stop_index(stops)
     # manifest tallies, recounted by replan() with the stop plan
     seats_committed: int = field(default=0, init=False)
     trunk_committed: int = field(default=0, init=False)
@@ -148,8 +155,11 @@ class VehicleState:
         self.replan()
 
     def replan(self):
-        """Rebuild the stop plan and the tallies after a manifest change."""
+        """Rebuild the stop plan, its index and the tallies after a manifest
+        change, and reset the odometer."""
         self.stops = self.planned_stops()
+        self.driven = 0
+        self.zone_index = stop_index(self.stops)
         self.recount()
 
     def recount(self):
@@ -195,16 +205,24 @@ class VehicleState:
     def next_stop(self) -> ZoneId | None:
         return self.stops[0][0] if self.stops else None
 
-    def remaining_etas(self, speed: int) -> dict:
-        """Estimated ticks until each onboard order's drop zone is reached:
-        the first planned stop at its destination."""
-        first = dict(reversed(self.stops))  # the earliest stop at a zone wins
-        return {e.request_id: math.ceil(first[e.destination] / speed)
-                for e in self.manifest if e.onboard}
+    def remaining_stops(self) -> list:
+        """The stored plan as seen from the vehicle: [(zone, distance left)]."""
+        return [(zone, cum - self.driven) for zone, cum in self.stops]
+
+    def ticks_to(self, cum: int, speed: int) -> int:
+        """Ticks until the plan's point at cumulative distance ``cum`` is
+        reached; every ETA on the stored plan goes through this rule."""
+        return math.ceil((cum - self.driven) / speed)
 
     def route_eta(self, speed: int) -> int:
         """Ticks to finish the whole manifest (last planned stop)."""
-        return math.ceil(self.stops[-1][1] / speed) if self.stops else 0
+        return self.ticks_to(self.stops[-1][1], speed) if self.stops else 0
+
+
+def stop_index(stops: list) -> dict:
+    """Each zone of a stop plan mapped to the cumulative distance of the
+    plan's first stop there."""
+    return dict(reversed(stops))  # the earliest stop at a zone wins
 
 
 def is_available(v: VehicleState) -> bool:
@@ -223,7 +241,7 @@ def process_arrivals(v: VehicleState, tick: int) -> list:
     if v.status in (MATCHED, SERVING):
         # every pickup origin and onboard destination is a stop of the plan:
         # away from all of them nothing resolves
-        if v.manifest and all(zone != v.location for zone, _ in v.stops):
+        if v.manifest and v.location not in v.zone_index:
             return events
         for e in [e for e in v.manifest if e.onboard and e.destination == v.location]:
             v.manifest.remove(e)
@@ -237,10 +255,11 @@ def process_arrivals(v: VehicleState, tick: int) -> list:
                 events.append(PickupEvent(e.request_id, v.id, v.location, tick))
         if events:
             if v.stops[0][0] == v.location:
-                # the plan's first stop, at cumulative distance 0: the greedy
-                # from here is the rest of the plan, and it resolves here what
-                # was just resolved
+                # the plan's first stop, reached after driving its cumulative
+                # distance: the greedy from here is the rest of the plan, and
+                # it resolves here what was just resolved
                 del v.stops[0]
+                v.zone_index = stop_index(v.stops)
                 v.recount()
             else:
                 v.replan()  # a drop on the way to another stop
@@ -287,7 +306,7 @@ def move(v: VehicleState, grid: GridWorld) -> int:
         return 0
     v.location = ZoneId(row, col)
     if v.status != DISPATCHING:
-        v.stops = [(zone, cum - moved) for zone, cum in v.stops]
+        v.driven += moved
     return moved
 
 
@@ -309,5 +328,5 @@ def project_supply(vehicles: Sequence[VehicleState], grid: GridWorld) -> FleetSn
             available[v.location.row, v.location.col] += 1
         elif v.stops:
             zone, cum = v.stops[-1]
-            freeing.append((math.ceil(cum / grid.vehicle_speed), zone.row, zone.col))
+            freeing.append((v.ticks_to(cum, grid.vehicle_speed), zone.row, zone.col))
     return FleetSnapshot(available, np.array(freeing, dtype=np.int64).reshape(-1, 3))

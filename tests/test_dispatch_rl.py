@@ -125,7 +125,7 @@ def reference_project_supply(vehicles, grid, horizon=30):
             continue
         if not v.stops:
             continue
-        final_zone, cum = v.stops[-1]
+        final_zone, cum = v.remaining_stops()[-1]
         eta = math.ceil(cum / grid.vehicle_speed)
         if eta <= horizon:
             projected[eta, final_zone.row, final_zone.col] += 1

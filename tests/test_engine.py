@@ -264,8 +264,11 @@ def reference_process_arrivals(v, tick):
 
 
 def vehicle_state(v):
-    return (v.status, v.location, v.dispatch_target, v.manifest, v.stops, v.seats_committed,
-            v.trunk_committed, v.passengers_onboard, v.packages_onboard)
+    """A vehicle's state with its stop plan and zone index as seen from the
+    vehicle, whichever distance the stored plan is measured from."""
+    index = {zone: cum - v.driven for zone, cum in v.zone_index.items()}
+    return (v.status, v.location, v.dispatch_target, v.manifest, v.remaining_stops(), index,
+            v.seats_committed, v.trunk_committed, v.passengers_onboard, v.packages_onboard)
 
 
 @pytest.mark.parametrize("speed", [1, 2])
@@ -310,7 +313,8 @@ def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed, monkeypatch):
                 nonlocal checked
                 _run(*args)
                 for v in sim.vehicles:
-                    assert v.stops == v.planned_stops(), (seed, sim.tick, _phase, v.id)
+                    assert v.remaining_stops() == v.planned_stops(), (seed, sim.tick, _phase, v.id)
+                    assert v.zone_index == fl.stop_index(v.stops), (seed, sim.tick, _phase, v.id)
                     assert (v.seats_committed, v.trunk_committed, v.passengers_onboard,
                             v.packages_onboard) == v.tallies(), (seed, sim.tick, _phase, v.id)
                     checked += len(v.stops) > 1
@@ -320,10 +324,20 @@ def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed, monkeypatch):
     assert resolved > 100  # pickups and drops
 
 
+def reference_remaining_etas(v, speed):
+    """VehicleState.remaining_etas as it was, on a plan built from scratch:
+    ticks until each onboard order's drop zone, the first planned stop at
+    its destination."""
+    first = dict(reversed(v.planned_stops()))  # the earliest stop at a zone wins
+    return {e.request_id: math.ceil(first[e.destination] / speed)
+            for e in v.manifest if e.onboard}
+
+
 def reference_settle(sim, detour):
     """The rewards, total detour delay and activations that _settle computed
-    vehicle by vehicle before the fleet form, with the scalar reward; and the
-    number of vehicles with more than one late order."""
+    vehicle by vehicle before the fleet form, with the scalar reward and
+    ETAs from a fresh plan, not the stored one; and the number of vehicles
+    with more than one late order."""
     speed = sim.grid.vehicle_speed
     rewards, total_detour_delay, activations, several_late = [], 0.0, 0, 0
     for v in sim.vehicles:
@@ -331,10 +345,7 @@ def reference_settle(sim, detour):
         activations += max(active_now - active_prev, 0)
         etas = {}
         if v.status in (fl.MATCHED, fl.SERVING):
-            for zone, cum in v.stops:
-                for e in v.manifest:
-                    if e.onboard and e.destination == zone and e.request_id not in etas:
-                        etas[e.request_id] = math.ceil(cum / speed)
+            etas = reference_remaining_etas(v, speed)
         delays, hops = [], []
         for e in v.manifest:
             if not e.onboard:
@@ -446,11 +457,26 @@ def test_replay_transitions_discount_the_rewards_between_decisions(seed, monkeyp
 def test_full_check_catches_a_stale_stop_plan():
     sim = Simulation(small_cfg(seed=3))
     sim.initialize()
-    while not any(v.stops for v in sim.vehicles):
+    while not any(v.stops and v.driven for v in sim.vehicles):
         sim.step()
-    v = next(v for v in sim.vehicles if v.stops)
-    v.stops = [(zone, cum + 1) for zone, cum in v.stops]
-    with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} stored stop plan"):
+    sim.run(ticks=0)  # the true plans pass
+    v = next(v for v in sim.vehicles if v.stops and v.driven)
+    stops, driven, index = list(v.stops), v.driven, dict(v.zone_index)
+    zone, cum = stops[0]
+    stale = [
+        ("stops", [(z, c + 1) for z, c in stops], "stored stop plan"),
+        # an odometer that missed a move, or counted one twice
+        ("driven", driven - 1, "stored stop plan"),
+        ("driven", driven + 1, "stored stop plan"),
+        # an index with a stop's distance wrong, or with a zone off the plan
+        ("zone_index", {**index, zone: cum - 1}, "stored zone index"),
+        ("zone_index", {**index, ZoneId(-1, -1): cum}, "stored zone index"),
+    ]
+    for name, value, message in stale:
+        setattr(v, name, value)
+        with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} {message}"):
+            sim.run(ticks=0)
+        v.stops, v.driven, v.zone_index = list(stops), driven, dict(index)
         sim.run(ticks=0)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from hopfleet.fleet import (
     move,
     process_arrivals,
     project_supply,
+    stop_index,
 )
 from hopfleet.geo import GridWorld, ZoneId, manhattan
 
@@ -123,7 +126,8 @@ def test_move_respects_speed_and_row_first():
 
 def reference_move(v, grid):
     """move as it was before it reached its position in one step: one
-    lattice step at a time, row coordinate first."""
+    lattice step at a time, row coordinate first; it subtracts the steps
+    moved from the stored plan's distances instead of keeping an odometer."""
     target = v.dispatch_target if v.status == DISPATCHING else v.next_stop()
     moved = 0
     while moved < grid.vehicle_speed and v.location != target:
@@ -161,7 +165,7 @@ def test_move_matches_stepwise_reference():
         got, want = pair
         for _ in range(3):  # consecutive moves, up to and past the target
             assert move(got, grid) == reference_move(want, grid), trial
-            assert (got.location, got.stops) == (want.location, want.stops), trial
+            assert (got.location, got.remaining_stops()) == (want.location, want.stops), trial
             assert type(got.location) is ZoneId
 
 
@@ -201,17 +205,28 @@ def test_planned_stops_pickups_before_deliveries():
     assert v.stops == v.planned_stops()
 
 
-def test_remaining_etas_follow_stop_plan():
+def onboard_etas(v, speed):
+    """Each onboard order's ETA as the engine settles it: the first planned
+    stop at its destination, through the odometer."""
+    return {e.request_id: v.ticks_to(v.zone_index[e.destination], speed)
+            for e in v.manifest if e.onboard}
+
+
+def test_onboard_etas_follow_stop_plan():
     v = make_vehicle(loc=(0, 0), status=SERVING)
     v.add_entry(entry(1, PASSENGER, (0, 0), (0, 4), onboard=True))
     v.add_entry(entry(2, PASSENGER, (0, 0), (0, 6), onboard=True))
-    etas = v.remaining_etas(speed=1)
-    assert etas == {1: 4, 2: 6}
+    assert onboard_etas(v, speed=1) == {1: 4, 2: 6}
     assert v.route_eta(speed=1) == 6
     assert v.route_eta(speed=2) == 3
+    move(v, GridWorld(width=7, height=1))
+    assert v.driven == 1 and v.stops == [(ZoneId(0, 4), 4), (ZoneId(0, 6), 6)]
+    assert onboard_etas(v, speed=1) == {1: 3, 2: 5}
+    assert onboard_etas(v, speed=2) == {1: 2, 2: 3}
+    assert v.route_eta(speed=1) == 5
 
 
-def test_remaining_etas_take_the_first_stop_at_a_zone():
+def test_onboard_etas_take_the_first_stop_at_a_zone():
     # (0, 1) is planned twice: first to pick up 3 and drop the onboard 1,
     # then to drop 2, picked up at (0, 3)
     v = make_vehicle(loc=(0, 0), status=SERVING)
@@ -219,8 +234,9 @@ def test_remaining_etas_take_the_first_stop_at_a_zone():
     v.add_entry(entry(2, PASSENGER, (0, 3), (0, 1)))
     v.add_entry(entry(3, GOODS, (0, 1), (0, 5)))
     assert v.stops == [(ZoneId(0, 1), 1), (ZoneId(0, 3), 3), (ZoneId(0, 1), 5), (ZoneId(0, 5), 9)]
-    assert v.remaining_etas(speed=1) == {1: 1}
-    assert v.remaining_etas(speed=2) == {1: 1}
+    assert v.zone_index == {ZoneId(0, 1): 1, ZoneId(0, 3): 3, ZoneId(0, 5): 9}
+    assert onboard_etas(v, speed=1) == {1: 1}
+    assert onboard_etas(v, speed=2) == {1: 1}
 
 
 def test_serving_without_manifest_goes_idle_on_arrival():
@@ -233,7 +249,7 @@ def test_arrival_away_from_every_stop_changes_nothing():
     v = make_vehicle(loc=(0, 0), status=MATCHED)
     v.add_entry(entry(1, PASSENGER, (0, 2), (0, 4)))
     v.location = ZoneId(0, 1)
-    v.stops = v.planned_stops()
+    v.replan()
     assert process_arrivals(v, tick=1) == []
     assert v.status == MATCHED and not v.manifest[0].onboard
 
@@ -261,6 +277,8 @@ def test_project_supply_busy_vehicle_eta():
     snap = project_supply([v], grid)
     assert snap.available.sum() == 0  # full vehicle
     assert snap.freeing.tolist() == [[3, 0, 3]]  # free in 3 ticks at (0, 3)
+    move(v, grid)
+    assert project_supply([v], grid).freeing.tolist() == [[2, 0, 3]]
 
 
 def stored_tallies(v):
@@ -370,7 +388,10 @@ def reference_process_arrivals(v, tick):
 
 
 def route_state(v):
-    return (v.status, v.location, v.manifest, v.stops, stored_tallies(v))
+    """What a vehicle's route is, whichever distance the stored plan is
+    measured from: the plan and its zone index as seen from the vehicle."""
+    index = {zone: cum - v.driven for zone, cum in v.zone_index.items()}
+    return (v.status, v.location, v.manifest, v.remaining_stops(), index, stored_tallies(v))
 
 
 def drive_against_the_reference(got, want, grid, tick=0, ticks=60):
@@ -446,7 +467,8 @@ def test_advanced_plan_at_a_zone_planned_twice():
         v.add_entry(entry(2, PASSENGER, (0, 3), (0, 1)))
         v.add_entry(entry(3, GOODS, (0, 1), (0, 5)))
     got, want = pair
-    assert got.stops == [(ZoneId(0, 1), 1), (ZoneId(0, 3), 3), (ZoneId(0, 1), 5), (ZoneId(0, 5), 9)]
+    assert got.remaining_stops() == [(ZoneId(0, 1), 1), (ZoneId(0, 3), 3), (ZoneId(0, 1), 5),
+                                     (ZoneId(0, 5), 9)]
     assert drive_against_the_reference(got, want, grid) == (4, 0)
     assert got.status == IDLE and not got.manifest
 
@@ -460,8 +482,103 @@ def test_drop_on_the_way_to_a_pickup_replans():
         v.add_entry(entry(1, PASSENGER, (0, 0), (0, 2), onboard=True))
         v.add_entry(entry(2, PASSENGER, (0, 4), (0, 3)))
     got, want = pair
-    assert got.stops == [(ZoneId(0, 4), 4), (ZoneId(0, 3), 5), (ZoneId(0, 2), 6)]
+    assert got.remaining_stops() == [(ZoneId(0, 4), 4), (ZoneId(0, 3), 5), (ZoneId(0, 2), 6)]
     assert drive_against_the_reference(got, want, grid, ticks=3) == (0, 1)
-    assert got.stops == [(ZoneId(0, 4), 1), (ZoneId(0, 3), 2)]
+    assert got.remaining_stops() == [(ZoneId(0, 4), 1), (ZoneId(0, 3), 2)]
     assert drive_against_the_reference(got, want, grid, tick=3) == (2, 0)
     assert got.status == IDLE
+
+
+def assert_plan_is_fresh(v):
+    """The stored plan seen from the vehicle, its zone index and its route
+    ETA equal those of a plan built from scratch."""
+    fresh = v.planned_stops()
+    assert v.remaining_stops() == fresh
+    assert {zone: cum - v.driven for zone, cum in v.zone_index.items()} == stop_index(fresh)
+    assert v.zone_index == stop_index(v.stops)
+    for speed in (1, 2, 3):
+        assert v.route_eta(speed) == (math.ceil(fresh[-1][1] / speed) if fresh else 0)
+
+
+def interleave(v, grid, rng, new_entry, steps):
+    """Random moves, arrivals and added entries, as the engine's phases make
+    them, checking the plan after each; returns how often the first stop was
+    dropped at a zone planned again later, and how often a vehicle that had
+    moved replanned."""
+    repeated = replanned = 0
+    for tick in range(steps):
+        if v.status == IDLE:
+            break
+        action = rng.integers(3)
+        first, driven = v.stops[0] if v.stops else (None, 0), v.driven
+        if action == 0:
+            move(v, grid)
+        elif action == 1:
+            if process_arrivals(v, tick) and first[0] == v.location:
+                repeated += v.location in v.zone_index
+            replanned += driven > 0 and v.driven == 0
+        elif v.seats_free and v.trunk_free:
+            v.add_entry(new_entry(len(v.manifest) + 100 * tick))
+            replanned += driven > 0
+            if v.status == SERVING:
+                v.set_status(MATCHED)
+        assert_plan_is_fresh(v)
+    return repeated, replanned
+
+
+@pytest.mark.parametrize("speed", [1, 2, 3])
+def test_odometer_and_zone_index_equal_a_fresh_plan(speed):
+    # random manifests on a 5 x 5 grid, where shared zones and zones planned
+    # twice are common; a dispatching vehicle drives to its target and its
+    # plan stays where it was built
+    rng = np.random.default_rng(50 + speed)
+    grid = GridWorld(width=5, height=5, vehicle_speed=speed)
+
+    def zone():
+        return ZoneId(int(rng.integers(5)), int(rng.integers(5)))
+
+    def new_entry(rid, onboard=False):
+        origin, dest = zone(), zone()
+        while dest == origin:  # a request never ends where it starts
+            dest = zone()
+        return ManifestEntry(rid, GOODS if rng.random() < 0.5 else PASSENGER, origin, dest,
+                             onboard)
+
+    repeated = replanned = frozen = 0
+    for trial in range(400):
+        v = make_vehicle(loc=zone(), status=DISPATCHING, seats_total=6, trunk_total=6)
+        v.dispatch_target = zone()
+        for rid in range(int(rng.integers(0, 3))):
+            v.add_entry(new_entry(rid, onboard=bool(rng.random() < 0.5)))
+        built = (list(v.stops), v.driven, dict(v.zone_index))
+        while v.status == DISPATCHING:
+            process_arrivals(v, trial)
+            frozen += move(v, grid) > 0 and bool(v.stops)
+            assert (v.stops, v.driven, v.zone_index) == built
+        v.add_entry(new_entry(99))
+        v.set_status(MATCHED)
+        assert_plan_is_fresh(v)
+        a, b = interleave(v, grid, rng, new_entry, steps=60)
+        repeated, replanned = repeated + a, replanned + b
+    assert repeated > 20 and replanned > 100 and frozen > 100
+
+
+@pytest.mark.parametrize("speed", [1, 2, 3])
+def test_odometer_through_a_zone_planned_twice(speed):
+    # (0, 1) is the plan's first stop and its third; once the first is
+    # dropped, the index must point at the third
+    grid = GridWorld(width=6, height=1, vehicle_speed=speed)
+    v = make_vehicle(loc=(0, 0), status=SERVING)
+    v.add_entry(entry(1, PASSENGER, (0, 0), (0, 1), onboard=True))
+    v.add_entry(entry(2, PASSENGER, (0, 3), (0, 1)))
+    v.add_entry(entry(3, GOODS, (0, 1), (0, 5)))
+    assert v.stops == [(ZoneId(0, 1), 1), (ZoneId(0, 3), 3), (ZoneId(0, 1), 5), (ZoneId(0, 5), 9)]
+    indexes = []
+    for tick in range(20):
+        process_arrivals(v, tick)
+        assert_plan_is_fresh(v)
+        indexes.append(dict(v.zone_index))
+        move(v, grid)
+        assert_plan_is_fresh(v)
+    assert v.status == IDLE
+    assert {ZoneId(0, 3): 3, ZoneId(0, 1): 5, ZoneId(0, 5): 9} in indexes
