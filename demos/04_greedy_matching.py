@@ -8,7 +8,7 @@ ties are settled uniformly at random.
 import numpy as np
 
 from hopfleet.demand import GOODS, PASSENGER, Request
-from hopfleet.fleet import ManifestEntry, VehicleState
+from hopfleet.fleet import FleetTable, VehicleState
 from hopfleet.geo import GridWorld, ZoneId
 from hopfleet.matching import match
 
@@ -21,21 +21,22 @@ requests = [
     Request(2, GOODS, ZoneId(3, 3), ZoneId(6, 6), 0, 0.5),
     Request(3, GOODS, ZoneId(11, 11), ZoneId(7, 7), 0, 0.5),
 ]
-vehicles = [
+fleet = FleetTable([
     VehicleState(id=0, location=ZoneId(0, 1)),
     VehicleState(id=1, location=ZoneId(2, 4)),
     VehicleState(id=2, location=ZoneId(4, 4), trunk_total=0),  # no trunk space
-]
+], grid)
 
-for a in match(requests, vehicles, grid, reject_radius=6, rng=rng):
+# the pool is every vehicle of the table, by id
+for a in match(requests, range(len(fleet.vehicles)), fleet, grid, reject_radius=6, rng=rng):
     r = requests[a.request_id]
     print(f"request {a.request_id} ({r.kind:9s} at {tuple(r.origin)}) -> "
           f"vehicle {a.vehicle_id} in the {a.slot}, pickup eta {a.eta_ticks}")
 print("request 3 stays queued: nothing within the reject radius.\n")
 
 # full vehicles never accept more than their capacity
-small = VehicleState(id=9, location=ZoneId(0, 0), seats_total=1)
+small = FleetTable([VehicleState(id=0, location=ZoneId(0, 0), seats_total=1)], grid)
 crowd = [Request(i, PASSENGER, ZoneId(0, i + 1), ZoneId(5, 5), 0, 1.0) for i in range(3)]
-got = match(crowd, [small], grid, reject_radius=8, rng=rng)
+got = match(crowd, [0], small, grid, reject_radius=8, rng=rng)
 print(f"one seat, three passengers: {len(got)} assignment ->",
       [(a.request_id, a.eta_ticks) for a in got])

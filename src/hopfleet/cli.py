@@ -8,8 +8,9 @@ Subcommands:
   compare   tabulate metric deltas between report files
   gen-data  emit a synthetic trip-record CSV
 
-``train`` and ``eval`` also write ``timings.json``: the host seconds each
-phase of a tick took, summed over the command's episodes, and the tick count.
+``train`` and ``eval`` also write ``timings.json``: the cpu seconds the
+simulating thread spent in each phase of a tick, summed over the command's
+episodes, and the tick count.
 
 Config files are YAML; every run is fully determined by config plus seed.
 The output directory resolves flag > HOPFLEET_OUT > config value.

@@ -1,36 +1,44 @@
 """Discrete-time fleet simulation: intake, dispatch, matching, relays, learning.
 
-Each tick runs a fixed phase order over vehicles in ascending id:
+Each tick runs a fixed phase order over vehicles in ascending id. The
+fleet is a ``fleet.FleetTable``: phases 2-6 pick their vehicles by a mask
+over its status, capacity and onboard columns, which the vehicles write as
+they change (``set_status`` the status, ``move`` the zone, ``recount`` the
+free seats, free trunk slots and onboard count):
 
   1. intake new requests; plan relay chains for goods
-  2. arrival processing for every vehicle that is not parked (status
-     transitions, pickups, drops; a vehicle standing on no zone of its
-     plan's zone index returns at once, one on its plan's first stop drops
-     that stop and re-indexes the plan, a drop elsewhere rebuilds the plan;
-     a drop that is not a chain's last leg enqueues the next leg as a child
-     request). A leg request's ``hops_completed`` is its index in its chain,
-     so ``legs[chain id][hops_completed]`` is the leg it carries
+  2. arrival processing for every vehicle that is not parked, i.e. neither
+     idle nor dispatched (status transitions, pickups, drops; a vehicle
+     standing on no zone of its plan's zone index returns at once, one on
+     its plan's first stop drops that stop and re-indexes the plan, a drop
+     elsewhere rebuilds the plan; a drop that is not a chain's last leg
+     enqueues the next leg as a child request). A leg request's
+     ``hops_completed`` is its index in its chain, so
+     ``legs[chain id][hops_completed]`` is the leg it carries
   3. idle vehicles query the dispatch policy with the scheduled probability;
      a self-targeted action holds the vehicle idle, anything else starts a
-     dispatch drive
+     dispatch drive. Before it, ``project_supply`` counts the available
+     vehicles per zone with one ``np.bincount`` over the zone column
   4. greedy matching binds queued requests to dispatched vehicles and to
-     partially filled en-route vehicles; stale requests expire
+     partially filled en-route vehicles, a pool whose zones and free
+     capacity it reads from the table; stale requests expire
   5. vehicles that are not parked advance along their routes; a matched or
      serving vehicle adds the steps moved to its plan's odometer
   6. rewards and objective components are settled: one ``agent_reward``
-     call prices the whole fleet from per-vehicle arrays and the flat list
-     of late onboard orders, each order's ETA read from its drop zone's
-     entry in the zone index through ``VehicleState.ticks_to``; per-tick
-     stats are logged. In training mode each vehicle has at most one open
-     decision: the tick's reward is added to every open one, then each
-     decision of the tick, in dispatch order, pushes its vehicle's open
-     decision to replay with its own state as the next state, and opens in
-     its place (evaluation keeps no decisions and pushes nothing)
+     call prices the whole fleet from the status and onboard columns and
+     the flat list of late onboard orders of the loaded vehicles, each
+     order's ETA read from its drop zone's entry in the zone index through
+     ``VehicleState.ticks_to``; per-tick stats are logged. In training
+     mode each vehicle has at most one open decision: the tick's reward is
+     added to every open one, then each decision of the tick, in dispatch
+     order, pushes its vehicle's open decision to replay with its own state
+     as the next state, and opens in its place (evaluation keeps no
+     decisions and pushes nothing)
   7. training mode takes one gradient step and syncs the target on schedule
 
 Identical seed and config give bit-identical episode logs. ``step`` also sums
-the host time of each phase into ``phase_seconds``, which is kept out of the
-log so that it stays bit-identical.
+the thread's cpu time in each phase into ``phase_seconds``, which is kept
+out of the log so that it stays bit-identical.
 """
 
 from __future__ import annotations
@@ -354,6 +362,7 @@ class Simulation:
         )
         self.forecaster = dm.HistoricalAverageForecaster(self.grid, cfg.ticks_per_day)
         self.vehicles: list[fl.VehicleState] = []
+        self.fleet: fl.FleetTable | None = None  # built with the vehicles
         self.registry: dict[int, dm.Request] = {}
         self.queue: list[int] = []
         self.legs: dict[int, tuple] = {}  # relayed goods id -> HopTrip.legs
@@ -475,6 +484,7 @@ class Simulation:
             self.vehicles.append(
                 fl.VehicleState(id=i, location=origins[i], seats_total=seats, trunk_total=trunk)
             )
+        self.fleet = fl.FleetTable(self.vehicles, self.grid)
         self.prev_active = np.zeros(cfg.n_vehicles, dtype=np.int64)
 
         # warmup: demand history and pickup counts only, no dispatch, no queueing
@@ -552,7 +562,8 @@ class Simulation:
         idx = req.hops_completed + 1
         o, d = self.legs[orig.id][idx]
         if o != event.zone:
-            raise EngineInvariantError(self._dump(f"hop chain misaligned for request {orig.id}"))
+            raise EngineInvariantError(self._dump(f"hop chain misaligned for request {orig.id}",
+                                                  event.vehicle_id))
         child = dm.Request(self.next_request_id, dm.GOODS, o, d, event.tick, orig.urgency,
                            hops_completed=idx, parent_id=orig.id)
         self.next_request_id += 1
@@ -563,12 +574,16 @@ class Simulation:
                      vehicle=event.vehicle_id, zone=event.zone, hops_done=idx)
         return True
 
+    def _moving(self) -> list:
+        """Ids of the vehicles that are not parked: a parked (idle or
+        dispatched) vehicle holds position with nothing to pick up or drop,
+        so process_arrivals and move leave it as it is."""
+        return np.flatnonzero(self.fleet.mask(fl.DISPATCHING, fl.MATCHED, fl.SERVING)).tolist()
+
     def _arrivals(self, detour: dict, detail: dict):
         hops = 0
-        for v in self.vehicles:
-            if v.status in fl.PARKED:
-                continue
-            for event in fl.process_arrivals(v, self.tick):
+        for vid in self._moving():
+            for event in fl.process_arrivals(self.vehicles[vid], self.tick):
                 if isinstance(event, fl.PickupEvent):
                     req = self.registry[event.request_id]
                     req.set_status(dm.PICKED_UP, self.tick)
@@ -591,9 +606,8 @@ class Simulation:
         dispatch_time = 0.0
         q_maxes = []
         maps = None  # built for the tick's first decision
-        for v in self.vehicles:
-            if v.status != fl.IDLE:
-                continue
+        for vid in np.flatnonzero(self.fleet.mask(fl.IDLE)).tolist():
+            v = self.vehicles[vid]
             if self.explore_rng.random() >= beta:
                 continue
             if maps is None:
@@ -620,13 +634,12 @@ class Simulation:
         cfg = self.cfg
         speed = self.grid.vehicle_speed
         # dispatched vehicles and partly filled en-route ones, in id order
-        pool = [
-            v for v in self.vehicles
-            if v.status == fl.DISPATCHED
-            or (v.status in (fl.MATCHED, fl.SERVING) and fl.is_available(v))
-        ]
+        fleet = self.fleet
+        pool = np.flatnonzero(fleet.mask(fl.DISPATCHED)
+                              | (fleet.mask(fl.MATCHED, fl.SERVING) & fleet.available()))
         requests = [self.registry[rid] for rid in self.queue]
-        assignments = match(requests, pool, self.grid, cfg.reject_radius_zones, self.match_rng)
+        assignments = match(requests, pool, fleet, self.grid, cfg.reject_radius_zones,
+                            self.match_rng)
         for a in assignments:
             v = self.vehicles[a.vehicle_id]
             req = self.registry[a.request_id]
@@ -662,9 +675,8 @@ class Simulation:
     def _advance(self, detail: dict):
         moved_total = 0
         moved_serving = 0
-        for v in self.vehicles:
-            if v.status in fl.PARKED:
-                continue
+        for vid in self._moving():
+            v = self.vehicles[vid]
             moved = fl.move(v, self.grid)
             moved_total += moved
             if v.status in (fl.MATCHED, fl.SERVING):
@@ -674,19 +686,18 @@ class Simulation:
 
     def _settle(self, supply, forecast, detour: dict, detail: dict):
         speed = self.grid.vehicle_speed
-        registry, tick = self.registry, self.tick
-        active_now = np.array([v.active for v in self.vehicles], dtype=np.int64)
+        registry, tick, fleet = self.registry, self.tick, self.fleet
+        active_now = (fleet.status != fl.STATUS_CODE[fl.IDLE]).astype(np.int64)
         active_prev, self.prev_active = self.prev_active, active_now
-        onboard = [v.passengers_onboard + v.packages_onboard for v in self.vehicles]
+        onboard = fleet.onboard
         max_hops = [0] * len(onboard)
         detour_ticks = np.zeros(len(onboard))
         detour_ticks[list(detour)] = list(detour.values())
         # the orders late against a direct trip, vehicle by vehicle in
         # manifest order; an order on time adds +0.0 and is left out
         owner, urgency, extra = [], [], []
-        for v, load in zip(self.vehicles, onboard):
-            if not load:
-                continue
+        for vid in np.flatnonzero(onboard).tolist():
+            v = self.vehicles[vid]
             index = v.zone_index
             for e in v.manifest:
                 if not e.onboard:
@@ -732,14 +743,20 @@ class Simulation:
 
     # -- invariants ----------------------------------------------------------
 
-    def _dump(self, message: str) -> str:
+    def _dump(self, message: str, vid: int | None = None) -> str:
+        """The message and a state dump: the first 20 vehicles and vehicle
+        ``vid``, each with its fleet table row."""
+        shown = self.vehicles[:20]
+        if vid is not None and vid >= len(shown):
+            shown = [*shown, self.vehicles[vid]]
         state = {
             "tick": self.tick,
             "queue": self.queue[:50],
             "vehicles": [
                 {"id": v.id, "status": v.status, "location": list(v.location),
-                 "manifest": [(e.request_id, e.kind, e.onboard) for e in v.manifest]}
-                for v in self.vehicles[:20]
+                 "manifest": [(e.request_id, e.kind, e.onboard) for e in v.manifest],
+                 "table": self.fleet.row(v.id)}
+                for v in shown
             ],
         }
         return f"{message}\nstate dump: {json.dumps(state, sort_keys=True)}"
@@ -748,31 +765,34 @@ class Simulation:
         manifest_owner = {}
         for v in self.vehicles:
             if v.passengers_onboard > v.seats_total or v.packages_onboard > v.trunk_total:
-                raise EngineInvariantError(self._dump(f"vehicle {v.id} over capacity"))
+                raise EngineInvariantError(self._dump(f"vehicle {v.id} over capacity", v.id))
             if v.seats_committed > v.seats_total or v.trunk_committed > v.trunk_total:
-                raise EngineInvariantError(self._dump(f"vehicle {v.id} overcommitted"))
+                raise EngineInvariantError(self._dump(f"vehicle {v.id} overcommitted", v.id))
             if v.status not in fl.VEHICLE_STATUSES:
-                raise EngineInvariantError(self._dump(f"vehicle {v.id} bad status {v.status}"))
+                raise EngineInvariantError(self._dump(f"vehicle {v.id} bad status {v.status}", v.id))
             if full:
                 if v.remaining_stops() != v.planned_stops():
-                    raise EngineInvariantError(self._dump(f"vehicle {v.id} stored stop plan is stale"))
+                    raise EngineInvariantError(self._dump(
+                        f"vehicle {v.id} stored stop plan is stale", v.id))
                 if v.zone_index != fl.stop_index(v.stops):
-                    raise EngineInvariantError(self._dump(f"vehicle {v.id} stored zone index is stale"))
+                    raise EngineInvariantError(self._dump(
+                        f"vehicle {v.id} stored zone index is stale", v.id))
                 stored = (v.seats_committed, v.trunk_committed, v.passengers_onboard,
                           v.packages_onboard)
                 if v.tallies() != stored:
                     raise EngineInvariantError(self._dump(
                         f"vehicle {v.id} stored tallies {stored} are stale, "
-                        f"the manifest counts {v.tallies()}"))
+                        f"the manifest counts {v.tallies()}", v.id))
             for e in v.manifest:
                 if e.request_id in manifest_owner:
-                    raise EngineInvariantError(self._dump(f"request {e.request_id} in two manifests"))
+                    raise EngineInvariantError(self._dump(
+                        f"request {e.request_id} in two manifests", v.id))
                 manifest_owner[e.request_id] = v.id
                 status = self.registry[e.request_id].status
                 expect = dm.PICKED_UP if e.onboard else dm.ASSIGNED
                 if status != expect:
-                    raise EngineInvariantError(
-                        self._dump(f"request {e.request_id} status {status} vs manifest {expect}"))
+                    raise EngineInvariantError(self._dump(
+                        f"request {e.request_id} status {status} vs manifest {expect}", v.id))
         for rid in self.queue:
             if rid in manifest_owner:
                 raise EngineInvariantError(self._dump(f"request {rid} queued and assigned"))
@@ -780,6 +800,12 @@ class Simulation:
                 raise EngineInvariantError(self._dump(f"queued request {rid} not in queued status"))
         if not full:
             return
+        stale = self.fleet.first_stale()
+        if stale is not None:
+            vid, column, stored, counted = stale
+            raise EngineInvariantError(self._dump(
+                f"vehicle {vid} fleet table {column} {stored} is stale, "
+                f"the vehicle says {counted}", vid))
         # an open primary request has exactly one live leg, queued or in a
         # manifest; a delivered or rejected one has none
         live: dict[int, int] = {}
@@ -800,7 +826,7 @@ class Simulation:
     def step(self) -> dict:
         if not self._initialized:
             raise EngineInvariantError("call initialize() before step()")
-        clock = time.perf_counter
+        clock = time.thread_time
         marks = [clock()]  # the end of each phase of PHASES follows its start
         detail = {}
         detour: dict[int, float] = {}
@@ -808,7 +834,7 @@ class Simulation:
         marks.append(clock())
         self._arrivals(detour, detail)
         marks.append(clock())
-        supply = fl.project_supply(self.vehicles, self.grid)
+        supply = fl.project_supply(self.fleet, self.grid)
         marks.append(clock())
         forecast = self.forecaster.forecast(self.tick, rl.DEMAND_REACH)
         marks.append(clock())
@@ -844,7 +870,7 @@ class Simulation:
 
     def _flush_pending(self):
         """Episode truncation: bootstrap every in-flight decision."""
-        maps = rl.observation_maps(fl.project_supply(self.vehicles, self.grid),
+        maps = rl.observation_maps(fl.project_supply(self.fleet, self.grid),
                                    self.forecaster.forecast(self.tick, rl.DEMAND_REACH))
         for vid in sorted(self.pending):
             pend = self.pending[vid]

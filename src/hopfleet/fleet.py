@@ -32,6 +32,17 @@ every onboard order's destination is one of its stops, so
 stands on none of them. Parked vehicles (idle or dispatched) hold position
 with nothing to resolve; the engine calls neither ``process_arrivals`` nor
 ``move`` for them.
+
+The fleet is a ``FleetTable``: the vehicles, whose ids are their indices,
+and one int column per fleet-wide fact the engine filters or counts on each
+tick: the status code, the flat zone ``row * width + col`` (``OFF_GRID``
+for a location outside the grid), the free seats, the free trunk slots and
+the onboard count. A vehicle in a table writes its row where these facts
+change, and nowhere else: ``set_status`` the status, ``move`` the zone, and
+``recount`` the capacity and onboard counts. So the engine picks vehicles by
+mask in ascending id, ``project_supply`` counts the available ones with one
+``np.bincount``, and matching reads its pool's zones and free capacity as
+arrays. A vehicle built on its own belongs to no table and writes nothing.
 """
 
 from __future__ import annotations
@@ -52,9 +63,8 @@ MATCHED = "matched"
 SERVING = "serving"
 
 VEHICLE_STATUSES = (IDLE, DISPATCHING, DISPATCHED, MATCHED, SERVING)
-# a parked vehicle holds position with nothing to pick up or drop, so
-# process_arrivals and move leave it as it is
-PARKED = (IDLE, DISPATCHED)
+STATUS_CODE = {status: code for code, status in enumerate(VEHICLE_STATUSES)}
+OFF_GRID = -1  # the flat zone of a location outside the grid
 
 ALLOWED_TRANSITIONS = {
     (IDLE, DISPATCHING),
@@ -111,6 +121,8 @@ class VehicleState:
     trunk_committed: int = field(default=0, init=False)
     passengers_onboard: int = field(default=0, init=False)
     packages_onboard: int = field(default=0, init=False)
+    # the table whose row ``id`` this vehicle writes, if any
+    fleet: FleetTable | None = field(default=None, init=False, repr=False, compare=False)
 
     # ---- capacity -------------------------------------------------------
 
@@ -135,16 +147,14 @@ class VehicleState:
     def trunk_free(self) -> int:
         return self.trunk_total - self.trunk_committed
 
-    @property
-    def active(self) -> bool:
-        return self.status != IDLE
-
     # ---- lifecycle ------------------------------------------------------
 
     def set_status(self, new: str):
         if (self.status, new) not in ALLOWED_TRANSITIONS:
             raise VehicleStateError(f"vehicle {self.id}: illegal transition {self.status} -> {new}")
         self.status = new
+        if self.fleet is not None:
+            self.fleet.status[self.id] = STATUS_CODE[new]
 
     def add_entry(self, entry: ManifestEntry):
         if entry.kind == PASSENGER and self.seats_free <= 0:
@@ -163,9 +173,15 @@ class VehicleState:
         self.recount()
 
     def recount(self):
-        """Store the tallies of the manifest."""
+        """Store the tallies of the manifest, and the free capacity and
+        onboard count in the fleet table."""
         (self.seats_committed, self.trunk_committed,
          self.passengers_onboard, self.packages_onboard) = self.tallies()
+        fleet = self.fleet
+        if fleet is not None:
+            fleet.seats_free[self.id] = self.seats_total - self.seats_committed
+            fleet.trunk_free[self.id] = self.trunk_total - self.trunk_committed
+            fleet.onboard[self.id] = self.passengers_onboard + self.packages_onboard
 
     # ---- routing --------------------------------------------------------
 
@@ -223,11 +239,6 @@ def stop_index(stops: list) -> dict:
     """Each zone of a stop plan mapped to the cumulative distance of the
     plan's first stop there."""
     return dict(reversed(stops))  # the earliest stop at a zone wins
-
-
-def is_available(v: VehicleState) -> bool:
-    """Free for new work while a seat or a trunk slot is uncommitted."""
-    return v.seats_committed < v.seats_total or v.trunk_committed < v.trunk_total
 
 
 def process_arrivals(v: VehicleState, tick: int) -> list:
@@ -305,9 +316,79 @@ def move(v: VehicleState, grid: GridWorld) -> int:
     if not moved:
         return 0
     v.location = ZoneId(row, col)
+    fleet = v.fleet
+    if fleet is not None:
+        # flat_zone(), inlined: one store per move keeps the tick level
+        fleet.zone[v.id] = (row * fleet.width + col
+                            if 0 <= row < fleet.height and 0 <= col < fleet.width else OFF_GRID)
     if v.status != DISPATCHING:
         v.driven += moved
     return moved
+
+
+def flat_zone(location: ZoneId, height: int, width: int) -> int:
+    """``row * width + col``, or ``OFF_GRID`` outside a height x width grid."""
+    row, col = location
+    return row * width + col if 0 <= row < height and 0 <= col < width else OFF_GRID
+
+
+# the table's columns, in the order the full check compares them
+COLUMNS = ("status", "zone", "seats_free", "trunk_free", "onboard")
+
+
+def fleet_columns(vehicles: Sequence[VehicleState], height: int, width: int) -> dict:
+    """Each column of a fleet table, counted from the vehicles' own fields."""
+    return {
+        "status": np.array([STATUS_CODE[v.status] for v in vehicles], dtype=np.int64),
+        "zone": np.array([flat_zone(v.location, height, width) for v in vehicles], dtype=np.int64),
+        "seats_free": np.array([v.seats_free for v in vehicles], dtype=np.int64),
+        "trunk_free": np.array([v.trunk_free for v in vehicles], dtype=np.int64),
+        "onboard": np.array([v.passengers_onboard + v.packages_onboard for v in vehicles],
+                            dtype=np.int64),
+    }
+
+
+class FleetTable:
+    """The vehicles of one grid, vehicle ``i`` at index ``i``, and their
+    columns (``COLUMNS``): one int per vehicle each, written by the vehicles."""
+
+    def __init__(self, vehicles: list, grid: GridWorld):
+        self.vehicles = vehicles
+        if [v.id for v in self.vehicles] != list(range(len(self.vehicles))):
+            raise ValueError("a fleet table holds vehicles 0..n-1 in id order")
+        self.height, self.width = grid.height, grid.width
+        columns = fleet_columns(self.vehicles, self.height, self.width)
+        self.status = columns["status"]
+        self.zone = columns["zone"]
+        self.seats_free = columns["seats_free"]
+        self.trunk_free = columns["trunk_free"]
+        self.onboard = columns["onboard"]
+        for v in self.vehicles:
+            v.fleet = self
+
+    def mask(self, *statuses: str) -> np.ndarray:
+        """The vehicles in any of ``statuses``."""
+        return np.array([s in statuses for s in VEHICLE_STATUSES])[self.status]
+
+    def available(self) -> np.ndarray:
+        """The vehicles free for new work: a seat or a trunk slot is uncommitted."""
+        return (self.seats_free > 0) | (self.trunk_free > 0)
+
+    def row(self, vid: int) -> dict:
+        """Vehicle ``vid``'s entry in every column."""
+        return {name: int(getattr(self, name)[vid]) for name in COLUMNS}
+
+    def first_stale(self) -> tuple | None:
+        """(vehicle id, column, stored, counted) for the first column, and
+        its first vehicle, where the table disagrees with the vehicles' own
+        fields; None when every entry holds."""
+        fresh = fleet_columns(self.vehicles, self.height, self.width)
+        for name in COLUMNS:
+            bad = np.flatnonzero(getattr(self, name) != fresh[name])
+            if len(bad):
+                vid = int(bad[0])
+                return vid, name, int(getattr(self, name)[vid]), int(fresh[name][vid])
+        return None
 
 
 @dataclass
@@ -318,15 +399,16 @@ class FleetSnapshot:
     freeing: np.ndarray  # (busy vehicles, 3) int: ticks until free, row, col
 
 
-def project_supply(vehicles: Sequence[VehicleState], grid: GridWorld) -> FleetSnapshot:
+def project_supply(fleet: FleetTable, grid: GridWorld) -> FleetSnapshot:
     """Count available vehicles per zone; a busy vehicle frees at its final
     stop, after its remaining route ETA."""
-    available = np.zeros((grid.height, grid.width))
+    free = fleet.available()
+    available = np.bincount(fleet.zone[free], minlength=grid.height * grid.width)
+    available = available.reshape(grid.height, grid.width).astype(np.float64)
     freeing = []
-    for v in vehicles:
-        if is_available(v):
-            available[v.location.row, v.location.col] += 1
-        elif v.stops:
+    for vid in np.flatnonzero(~free).tolist():
+        v = fleet.vehicles[vid]
+        if v.stops:
             zone, cum = v.stops[-1]
             freeing.append((v.ticks_to(cum, grid.vehicle_speed), zone.row, zone.col))
     return FleetSnapshot(available, np.array(freeing, dtype=np.int64).reshape(-1, 3))

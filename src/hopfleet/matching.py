@@ -1,5 +1,7 @@
 """Greedy request-to-vehicle assignment, nearest first.
 
+The vehicles are a pool of ids into a ``FleetTable``, whose zone and free
+seat and trunk columns give their positions and capacity as arrays.
 Candidate (request, vehicle) pairs are those whose pickup ETA fits inside
 the reject radius and whose slot type (seat for passengers, trunk for goods)
 has free capacity. They come from one requests x vehicles matrix of
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .demand import GOODS, PASSENGER, Request
-from .fleet import VehicleState
+from .fleet import OFF_GRID, FleetTable
 from .geo import GridWorld
 
 SEAT = "seat"
@@ -42,47 +44,49 @@ def reject_radius_ticks(grid: GridWorld, reject_radius: float) -> int:
 
 def match(
     requests: Sequence[Request],
-    vehicles: Sequence[VehicleState],
+    pool: Sequence[int],
+    fleet: FleetTable,
     grid: GridWorld,
     reject_radius: float,
     rng: np.random.Generator,
 ) -> list[Assignment]:
-    """Assign queued requests to vehicles, minimizing pickup ETA greedily.
+    """Assign queued requests to the pool's vehicles (ids into ``fleet``, a
+    table of this grid), minimizing pickup ETA greedily.
 
     Unassignable requests are simply left out; expiring them is the engine's
     job. Output order follows assignment order and is deterministic for a
     fixed rng state.
     """
     bound = reject_radius_ticks(grid, reject_radius)
-    if not requests or not vehicles:
+    if not requests or not len(pool):
         return []
     origins = grid.require_all([r.origin for r in requests])
-    locations = grid.require_all([v.location for v in vehicles])
-    vehicle_ids = [v.id for v in vehicles]
-    seats = [v.seats_total - v.seats_committed for v in vehicles]
-    trunk = [v.trunk_total - v.trunk_committed for v in vehicles]
+    pool = np.asarray(pool, dtype=np.intp)
+    zones = fleet.zone[pool]
+    off_grid = zones == OFF_GRID
+    if off_grid.any():
+        grid.require(fleet.vehicles[pool[np.argmax(off_grid)]].location)
+    rows, cols = np.divmod(zones, fleet.width)
+    seats, trunk = fleet.seats_free[pool], fleet.trunk_free[pool]
 
-    dist = (np.abs(origins[:, 0, None] - locations[None, :, 0])
-            + np.abs(origins[:, 1, None] - locations[None, :, 1]))
+    dist = np.abs(origins[:, 0, None] - rows) + np.abs(origins[:, 1, None] - cols)
     eta = -(-dist // grid.vehicle_speed)
     is_passenger = np.array([r.kind == PASSENGER for r in requests])
-    fits = np.where(is_passenger[:, None], np.array(seats)[None, :] > 0,
-                    np.array(trunk)[None, :] > 0)
+    fits = np.where(is_passenger[:, None], seats > 0, trunk > 0)
     ri, vi = np.nonzero(fits & (eta <= bound))
     if not len(ri):
         return []
     etas = eta[ri, vi]
     rids = np.array([r.id for r in requests])[ri]
-    vids = np.array(vehicle_ids)[vi]
-    order = np.lexsort((vids, rids, etas))
-    etas, rids, vids = etas[order], rids[order], vids[order]
+    order = np.lexsort((pool[vi], rids, etas))
+    etas, rids, vi = etas[order], rids[order], vi[order]
     # one group per (ETA, request): that request's vehicles tied at that ETA
     starts = np.flatnonzero(np.r_[True, (etas[1:] != etas[:-1]) | (rids[1:] != rids[:-1])])
-    ends = [*starts[1:].tolist(), len(vids)]
-    vids = vids.tolist()
+    ends = [*starts[1:].tolist(), len(vi)]
+    vi = vi.tolist()
 
-    seats_free = dict(zip(vehicle_ids, seats))
-    trunk_free = dict(zip(vehicle_ids, trunk))
+    # free capacity and ids by position in the pool
+    seats_free, trunk_free, vehicle_ids = seats.tolist(), trunk.tolist(), pool.tolist()
     kind_of = {r.id: r.kind for r in requests}
     assigned: set = set()
     out: list[Assignment] = []
@@ -92,11 +96,11 @@ def match(
             continue
         kind = kind_of[rid]
         free = seats_free if kind == PASSENGER else trunk_free
-        tied = [vid for vid in vids[start:end] if free[vid] > 0]
+        tied = [k for k in vi[start:end] if free[k] > 0]
         if not tied:
             continue
-        vid = tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
-        free[vid] -= 1
+        k = tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
+        free[k] -= 1
         assigned.add(rid)
-        out.append(Assignment(rid, vid, SEAT if kind == PASSENGER else TRUNK, eta))
+        out.append(Assignment(rid, vehicle_ids[k], SEAT if kind == PASSENGER else TRUNK, eta))
     return out

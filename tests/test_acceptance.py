@@ -50,7 +50,7 @@ from hopfleet.metrics import (
     index_log,
 )
 from hopfleet.reward import RewardWeights, agent_reward
-from hopfleet.fleet import ManifestEntry, VehicleState
+from hopfleet.fleet import FleetTable, ManifestEntry, VehicleState
 
 from desk_config import desk_config
 from test_metrics import add_request, add_stats, empty_log
@@ -143,7 +143,8 @@ def _check_matching_instance(rng) -> bool:
                          seats_total=int(rng.integers(0, 3)), trunk_total=int(rng.integers(0, 3)))
         vehicles.append(v)
     radius = float(rng.integers(2, 12))
-    got = match(reqs, vehicles, grid, radius, rng)
+    fleet = FleetTable(vehicles, grid)
+    got = match(reqs, np.arange(n_veh), fleet, grid, radius, rng)
     bound = reject_radius_ticks(grid, radius)
 
     seats = {v.id: v.seats_free for v in vehicles}

@@ -31,7 +31,7 @@ from hopfleet.dispatch_rl import (
     sync_target,
     train_step,
 )
-from hopfleet.fleet import FleetSnapshot, ManifestEntry, VehicleState, is_available, project_supply
+from hopfleet.fleet import FleetSnapshot, FleetTable, ManifestEntry, VehicleState, project_supply
 from hopfleet.geo import GridWorld, ZoneId
 
 
@@ -120,7 +120,7 @@ def reference_project_supply(vehicles, grid, horizon=30):
     available = np.zeros((grid.height, grid.width))
     projected = np.zeros((horizon + 1, grid.height, grid.width))
     for v in vehicles:
-        if is_available(v):
+        if v.seats_committed < v.seats_total or v.trunk_committed < v.trunk_total:
             available[v.location.row, v.location.col] += 1
             continue
         if not v.stops:
@@ -178,7 +178,8 @@ def test_encode_from_tick_maps_equals_per_call_sums(seed):
             forecaster.record(t, rng.poisson(0.3, size=(height, width)) * rng.random())
         tick = int(rng.integers(5000))
         fleet = random_fleet(rng, grid)
-        maps = observation_maps(project_supply(fleet, grid), forecaster.forecast(tick, DEMAND_REACH))
+        maps = observation_maps(project_supply(FleetTable(fleet, grid), grid),
+                                forecaster.forecast(tick, DEMAND_REACH))
         available, projected = reference_project_supply(fleet, grid)
         cube = forecaster.forecast(tick, 30)
         for v in fleet:

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 from dataclasses import replace
 
@@ -137,11 +138,19 @@ def inject_requests(sim, requests):
     sim._draw_requests = draw
 
 
+def place(sim, *zones):
+    """Put vehicles 0, 1, ... at ``zones`` and build the fleet table anew
+    from the vehicles, as ``initialize`` builds it."""
+    for v, zone in zip(sim.vehicles, zones, strict=True):
+        v.location = ZoneId(*zone)
+    sim.fleet = fl.FleetTable(sim.vehicles, sim.grid)
+
+
 def test_adjacent_passenger_delivered_within_overhead_budget():
     cfg = small_cfg(n_vehicles=1, warmup_ticks=0, episode_ticks=15)
     sim = Simulation(cfg, policy=ScriptedPolicy(0, 1))  # always dispatch one zone east
     sim.initialize()
-    sim.vehicles[0].location = ZoneId(0, 0)
+    place(sim, (0, 0))
     inject_requests(sim, [Request(0, PASSENGER, ZoneId(0, 1), ZoneId(0, 5), 0, 1.0)])
     log = sim.run(ticks=15)
     deliver = log.by_kind("deliver")
@@ -154,8 +163,7 @@ def test_goods_relay_one_hop_two_vehicles():
     cfg = small_cfg(n_vehicles=2, warmup_ticks=0, episode_ticks=30, max_hop_depth=1)
     sim = Simulation(cfg, policy=ScriptedPolicy(1, 0))  # dispatch one zone south
     sim.initialize()
-    sim.vehicles[0].location = ZoneId(0, 0)
-    sim.vehicles[1].location = ZoneId(0, 3)
+    place(sim, (0, 0), (0, 3))
     inject_requests(sim, [Request(0, GOODS, ZoneId(0, 0), ZoneId(0, 6), 0, 0.5)])
     log = sim.run(ticks=30)
 
@@ -176,8 +184,7 @@ def test_goods_relay_three_legs_indexed_by_hops_completed():
     cfg = small_cfg(n_vehicles=3, warmup_ticks=0, episode_ticks=40, max_hop_depth=2)
     sim = Simulation(cfg, policy=ScriptedPolicy(1, 0))  # dispatch one zone south
     sim.initialize()
-    for v, col in zip(sim.vehicles, (0, 3, 6)):
-        v.location = ZoneId(0, col)
+    place(sim, (0, 0), (0, 3), (0, 6))
     inject_requests(sim, [Request(0, GOODS, ZoneId(0, 0), ZoneId(0, 9), 0, 0.5)])
     log = sim.run(ticks=40)
 
@@ -209,7 +216,7 @@ def relay_waiting_at_hub():
     cfg = small_cfg(n_vehicles=1, warmup_ticks=0, max_hop_depth=1)
     sim = Simulation(cfg, policy=ScriptedPolicy(1, 0))
     sim.initialize()
-    sim.vehicles[0].location = ZoneId(0, 0)
+    place(sim, (0, 0))
     inject_requests(sim, [Request(0, GOODS, ZoneId(0, 0), ZoneId(0, 6), 0, 0.5)])
     for _ in range(30):  # the hop drop comes at tick 6; a stalled relay fails below
         sim.step()
@@ -318,6 +325,7 @@ def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed, monkeypatch):
                     assert (v.seats_committed, v.trunk_committed, v.passengers_onboard,
                             v.packages_onboard) == v.tallies(), (seed, sim.tick, _phase, v.id)
                     checked += len(v.stops) > 1
+                assert sim.fleet.first_stale() is None, (seed, sim.tick, _phase)
             setattr(sim, phase, checked_phase)
         sim.run(ticks=40)
     assert checked > 50
@@ -341,7 +349,7 @@ def reference_settle(sim, detour):
     speed = sim.grid.vehicle_speed
     rewards, total_detour_delay, activations, several_late = [], 0.0, 0, 0
     for v in sim.vehicles:
-        active_now, active_prev = int(v.active), int(sim.prev_active[v.id])
+        active_now, active_prev = int(v.status != fl.IDLE), int(sim.prev_active[v.id])
         activations += max(active_now - active_prev, 0)
         etas = {}
         if v.status in (fl.MATCHED, fl.SERVING):
@@ -492,6 +500,53 @@ def test_full_check_catches_stale_tallies(tally):
     setattr(v, tally, getattr(v, tally) - 1)
     with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} stored tallies"):
         sim.run(ticks=0)
+
+
+@pytest.mark.parametrize("column", fl.COLUMNS)
+def test_full_check_catches_a_stale_fleet_table(column):
+    sim = Simulation(small_cfg(seed=3))
+    sim.initialize()
+    while not any(v.passengers_onboard for v in sim.vehicles):
+        sim.step()
+    sim.run(ticks=0)  # the true table passes
+    v = next(v for v in sim.vehicles if v.passengers_onboard)
+    stored = getattr(sim.fleet, column)
+    true = int(stored[v.id])
+    for stale in (true - 1, true + 1):
+        stored[v.id] = stale
+        with pytest.raises(EngineInvariantError,
+                           match=f"vehicle {v.id} fleet table {column} {stale} is stale, "
+                                 f"the vehicle says {true}"):
+            sim.run(ticks=0)
+        stored[v.id] = true
+        sim.run(ticks=0)
+
+
+def test_dump_shows_the_named_vehicle_past_the_first_twenty():
+    sim = Simulation(small_cfg(seed=3, n_vehicles=50))
+    sim.initialize()
+    sim.run(ticks=0)
+    sim.fleet.seats_free[30] += 1
+    with pytest.raises(EngineInvariantError, match="vehicle 30 fleet table seats_free") as info:
+        sim.run(ticks=0)
+    dump = json.loads(str(info.value).split("state dump: ", 1)[1])
+    assert [v["id"] for v in dump["vehicles"]] == [*range(20), 30]
+    record = dump["vehicles"][-1]
+    assert record["table"] == sim.fleet.row(30)
+    assert record["table"]["seats_free"] == sim.vehicles[30].seats_free + 1
+    assert record["location"] == list(sim.vehicles[30].location)
+    sim.fleet.seats_free[30] -= 1
+    # a stale manifest entry: request 999 is queued, not assigned
+    sim.registry[999] = Request(999, PASSENGER, ZoneId(0, 0), ZoneId(0, 1), 0, 1.0)
+    sim.vehicles[30].add_entry(fl.ManifestEntry(999, PASSENGER, ZoneId(0, 0), ZoneId(0, 1)))
+    with pytest.raises(EngineInvariantError, match="request 999 status queued") as info:
+        sim.run(ticks=0)
+    dump = json.loads(str(info.value).split("state dump: ", 1)[1])
+    assert [v["id"] for v in dump["vehicles"]] == [*range(20), 30]
+    assert dump["vehicles"][-1]["manifest"] == [[999, PASSENGER, False]]
+    # a dump that names one of the first twenty shows it once
+    assert [v["id"] for v in json.loads(sim._dump("probe", 3).split("state dump: ")[1])
+            ["vehicles"]] == list(range(20))
 
 
 def test_flex_nohops_never_hops():

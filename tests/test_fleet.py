@@ -10,13 +10,15 @@ from hopfleet.fleet import (
     IDLE,
     MATCHED,
     SERVING,
+    OFF_GRID,
+    STATUS_CODE,
     DropEvent,
     FleetSnapshot,
+    FleetTable,
     ManifestEntry,
     PickupEvent,
     VehicleState,
     VehicleStateError,
-    is_available,
     move,
     process_arrivals,
     project_supply,
@@ -25,8 +27,8 @@ from hopfleet.fleet import (
 from hopfleet.geo import GridWorld, ZoneId, manhattan
 
 
-def make_vehicle(loc=(0, 0), **kw):
-    return VehicleState(id=0, location=ZoneId(*loc), **kw)
+def make_vehicle(loc=(0, 0), vid=0, **kw):
+    return VehicleState(id=vid, location=ZoneId(*loc), **kw)
 
 
 def entry(rid, kind, origin, dest, onboard=False):
@@ -36,23 +38,21 @@ def entry(rid, kind, origin, dest, onboard=False):
 
 
 def test_availability_examples():
-    v = make_vehicle()
+    v, full, partial = (make_vehicle(vid=vid) for vid in range(3))
+    fleet = FleetTable([v, full, partial], GridWorld(width=4, height=4))
     assert (v.seats_free, v.trunk_free) == (4, 5)
-    assert is_available(v)
 
-    full = make_vehicle()
     for i in range(4):
         full.add_entry(entry(i, PASSENGER, (1, 1), (2, 2), onboard=True))
     for i in range(5):
         full.add_entry(entry(10 + i, GOODS, (1, 1), (2, 2), onboard=True))
     assert (full.seats_free, full.trunk_free) == (0, 0)
-    assert not is_available(full)
 
-    partial = make_vehicle()
     partial.add_entry(entry(0, PASSENGER, (1, 1), (2, 2), onboard=True))
     partial.add_entry(entry(1, PASSENGER, (1, 1), (3, 3), onboard=True))
     assert (partial.seats_free, partial.trunk_free) == (2, 5)
-    assert is_available(partial)
+    assert fleet.available().tolist() == [True, False, True]
+    assert (fleet.seats_free.tolist(), fleet.trunk_free.tolist()) == ([4, 0, 2], [5, 0, 5])
 
 
 def test_capacity_guard_on_add():
@@ -263,22 +263,158 @@ def test_serving_with_empty_plan_raises():
 
 def test_project_supply_all_idle():
     grid = GridWorld(width=6, height=6)
-    vehicles = [VehicleState(id=i, location=ZoneId(2, 3)) for i in range(7)]
-    snap = project_supply(vehicles, grid)
+    fleet = FleetTable([VehicleState(id=i, location=ZoneId(2, 3)) for i in range(7)], grid)
+    snap = project_supply(fleet, grid)
     assert snap.available[2, 3] == 7
     assert snap.available.sum() == 7
+    assert snap.available.dtype == np.float64
     assert snap.freeing.shape == (0, 3)
 
 
 def test_project_supply_busy_vehicle_eta():
     grid = GridWorld(width=10, height=10)
     v = VehicleState(id=0, location=ZoneId(0, 0), status=SERVING, seats_total=1, trunk_total=0)
+    fleet = FleetTable([v], grid)
     v.add_entry(entry(1, PASSENGER, (0, 0), (0, 3), onboard=True))
-    snap = project_supply([v], grid)
+    snap = project_supply(fleet, grid)
     assert snap.available.sum() == 0  # full vehicle
     assert snap.freeing.tolist() == [[3, 0, 3]]  # free in 3 ticks at (0, 3)
     move(v, grid)
-    assert project_supply([v], grid).freeing.tolist() == [[2, 0, 3]]
+    assert project_supply(fleet, grid).freeing.tolist() == [[2, 0, 3]]
+
+
+def test_project_supply_counts_vehicles_by_zone_from_the_table():
+    # vehicles move and fill up after the table is built; the counts follow
+    grid = GridWorld(width=4, height=3)
+    vehicles = [make_vehicle(loc, vid=vid, status=DISPATCHING, seats_total=1, trunk_total=0)
+                for vid, loc in enumerate([(0, 0), (0, 0), (2, 3), (1, 2)])]
+    fleet = FleetTable(vehicles, grid)
+    vehicles[0].dispatch_target = ZoneId(0, 1)
+    move(vehicles[0], grid)
+    vehicles[2].add_entry(entry(1, PASSENGER, (2, 3), (2, 1), onboard=True))
+    want = np.zeros((3, 4))
+    for v in vehicles:
+        if v.seats_free > 0 or v.trunk_free > 0:
+            want[v.location] += 1
+    got = project_supply(fleet, grid).available
+    assert got.tolist() == want.tolist()
+    assert got.tolist() == [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
+
+
+def table_as_counted(vehicles, grid):
+    """Each fleet table column as the vehicles' own fields give it."""
+    def zone(v):
+        row, col = v.location
+        on_grid = 0 <= row < grid.height and 0 <= col < grid.width
+        return row * grid.width + col if on_grid else OFF_GRID
+
+    return {
+        "status": [STATUS_CODE[v.status] for v in vehicles],
+        "zone": [zone(v) for v in vehicles],
+        "seats_free": [v.seats_total - v.seats_committed for v in vehicles],
+        "trunk_free": [v.trunk_total - v.trunk_committed for v in vehicles],
+        "onboard": [v.passengers_onboard + v.packages_onboard for v in vehicles],
+    }
+
+
+def table_as_stored(fleet):
+    return {name: getattr(fleet, name).tolist()
+            for name in ("status", "zone", "seats_free", "trunk_free", "onboard")}
+
+
+@pytest.mark.parametrize("speed", [1, 2, 3])
+def test_fleet_table_follows_random_operations(speed):
+    # status changes, added entries, moves and arrivals in random order on a
+    # 5 x 5 grid; after each one every column equals what the vehicles say
+    rng = np.random.default_rng(70 + speed)
+    grid = GridWorld(width=5, height=5, vehicle_speed=speed)
+
+    def zone():
+        return ZoneId(int(rng.integers(5)), int(rng.integers(5)))
+
+    vehicles = [make_vehicle(zone(), vid=vid, seats_total=int(rng.integers(0, 3)),
+                             trunk_total=int(rng.integers(0, 3))) for vid in range(8)]
+    fleet = FleetTable(vehicles, grid)
+    assert table_as_stored(fleet) == table_as_counted(vehicles, grid)
+    next_status = {IDLE: DISPATCHING, DISPATCHING: DISPATCHED, DISPATCHED: MATCHED,
+                   MATCHED: SERVING, SERVING: IDLE}
+    seen = set()
+    for step in range(3000):
+        v = vehicles[int(rng.integers(len(vehicles)))]
+        op = int(rng.integers(4))
+        if op == 0 and (v.status != SERVING or not v.manifest):
+            if v.status == IDLE:
+                v.dispatch_target = zone()
+            v.set_status(next_status[v.status])
+        elif op == 1 and v.status in (DISPATCHED, MATCHED, SERVING):
+            kind = PASSENGER if rng.random() < 0.5 else GOODS
+            if (v.seats_free if kind == PASSENGER else v.trunk_free) > 0:
+                origin, dest = zone(), zone()
+                while dest == origin:
+                    dest = zone()
+                v.add_entry(ManifestEntry(step, kind, origin, dest))
+                if v.status != MATCHED:
+                    v.set_status(MATCHED)
+        elif op == 2 and v.status in (DISPATCHING, MATCHED, SERVING):
+            if v.status == DISPATCHING or v.stops:
+                move(v, grid)
+        elif op == 3:
+            process_arrivals(v, step)
+        else:
+            continue
+        seen.add((op, v.status))
+        assert table_as_stored(fleet) == table_as_counted(vehicles, grid), step
+        assert fleet.first_stale() is None, step
+    # every operation ran, and vehicles passed through every status
+    assert {op for op, _ in seen} == {0, 1, 2, 3}
+    assert {status for _, status in seen} == {IDLE, DISPATCHING, DISPATCHED, MATCHED, SERVING}
+
+
+def test_fleet_table_masks_and_rows():
+    grid = GridWorld(width=4, height=4)
+    statuses = [IDLE, DISPATCHING, DISPATCHED, MATCHED, SERVING, IDLE]
+    vehicles = [make_vehicle((vid % 4, 1), vid=vid, status=s) for vid, s in enumerate(statuses)]
+    fleet = FleetTable(vehicles, grid)
+    assert fleet.vehicles is vehicles
+    assert np.flatnonzero(fleet.mask(IDLE)).tolist() == [0, 5]
+    assert np.flatnonzero(fleet.mask(DISPATCHING, MATCHED, SERVING)).tolist() == [1, 3, 4]
+    assert fleet.row(4) == {"status": STATUS_CODE[SERVING], "zone": 0 * 4 + 1, "seats_free": 4,
+                            "trunk_free": 5, "onboard": 0}
+    assert all(v.fleet is fleet for v in vehicles)
+
+
+def test_fleet_table_holds_vehicles_in_id_order():
+    grid = GridWorld(width=4, height=4)
+    with pytest.raises(ValueError, match="vehicles 0..n-1 in id order"):
+        FleetTable([make_vehicle(vid=1), make_vehicle(vid=0)], grid)
+    with pytest.raises(ValueError, match="vehicles 0..n-1 in id order"):
+        FleetTable([make_vehicle(vid=0), make_vehicle(vid=2)], grid)
+
+
+def test_fleet_table_marks_off_grid_zones():
+    grid = GridWorld(width=4, height=3)
+    locations = [(0, 0), (2, 3), (3, 0), (0, 4), (-1, 2), (1, -1)]
+    fleet = FleetTable([make_vehicle(loc, vid=vid) for vid, loc in enumerate(locations)], grid)
+    assert fleet.zone.tolist() == [0, 11, OFF_GRID, OFF_GRID, OFF_GRID, OFF_GRID]
+    # a move that stays off the grid keeps the mark, one onto it clears it
+    v = fleet.vehicles[3]
+    v.set_status(DISPATCHING)
+    v.dispatch_target = ZoneId(2, 3)
+    move(v, grid)
+    assert (v.location, fleet.zone[3]) == (ZoneId(1, 4), OFF_GRID)
+    move(v, grid)
+    move(v, grid)
+    assert (v.location, fleet.zone[3]) == (ZoneId(2, 3), 11)
+
+
+def test_a_vehicle_outside_a_table_writes_nothing():
+    grid = GridWorld(width=4, height=4)
+    v = make_vehicle(status=DISPATCHING)
+    v.dispatch_target = ZoneId(0, 2)
+    assert move(v, grid) == 1
+    v.set_status(DISPATCHED)
+    v.add_entry(entry(1, PASSENGER, (0, 1), (0, 3)))
+    assert v.fleet is None and v.seats_free == 3
 
 
 def stored_tallies(v):

@@ -171,9 +171,9 @@ def test_phase_timers_cover_step_and_leave_the_log_alone(monkeypatch):
     sim.initialize()
     stepped = 0.0
     for _ in range(sim.cfg.episode_ticks):
-        start = time.perf_counter()
+        start = time.thread_time()
         sim.step()
-        stepped += time.perf_counter() - start
+        stepped += time.thread_time() - start
     spent = sim.phase_seconds
     assert list(spent) == list(PHASES) and min(spent.values()) > 0.0
     assert 0.9 * stepped <= sum(spent.values()) <= stepped
@@ -181,11 +181,28 @@ def test_phase_timers_cover_step_and_leave_the_log_alone(monkeypatch):
     assert hashlib.sha256(timed.encode()).hexdigest() == GOLDEN[(baseline, MODE_EVAL)][0]
 
     # the same episode with a clock that never moves, so the timers add nothing
-    monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    monkeypatch.setattr(engine, "time", SimpleNamespace(thread_time=lambda: 0.0))
     still = Simulation(golden_cfg(baseline))
     still.initialize()
     assert still.run(mode=MODE_EVAL).canonical() == timed
     assert set(still.phase_seconds.values()) == {0.0}
+
+
+def test_phase_timers_count_cpu_time_not_waits():
+    # a phase that sleeps spends wall time but not the thread's cpu time
+    sim = Simulation(golden_cfg(BASELINE_FLEX_HOPS))
+    sim.initialize()
+
+    def sleepy_forecast(tick, reach, _forecast=sim.forecaster.forecast):
+        time.sleep(0.05)
+        return _forecast(tick, reach)
+
+    sim.forecaster.forecast = sleepy_forecast
+    start = time.perf_counter()
+    for _ in range(3):
+        sim.step()
+    assert time.perf_counter() - start >= 0.15
+    assert sim.phase_seconds["forecast"] < 0.05
 
 
 @pytest.mark.parametrize("baseline", BASELINES)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hopfleet.demand import GOODS, PASSENGER, Request
-from hopfleet.fleet import ManifestEntry, VehicleState
+from hopfleet.fleet import FleetTable, ManifestEntry, VehicleState
 from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId
 from hopfleet.matching import SEAT, TRUNK, Assignment, match, reject_radius_ticks
 
@@ -23,6 +23,13 @@ def vehicle(vid, loc, seats=4, trunk=5):
     return VehicleState(id=vid, location=ZoneId(*loc), seats_total=seats, trunk_total=trunk)
 
 
+def match_all(requests, vehicles, grid, reject_radius, rng):
+    """match over a pool of every vehicle, through a fleet table of the
+    vehicles in id order."""
+    fleet = FleetTable(sorted(vehicles, key=lambda v: v.id), grid)
+    return match(requests, np.arange(len(vehicles)), fleet, grid, reject_radius, rng)
+
+
 def occupy(v, n_pass=0, n_goods=0):
     for i in range(n_pass):
         v.add_entry(ManifestEntry(1000 + v.id * 10 + i, PASSENGER, ZoneId(0, 0), ZoneId(1, 1), onboard=True))
@@ -33,24 +40,24 @@ def occupy(v, n_pass=0, n_goods=0):
 
 def test_no_requests_returns_empty():
     rng = np.random.default_rng(0)
-    assert match([], [vehicle(0, (0, 0))], make_grid(), 5, rng) == []
+    assert match_all([], [vehicle(0, (0, 0))], make_grid(), 5, rng) == []
 
 
 def test_off_grid_vehicle_raises():
     rng = np.random.default_rng(0)
     vs = [vehicle(0, (0, 0)), vehicle(1, (12, 3)), vehicle(2, (-1, 0))]
     with pytest.raises(InvalidZoneError, match=r"zone \(12, 3\) outside 12x12 grid"):
-        match([passenger(0, (0, 1))], vs, make_grid(), 5, rng)
+        match_all([passenger(0, (0, 1))], vs, make_grid(), 5, rng)
     # request origins are checked before vehicle locations
     with pytest.raises(InvalidZoneError, match=r"zone \(4, 12\) outside"):
-        match([passenger(0, (0, 1)), passenger(1, (4, 12))], vs, make_grid(), 5, rng)
+        match_all([passenger(0, (0, 1)), passenger(1, (4, 12))], vs, make_grid(), 5, rng)
 
 
 def test_passenger_goes_to_nearest_vehicle():
     rng = np.random.default_rng(0)
     grid = make_grid()
     vs = [vehicle(0, (0, 2)), vehicle(1, (0, 5))]
-    got = match([passenger(0, (0, 0))], vs, grid, 10, rng)
+    got = match_all([passenger(0, (0, 0))], vs, grid, 10, rng)
     assert got == [Assignment(0, 0, SEAT, 2)]
 
 
@@ -59,7 +66,7 @@ def test_capacity_exhaustion_leaves_farthest_queued():
     grid = make_grid()
     v = vehicle(0, (0, 0), seats=2)
     reqs = [passenger(0, (0, 1)), passenger(1, (0, 2)), passenger(2, (0, 3))]
-    got = match(reqs, [v], grid, 10, rng)
+    got = match_all(reqs, [v], grid, 10, rng)
     assert {a.request_id for a in got} == {0, 1}
     assert all(a.vehicle_id == 0 and a.slot == SEAT for a in got)
 
@@ -69,16 +76,42 @@ def test_goods_need_trunk_passengers_need_seats():
     grid = make_grid()
     seat_only = occupy(vehicle(0, (0, 1)), n_goods=5)  # trunk full
     trunk_only = occupy(vehicle(1, (0, 2)), n_pass=4)  # seats full
-    got = match([passenger(0, (0, 0)), goods(1, (0, 0))], [seat_only, trunk_only], grid, 10, rng)
+    got = match_all([passenger(0, (0, 0)), goods(1, (0, 0))], [seat_only, trunk_only], grid, 10,
+                    rng)
     by_req = {a.request_id: a for a in got}
     assert by_req[0].vehicle_id == 0 and by_req[0].slot == SEAT
     assert by_req[1].vehicle_id == 1 and by_req[1].slot == TRUNK
 
 
+def test_only_the_pool_is_matched():
+    # vehicle 1 is nearest but outside the pool
+    grid = make_grid()
+    fleet = FleetTable([vehicle(0, (0, 5)), vehicle(1, (0, 1)), vehicle(2, (0, 4))], grid)
+    got = match([passenger(0, (0, 0))], np.array([0, 2]), fleet, grid, 10,
+                np.random.default_rng(0))
+    assert got == [Assignment(0, 2, SEAT, 4)]
+
+
+def test_free_capacity_is_read_from_the_table():
+    # the table follows the manifest: a vehicle filled after the table was
+    # built takes no more passengers, and takes them again once recounted empty
+    grid = make_grid()
+    near, far = vehicle(0, (0, 1), seats=1), vehicle(1, (0, 3))
+    fleet = FleetTable([near, far], grid)
+    near.add_entry(ManifestEntry(50, PASSENGER, ZoneId(0, 1), ZoneId(0, 2), onboard=True))
+    pool = np.arange(2)
+    assert match([passenger(0, (0, 0))], pool, fleet, grid, 10,
+                 np.random.default_rng(0)) == [Assignment(0, 1, SEAT, 3)]
+    near.manifest.clear()
+    near.recount()
+    assert match([passenger(0, (0, 0))], pool, fleet, grid, 10,
+                 np.random.default_rng(0)) == [Assignment(0, 0, SEAT, 1)]
+
+
 def test_out_of_radius_requests_skipped():
     rng = np.random.default_rng(0)
     grid = make_grid()
-    got = match([passenger(0, (0, 0))], [vehicle(0, (11, 11))], grid, reject_radius=5, rng=rng)
+    got = match_all([passenger(0, (0, 0))], [vehicle(0, (11, 11))], grid, reject_radius=5, rng=rng)
     assert got == []
 
 
@@ -87,7 +120,7 @@ def test_radius_bound_uses_eta():
     assert reject_radius_ticks(grid, 5) == 3
     rng = np.random.default_rng(0)
     # distance 6, eta 3 ticks: inside the 5-zone radius expressed as ETA
-    got = match([passenger(0, (0, 6))], [vehicle(0, (0, 0))], grid, 5, rng)
+    got = match_all([passenger(0, (0, 6))], [vehicle(0, (0, 0))], grid, 5, rng)
     assert got and got[0].eta_ticks == 3
 
 
@@ -99,7 +132,7 @@ def test_tie_break_is_uniform_over_tied_vehicles():
     n = 3000
     rng = np.random.default_rng(123)
     for _ in range(n):
-        (a,) = match(reqs, vs, grid, 10, rng)
+        (a,) = match_all(reqs, vs, grid, 10, rng)
         counts[a.vehicle_id] += 1
     for vid in counts:
         assert abs(counts[vid] / n - 1 / 3) < 0.05
@@ -111,7 +144,7 @@ def test_deterministic_given_seed():
     vs = [vehicle(0, (0, 0)), vehicle(1, (2, 0)), vehicle(2, (2, 2))]
 
     def run(seed):
-        return match(reqs, vs, grid, 20, np.random.default_rng(seed))
+        return match_all(reqs, vs, grid, 20, np.random.default_rng(seed))
 
     assert run(5) == run(5)
 
@@ -166,7 +199,7 @@ def test_random_instances_satisfy_dominance(seed):
                     seats=int(rng.integers(0, 3)), trunk=int(rng.integers(0, 3)))
         vehicles.append(v)
     radius = int(rng.integers(2, 12))
-    got = match(reqs, vehicles, grid, radius, np.random.default_rng(seed + 1))
+    got = match_all(reqs, vehicles, grid, radius, np.random.default_rng(seed + 1))
     brute_force_check(reqs, vehicles, grid, radius, got)
 
 
@@ -248,6 +281,6 @@ def random_instance(rng):
 def test_matches_reference_loop(seed):
     reqs, vehicles, grid, radius = random_instance(np.random.default_rng(seed))
     rng_new, rng_ref = np.random.default_rng(seed + 7), np.random.default_rng(seed + 7)
-    assert match(reqs, vehicles, grid, radius, rng_new) == \
+    assert match_all(reqs, vehicles, grid, radius, rng_new) == \
         reference_match(reqs, vehicles, grid, radius, rng_ref)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
