@@ -6,10 +6,11 @@ Generation takes two steps: :func:`demand_sources` lays the sources out once
 (validated origins in draw order, and each goods site's reachable
 destinations), then :func:`generate_tick_requests` draws one tick from them.
 A passenger zone emits nothing iff its uniform is at most exp(-rate), as most
-do, so the passenger uniforms are drawn in blocks to find the next zone that
-emits; the generator is rewound to it and it is drawn alone, which keeps the
-stream of the zone-by-zone draw. Thresholds are ``math.exp`` values, as in
-:func:`poisson_sample`: an ``np.exp`` one bit off would change the stream.
+do, so the passenger uniforms are drawn in blocks of DRAW_BLOCK to find the
+next zone that emits; its count comes from its own uniform and the generator
+is rewound to just after it, which keeps the stream of the zone-by-zone draw.
+Thresholds are ``math.exp`` values, as in :func:`poisson_count`: an
+``np.exp`` one bit off would change the stream.
 The demand forecaster is a trailing tick-of-day historical average; it sits
 behind a plain ``forecast(now, steps)`` call so other predictors can be
 swapped in.
@@ -46,6 +47,9 @@ REQUEST_TRANSITIONS = {
 DEFAULT_URGENCY = {PASSENGER: 1.0, GOODS: 0.5}
 
 TRIP_RECORD_HEADER = ["pickup_tick", "kind", "origin_row", "origin_col", "dest_row", "dest_col"]
+
+# passenger uniforms drawn per block by generate_tick_requests
+DRAW_BLOCK = 512
 
 
 class TripRecordError(ValueError):
@@ -118,13 +122,9 @@ def poisson_pmf(x: int, lam: float) -> float:
     return math.exp(x * math.log(lam) - lam - math.lgamma(x + 1))
 
 
-def poisson_sample(lam: float, rng: np.random.Generator, max_count: int = 10_000) -> int:
-    """Draw one Poisson count by inverting the CDF on a uniform draw."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if lam == 0:
-        return 0
-    u = rng.random()
+def poisson_count(lam: float, u: float, max_count: int = 10_000) -> int:
+    """The Poisson(lam) count at the uniform ``u``: the least k whose CDF
+    reaches ``u``, capped at ``max_count``. Zero iff ``u <= exp(-lam)``."""
     k = 0
     p = math.exp(-lam)
     cum = p
@@ -133,6 +133,15 @@ def poisson_sample(lam: float, rng: np.random.Generator, max_count: int = 10_000
         p *= lam / k
         cum += p
     return k
+
+
+def poisson_sample(lam: float, rng: np.random.Generator, max_count: int = 10_000) -> int:
+    """Draw one Poisson count by inverting the CDF on a uniform draw."""
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    if lam == 0:
+        return 0
+    return poisson_count(lam, rng.random(), max_count)
 
 
 @dataclass
@@ -214,7 +223,15 @@ def generate_tick_requests(
 ) -> list[Request]:
     """Draw one tick of demand. Goods destinations stay within the sources'
     goods radius; optionally a share of them lands next to busy zones inside
-    that radius. ``rng`` needs a bit generator with ``advance``, as PCG64 has."""
+    that radius. ``rng`` needs a bit generator with ``advance``, as PCG64 has.
+
+    The passenger zones take one uniform each, in order, and a zone's
+    destinations follow its uniform in the stream. The uniforms come in
+    blocks of DRAW_BLOCK: a block in which no zone emits is consumed whole;
+    at a block's first emitting zone the count comes from that zone's
+    uniform, and a negative ``advance`` rewinds the generator to just after
+    it, so the next block starts after the destinations. The work is
+    zones + hits x DRAW_BLOCK uniforms rather than zones x hits."""
     grid, goods_radius = sources.grid, sources.goods_radius
     trip_distribution = trip_distribution or TripDistribution()
     goods_dest_hot = [ZoneId(*z) for z in goods_dest_hot]
@@ -224,21 +241,24 @@ def generate_tick_requests(
     bitgen, zones, p0 = rng.bit_generator, sources.passenger, sources.passenger_p0
     i = 0
     while i < len(zones):
-        saved = bitgen.state
-        hits = np.flatnonzero(rng.random(len(zones) - i) > p0[i:])
+        block = rng.random(min(DRAW_BLOCK, len(zones) - i))
+        hits = np.flatnonzero(block > p0[i : i + len(block)])
         if not hits.size:
-            break  # no zone left emits; the block took their uniforms
-        j = i + int(hits[0])
-        bitgen.state = saved
-        bitgen.advance(j - i)
-        # advance drops the 32-bit half a previous rng.integers left buffered
-        bitgen.state = {**bitgen.state, **{k: saved[k] for k in ("has_uint32", "uinteger")}}
-        origin, lam = zones[j]
-        for _ in range(poisson_sample(lam, rng)):
+            i += len(block)
+            continue
+        h = int(hits[0])
+        # doubles leave the 32-bit half a previous rng.integers buffered,
+        # and advance drops it, so it is put back
+        half = bitgen.state
+        bitgen.advance(h + 1 - len(block))
+        bitgen.state = {**bitgen.state, "has_uint32": half["has_uint32"],
+                        "uinteger": half["uinteger"]}
+        origin, lam = zones[i + h]
+        for _ in range(poisson_count(lam, float(block[h]))):
             dest = trip_distribution.sample_destination(grid, origin, rng)
             out.append(Request(next_id, PASSENGER, origin, dest, tick, DEFAULT_URGENCY[PASSENGER]))
             next_id += 1
-        i = j + 1
+        i += h + 1
 
     for origin, rate, candidates in sources.goods:
         hot_nearby = [z for z in goods_dest_hot

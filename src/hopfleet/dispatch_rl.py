@@ -9,7 +9,9 @@ target network evaluates it, discounted by gamma^(1 + elapsed) where
 ``elapsed`` counts extra ticks between an agent's consecutive decisions.
 A training update takes the targets of a batch as arrays and the clipped
 SGD step in place on the fresh gradients; the tests hold both, bit for bit,
-to a per-row loop and an out-of-place step.
+to a per-row loop and an out-of-place step. The dispatch phase evaluates its
+vehicles as stacks of single rows (``q_values``), whose bits do not depend
+on the stack, rather than as one batch, whose bits do.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ ACT_PROBABILITY_START = 0.3
 TARGET_SYNC_PERIOD = 150
 REPLAY_CAPACITY = 10_000
 CLIP_NORM = 10.0  # global gradient-norm cap of one SGD step
+STACK_CHUNK = 64  # rows per stacked single-row pass of the dispatch phase
 
 # the look-ahead of the observation: forecast demand summed over steps
 # 1..DEMAND_REACH, and busy vehicles freeing within 1..reach ticks, one
@@ -84,20 +87,6 @@ def state_dim(window: int = WINDOW) -> int:
     return N_CHANNELS * window * window + N_SCALARS
 
 
-def crop_window(arr: np.ndarray, center: ZoneId, window: int) -> np.ndarray:
-    """Window x window crop of the last two axes centered on ``center``,
-    zero-padded off-grid; leading axes are kept."""
-    half = window // 2
-    out = np.zeros(arr.shape[:-2] + (window, window))
-    h, w = arr.shape[-2:]
-    r0, c0 = center.row - half, center.col - half
-    rs, cs = max(r0, 0), max(c0, 0)
-    re, ce = min(r0 + window, h), min(c0 + window, w)
-    if rs < re and cs < ce:
-        out[..., rs - r0 : re - r0, cs - c0 : ce - c0] = arr[..., rs:re, cs:ce]
-    return out
-
-
 def observation_maps(supply: FleetSnapshot, forecast: np.ndarray) -> np.ndarray:
     """The full-grid channels every vehicle's observation is cropped from,
     (N_CHANNELS, height, width): forecast demand over steps 1..DEMAND_REACH,
@@ -115,22 +104,38 @@ def observation_maps(supply: FleetSnapshot, forecast: np.ndarray) -> np.ndarray:
 
 def encode_state(
     maps: np.ndarray,
-    vehicle: VehicleState,
+    vehicles: Sequence[VehicleState],
     tick: int,
     ticks_per_day: int,
     window: int = WINDOW,
 ) -> np.ndarray:
-    """Deterministic per-vehicle state vector: crops of the tick's
-    ``observation_maps`` around the vehicle, then its own free capacity and
-    clock features (N_SCALARS)."""
+    """Deterministic state vectors, one row per vehicle, (len(vehicles),
+    state_dim(window)): the window x window crops of the tick's
+    ``observation_maps`` centred on the vehicle, zero off the grid, then its
+    own free capacity and the clock features (N_SCALARS). A single vehicle
+    is a batch of one; each row depends on its own vehicle only."""
     if window % 2 == 0:
         raise ValueError("window must be odd")
-    channels = crop_window(maps, vehicle.location, window)
+    channels, height, width = maps.shape
+    offsets = np.arange(window) - window // 2
+    rows = np.array([v.location.row for v in vehicles], dtype=np.int64)[:, None] + offsets
+    cols = np.array([v.location.col for v in vehicles], dtype=np.int64)[:, None] + offsets
+    crops = maps[np.arange(channels)[:, None, None],
+                 rows.clip(0, height - 1)[:, None, :, None],
+                 cols.clip(0, width - 1)[:, None, None, :]]  # (vehicles, channels, window, window)
+    inside = ((rows >= 0) & (rows < height))[:, :, None] & ((cols >= 0) & (cols < width))[:, None, :]
+    np.copyto(crops, 0.0, where=~inside[:, None])
     tod = 2.0 * math.pi * (tick % ticks_per_day) / ticks_per_day
     dow = 2.0 * math.pi * ((tick // ticks_per_day) % 7) / 7.0
-    scalars = [float(vehicle.seats_free), float(vehicle.trunk_free),
-               math.sin(tod), math.cos(tod), math.sin(dow), math.cos(dow)]
-    return np.concatenate([channels.ravel(), scalars])
+    clock = [math.sin(tod), math.cos(tod), math.sin(dow), math.cos(dow)]
+    cropped = channels * window * window
+    out = np.empty((len(vehicles), cropped + N_SCALARS))
+    out[:, :cropped] = crops.reshape(len(vehicles), cropped)
+    scalars = out[:, -N_SCALARS:]
+    scalars[:, 0] = [v.seats_free for v in vehicles]
+    scalars[:, 1] = [v.trunk_free for v in vehicles]
+    scalars[:, 2:] = clock
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +170,14 @@ class QNetwork:
         return acts
 
     def q_values(self, x: np.ndarray) -> np.ndarray:
+        """Action values of one state (input_dim,), a batch (batch, input_dim)
+        or a stack of single rows (rows, 1, input_dim), each with the shape
+        of its input but the last axis n_actions. numpy evaluates a stack
+        one (1, input_dim) product at a time, each the BLAS matrix-vector
+        call a single state makes, so row k of a stack equals
+        ``q_values(x[k, 0])`` bit for bit whatever the stack's size. A
+        batch is one matrix-matrix product, whose bits depend on the
+        batch's size and on the row's position in it."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         out = self._forward(x[None, :] if single else x)[-1]
@@ -342,12 +355,20 @@ def sync_target(online: QNetwork, target: QNetwork, step: int, period: int = TAR
     return False
 
 
-def select_action(values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy over one state's row of action values; ties go to the
-    lowest index."""
+def exploration_draw(n_actions: int, epsilon: float, rng: np.random.Generator) -> int | None:
+    """The draws of one epsilon-greedy choice: a uniform random action with
+    probability ``epsilon``, else None for the greedy one. No draw reads a
+    Q-value, so a batch makes its draws before its forward pass."""
     if rng.random() < epsilon:
-        return int(rng.integers(len(values)))
-    return int(np.argmax(values))
+        return int(rng.integers(n_actions))
+    return None
+
+
+def select_action(values: np.ndarray, drawn: int | None) -> int:
+    """The epsilon-greedy choice over one state's row of action values,
+    given its ``exploration_draw``: the drawn action, or the greedy one when
+    none was drawn; ties go to the lowest index."""
+    return int(np.argmax(values)) if drawn is None else drawn
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,15 @@ free seats, free trunk slots and onboard count):
      ``legs[chain id][hops_completed]`` is the leg it carries
   3. idle vehicles query the dispatch policy with the scheduled probability;
      a self-targeted action holds the vehicle idle, anything else starts a
-     dispatch drive. Before it, ``project_supply`` counts the available
-     vehicles per zone with one ``np.bincount`` over the zone column
+     dispatch drive. Each idle vehicle first makes its draws in id order
+     (the act gate, then the exploration draw), as no draw reads a Q-value;
+     the acting ones are then encoded and evaluated in chunks of
+     ``STACK_CHUNK``, each a stack of single rows whose values equal the
+     vehicle's own pass bit for bit, and their actions applied in id order.
+     Before it, ``project_supply`` counts the available vehicles per zone
+     with one ``np.bincount`` over the zone column; on a full-check tick the
+     fleet table is checked against the vehicles first, since supply and
+     matching read it
   4. greedy matching binds queued requests to dispatched vehicles and to
      partially filled en-route vehicles, a pool whose zones and free
      capacity it reads from the table; stale requests expire
@@ -594,39 +601,46 @@ class Simulation:
                     hops += 1
         detail["hops"] = hops
 
-    def _observe(self, maps: np.ndarray, v: fl.VehicleState) -> np.ndarray:
-        """The state vector of one vehicle, cropped from the tick's maps."""
-        return rl.encode_state(maps, v, self.tick, window=self.cfg.rl.window,
+    def _observe(self, maps: np.ndarray, vehicles: list) -> np.ndarray:
+        """The state vectors of ``vehicles``, one row each, cropped from the
+        tick's maps."""
+        return rl.encode_state(maps, vehicles, self.tick, window=self.cfg.rl.window,
                                ticks_per_day=self.cfg.ticks_per_day)
 
     def _dispatch(self, supply: fl.FleetSnapshot, forecast: np.ndarray, detail: dict):
-        cfg = self.cfg
+        cfg, rng, online = self.cfg, self.explore_rng, self.policy.online
         beta = self.policy.act_probability(self.training)
         eps = self.policy.epsilon(self.training)
+        # each idle vehicle's draws in id order: the act gate, then the
+        # exploration draw; none reads a Q-value
+        acting, drawn = [], []
+        for vid in np.flatnonzero(self.fleet.mask(fl.IDLE)).tolist():
+            if rng.random() < beta:
+                acting.append(self.vehicles[vid])
+                drawn.append(rl.exploration_draw(online.n_actions, eps, rng))
         dispatch_time = 0.0
         q_maxes = []
-        maps = None  # built for the tick's first decision
-        for vid in np.flatnonzero(self.fleet.mask(fl.IDLE)).tolist():
-            v = self.vehicles[vid]
-            if self.explore_rng.random() >= beta:
-                continue
-            if maps is None:
-                maps = rl.observation_maps(supply, forecast)
-            vec = self._observe(maps, v)
-            values = self.policy.online.q_values(vec)
-            action = rl.select_action(values, eps, self.explore_rng)
-            q_maxes.append(float(np.max(values)))
-            if self.training:
-                self._decisions.append((v.id, vec, action))
-            target = rl.action_target(self.grid, v.location, action, cfg.rl.action_radius)
-            if target == v.location:
-                continue  # hold: stay idle, stay unmatched
-            v.dispatch_target = target
-            v.set_status(fl.DISPATCHING)
-            eta = self.grid.eta(v.location, target).ticks
-            dispatch_time += eta
-            self.log.add(self.tick, "dispatch", vehicle=v.id, origin=v.location,
-                         target=target, eta=eta)
+        maps = rl.observation_maps(supply, forecast) if acting else None
+        for start in range(0, len(acting), rl.STACK_CHUNK):
+            chunk = acting[start : start + rl.STACK_CHUNK]
+            states = self._observe(maps, chunk)
+            # a stack of single rows: each row's bits are those of its own pass
+            values = online.q_values(states[:, None, :])[:, 0]
+            q_maxes.extend(values.max(axis=1).tolist())
+            for v, vec, row, explore in zip(chunk, states, values,
+                                            drawn[start : start + rl.STACK_CHUNK]):
+                action = rl.select_action(row, explore)
+                if self.training:
+                    self._decisions.append((v.id, vec, action))
+                target = rl.action_target(self.grid, v.location, action, cfg.rl.action_radius)
+                if target == v.location:
+                    continue  # hold: stay idle, stay unmatched
+                v.dispatch_target = target
+                v.set_status(fl.DISPATCHING)
+                eta = self.grid.eta(v.location, target).ticks
+                dispatch_time += eta
+                self.log.add(self.tick, "dispatch", vehicle=v.id, origin=v.location,
+                             target=target, eta=eta)
         detail["dispatch_time"] = dispatch_time
         detail["q_max"] = float(np.mean(q_maxes)) if q_maxes else None
 
@@ -761,6 +775,14 @@ class Simulation:
         }
         return f"{message}\nstate dump: {json.dumps(state, sort_keys=True)}"
 
+    def _check_fleet_table(self):
+        stale = self.fleet.first_stale()
+        if stale is not None:
+            vid, column, stored, counted = stale
+            raise EngineInvariantError(self._dump(
+                f"vehicle {vid} fleet table {column} {stored} is stale, "
+                f"the vehicle says {counted}", vid))
+
     def _check_invariants(self, full: bool):
         manifest_owner = {}
         for v in self.vehicles:
@@ -800,12 +822,7 @@ class Simulation:
                 raise EngineInvariantError(self._dump(f"queued request {rid} not in queued status"))
         if not full:
             return
-        stale = self.fleet.first_stale()
-        if stale is not None:
-            vid, column, stored, counted = stale
-            raise EngineInvariantError(self._dump(
-                f"vehicle {vid} fleet table {column} {stored} is stale, "
-                f"the vehicle says {counted}", vid))
+        self._check_fleet_table()
         # an open primary request has exactly one live leg, queued or in a
         # manifest; a delivered or rejected one has none
         live: dict[int, int] = {}
@@ -828,12 +845,19 @@ class Simulation:
             raise EngineInvariantError("call initialize() before step()")
         clock = time.thread_time
         marks = [clock()]  # the end of each phase of PHASES follows its start
+        full = self.tick % FULL_CHECK_EVERY == 0
         detail = {}
         detour: dict[int, float] = {}
         self._intake(detail)
         marks.append(clock())
         self._arrivals(detour, detail)
         marks.append(clock())
+        table_check = 0.0
+        if full:
+            # supply and matching read the table; an entry stale for them
+            # alone may be rewritten by the moves before the full check
+            self._check_fleet_table()
+            table_check = clock() - marks[-1]
         supply = fl.project_supply(self.fleet, self.grid)
         marks.append(clock())
         forecast = self.forecaster.forecast(self.tick, rl.DEMAND_REACH)
@@ -849,7 +873,7 @@ class Simulation:
         self.log.add(self.tick, "tick_stats",
                      **{k: v for k, v in detail.items() if k != "q_max"})
         marks.append(clock())
-        self._check_invariants(full=(self.tick % FULL_CHECK_EVERY == 0))
+        self._check_invariants(full=full)
         marks.append(clock())
 
         if self.training:
@@ -866,16 +890,18 @@ class Simulation:
         marks.append(clock())
         for phase, start, end in zip(PHASES, marks, marks[1:]):
             self.phase_seconds[phase] += end - start
+        self.phase_seconds["supply"] -= table_check
+        self.phase_seconds["checks"] += table_check
         return detail
 
     def _flush_pending(self):
         """Episode truncation: bootstrap every in-flight decision."""
         maps = rl.observation_maps(fl.project_supply(self.fleet, self.grid),
                                    self.forecaster.forecast(self.tick, rl.DEMAND_REACH))
-        for vid in sorted(self.pending):
+        vids = sorted(self.pending)
+        for vid, state in zip(vids, self._observe(maps, [self.vehicles[vid] for vid in vids])):
             pend = self.pending[vid]
-            self.policy.buffer.push(rl.Transition(pend.state, pend.action, pend.accum,
-                                                  self._observe(maps, self.vehicles[vid]),
+            self.policy.buffer.push(rl.Transition(pend.state, pend.action, pend.accum, state,
                                                   elapsed=max(0, self.tick - pend.tick - 1)))
         self.pending = {}
 

@@ -27,6 +27,7 @@ from hopfleet.dispatch_rl import (
     ddqn_target,
     ddqn_targets,
     epsilon_at,
+    exploration_draw,
     select_action,
     sync_target,
     train_step,
@@ -360,7 +361,7 @@ def _toy_grid_policy_accuracy(seed):
     s = (0, 0)
     for step_i in range(6000):
         eps = epsilon_at(step_i, 3000, floor=0.05)
-        a = select_action(online.q_values(encode(s)), eps, rng)
+        a = select_action(online.q_values(encode(s)), exploration_draw(len(offsets), eps, rng))
         nxt, r, done = step(s, offsets[a])
         buffer.push(Transition(encode(s), a, r, encode(nxt), 0, terminal=done))
         s = (int(rng.integers(size)), int(rng.integers(size))) if done else nxt

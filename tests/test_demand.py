@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hopfleet.demand import (
+    DRAW_BLOCK,
     GOODS,
     PASSENGER,
     HistoricalAverageForecaster,
@@ -122,13 +123,19 @@ def test_generate_mean_rate_statistics(grid):
 
 
 def reference_generate(grid, passenger_rates, sources, tick, rng, trip_distribution,
-                       goods_dest_hot, goods_dest_hot_weight):
+                       goods_dest_hot, goods_dest_hot_weight, trace=None):
     """The per-zone draw that the block draw of generate_tick_requests
     replaced: one poisson_sample per passenger zone in ascending zone order,
-    zero-rate zones included, then the goods sites."""
+    zero-rate zones included, then the goods sites. ``trace`` receives, for
+    each zone that draws a uniform, whether a 32-bit half was buffered
+    before the draw and whether the zone emitted."""
     out = []
     for origin, lam in sorted(passenger_rates.items()):
-        for _ in range(poisson_sample(lam, rng)):
+        half = rng.bit_generator.state["has_uint32"] if trace is not None and lam > 0 else None
+        count = poisson_sample(lam, rng)
+        if half is not None:
+            trace.append((half, count > 0))
+        for _ in range(count):
             dest = trip_distribution.sample_destination(grid, origin, rng)
             out.append(Request(len(out), PASSENGER, origin, dest, tick, 1.0))
     for origin, rate, candidates in sources.goods:
@@ -186,16 +193,55 @@ def random_world(rng, first_rate=None):
     return grid, rates, sources, draw
 
 
+def block_world(rng):
+    """A world of two to four blocks of passenger zones, nearly all quiet.
+    The zones that end the first block and start the second are busy, as
+    are a few others, and every passenger trip heads for one of two or three
+    hot zones, which leaves a 32-bit half buffered after an odd count."""
+    grid = GridWorld(width=32, height=int(rng.integers(2 * DRAW_BLOCK // 32 + 1, 4 * DRAW_BLOCK // 32)))
+    zones = list(grid.all_zones())
+    rates = {z: 1e-6 for z in zones}
+    busy = [DRAW_BLOCK - 1, DRAW_BLOCK, *rng.integers(len(zones), size=int(rng.integers(0, 6)))]
+    for i in busy:
+        rates[zones[int(i)]] = float(rng.uniform(0.5, 3.0))
+    hot = [zones[int(i)] for i in rng.choice(len(zones), size=int(rng.integers(2, 4)), replace=False)]
+    locs = [ServiceLocation(zones[int(rng.integers(len(zones)))], "meal", float(rng.uniform(0, 2)))
+            for _ in range(int(rng.integers(0, 3)))]
+    sources = demand_sources(grid, locs, rates, goods_radius=int(rng.integers(1, 5)))
+    draw = dict(trip_distribution=TripDistribution(hot_zones=tuple(hot), hot_weight=1.0),
+                goods_dest_hot=hot, goods_dest_hot_weight=float(rng.random()))
+    return grid, rates, sources, draw
+
+
+def drawn_blocks(trace, block):
+    """The blocks a tick's block draw takes, rebuilt from the reference's
+    per-zone trace: (size, offset of the first emitting zone or None,
+    32-bit half buffered when the block is drawn) for each."""
+    out, i = [], 0
+    while i < len(trace):
+        size = min(block, len(trace) - i)
+        hit = next((k for k in range(size) if trace[i + k][1]), None)
+        out.append((size, hit, trace[i][0]))
+        i += size if hit is None else hit + 1
+    return out
+
+
 def test_block_draw_keeps_the_per_zone_stream():
     key = lambda reqs: [(r.kind, r.origin, r.destination, r.created_tick) for r in reqs]
-    seen = dict(empty_ticks=0, buffered_half=0, zero_rate_zones=0, goods=0, boundary=0)
-    cases = [(seed, None, 6) for seed in range(200)]
+    seen = dict(empty_ticks=0, buffered_half=0, zero_rate_zones=0, goods=0, boundary=0,
+                empty_block=0, hit_on_last_zone=0, then_on_first_zone=0, half_across_block=0)
+    cases = [(seed, None, 6, random_world) for seed in range(200)]
     # boundary cases: zone (0, 0) comes first and its uniform is the float
     # just above its zero-count threshold, so it must emit
     for seed, lam in enumerate(np.random.default_rng(7).uniform(0.0, math.log(2), 200), 200):
-        cases.append((seed, float(lam), 3))
-    for seed, first_rate, ticks in cases:
-        grid, rates, sources, draw = random_world(np.random.default_rng(seed), first_rate)
+        cases.append((seed, float(lam), 3, random_world))
+    # worlds larger than one block, with busy zones on a block boundary
+    cases.extend((seed, None, 3, block_world) for seed in range(400, 460))
+    for seed, first_rate, ticks, world in cases:
+        if world is random_world:
+            grid, rates, sources, draw = random_world(np.random.default_rng(seed), first_rate)
+        else:
+            grid, rates, sources, draw = block_world(np.random.default_rng(seed))
         if first_rate is None:
             ours, ref = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
         else:
@@ -205,7 +251,8 @@ def test_block_draw_keeps_the_per_zone_stream():
         for tick in range(ticks):
             seen["buffered_half"] += ours.bit_generator.state["has_uint32"]
             got = generate_tick_requests(sources, tick, ours, **draw)
-            want = reference_generate(grid, rates, sources, tick, ref, **draw)
+            trace = []
+            want = reference_generate(grid, rates, sources, tick, ref, **draw, trace=trace)
             assert key(got) == key(want), (seed, tick)
             assert ours.bit_generator.state == ref.bit_generator.state, (seed, tick)
             seen["empty_ticks"] += not want
@@ -213,6 +260,16 @@ def test_block_draw_keeps_the_per_zone_stream():
             if first_rate is not None and tick == 0:
                 assert want[0].origin == ZoneId(0, 0), seed
                 seen["boundary"] += 1
+            blocks = drawn_blocks(trace, DRAW_BLOCK)
+            seen["empty_block"] += sum(hit is None and size == DRAW_BLOCK for size, hit, _ in blocks)
+            # a half buffered before a block in which no zone emits, still
+            # there when the next block rewinds
+            seen["half_across_block"] += sum(
+                size == DRAW_BLOCK and hit is None and half and next_hit is not None
+                for (size, hit, half), (_, next_hit, _) in zip(blocks, blocks[1:]))
+            for (_, hit, _), (_, next_hit, _) in zip(blocks, blocks[1:] + [(0, None, 0)]):
+                seen["hit_on_last_zone"] += hit == DRAW_BLOCK - 1
+                seen["then_on_first_zone"] += hit == DRAW_BLOCK - 1 and next_hit == 0
     assert min(seen.values()) >= 20, seen
 
 

@@ -17,11 +17,11 @@ from hopfleet.dispatch_rl import (
     action_count,
     action_target,
     action_to_offset,
-    crop_window,
     ddqn_target,
     ddqn_targets,
     encode_state,
     epsilon_at,
+    exploration_draw,
     load_checkpoint,
     observation_maps,
     offset_to_action,
@@ -44,7 +44,22 @@ def empty_world(width=20, height=20):
 
 
 def encode(supply, forecast, v, tick):
-    return encode_state(observation_maps(supply, forecast), v, tick=tick, ticks_per_day=1440)
+    """The state vector of one vehicle, a batch of one."""
+    return encode_state(observation_maps(supply, forecast), [v], tick=tick, ticks_per_day=1440)[0]
+
+
+def reference_crop(arr, center, window):
+    """The per-vehicle crop the encoder replaced: a window x window crop of
+    the last two axes centred on ``center``, zero-padded off the grid."""
+    half = window // 2
+    out = np.zeros(arr.shape[:-2] + (window, window))
+    h, w = arr.shape[-2:]
+    r0, c0 = center.row - half, center.col - half
+    rs, cs = max(r0, 0), max(c0, 0)
+    re, ce = min(r0 + window, h), min(c0 + window, w)
+    if rs < re and cs < ce:
+        out[..., rs - r0 : re - r0, cs - c0 : ce - c0] = arr[..., rs:re, cs:ce]
+    return out
 
 
 def channels(vec, window=15):
@@ -138,7 +153,7 @@ def reference_encode(available, projected, forecast, v, tick, ticks_per_day, win
     demand_next = forecast[1 : min(16, forecast.shape[0])].sum(axis=0)
     freeing_15 = projected[1 : min(16, projected.shape[0])].sum(axis=0)
     freeing_30 = projected[1 : min(31, projected.shape[0])].sum(axis=0)
-    channels = np.stack([crop_window(m, v.location, window)
+    channels = np.stack([reference_crop(m, v.location, window)
                          for m in (demand_next, available, freeing_15, freeing_30)])
     tod = 2.0 * math.pi * (tick % ticks_per_day) / ticks_per_day
     dow = 2.0 * math.pi * ((tick // ticks_per_day) % 7) / 7.0
@@ -184,7 +199,14 @@ def test_encode_from_tick_maps_equals_per_call_sums(seed):
         cube = forecaster.forecast(tick, 30)
         for v in fleet:
             window = int(rng.choice([1, 3, 15]))
-            got = encode_state(maps, v, tick, ticks_per_day=250, window=window)
+            got = encode_state(maps, [v], tick, ticks_per_day=250, window=window)[0]
+            want = reference_encode(available, projected, cube, v, tick, 250, window)
+            assert got.tobytes() == want.tobytes(), (seed, trial, v.id, window)
+        # the whole fleet in one batch, rows in fleet order
+        window = int(rng.choice([1, 3, 15]))
+        batch = encode_state(maps, fleet, tick, ticks_per_day=250, window=window)
+        assert batch.shape == (len(fleet), state_dim(window))
+        for v, got in zip(fleet, batch):
             want = reference_encode(available, projected, cube, v, tick, 250, window)
             assert got.tobytes() == want.tobytes(), (seed, trial, v.id, window)
 
@@ -199,18 +221,58 @@ def test_freeing_channels_count_within_their_reach():
     assert maps[3].tolist() == [[1, 2, 1]]  # within 30 ticks
 
 
-def test_crop_window_identity_inside():
+def test_encoded_crop_is_identity_inside():
     arr = np.arange(100.0).reshape(10, 10)
-    got = crop_window(arr, ZoneId(5, 5), 3)
-    assert np.array_equal(got, arr[4:7, 4:7])
+    maps = np.stack([arr, 2 * arr, 3 * arr, 4 * arr])
+    vec = encode_state(maps, [VehicleState(id=0, location=ZoneId(5, 5))], 0, 1440, window=3)[0]
+    assert np.array_equal(channels(vec, window=3), maps[:, 4:7, 4:7])
+
+
+@pytest.mark.parametrize("window", [1, 3, 7, 15])
+def test_encoder_batch_equals_per_vehicle_crops_at_corners_and_edges(window):
+    # the rows of one batch, in the order given, equal a batch of one per
+    # vehicle and the per-vehicle reference crop, on a grid narrower than
+    # the window: corners, each edge and the interior, capacities differing
+    height, width = 6, 9
+    rng = np.random.default_rng(window)
+    maps = rng.random((N_CHANNELS, height, width)) * rng.integers(0, 3, (N_CHANNELS, height, width))
+    spots = [(0, 0), (0, width - 1), (height - 1, 0), (height - 1, width - 1),
+             (0, 4), (height - 1, 4), (3, 0), (3, width - 1), (2, 5), (0, 0)]
+    vehicles = [VehicleState(id=i, location=ZoneId(r, c), seats_total=i % 5, trunk_total=i // 2)
+                for i, (r, c) in enumerate(spots)]
+    batch = encode_state(maps, vehicles, 613, ticks_per_day=250, window=window)
+    assert batch.shape == (len(vehicles), state_dim(window))
+    for v, row in zip(vehicles, batch):
+        single = encode_state(maps, [v], 613, ticks_per_day=250, window=window)[0]
+        assert row.tobytes() == single.tobytes(), v.location
+        assert channels(row, window).tobytes() == reference_crop(maps, v.location, window).tobytes()
+        assert row[-N_SCALARS:-N_SCALARS + 2].tolist() == [v.seats_free, v.trunk_free]
+    assert encode_state(maps, [], 613, ticks_per_day=250, window=window).shape == (0, state_dim(window))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 500])
+def test_stacked_single_rows_equal_one_pass_per_row(n):
+    # the dispatch phase evaluates idle vehicles as a stack of single rows,
+    # in chunks; each row must keep the bits of its own single-state pass
+    net = QNetwork(state_dim(), action_count(), hidden=(128, 128), rng=np.random.default_rng(n))
+    states = np.random.default_rng(n + 1).normal(size=(n, state_dim()))
+    stacked = net.q_values(states[:, None, :])
+    assert stacked.shape == (n, 1, action_count())
+    chunked = np.concatenate([net.q_values(states[i : i + 37, None, :]) for i in range(0, n, 37)])
+    for k in range(n):
+        want = net.q_values(states[k]).tobytes()
+        assert stacked[k, 0].tobytes() == want, k
+        assert chunked[k, 0].tobytes() == want, k
 
 
 def test_select_action_greedy_and_ties():
     rng = np.random.default_rng(0)
     net = QNetwork(4, 5, hidden=(8,), rng=np.random.default_rng(1))
     q = net.q_values(np.ones(4))
-    assert select_action(q, 0.0, rng) == int(np.argmax(q))
-    assert select_action(np.zeros(5), 0.0, rng) == 0
+    assert exploration_draw(5, 0.0, rng) is None
+    assert select_action(q, None) == int(np.argmax(q))
+    assert select_action(np.zeros(5), None) == 0
+    assert select_action(q, 3) == 3  # a drawn action overrides the values
 
 
 def test_select_action_epsilon_one_uniform():
@@ -218,7 +280,7 @@ def test_select_action_epsilon_one_uniform():
     n = 10_000
     counts = np.zeros(10)
     for _ in range(n):
-        counts[select_action(np.zeros(10), 1.0, rng)] += 1
+        counts[select_action(np.zeros(10), exploration_draw(10, 1.0, rng))] += 1
     expected = n / 10
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 21.67  # chi-square 99th percentile, 9 dof

@@ -38,7 +38,8 @@ class ScriptedPolicy:
             self.values[action] = 1.0
 
         def q_values(self, x):
-            return self.values
+            # one row of values per state, in the shape QNetwork.q_values gives
+            return np.broadcast_to(self.values, np.shape(x)[:-1] + self.values.shape)
 
     def __init__(self, dr, dc):
         self.schedule_step = 0
@@ -430,14 +431,15 @@ def test_replay_transitions_discount_the_rewards_between_decisions(seed, monkeyp
         rewards.append(agent_reward(*args).tolist())
         return np.array(rewards[-1])
 
-    def chosen(values, eps, rng, _select=engine.rl.select_action):
-        action = _select(values, eps, rng)
+    def chosen(values, drawn, _select=engine.rl.select_action):
+        action = _select(values, drawn)
         actions.append(action if len(actions) % 4 == 3 else hold)
         return actions[-1]
 
-    def observe(maps, v, _observe=sim._observe):
-        observed.append((sim.tick, v.id, _observe(maps, v)))
-        return observed[-1][2]
+    def observe(maps, vehicles, _observe=sim._observe):
+        states = _observe(maps, vehicles)
+        observed.extend((sim.tick, v.id, state) for v, state in zip(vehicles, states))
+        return states
 
     monkeypatch.setattr(engine, "agent_reward", settled)
     monkeypatch.setattr(engine.rl, "select_action", chosen)
@@ -458,7 +460,11 @@ def test_replay_transitions_discount_the_rewards_between_decisions(seed, monkeyp
     assert len(got) == len(want)
     assert sum(accum != 0.0 for _, _, accum, _, elapsed in want if elapsed > 0) >= 2
     for tr, (state0, action0, accum, state, elapsed) in zip(got, want):
-        assert tr.state is state0 and tr.next_state is state and not tr.terminal
+        # a state row is a view of its batch: the transition holds the very
+        # memory the observation wrote
+        assert np.shares_memory(tr.state, state0) and np.shares_memory(tr.next_state, state)
+        assert tr.state.tobytes() == state0.tobytes() and not tr.terminal
+        assert tr.next_state.tobytes() == state.tobytes()
         assert (tr.action, tr.reward.hex(), tr.elapsed) == (action0, accum.hex(), elapsed)
 
 
@@ -520,6 +526,65 @@ def test_full_check_catches_a_stale_fleet_table(column):
             sim.run(ticks=0)
         stored[v.id] = true
         sim.run(ticks=0)
+
+
+def test_full_check_catches_a_table_entry_stale_before_supply():
+    # a zone entry wrong while supply and matching read it; the dispatch
+    # drive's move rewrites it before the check after the tick's moves
+    sim = Simulation(small_cfg(n_vehicles=1, warmup_ticks=0), policy=ScriptedPolicy(0, 1))
+    sim.initialize()
+    v = sim.vehicles[0]
+    stored = int(sim.fleet.zone[0])
+    v.location = ZoneId(0, 0) if v.location != ZoneId(0, 0) else ZoneId(1, 1)
+    moved = fl.flat_zone(v.location, sim.grid.height, sim.grid.width)
+    with pytest.raises(EngineInvariantError,
+                       match=f"vehicle 0 fleet table zone {stored} is stale, the vehicle says {moved}"):
+        sim.step()
+    assert sim.tick == 0 and sim.log.by_kind("dispatch") == []
+
+
+def busy_sim():
+    """A small episode stepped until a vehicle carries a manifest and a
+    request waits in the queue; its light invariant pass holds."""
+    sim = Simulation(small_cfg(seed=3))
+    sim.initialize()
+    while not (sim.queue and any(v.manifest for v in sim.vehicles)):
+        sim.step()
+    sim._check_invariants(full=False)
+    return sim
+
+
+def corrupt_light(sim, case):
+    """Break one thing the light pass checks; the message it must raise."""
+    v = next(v for v in sim.vehicles if v.manifest)
+    rid = v.manifest[0].request_id
+    if case == "over capacity":
+        v.passengers_onboard = v.seats_total + 1
+        return f"vehicle {v.id} over capacity"
+    if case == "overcommitted":
+        v.trunk_committed = v.trunk_total + 1
+        return f"vehicle {v.id} overcommitted"
+    if case == "bad status":
+        v.status = "parked"
+        return f"vehicle {v.id} bad status parked"
+    if case == "in two manifests":
+        sim.vehicles[(v.id + 1) % len(sim.vehicles)].manifest.append(v.manifest[0])
+        return f"request {rid} in two manifests"
+    if case == "queued and assigned":
+        sim.queue.append(rid)
+        return f"request {rid} queued and assigned"
+    queued = sim.queue[0]
+    sim.registry[queued].status = dm.ASSIGNED
+    return f"queued request {queued} not in queued status"
+
+
+@pytest.mark.parametrize("case", ["over capacity", "overcommitted", "bad status",
+                                  "in two manifests", "queued and assigned", "not in queued status"])
+def test_light_invariant_pass_names_what_broke(case):
+    sim = busy_sim()
+    message = corrupt_light(sim, case)
+    with pytest.raises(EngineInvariantError, match=message):
+        sim._check_invariants(full=False)
 
 
 def test_dump_shows_the_named_vehicle_past_the_first_twenty():

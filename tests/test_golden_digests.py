@@ -11,7 +11,9 @@ of ``configs/default.yaml`` scaled down, so these digests pin the YAML's
 settings too, and a ``flex_hops`` case must relay at least one package.
 In those train cases each vehicle decides once; one more train case has
 vehicles decide again, so that transitions pushed from the decision ledger
-reach its parameter digest.
+reach its parameter digest. A larger world, in eval and in train mode, has
+more passenger zones than one demand block and more idle vehicles at tick 0
+than one stacked pass of the dispatch phase.
 Each case runs the policy ``Simulation(cfg)`` builds, which is the
 ``DispatchPolicy(cfg)`` that ``hopfleet train``, ``hopfleet eval`` and
 ``bench/run.py`` build, so the pinned path is the one they run.
@@ -28,7 +30,8 @@ from types import SimpleNamespace
 import pytest
 
 from hopfleet import engine
-from hopfleet.dispatch_rl import load_checkpoint
+from hopfleet.demand import DRAW_BLOCK
+from hopfleet.dispatch_rl import STACK_CHUNK, load_checkpoint
 from hopfleet.engine import (
     BASELINE_FLEX_HOPS,
     BASELINE_FLEX_NOHOPS,
@@ -78,6 +81,20 @@ GOLDEN_REPEAT_DECISIONS = (
     "783d44ad97228e712df976640600471e5def50de83eafbb1521f72a813da778a",
     "8b90511c1f75021803c0d9239079224b319c2e4df2fcd957a2c4beb6eb19631e",
 )
+
+# a 30x30 world with 200 vehicles for 30 ticks: its 900 passenger zones span
+# more than one demand block, and tick 0 evaluates more idle vehicles than one
+# stacked pass takes; mode -> (log digest, parameter digest)
+GOLDEN_BEYOND_ONE_BLOCK = {
+    MODE_EVAL: (
+        "0d02cda5f54dac5f7573c3774f2df11065b470328fddc0a4829a0d9550515e65",
+        None,
+    ),
+    MODE_TRAIN: (
+        "5a98c30369138b3eadf2e0a5914dc77d01b3e4da09bfa94950194f7e2c30c576",
+        "443fd9ea8c2113adc53e2ea0af627f8c383992cefb4a975938a9f06322afed0d",
+    ),
+}
 
 WARM_TICKS = 20  # the episode that fills the buffer before a pinned train episode
 
@@ -146,6 +163,34 @@ def test_repeat_decisions_digest_pinned(tmp_path):
     assert log.by_kind("hop_drop"), "no package relayed at a hub"
     log_digest = hashlib.sha256(log.canonical().encode()).hexdigest()
     assert (log_digest, parameter_digest(sim.policy, tmp_path)) == GOLDEN_REPEAT_DECISIONS
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_BEYOND_ONE_BLOCK))
+def test_digest_beyond_one_block_and_one_chunk_pinned(mode, tmp_path):
+    cfg = golden_cfg(BASELINE_FLEX_HOPS)
+    cfg = replace(cfg, n_vehicles=200, episode_ticks=30, grid=replace(cfg.grid, width=30, height=30))
+    policy = None
+    if mode == MODE_TRAIN:
+        cfg, policy = replace(cfg, seed=cfg.seed + 1), warm_policy(cfg)
+    sim = Simulation(cfg, policy=policy)
+    sim.initialize()
+    assert len(sim._sources.passenger) > DRAW_BLOCK
+    observed = []  # (tick, vehicles) of each stacked pass
+
+    def observe(maps, vehicles, _observe=sim._observe):
+        observed.append((sim.tick, len(vehicles)))
+        return _observe(maps, vehicles)
+
+    sim._observe = observe
+    log = sim.run(mode=mode)
+    first = [n for tick, n in observed if tick == 0]
+    assert len(first) >= 2 and sum(first) > STACK_CHUNK
+    params = None
+    if mode == MODE_TRAIN:
+        assert any(row["loss"] is not None for row in sim.curve), "no gradient step taken"
+        params = parameter_digest(sim.policy, tmp_path)
+    log_digest = hashlib.sha256(log.canonical().encode()).hexdigest()
+    assert (log_digest, params) == GOLDEN_BEYOND_ONE_BLOCK[mode]
 
 
 @pytest.mark.parametrize("baseline", BASELINES)
