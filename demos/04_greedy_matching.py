@@ -21,10 +21,11 @@ requests = [
     Request(2, GOODS, ZoneId(3, 3), ZoneId(6, 6), 0, 0.5),
     Request(3, GOODS, ZoneId(11, 11), ZoneId(7, 7), 0, 0.5),
 ]
+# desk cars: 4 seats and 5 trunk slots
 fleet = FleetTable([
-    VehicleState(id=0, location=ZoneId(0, 1)),
-    VehicleState(id=1, location=ZoneId(2, 4)),
-    VehicleState(id=2, location=ZoneId(4, 4), trunk_total=0),  # no trunk space
+    VehicleState(id=0, location=ZoneId(0, 1), seats_total=4, trunk_total=5),
+    VehicleState(id=1, location=ZoneId(2, 4), seats_total=4, trunk_total=5),
+    VehicleState(id=2, location=ZoneId(4, 4), seats_total=4, trunk_total=0),  # no trunk space
 ], grid)
 
 # the pool is every vehicle of the table, by id
@@ -35,7 +36,8 @@ for a in match(requests, range(len(fleet.vehicles)), fleet, grid, reject_radius=
 print("request 3 stays queued: nothing within the reject radius.\n")
 
 # full vehicles never accept more than their capacity
-small = FleetTable([VehicleState(id=0, location=ZoneId(0, 0), seats_total=1)], grid)
+small = FleetTable([VehicleState(id=0, location=ZoneId(0, 0), seats_total=1, trunk_total=0)],
+                   grid)
 crowd = [Request(i, PASSENGER, ZoneId(0, i + 1), ZoneId(5, 5), 0, 1.0) for i in range(3)]
 got = match(crowd, [0], small, grid, reject_radius=8, rng=rng)
 print(f"one seat, three passengers: {len(got)} assignment ->",

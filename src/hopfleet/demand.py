@@ -74,8 +74,6 @@ class Request:
     created_tick: int
     urgency: float
     status: str = QUEUED
-    pickup_tick: int | None = None
-    delivery_tick: int | None = None
     hops_completed: int = 0
     parent_id: int | None = None
 
@@ -89,14 +87,10 @@ class Request:
         if self.kind == PASSENGER and self.hops_completed:
             raise ValueError("passengers never hop")
 
-    def set_status(self, new: str, tick: int | None = None):
+    def set_status(self, new: str):
         if new not in REQUEST_TRANSITIONS[self.status]:
             raise ValueError(f"request {self.id}: illegal transition {self.status} -> {new}")
         self.status = new
-        if new == PICKED_UP:
-            self.pickup_tick = tick
-        elif new == DELIVERED:
-            self.delivery_tick = tick
 
 
 @dataclass(frozen=True)

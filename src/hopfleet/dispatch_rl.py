@@ -1,13 +1,13 @@
 """Dispatch policy learning: state encoding, Q-network, replay, double-Q targets.
 
-The action space is a square of zone offsets around the vehicle (radius 7 by
-default, 225 actions). The Q-function is a fully connected ReLU network
-over the flattened channel crop, with hand-written forward and backward
-passes so gradients can be verified by finite differences. Targets follow
-the double estimator: the online network picks the bootstrap action, the
-target network evaluates it, discounted by gamma^(1 + elapsed) where
-``elapsed`` counts extra ticks between an agent's consecutive decisions.
-A training update takes the targets of a batch as arrays and the clipped
+The action space is a square of zone offsets around the vehicle (radius
+``rl.action_radius``: 7 on the desk, 225 actions). The Q-function is a
+fully connected ReLU network over the flattened channel crop, with
+hand-written forward and backward passes so gradients can be verified by
+finite differences. Targets follow the double estimator: the online network
+picks the bootstrap action, the target network evaluates it, discounted by
+gamma^(1 + elapsed) where ``elapsed`` counts extra ticks between an agent's
+consecutive decisions. A training update takes the targets of a batch as arrays and the clipped
 SGD step in place on the fresh gradients; the tests hold both, bit for bit,
 to a per-row loop and an out-of-place step. The dispatch phase evaluates its
 vehicles as stacks of single rows (``q_values``), whose bits do not depend
@@ -23,15 +23,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fleet import FleetSnapshot, VehicleState
+from .fleet import FleetSnapshot, FleetTable
 from .geo import GridWorld, ZoneId
 
-ACTION_RADIUS = 7
-WINDOW = 15
 EPSILON_FLOOR = 0.05
 ACT_PROBABILITY_START = 0.3
-TARGET_SYNC_PERIOD = 150
-REPLAY_CAPACITY = 10_000
 CLIP_NORM = 10.0  # global gradient-norm cap of one SGD step
 STACK_CHUNK = 64  # rows per stacked single-row pass of the dispatch phase
 
@@ -56,25 +52,25 @@ class CheckpointShapeError(CheckpointError):
 # action space
 
 
-def action_count(radius: int = ACTION_RADIUS) -> int:
+def action_count(radius: int) -> int:
     return (2 * radius + 1) ** 2
 
 
-def action_to_offset(index: int, radius: int = ACTION_RADIUS) -> tuple:
+def action_to_offset(index: int, radius: int) -> tuple:
     side = 2 * radius + 1
     if not (0 <= index < side * side):
         raise ValueError(f"action index {index} out of range")
     return index // side - radius, index % side - radius
 
 
-def offset_to_action(dr: int, dc: int, radius: int = ACTION_RADIUS) -> int:
+def offset_to_action(dr: int, dc: int, radius: int) -> int:
     if abs(dr) > radius or abs(dc) > radius:
         raise ValueError(f"offset ({dr}, {dc}) exceeds radius {radius}")
     side = 2 * radius + 1
     return (dr + radius) * side + (dc + radius)
 
 
-def action_target(grid: GridWorld, location: ZoneId, index: int, radius: int = ACTION_RADIUS) -> ZoneId:
+def action_target(grid: GridWorld, location: ZoneId, index: int, radius: int) -> ZoneId:
     dr, dc = action_to_offset(index, radius)
     return grid.clamp(location.row + dr, location.col + dc)
 
@@ -83,7 +79,7 @@ def action_target(grid: GridWorld, location: ZoneId, index: int, radius: int = A
 # state encoding
 
 
-def state_dim(window: int = WINDOW) -> int:
+def state_dim(window: int) -> int:
     return N_CHANNELS * window * window + N_SCALARS
 
 
@@ -104,22 +100,26 @@ def observation_maps(supply: FleetSnapshot, forecast: np.ndarray) -> np.ndarray:
 
 def encode_state(
     maps: np.ndarray,
-    vehicles: Sequence[VehicleState],
+    fleet: FleetTable,
+    vids: Sequence[int],
     tick: int,
     ticks_per_day: int,
-    window: int = WINDOW,
+    window: int,
 ) -> np.ndarray:
-    """Deterministic state vectors, one row per vehicle, (len(vehicles),
-    state_dim(window)): the window x window crops of the tick's
-    ``observation_maps`` centred on the vehicle, zero off the grid, then its
-    own free capacity and the clock features (N_SCALARS). A single vehicle
-    is a batch of one; each row depends on its own vehicle only."""
+    """Deterministic state vectors, one row per vehicle id of ``vids``,
+    (len(vids), state_dim(window)): the window x window crops of the tick's
+    ``observation_maps`` centred on the vehicle's zone, zero off the grid,
+    then its free capacity and the clock features (N_SCALARS). Zones and
+    free capacity are read from ``fleet``, a table of the maps' grid. A
+    single vehicle is a batch of one; each row depends on its own vehicle
+    only."""
     if window % 2 == 0:
         raise ValueError("window must be odd")
     channels, height, width = maps.shape
+    vids = np.asarray(vids, dtype=np.intp)
     offsets = np.arange(window) - window // 2
-    rows = np.array([v.location.row for v in vehicles], dtype=np.int64)[:, None] + offsets
-    cols = np.array([v.location.col for v in vehicles], dtype=np.int64)[:, None] + offsets
+    rows, cols = np.divmod(fleet.zone[vids], width)
+    rows, cols = rows[:, None] + offsets, cols[:, None] + offsets
     crops = maps[np.arange(channels)[:, None, None],
                  rows.clip(0, height - 1)[:, None, :, None],
                  cols.clip(0, width - 1)[:, None, None, :]]  # (vehicles, channels, window, window)
@@ -129,11 +129,11 @@ def encode_state(
     dow = 2.0 * math.pi * ((tick // ticks_per_day) % 7) / 7.0
     clock = [math.sin(tod), math.cos(tod), math.sin(dow), math.cos(dow)]
     cropped = channels * window * window
-    out = np.empty((len(vehicles), cropped + N_SCALARS))
-    out[:, :cropped] = crops.reshape(len(vehicles), cropped)
+    out = np.empty((len(vids), cropped + N_SCALARS))
+    out[:, :cropped] = crops.reshape(len(vids), cropped)
     scalars = out[:, -N_SCALARS:]
-    scalars[:, 0] = [v.seats_free for v in vehicles]
-    scalars[:, 1] = [v.trunk_free for v in vehicles]
+    scalars[:, 0] = fleet.seats_free[vids]
+    scalars[:, 1] = fleet.trunk_free[vids]
     scalars[:, 2:] = clock
     return out
 
@@ -145,7 +145,7 @@ def encode_state(
 class QNetwork:
     """Fully connected ReLU network mapping a state vector to action values."""
 
-    def __init__(self, input_dim: int, n_actions: int, hidden: Sequence[int] = (128, 128),
+    def __init__(self, input_dim: int, n_actions: int, hidden: Sequence[int],
                  rng: np.random.Generator | None = None):
         self.input_dim = input_dim
         self.n_actions = n_actions
@@ -273,7 +273,7 @@ class Transition(NamedTuple):
 class ReplayBuffer:
     """FIFO ring of transitions with uniform seeded sampling."""
 
-    def __init__(self, capacity: int = REPLAY_CAPACITY):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -345,7 +345,7 @@ def train_step(
     return loss
 
 
-def sync_target(online: QNetwork, target: QNetwork, step: int, period: int = TARGET_SYNC_PERIOD) -> bool:
+def sync_target(online: QNetwork, target: QNetwork, step: int, period: int) -> bool:
     """Copy online parameters into the target exactly at multiples of period."""
     if period < 1:
         raise ValueError("period must be >= 1")

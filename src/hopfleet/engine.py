@@ -24,7 +24,7 @@ free seats, free trunk slots and onboard count):
      vehicle's own pass bit for bit, and their actions applied in id order.
      Before it, ``project_supply`` counts the available vehicles per zone
      with one ``np.bincount`` over the zone column; on a full-check tick the
-     fleet table is checked against the vehicles first, since supply and
+     fleet table is checked against a fresh count first, since supply and
      matching read it
   4. greedy matching binds queued requests to dispatched vehicles and to
      partially filled en-route vehicles, a pool whose zones and free
@@ -42,6 +42,15 @@ free seats, free trunk slots and onboard count):
      as the next state, and opens in its place (evaluation keeps no
      decisions and pushes nothing)
   7. training mode takes one gradient step and syncs the target on schedule
+
+The invariant checks run after settling. Every tick, one column expression
+finds an overcommitted vehicle (free seats or trunk slots below zero), and
+each vehicle's status and manifest are checked against the registry and the
+queue. Every ``FULL_CHECK_EVERY`` ticks, the stored stop plans and zone
+indexes are compared with fresh ones, the fleet table with a fresh count of
+the vehicles and their manifests (``FleetTable.first_stale``), and each open
+request's live legs are counted. Onboard entries are a subset of committed
+ones, so a fresh column that is not overcommitted is within capacity too.
 
 Identical seed and config give bit-identical episode logs. ``step`` also sums
 the thread's cpu time in each phase into ``phase_seconds``, which is kept
@@ -558,10 +567,10 @@ class Simulation:
         req = self.registry[event.request_id]
         orig = self.registry[self._chain_id(req)]
         if req.parent_id is not None:
-            req.set_status(dm.DELIVERED, event.tick)
+            req.set_status(dm.DELIVERED)
         _, _, last = self._leg_for(req)
         if last:
-            orig.set_status(dm.DELIVERED, event.tick)
+            orig.set_status(dm.DELIVERED)
             self.log.add(event.tick, "deliver", request=orig.id, vehicle=event.vehicle_id,
                          zone=event.zone, leg=event.request_id)
             return False
@@ -593,7 +602,7 @@ class Simulation:
             for event in fl.process_arrivals(self.vehicles[vid], self.tick):
                 if isinstance(event, fl.PickupEvent):
                     req = self.registry[event.request_id]
-                    req.set_status(dm.PICKED_UP, self.tick)
+                    req.set_status(dm.PICKED_UP)
                     self.log.add(self.tick, "pickup", request=event.request_id,
                                  parent=req.parent_id, vehicle=event.vehicle_id,
                                  zone=event.zone, wait=self.tick - req.created_tick)
@@ -601,10 +610,10 @@ class Simulation:
                     hops += 1
         detail["hops"] = hops
 
-    def _observe(self, maps: np.ndarray, vehicles: list) -> np.ndarray:
-        """The state vectors of ``vehicles``, one row each, cropped from the
-        tick's maps."""
-        return rl.encode_state(maps, vehicles, self.tick, window=self.cfg.rl.window,
+    def _observe(self, maps: np.ndarray, vids: list) -> np.ndarray:
+        """The state vectors of the vehicles ``vids``, one row each,
+        cropped from the tick's maps."""
+        return rl.encode_state(maps, self.fleet, vids, self.tick, window=self.cfg.rl.window,
                                ticks_per_day=self.cfg.ticks_per_day)
 
     def _dispatch(self, supply: fl.FleetSnapshot, forecast: np.ndarray, detail: dict):
@@ -616,7 +625,7 @@ class Simulation:
         acting, drawn = [], []
         for vid in np.flatnonzero(self.fleet.mask(fl.IDLE)).tolist():
             if rng.random() < beta:
-                acting.append(self.vehicles[vid])
+                acting.append(vid)
                 drawn.append(rl.exploration_draw(online.n_actions, eps, rng))
         dispatch_time = 0.0
         q_maxes = []
@@ -627,11 +636,12 @@ class Simulation:
             # a stack of single rows: each row's bits are those of its own pass
             values = online.q_values(states[:, None, :])[:, 0]
             q_maxes.extend(values.max(axis=1).tolist())
-            for v, vec, row, explore in zip(chunk, states, values,
-                                            drawn[start : start + rl.STACK_CHUNK]):
+            for vid, vec, row, explore in zip(chunk, states, values,
+                                              drawn[start : start + rl.STACK_CHUNK]):
+                v = self.vehicles[vid]
                 action = rl.select_action(row, explore)
                 if self.training:
-                    self._decisions.append((v.id, vec, action))
+                    self._decisions.append((vid, vec, action))
                 target = rl.action_target(self.grid, v.location, action, cfg.rl.action_radius)
                 if target == v.location:
                     continue  # hold: stay idle, stay unmatched
@@ -784,12 +794,13 @@ class Simulation:
                 f"the vehicle says {counted}", vid))
 
     def _check_invariants(self, full: bool):
+        fleet = self.fleet
+        over = np.flatnonzero((fleet.seats_free < 0) | (fleet.trunk_free < 0))
+        if len(over):
+            vid = int(over[0])
+            raise EngineInvariantError(self._dump(f"vehicle {vid} overcommitted", vid))
         manifest_owner = {}
         for v in self.vehicles:
-            if v.passengers_onboard > v.seats_total or v.packages_onboard > v.trunk_total:
-                raise EngineInvariantError(self._dump(f"vehicle {v.id} over capacity", v.id))
-            if v.seats_committed > v.seats_total or v.trunk_committed > v.trunk_total:
-                raise EngineInvariantError(self._dump(f"vehicle {v.id} overcommitted", v.id))
             if v.status not in fl.VEHICLE_STATUSES:
                 raise EngineInvariantError(self._dump(f"vehicle {v.id} bad status {v.status}", v.id))
             if full:
@@ -799,12 +810,6 @@ class Simulation:
                 if v.zone_index != fl.stop_index(v.stops):
                     raise EngineInvariantError(self._dump(
                         f"vehicle {v.id} stored zone index is stale", v.id))
-                stored = (v.seats_committed, v.trunk_committed, v.passengers_onboard,
-                          v.packages_onboard)
-                if v.tallies() != stored:
-                    raise EngineInvariantError(self._dump(
-                        f"vehicle {v.id} stored tallies {stored} are stale, "
-                        f"the manifest counts {v.tallies()}", v.id))
             for e in v.manifest:
                 if e.request_id in manifest_owner:
                     raise EngineInvariantError(self._dump(
@@ -899,7 +904,7 @@ class Simulation:
         maps = rl.observation_maps(fl.project_supply(self.fleet, self.grid),
                                    self.forecaster.forecast(self.tick, rl.DEMAND_REACH))
         vids = sorted(self.pending)
-        for vid, state in zip(vids, self._observe(maps, [self.vehicles[vid] for vid in vids])):
+        for vid, state in zip(vids, self._observe(maps, vids)):
             pend = self.pending[vid]
             self.policy.buffer.push(rl.Transition(pend.state, pend.action, pend.accum, state,
                                                   elapsed=max(0, self.tick - pend.tick - 1)))

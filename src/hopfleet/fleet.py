@@ -22,9 +22,8 @@ the greedy resolved there (no entry ends where it starts), and the greedy
 from that stop is the rest of the plan, so ``process_arrivals`` drops the
 stop and re-indexes. Only an added entry or a drop at a later stop of the
 plan rebuilds it with ``replan``, which resets the odometer. Every manifest
-change recounts the tallies (seats and trunk slots committed, passengers
-and packages onboard), so they are plain ints that change only with the
-plan.
+change recounts the vehicle's free seats, free trunk slots and onboard
+count into its row of the fleet table.
 
 Arrival checks rely on the stored plan: every pending pickup's origin and
 every onboard order's destination is one of its stops, so
@@ -33,16 +32,20 @@ stands on none of them. Parked vehicles (idle or dispatched) hold position
 with nothing to resolve; the engine calls neither ``process_arrivals`` nor
 ``move`` for them.
 
-The fleet is a ``FleetTable``: the vehicles, whose ids are their indices,
-and one int column per fleet-wide fact the engine filters or counts on each
-tick: the status code, the flat zone ``row * width + col`` (``OFF_GRID``
-for a location outside the grid), the free seats, the free trunk slots and
-the onboard count. A vehicle in a table writes its row where these facts
-change, and nowhere else: ``set_status`` the status, ``move`` the zone, and
-``recount`` the capacity and onboard counts. So the engine picks vehicles by
-mask in ascending id, ``project_supply`` counts the available ones with one
-``np.bincount``, and matching reads its pool's zones and free capacity as
-arrays. A vehicle built on its own belongs to no table and writes nothing.
+Every vehicle is a row of a ``FleetTable``: the vehicles, whose ids are
+their indices, and one int column per fleet-wide fact the engine filters or
+counts on each tick: the status code, the flat zone ``row * width + col``,
+the free seats, the free trunk slots and the onboard count. The table is the
+one stored copy of the capacity columns, which the manifest alone decides;
+status and location are kept on the vehicle too and mirrored in the table. A
+vehicle writes its row where these facts change, and nowhere else:
+``set_status`` the status, ``move`` the zone, and ``recount`` the capacity
+columns, from ``tallies``. Locations are on the grid: the table checks each
+one when it is built, and a vehicle moves only toward a stop or a dispatch
+target, both zones of the grid. So the engine picks vehicles by mask in
+ascending id, ``project_supply`` counts the available ones with one
+``np.bincount``, and matching and the state encoder read zones and free
+capacity as arrays.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ SERVING = "serving"
 
 VEHICLE_STATUSES = (IDLE, DISPATCHING, DISPATCHED, MATCHED, SERVING)
 STATUS_CODE = {status: code for code, status in enumerate(VEHICLE_STATUSES)}
-OFF_GRID = -1  # the flat zone of a location outside the grid
 
 ALLOWED_TRANSITIONS = {
     (IDLE, DISPATCHING),
@@ -86,7 +88,6 @@ class ManifestEntry:
     origin: ZoneId
     destination: ZoneId
     onboard: bool = False
-    pickup_tick: int | None = None
     direct_ticks: int = 0  # ticks of a direct trip origin -> destination, set at assignment
 
 
@@ -108,44 +109,30 @@ class DropEvent(NamedTuple):
 class VehicleState:
     id: int
     location: ZoneId
+    seats_total: int
+    trunk_total: int
     status: str = IDLE
-    seats_total: int = 4
-    trunk_total: int = 5
     manifest: list = field(default_factory=list)
     dispatch_target: ZoneId | None = None
     stops: list = field(default_factory=list)  # planned_stops() where it was built
     driven: int = field(default=0, init=False)  # steps moved since the plan was built
     zone_index: dict = field(default_factory=dict, init=False)  # stop_index(stops)
-    # manifest tallies, recounted by replan() with the stop plan
-    seats_committed: int = field(default=0, init=False)
-    trunk_committed: int = field(default=0, init=False)
-    passengers_onboard: int = field(default=0, init=False)
-    packages_onboard: int = field(default=0, init=False)
-    # the table whose row ``id`` this vehicle writes, if any
-    fleet: FleetTable | None = field(default=None, init=False, repr=False, compare=False)
+    # the table whose row ``id`` this vehicle is, set when the table is built
+    fleet: FleetTable = field(init=False, repr=False, compare=False)
 
     # ---- capacity -------------------------------------------------------
 
     def tallies(self) -> tuple:
-        """(seats committed, trunk committed, passengers onboard, packages
-        onboard), counted from the manifest."""
-        seats = trunk = passengers = packages = 0
+        """(free seats, free trunk slots, onboard count): the vehicle's
+        capacity columns as its manifest counts them."""
+        seats, trunk, onboard = self.seats_total, self.trunk_total, 0
         for e in self.manifest:
             if e.kind == PASSENGER:
-                seats += 1
-                passengers += e.onboard
+                seats -= 1
             elif e.kind == GOODS:
-                trunk += 1
-                packages += e.onboard
-        return seats, trunk, passengers, packages
-
-    @property
-    def seats_free(self) -> int:
-        return self.seats_total - self.seats_committed
-
-    @property
-    def trunk_free(self) -> int:
-        return self.trunk_total - self.trunk_committed
+                trunk -= 1
+            onboard += e.onboard
+        return seats, trunk, onboard
 
     # ---- lifecycle ------------------------------------------------------
 
@@ -153,35 +140,28 @@ class VehicleState:
         if (self.status, new) not in ALLOWED_TRANSITIONS:
             raise VehicleStateError(f"vehicle {self.id}: illegal transition {self.status} -> {new}")
         self.status = new
-        if self.fleet is not None:
-            self.fleet.status[self.id] = STATUS_CODE[new]
+        self.fleet.status[self.id] = STATUS_CODE[new]
 
     def add_entry(self, entry: ManifestEntry):
-        if entry.kind == PASSENGER and self.seats_free <= 0:
+        if entry.kind == PASSENGER and self.fleet.seats_free[self.id] <= 0:
             raise VehicleStateError(f"vehicle {self.id}: no seat for request {entry.request_id}")
-        if entry.kind == GOODS and self.trunk_free <= 0:
+        if entry.kind == GOODS and self.fleet.trunk_free[self.id] <= 0:
             raise VehicleStateError(f"vehicle {self.id}: no trunk slot for request {entry.request_id}")
         self.manifest.append(entry)
         self.replan()
 
     def replan(self):
-        """Rebuild the stop plan, its index and the tallies after a manifest
-        change, and reset the odometer."""
+        """Rebuild the stop plan and its index after a manifest change,
+        reset the odometer, and recount the capacity columns."""
         self.stops = self.planned_stops()
         self.driven = 0
         self.zone_index = stop_index(self.stops)
         self.recount()
 
     def recount(self):
-        """Store the tallies of the manifest, and the free capacity and
-        onboard count in the fleet table."""
-        (self.seats_committed, self.trunk_committed,
-         self.passengers_onboard, self.packages_onboard) = self.tallies()
-        fleet = self.fleet
-        if fleet is not None:
-            fleet.seats_free[self.id] = self.seats_total - self.seats_committed
-            fleet.trunk_free[self.id] = self.trunk_total - self.trunk_committed
-            fleet.onboard[self.id] = self.passengers_onboard + self.packages_onboard
+        """Write the manifest's tallies into the vehicle's row of the table."""
+        fleet, vid = self.fleet, self.id
+        fleet.seats_free[vid], fleet.trunk_free[vid], fleet.onboard[vid] = self.tallies()
 
     # ---- routing --------------------------------------------------------
 
@@ -261,7 +241,6 @@ def process_arrivals(v: VehicleState, tick: int) -> list:
         for e in v.manifest:
             if not e.onboard and e.origin == v.location:
                 e.onboard = True
-                e.pickup_tick = tick
                 picked = True
                 events.append(PickupEvent(e.request_id, v.id, v.location, tick))
         if events:
@@ -316,48 +295,43 @@ def move(v: VehicleState, grid: GridWorld) -> int:
     if not moved:
         return 0
     v.location = ZoneId(row, col)
-    fleet = v.fleet
-    if fleet is not None:
-        # flat_zone(), inlined: one store per move keeps the tick level
-        fleet.zone[v.id] = (row * fleet.width + col
-                            if 0 <= row < fleet.height and 0 <= col < fleet.width else OFF_GRID)
+    v.fleet.zone[v.id] = row * grid.width + col  # the target is on the grid, so is the step
     if v.status != DISPATCHING:
         v.driven += moved
     return moved
-
-
-def flat_zone(location: ZoneId, height: int, width: int) -> int:
-    """``row * width + col``, or ``OFF_GRID`` outside a height x width grid."""
-    row, col = location
-    return row * width + col if 0 <= row < height and 0 <= col < width else OFF_GRID
 
 
 # the table's columns, in the order the full check compares them
 COLUMNS = ("status", "zone", "seats_free", "trunk_free", "onboard")
 
 
-def fleet_columns(vehicles: Sequence[VehicleState], height: int, width: int) -> dict:
-    """Each column of a fleet table, counted from the vehicles' own fields."""
+def fleet_columns(vehicles: Sequence[VehicleState], grid: GridWorld) -> dict:
+    """Each column of a fleet table counted afresh: the status and zone
+    from the vehicles' own fields, the capacity columns from their
+    manifests. A location off the grid raises InvalidZoneError."""
+    zones = grid.require_all([v.location for v in vehicles])
+    seats, trunk, onboard = np.array([v.tallies() for v in vehicles],
+                                     dtype=np.int64).reshape(-1, 3).T.copy()
     return {
         "status": np.array([STATUS_CODE[v.status] for v in vehicles], dtype=np.int64),
-        "zone": np.array([flat_zone(v.location, height, width) for v in vehicles], dtype=np.int64),
-        "seats_free": np.array([v.seats_free for v in vehicles], dtype=np.int64),
-        "trunk_free": np.array([v.trunk_free for v in vehicles], dtype=np.int64),
-        "onboard": np.array([v.passengers_onboard + v.packages_onboard for v in vehicles],
-                            dtype=np.int64),
+        "zone": zones[:, 0] * grid.width + zones[:, 1],
+        "seats_free": seats,
+        "trunk_free": trunk,
+        "onboard": onboard,
     }
 
 
 class FleetTable:
     """The vehicles of one grid, vehicle ``i`` at index ``i``, and their
-    columns (``COLUMNS``): one int per vehicle each, written by the vehicles."""
+    columns (``COLUMNS``): one int per vehicle each, written by the vehicles.
+    A vehicle off the grid raises InvalidZoneError."""
 
     def __init__(self, vehicles: list, grid: GridWorld):
         self.vehicles = vehicles
         if [v.id for v in self.vehicles] != list(range(len(self.vehicles))):
             raise ValueError("a fleet table holds vehicles 0..n-1 in id order")
-        self.height, self.width = grid.height, grid.width
-        columns = fleet_columns(self.vehicles, self.height, self.width)
+        self.grid = grid
+        columns = fleet_columns(self.vehicles, grid)
         self.status = columns["status"]
         self.zone = columns["zone"]
         self.seats_free = columns["seats_free"]
@@ -380,9 +354,9 @@ class FleetTable:
 
     def first_stale(self) -> tuple | None:
         """(vehicle id, column, stored, counted) for the first column, and
-        its first vehicle, where the table disagrees with the vehicles' own
-        fields; None when every entry holds."""
-        fresh = fleet_columns(self.vehicles, self.height, self.width)
+        its first vehicle, where the table disagrees with a fresh count
+        (``fleet_columns``); None when every entry holds."""
+        fresh = fleet_columns(self.vehicles, self.grid)
         for name in COLUMNS:
             bad = np.flatnonzero(getattr(self, name) != fresh[name])
             if len(bad):

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .demand import GOODS, PASSENGER, Request
-from .fleet import OFF_GRID, FleetTable
+from .fleet import FleetTable
 from .geo import GridWorld
 
 SEAT = "seat"
@@ -62,11 +62,7 @@ def match(
         return []
     origins = grid.require_all([r.origin for r in requests])
     pool = np.asarray(pool, dtype=np.intp)
-    zones = fleet.zone[pool]
-    off_grid = zones == OFF_GRID
-    if off_grid.any():
-        grid.require(fleet.vehicles[pool[np.argmax(off_grid)]].location)
-    rows, cols = np.divmod(zones, fleet.width)
+    rows, cols = np.divmod(fleet.zone[pool], grid.width)
     seats, trunk = fleet.seats_free[pool], fleet.trunk_free[pool]
 
     dist = np.abs(origins[:, 0, None] - rows) + np.abs(origins[:, 1, None] - cols)

@@ -51,9 +51,9 @@ from hopfleet.metrics import (
     index_log,
 )
 from hopfleet.reward import RewardWeights, agent_reward
-from hopfleet.fleet import FleetTable, ManifestEntry, VehicleState
 
 from desk_config import desk_config
+from fleet_rows import free_capacity, vehicles_in_table
 from test_metrics import add_request, add_stats, empty_log
 
 
@@ -138,18 +138,17 @@ def _check_matching_instance(rng) -> bool:
         if o == d:
             d = ZoneId((o.row + 1) % 8, o.col)
         reqs.append(Request(i, kind, o, d, 0, 1.0 if kind == PASSENGER else 0.5))
-    vehicles = []
-    for i in range(n_veh):
-        v = VehicleState(id=i, location=ZoneId(int(rng.integers(8)), int(rng.integers(8))),
-                         seats_total=int(rng.integers(0, 3)), trunk_total=int(rng.integers(0, 3)))
-        vehicles.append(v)
+    specs = [((int(rng.integers(8)), int(rng.integers(8))), int(rng.integers(0, 3)),
+              int(rng.integers(0, 3))) for _ in range(n_veh)]
+    vehicles = vehicles_in_table(grid, [loc for loc, _, _ in specs],
+                                 seats_total=[seats for _, seats, _ in specs],
+                                 trunk_total=[trunk for _, _, trunk in specs])
     radius = float(rng.integers(2, 12))
-    fleet = FleetTable(vehicles, grid)
-    got = match(reqs, np.arange(n_veh), fleet, grid, radius, rng)
+    got = match(reqs, np.arange(n_veh), vehicles[0].fleet, grid, radius, rng)
     bound = reject_radius_ticks(grid, radius)
 
-    seats = {v.id: v.seats_free for v in vehicles}
-    trunks = {v.id: v.trunk_free for v in vehicles}
+    seats = {v.id: free_capacity(v)[0] for v in vehicles}
+    trunks = {v.id: free_capacity(v)[1] for v in vehicles}
     assigned = set()
     for a in got:
         r = next(r for r in reqs if r.id == a.request_id)

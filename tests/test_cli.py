@@ -10,8 +10,10 @@ import yaml
 
 from hopfleet.cli import EvalSettings, ExperimentConfig, TrainSettings, load_config, main
 from hopfleet.demand import HistoricalAverageForecaster, ingest_trip_records
+from hopfleet import dispatch_rl as rl
 from hopfleet.dispatch_rl import encode_state, load_checkpoint, save_checkpoint
 from hopfleet.engine import PHASES, DemandConfig, DispatchPolicy, GridConfig, RLConfig, SimConfig
+from hopfleet.fleet import VehicleState
 from hopfleet.geo import GridWorld
 from hopfleet.hopplan import assign_hop_zones
 
@@ -173,7 +175,16 @@ def test_config_fields_have_no_default(cls):
 
 @pytest.mark.parametrize("func, name", [(encode_state, "ticks_per_day"),
                                         (HistoricalAverageForecaster, "ticks_per_day"),
-                                        (assign_hop_zones, "max_depth")])
+                                        (assign_hop_zones, "max_depth"),
+                                        (encode_state, "window"), (rl.state_dim, "window"),
+                                        (rl.action_count, "radius"),
+                                        (rl.action_to_offset, "radius"),
+                                        (rl.offset_to_action, "radius"),
+                                        (rl.action_target, "radius"),
+                                        (rl.QNetwork, "hidden"), (rl.ReplayBuffer, "capacity"),
+                                        (rl.sync_target, "period"),
+                                        (VehicleState, "seats_total"),
+                                        (VehicleState, "trunk_total")])
 def test_config_parameters_have_no_default(func, name):
     assert inspect.signature(func).parameters[name].default is inspect.Parameter.empty
 

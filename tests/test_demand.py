@@ -406,12 +406,11 @@ def test_forecast_nonnegative_and_horizon_length(grid):
 def test_request_lifecycle_guards():
     r = Request(0, GOODS, ZoneId(0, 0), ZoneId(1, 1), 0, 0.5)
     r.set_status("assigned")
-    r.set_status("picked_up", tick=4)
-    assert r.pickup_tick == 4
+    r.set_status("picked_up")
     with pytest.raises(ValueError):
         r.set_status("rejected")
-    r.set_status("delivered", tick=9)
-    assert r.delivery_tick == 9
+    r.set_status("delivered")
+    assert r.status == "delivered"
     with pytest.raises(ValueError):
         Request(1, PASSENGER, ZoneId(0, 0), ZoneId(0, 0), 0, 1.0)
     with pytest.raises(ValueError):

@@ -31,8 +31,12 @@ from hopfleet.dispatch_rl import (
     sync_target,
     train_step,
 )
-from hopfleet.fleet import FleetSnapshot, FleetTable, ManifestEntry, VehicleState, project_supply
+from hopfleet.fleet import FleetSnapshot, ManifestEntry, project_supply
 from hopfleet.geo import GridWorld, ZoneId
+
+from fleet_rows import free_capacity, vehicles_in_table
+
+RADIUS, WINDOW = 7, 15  # the desk's rl.action_radius and rl.window
 
 
 def empty_world(width=20, height=20):
@@ -45,7 +49,8 @@ def empty_world(width=20, height=20):
 
 def encode(supply, forecast, v, tick):
     """The state vector of one vehicle, a batch of one."""
-    return encode_state(observation_maps(supply, forecast), [v], tick=tick, ticks_per_day=1440)[0]
+    return encode_state(observation_maps(supply, forecast), v.fleet, [v.id], tick=tick,
+                        ticks_per_day=1440, window=WINDOW)[0]
 
 
 def reference_crop(arr, center, window):
@@ -62,36 +67,36 @@ def reference_crop(arr, center, window):
     return out
 
 
-def channels(vec, window=15):
+def channels(vec, window=WINDOW):
     """The cropped maps of a state vector, (N_CHANNELS, window, window)."""
     return vec[:-N_SCALARS].reshape(N_CHANNELS, window, window)
 
 
 def test_action_space_size_and_round_trip():
-    assert action_count(7) == 225
+    assert action_count(RADIUS) == 225
     for idx in range(225):
-        dr, dc = action_to_offset(idx)
+        dr, dc = action_to_offset(idx, RADIUS)
         assert -7 <= dr <= 7 and -7 <= dc <= 7
-        assert offset_to_action(dr, dc) == idx
+        assert offset_to_action(dr, dc, RADIUS) == idx
     with pytest.raises(ValueError):
-        offset_to_action(8, 0)
+        offset_to_action(8, 0, RADIUS)
 
 
 def test_action_target_clamped_to_grid():
     grid = GridWorld(width=10, height=10)
-    idx = offset_to_action(-7, -7)
-    assert action_target(grid, ZoneId(0, 0), idx) == ZoneId(0, 0)
-    idx = offset_to_action(7, 7)
-    assert action_target(grid, ZoneId(9, 9), idx) == ZoneId(9, 9)
-    idx = offset_to_action(2, -1)
-    assert action_target(grid, ZoneId(4, 4), idx) == ZoneId(6, 3)
+    idx = offset_to_action(-7, -7, RADIUS)
+    assert action_target(grid, ZoneId(0, 0), idx, RADIUS) == ZoneId(0, 0)
+    idx = offset_to_action(7, 7, RADIUS)
+    assert action_target(grid, ZoneId(9, 9), idx, RADIUS) == ZoneId(9, 9)
+    idx = offset_to_action(2, -1, RADIUS)
+    assert action_target(grid, ZoneId(4, 4), idx, RADIUS) == ZoneId(6, 3)
 
 
 def test_encode_empty_world_only_time_features():
     grid, supply, forecast = empty_world()
-    v = VehicleState(id=0, location=ZoneId(10, 10))
+    v = vehicles_in_table(grid, [(10, 10)])[0]
     vec = encode(supply, forecast, v, tick=0)
-    assert vec.shape == (state_dim(),)
+    assert vec.shape == (state_dim(WINDOW),)
     assert np.all(channels(vec) == 0)
     scalars = vec[-N_SCALARS:]
     assert scalars[0] == 4.0 and scalars[1] == 5.0
@@ -102,7 +107,7 @@ def test_encode_empty_world_only_time_features():
 def test_encode_corner_zero_padded():
     grid, supply, forecast = empty_world()
     supply.available[:, :] = 1.0
-    v = VehicleState(id=0, location=ZoneId(0, 0))
+    v = vehicles_in_table(grid, [(0, 0)])[0]
     avail = channels(encode(supply, forecast, v, tick=0))[1]
     assert avail[7, 7] == 1.0  # own zone at the crop center
     assert np.all(avail[:7, :] == 0.0)  # off-map rows above
@@ -113,7 +118,7 @@ def test_encode_demand_offset_east():
     grid, supply, forecast = empty_world()
     # 3 requests expected one step ahead, two zones east of the vehicle
     forecast[1, 10, 12] = 3.0
-    v = VehicleState(id=0, location=ZoneId(10, 10))
+    v = vehicles_in_table(grid, [(10, 10)])[0]
     demand = channels(encode(supply, forecast, v, tick=0))[0]
     assert demand[7, 9] == 3.0
     assert demand.sum() == 3.0
@@ -123,7 +128,7 @@ def test_encode_deterministic():
     grid, supply, forecast = empty_world()
     supply.available[3, 4] = 2
     forecast[2, 5, 5] = 1.5
-    v = VehicleState(id=0, location=ZoneId(5, 5))
+    v = vehicles_in_table(grid, [(5, 5)])[0]
     a = encode(supply, forecast, v, tick=77)
     b = encode(supply, forecast, v, tick=77)
     assert np.array_equal(a, b)
@@ -135,7 +140,8 @@ def reference_project_supply(vehicles, grid, horizon=30):
     available = np.zeros((grid.height, grid.width))
     projected = np.zeros((horizon + 1, grid.height, grid.width))
     for v in vehicles:
-        if v.seats_committed < v.seats_total or v.trunk_committed < v.trunk_total:
+        kinds = [e.kind for e in v.manifest]
+        if kinds.count(PASSENGER) < v.seats_total or kinds.count(GOODS) < v.trunk_total:
             available[v.location.row, v.location.col] += 1
             continue
         if not v.stops:
@@ -157,8 +163,9 @@ def reference_encode(available, projected, forecast, v, tick, ticks_per_day, win
                          for m in (demand_next, available, freeing_15, freeing_30)])
     tod = 2.0 * math.pi * (tick % ticks_per_day) / ticks_per_day
     dow = 2.0 * math.pi * ((tick // ticks_per_day) % 7) / 7.0
-    scalars = [v.seats_free, v.trunk_free, math.sin(tod), math.cos(tod), math.sin(dow),
-               math.cos(dow)]
+    kinds = [e.kind for e in v.manifest]
+    scalars = [v.seats_total - kinds.count(PASSENGER), v.trunk_total - kinds.count(GOODS),
+               math.sin(tod), math.cos(tod), math.sin(dow), math.cos(dow)]
     return np.concatenate([channels.ravel(), scalars])
 
 
@@ -168,15 +175,21 @@ def random_fleet(rng, grid):
     def zone():
         return ZoneId(int(rng.integers(grid.height)), int(rng.integers(grid.width)))
 
-    fleet = []
-    for vid in range(int(rng.integers(1, 40))):
-        v = VehicleState(id=vid, location=zone(), seats_total=int(rng.integers(3)),
-                         trunk_total=int(rng.integers(3)))
-        for kind, free in ((PASSENGER, v.seats_total), (GOODS, v.trunk_total)):
+    specs = []
+    for _ in range(int(rng.integers(1, 40))):
+        loc, seats, trunk = zone(), int(rng.integers(3)), int(rng.integers(3))
+        entries = []
+        for kind, free in ((PASSENGER, seats), (GOODS, trunk)):
             for _ in range(int(rng.integers(free + 1))):
-                v.add_entry(ManifestEntry(len(v.manifest), kind, zone(), zone(),
-                                          onboard=bool(rng.integers(2))))
-        fleet.append(v)
+                entries.append(ManifestEntry(len(entries), kind, zone(), zone(),
+                                             onboard=bool(rng.integers(2))))
+        specs.append((loc, seats, trunk, entries))
+    fleet = vehicles_in_table(grid, [loc for loc, *_ in specs],
+                              seats_total=[seats for _, seats, _, _ in specs],
+                              trunk_total=[trunk for _, _, trunk, _ in specs])
+    for v, (*_, entries) in zip(fleet, specs):
+        for e in entries:
+            v.add_entry(e)
     return fleet
 
 
@@ -193,18 +206,20 @@ def test_encode_from_tick_maps_equals_per_call_sums(seed):
             forecaster.record(t, rng.poisson(0.3, size=(height, width)) * rng.random())
         tick = int(rng.integers(5000))
         fleet = random_fleet(rng, grid)
-        maps = observation_maps(project_supply(FleetTable(fleet, grid), grid),
+        table = fleet[0].fleet
+        maps = observation_maps(project_supply(table, grid),
                                 forecaster.forecast(tick, DEMAND_REACH))
         available, projected = reference_project_supply(fleet, grid)
         cube = forecaster.forecast(tick, 30)
         for v in fleet:
             window = int(rng.choice([1, 3, 15]))
-            got = encode_state(maps, [v], tick, ticks_per_day=250, window=window)[0]
+            got = encode_state(maps, table, [v.id], tick, ticks_per_day=250, window=window)[0]
             want = reference_encode(available, projected, cube, v, tick, 250, window)
             assert got.tobytes() == want.tobytes(), (seed, trial, v.id, window)
         # the whole fleet in one batch, rows in fleet order
         window = int(rng.choice([1, 3, 15]))
-        batch = encode_state(maps, fleet, tick, ticks_per_day=250, window=window)
+        batch = encode_state(maps, table, [v.id for v in fleet], tick, ticks_per_day=250,
+                             window=window)
         assert batch.shape == (len(fleet), state_dim(window))
         for v, got in zip(fleet, batch):
             want = reference_encode(available, projected, cube, v, tick, 250, window)
@@ -224,40 +239,50 @@ def test_freeing_channels_count_within_their_reach():
 def test_encoded_crop_is_identity_inside():
     arr = np.arange(100.0).reshape(10, 10)
     maps = np.stack([arr, 2 * arr, 3 * arr, 4 * arr])
-    vec = encode_state(maps, [VehicleState(id=0, location=ZoneId(5, 5))], 0, 1440, window=3)[0]
+    fleet = vehicles_in_table(GridWorld(width=10, height=10), [(5, 5)])[0].fleet
+    vec = encode_state(maps, fleet, [0], 0, 1440, window=3)[0]
     assert np.array_equal(channels(vec, window=3), maps[:, 4:7, 4:7])
 
 
 @pytest.mark.parametrize("window", [1, 3, 7, 15])
 def test_encoder_batch_equals_per_vehicle_crops_at_corners_and_edges(window):
-    # the rows of one batch, in the order given, equal a batch of one per
-    # vehicle and the per-vehicle reference crop, on a grid narrower than
-    # the window: corners, each edge and the interior, capacities differing
+    # the rows of one batch, in the order of the ids given, equal a batch of
+    # one per vehicle and the per-vehicle reference crop, on a grid narrower
+    # than the window: corners, each edge and the interior, capacities
+    # differing, one vehicle filled after the table was built
     height, width = 6, 9
     rng = np.random.default_rng(window)
     maps = rng.random((N_CHANNELS, height, width)) * rng.integers(0, 3, (N_CHANNELS, height, width))
     spots = [(0, 0), (0, width - 1), (height - 1, 0), (height - 1, width - 1),
              (0, 4), (height - 1, 4), (3, 0), (3, width - 1), (2, 5), (0, 0)]
-    vehicles = [VehicleState(id=i, location=ZoneId(r, c), seats_total=i % 5, trunk_total=i // 2)
-                for i, (r, c) in enumerate(spots)]
-    batch = encode_state(maps, vehicles, 613, ticks_per_day=250, window=window)
+    vehicles = vehicles_in_table(GridWorld(width=width, height=height), spots,
+                                 seats_total=[i % 5 for i in range(len(spots))],
+                                 trunk_total=[i // 2 for i in range(len(spots))])
+    vehicles[4].add_entry(ManifestEntry(0, PASSENGER, ZoneId(0, 4), ZoneId(1, 4)))
+    fleet = vehicles[0].fleet
+    vids = [7, 0, 9, 4, 1, 2, 8, 3, 6, 5]
+    batch = encode_state(maps, fleet, vids, 613, ticks_per_day=250, window=window)
     assert batch.shape == (len(vehicles), state_dim(window))
-    for v, row in zip(vehicles, batch):
-        single = encode_state(maps, [v], 613, ticks_per_day=250, window=window)[0]
+    for vid, row in zip(vids, batch):
+        v = vehicles[vid]
+        single = encode_state(maps, fleet, [vid], 613, ticks_per_day=250, window=window)[0]
         assert row.tobytes() == single.tobytes(), v.location
         assert channels(row, window).tobytes() == reference_crop(maps, v.location, window).tobytes()
-        assert row[-N_SCALARS:-N_SCALARS + 2].tolist() == [v.seats_free, v.trunk_free]
-    assert encode_state(maps, [], 613, ticks_per_day=250, window=window).shape == (0, state_dim(window))
+        assert row[-N_SCALARS:-N_SCALARS + 2].tolist() == list(free_capacity(v))
+    assert free_capacity(vehicles[4]) == (3, 2)
+    assert encode_state(maps, fleet, [], 613, ticks_per_day=250,
+                        window=window).shape == (0, state_dim(window))
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 500])
 def test_stacked_single_rows_equal_one_pass_per_row(n):
     # the dispatch phase evaluates idle vehicles as a stack of single rows,
     # in chunks; each row must keep the bits of its own single-state pass
-    net = QNetwork(state_dim(), action_count(), hidden=(128, 128), rng=np.random.default_rng(n))
-    states = np.random.default_rng(n + 1).normal(size=(n, state_dim()))
+    net = QNetwork(state_dim(WINDOW), action_count(RADIUS), hidden=(128, 128),
+                   rng=np.random.default_rng(n))
+    states = np.random.default_rng(n + 1).normal(size=(n, state_dim(WINDOW)))
     stacked = net.q_values(states[:, None, :])
-    assert stacked.shape == (n, 1, action_count())
+    assert stacked.shape == (n, 1, action_count(RADIUS))
     chunked = np.concatenate([net.q_values(states[i : i + 37, None, :]) for i in range(0, n, 37)])
     for k in range(n):
         want = net.q_values(states[k]).tobytes()

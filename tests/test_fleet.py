@@ -10,7 +10,6 @@ from hopfleet.fleet import (
     IDLE,
     MATCHED,
     SERVING,
-    OFF_GRID,
     STATUS_CODE,
     DropEvent,
     FleetSnapshot,
@@ -24,11 +23,14 @@ from hopfleet.fleet import (
     project_supply,
     stop_index,
 )
-from hopfleet.geo import GridWorld, ZoneId, manhattan
+from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId, manhattan
+
+from fleet_rows import free_capacity, vehicles_in_table
 
 
-def make_vehicle(loc=(0, 0), vid=0, **kw):
-    return VehicleState(id=vid, location=ZoneId(*loc), **kw)
+def make_vehicle(loc=(0, 0), grid=GridWorld(width=10, height=10), **kw):
+    """Vehicle 0 of a table of its own on ``grid``."""
+    return vehicles_in_table(grid, [loc], **kw)[0]
 
 
 def entry(rid, kind, origin, dest, onboard=False):
@@ -38,19 +40,19 @@ def entry(rid, kind, origin, dest, onboard=False):
 
 
 def test_availability_examples():
-    v, full, partial = (make_vehicle(vid=vid) for vid in range(3))
-    fleet = FleetTable([v, full, partial], GridWorld(width=4, height=4))
-    assert (v.seats_free, v.trunk_free) == (4, 5)
+    v, full, partial = vehicles_in_table(GridWorld(width=4, height=4), [(0, 0)] * 3)
+    fleet = v.fleet
+    assert free_capacity(v) == (4, 5)
 
     for i in range(4):
         full.add_entry(entry(i, PASSENGER, (1, 1), (2, 2), onboard=True))
     for i in range(5):
         full.add_entry(entry(10 + i, GOODS, (1, 1), (2, 2), onboard=True))
-    assert (full.seats_free, full.trunk_free) == (0, 0)
+    assert free_capacity(full) == (0, 0)
 
     partial.add_entry(entry(0, PASSENGER, (1, 1), (2, 2), onboard=True))
     partial.add_entry(entry(1, PASSENGER, (1, 1), (3, 3), onboard=True))
-    assert (partial.seats_free, partial.trunk_free) == (2, 5)
+    assert free_capacity(partial) == (2, 5)
     assert fleet.available().tolist() == [True, False, True]
     assert (fleet.seats_free.tolist(), fleet.trunk_free.tolist()) == ([4, 0, 2], [5, 0, 5])
 
@@ -68,7 +70,7 @@ def test_status_transition_graph_enforced():
     v = make_vehicle()
     for bad in (DISPATCHED, MATCHED, SERVING):
         with pytest.raises(VehicleStateError):
-            VehicleState(id=1, location=ZoneId(0, 0), status=IDLE).set_status(bad)
+            make_vehicle(status=IDLE).set_status(bad)
     v.set_status(DISPATCHING)
     v.set_status(DISPATCHED)
     v.set_status(MATCHED)
@@ -79,7 +81,6 @@ def test_status_transition_graph_enforced():
 
 
 def test_dispatching_arrival_becomes_dispatched():
-    grid = GridWorld(width=10, height=10)
     v = make_vehicle(loc=(2, 2), status=DISPATCHING)
     v.dispatch_target = ZoneId(2, 2)
     events = process_arrivals(v, tick=5)
@@ -99,7 +100,7 @@ def test_serving_last_delivery_goes_idle():
 
 def test_idle_vehicle_unchanged_by_advance():
     grid = GridWorld(width=10, height=10)
-    v = make_vehicle(loc=(4, 4))
+    v = make_vehicle(loc=(4, 4), grid=grid)
     events = process_arrivals(v, tick=0)
     moved = move(v, grid)
     assert (v.status, v.location, events, moved) == (IDLE, ZoneId(4, 4), [], 0)
@@ -110,13 +111,13 @@ def test_matched_arrival_at_pickup_becomes_serving():
     v.add_entry(entry(3, GOODS, (1, 1), (5, 5)))
     events = process_arrivals(v, tick=2)
     assert v.status == SERVING
-    assert v.manifest[0].onboard and v.manifest[0].pickup_tick == 2
+    assert v.manifest[0].onboard
     assert events == [PickupEvent(3, 0, ZoneId(1, 1), 2)]
 
 
 def test_move_respects_speed_and_row_first():
     grid = GridWorld(width=10, height=10, vehicle_speed=2)
-    v = make_vehicle(loc=(0, 0), status=DISPATCHING)
+    v = make_vehicle(loc=(0, 0), grid=grid, status=DISPATCHING)
     v.dispatch_target = ZoneId(3, 1)
     assert move(v, grid) == 2
     assert v.location == ZoneId(2, 0)
@@ -152,8 +153,8 @@ def test_move_matches_stepwise_reference():
         height, width = (int(n) for n in rng.integers(1, 12, size=2))
         grid = GridWorld(width=width, height=height, vehicle_speed=int(rng.integers(1, 6)))
         status = [DISPATCHING, MATCHED, SERVING][trial % 3]
-        pair = [make_vehicle(loc=zone(height, width), status=status) for _ in range(2)]
-        pair[1].location = pair[0].location
+        start = zone(height, width)
+        pair = [make_vehicle(loc=start, grid=grid, status=status) for _ in range(2)]
         target = zone(height, width)
         entries = [(int(rng.integers(2)), zone(height, width), zone(height, width))
                    for _ in range(int(rng.integers(1, 4)))]
@@ -172,7 +173,7 @@ def test_move_matches_stepwise_reference():
 def test_location_changes_at_most_speed_per_tick():
     grid = GridWorld(width=20, height=20, vehicle_speed=3)
     rng = np.random.default_rng(0)
-    v = make_vehicle(loc=(10, 10), status=DISPATCHING)
+    v = make_vehicle(loc=(10, 10), grid=grid, status=DISPATCHING)
     for _ in range(30):
         v.dispatch_target = ZoneId(int(rng.integers(20)), int(rng.integers(20)))
         before = v.location
@@ -213,13 +214,14 @@ def onboard_etas(v, speed):
 
 
 def test_onboard_etas_follow_stop_plan():
-    v = make_vehicle(loc=(0, 0), status=SERVING)
+    grid = GridWorld(width=7, height=1)
+    v = make_vehicle(loc=(0, 0), grid=grid, status=SERVING)
     v.add_entry(entry(1, PASSENGER, (0, 0), (0, 4), onboard=True))
     v.add_entry(entry(2, PASSENGER, (0, 0), (0, 6), onboard=True))
     assert onboard_etas(v, speed=1) == {1: 4, 2: 6}
     assert v.route_eta(speed=1) == 6
     assert v.route_eta(speed=2) == 3
-    move(v, GridWorld(width=7, height=1))
+    move(v, grid)
     assert v.driven == 1 and v.stops == [(ZoneId(0, 4), 4), (ZoneId(0, 6), 6)]
     assert onboard_etas(v, speed=1) == {1: 3, 2: 5}
     assert onboard_etas(v, speed=2) == {1: 2, 2: 3}
@@ -256,14 +258,14 @@ def test_arrival_away_from_every_stop_changes_nothing():
 
 def test_serving_with_empty_plan_raises():
     grid = GridWorld(width=5, height=5)
-    v = make_vehicle(loc=(0, 0), status=SERVING)
+    v = make_vehicle(loc=(0, 0), grid=grid, status=SERVING)
     with pytest.raises(VehicleStateError):
         move(v, grid)
 
 
 def test_project_supply_all_idle():
     grid = GridWorld(width=6, height=6)
-    fleet = FleetTable([VehicleState(id=i, location=ZoneId(2, 3)) for i in range(7)], grid)
+    fleet = vehicles_in_table(grid, [(2, 3)] * 7)[0].fleet
     snap = project_supply(fleet, grid)
     assert snap.available[2, 3] == 7
     assert snap.available.sum() == 7
@@ -273,8 +275,8 @@ def test_project_supply_all_idle():
 
 def test_project_supply_busy_vehicle_eta():
     grid = GridWorld(width=10, height=10)
-    v = VehicleState(id=0, location=ZoneId(0, 0), status=SERVING, seats_total=1, trunk_total=0)
-    fleet = FleetTable([v], grid)
+    v = make_vehicle(loc=(0, 0), grid=grid, status=SERVING, seats_total=1, trunk_total=0)
+    fleet = v.fleet
     v.add_entry(entry(1, PASSENGER, (0, 0), (0, 3), onboard=True))
     snap = project_supply(fleet, grid)
     assert snap.available.sum() == 0  # full vehicle
@@ -286,15 +288,15 @@ def test_project_supply_busy_vehicle_eta():
 def test_project_supply_counts_vehicles_by_zone_from_the_table():
     # vehicles move and fill up after the table is built; the counts follow
     grid = GridWorld(width=4, height=3)
-    vehicles = [make_vehicle(loc, vid=vid, status=DISPATCHING, seats_total=1, trunk_total=0)
-                for vid, loc in enumerate([(0, 0), (0, 0), (2, 3), (1, 2)])]
-    fleet = FleetTable(vehicles, grid)
+    vehicles = vehicles_in_table(grid, [(0, 0), (0, 0), (2, 3), (1, 2)], status=DISPATCHING,
+                                 seats_total=1, trunk_total=0)
+    fleet = vehicles[0].fleet
     vehicles[0].dispatch_target = ZoneId(0, 1)
     move(vehicles[0], grid)
     vehicles[2].add_entry(entry(1, PASSENGER, (2, 3), (2, 1), onboard=True))
     want = np.zeros((3, 4))
     for v in vehicles:
-        if v.seats_free > 0 or v.trunk_free > 0:
+        if any(c > 0 for c in free_capacity(v)):
             want[v.location] += 1
     got = project_supply(fleet, grid).available
     assert got.tolist() == want.tolist()
@@ -302,18 +304,18 @@ def test_project_supply_counts_vehicles_by_zone_from_the_table():
 
 
 def table_as_counted(vehicles, grid):
-    """Each fleet table column as the vehicles' own fields give it."""
-    def zone(v):
-        row, col = v.location
-        on_grid = 0 <= row < grid.height and 0 <= col < grid.width
-        return row * grid.width + col if on_grid else OFF_GRID
+    """Each fleet table column as the vehicles' own fields and manifests
+    give it."""
+    def count(v, kind=None, onboard=False):
+        return sum((kind is None or e.kind == kind) and (e.onboard or not onboard)
+                   for e in v.manifest)
 
     return {
         "status": [STATUS_CODE[v.status] for v in vehicles],
-        "zone": [zone(v) for v in vehicles],
-        "seats_free": [v.seats_total - v.seats_committed for v in vehicles],
-        "trunk_free": [v.trunk_total - v.trunk_committed for v in vehicles],
-        "onboard": [v.passengers_onboard + v.packages_onboard for v in vehicles],
+        "zone": [v.location.row * grid.width + v.location.col for v in vehicles],
+        "seats_free": [v.seats_total - count(v, PASSENGER) for v in vehicles],
+        "trunk_free": [v.trunk_total - count(v, GOODS) for v in vehicles],
+        "onboard": [count(v, onboard=True) for v in vehicles],
     }
 
 
@@ -332,9 +334,11 @@ def test_fleet_table_follows_random_operations(speed):
     def zone():
         return ZoneId(int(rng.integers(5)), int(rng.integers(5)))
 
-    vehicles = [make_vehicle(zone(), vid=vid, seats_total=int(rng.integers(0, 3)),
-                             trunk_total=int(rng.integers(0, 3))) for vid in range(8)]
-    fleet = FleetTable(vehicles, grid)
+    specs = [(zone(), int(rng.integers(0, 3)), int(rng.integers(0, 3))) for _ in range(8)]
+    vehicles = vehicles_in_table(grid, [loc for loc, _, _ in specs],
+                                 seats_total=[seats for _, seats, _ in specs],
+                                 trunk_total=[trunk for _, _, trunk in specs])
+    fleet = vehicles[0].fleet
     assert table_as_stored(fleet) == table_as_counted(vehicles, grid)
     next_status = {IDLE: DISPATCHING, DISPATCHING: DISPATCHED, DISPATCHED: MATCHED,
                    MATCHED: SERVING, SERVING: IDLE}
@@ -348,7 +352,7 @@ def test_fleet_table_follows_random_operations(speed):
             v.set_status(next_status[v.status])
         elif op == 1 and v.status in (DISPATCHED, MATCHED, SERVING):
             kind = PASSENGER if rng.random() < 0.5 else GOODS
-            if (v.seats_free if kind == PASSENGER else v.trunk_free) > 0:
+            if free_capacity(v)[kind == GOODS] > 0:
                 origin, dest = zone(), zone()
                 while dest == origin:
                     dest = zone()
@@ -373,8 +377,8 @@ def test_fleet_table_follows_random_operations(speed):
 def test_fleet_table_masks_and_rows():
     grid = GridWorld(width=4, height=4)
     statuses = [IDLE, DISPATCHING, DISPATCHED, MATCHED, SERVING, IDLE]
-    vehicles = [make_vehicle((vid % 4, 1), vid=vid, status=s) for vid, s in enumerate(statuses)]
-    fleet = FleetTable(vehicles, grid)
+    vehicles = vehicles_in_table(grid, [(vid % 4, 1) for vid in range(6)], status=statuses)
+    fleet = vehicles[0].fleet
     assert fleet.vehicles is vehicles
     assert np.flatnonzero(fleet.mask(IDLE)).tolist() == [0, 5]
     assert np.flatnonzero(fleet.mask(DISPATCHING, MATCHED, SERVING)).tolist() == [1, 3, 4]
@@ -385,60 +389,49 @@ def test_fleet_table_masks_and_rows():
 
 def test_fleet_table_holds_vehicles_in_id_order():
     grid = GridWorld(width=4, height=4)
+
+    def bare(vid):
+        return VehicleState(id=vid, location=ZoneId(0, 0), seats_total=4, trunk_total=5)
+
     with pytest.raises(ValueError, match="vehicles 0..n-1 in id order"):
-        FleetTable([make_vehicle(vid=1), make_vehicle(vid=0)], grid)
+        FleetTable([bare(1), bare(0)], grid)
     with pytest.raises(ValueError, match="vehicles 0..n-1 in id order"):
-        FleetTable([make_vehicle(vid=0), make_vehicle(vid=2)], grid)
+        FleetTable([bare(0), bare(2)], grid)
 
 
-def test_fleet_table_marks_off_grid_zones():
+def test_fleet_table_rejects_a_vehicle_off_the_grid():
+    # a location is checked once, when the table is built: the engine moves
+    # a vehicle only toward a stop or a dispatch target, zones of the grid
     grid = GridWorld(width=4, height=3)
-    locations = [(0, 0), (2, 3), (3, 0), (0, 4), (-1, 2), (1, -1)]
-    fleet = FleetTable([make_vehicle(loc, vid=vid) for vid, loc in enumerate(locations)], grid)
-    assert fleet.zone.tolist() == [0, 11, OFF_GRID, OFF_GRID, OFF_GRID, OFF_GRID]
-    # a move that stays off the grid keeps the mark, one onto it clears it
-    v = fleet.vehicles[3]
-    v.set_status(DISPATCHING)
-    v.dispatch_target = ZoneId(2, 3)
-    move(v, grid)
-    assert (v.location, fleet.zone[3]) == (ZoneId(1, 4), OFF_GRID)
-    move(v, grid)
-    move(v, grid)
-    assert (v.location, fleet.zone[3]) == (ZoneId(2, 3), 11)
+    assert vehicles_in_table(grid, [(0, 0), (2, 3)])[0].fleet.zone.tolist() == [0, 11]
+    for row, col in [(3, 0), (0, 4), (-1, 2), (1, -1), (12, 3)]:
+        with pytest.raises(InvalidZoneError, match=rf"zone \({row}, {col}\) outside 3x4 grid"):
+            vehicles_in_table(grid, [(0, 0), (2, 3), (row, col)])
 
 
-def test_a_vehicle_outside_a_table_writes_nothing():
-    grid = GridWorld(width=4, height=4)
-    v = make_vehicle(status=DISPATCHING)
-    v.dispatch_target = ZoneId(0, 2)
-    assert move(v, grid) == 1
-    v.set_status(DISPATCHED)
-    v.add_entry(entry(1, PASSENGER, (0, 1), (0, 3)))
-    assert v.fleet is None and v.seats_free == 3
-
-
-def stored_tallies(v):
-    return v.seats_committed, v.trunk_committed, v.passengers_onboard, v.packages_onboard
+def capacity_row(v):
+    """A vehicle's capacity columns in its table row, in ``tallies`` order."""
+    row = v.fleet.row(v.id)
+    return row["seats_free"], row["trunk_free"], row["onboard"]
 
 
 def test_tallies_recounted_with_the_stop_plan():
-    v = make_vehicle(loc=(0, 0), status=MATCHED)
-    assert stored_tallies(v) == v.tallies() == (0, 0, 0, 0)
+    grid = GridWorld(width=5, height=5)
+    v = make_vehicle(loc=(0, 0), grid=grid, status=MATCHED)
+    assert capacity_row(v) == v.tallies() == (4, 5, 0)
     v.add_entry(entry(1, PASSENGER, (0, 0), (0, 2)))
     v.add_entry(entry(2, GOODS, (0, 0), (0, 1)))
     v.add_entry(entry(3, PASSENGER, (0, 1), (0, 3)))
-    assert stored_tallies(v) == v.tallies() == (2, 1, 0, 0)
-    assert (v.seats_free, v.trunk_free) == (2, 4)
-    grid = GridWorld(width=5, height=5)
+    assert capacity_row(v) == v.tallies() == (2, 4, 0)
     seen = []
     for tick in range(5):
         process_arrivals(v, tick)
-        seen.append(stored_tallies(v))
+        seen.append(capacity_row(v))
         assert seen[-1] == v.tallies()
         move(v, grid)
     # picked up 1 and 2 at (0, 0); dropped 2 and picked up 3 at (0, 1);
     # dropped 1 at (0, 2) and 3 at (0, 3)
-    assert seen[:4] == [(2, 1, 1, 1), (2, 0, 2, 0), (1, 0, 1, 0), (0, 0, 0, 0)]
+    assert seen[:4] == [(2, 4, 2), (2, 5, 2), (3, 5, 1), (4, 5, 0)]
     assert v.status == IDLE
 
 
@@ -481,7 +474,8 @@ def test_planned_stops_equal_the_reference():
 
     ties = colocated = 0
     for _ in range(3000):
-        v = make_vehicle(loc=zone(), status=MATCHED, seats_total=9, trunk_total=9)
+        v = make_vehicle(loc=zone(), grid=GridWorld(width=4, height=4), status=MATCHED,
+                         seats_total=9, trunk_total=9)
         for rid in rng.permutation(int(rng.integers(0, 9))):
             e = ManifestEntry(int(rid), PASSENGER if rng.random() < 0.5 else GOODS, zone(), zone())
             e.onboard = bool(rng.random() < 0.4)
@@ -511,7 +505,6 @@ def reference_process_arrivals(v, tick):
         for e in v.manifest:
             if not e.onboard and e.origin == v.location:
                 e.onboard = True
-                e.pickup_tick = tick
                 picked = True
                 events.append(PickupEvent(e.request_id, v.id, v.location, tick))
         if events:
@@ -527,7 +520,7 @@ def route_state(v):
     """What a vehicle's route is, whichever distance the stored plan is
     measured from: the plan and its zone index as seen from the vehicle."""
     index = {zone: cum - v.driven for zone, cum in v.zone_index.items()}
-    return (v.status, v.location, v.manifest, v.remaining_stops(), index, stored_tallies(v))
+    return (v.status, v.location, v.manifest, v.remaining_stops(), index, v.fleet.row(v.id))
 
 
 def drive_against_the_reference(got, want, grid, tick=0, ticks=60):
@@ -562,8 +555,7 @@ def test_advanced_plan_equals_the_replanned_one():
         def zone():
             return ZoneId(int(rng.integers(5)), int(rng.integers(5)))
 
-        pair = [make_vehicle(loc=zone(), seats_total=9, trunk_total=9) for _ in range(2)]
-        pair[1].location = pair[0].location
+        start = zone()
         entries = []
         for rid in range(int(rng.integers(1, 7))):
             origin, dest = zone(), zone()
@@ -574,8 +566,9 @@ def test_advanced_plan_equals_the_replanned_one():
         # a matched vehicle still has a pickup ahead
         pending = not all(onboard for *_, onboard in entries)
         status = MATCHED if pending and rng.random() < 0.5 else SERVING
+        pair = [make_vehicle(loc=start, grid=grid, status=status, seats_total=9, trunk_total=9)
+                for _ in range(2)]
         for v in pair:
-            v.status = status
             for e in entries:
                 v.add_entry(ManifestEntry(*e))
         got, want = pair
@@ -584,7 +577,7 @@ def test_advanced_plan_equals_the_replanned_one():
         # new work mid-route, as matching adds it, then on to the end
         rid = len(entries)
         origin, dest = zone(), zone()
-        if dest != origin and got.status != IDLE and got.seats_free:
+        if dest != origin and got.status != IDLE and free_capacity(got)[0]:
             for v in pair:
                 v.add_entry(ManifestEntry(rid, PASSENGER, origin, dest))
         a, b = drive_against_the_reference(got, want, grid, tick=20)
@@ -597,7 +590,7 @@ def test_advanced_plan_at_a_zone_planned_twice():
     # the plan visits (0, 1) twice: to drop 1 and pick up 3, and later to
     # drop 2, picked up at (0, 3)
     grid = GridWorld(width=6, height=1)
-    pair = [make_vehicle(loc=(0, 0), status=SERVING) for _ in range(2)]
+    pair = [make_vehicle(loc=(0, 0), grid=grid, status=SERVING) for _ in range(2)]
     for v in pair:
         v.add_entry(entry(1, PASSENGER, (0, 0), (0, 1), onboard=True))
         v.add_entry(entry(2, PASSENGER, (0, 3), (0, 1)))
@@ -613,7 +606,7 @@ def test_drop_on_the_way_to_a_pickup_replans():
     # pickups come first, so the drop at (0, 2) is planned after the pickup
     # at (0, 4); the vehicle passes (0, 2) on its way and drops there
     grid = GridWorld(width=6, height=1)
-    pair = [make_vehicle(loc=(0, 0), status=SERVING) for _ in range(2)]
+    pair = [make_vehicle(loc=(0, 0), grid=grid, status=SERVING) for _ in range(2)]
     for v in pair:
         v.add_entry(entry(1, PASSENGER, (0, 0), (0, 2), onboard=True))
         v.add_entry(entry(2, PASSENGER, (0, 4), (0, 3)))
@@ -653,7 +646,7 @@ def interleave(v, grid, rng, new_entry, steps):
             if process_arrivals(v, tick) and first[0] == v.location:
                 repeated += v.location in v.zone_index
             replanned += driven > 0 and v.driven == 0
-        elif v.seats_free and v.trunk_free:
+        elif all(free_capacity(v)):
             v.add_entry(new_entry(len(v.manifest) + 100 * tick))
             replanned += driven > 0
             if v.status == SERVING:
@@ -682,7 +675,7 @@ def test_odometer_and_zone_index_equal_a_fresh_plan(speed):
 
     repeated = replanned = frozen = 0
     for trial in range(400):
-        v = make_vehicle(loc=zone(), status=DISPATCHING, seats_total=6, trunk_total=6)
+        v = make_vehicle(loc=zone(), grid=grid, status=DISPATCHING, seats_total=6, trunk_total=6)
         v.dispatch_target = zone()
         for rid in range(int(rng.integers(0, 3))):
             v.add_entry(new_entry(rid, onboard=bool(rng.random() < 0.5)))
@@ -704,7 +697,7 @@ def test_odometer_through_a_zone_planned_twice(speed):
     # (0, 1) is the plan's first stop and its third; once the first is
     # dropped, the index must point at the third
     grid = GridWorld(width=6, height=1, vehicle_speed=speed)
-    v = make_vehicle(loc=(0, 0), status=SERVING)
+    v = make_vehicle(loc=(0, 0), grid=grid, status=SERVING)
     v.add_entry(entry(1, PASSENGER, (0, 0), (0, 1), onboard=True))
     v.add_entry(entry(2, PASSENGER, (0, 3), (0, 1)))
     v.add_entry(entry(3, GOODS, (0, 1), (0, 5)))

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from hopfleet.demand import GOODS, PASSENGER, Request
-from hopfleet.fleet import FleetTable, ManifestEntry, VehicleState
+from hopfleet.fleet import FleetTable, ManifestEntry
 from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId
 from hopfleet.matching import SEAT, TRUNK, Assignment, match, reject_radius_ticks
+
+from fleet_rows import free_capacity, vehicles_in_table
 
 
 def make_grid(speed=1):
@@ -19,14 +21,9 @@ def goods(rid, origin, dest=(11, 11)):
     return Request(rid, GOODS, ZoneId(*origin), ZoneId(*dest), 0, 0.5)
 
 
-def vehicle(vid, loc, seats=4, trunk=5):
-    return VehicleState(id=vid, location=ZoneId(*loc), seats_total=seats, trunk_total=trunk)
-
-
 def match_all(requests, vehicles, grid, reject_radius, rng):
-    """match over a pool of every vehicle, through a fleet table of the
-    vehicles in id order."""
-    fleet = FleetTable(sorted(vehicles, key=lambda v: v.id), grid)
+    """match over a pool of every vehicle of one table."""
+    fleet = vehicles[0].fleet if vehicles else FleetTable([], grid)
     return match(requests, np.arange(len(vehicles)), fleet, grid, reject_radius, rng)
 
 
@@ -40,23 +37,24 @@ def occupy(v, n_pass=0, n_goods=0):
 
 def test_no_requests_returns_empty():
     rng = np.random.default_rng(0)
-    assert match_all([], [vehicle(0, (0, 0))], make_grid(), 5, rng) == []
+    grid = make_grid()
+    assert match_all([], vehicles_in_table(grid, [(0, 0)]), grid, 5, rng) == []
 
 
-def test_off_grid_vehicle_raises():
-    rng = np.random.default_rng(0)
-    vs = [vehicle(0, (0, 0)), vehicle(1, (12, 3)), vehicle(2, (-1, 0))]
-    with pytest.raises(InvalidZoneError, match=r"zone \(12, 3\) outside 12x12 grid"):
-        match_all([passenger(0, (0, 1))], vs, make_grid(), 5, rng)
-    # request origins are checked before vehicle locations
-    with pytest.raises(InvalidZoneError, match=r"zone \(4, 12\) outside"):
-        match_all([passenger(0, (0, 1)), passenger(1, (4, 12))], vs, make_grid(), 5, rng)
+def test_off_grid_request_origin_raises():
+    # vehicle locations are checked when their table is built
+    # (test_fleet_table_rejects_a_vehicle_off_the_grid)
+    grid = make_grid()
+    vs = vehicles_in_table(grid, [(0, 0), (11, 3)])
+    with pytest.raises(InvalidZoneError, match=r"zone \(4, 12\) outside 12x12 grid"):
+        match_all([passenger(0, (0, 1)), passenger(1, (4, 12))], vs, grid, 5,
+                  np.random.default_rng(0))
 
 
 def test_passenger_goes_to_nearest_vehicle():
     rng = np.random.default_rng(0)
     grid = make_grid()
-    vs = [vehicle(0, (0, 2)), vehicle(1, (0, 5))]
+    vs = vehicles_in_table(grid, [(0, 2), (0, 5)])
     got = match_all([passenger(0, (0, 0))], vs, grid, 10, rng)
     assert got == [Assignment(0, 0, SEAT, 2)]
 
@@ -64,7 +62,7 @@ def test_passenger_goes_to_nearest_vehicle():
 def test_capacity_exhaustion_leaves_farthest_queued():
     rng = np.random.default_rng(0)
     grid = make_grid()
-    v = vehicle(0, (0, 0), seats=2)
+    v = vehicles_in_table(grid, [(0, 0)], seats_total=2)[0]
     reqs = [passenger(0, (0, 1)), passenger(1, (0, 2)), passenger(2, (0, 3))]
     got = match_all(reqs, [v], grid, 10, rng)
     assert {a.request_id for a in got} == {0, 1}
@@ -74,8 +72,9 @@ def test_capacity_exhaustion_leaves_farthest_queued():
 def test_goods_need_trunk_passengers_need_seats():
     rng = np.random.default_rng(0)
     grid = make_grid()
-    seat_only = occupy(vehicle(0, (0, 1)), n_goods=5)  # trunk full
-    trunk_only = occupy(vehicle(1, (0, 2)), n_pass=4)  # seats full
+    seat_only, trunk_only = vehicles_in_table(grid, [(0, 1), (0, 2)])
+    occupy(seat_only, n_goods=5)  # trunk full
+    occupy(trunk_only, n_pass=4)  # seats full
     got = match_all([passenger(0, (0, 0)), goods(1, (0, 0))], [seat_only, trunk_only], grid, 10,
                     rng)
     by_req = {a.request_id: a for a in got}
@@ -86,7 +85,7 @@ def test_goods_need_trunk_passengers_need_seats():
 def test_only_the_pool_is_matched():
     # vehicle 1 is nearest but outside the pool
     grid = make_grid()
-    fleet = FleetTable([vehicle(0, (0, 5)), vehicle(1, (0, 1)), vehicle(2, (0, 4))], grid)
+    fleet = vehicles_in_table(grid, [(0, 5), (0, 1), (0, 4)])[0].fleet
     got = match([passenger(0, (0, 0))], np.array([0, 2]), fleet, grid, 10,
                 np.random.default_rng(0))
     assert got == [Assignment(0, 2, SEAT, 4)]
@@ -96,8 +95,8 @@ def test_free_capacity_is_read_from_the_table():
     # the table follows the manifest: a vehicle filled after the table was
     # built takes no more passengers, and takes them again once recounted empty
     grid = make_grid()
-    near, far = vehicle(0, (0, 1), seats=1), vehicle(1, (0, 3))
-    fleet = FleetTable([near, far], grid)
+    near, far = vehicles_in_table(grid, [(0, 1), (0, 3)], seats_total=[1, 4])
+    fleet = near.fleet
     near.add_entry(ManifestEntry(50, PASSENGER, ZoneId(0, 1), ZoneId(0, 2), onboard=True))
     pool = np.arange(2)
     assert match([passenger(0, (0, 0))], pool, fleet, grid, 10,
@@ -111,7 +110,8 @@ def test_free_capacity_is_read_from_the_table():
 def test_out_of_radius_requests_skipped():
     rng = np.random.default_rng(0)
     grid = make_grid()
-    got = match_all([passenger(0, (0, 0))], [vehicle(0, (11, 11))], grid, reject_radius=5, rng=rng)
+    got = match_all([passenger(0, (0, 0))], vehicles_in_table(grid, [(11, 11)]), grid,
+                    reject_radius=5, rng=rng)
     assert got == []
 
 
@@ -120,14 +120,14 @@ def test_radius_bound_uses_eta():
     assert reject_radius_ticks(grid, 5) == 3
     rng = np.random.default_rng(0)
     # distance 6, eta 3 ticks: inside the 5-zone radius expressed as ETA
-    got = match_all([passenger(0, (0, 6))], [vehicle(0, (0, 0))], grid, 5, rng)
+    got = match_all([passenger(0, (0, 6))], vehicles_in_table(grid, [(0, 0)]), grid, 5, rng)
     assert got and got[0].eta_ticks == 3
 
 
 def test_tie_break_is_uniform_over_tied_vehicles():
     grid = make_grid()
     reqs = [passenger(0, (5, 5))]
-    vs = [vehicle(0, (5, 3)), vehicle(1, (5, 7)), vehicle(2, (3, 5))]
+    vs = vehicles_in_table(grid, [(5, 3), (5, 7), (3, 5)])
     counts = {0: 0, 1: 0, 2: 0}
     n = 3000
     rng = np.random.default_rng(123)
@@ -141,7 +141,7 @@ def test_tie_break_is_uniform_over_tied_vehicles():
 def test_deterministic_given_seed():
     grid = make_grid()
     reqs = [passenger(i, (i, 0)) for i in range(4)] + [goods(9, (2, 2))]
-    vs = [vehicle(0, (0, 0)), vehicle(1, (2, 0)), vehicle(2, (2, 2))]
+    vs = vehicles_in_table(grid, [(0, 0), (2, 0), (2, 2)])
 
     def run(seed):
         return match_all(reqs, vs, grid, 20, np.random.default_rng(seed))
@@ -153,8 +153,8 @@ def brute_force_check(reqs, vehicles, grid, radius, assignments):
     bound = reject_radius_ticks(grid, radius)
     assigned_ids = {a.request_id for a in assignments}
     # per-vehicle remaining capacity after the run
-    seats = {v.id: v.seats_free for v in vehicles}
-    trunks = {v.id: v.trunk_free for v in vehicles}
+    seats = {v.id: free_capacity(v)[0] for v in vehicles}
+    trunks = {v.id: free_capacity(v)[1] for v in vehicles}
     for a in assignments:
         if a.slot == SEAT:
             seats[a.vehicle_id] -= 1
@@ -193,11 +193,11 @@ def test_random_instances_satisfy_dominance(seed):
         if o == d:
             d = ZoneId((o.row + 1) % 8, o.col)
         reqs.append(Request(i, kind, o, d, 0, 1.0 if kind == PASSENGER else 0.5))
-    vehicles = []
-    for i in range(n_veh):
-        v = vehicle(i, (int(rng.integers(8)), int(rng.integers(8))),
-                    seats=int(rng.integers(0, 3)), trunk=int(rng.integers(0, 3)))
-        vehicles.append(v)
+    specs = [((int(rng.integers(8)), int(rng.integers(8))), int(rng.integers(0, 3)),
+              int(rng.integers(0, 3))) for _ in range(n_veh)]
+    vehicles = vehicles_in_table(grid, [loc for loc, _, _ in specs],
+                                 seats_total=[seats for _, seats, _ in specs],
+                                 trunk_total=[trunk for _, _, trunk in specs])
     radius = int(rng.integers(2, 12))
     got = match_all(reqs, vehicles, grid, radius, np.random.default_rng(seed + 1))
     brute_force_check(reqs, vehicles, grid, radius, got)
@@ -206,8 +206,8 @@ def test_random_instances_satisfy_dominance(seed):
 def reference_match(requests, vehicles, grid, reject_radius, rng):
     """The scalar request x vehicle loop: one ``grid.eta`` per pair."""
     bound = reject_radius_ticks(grid, reject_radius)
-    seats_free = {v.id: v.seats_free for v in vehicles}
-    trunk_free = {v.id: v.trunk_free for v in vehicles}
+    seats_free = {v.id: free_capacity(v)[0] for v in vehicles}
+    trunk_free = {v.id: free_capacity(v)[1] for v in vehicles}
 
     candidates = []  # (eta, request_id, vehicle_id)
     for r in requests:
@@ -265,15 +265,21 @@ def random_instance(rng):
         o = zone()
         d = ZoneId((o.row + 1) % side, o.col)
         reqs.append(Request(100 + rid, kind, o, d, 0, 1.0 if kind == PASSENGER else 0.5))
-    vehicles = []
+    # drawn vehicle by vehicle in a shuffled id order: capacity, zone, and the
+    # seats and trunk slots to fill once the table holds them in id order
+    specs = {}
     for vid in rng.permutation(int(rng.integers(0, 10))).tolist():
         seats, trunk = int(rng.integers(0, 3)), int(rng.integers(0, 3))
-        v = vehicle(vid, zone(), seats=seats, trunk=trunk)
-        if seats and rng.random() < 0.3:
-            occupy(v, n_pass=seats)
-        if trunk and rng.random() < 0.3:
-            occupy(v, n_goods=trunk)
-        vehicles.append(v)
+        loc = zone()
+        filled = (seats if seats and rng.random() < 0.3 else 0,
+                  trunk if trunk and rng.random() < 0.3 else 0)
+        specs[vid] = (loc, seats, trunk, filled)
+    order = sorted(specs)
+    vehicles = vehicles_in_table(grid, [specs[vid][0] for vid in order],
+                                 seats_total=[specs[vid][1] for vid in order],
+                                 trunk_total=[specs[vid][2] for vid in order])
+    for vid, (*_, (n_pass, n_goods)) in specs.items():
+        occupy(vehicles[vid], n_pass, n_goods)
     return reqs, vehicles, grid, float(rng.integers(0, 2 * side))
 
 
