@@ -399,11 +399,19 @@ def test_fleet_table_holds_vehicles_in_id_order():
         FleetTable([bare(0), bare(2)], grid)
 
 
-def test_fleet_table_rejects_a_vehicle_off_the_grid():
-    # a location is checked once, when the table is built: the engine moves
-    # a vehicle only toward a stop or a dispatch target, zones of the grid
+def test_fleet_table_marks_off_grid_zones():
+    # the zone column holds only zones of the grid (row * width + col): a
+    # location is checked once, when the table is built, and an off-grid one
+    # is refused there; the engine moves a vehicle only toward a stop or a
+    # dispatch target, zones of the grid
     grid = GridWorld(width=4, height=3)
-    assert vehicles_in_table(grid, [(0, 0), (2, 3)])[0].fleet.zone.tolist() == [0, 11]
+    vs = vehicles_in_table(grid, [(0, 0), (2, 3), (1, 0)])
+    assert vs[0].fleet.zone.tolist() == [0, 11, 4]
+    v = vs[2]
+    v.set_status(DISPATCHING)
+    v.dispatch_target = ZoneId(2, 3)
+    move(v, grid)
+    assert (v.location, v.fleet.zone[2]) == (ZoneId(2, 0), 8)
     for row, col in [(3, 0), (0, 4), (-1, 2), (1, -1), (12, 3)]:
         with pytest.raises(InvalidZoneError, match=rf"zone \({row}, {col}\) outside 3x4 grid"):
             vehicles_in_table(grid, [(0, 0), (2, 3), (row, col)])

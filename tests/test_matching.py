@@ -41,10 +41,13 @@ def test_no_requests_returns_empty():
     assert match_all([], vehicles_in_table(grid, [(0, 0)]), grid, 5, rng) == []
 
 
-def test_off_grid_request_origin_raises():
+def test_off_grid_vehicle_raises():
     # vehicle locations are checked when their table is built
-    # (test_fleet_table_rejects_a_vehicle_off_the_grid)
+    # (test_fleet::test_fleet_table_marks_off_grid_zones), so a pool with an
+    # off-grid vehicle cannot be made; match checks request origins
     grid = make_grid()
+    with pytest.raises(InvalidZoneError, match=r"zone \(12, 3\) outside 12x12 grid"):
+        vehicles_in_table(grid, [(0, 0), (12, 3), (-1, 0)])
     vs = vehicles_in_table(grid, [(0, 0), (11, 3)])
     with pytest.raises(InvalidZoneError, match=r"zone \(4, 12\) outside 12x12 grid"):
         match_all([passenger(0, (0, 1)), passenger(1, (4, 12))], vs, grid, 5,
