@@ -23,10 +23,10 @@ requests = [
 ]
 # desk cars: 4 seats and 5 trunk slots
 fleet = FleetTable([
-    VehicleState(id=0, location=ZoneId(0, 1), seats_total=4, trunk_total=5),
-    VehicleState(id=1, location=ZoneId(2, 4), seats_total=4, trunk_total=5),
-    VehicleState(id=2, location=ZoneId(4, 4), seats_total=4, trunk_total=0),  # no trunk space
-], grid)
+    VehicleState(id=0, seats_total=4, trunk_total=5),
+    VehicleState(id=1, seats_total=4, trunk_total=5),
+    VehicleState(id=2, seats_total=4, trunk_total=0),  # no trunk space
+], grid, [ZoneId(0, 1), ZoneId(2, 4), ZoneId(4, 4)])
 
 # the pool is every vehicle of the table, by id
 for a in match(requests, range(len(fleet.vehicles)), fleet, grid, reject_radius=6, rng=rng):
@@ -36,8 +36,7 @@ for a in match(requests, range(len(fleet.vehicles)), fleet, grid, reject_radius=
 print("request 3 stays queued: nothing within the reject radius.\n")
 
 # full vehicles never accept more than their capacity
-small = FleetTable([VehicleState(id=0, location=ZoneId(0, 0), seats_total=1, trunk_total=0)],
-                   grid)
+small = FleetTable([VehicleState(id=0, seats_total=1, trunk_total=0)], grid, [ZoneId(0, 0)])
 crowd = [Request(i, PASSENGER, ZoneId(0, i + 1), ZoneId(5, 5), 0, 1.0) for i in range(3)]
 got = match(crowd, [0], small, grid, reject_radius=8, rng=rng)
 print(f"one seat, three passengers: {len(got)} assignment ->",

@@ -1,18 +1,23 @@
 """Discrete-time fleet simulation: intake, dispatch, matching, relays, learning.
 
 Each tick runs a fixed phase order over vehicles in ascending id. The
-fleet is a ``fleet.FleetTable``: phases 2-6 pick their vehicles by a mask
-over its status, capacity and onboard columns, which the vehicles write as
-they change (``set_status`` the status, ``move`` the zone, ``recount`` the
-free seats, free trunk slots and onboard count):
+fleet is a ``fleet.FleetTable``, the one stored copy of each vehicle's
+zone, objective and odometer: phases 2-6 pick their vehicles by a mask over
+its status, capacity and onboard columns, which the vehicles write as they
+change (``set_status`` the status and objective, ``recount`` the free
+seats, free trunk slots, onboard count and pending pickups), and phase 5
+moves the fleet as one pass over its columns:
 
   1. intake new requests; plan relay chains for goods
-  2. arrival processing for every vehicle that is not parked, i.e. neither
-     idle nor dispatched (status transitions, pickups, drops; a vehicle
-     standing on no zone of its plan's zone index returns at once, one on
-     its plan's first stop drops that stop and re-indexes the plan, a drop
+  2. arrival processing, in id order, for the vehicles the last move pass
+     left where something can resolve: those standing on their objective,
+     and those holding both a pending pickup and an onboard order that
+     stand on a zone of their plan (``fleet.FleetTable.arriving``; no other
+     vehicle can resolve anything, and no vehicle changes between that pass
+     and this phase). Status transitions, pickups, drops: a vehicle on its
+     plan's first stop drops that stop and re-indexes the plan, a drop
      elsewhere rebuilds the plan; a drop that is not a chain's last leg
-     enqueues the next leg as a child request). A leg request's
+     enqueues the next leg as a child request. A leg request's
      ``hops_completed`` is its index in its chain, so
      ``legs[chain id][hops_completed]`` is the leg it carries
   3. idle vehicles query the dispatch policy with the scheduled probability;
@@ -29,8 +34,10 @@ free seats, free trunk slots and onboard count):
   4. greedy matching binds queued requests to dispatched vehicles and to
      partially filled en-route vehicles, a pool whose zones and free
      capacity it reads from the table; stale requests expire
-  5. vehicles that are not parked advance along their routes; a matched or
-     serving vehicle adds the steps moved to its plan's odometer
+  5. one ``fleet.move`` pass advances every vehicle that is not parked,
+     i.e. neither idle nor dispatched, toward its objective, in integer
+     arrays over the zone and target columns; a matched or serving vehicle
+     adds the steps moved to its plan's odometer column
   6. rewards and objective components are settled: one ``agent_reward``
      call prices the whole fleet from the status and onboard columns and
      the flat list of late onboard orders of the loaded vehicles, each
@@ -47,10 +54,12 @@ The invariant checks run after settling. Every tick, one column expression
 finds an overcommitted vehicle (free seats or trunk slots below zero), and
 each vehicle's status and manifest are checked against the registry and the
 queue. Every ``FULL_CHECK_EVERY`` ticks, the stored stop plans and zone
-indexes are compared with fresh ones, the fleet table with a fresh count of
-the vehicles and their manifests (``FleetTable.first_stale``), and each open
-request's live legs are counted. Onboard entries are a subset of committed
-ones, so a fresh column that is not overcommitted is within capacity too.
+indexes are compared with fresh ones built from the zone column, which also
+covers the position and the odometer, the fleet table with a fresh count of
+the vehicles, their plans and their manifests (``FleetTable.first_stale``;
+the zone column must lie on the grid), and each open request's live legs
+are counted. Onboard entries are a subset of committed ones, so a fresh
+column that is not overcommitted is within capacity too.
 
 Identical seed and config give bit-identical episode logs. ``step`` also sums
 the thread's cpu time in each phase into ``phase_seconds``, which is kept
@@ -497,10 +506,8 @@ class Simulation:
                     seats, trunk = 0, cfg.separate_goods_trunk
             else:
                 seats, trunk = cfg.seats, cfg.trunk
-            self.vehicles.append(
-                fl.VehicleState(id=i, location=origins[i], seats_total=seats, trunk_total=trunk)
-            )
-        self.fleet = fl.FleetTable(self.vehicles, self.grid)
+            self.vehicles.append(fl.VehicleState(id=i, seats_total=seats, trunk_total=trunk))
+        self.fleet = fl.FleetTable(self.vehicles, self.grid, origins[: cfg.n_vehicles])
         self.prev_active = np.zeros(cfg.n_vehicles, dtype=np.int64)
 
         # warmup: demand history and pickup counts only, no dispatch, no queueing
@@ -590,15 +597,10 @@ class Simulation:
                      vehicle=event.vehicle_id, zone=event.zone, hops_done=idx)
         return True
 
-    def _moving(self) -> list:
-        """Ids of the vehicles that are not parked: a parked (idle or
-        dispatched) vehicle holds position with nothing to pick up or drop,
-        so process_arrivals and move leave it as it is."""
-        return np.flatnonzero(self.fleet.mask(fl.DISPATCHING, fl.MATCHED, fl.SERVING)).tolist()
-
     def _arrivals(self, detour: dict, detail: dict):
         hops = 0
-        for vid in self._moving():
+        # nothing moves between the last move pass and here
+        for vid in self.fleet.arriving:
             for event in fl.process_arrivals(self.vehicles[vid], self.tick):
                 if isinstance(event, fl.PickupEvent):
                     req = self.registry[event.request_id]
@@ -638,18 +640,19 @@ class Simulation:
             q_maxes.extend(values.max(axis=1).tolist())
             for vid, vec, row, explore in zip(chunk, states, values,
                                               drawn[start : start + rl.STACK_CHUNK]):
-                v = self.vehicles[vid]
                 action = rl.select_action(row, explore)
                 if self.training:
                     self._decisions.append((vid, vec, action))
-                target = rl.action_target(self.grid, v.location, action, cfg.rl.action_radius)
-                if target == v.location:
+                v = self.vehicles[vid]
+                location = v.location
+                target = rl.action_target(self.grid, location, action, cfg.rl.action_radius)
+                if target == location:
                     continue  # hold: stay idle, stay unmatched
-                v.dispatch_target = target
                 v.set_status(fl.DISPATCHING)
-                eta = self.grid.eta(v.location, target).ticks
+                v.dispatch_target = target
+                eta = self.grid.eta(location, target).ticks
                 dispatch_time += eta
-                self.log.add(self.tick, "dispatch", vehicle=v.id, origin=v.location,
+                self.log.add(self.tick, "dispatch", vehicle=v.id, origin=location,
                              target=target, eta=eta)
         detail["dispatch_time"] = dispatch_time
         detail["q_max"] = float(np.mean(q_maxes)) if q_maxes else None
@@ -697,16 +700,8 @@ class Simulation:
         detail["rejected"] = len(expired)
 
     def _advance(self, detail: dict):
-        moved_total = 0
-        moved_serving = 0
-        for vid in self._moving():
-            v = self.vehicles[vid]
-            moved = fl.move(v, self.grid)
-            moved_total += moved
-            if v.status in (fl.MATCHED, fl.SERVING):
-                moved_serving += moved
-        detail["moved_total"] = moved_total
-        detail["moved_serving"] = moved_serving
+        detail["moved_total"], detail["moved_serving"] = fl.move(
+            self.fleet, np.arange(len(self.vehicles)), self.grid)
 
     def _settle(self, supply, forecast, detour: dict, detail: dict):
         speed = self.grid.vehicle_speed

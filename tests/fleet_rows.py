@@ -16,11 +16,16 @@ def vehicles_in_table(grid, locations, **fields) -> list:
     fields = {"seats_total": _DESK.seats, "trunk_total": _DESK.trunk, **fields}
     per_vehicle = {name: value if isinstance(value, list) else [value] * len(locations)
                    for name, value in fields.items()}
-    vehicles = [VehicleState(id=vid, location=ZoneId(*loc),
-                             **{name: values[vid] for name, values in per_vehicle.items()})
-                for vid, loc in enumerate(locations)]
-    FleetTable(vehicles, grid)
+    vehicles = [VehicleState(id=vid, **{name: values[vid] for name, values in per_vehicle.items()})
+                for vid in range(len(locations))]
+    FleetTable(vehicles, grid, [ZoneId(*loc) for loc in locations])
     return vehicles
+
+
+def put(v, zone):
+    """Set vehicle ``v`` down at ``zone`` ((row, col)) by writing its table
+    row, the one stored copy of its location; plan and objective stay."""
+    v.fleet.zone[v.id] = zone[0] * v.fleet.grid.width + zone[1]
 
 
 def free_capacity(v) -> tuple:

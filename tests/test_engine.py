@@ -21,7 +21,7 @@ from hopfleet.engine import (
     SimConfig,
     Simulation,
 )
-from hopfleet.geo import ZoneId, manhattan
+from hopfleet.geo import InvalidZoneError, ZoneId, manhattan
 from hopfleet.reward import agent_reward
 
 from desk_config import desk_config, desk_yaml, locate
@@ -141,11 +141,9 @@ def inject_requests(sim, requests):
 
 
 def place(sim, *zones):
-    """Put vehicles 0, 1, ... at ``zones`` and build the fleet table anew
-    from the vehicles, as ``initialize`` builds it."""
-    for v, zone in zip(sim.vehicles, zones, strict=True):
-        v.location = ZoneId(*zone)
-    sim.fleet = fl.FleetTable(sim.vehicles, sim.grid)
+    """Put vehicles 0, 1, ... at ``zones``: build the fleet table anew from
+    the vehicles and their zones, as ``initialize`` builds it."""
+    sim.fleet = fl.FleetTable(sim.vehicles, sim.grid, [ZoneId(*zone) for zone in zones])
 
 
 def test_adjacent_passenger_delivered_within_overhead_budget():
@@ -274,10 +272,10 @@ def reference_process_arrivals(v, tick):
 def vehicle_state(v):
     """A vehicle's state with its stop plan and zone index as seen from the
     vehicle, whichever distance the stored plan is measured from, and its
-    row of the fleet table."""
+    row of the fleet table but for the odometer."""
     index = {zone: cum - v.driven for zone, cum in v.zone_index.items()}
-    return (v.status, v.location, v.dispatch_target, v.manifest, v.remaining_stops(), index,
-            v.fleet.row(v.id))
+    row = {name: value for name, value in v.fleet.row(v.id).items() if name != "driven"}
+    return (v.status, v.location, v.dispatch_target, v.manifest, v.remaining_stops(), index, row)
 
 
 @pytest.mark.parametrize("speed", [1, 2])
@@ -331,6 +329,58 @@ def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed, monkeypatch):
         sim.run(ticks=40)
     assert checked > 50
     assert resolved > 100  # pickups and drops
+
+
+def arrival_state(v):
+    """Everything process_arrivals may change on a vehicle: its status,
+    manifest, stop plan, zone index and whole table row."""
+    return v.status, v.manifest, v.stops, v.zone_index, v.fleet.row(v.id)
+
+
+@pytest.mark.parametrize("speed", [1, 2, 3])
+@pytest.mark.parametrize("baseline", BASELINES)
+def test_arrivals_only_where_something_can_resolve(baseline, speed, monkeypatch):
+    # the engine resolves arrivals only for the vehicles the last move pass
+    # left where something can resolve (the fleet module docstring has the
+    # argument); process_arrivals on every moving vehicle of a twin fleet
+    # must give the same events and leave the same vehicles and table
+    process_arrivals = fl.process_arrivals
+    seen = []
+
+    def recorded(v, tick):
+        events = process_arrivals(v, tick)
+        seen.extend(events)
+        return events
+
+    monkeypatch.setattr(fl, "process_arrivals", recorded)
+    moving = (fl.DISPATCHING, fl.MATCHED, fl.SERVING)
+    skipped = resolved = on_the_way = 0
+    for seed in (21, 22, 23):
+        cfg = small_cfg(baseline=baseline, seed=seed, n_vehicles=8,
+                        grid=replace(small_cfg().grid, vehicle_speed=speed))
+        sim = Simulation(cfg)
+        sim.initialize()
+
+        def arrivals_against_every_moving_vehicle(*args, _run=sim._arrivals):
+            nonlocal skipped, resolved, on_the_way
+            twin = copy.deepcopy(sim.vehicles)  # the twins share one copied table
+            want = [ev for c in twin if c.status in moving
+                    for ev in process_arrivals(c, sim.tick)]
+            candidates = set(sim.fleet.arriving)
+            skipped += sum(v.status in moving and v.id not in candidates for v in sim.vehicles)
+            on_the_way += sum(v.id in candidates and v.status != fl.DISPATCHING
+                              and int(sim.fleet.zone[v.id]) != int(sim.fleet.target[v.id])
+                              and any(ev.vehicle_id == v.id for ev in want)
+                              for v in sim.vehicles)
+            seen.clear()
+            _run(*args)
+            assert seen == want, (seed, sim.tick)
+            assert [arrival_state(v) for v in sim.vehicles] == [arrival_state(c) for c in twin]
+            resolved += len(want)
+
+        sim._arrivals = arrivals_against_every_moving_vehicle
+        sim.run(ticks=40)
+    assert resolved > 100 and skipped > 100 and on_the_way > 0
 
 
 def reference_remaining_etas(v, speed):
@@ -497,7 +547,8 @@ def test_full_check_catches_a_stale_stop_plan():
 
 @pytest.mark.parametrize("column", fl.COLUMNS)
 def test_full_check_catches_a_stale_fleet_table(column):
-    # the capacity columns are compared with a recount of the manifests
+    # the status column is compared with the vehicles, the objective with
+    # their plans, the capacity columns with a recount of the manifests
     sim = Simulation(small_cfg(seed=3))
     sim.initialize()
     while not sim.fleet.onboard.any():
@@ -506,6 +557,23 @@ def test_full_check_catches_a_stale_fleet_table(column):
     v = sim.vehicles[int(np.flatnonzero(sim.fleet.onboard)[0])]
     stored = getattr(sim.fleet, column)
     true = int(stored[v.id])
+    if column == "zone":
+        # the zone column is the one stored copy of the vehicles' locations:
+        # a wrong zone shows as a stale plan, and one off the grid is refused
+        width, zones = sim.grid.width, sim.grid.width * sim.grid.height
+        stored[v.id] = true + 1 if (true + 1) % width else true - 1  # a step along the row
+        with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} stored stop plan is stale"):
+            sim.run(ticks=0)
+        stored[v.id] = true
+        parked = next(u.id for u in sim.vehicles if not u.manifest)  # no plan to go stale
+        for off in (-1, zones):
+            stored[parked], at = off, stored[parked]
+            with pytest.raises(InvalidZoneError, match=rf"zone \({off // width}, {off % width}\) "
+                                                      rf"outside"):
+                sim.run(ticks=0)
+            stored[parked] = at
+        sim.run(ticks=0)
+        return
     for stale in (true - 1, true + 1):
         stored[v.id] = stale
         with pytest.raises(EngineInvariantError,
@@ -517,16 +585,15 @@ def test_full_check_catches_a_stale_fleet_table(column):
 
 
 def test_full_check_catches_a_table_entry_stale_before_supply():
-    # a zone entry wrong while supply and matching read it; the dispatch
-    # drive's move rewrites it before the check after the tick's moves
+    # a free-seat entry wrong while supply and matching read it is caught
+    # before supply, ahead of the dispatch that would follow
     sim = Simulation(small_cfg(n_vehicles=1, warmup_ticks=0), policy=ScriptedPolicy(0, 1))
     sim.initialize()
-    v = sim.vehicles[0]
-    stored = int(sim.fleet.zone[0])
-    v.location = ZoneId(0, 0) if v.location != ZoneId(0, 0) else ZoneId(1, 1)
-    moved = v.location.row * sim.grid.width + v.location.col
+    seats = int(sim.fleet.seats_free[0])
+    sim.fleet.seats_free[0] = seats + 1
     with pytest.raises(EngineInvariantError,
-                       match=f"vehicle 0 fleet table zone {stored} is stale, the vehicle says {moved}"):
+                       match=f"vehicle 0 fleet table seats_free {seats + 1} is stale, "
+                             f"the vehicle says {seats}"):
         sim.step()
     assert sim.tick == 0 and sim.log.by_kind("dispatch") == []
 

@@ -25,12 +25,17 @@ from hopfleet.fleet import (
 )
 from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId, manhattan
 
-from fleet_rows import free_capacity, vehicles_in_table
+from fleet_rows import free_capacity, put, vehicles_in_table
 
 
 def make_vehicle(loc=(0, 0), grid=GridWorld(width=10, height=10), **kw):
     """Vehicle 0 of a table of its own on ``grid``."""
     return vehicles_in_table(grid, [loc], **kw)[0]
+
+
+def move_one(v, grid):
+    """The steps vehicle ``v`` moves in a column pass over its id alone."""
+    return move(v.fleet, [v.id], grid)[0]
 
 
 def entry(rid, kind, origin, dest, onboard=False):
@@ -102,8 +107,9 @@ def test_idle_vehicle_unchanged_by_advance():
     grid = GridWorld(width=10, height=10)
     v = make_vehicle(loc=(4, 4), grid=grid)
     events = process_arrivals(v, tick=0)
-    moved = move(v, grid)
-    assert (v.status, v.location, events, moved) == (IDLE, ZoneId(4, 4), [], 0)
+    moved = move(v.fleet, [v.id], grid)
+    assert (v.status, v.location, events, moved) == (IDLE, ZoneId(4, 4), [], (0, 0))
+    assert v.fleet.arriving == []
 
 
 def test_matched_arrival_at_pickup_becomes_serving():
@@ -119,24 +125,27 @@ def test_move_respects_speed_and_row_first():
     grid = GridWorld(width=10, height=10, vehicle_speed=2)
     v = make_vehicle(loc=(0, 0), grid=grid, status=DISPATCHING)
     v.dispatch_target = ZoneId(3, 1)
-    assert move(v, grid) == 2
-    assert v.location == ZoneId(2, 0)
-    assert move(v, grid) == 2
-    assert v.location == ZoneId(3, 1)
+    assert move(v.fleet, [v.id], grid) == (2, 0)  # a dispatch drive is not service
+    assert (v.location, v.driven, v.fleet.arriving) == (ZoneId(2, 0), 0, [])
+    assert move(v.fleet, [v.id], grid) == (2, 0)
+    assert (v.location, v.fleet.arriving) == (ZoneId(3, 1), [v.id])
 
 
 def reference_move(v, grid):
     """move as it was before it reached its position in one step: one
-    lattice step at a time, row coordinate first; it subtracts the steps
-    moved from the stored plan's distances instead of keeping an odometer."""
-    target = v.dispatch_target if v.status == DISPATCHING else v.next_stop()
+    vehicle, one lattice step at a time, row coordinate first; it subtracts
+    the steps moved from the stored plan's distances instead of keeping an
+    odometer."""
+    if v.status not in (DISPATCHING, MATCHED, SERVING):
+        return 0
+    target = v.dispatch_target if v.status == DISPATCHING else v.stops[0][0]
     moved = 0
     while moved < grid.vehicle_speed and v.location != target:
         (row, col), (t_row, t_col) = v.location, target
         if row != t_row:
-            v.location = ZoneId(row + (1 if t_row > row else -1), col)
+            put(v, (row + (1 if t_row > row else -1), col))
         else:
-            v.location = ZoneId(row, col + (1 if t_col > col else -1))
+            put(v, (row, col + (1 if t_col > col else -1)))
         moved += 1
     if moved and v.status != DISPATCHING:
         v.stops = [(zone, cum - moved) for zone, cum in v.stops]
@@ -144,6 +153,8 @@ def reference_move(v, grid):
 
 
 def test_move_matches_stepwise_reference():
+    # one column pass over a table of vehicles in every status, against
+    # the stepwise reference on a twin of each
     rng = np.random.default_rng(3)
 
     def zone(height, width):
@@ -152,22 +163,30 @@ def test_move_matches_stepwise_reference():
     for trial in range(400):
         height, width = (int(n) for n in rng.integers(1, 12, size=2))
         grid = GridWorld(width=width, height=height, vehicle_speed=int(rng.integers(1, 6)))
-        status = [DISPATCHING, MATCHED, SERVING][trial % 3]
-        start = zone(height, width)
-        pair = [make_vehicle(loc=start, grid=grid, status=status) for _ in range(2)]
-        target = zone(height, width)
-        entries = [(int(rng.integers(2)), zone(height, width), zone(height, width))
-                   for _ in range(int(rng.integers(1, 4)))]
-        for v in pair:
-            if status == DISPATCHING:
-                v.dispatch_target = target
-            for rid, (onboard, origin, dest) in enumerate(entries):
-                v.add_entry(entry(rid, PASSENGER, origin, dest, onboard=bool(onboard)))
-        got, want = pair
-        for _ in range(3):  # consecutive moves, up to and past the target
-            assert move(got, grid) == reference_move(want, grid), trial
-            assert (got.location, got.remaining_stops()) == (want.location, want.stops), trial
-            assert type(got.location) is ZoneId
+        n = int(rng.integers(1, 6))
+        statuses = [[IDLE, DISPATCHING, DISPATCHED, MATCHED, SERVING][int(s)]
+                    for s in rng.integers(5, size=n)]
+        starts = [zone(height, width) for _ in range(n)]
+        got, want = (vehicles_in_table(grid, starts, status=statuses) for _ in range(2))
+        for vid, status in enumerate(statuses):
+            target = zone(height, width)
+            entries = [(int(rng.integers(2)), zone(height, width), zone(height, width))
+                       for _ in range(int(rng.integers(1, 4)))]
+            for v in (got[vid], want[vid]):
+                if status == DISPATCHING:
+                    v.dispatch_target = target
+                elif status in (MATCHED, SERVING):
+                    for rid, (onboard, origin, dest) in enumerate(entries):
+                        v.add_entry(entry(rid, PASSENGER, origin, dest, onboard=bool(onboard)))
+        fleet = got[0].fleet
+        for _ in range(3):  # consecutive moves, up to and past the targets
+            steps = [reference_move(v, grid) for v in want]
+            busy = [s for s, status in zip(steps, statuses) if status in (MATCHED, SERVING)]
+            assert move(fleet, np.arange(n), grid) == (sum(steps), sum(busy)), trial
+            for g, w in zip(got, want):
+                assert (g.location, g.remaining_stops()) == (w.location, w.stops), trial
+                assert type(g.location) is ZoneId
+            assert fleet.first_stale() is None, trial
 
 
 def test_location_changes_at_most_speed_per_tick():
@@ -175,14 +194,11 @@ def test_location_changes_at_most_speed_per_tick():
     rng = np.random.default_rng(0)
     v = make_vehicle(loc=(10, 10), grid=grid, status=DISPATCHING)
     for _ in range(30):
-        v.dispatch_target = ZoneId(int(rng.integers(20)), int(rng.integers(20)))
+        v.dispatch_target = ZoneId(int(rng.integers(20)), int(rng.integers(20)))  # roam on
         before = v.location
-        moved = move(v, grid)
+        moved, _ = move(v.fleet, [v.id], grid)
         assert moved <= 3
         assert grid.distance(before, v.location) == moved
-        if v.location == v.dispatch_target:
-            v.dispatch_target = None
-            v.status = DISPATCHING  # keep roaming
 
 
 def test_goods_drop_at_hub_reports_drop_event():
@@ -221,7 +237,7 @@ def test_onboard_etas_follow_stop_plan():
     assert onboard_etas(v, speed=1) == {1: 4, 2: 6}
     assert v.route_eta(speed=1) == 6
     assert v.route_eta(speed=2) == 3
-    move(v, grid)
+    move_one(v, grid)
     assert v.driven == 1 and v.stops == [(ZoneId(0, 4), 4), (ZoneId(0, 6), 6)]
     assert onboard_etas(v, speed=1) == {1: 3, 2: 5}
     assert onboard_etas(v, speed=2) == {1: 2, 2: 3}
@@ -250,7 +266,7 @@ def test_serving_without_manifest_goes_idle_on_arrival():
 def test_arrival_away_from_every_stop_changes_nothing():
     v = make_vehicle(loc=(0, 0), status=MATCHED)
     v.add_entry(entry(1, PASSENGER, (0, 2), (0, 4)))
-    v.location = ZoneId(0, 1)
+    put(v, (0, 1))
     v.replan()
     assert process_arrivals(v, tick=1) == []
     assert v.status == MATCHED and not v.manifest[0].onboard
@@ -259,8 +275,13 @@ def test_arrival_away_from_every_stop_changes_nothing():
 def test_serving_with_empty_plan_raises():
     grid = GridWorld(width=5, height=5)
     v = make_vehicle(loc=(0, 0), grid=grid, status=SERVING)
-    with pytest.raises(VehicleStateError):
-        move(v, grid)
+    with pytest.raises(VehicleStateError, match="vehicle 0: serving with an empty stop plan"):
+        move(v.fleet, [v.id], grid)
+    # a dispatching vehicle without a target, named among vehicles that can move
+    vehicles = vehicles_in_table(grid, [(0, 0)] * 3, status=DISPATCHING)
+    vehicles[0].dispatch_target = ZoneId(1, 1)
+    with pytest.raises(VehicleStateError, match="vehicle 1: dispatching without a target"):
+        move(vehicles[0].fleet, [0, 1, 2], grid)
 
 
 def test_project_supply_all_idle():
@@ -281,7 +302,7 @@ def test_project_supply_busy_vehicle_eta():
     snap = project_supply(fleet, grid)
     assert snap.available.sum() == 0  # full vehicle
     assert snap.freeing.tolist() == [[3, 0, 3]]  # free in 3 ticks at (0, 3)
-    move(v, grid)
+    move_one(v, grid)
     assert project_supply(fleet, grid).freeing.tolist() == [[2, 0, 3]]
 
 
@@ -292,7 +313,7 @@ def test_project_supply_counts_vehicles_by_zone_from_the_table():
                                  seats_total=1, trunk_total=0)
     fleet = vehicles[0].fleet
     vehicles[0].dispatch_target = ZoneId(0, 1)
-    move(vehicles[0], grid)
+    move_one(vehicles[0], grid)
     vehicles[2].add_entry(entry(1, PASSENGER, (2, 3), (2, 1), onboard=True))
     want = np.zeros((3, 4))
     for v in vehicles:
@@ -361,7 +382,7 @@ def test_fleet_table_follows_random_operations(speed):
                     v.set_status(MATCHED)
         elif op == 2 and v.status in (DISPATCHING, MATCHED, SERVING):
             if v.status == DISPATCHING or v.stops:
-                move(v, grid)
+                move_one(v, grid)
         elif op == 3:
             process_arrivals(v, step)
         else:
@@ -382,8 +403,9 @@ def test_fleet_table_masks_and_rows():
     assert fleet.vehicles is vehicles
     assert np.flatnonzero(fleet.mask(IDLE)).tolist() == [0, 5]
     assert np.flatnonzero(fleet.mask(DISPATCHING, MATCHED, SERVING)).tolist() == [1, 3, 4]
-    assert fleet.row(4) == {"status": STATUS_CODE[SERVING], "zone": 0 * 4 + 1, "seats_free": 4,
-                            "trunk_free": 5, "onboard": 0}
+    assert fleet.row(4) == {"status": STATUS_CODE[SERVING], "zone": 0 * 4 + 1, "target": -1,
+                            "seats_free": 4, "trunk_free": 5, "onboard": 0, "pending": 0,
+                            "driven": 0}
     assert all(v.fleet is fleet for v in vehicles)
 
 
@@ -391,12 +413,14 @@ def test_fleet_table_holds_vehicles_in_id_order():
     grid = GridWorld(width=4, height=4)
 
     def bare(vid):
-        return VehicleState(id=vid, location=ZoneId(0, 0), seats_total=4, trunk_total=5)
+        return VehicleState(id=vid, seats_total=4, trunk_total=5)
 
     with pytest.raises(ValueError, match="vehicles 0..n-1 in id order"):
-        FleetTable([bare(1), bare(0)], grid)
+        FleetTable([bare(1), bare(0)], grid, [ZoneId(0, 0)] * 2)
     with pytest.raises(ValueError, match="vehicles 0..n-1 in id order"):
-        FleetTable([bare(0), bare(2)], grid)
+        FleetTable([bare(0), bare(2)], grid, [ZoneId(0, 0)] * 2)
+    with pytest.raises(ValueError, match="one location per vehicle"):
+        FleetTable([bare(0), bare(1)], grid, [ZoneId(0, 0)])
 
 
 def test_fleet_table_marks_off_grid_zones():
@@ -410,7 +434,7 @@ def test_fleet_table_marks_off_grid_zones():
     v = vs[2]
     v.set_status(DISPATCHING)
     v.dispatch_target = ZoneId(2, 3)
-    move(v, grid)
+    move_one(v, grid)
     assert (v.location, v.fleet.zone[2]) == (ZoneId(2, 0), 8)
     for row, col in [(3, 0), (0, 4), (-1, 2), (1, -1), (12, 3)]:
         with pytest.raises(InvalidZoneError, match=rf"zone \({row}, {col}\) outside 3x4 grid"):
@@ -420,26 +444,26 @@ def test_fleet_table_marks_off_grid_zones():
 def capacity_row(v):
     """A vehicle's capacity columns in its table row, in ``tallies`` order."""
     row = v.fleet.row(v.id)
-    return row["seats_free"], row["trunk_free"], row["onboard"]
+    return row["seats_free"], row["trunk_free"], row["onboard"], row["pending"]
 
 
 def test_tallies_recounted_with_the_stop_plan():
     grid = GridWorld(width=5, height=5)
     v = make_vehicle(loc=(0, 0), grid=grid, status=MATCHED)
-    assert capacity_row(v) == v.tallies() == (4, 5, 0)
+    assert capacity_row(v) == v.tallies() == (4, 5, 0, 0)
     v.add_entry(entry(1, PASSENGER, (0, 0), (0, 2)))
     v.add_entry(entry(2, GOODS, (0, 0), (0, 1)))
     v.add_entry(entry(3, PASSENGER, (0, 1), (0, 3)))
-    assert capacity_row(v) == v.tallies() == (2, 4, 0)
+    assert capacity_row(v) == v.tallies() == (2, 4, 0, 3)
     seen = []
     for tick in range(5):
         process_arrivals(v, tick)
         seen.append(capacity_row(v))
         assert seen[-1] == v.tallies()
-        move(v, grid)
+        move_one(v, grid)
     # picked up 1 and 2 at (0, 0); dropped 2 and picked up 3 at (0, 1);
     # dropped 1 at (0, 2) and 3 at (0, 3)
-    assert seen[:4] == [(2, 4, 2), (2, 5, 2), (3, 5, 1), (4, 5, 0)]
+    assert seen[:4] == [(2, 4, 2, 1), (2, 5, 2, 0), (3, 5, 1, 0), (4, 5, 0, 0)]
     assert v.status == IDLE
 
 
@@ -526,29 +550,32 @@ def reference_process_arrivals(v, tick):
 
 def route_state(v):
     """What a vehicle's route is, whichever distance the stored plan is
-    measured from: the plan and its zone index as seen from the vehicle."""
+    measured from: the plan and its zone index as seen from the vehicle,
+    and its table row but for the odometer."""
     index = {zone: cum - v.driven for zone, cum in v.zone_index.items()}
-    return (v.status, v.location, v.manifest, v.remaining_stops(), index, v.fleet.row(v.id))
+    row = {name: value for name, value in v.fleet.row(v.id).items() if name != "driven"}
+    return (v.status, v.location, v.manifest, v.remaining_stops(), index, row)
 
 
 def drive_against_the_reference(got, want, grid, tick=0, ticks=60):
-    """Alternate arrivals and moves on two copies of a vehicle, one through
-    process_arrivals and one through the reference, asserting equal events
-    and states; returns how many arrivals resolved at the plan's first stop
-    and how many resolved elsewhere on the plan."""
+    """Alternate arrivals and moves on two copies of a vehicle, two rows of
+    one table moved in one pass, one through process_arrivals and one
+    through the reference, asserting equal events and states; returns how
+    many arrivals resolved at the plan's first stop and how many resolved
+    elsewhere on the plan."""
     at_first = elsewhere = 0
     for tick in range(tick, tick + ticks):
         first = got.stops[0][0] if got.stops else None
         events = process_arrivals(got, tick)
-        assert events == reference_process_arrivals(want, tick), tick
+        want_events = reference_process_arrivals(want, tick)
+        assert events == [e._replace(vehicle_id=got.id) for e in want_events], tick
         assert route_state(got) == route_state(want), tick
         if events:
             at_first += first == got.location
             elsewhere += first != got.location
         if got.status == IDLE:
             break
-        move(got, grid)
-        move(want, grid)
+        move(got.fleet, [got.id, want.id], grid)
     return at_first, elsewhere
 
 
@@ -574,8 +601,7 @@ def test_advanced_plan_equals_the_replanned_one():
         # a matched vehicle still has a pickup ahead
         pending = not all(onboard for *_, onboard in entries)
         status = MATCHED if pending and rng.random() < 0.5 else SERVING
-        pair = [make_vehicle(loc=start, grid=grid, status=status, seats_total=9, trunk_total=9)
-                for _ in range(2)]
+        pair = vehicles_in_table(grid, [start] * 2, status=status, seats_total=9, trunk_total=9)
         for v in pair:
             for e in entries:
                 v.add_entry(ManifestEntry(*e))
@@ -598,7 +624,7 @@ def test_advanced_plan_at_a_zone_planned_twice():
     # the plan visits (0, 1) twice: to drop 1 and pick up 3, and later to
     # drop 2, picked up at (0, 3)
     grid = GridWorld(width=6, height=1)
-    pair = [make_vehicle(loc=(0, 0), grid=grid, status=SERVING) for _ in range(2)]
+    pair = vehicles_in_table(grid, [(0, 0)] * 2, status=SERVING)
     for v in pair:
         v.add_entry(entry(1, PASSENGER, (0, 0), (0, 1), onboard=True))
         v.add_entry(entry(2, PASSENGER, (0, 3), (0, 1)))
@@ -614,7 +640,7 @@ def test_drop_on_the_way_to_a_pickup_replans():
     # pickups come first, so the drop at (0, 2) is planned after the pickup
     # at (0, 4); the vehicle passes (0, 2) on its way and drops there
     grid = GridWorld(width=6, height=1)
-    pair = [make_vehicle(loc=(0, 0), grid=grid, status=SERVING) for _ in range(2)]
+    pair = vehicles_in_table(grid, [(0, 0)] * 2, status=SERVING)
     for v in pair:
         v.add_entry(entry(1, PASSENGER, (0, 0), (0, 2), onboard=True))
         v.add_entry(entry(2, PASSENGER, (0, 4), (0, 3)))
@@ -649,7 +675,7 @@ def interleave(v, grid, rng, new_entry, steps):
         action = rng.integers(3)
         first, driven = v.stops[0] if v.stops else (None, 0), v.driven
         if action == 0:
-            move(v, grid)
+            move_one(v, grid)
         elif action == 1:
             if process_arrivals(v, tick) and first[0] == v.location:
                 repeated += v.location in v.zone_index
@@ -690,7 +716,7 @@ def test_odometer_and_zone_index_equal_a_fresh_plan(speed):
         built = (list(v.stops), v.driven, dict(v.zone_index))
         while v.status == DISPATCHING:
             process_arrivals(v, trial)
-            frozen += move(v, grid) > 0 and bool(v.stops)
+            frozen += move_one(v, grid) > 0 and bool(v.stops)
             assert (v.stops, v.driven, v.zone_index) == built
         v.add_entry(new_entry(99))
         v.set_status(MATCHED)
@@ -715,7 +741,7 @@ def test_odometer_through_a_zone_planned_twice(speed):
         process_arrivals(v, tick)
         assert_plan_is_fresh(v)
         indexes.append(dict(v.zone_index))
-        move(v, grid)
+        move_one(v, grid)
         assert_plan_is_fresh(v)
     assert v.status == IDLE
     assert {ZoneId(0, 3): 3, ZoneId(0, 1): 5, ZoneId(0, 5): 9} in indexes
