@@ -64,9 +64,10 @@ pickup from P, or, with none pending, the nearest drop; so no pending
 pickup lies short of S on the way, and without a pending pickup no drop
 does either. A drop needs an onboard order, so only a vehicle holding both
 a pending pickup (S is a pickup) and an onboard order can meet a drop
-before S, and only on a zone of its plan. Filtering by zone index alone
-would not be enough: a vehicle can stand on the drop zone of an order it
-has not picked up yet, which resolves nothing there.
+before S, and only on a zone of its plan. So the vehicles skipped are those
+that can resolve nothing, not those away from every zone of their plan: a
+vehicle can stand on the drop zone of an order it has not picked up yet, a
+zone of its plan where nothing resolves.
 """
 
 from __future__ import annotations

@@ -201,6 +201,23 @@ def test_location_changes_at_most_speed_per_tick():
         assert grid.distance(before, v.location) == moved
 
 
+def test_move_leaves_only_vehicles_that_can_resolve():
+    # on the way to a pickup at (0, 3), both twins stand on (0, 1), a zone of
+    # their plans: the drop zone of the order still to be picked up, where
+    # nothing resolves, and for the loaded twin also of an onboard order
+    grid = GridWorld(width=6, height=1)
+    empty, loaded = vehicles_in_table(grid, [(0, 0)] * 2, status=MATCHED)
+    for v in (empty, loaded):
+        v.add_entry(entry(1, PASSENGER, (0, 3), (0, 1)))
+    loaded.add_entry(entry(2, PASSENGER, (0, 0), (0, 1), onboard=True))
+    move(empty.fleet, [empty.id, loaded.id], grid)
+    assert empty.location == loaded.location == ZoneId(0, 1)
+    assert ZoneId(0, 1) in empty.zone_index and ZoneId(0, 1) in loaded.zone_index
+    assert empty.fleet.arriving == [loaded.id]
+    assert process_arrivals(empty, tick=1) == []
+    assert process_arrivals(loaded, tick=1) == [DropEvent(2, loaded.id, ZoneId(0, 1), 1)]
+
+
 def test_goods_drop_at_hub_reports_drop_event():
     # the fleet reports a drop the same way for every leg; the engine decides
     # from its leg table whether the package is delivered or handed off
