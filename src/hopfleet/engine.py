@@ -2,11 +2,11 @@
 
 Each tick runs a fixed phase order over vehicles in ascending id. The
 fleet is a ``fleet.FleetTable``, the one stored copy of each vehicle's
-zone, objective and odometer: phases 2-6 pick their vehicles by a mask over
-its status, capacity and onboard columns, which the vehicles write as they
-change (``set_status`` the status and objective, ``recount`` the free
-seats, free trunk slots, onboard count and pending pickups), and phase 5
-moves the fleet as one pass over its columns:
+status, zone, objective and odometer: phases 2-6 pick their vehicles by a
+mask over its status, capacity and onboard columns, which the vehicles
+write as they change (``set_status`` the status and objective, ``recount``
+the free seats, free trunk slots, onboard count and pending pickups), and
+phase 5 moves the fleet as one pass over its columns:
 
   1. intake new requests; plan relay chains for goods
   2. arrival processing, in id order, for the vehicles the last move pass
@@ -50,16 +50,16 @@ moves the fleet as one pass over its columns:
      decisions and pushes nothing)
   7. training mode takes one gradient step and syncs the target on schedule
 
-The invariant checks run after settling. Every tick, one column expression
-finds an overcommitted vehicle (free seats or trunk slots below zero), and
-each vehicle's status and manifest are checked against the registry and the
-queue. Every ``FULL_CHECK_EVERY`` ticks, the stored stop plans and zone
-indexes are compared with fresh ones built from the zone column, which also
-covers the position and the odometer, the fleet table with a fresh count of
-the vehicles, their plans and their manifests (``FleetTable.first_stale``;
-the zone column must lie on the grid), and each open request's live legs
-are counted. Onboard entries are a subset of committed ones, so a fresh
-column that is not overcommitted is within capacity too.
+The invariant checks run after settling. Every tick, column expressions find
+an overcommitted vehicle (free seats or trunk slots below zero) or a status
+code outside ``VEHICLE_STATUSES``, and each manifest is checked against the
+registry and the queue. Every ``FULL_CHECK_EVERY`` ticks, the stored stop
+plans and zone indexes are compared with fresh ones built from the zone
+column (which covers the position and the odometer), the fleet table with a
+fresh count from the status column, plans and manifests (``first_stale``,
+which keeps the zone column on the grid), and each open request's live
+legs are counted. Onboard entries are a subset of committed ones, so a
+fresh column that is not overcommitted is within capacity too.
 
 Identical seed and config give bit-identical episode logs. ``step`` also sums
 the thread's cpu time in each phase into ``phase_seconds``, which is kept
@@ -768,11 +768,13 @@ class Simulation:
         shown = self.vehicles[:20]
         if vid is not None and vid >= len(shown):
             shown = [*shown, self.vehicles[vid]]
+        names = dict(enumerate(fl.VEHICLE_STATUSES))  # a code that names no status shows as it is
         state = {
             "tick": self.tick,
             "queue": self.queue[:50],
             "vehicles": [
-                {"id": v.id, "status": v.status, "location": list(v.location),
+                {"id": v.id, "status": names.get(code := self.fleet.status.item(v.id), code),
+                 "location": list(v.location),
                  "manifest": [(e.request_id, e.kind, e.onboard) for e in v.manifest],
                  "table": self.fleet.row(v.id)}
                 for v in shown
@@ -790,14 +792,14 @@ class Simulation:
 
     def _check_invariants(self, full: bool):
         fleet = self.fleet
-        over = np.flatnonzero((fleet.seats_free < 0) | (fleet.trunk_free < 0))
-        if len(over):
-            vid = int(over[0])
-            raise EngineInvariantError(self._dump(f"vehicle {vid} overcommitted", vid))
+        over = (fleet.seats_free < 0) | (fleet.trunk_free < 0)
+        broken = over | (fleet.status < 0) | (fleet.status >= len(fl.VEHICLE_STATUSES))
+        if broken.any():
+            vid = int(np.argmax(broken))
+            what = "overcommitted" if over[vid] else f"bad status code {fleet.status[vid]}"
+            raise EngineInvariantError(self._dump(f"vehicle {vid} {what}", vid))
         manifest_owner = {}
         for v in self.vehicles:
-            if v.status not in fl.VEHICLE_STATUSES:
-                raise EngineInvariantError(self._dump(f"vehicle {v.id} bad status {v.status}", v.id))
             if full:
                 if v.remaining_stops() != v.planned_stops():
                     raise EngineInvariantError(self._dump(

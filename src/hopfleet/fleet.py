@@ -26,30 +26,31 @@ plan rebuilds it with ``replan``, which resets the odometer.
 Every vehicle is a row of a ``FleetTable``: the vehicles, whose ids are
 their indices, and one int column per fleet-wide fact the engine filters,
 counts or moves on each tick. The table is the one stored copy of each
-vehicle's position and odometer: ``location`` and ``driven`` are views of
-its ``zone`` (``row * width + col``) and ``driven`` columns. Its ``target``
-column is the vehicle's objective, the zone it drives toward: the dispatch
-target while dispatching (``dispatch_target`` is a view of it), the plan's
-first stop while matched or serving, and -1 when parked. The capacity
-columns (free seats, free trunk slots, onboard count, pending pickups) are
-counted from the manifest; the status is kept on the vehicle too and
-mirrored. A vehicle writes its row where these facts change, and nowhere
-else: ``set_status`` the status and the objective, ``replan`` and a
-first-stop drop the objective, ``recount`` the capacity columns, from
-``tallies``. Locations are on the grid: the table checks each one when it
-is built, and a vehicle moves only toward a stop or a dispatch target, both
-zones of the grid. So the engine picks vehicles by mask in ascending id,
-``project_supply`` counts the available ones with one ``np.bincount``,
-matching and the state encoder read zones and free capacity as arrays, and
-``move`` advances every vehicle that is not parked in one array pass.
+vehicle's status, position and odometer: ``status``, ``location`` and
+``driven`` are views of its ``status`` (the index in ``VEHICLE_STATUSES``;
+every row starts idle), ``zone`` (``row * width + col``) and ``driven``
+columns. Its ``target`` column is the vehicle's objective, the zone it
+drives toward: the dispatch target while dispatching (``dispatch_target``
+is a view of it), the plan's first stop while matched or serving, and -1
+when parked. The capacity columns (free seats, free trunk slots, onboard
+count, pending pickups) are counted from the manifest. A vehicle writes its
+row where these facts change, and nowhere else: ``set_status`` the status
+and the objective, ``replan`` and a first-stop drop the objective,
+``recount`` the capacity columns, from ``tallies``. Locations are on the
+grid: the table checks each one when it is built, and a vehicle moves only
+toward a stop or a dispatch target, both zones of the grid. So the engine
+picks vehicles by mask in ascending id, ``project_supply`` counts the
+available ones with one ``np.bincount``, matching and the state encoder
+read zones and free capacity as arrays, and ``move`` advances every
+vehicle that is not parked in one array pass.
 
 Arrival checks rely on the stored plan: every pending pickup's origin and
-every onboard order's destination is one of its stops, so
-``process_arrivals`` returns at once for a matched or serving vehicle that
-stands on none of them. Parked vehicles (idle or dispatched) hold position
-with nothing to resolve. Of the vehicles that move, ``move`` leaves in
-``FleetTable.arriving`` the only ones where something can resolve, and the
-engine calls ``process_arrivals`` for those alone:
+every onboard order's destination is one of its stops, so a matched or
+serving vehicle that stands on none of them resolves nothing. Parked
+vehicles (idle or dispatched) hold position with nothing to resolve. Of the
+vehicles that move, ``move`` leaves in ``FleetTable.arriving`` the only
+ones where something can resolve, and the engine calls ``process_arrivals``
+for those alone:
 
 * those standing on their objective;
 * those that hold both a pending pickup and an onboard order and stand on
@@ -129,13 +130,12 @@ class DropEvent(NamedTuple):
 
 @dataclass
 class VehicleState:
-    """One vehicle; its position, odometer and objective are its row of the
-    table it is built into (``FleetTable``)."""
+    """One vehicle; its status, position, odometer and objective are its row
+    of the table it is built into (``FleetTable``)."""
 
     id: int
     seats_total: int
     trunk_total: int
-    status: str = IDLE
     manifest: list = field(default_factory=list)
     stops: list = field(default_factory=list)  # planned_stops() where it was built
     zone_index: dict = field(default_factory=dict, init=False)  # stop_index(stops)
@@ -143,6 +143,10 @@ class VehicleState:
     fleet: FleetTable = field(init=False, repr=False, compare=False)
 
     # ---- the vehicle's row ------------------------------------------------
+
+    @property
+    def status(self) -> str:
+        return VEHICLE_STATUSES[self.fleet.status.item(self.id)]
 
     @property
     def location(self) -> ZoneId:
@@ -174,9 +178,10 @@ class VehicleState:
         """The flat zone the vehicle drives toward: its dispatch target while
         dispatching, its plan's first stop while matched or serving, and -1
         when parked or with an empty plan."""
-        if self.status == DISPATCHING:
+        status = self.status
+        if status == DISPATCHING:
             return self.fleet.target.item(self.id)  # the table holds the only copy
-        if self.stops and self.status in (MATCHED, SERVING):
+        if self.stops and status in (MATCHED, SERVING):
             row, col = self.stops[0][0]
             return row * self.fleet.grid.width + col
         return -1
@@ -204,7 +209,6 @@ class VehicleState:
     def set_status(self, new: str):
         if (self.status, new) not in ALLOWED_TRANSITIONS:
             raise VehicleStateError(f"vehicle {self.id}: illegal transition {self.status} -> {new}")
-        self.status = new
         self.fleet.status[self.id] = STATUS_CODE[new]
         self.aim()
 
@@ -295,18 +299,15 @@ def process_arrivals(v: VehicleState, tick: int) -> list:
     """Resolve everything co-located with the vehicle: dispatch arrival,
     drops, then pickups. Returns Pickup/Drop events for the engine."""
     events = []
-    if v.status == DISPATCHING:
+    status = v.status
+    if status == DISPATCHING:
         fleet = v.fleet
         if fleet.zone[v.id] == fleet.target[v.id]:
             v.set_status(DISPATCHED)
         return events
-    if v.status != MATCHED and v.status != SERVING:
+    if status != MATCHED and status != SERVING:
         return events
     location = v.location
-    # every pickup origin and onboard destination is a stop of the plan:
-    # away from all of them nothing resolves
-    if v.manifest and location not in v.zone_index:
-        return events
     for e in [e for e in v.manifest if e.onboard and e.destination == location]:
         v.manifest.remove(e)
         events.append(DropEvent(e.request_id, v.id, location, tick))
@@ -327,9 +328,9 @@ def process_arrivals(v: VehicleState, tick: int) -> list:
             v.aim()
         else:
             v.replan()  # a drop on the way to another stop
-    if picked and v.status == MATCHED:
-        v.set_status(SERVING)
-    if v.status == SERVING and not v.manifest:
+    if picked and status == MATCHED:
+        v.set_status(SERVING)  # with what it picked up, the manifest is not empty
+    elif status == SERVING and not v.manifest:
         v.set_status(IDLE)
     return events
 
@@ -375,29 +376,25 @@ def move(fleet: FleetTable, ids, grid: GridWorld) -> tuple:
     return int(steps.sum()), int(served.sum())
 
 
-# the table's columns, in the order the full check compares them
+# the table's columns: the only copies of status and zone, then those fleet_columns counts
 COLUMNS = ("status", "zone", "target", "seats_free", "trunk_free", "onboard", "pending")
 
 
 def fleet_columns(fleet: FleetTable) -> dict:
-    """Each column of a fleet table counted afresh: the status from the
-    vehicles' own fields, the objective from their plans (a dispatching
-    vehicle's target is its own), the capacity columns from their
-    manifests. The zone column is the vehicles' position itself; an entry
-    off the grid raises InvalidZoneError."""
+    """The columns of a fleet table that have a second source, counted
+    afresh: the objective from the vehicles' status and plans (a
+    dispatching vehicle's target is its own), the capacity columns from
+    their manifests. A zone off the grid raises InvalidZoneError."""
     grid = fleet.grid
     off = (fleet.zone < 0) | (fleet.zone >= grid.height * grid.width)
     if off.any():
         grid.require(divmod(int(fleet.zone[np.argmax(off)]), grid.width))
-    status, target, seats, trunk, onboard, pending = np.array(
-        [(STATUS_CODE[v.status], v.objective(), *v.tallies()) for v in fleet.vehicles],
-        dtype=np.int64).reshape(-1, 6).T.copy()
-    return {"status": status, "zone": fleet.zone, "target": target, "seats_free": seats,
-            "trunk_free": trunk, "onboard": onboard, "pending": pending}
+    counted = np.array([(v.objective(), *v.tallies()) for v in fleet.vehicles], dtype=np.int64)
+    return dict(zip(COLUMNS[2:], counted.reshape(-1, 5).T.copy()))
 
 
 class FleetTable:
-    """The vehicles of one grid, vehicle ``i`` at index ``i`` and at
+    """The vehicles of one grid, vehicle ``i`` at index ``i``, idle and at
     ``locations[i]``, and their columns (``COLUMNS`` and the odometer
     ``driven``): one int per vehicle each, written by the vehicles and by
     ``move``. A location off the grid raises InvalidZoneError."""
@@ -411,8 +408,8 @@ class FleetTable:
         self.grid = grid
         zones = grid.require_all(locations)
         self.zone = zones[:, 0] * grid.width + zones[:, 1]
+        self.status = np.full(len(vehicles), STATUS_CODE[IDLE], dtype=np.int64)
         self.driven = np.zeros(len(vehicles), dtype=np.int64)
-        self.target = np.full(len(vehicles), -1, dtype=np.int64)
         self.arriving = []  # the vehicles the last move left where something can resolve
         for v in self.vehicles:
             v.fleet = self
@@ -435,12 +432,11 @@ class FleetTable:
         """(vehicle id, column, stored, counted) for the first column, and
         its first vehicle, where the table disagrees with a fresh count
         (``fleet_columns``); None when every entry holds."""
-        fresh = fleet_columns(self)
-        for name in COLUMNS:
-            bad = np.flatnonzero(getattr(self, name) != fresh[name])
+        for name, counted in fleet_columns(self).items():
+            bad = np.flatnonzero(getattr(self, name) != counted)
             if len(bad):
                 vid = int(bad[0])
-                return vid, name, int(getattr(self, name)[vid]), int(fresh[name][vid])
+                return vid, name, int(getattr(self, name)[vid]), int(counted[vid])
         return None
 
 

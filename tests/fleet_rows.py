@@ -1,6 +1,6 @@
 """Vehicles built as the rows of one fleet table, as the engine builds its fleet."""
 
-from hopfleet.fleet import FleetTable, VehicleState
+from hopfleet.fleet import IDLE, STATUS_CODE, FleetTable, VehicleState
 from hopfleet.geo import ZoneId
 
 from desk_config import desk_config
@@ -8,17 +8,23 @@ from desk_config import desk_config
 _DESK = desk_config().sim
 
 
-def vehicles_in_table(grid, locations, **fields) -> list:
+def vehicles_in_table(grid, locations, status=IDLE, **fields) -> list:
     """Vehicles 0..n-1 at ``locations`` ((row, col) pairs), the rows of one
-    FleetTable on ``grid``. Each of ``fields`` is a VehicleState field, one
-    value for every vehicle or a list of one value per vehicle;
-    ``seats_total`` and ``trunk_total`` default to the desk car's."""
-    fields = {"seats_total": _DESK.seats, "trunk_total": _DESK.trunk, **fields}
+    FleetTable on ``grid``. ``status`` and each of ``fields``, a
+    VehicleState field, are one value for every vehicle or a list of one
+    value per vehicle; ``seats_total`` and ``trunk_total`` default to the
+    desk car's. The status is written into the table's status column, the
+    one stored copy, and each vehicle then aims at its objective."""
+    fields = {"status": status, "seats_total": _DESK.seats, "trunk_total": _DESK.trunk, **fields}
     per_vehicle = {name: value if isinstance(value, list) else [value] * len(locations)
                    for name, value in fields.items()}
+    statuses = per_vehicle.pop("status")
     vehicles = [VehicleState(id=vid, **{name: values[vid] for name, values in per_vehicle.items()})
                 for vid in range(len(locations))]
-    FleetTable(vehicles, grid, [ZoneId(*loc) for loc in locations])
+    fleet = FleetTable(vehicles, grid, [ZoneId(*loc) for loc in locations])
+    fleet.status[:] = [STATUS_CODE[s] for s in statuses]
+    for v in vehicles:
+        v.aim()
     return vehicles
 
 

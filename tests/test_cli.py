@@ -282,7 +282,7 @@ def test_eval_missing_checkpoint_exit_2(smoke_config):
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
-@pytest.mark.parametrize("kind", ["directory", "text file"])
+@pytest.mark.parametrize("kind", ["directory", "text_file"])
 def test_not_a_checkpoint_exit_2(smoke_config, tmp_path, capsys, command, kind):
     path, cfg = smoke_config
     bad = tmp_path / "not_a_checkpoint"

@@ -343,11 +343,11 @@ def test_trip_records_header_only(tmp_path, grid):
 @pytest.mark.parametrize(
     "row,msg",
     [
-        ("5,passenger,0,0,0", "expected 6 fields"),
+        pytest.param("5,passenger,0,0,0", "expected 6 fields", id="five-fields"),
         ("x,passenger,0,0,1,1", ":2:"),
-        ("5,bike,0,0,1,1", "unknown kind"),
-        ("5,passenger,0,0,10,10", "outside grid"),
-        ("5,passenger,2,2,2,2", "origin equals destination"),
+        pytest.param("5,bike,0,0,1,1", "unknown kind", id="unknown-kind"),
+        pytest.param("5,passenger,0,0,10,10", "outside grid", id="outside-grid"),
+        pytest.param("5,passenger,2,2,2,2", "origin equals destination", id="same-zone"),
     ],
 )
 def test_trip_records_bad_rows(tmp_path, grid, row, msg):

@@ -547,8 +547,8 @@ def test_full_check_catches_a_stale_stop_plan():
 
 @pytest.mark.parametrize("column", fl.COLUMNS)
 def test_full_check_catches_a_stale_fleet_table(column):
-    # the status column is compared with the vehicles, the objective with
-    # their plans, the capacity columns with a recount of the manifests
+    # the objective is compared with the vehicles' status and plans, the
+    # capacity columns with a recount of the manifests
     sim = Simulation(small_cfg(seed=3))
     sim.initialize()
     while not sim.fleet.onboard.any():
@@ -572,6 +572,23 @@ def test_full_check_catches_a_stale_fleet_table(column):
                                                       rf"outside"):
                 sim.run(ticks=0)
             stored[parked] = at
+        sim.run(ticks=0)
+        return
+    if column == "status":
+        # the status column is the one stored copy of the vehicles' statuses:
+        # a wrong status shows where it changes the objective, and a code
+        # that names no status is refused
+        target = int(sim.fleet.target[v.id])
+        stored[v.id] = fl.STATUS_CODE[fl.IDLE]
+        with pytest.raises(EngineInvariantError,
+                           match=f"vehicle {v.id} fleet table target {target} is stale, "
+                                 f"the vehicle says -1"):
+            sim.run(ticks=0)
+        for code in (-1, len(fl.VEHICLE_STATUSES)):
+            stored[v.id] = code
+            with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} bad status code {code}"):
+                sim.run(ticks=0)
+        stored[v.id] = true
         sim.run(ticks=0)
         return
     for stale in (true - 1, true + 1):
@@ -616,16 +633,17 @@ def corrupt_light(sim, case):
     if case == "overcommitted":
         sim.fleet.seats_free[v.id] = -1
         return f"vehicle {v.id} overcommitted"
-    if case == "overcommitted trunk":
+    if case == "overcommitted-trunk":
         sim.fleet.trunk_free[v.id] = -1
         return f"vehicle {v.id} overcommitted"
-    if case == "bad status":
-        v.status = "parked"
-        return f"vehicle {v.id} bad status parked"
-    if case == "in two manifests":
+    if case in ("status-negative", "status-past-end"):
+        code = -1 if case == "status-negative" else len(fl.VEHICLE_STATUSES)
+        sim.fleet.status[v.id] = code
+        return f"vehicle {v.id} bad status code {code}"
+    if case == "in-two-manifests":
         sim.vehicles[(v.id + 1) % len(sim.vehicles)].manifest.append(v.manifest[0])
         return f"request {rid} in two manifests"
-    if case == "queued and assigned":
+    if case == "queued-and-assigned":
         sim.queue.append(rid)
         return f"request {rid} queued and assigned"
     queued = sim.queue[0]
@@ -633,13 +651,20 @@ def corrupt_light(sim, case):
     return f"queued request {queued} not in queued status"
 
 
-@pytest.mark.parametrize("case", ["overcommitted", "overcommitted trunk", "bad status",
-                                  "in two manifests", "queued and assigned", "not in queued status"])
+@pytest.mark.parametrize("case", ["overcommitted", "overcommitted-trunk", "status-negative",
+                                  "status-past-end", "in-two-manifests", "queued-and-assigned",
+                                  "not-queued"])
 def test_light_invariant_pass_names_what_broke(case):
     sim = busy_sim()
     message = corrupt_light(sim, case)
-    with pytest.raises(EngineInvariantError, match=message):
+    with pytest.raises(EngineInvariantError, match=message) as info:
         sim._check_invariants(full=False)
+    if case.startswith("status"):
+        # a code that names no status is dumped as it is
+        vid, code = int(message.split()[1]), int(message.split()[-1])
+        dump = json.loads(str(info.value).split("state dump: ", 1)[1])
+        record = next(r for r in dump["vehicles"] if r["id"] == vid)
+        assert record["status"] == record["table"]["status"] == code
 
 
 def test_dump_shows_the_named_vehicle_past_the_first_twenty():
@@ -824,14 +849,17 @@ def test_bad_baseline_rejected():
 @pytest.mark.parametrize(
     "kw, msg",
     [
-        (("rl.window", 14), "rl.window must be odd"),
-        (("grid.hop_stride", 0), "grid.hop_stride must be >= 1"),
-        (("separate_split", 1.5), "separate_split must be in"),
-        (("separate_split", -0.1), "separate_split must be in"),
-        (("weights_preset", "greedy"), "unknown weights_preset"),
-        (("demand.passenger_rate_per_zone", -0.1), "demand.passenger_rate_per_zone must be >= 0"),
-        (("demand.origin_hot_rate", -0.5), "demand.origin_hot_rate must be >= 0"),
-        (("demand.goods_location_rate", -0.2), "demand.goods_location_rate must be >= 0"),
+        pytest.param(("rl.window", 14), "rl.window must be odd", id="window-even"),
+        pytest.param(("grid.hop_stride", 0), "grid.hop_stride must be >= 1", id="hop_stride-0"),
+        pytest.param(("separate_split", 1.5), "separate_split must be in", id="split-above-1"),
+        pytest.param(("separate_split", -0.1), "separate_split must be in", id="split-below-0"),
+        pytest.param(("weights_preset", "greedy"), "unknown weights_preset", id="weights_preset"),
+        pytest.param(("demand.passenger_rate_per_zone", -0.1),
+                     "demand.passenger_rate_per_zone must be >= 0", id="passenger_rate-negative"),
+        pytest.param(("demand.origin_hot_rate", -0.5), "demand.origin_hot_rate must be >= 0",
+                     id="origin_hot_rate-negative"),
+        pytest.param(("demand.goods_location_rate", -0.2),
+                     "demand.goods_location_rate must be >= 0", id="goods_location_rate-negative"),
     ],
 )
 def test_bad_config_rejected_when_built(kw, msg):

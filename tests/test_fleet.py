@@ -85,6 +85,22 @@ def test_status_transition_graph_enforced():
     v.set_status(IDLE)
 
 
+def test_status_is_the_table_column_alone():
+    # set_status writes the vehicle's status entry and nothing else, and
+    # the vehicle reads its status from there and holds none of its own
+    v, other = vehicles_in_table(GridWorld(width=4, height=4), [(1, 1)] * 2)
+    fleet, fields = v.fleet, dict(vars(v))
+    rows = [fleet.row(u.id) for u in (v, other)]
+    v.set_status(DISPATCHING)
+    assert vars(v) == fields and "status" not in fields
+    assert fleet.row(v.id) == {**rows[0], "status": STATUS_CODE[DISPATCHING]}
+    assert fleet.row(other.id) == rows[1]
+    fleet.status[v.id] = STATUS_CODE[MATCHED]
+    assert v.status == MATCHED and type(v.status) is str
+    with pytest.raises(TypeError, match="status"):
+        VehicleState(id=0, seats_total=4, trunk_total=5, status=IDLE)
+
+
 def test_dispatching_arrival_becomes_dispatched():
     v = make_vehicle(loc=(2, 2), status=DISPATCHING)
     v.dispatch_target = ZoneId(2, 2)

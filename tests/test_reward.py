@@ -110,12 +110,17 @@ def test_agent_reward_of_an_empty_fleet():
 @pytest.mark.parametrize(
     "kw, msg",
     [
-        (dict(onboard=[-1, 0]), "counts and detour_ticks must be >= 0"),
-        (dict(detour_ticks=[0.0, -0.5]), "counts and detour_ticks must be >= 0"),
-        (dict(max_hops=[0]), "one entry per vehicle"),
-        (dict(order_vehicle=[0, 1], order_urgency=[1.0], order_extra=[2, 3]), "one entry per order"),
-        (dict(order_vehicle=[2], order_urgency=[1.0], order_extra=[2]), "vehicle index"),
-        (dict(order_vehicle=[-1], order_urgency=[1.0], order_extra=[2]), "vehicle index"),
+        pytest.param(dict(onboard=[-1, 0]), "counts and detour_ticks must be >= 0",
+                     id="onboard-negative"),
+        pytest.param(dict(detour_ticks=[0.0, -0.5]), "counts and detour_ticks must be >= 0",
+                     id="detour-negative"),
+        pytest.param(dict(max_hops=[0]), "one entry per vehicle", id="max_hops-short"),
+        pytest.param(dict(order_vehicle=[0, 1], order_urgency=[1.0], order_extra=[2, 3]),
+                     "one entry per order", id="orders-ragged"),
+        pytest.param(dict(order_vehicle=[2], order_urgency=[1.0], order_extra=[2]),
+                     "vehicle index", id="order_vehicle-past-end"),
+        pytest.param(dict(order_vehicle=[-1], order_urgency=[1.0], order_extra=[2]),
+                     "vehicle index", id="order_vehicle-negative"),
     ],
 )
 def test_agent_reward_rejects_bad_inputs(kw, msg):
