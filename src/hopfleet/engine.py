@@ -2,11 +2,10 @@
 
 Each tick runs a fixed phase order over vehicles in ascending id. The
 fleet is a ``fleet.FleetTable``, the one stored copy of each vehicle's
-status, zone, objective and odometer: phases 2-6 pick their vehicles by a
-mask over its status, capacity and onboard columns, which the vehicles
-write as they change (``set_status`` the status and objective, ``recount``
-the free seats, free trunk slots, onboard count and pending pickups), and
-phase 5 moves the fleet as one pass over its columns:
+status, zone, objective, odometer, capacity and orders: phases 2-6 pick
+their vehicles by a mask over its columns, which the vehicles write as they
+change, phase 5 moves the fleet and phase 6 prices its orders in one pass
+over the columns each:
 
   1. intake new requests; plan relay chains for goods
   2. arrival processing, in id order, for the vehicles the last move pass
@@ -40,25 +39,28 @@ phase 5 moves the fleet as one pass over its columns:
      adds the steps moved to its plan's odometer column
   6. rewards and objective components are settled: one ``agent_reward``
      call prices the whole fleet from the status and onboard columns and
-     the flat list of late onboard orders of the loaded vehicles, each
-     order's ETA read from its drop zone's entry in the zone index through
-     ``VehicleState.ticks_to``; per-tick stats are logged. In training
-     mode each vehicle has at most one open decision: the tick's reward is
-     added to every open one, then each decision of the tick, in dispatch
-     order, pushes its vehicle's open decision to replay with its own state
-     as the next state, and opens in its place (evaluation keeps no
-     decisions and pushes nothing)
+     the onboard orders late against a direct trip (``fleet.late_orders``,
+     one pass over the order table, each ETA at the order's ``drop_cum``),
+     by vehicle and then manifest position; per-tick stats are logged. In
+     training mode each vehicle has at most one open decision: the tick's
+     reward is added to every open one, then each decision of the tick, in
+     dispatch order, pushes its vehicle's open decision to replay with its
+     own state as the next state, and opens in its place (evaluation keeps
+     no decisions and pushes nothing)
   7. training mode takes one gradient step and syncs the target on schedule
 
 The invariant checks run after settling. Every tick, column expressions find
 an overcommitted vehicle (free seats or trunk slots below zero) or a status
-code outside ``VEHICLE_STATUSES``, and each manifest is checked against the
-registry and the queue. Every ``FULL_CHECK_EVERY`` ticks, the stored stop
-plans and zone indexes are compared with fresh ones built from the zone
-column (which covers the position and the odometer), the fleet table with a
-fresh count from the status column, plans and manifests (``first_stale``,
-which keeps the zone column on the grid), and each open request's live
-legs are counted. Onboard entries are a subset of committed ones, so a
+code outside ``VEHICLE_STATUSES``, every order is checked against its leg
+request's status (assigned, or picked up when onboard; a request queued and
+held at once fails here or on the queue's status check) and every queued
+request against its own. Every ``FULL_CHECK_EVERY`` ticks, the fleet table
+is compared with a fresh count of the status column, plans and order table
+(``first_stale``, which keeps the zone column on the grid), the stored stop
+plans and zone indexes with fresh ones built from the zone column (which
+covers the position and the odometer), each order's ``drop_cum`` with its
+vehicle's zone index, and each open request's live legs are counted, which
+catches a leg held twice. Onboard orders are a subset of held ones, so a
 fresh column that is not overcommitted is within capacity too.
 
 Identical seed and config give bit-identical episode logs. ``step`` also sums
@@ -69,9 +71,9 @@ out of the log so that it stays bit-identical.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -671,9 +673,8 @@ class Simulation:
             v = self.vehicles[a.vehicle_id]
             req = self.registry[a.request_id]
             origin, dest, _ = self._leg_for(req)
-            before = v.route_eta(speed) if v.manifest else None
-            v.add_entry(fl.ManifestEntry(req.id, req.kind, origin, dest,
-                                         direct_ticks=math.ceil(manhattan(origin, dest) / speed)))
+            before = v.route_eta(speed) if v.stops else None
+            v.add_entry(req, origin, dest)
             if before is not None:
                 after = v.route_eta(speed)
                 detour[v.id] = detour.get(v.id, 0.0) + max(0.0, after - before)
@@ -704,35 +705,15 @@ class Simulation:
             self.fleet, np.arange(len(self.vehicles)), self.grid)
 
     def _settle(self, supply, forecast, detour: dict, detail: dict):
-        speed = self.grid.vehicle_speed
-        registry, tick, fleet = self.registry, self.tick, self.fleet
+        tick, fleet = self.tick, self.fleet
         active_now = (fleet.status != fl.STATUS_CODE[fl.IDLE]).astype(np.int64)
         active_prev, self.prev_active = self.prev_active, active_now
-        onboard = fleet.onboard
-        max_hops = [0] * len(onboard)
-        detour_ticks = np.zeros(len(onboard))
+        detour_ticks = np.zeros(len(fleet.onboard))
         detour_ticks[list(detour)] = list(detour.values())
-        # the orders late against a direct trip, vehicle by vehicle in
-        # manifest order; an order on time adds +0.0 and is left out
-        owner, urgency, extra = [], [], []
-        for vid in np.flatnonzero(onboard).tolist():
-            v = self.vehicles[vid]
-            index = v.zone_index
-            for e in v.manifest:
-                if not e.onboard:
-                    continue
-                req = registry[e.request_id]
-                eta = v.ticks_to(index[e.destination], speed)
-                delay = tick - req.created_tick + eta - e.direct_ticks
-                if delay > 0:
-                    owner.append(v.id)
-                    urgency.append(req.urgency)
-                    extra.append(delay)
-                if e.kind == dm.GOODS and req.hops_completed > max_hops[v.id]:
-                    max_hops[v.id] = req.hops_completed
-        rewards = agent_reward(self.weights, onboard, detour_ticks, active_now, active_prev,
+        owner, urgency, extra, max_hops = fl.late_orders(fleet, tick, self.grid.vehicle_speed)
+        rewards = agent_reward(self.weights, fleet.onboard, detour_ticks, active_now, active_prev,
                                max_hops, owner, urgency, extra)
-        total_detour_delay = float(sum(extra))
+        total_detour_delay = float(extra.sum())
         activations = int(np.maximum(active_now - active_prev, 0).sum())
         active = int(active_now.sum())
 
@@ -764,7 +745,7 @@ class Simulation:
 
     def _dump(self, message: str, vid: int | None = None) -> str:
         """The message and a state dump: the first 20 vehicles and vehicle
-        ``vid``, each with its fleet table row."""
+        ``vid``, each with its fleet table row and its orders."""
         shown = self.vehicles[:20]
         if vid is not None and vid >= len(shown):
             shown = [*shown, self.vehicles[vid]]
@@ -775,7 +756,7 @@ class Simulation:
             "vehicles": [
                 {"id": v.id, "status": names.get(code := self.fleet.status.item(v.id), code),
                  "location": list(v.location),
-                 "manifest": [(e.request_id, e.kind, e.onboard) for e in v.manifest],
+                 "orders": dict(zip(fl.ORDER_FIELDS, v.rows())),
                  "table": self.fleet.row(v.id)}
                 for v in shown
             ],
@@ -798,43 +779,51 @@ class Simulation:
             vid = int(np.argmax(broken))
             what = "overcommitted" if over[vid] else f"bad status code {fleet.status[vid]}"
             raise EngineInvariantError(self._dump(f"vehicle {vid} {what}", vid))
-        manifest_owner = {}
-        for v in self.vehicles:
-            if full:
-                if v.remaining_stops() != v.planned_stops():
-                    raise EngineInvariantError(self._dump(
-                        f"vehicle {v.id} stored stop plan is stale", v.id))
-                if v.zone_index != fl.stop_index(v.stops):
-                    raise EngineInvariantError(self._dump(
-                        f"vehicle {v.id} stored zone index is stale", v.id))
-            for e in v.manifest:
-                if e.request_id in manifest_owner:
-                    raise EngineInvariantError(self._dump(
-                        f"request {e.request_id} in two manifests", v.id))
-                manifest_owner[e.request_id] = v.id
-                status = self.registry[e.request_id].status
-                expect = dm.PICKED_UP if e.onboard else dm.ASSIGNED
-                if status != expect:
-                    raise EngineInvariantError(self._dump(
-                        f"request {e.request_id} status {status} vs manifest {expect}", v.id))
+        # every order against its leg request: assigned, or picked up once onboard
+        orders, registry = fleet.orders, self.registry
+        live = orders[fl.REQUEST] >= 0  # row-major: by vehicle, then manifest position
+        rids = orders[fl.REQUEST][live].tolist()
+        onboard = orders[fl.ONBOARD][live].tolist()
+        expect = list(map((dm.ASSIGNED, dm.PICKED_UP).__getitem__, onboard))
+        got = list(map(attrgetter("status"), map(registry.__getitem__, rids)))
+        if got != expect:
+            i = next(i for i, pair in enumerate(zip(got, expect)) if pair[0] != pair[1])
+            vid = int(np.nonzero(live)[0][i])
+            raise EngineInvariantError(self._dump(
+                f"request {rids[i]} status {got[i]} vs manifest {expect[i]} on vehicle {vid}", vid))
         for rid in self.queue:
-            if rid in manifest_owner:
-                raise EngineInvariantError(self._dump(f"request {rid} queued and assigned"))
-            if self.registry[rid].status != dm.QUEUED:
+            if registry[rid].status != dm.QUEUED:
                 raise EngineInvariantError(self._dump(f"queued request {rid} not in queued status"))
         if not full:
             return
         self._check_fleet_table()
+        for v in self.vehicles:
+            if v.remaining_stops() != v.planned_stops():
+                raise EngineInvariantError(self._dump(
+                    f"vehicle {v.id} stored stop plan is stale", v.id))
+            if v.zone_index != fl.stop_index(v.stops):
+                raise EngineInvariantError(self._dump(
+                    f"vehicle {v.id} stored zone index is stale", v.id))
+        # each order's drop_cum is its destination's entry in its vehicle's zone index
+        vids = np.nonzero(live)[0].tolist()
+        indexed = [self.vehicles[vid].zone_index.get(zone)
+                   for vid, zone in zip(vids, orders[fl.DESTINATION][live].tolist())]
+        stored = orders[fl.DROP_CUM][live].tolist()
+        if stored != indexed:
+            i = next(i for i, pair in enumerate(zip(stored, indexed)) if pair[0] != pair[1])
+            raise EngineInvariantError(self._dump(
+                f"vehicle {vids[i]} order table drop_cum {stored[i]} of request {rids[i]} "
+                f"is stale, the zone index says {indexed[i]}", vids[i]))
         # an open primary request has exactly one live leg, queued or in a
         # manifest; a delivered or rejected one has none
-        live: dict[int, int] = {}
-        for rid in [*self.queue, *manifest_owner]:
-            chain_id = self._chain_id(self.registry[rid])
-            live[chain_id] = live.get(chain_id, 0) + 1
-        for req in self.registry.values():
+        legs: dict[int, int] = {}
+        for rid in [*self.queue, *rids]:
+            chain_id = self._chain_id(registry[rid])
+            legs[chain_id] = legs.get(chain_id, 0) + 1
+        for req in registry.values():
             if req.parent_id is not None:
                 continue
-            n = live.get(req.id, 0)
+            n = legs.get(req.id, 0)
             expect = 0 if req.status in (dm.DELIVERED, dm.REJECTED) else 1
             if n != expect:
                 raise EngineInvariantError(self._dump(

@@ -1,48 +1,49 @@
-"""Vehicle state, the five-status lifecycle, and capacity accounting.
+"""Vehicle state, the five-status lifecycle, and the fleet and order tables.
 
 Statuses move along idle -> dispatching -> dispatched -> matched -> serving
 -> idle; a partially filled serving vehicle that accepts another request
 steps back to matched to route to the new pickup. Any other transition is a
 bug and raises.
 
-A vehicle's work is its manifest. Entries start as reserved pickups and
-become onboard at the pickup zone; seats and trunk slots are reserved at
-assignment time so matching can never overbook. Stops are ordered by a
-nearest-next greedy: all pending pickups first, then deliveries.
-The plan is stored as ``stops``, with cumulative distances measured from
-where it was built, and kept on an odometer: ``driven`` counts the steps
-moved since then, so a move adds one int and the plan as seen from the
+A vehicle's work is its manifest, its orders in the order it took them on:
+reserved pickups until they become onboard at their origin. Seats and trunk
+slots are reserved at assignment, so matching can never overbook. Stops are
+ordered by a nearest-next greedy: all pending pickups first, then
+deliveries. The plan is stored as ``stops``, (flat zone, cumulative
+distance) pairs measured from where it was built, on an odometer:
+``driven`` counts the steps moved since, so the plan as seen from the
 vehicle is ``(zone, cum - driven)``. That view is exact: a step toward the
 first stop shortens only the first leg, and ties break on the zone, so the
-greedy order holds. Every ETA is the one rule ``ticks_to``:
-``ceil((cum - driven) / speed)``. ``zone_index`` maps each stop zone to the
-cumulative distance of the plan's first stop there; it changes only with
-the plan. A vehicle that reaches the plan's first stop resolves there what
-the greedy resolved there (no entry ends where it starts), and the greedy
-from that stop is the rest of the plan, so ``process_arrivals`` drops the
-stop and re-indexes. Only an added entry or a drop at a later stop of the
-plan rebuilds it with ``replan``, which resets the odometer.
+greedy order holds. Every ETA is the one rule ``ticks_to``: ``ceil((cum -
+driven) / speed)``. ``zone_index`` maps each stop zone to the cumulative
+distance of the plan's first stop there. A vehicle that reaches the plan's
+first stop resolves there what the greedy resolved there (no order ends
+where it starts), and the greedy from that stop is the rest of the plan, so
+``process_arrivals`` drops the stop and re-indexes; only an added order or
+a drop at a later stop rebuilds the plan with ``replan``, which resets the
+odometer.
 
-Every vehicle is a row of a ``FleetTable``: the vehicles, whose ids are
-their indices, and one int column per fleet-wide fact the engine filters,
-counts or moves on each tick. The table is the one stored copy of each
-vehicle's status, position and odometer: ``status``, ``location`` and
-``driven`` are views of its ``status`` (the index in ``VEHICLE_STATUSES``;
-every row starts idle), ``zone`` (``row * width + col``) and ``driven``
-columns. Its ``target`` column is the vehicle's objective, the zone it
-drives toward: the dispatch target while dispatching (``dispatch_target``
-is a view of it), the plan's first stop while matched or serving, and -1
-when parked. The capacity columns (free seats, free trunk slots, onboard
-count, pending pickups) are counted from the manifest. A vehicle writes its
-row where these facts change, and nowhere else: ``set_status`` the status
-and the objective, ``replan`` and a first-stop drop the objective,
-``recount`` the capacity columns, from ``tallies``. Locations are on the
-grid: the table checks each one when it is built, and a vehicle moves only
-toward a stop or a dispatch target, both zones of the grid. So the engine
-picks vehicles by mask in ascending id, ``project_supply`` counts the
-available ones with one ``np.bincount``, matching and the state encoder
-read zones and free capacity as arrays, and ``move`` advances every
-vehicle that is not parked in one array pass.
+A ``FleetTable`` holds the vehicles (vehicle ``i`` at index ``i``) and is
+the one stored copy of their status, zone, odometer, objective, capacity
+and manifests, each an int column: the objective ``target`` is the dispatch
+target while dispatching, the plan's first stop while matched or serving,
+and -1 when parked; the capacity columns are the free seats, free trunk
+slots, onboard count and pending pickups. ``VehicleState.status``,
+``location``, ``driven`` and ``dispatch_target`` are views of the columns.
+The order table ``orders[field, vehicle, slot]`` holds each vehicle's
+orders from slot 0 in manifest order, one plane per field of
+``ORDER_FIELDS`` (``urgency`` a float plane), so a row-major pass meets
+them by vehicle, then by manifest position; an order's ``drop_cum`` is its
+destination's entry in the zone index, written wherever the index changes.
+A vehicle writes its rows where these facts change, and nowhere else:
+``set_status`` the status and objective; ``add_entry``, ``process_arrivals``
+and ``replan`` the orders, their ``drop_cum`` and the capacity counted from
+them. Locations are on the grid: the table checks each one when it is
+built, and a vehicle moves only toward a stop or a dispatch target. So the
+engine picks vehicles by mask, ``project_supply`` counts the available ones
+with one ``np.bincount``, matching and the state encoder read zones and
+free capacity as arrays, and ``move`` and ``late_orders`` pass once over
+the fleet and its onboard orders.
 
 Arrival checks rely on the stored plan: every pending pickup's origin and
 every onboard order's destination is one of its stops, so a matched or
@@ -80,7 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .demand import GOODS, PASSENGER
-from .geo import GridWorld, ZoneId
+from .geo import GridWorld, ZoneId, manhattan
 
 IDLE = "idle"
 DISPATCHING = "dispatching"
@@ -104,14 +105,16 @@ class VehicleStateError(RuntimeError):
     """Internal consistency violation in a vehicle's lifecycle."""
 
 
-@dataclass
-class ManifestEntry:
-    request_id: int
-    kind: str  # passenger | goods
-    origin: ZoneId
-    destination: ZoneId
-    onboard: bool = False
-    direct_ticks: int = 0  # ticks of a direct trip origin -> destination, set at assignment
+# an order's fields, one int each: its leg request, its kind (an index in
+# KINDS), flat origin and destination zones, onboard (0 or 1), the ticks of
+# a direct trip origin -> destination, the request's created tick and hop
+# index, and its drop_cum
+ORDER_FIELDS = ("request", "kind", "origin", "destination", "onboard", "direct_ticks",
+                "created_tick", "hops", "drop_cum")
+REQUEST, KIND, ORIGIN, DESTINATION, ONBOARD, DIRECT, CREATED, HOPS, DROP_CUM = range(9)
+KINDS = (PASSENGER, GOODS)
+NO_ORDERS = ((),) * len(ORDER_FIELDS)  # an empty vehicle's rows, as ``rows`` reads them
+_DISPATCHING, _MATCHED, _SERVING = (STATUS_CODE[s] for s in (DISPATCHING, MATCHED, SERVING))
 
 
 class PickupEvent(NamedTuple):
@@ -130,13 +133,12 @@ class DropEvent(NamedTuple):
 
 @dataclass
 class VehicleState:
-    """One vehicle; its status, position, odometer and objective are its row
-    of the table it is built into (``FleetTable``)."""
+    """One vehicle; its status, position, odometer, objective and orders
+    are its rows of the table it is built into (``FleetTable``)."""
 
     id: int
     seats_total: int
     trunk_total: int
-    manifest: list = field(default_factory=list)
     stops: list = field(default_factory=list)  # planned_stops() where it was built
     zone_index: dict = field(default_factory=dict, init=False)  # stop_index(stops)
     # the table whose row ``id`` this vehicle is, set when the table is built
@@ -174,83 +176,100 @@ class VehicleState:
     def dispatch_target(self, zone: ZoneId | None):
         self.fleet.target[self.id] = -1 if zone is None else zone[0] * self.fleet.grid.width + zone[1]
 
-    def objective(self) -> int:
-        """The flat zone the vehicle drives toward: its dispatch target while
-        dispatching, its plan's first stop while matched or serving, and -1
-        when parked or with an empty plan."""
-        status = self.status
-        if status == DISPATCHING:
-            return self.fleet.target.item(self.id)  # the table holds the only copy
-        if self.stops and status in (MATCHED, SERVING):
-            row, col = self.stops[0][0]
-            return row * self.fleet.grid.width + col
-        return -1
+    def aim(self, code: int | None = None):
+        """Write the objective, the flat zone the vehicle drives toward, into
+        its row of the table: its plan's first stop while matched or serving,
+        and -1 when parked or with an empty plan; a dispatching vehicle's
+        target is its own. ``code`` is the status code, when known."""
+        if code is None:
+            code = self.fleet.status.item(self.id)
+        if code != _DISPATCHING:
+            busy = self.stops and (code == _MATCHED or code == _SERVING)
+            self.fleet.target[self.id] = self.stops[0][0] if busy else -1
 
-    def aim(self):
-        """Write the objective into the vehicle's row of the table."""
-        self.fleet.target[self.id] = self.objective()
+    # ---- orders ---------------------------------------------------------
 
-    # ---- capacity -------------------------------------------------------
-
-    def tallies(self) -> tuple:
-        """(free seats, free trunk slots, onboard count, pending pickups):
-        the vehicle's capacity columns as its manifest counts them."""
-        seats, trunk, onboard = self.seats_total, self.trunk_total, 0
-        for e in self.manifest:
-            if e.kind == PASSENGER:
-                seats -= 1
-            elif e.kind == GOODS:
-                trunk -= 1
-            onboard += e.onboard
-        return seats, trunk, onboard, len(self.manifest) - onboard
+    def rows(self) -> list:
+        """The vehicle's orders in manifest order, read once from the order
+        table: one list per field of ``ORDER_FIELDS``."""
+        fleet, vid = self.fleet, self.id
+        held = fleet.onboard.item(vid) + fleet.pending.item(vid)
+        return fleet.orders[:, vid, :held].tolist() if held else NO_ORDERS
 
     # ---- lifecycle ------------------------------------------------------
 
     def set_status(self, new: str):
-        if (self.status, new) not in ALLOWED_TRANSITIONS:
-            raise VehicleStateError(f"vehicle {self.id}: illegal transition {self.status} -> {new}")
-        self.fleet.status[self.id] = STATUS_CODE[new]
-        self.aim()
+        old = self.status
+        if (old, new) not in ALLOWED_TRANSITIONS:
+            raise VehicleStateError(f"vehicle {self.id}: illegal transition {old} -> {new}")
+        code = self.fleet.status[self.id] = STATUS_CODE[new]
+        self.aim(code)
 
-    def add_entry(self, entry: ManifestEntry):
-        if entry.kind == PASSENGER and self.fleet.seats_free[self.id] <= 0:
-            raise VehicleStateError(f"vehicle {self.id}: no seat for request {entry.request_id}")
-        if entry.kind == GOODS and self.fleet.trunk_free[self.id] <= 0:
-            raise VehicleStateError(f"vehicle {self.id}: no trunk slot for request {entry.request_id}")
-        self.manifest.append(entry)
-        self.replan()
+    def add_entry(self, request, origin: ZoneId, destination: ZoneId):
+        """Take on leg request ``request`` (a ``demand.Request``) from
+        ``origin`` to ``destination`` as the last order, a pending pickup."""
+        fleet, vid, width = self.fleet, self.id, self.fleet.grid.width
+        kind = KINDS.index(request.kind)
+        if (fleet.seats_free, fleet.trunk_free)[kind].item(vid) <= 0:
+            raise VehicleStateError(f"vehicle {vid}: no {('seat', 'trunk slot')[kind]} "
+                                    f"for request {request.id}")
+        slot = fleet.onboard.item(vid) + fleet.pending.item(vid)
+        direct = math.ceil(manhattan(origin, destination) / fleet.grid.vehicle_speed)
+        fleet.orders[:, vid, slot] = (request.id, kind, origin[0] * width + origin[1],
+                                      destination[0] * width + destination[1], 0, direct,
+                                      request.created_tick, request.hops_completed, -1)
+        fleet.urgency[vid, slot] = request.urgency
+        self.replan(fleet.orders[:, vid, : slot + 1].tolist())
 
-    def replan(self):
-        """Rebuild the stop plan and its index after a manifest change,
-        reset the odometer, and recount the capacity columns."""
-        self.stops = self.planned_stops()
+    def replan(self, cols: list | None = None):
+        """Rebuild the stop plan after the orders change, reset the odometer
+        and ``index``; ``cols`` are the stored orders as ``rows`` reads them,
+        when in hand."""
+        cols = self.rows() if cols is None else cols
+        self.stops = self.planned_stops(cols)
         self.driven = 0
-        self.zone_index = stop_index(self.stops)
-        self.recount()
-        self.aim()
+        self.index(cols)
 
-    def recount(self):
-        """Write the manifest's tallies into the vehicle's row of the table."""
+    def index(self, cols: list, changed: int | None = None, code: int | None = None):
+        """Bring the vehicle's rows up to its plan and its orders ``cols`` (as
+        ``rows`` reads them): the zone index, each order's ``drop_cum`` (when
+        the index changed at the one zone ``changed`` alone, only an order
+        bound there has a new one), the capacity columns and, through
+        ``aim`` with ``code``, the objective."""
         fleet, vid = self.fleet, self.id
-        (fleet.seats_free[vid], fleet.trunk_free[vid], fleet.onboard[vid],
-         fleet.pending[vid]) = self.tallies()
+        index = self.zone_index = stop_index(self.stops)
+        count, onboard, kinds = len(cols[REQUEST]), sum(cols[ONBOARD]), cols[KIND]
+        if changed is None or changed in cols[DESTINATION]:
+            fleet.orders[DROP_CUM, vid, :count] = list(map(index.__getitem__, cols[DESTINATION]))
+        fleet.seats_free[vid] = self.seats_total - kinds.count(0)
+        fleet.trunk_free[vid] = self.trunk_total - kinds.count(1)
+        fleet.onboard[vid] = onboard
+        fleet.pending[vid] = count - onboard
+        self.aim(code)
 
     # ---- routing --------------------------------------------------------
 
-    def planned_stops(self) -> list:
+    def planned_stops(self, cols: list | None = None) -> list:
         """Greedy stop order from the current location: pickups, then drops.
 
-        Returns [(zone, cumulative_distance)], merging co-located events.
-        The next stop is the nearest pending pickup, or once none is left the
-        nearest drop; equal distances go to the smaller zone.
+        Returns [(flat zone, cumulative_distance)], merging co-located
+        events. The next stop is the nearest pending pickup, or once none is
+        left the nearest drop; equal distances go to the smaller zone.
+        ``cols`` are the orders as ``rows`` reads them, when in hand.
         """
-        if not self.manifest:
+        cols = self.rows() if cols is None else cols
+        if not cols[REQUEST]:
             return []
-        row, col = self.location
+        width = self.fleet.grid.width
+        row, col = divmod(self.fleet.zone.item(self.id), width)
         cum = 0
-        origins = [e.origin for e in self.manifest if not e.onboard]
-        carried = [e.destination for e in self.manifest if not e.onboard]  # origins' drops
-        drops = [e.destination for e in self.manifest if e.onboard]
+        origins, carried, drops = [], [], []  # (row, col) pairs; carried: the origins' drops
+        for o, d, on in zip(cols[ORIGIN], cols[DESTINATION], cols[ONBOARD]):
+            if on:
+                drops.append(divmod(d, width))
+            else:
+                origins.append(divmod(o, width))
+                carried.append(divmod(d, width))
         stops = []
         while origins or drops:
             zone, dist = None, math.inf
@@ -263,7 +282,7 @@ class VehicleState:
                     zone, dist = z, d
             cum += dist
             row, col = zone
-            stops.append((zone, cum))
+            stops.append((row * width + col, cum))
             # everything co-located resolves at this stop
             if zone in origins:
                 drops += [d for o, d in zip(origins, carried) if o == zone]
@@ -297,40 +316,54 @@ def stop_index(stops: list) -> dict:
 
 def process_arrivals(v: VehicleState, tick: int) -> list:
     """Resolve everything co-located with the vehicle: dispatch arrival,
-    drops, then pickups. Returns Pickup/Drop events for the engine."""
-    events = []
-    status = v.status
-    if status == DISPATCHING:
-        fleet = v.fleet
-        if fleet.zone[v.id] == fleet.target[v.id]:
+    drops, then pickups, each in manifest order. Returns Pickup/Drop events
+    for the engine."""
+    fleet, vid = v.fleet, v.id
+    code = fleet.status.item(vid)
+    if code == _DISPATCHING:
+        if fleet.zone[vid] == fleet.target[vid]:
             v.set_status(DISPATCHED)
-        return events
-    if status != MATCHED and status != SERVING:
-        return events
-    location = v.location
-    for e in [e for e in v.manifest if e.onboard and e.destination == location]:
-        v.manifest.remove(e)
-        events.append(DropEvent(e.request_id, v.id, location, tick))
-    picked = False
-    for e in v.manifest:
-        if not e.onboard and e.origin == location:
-            e.onboard = True
-            picked = True
-            events.append(PickupEvent(e.request_id, v.id, location, tick))
-    if events:
+        return []
+    if code != _MATCHED and code != _SERVING:
+        return []
+    location = fleet.zone.item(vid)
+    cols = v.rows()
+    requests, onboard = cols[REQUEST], cols[ONBOARD]
+    dropped, picked = [], []
+    for i, (origin, destination, on) in enumerate(zip(cols[ORIGIN], cols[DESTINATION], onboard)):
+        if on:
+            if destination == location:
+                dropped.append(i)
+        elif origin == location:
+            picked.append(i)
+    events = []
+    if dropped or picked:
+        zone = ZoneId._make(divmod(location, fleet.grid.width))
+        for i in dropped:
+            events.append(DropEvent(requests[i], vid, zone, tick))
+        for i in picked:
+            onboard[i] = fleet.orders[ONBOARD, vid, i] = 1
+            events.append(PickupEvent(requests[i], vid, zone, tick))
+        if dropped:
+            held = len(requests)
+            for i in reversed(dropped):
+                if i < held - 1:  # the orders after it move down a slot
+                    fleet.orders[:, vid, i : held - 1] = fleet.orders[:, vid, i + 1 : held]
+                    fleet.urgency[vid, i : held - 1] = fleet.urgency[vid, i + 1 : held]
+                for col in cols:
+                    del col[i]
+            fleet.orders[:, vid, held - len(dropped) : held] = -1
         if v.stops[0][0] == location:
             # the plan's first stop, reached after driving its cumulative
             # distance: the greedy from here is the rest of the plan, and
             # it resolves here what was just resolved
             del v.stops[0]
-            v.zone_index = stop_index(v.stops)
-            v.recount()
-            v.aim()
+            v.index(cols, location, code)
         else:
-            v.replan()  # a drop on the way to another stop
-    if picked and status == MATCHED:
+            v.replan(cols)  # a drop on the way to another stop
+    if picked and code == _MATCHED:
         v.set_status(SERVING)  # with what it picked up, the manifest is not empty
-    elif status == SERVING and not v.manifest:
+    elif code == _SERVING and not cols[REQUEST]:
         v.set_status(IDLE)
     return events
 
@@ -370,7 +403,7 @@ def move(fleet: FleetTable, ids, grid: GridWorld) -> tuple:
     arriving = zone == target
     mixed = np.flatnonzero(np.minimum(fleet.onboard[ids], fleet.pending[ids]))
     for i, vid, at in zip(mixed.tolist(), ids[mixed].tolist(), zone[mixed].tolist()):
-        if divmod(at, width) in fleet.vehicles[vid].zone_index:
+        if at in fleet.vehicles[vid].zone_index:
             arriving[i] = True
     fleet.arriving = ids[arriving].tolist()
     return int(steps.sum()), int(served.sum())
@@ -382,22 +415,52 @@ COLUMNS = ("status", "zone", "target", "seats_free", "trunk_free", "onboard", "p
 
 def fleet_columns(fleet: FleetTable) -> dict:
     """The columns of a fleet table that have a second source, counted
-    afresh: the objective from the vehicles' status and plans (a
-    dispatching vehicle's target is its own), the capacity columns from
-    their manifests. A zone off the grid raises InvalidZoneError."""
+    afresh: the objective from the status column and the vehicles' plans (a
+    dispatching vehicle's target is its own), the capacity columns as row
+    sums of the order table. A zone off the grid raises InvalidZoneError."""
     grid = fleet.grid
     off = (fleet.zone < 0) | (fleet.zone >= grid.height * grid.width)
     if off.any():
         grid.require(divmod(int(fleet.zone[np.argmax(off)]), grid.width))
-    counted = np.array([(v.objective(), *v.tallies()) for v in fleet.vehicles], dtype=np.int64)
-    return dict(zip(COLUMNS[2:], counted.reshape(-1, 5).T.copy()))
+    first = np.array([v.stops[0][0] if v.stops else -1 for v in fleet.vehicles], dtype=np.int64)
+    busy = (fleet.status == _MATCHED) | (fleet.status == _SERVING)
+    totals = np.array([(v.seats_total, v.trunk_total) for v in fleet.vehicles],
+                      dtype=np.int64).reshape(-1, 2)
+    kind, onboard = fleet.orders[KIND], fleet.orders[ONBOARD]
+    return {
+        "target": np.where(fleet.status == _DISPATCHING, fleet.target, np.where(busy, first, -1)),
+        "seats_free": totals[:, 0] - np.count_nonzero(kind == KINDS.index(PASSENGER), axis=1),
+        "trunk_free": totals[:, 1] - np.count_nonzero(kind == KINDS.index(GOODS), axis=1),
+        "onboard": np.count_nonzero(onboard == 1, axis=1),
+        "pending": np.count_nonzero(onboard == 0, axis=1),
+    }
+
+
+def late_orders(fleet: FleetTable, tick: int, speed: int) -> tuple:
+    """The onboard orders late at ``tick`` against a direct trip, by vehicle
+    and then manifest position: their vehicles, urgencies and extra ticks,
+    each ETA by the ``ticks_to`` rule at its ``drop_cum``; and each vehicle's
+    largest hop index onboard, 0 with none (a passenger's is 0)."""
+    orders = fleet.orders
+    flat = np.flatnonzero(orders[ONBOARD] == 1)  # row-major: by vehicle, then slot
+    vid = flat // orders.shape[2]
+    onboard = orders.reshape(len(ORDER_FIELDS), -1)[:, flat]
+    # -((driven - drop_cum) // speed) is the ETA, ceil((drop_cum - driven) / speed)
+    delay = (tick - onboard[CREATED] - onboard[DIRECT]
+             - (fleet.driven[vid] - onboard[DROP_CUM]) // speed)
+    late = np.flatnonzero(delay > 0)
+    max_hops = np.zeros(len(fleet.vehicles), dtype=np.int64)
+    np.maximum.at(max_hops, vid, onboard[HOPS])
+    return vid[late], fleet.urgency.ravel()[flat[late]], delay[late], max_hops
 
 
 class FleetTable:
     """The vehicles of one grid, vehicle ``i`` at index ``i``, idle and at
-    ``locations[i]``, and their columns (``COLUMNS`` and the odometer
-    ``driven``): one int per vehicle each, written by the vehicles and by
-    ``move``. A location off the grid raises InvalidZoneError."""
+    ``locations[i]``; their columns (``COLUMNS`` and the odometer
+    ``driven``), written by the vehicles and by ``move``; and their orders,
+    as many slots each as the largest vehicle holds, -1 past a vehicle's
+    orders (whose urgency is not read). A location off the grid raises
+    InvalidZoneError."""
 
     def __init__(self, vehicles: list, grid: GridWorld, locations: list):
         self.vehicles = vehicles
@@ -410,7 +473,11 @@ class FleetTable:
         self.zone = zones[:, 0] * grid.width + zones[:, 1]
         self.status = np.full(len(vehicles), STATUS_CODE[IDLE], dtype=np.int64)
         self.driven = np.zeros(len(vehicles), dtype=np.int64)
+        self.target = np.full(len(vehicles), -1, dtype=np.int64)  # idle: parked
         self.arriving = []  # the vehicles the last move left where something can resolve
+        slots = max((v.seats_total + v.trunk_total for v in vehicles), default=0)
+        self.orders = np.full((len(ORDER_FIELDS), len(vehicles), slots), -1, dtype=np.int64)
+        self.urgency = np.zeros((len(vehicles), slots))
         for v in self.vehicles:
             v.fleet = self
         for name, column in fleet_columns(self).items():
@@ -458,6 +525,5 @@ def project_supply(fleet: FleetTable, grid: GridWorld) -> FleetSnapshot:
     for vid in np.flatnonzero(~free).tolist():
         v = fleet.vehicles[vid]
         if v.stops:
-            zone, cum = v.stops[-1]
-            freeing.append((v.ticks_to(cum, grid.vehicle_speed), zone.row, zone.col))
+            freeing.append((v.route_eta(grid.vehicle_speed), *divmod(v.stops[-1][0], grid.width)))
     return FleetSnapshot(available, np.array(freeing, dtype=np.int64).reshape(-1, 3))

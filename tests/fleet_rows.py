@@ -1,6 +1,18 @@
 """Vehicles built as the rows of one fleet table, as the engine builds its fleet."""
 
-from hopfleet.fleet import IDLE, STATUS_CODE, FleetTable, VehicleState
+from types import SimpleNamespace
+from typing import NamedTuple
+
+from hopfleet.fleet import (
+    IDLE,
+    KINDS,
+    ONBOARD,
+    ORDER_FIELDS,
+    REQUEST,
+    STATUS_CODE,
+    FleetTable,
+    VehicleState,
+)
 from hopfleet.geo import ZoneId
 
 from desk_config import desk_config
@@ -37,3 +49,59 @@ def put(v, zone):
 def free_capacity(v) -> tuple:
     """(free seats, free trunk slots) of a vehicle, as its table row holds them."""
     return int(v.fleet.seats_free[v.id]), int(v.fleet.trunk_free[v.id])
+
+
+def flat(v, zone) -> int:
+    """``zone`` ((row, col)) as the flat zone vehicle ``v``'s table keeps."""
+    return zone[0] * v.fleet.grid.width + zone[1]
+
+
+def zoned(v, stops) -> list:
+    """A stop plan or index of vehicle ``v`` ((flat zone, distance) pairs)
+    with each zone a ZoneId."""
+    return [(ZoneId._make(divmod(zone, v.fleet.grid.width)), cum) for zone, cum in stops]
+
+
+class ManifestEntry(NamedTuple):
+    """An order as a test gives it to a vehicle (``add``) and reads it back
+    (``manifest``); ``add_entry`` sets the direct ticks itself."""
+
+    request_id: int
+    kind: str  # passenger | goods
+    origin: ZoneId
+    destination: ZoneId
+    onboard: bool = False
+    direct_ticks: int = 0
+    created_tick: int = 0
+    urgency: float = 1.0
+    hops_completed: int = 0
+
+
+def add(v, e: ManifestEntry):
+    """Vehicle ``v`` takes on order ``e`` as matching assigns one; an
+    onboard ``e`` is then marked picked up, and the plan rebuilt."""
+    request = SimpleNamespace(id=e.request_id, kind=e.kind, created_tick=e.created_tick,
+                              urgency=e.urgency, hops_completed=e.hops_completed)
+    v.add_entry(request, e.origin, e.destination)
+    if e.onboard:
+        v.fleet.orders[ONBOARD, v.id, len(v.rows()[REQUEST]) - 1] = 1
+        v.replan()
+
+
+def manifest(v) -> list:
+    """Vehicle ``v``'s orders in manifest order, as ManifestEntry records."""
+    cols, width = v.rows(), v.fleet.grid.width
+    urgency = v.fleet.urgency[v.id, : len(cols[REQUEST])].tolist()
+    return [ManifestEntry(rid, KINDS[kind], ZoneId._make(divmod(o, width)),
+                          ZoneId._make(divmod(d, width)), bool(on), direct, created, u, hops)
+            for rid, kind, o, d, on, direct, created, hops, _, u in zip(*cols, urgency)]
+
+
+def set_manifest(v, entries):
+    """Replace vehicle ``v``'s orders with ``entries`` (ManifestEntry
+    records, in manifest order) and replan, as a reference that edits a
+    manifest in place and then replans does."""
+    v.fleet.orders[:, v.id] = -1
+    v.replan([[] for _ in ORDER_FIELDS])
+    for e in entries:
+        add(v, e)

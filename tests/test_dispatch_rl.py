@@ -31,10 +31,10 @@ from hopfleet.dispatch_rl import (
     sync_target,
     train_step,
 )
-from hopfleet.fleet import FleetSnapshot, ManifestEntry, project_supply
+from hopfleet.fleet import FleetSnapshot, project_supply
 from hopfleet.geo import GridWorld, ZoneId
 
-from fleet_rows import free_capacity, vehicles_in_table
+from fleet_rows import ManifestEntry, add, free_capacity, manifest, vehicles_in_table
 
 RADIUS, WINDOW = 7, 15  # the desk's rl.action_radius and rl.window
 
@@ -140,7 +140,7 @@ def reference_project_supply(vehicles, grid, horizon=30):
     available = np.zeros((grid.height, grid.width))
     projected = np.zeros((horizon + 1, grid.height, grid.width))
     for v in vehicles:
-        kinds = [e.kind for e in v.manifest]
+        kinds = [e.kind for e in manifest(v)]
         if kinds.count(PASSENGER) < v.seats_total or kinds.count(GOODS) < v.trunk_total:
             available[v.location.row, v.location.col] += 1
             continue
@@ -149,7 +149,7 @@ def reference_project_supply(vehicles, grid, horizon=30):
         final_zone, cum = v.remaining_stops()[-1]
         eta = math.ceil(cum / grid.vehicle_speed)
         if eta <= horizon:
-            projected[eta, final_zone.row, final_zone.col] += 1
+            projected[(eta, *divmod(final_zone, grid.width))] += 1
     return available, projected
 
 
@@ -163,7 +163,7 @@ def reference_encode(available, projected, forecast, v, tick, ticks_per_day, win
                          for m in (demand_next, available, freeing_15, freeing_30)])
     tod = 2.0 * math.pi * (tick % ticks_per_day) / ticks_per_day
     dow = 2.0 * math.pi * ((tick // ticks_per_day) % 7) / 7.0
-    kinds = [e.kind for e in v.manifest]
+    kinds = [e.kind for e in manifest(v)]
     scalars = [v.seats_total - kinds.count(PASSENGER), v.trunk_total - kinds.count(GOODS),
                math.sin(tod), math.cos(tod), math.sin(dow), math.cos(dow)]
     return np.concatenate([channels.ravel(), scalars])
@@ -189,7 +189,7 @@ def random_fleet(rng, grid):
                               trunk_total=[trunk for _, _, trunk, _ in specs])
     for v, (*_, entries) in zip(fleet, specs):
         for e in entries:
-            v.add_entry(e)
+            add(v, e)
     return fleet
 
 
@@ -258,7 +258,7 @@ def test_encoder_batch_equals_per_vehicle_crops_at_corners_and_edges(window):
     vehicles = vehicles_in_table(GridWorld(width=width, height=height), spots,
                                  seats_total=[i % 5 for i in range(len(spots))],
                                  trunk_total=[i // 2 for i in range(len(spots))])
-    vehicles[4].add_entry(ManifestEntry(0, PASSENGER, ZoneId(0, 4), ZoneId(1, 4)))
+    add(vehicles[4], ManifestEntry(0, PASSENGER, ZoneId(0, 4), ZoneId(1, 4)))
     fleet = vehicles[0].fleet
     vids = [7, 0, 9, 4, 1, 2, 8, 3, 6, 5]
     batch = encode_state(maps, fleet, vids, 613, ticks_per_day=250, window=window)

@@ -25,6 +25,7 @@ from hopfleet.geo import InvalidZoneError, ZoneId, manhattan
 from hopfleet.reward import agent_reward
 
 from desk_config import desk_config, desk_yaml, locate
+from fleet_rows import ManifestEntry, add, flat, free_capacity, manifest, set_manifest
 from test_reward import reference_agent_reward
 
 
@@ -251,20 +252,21 @@ def reference_process_arrivals(v, tick):
         v.dispatch_target = None
         v.set_status(fl.DISPATCHED)
     if v.status in (fl.MATCHED, fl.SERVING):
-        for e in [e for e in v.manifest if e.onboard and e.destination == v.location]:
-            v.manifest.remove(e)
+        entries = manifest(v)
+        for e in [e for e in entries if e.onboard and e.destination == v.location]:
+            entries.remove(e)
             events.append(fl.DropEvent(e.request_id, v.id, v.location, tick))
         picked = False
-        for e in v.manifest:
+        for i, e in enumerate(entries):
             if not e.onboard and e.origin == v.location:
-                e.onboard = True
+                entries[i] = e._replace(onboard=True)
                 picked = True
                 events.append(fl.PickupEvent(e.request_id, v.id, v.location, tick))
         if events:
-            v.replan()
+            set_manifest(v, entries)
         if picked and v.status == fl.MATCHED:
             v.set_status(fl.SERVING)
-        if v.status == fl.SERVING and not v.manifest:
+        if v.status == fl.SERVING and not manifest(v):
             v.set_status(fl.IDLE)
     return events
 
@@ -275,7 +277,7 @@ def vehicle_state(v):
     row of the fleet table but for the odometer."""
     index = {zone: cum - v.driven for zone, cum in v.zone_index.items()}
     row = {name: value for name, value in v.fleet.row(v.id).items() if name != "driven"}
-    return (v.status, v.location, v.dispatch_target, v.manifest, v.remaining_stops(), index, row)
+    return (v.status, v.location, v.dispatch_target, manifest(v), v.remaining_stops(), index, row)
 
 
 @pytest.mark.parametrize("speed", [1, 2])
@@ -334,7 +336,7 @@ def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed, monkeypatch):
 def arrival_state(v):
     """Everything process_arrivals may change on a vehicle: its status,
     manifest, stop plan, zone index and whole table row."""
-    return v.status, v.manifest, v.stops, v.zone_index, v.fleet.row(v.id)
+    return v.status, manifest(v), v.stops, v.zone_index, v.fleet.row(v.id)
 
 
 @pytest.mark.parametrize("speed", [1, 2, 3])
@@ -388,8 +390,8 @@ def reference_remaining_etas(v, speed):
     ticks until each onboard order's drop zone, the first planned stop at
     its destination."""
     first = dict(reversed(v.planned_stops()))  # the earliest stop at a zone wins
-    return {e.request_id: math.ceil(first[e.destination] / speed)
-            for e in v.manifest if e.onboard}
+    return {e.request_id: math.ceil(first[flat(v, e.destination)] / speed)
+            for e in manifest(v) if e.onboard}
 
 
 def reference_settle(sim, detour):
@@ -406,7 +408,7 @@ def reference_settle(sim, detour):
         if v.status in (fl.MATCHED, fl.SERVING):
             etas = reference_remaining_etas(v, speed)
         delays, hops, onboard = [], [], {PASSENGER: 0, GOODS: 0}
-        for e in v.manifest:
+        for e in manifest(v):
             if not e.onboard:
                 continue
             onboard[e.kind] += 1
@@ -535,7 +537,7 @@ def test_full_check_catches_a_stale_stop_plan():
         ("driven", driven + 1, "stored stop plan"),
         # an index with a stop's distance wrong, or with a zone off the plan
         ("zone_index", {**index, zone: cum - 1}, "stored zone index"),
-        ("zone_index", {**index, ZoneId(-1, -1): cum}, "stored zone index"),
+        ("zone_index", {**index, -1: cum}, "stored zone index"),
     ]
     for name, value, message in stale:
         setattr(v, name, value)
@@ -565,7 +567,7 @@ def test_full_check_catches_a_stale_fleet_table(column):
         with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} stored stop plan is stale"):
             sim.run(ticks=0)
         stored[v.id] = true
-        parked = next(u.id for u in sim.vehicles if not u.manifest)  # no plan to go stale
+        parked = next(u.id for u in sim.vehicles if not manifest(u))  # no plan to go stale
         for off in (-1, zones):
             stored[parked], at = off, stored[parked]
             with pytest.raises(InvalidZoneError, match=rf"zone \({off // width}, {off % width}\) "
@@ -620,7 +622,7 @@ def busy_sim():
     request waits in the queue; its light invariant pass holds."""
     sim = Simulation(small_cfg(seed=3))
     sim.initialize()
-    while not (sim.queue and any(v.manifest for v in sim.vehicles)):
+    while not (sim.queue and any(manifest(v) for v in sim.vehicles)):
         sim.step()
     sim._check_invariants(full=False)
     return sim
@@ -628,8 +630,8 @@ def busy_sim():
 
 def corrupt_light(sim, case):
     """Break one thing the light pass checks; the message it must raise."""
-    v = next(v for v in sim.vehicles if v.manifest)
-    rid = v.manifest[0].request_id
+    v = next(v for v in sim.vehicles if manifest(v))
+    rid = manifest(v)[0].request_id
     if case == "overcommitted":
         sim.fleet.seats_free[v.id] = -1
         return f"vehicle {v.id} overcommitted"
@@ -640,20 +642,18 @@ def corrupt_light(sim, case):
         code = -1 if case == "status-negative" else len(fl.VEHICLE_STATUSES)
         sim.fleet.status[v.id] = code
         return f"vehicle {v.id} bad status code {code}"
-    if case == "in-two-manifests":
-        sim.vehicles[(v.id + 1) % len(sim.vehicles)].manifest.append(v.manifest[0])
-        return f"request {rid} in two manifests"
     if case == "queued-and-assigned":
+        # an assigned request is not in queued status, so the queue's check
+        # names it before a check of queue against manifests could
         sim.queue.append(rid)
-        return f"request {rid} queued and assigned"
+        return f"queued request {rid} not in queued status"
     queued = sim.queue[0]
     sim.registry[queued].status = dm.ASSIGNED
     return f"queued request {queued} not in queued status"
 
 
 @pytest.mark.parametrize("case", ["overcommitted", "overcommitted-trunk", "status-negative",
-                                  "status-past-end", "in-two-manifests", "queued-and-assigned",
-                                  "not-queued"])
+                                  "status-past-end", "queued-and-assigned", "not-queued"])
 def test_light_invariant_pass_names_what_broke(case):
     sim = busy_sim()
     message = corrupt_light(sim, case)
@@ -665,6 +665,43 @@ def test_light_invariant_pass_names_what_broke(case):
         dump = json.loads(str(info.value).split("state dump: ", 1)[1])
         record = next(r for r in dump["vehicles"] if r["id"] == vid)
         assert record["status"] == record["table"]["status"] == code
+
+
+def corrupt_order_table(sim, case):
+    """Break the order table where a column has a second source, or put a
+    leg in two manifests; the message the check must raise."""
+    v = next(v for v in sim.vehicles if manifest(v))
+    e, orders = manifest(v)[0], sim.fleet.orders
+    if case == "drop_cum":
+        stored = int(orders[fl.DROP_CUM, v.id, 0]) + 1
+        orders[fl.DROP_CUM, v.id, 0] = stored
+        return (f"vehicle {v.id} order table drop_cum {stored} of request {e.request_id} "
+                f"is stale, the zone index says {stored - 1}")
+    if case == "onboard":
+        orders[fl.ONBOARD, v.id, 0] = 1 - e.onboard
+        status, flag = (dm.PICKED_UP, dm.ASSIGNED) if e.onboard else (dm.ASSIGNED, dm.PICKED_UP)
+        return f"request {e.request_id} status {status} vs manifest {flag} on vehicle {v.id}"
+    if case == "vehicle":
+        # the table puts a request on a vehicle while the request waits in the queue
+        rid = sim.queue[0]
+        orders[fl.REQUEST, v.id, 0] = rid
+        return f"request {rid} status {dm.QUEUED} vs manifest .* on vehicle {v.id}"
+    # a copy of the order on a second vehicle, every column of it consistent
+    u = next(u for u in sim.vehicles if u is not v and free_capacity(u)[e.kind == GOODS])
+    add(u, e)
+    return f"request {sim._chain_id(sim.registry[e.request_id])} .* has 2 live legs, expected 1"
+
+
+@pytest.mark.parametrize("case", ["drop_cum", "onboard", "vehicle", "in-two-manifests"])
+def test_full_check_catches_a_stale_order_table(case):
+    # an order's drop_cum has its vehicle's zone index as a second source, its
+    # onboard flag and its vehicle the status of its leg request; a leg in two
+    # manifests shows in the count of live legs
+    sim = busy_sim()
+    sim.run(ticks=0)  # the true table passes
+    message = corrupt_order_table(sim, case)
+    with pytest.raises(EngineInvariantError, match=message):
+        sim.run(ticks=0)
 
 
 def test_dump_shows_the_named_vehicle_past_the_first_twenty():
@@ -684,12 +721,15 @@ def test_dump_shows_the_named_vehicle_past_the_first_twenty():
     sim.fleet.seats_free[30] -= 1
     # a stale manifest entry: request 999 is queued, not assigned
     sim.registry[999] = Request(999, PASSENGER, ZoneId(0, 0), ZoneId(0, 1), 0, 1.0)
-    sim.vehicles[30].add_entry(fl.ManifestEntry(999, PASSENGER, ZoneId(0, 0), ZoneId(0, 1)))
+    add(sim.vehicles[30], ManifestEntry(999, PASSENGER, ZoneId(0, 0), ZoneId(0, 1)))
     with pytest.raises(EngineInvariantError, match="request 999 status queued") as info:
         sim.run(ticks=0)
     dump = json.loads(str(info.value).split("state dump: ", 1)[1])
     assert [v["id"] for v in dump["vehicles"]] == [*range(20), 30]
-    assert dump["vehicles"][-1]["manifest"] == [[999, PASSENGER, False]]
+    orders = dump["vehicles"][-1]["orders"]
+    assert sorted(orders) == sorted(fl.ORDER_FIELDS)
+    assert (orders["request"], orders["kind"], orders["onboard"]) == (
+        [999], [fl.KINDS.index(PASSENGER)], [0])
     # a dump that names one of the first twenty shows it once
     assert [v["id"] for v in json.loads(sim._dump("probe", 3).split("state dump: ")[1])
             ["vehicles"]] == list(range(20))
@@ -714,7 +754,7 @@ def test_separate_never_mixes_kinds_in_one_vehicle():
     for _ in range(40):
         sim.step()
         for v in sim.vehicles:
-            kinds = {e.kind for e in v.manifest}
+            kinds = {e.kind for e in manifest(v)}
             assert kinds != {PASSENGER, GOODS}
 
 

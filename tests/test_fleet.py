@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hopfleet.demand import GOODS, PASSENGER
+from hopfleet.demand import GOODS, PASSENGER, Request
 from hopfleet.fleet import (
     DISPATCHED,
     DISPATCHING,
@@ -11,21 +11,36 @@ from hopfleet.fleet import (
     MATCHED,
     SERVING,
     STATUS_CODE,
+    DROP_CUM,
+    ONBOARD,
+    REQUEST,
     DropEvent,
     FleetSnapshot,
     FleetTable,
-    ManifestEntry,
     PickupEvent,
     VehicleState,
     VehicleStateError,
+    fleet_columns,
+    late_orders,
     move,
     process_arrivals,
     project_supply,
     stop_index,
 )
 from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId, manhattan
+from hopfleet.reward import RewardWeights, agent_reward
 
-from fleet_rows import free_capacity, put, vehicles_in_table
+from fleet_rows import (
+    ManifestEntry,
+    add,
+    flat,
+    free_capacity,
+    manifest,
+    put,
+    set_manifest,
+    vehicles_in_table,
+    zoned,
+)
 
 
 def make_vehicle(loc=(0, 0), grid=GridWorld(width=10, height=10), **kw):
@@ -39,9 +54,7 @@ def move_one(v, grid):
 
 
 def entry(rid, kind, origin, dest, onboard=False):
-    e = ManifestEntry(rid, kind, ZoneId(*origin), ZoneId(*dest))
-    e.onboard = onboard
-    return e
+    return ManifestEntry(rid, kind, ZoneId(*origin), ZoneId(*dest), onboard)
 
 
 def test_availability_examples():
@@ -50,13 +63,13 @@ def test_availability_examples():
     assert free_capacity(v) == (4, 5)
 
     for i in range(4):
-        full.add_entry(entry(i, PASSENGER, (1, 1), (2, 2), onboard=True))
+        add(full, entry(i, PASSENGER, (1, 1), (2, 2), onboard=True))
     for i in range(5):
-        full.add_entry(entry(10 + i, GOODS, (1, 1), (2, 2), onboard=True))
+        add(full, entry(10 + i, GOODS, (1, 1), (2, 2), onboard=True))
     assert free_capacity(full) == (0, 0)
 
-    partial.add_entry(entry(0, PASSENGER, (1, 1), (2, 2), onboard=True))
-    partial.add_entry(entry(1, PASSENGER, (1, 1), (3, 3), onboard=True))
+    add(partial, entry(0, PASSENGER, (1, 1), (2, 2), onboard=True))
+    add(partial, entry(1, PASSENGER, (1, 1), (3, 3), onboard=True))
     assert free_capacity(partial) == (2, 5)
     assert fleet.available().tolist() == [True, False, True]
     assert (fleet.seats_free.tolist(), fleet.trunk_free.tolist()) == ([4, 0, 2], [5, 0, 5])
@@ -64,11 +77,11 @@ def test_availability_examples():
 
 def test_capacity_guard_on_add():
     v = make_vehicle(seats_total=1, trunk_total=0)
-    v.add_entry(entry(0, PASSENGER, (1, 1), (2, 2)))
+    add(v, entry(0, PASSENGER, (1, 1), (2, 2)))
     with pytest.raises(VehicleStateError):
-        v.add_entry(entry(1, PASSENGER, (1, 1), (2, 2)))
+        add(v, entry(1, PASSENGER, (1, 1), (2, 2)))
     with pytest.raises(VehicleStateError):
-        v.add_entry(entry(2, GOODS, (1, 1), (2, 2)))
+        add(v, entry(2, GOODS, (1, 1), (2, 2)))
 
 
 def test_status_transition_graph_enforced():
@@ -112,10 +125,10 @@ def test_dispatching_arrival_becomes_dispatched():
 
 def test_serving_last_delivery_goes_idle():
     v = make_vehicle(loc=(3, 3), status=SERVING)
-    v.add_entry(entry(7, PASSENGER, (1, 1), (3, 3), onboard=True))
+    add(v, entry(7, PASSENGER, (1, 1), (3, 3), onboard=True))
     events = process_arrivals(v, tick=9)
     assert v.status == IDLE
-    assert v.manifest == []
+    assert manifest(v) == []
     assert events == [DropEvent(7, 0, ZoneId(3, 3), 9)]
 
 
@@ -130,10 +143,10 @@ def test_idle_vehicle_unchanged_by_advance():
 
 def test_matched_arrival_at_pickup_becomes_serving():
     v = make_vehicle(loc=(1, 1), status=MATCHED)
-    v.add_entry(entry(3, GOODS, (1, 1), (5, 5)))
+    add(v, entry(3, GOODS, (1, 1), (5, 5)))
     events = process_arrivals(v, tick=2)
     assert v.status == SERVING
-    assert v.manifest[0].onboard
+    assert manifest(v)[0].onboard
     assert events == [PickupEvent(3, 0, ZoneId(1, 1), 2)]
 
 
@@ -154,7 +167,7 @@ def reference_move(v, grid):
     odometer."""
     if v.status not in (DISPATCHING, MATCHED, SERVING):
         return 0
-    target = v.dispatch_target if v.status == DISPATCHING else v.stops[0][0]
+    target = v.dispatch_target if v.status == DISPATCHING else zoned(v, v.stops[:1])[0][0]
     moved = 0
     while moved < grid.vehicle_speed and v.location != target:
         (row, col), (t_row, t_col) = v.location, target
@@ -193,7 +206,7 @@ def test_move_matches_stepwise_reference():
                     v.dispatch_target = target
                 elif status in (MATCHED, SERVING):
                     for rid, (onboard, origin, dest) in enumerate(entries):
-                        v.add_entry(entry(rid, PASSENGER, origin, dest, onboard=bool(onboard)))
+                        add(v, entry(rid, PASSENGER, origin, dest, onboard=bool(onboard)))
         fleet = got[0].fleet
         for _ in range(3):  # consecutive moves, up to and past the targets
             steps = [reference_move(v, grid) for v in want]
@@ -224,11 +237,11 @@ def test_move_leaves_only_vehicles_that_can_resolve():
     grid = GridWorld(width=6, height=1)
     empty, loaded = vehicles_in_table(grid, [(0, 0)] * 2, status=MATCHED)
     for v in (empty, loaded):
-        v.add_entry(entry(1, PASSENGER, (0, 3), (0, 1)))
-    loaded.add_entry(entry(2, PASSENGER, (0, 0), (0, 1), onboard=True))
+        add(v, entry(1, PASSENGER, (0, 3), (0, 1)))
+    add(loaded, entry(2, PASSENGER, (0, 0), (0, 1), onboard=True))
     move(empty.fleet, [empty.id, loaded.id], grid)
     assert empty.location == loaded.location == ZoneId(0, 1)
-    assert ZoneId(0, 1) in empty.zone_index and ZoneId(0, 1) in loaded.zone_index
+    assert flat(empty, (0, 1)) in empty.zone_index and flat(loaded, (0, 1)) in loaded.zone_index
     assert empty.fleet.arriving == [loaded.id]
     assert process_arrivals(empty, tick=1) == []
     assert process_arrivals(loaded, tick=1) == [DropEvent(2, loaded.id, ZoneId(0, 1), 1)]
@@ -238,7 +251,7 @@ def test_goods_drop_at_hub_reports_drop_event():
     # the fleet reports a drop the same way for every leg; the engine decides
     # from its leg table whether the package is delivered or handed off
     v = make_vehicle(loc=(0, 4), status=SERVING)
-    v.add_entry(entry(5, GOODS, (0, 0), (0, 4), onboard=True))
+    add(v, entry(5, GOODS, (0, 0), (0, 4), onboard=True))
     events = process_arrivals(v, tick=4)
     assert events == [DropEvent(5, 0, ZoneId(0, 4), 4)]
     assert v.status == IDLE
@@ -246,9 +259,9 @@ def test_goods_drop_at_hub_reports_drop_event():
 
 def test_planned_stops_pickups_before_deliveries():
     v = make_vehicle(loc=(0, 0), status=MATCHED)
-    v.add_entry(entry(1, PASSENGER, (0, 5), (0, 9), onboard=False))
-    v.add_entry(entry(2, PASSENGER, (0, 2), (0, 1), onboard=False))
-    zones = [z for z, _ in v.planned_stops()]
+    add(v, entry(1, PASSENGER, (0, 5), (0, 9), onboard=False))
+    add(v, entry(2, PASSENGER, (0, 2), (0, 1), onboard=False))
+    zones = [z for z, _ in zoned(v, v.planned_stops())]
     assert zones[0] == ZoneId(0, 2)  # nearest pickup first
     assert zones[1] == ZoneId(0, 5)
     assert set(zones[2:]) == {ZoneId(0, 9), ZoneId(0, 1)}
@@ -256,22 +269,23 @@ def test_planned_stops_pickups_before_deliveries():
 
 
 def onboard_etas(v, speed):
-    """Each onboard order's ETA as the engine settles it: the first planned
-    stop at its destination, through the odometer."""
-    return {e.request_id: v.ticks_to(v.zone_index[e.destination], speed)
-            for e in v.manifest if e.onboard}
+    """Each onboard order's ETA as the engine settles it: its drop_cum, the
+    first planned stop at its destination, through the odometer."""
+    cols = v.rows()
+    return {rid: v.ticks_to(cum, speed)
+            for rid, cum, on in zip(cols[REQUEST], cols[DROP_CUM], cols[ONBOARD]) if on}
 
 
 def test_onboard_etas_follow_stop_plan():
     grid = GridWorld(width=7, height=1)
     v = make_vehicle(loc=(0, 0), grid=grid, status=SERVING)
-    v.add_entry(entry(1, PASSENGER, (0, 0), (0, 4), onboard=True))
-    v.add_entry(entry(2, PASSENGER, (0, 0), (0, 6), onboard=True))
+    add(v, entry(1, PASSENGER, (0, 0), (0, 4), onboard=True))
+    add(v, entry(2, PASSENGER, (0, 0), (0, 6), onboard=True))
     assert onboard_etas(v, speed=1) == {1: 4, 2: 6}
     assert v.route_eta(speed=1) == 6
     assert v.route_eta(speed=2) == 3
     move_one(v, grid)
-    assert v.driven == 1 and v.stops == [(ZoneId(0, 4), 4), (ZoneId(0, 6), 6)]
+    assert v.driven == 1 and zoned(v, v.stops) == [(ZoneId(0, 4), 4), (ZoneId(0, 6), 6)]
     assert onboard_etas(v, speed=1) == {1: 3, 2: 5}
     assert onboard_etas(v, speed=2) == {1: 2, 2: 3}
     assert v.route_eta(speed=1) == 5
@@ -281,11 +295,13 @@ def test_onboard_etas_take_the_first_stop_at_a_zone():
     # (0, 1) is planned twice: first to pick up 3 and drop the onboard 1,
     # then to drop 2, picked up at (0, 3)
     v = make_vehicle(loc=(0, 0), status=SERVING)
-    v.add_entry(entry(1, PASSENGER, (0, 0), (0, 1), onboard=True))
-    v.add_entry(entry(2, PASSENGER, (0, 3), (0, 1)))
-    v.add_entry(entry(3, GOODS, (0, 1), (0, 5)))
-    assert v.stops == [(ZoneId(0, 1), 1), (ZoneId(0, 3), 3), (ZoneId(0, 1), 5), (ZoneId(0, 5), 9)]
-    assert v.zone_index == {ZoneId(0, 1): 1, ZoneId(0, 3): 3, ZoneId(0, 5): 9}
+    add(v, entry(1, PASSENGER, (0, 0), (0, 1), onboard=True))
+    add(v, entry(2, PASSENGER, (0, 3), (0, 1)))
+    add(v, entry(3, GOODS, (0, 1), (0, 5)))
+    assert zoned(v, v.stops) == [(ZoneId(0, 1), 1), (ZoneId(0, 3), 3), (ZoneId(0, 1), 5),
+                                 (ZoneId(0, 5), 9)]
+    assert dict(zoned(v, v.zone_index.items())) == {ZoneId(0, 1): 1, ZoneId(0, 3): 3,
+                                                    ZoneId(0, 5): 9}
     assert onboard_etas(v, speed=1) == {1: 1}
     assert onboard_etas(v, speed=2) == {1: 1}
 
@@ -298,11 +314,11 @@ def test_serving_without_manifest_goes_idle_on_arrival():
 
 def test_arrival_away_from_every_stop_changes_nothing():
     v = make_vehicle(loc=(0, 0), status=MATCHED)
-    v.add_entry(entry(1, PASSENGER, (0, 2), (0, 4)))
+    add(v, entry(1, PASSENGER, (0, 2), (0, 4)))
     put(v, (0, 1))
     v.replan()
     assert process_arrivals(v, tick=1) == []
-    assert v.status == MATCHED and not v.manifest[0].onboard
+    assert v.status == MATCHED and not manifest(v)[0].onboard
 
 
 def test_serving_with_empty_plan_raises():
@@ -331,7 +347,7 @@ def test_project_supply_busy_vehicle_eta():
     grid = GridWorld(width=10, height=10)
     v = make_vehicle(loc=(0, 0), grid=grid, status=SERVING, seats_total=1, trunk_total=0)
     fleet = v.fleet
-    v.add_entry(entry(1, PASSENGER, (0, 0), (0, 3), onboard=True))
+    add(v, entry(1, PASSENGER, (0, 0), (0, 3), onboard=True))
     snap = project_supply(fleet, grid)
     assert snap.available.sum() == 0  # full vehicle
     assert snap.freeing.tolist() == [[3, 0, 3]]  # free in 3 ticks at (0, 3)
@@ -347,7 +363,7 @@ def test_project_supply_counts_vehicles_by_zone_from_the_table():
     fleet = vehicles[0].fleet
     vehicles[0].dispatch_target = ZoneId(0, 1)
     move_one(vehicles[0], grid)
-    vehicles[2].add_entry(entry(1, PASSENGER, (2, 3), (2, 1), onboard=True))
+    add(vehicles[2], entry(1, PASSENGER, (2, 3), (2, 1), onboard=True))
     want = np.zeros((3, 4))
     for v in vehicles:
         if any(c > 0 for c in free_capacity(v)):
@@ -362,7 +378,7 @@ def table_as_counted(vehicles, grid):
     give it."""
     def count(v, kind=None, onboard=False):
         return sum((kind is None or e.kind == kind) and (e.onboard or not onboard)
-                   for e in v.manifest)
+                   for e in manifest(v))
 
     return {
         "status": [STATUS_CODE[v.status] for v in vehicles],
@@ -400,7 +416,7 @@ def test_fleet_table_follows_random_operations(speed):
     for step in range(3000):
         v = vehicles[int(rng.integers(len(vehicles)))]
         op = int(rng.integers(4))
-        if op == 0 and (v.status != SERVING or not v.manifest):
+        if op == 0 and (v.status != SERVING or not manifest(v)):
             if v.status == IDLE:
                 v.dispatch_target = zone()
             v.set_status(next_status[v.status])
@@ -410,7 +426,7 @@ def test_fleet_table_follows_random_operations(speed):
                 origin, dest = zone(), zone()
                 while dest == origin:
                     dest = zone()
-                v.add_entry(ManifestEntry(step, kind, origin, dest))
+                add(v, ManifestEntry(step, kind, origin, dest))
                 if v.status != MATCHED:
                     v.set_status(MATCHED)
         elif op == 2 and v.status in (DISPATCHING, MATCHED, SERVING):
@@ -474,25 +490,34 @@ def test_fleet_table_marks_off_grid_zones():
             vehicles_in_table(grid, [(0, 0), (2, 3), (row, col)])
 
 
+CAPACITY = ("seats_free", "trunk_free", "onboard", "pending")
+
+
 def capacity_row(v):
-    """A vehicle's capacity columns in its table row, in ``tallies`` order."""
+    """A vehicle's capacity columns in its table row."""
     row = v.fleet.row(v.id)
-    return row["seats_free"], row["trunk_free"], row["onboard"], row["pending"]
+    return tuple(row[name] for name in CAPACITY)
+
+
+def counted_capacity(v):
+    """A vehicle's capacity columns as a fresh count of the order table gives them."""
+    counted = fleet_columns(v.fleet)
+    return tuple(int(counted[name][v.id]) for name in CAPACITY)
 
 
 def test_tallies_recounted_with_the_stop_plan():
     grid = GridWorld(width=5, height=5)
     v = make_vehicle(loc=(0, 0), grid=grid, status=MATCHED)
-    assert capacity_row(v) == v.tallies() == (4, 5, 0, 0)
-    v.add_entry(entry(1, PASSENGER, (0, 0), (0, 2)))
-    v.add_entry(entry(2, GOODS, (0, 0), (0, 1)))
-    v.add_entry(entry(3, PASSENGER, (0, 1), (0, 3)))
-    assert capacity_row(v) == v.tallies() == (2, 4, 0, 3)
+    assert capacity_row(v) == counted_capacity(v) == (4, 5, 0, 0)
+    add(v, entry(1, PASSENGER, (0, 0), (0, 2)))
+    add(v, entry(2, GOODS, (0, 0), (0, 1)))
+    add(v, entry(3, PASSENGER, (0, 1), (0, 3)))
+    assert capacity_row(v) == counted_capacity(v) == (2, 4, 0, 3)
     seen = []
     for tick in range(5):
         process_arrivals(v, tick)
         seen.append(capacity_row(v))
-        assert seen[-1] == v.tallies()
+        assert seen[-1] == counted_capacity(v)
         move_one(v, grid)
     # picked up 1 and 2 at (0, 0); dropped 2 and picked up 3 at (0, 1);
     # dropped 1 at (0, 2) and 3 at (0, 3)
@@ -508,8 +533,8 @@ def reference_planned_stops(v):
     pos = v.location
     cum = 0
     ties = 0
-    pickups = {e.request_id: e for e in v.manifest if not e.onboard}
-    drops = {e.request_id: e for e in v.manifest if e.onboard}
+    pickups = {e.request_id: e for e in manifest(v) if not e.onboard}
+    drops = {e.request_id: e for e in manifest(v) if e.onboard}
     stops = []
     while pickups or drops:
         if pickups:
@@ -542,14 +567,13 @@ def test_planned_stops_equal_the_reference():
         v = make_vehicle(loc=zone(), grid=GridWorld(width=4, height=4), status=MATCHED,
                          seats_total=9, trunk_total=9)
         for rid in rng.permutation(int(rng.integers(0, 9))):
-            e = ManifestEntry(int(rid), PASSENGER if rng.random() < 0.5 else GOODS, zone(), zone())
-            e.onboard = bool(rng.random() < 0.4)
-            v.manifest.append(e)
+            add(v, ManifestEntry(int(rid), PASSENGER if rng.random() < 0.5 else GOODS,
+                                      zone(), zone(), bool(rng.random() < 0.4)))
         want, tied = reference_planned_stops(v)
-        assert v.planned_stops() == want
+        assert zoned(v, v.planned_stops()) == want
         ties += tied
-        pending = {e.origin for e in v.manifest if not e.onboard}
-        colocated += any(e.destination in pending for e in v.manifest)
+        pending = {e.origin for e in manifest(v) if not e.onboard}
+        colocated += any(e.destination in pending for e in manifest(v))
     assert ties > 1000 and colocated > 1000
 
 
@@ -561,22 +585,23 @@ def reference_process_arrivals(v, tick):
         v.dispatch_target = None
         v.set_status(DISPATCHED)
     if v.status in (MATCHED, SERVING):
-        if v.manifest and all(zone != v.location for zone, _ in v.stops):
+        if manifest(v) and all(zone != flat(v, v.location) for zone, _ in v.stops):
             return events
-        for e in [e for e in v.manifest if e.onboard and e.destination == v.location]:
-            v.manifest.remove(e)
+        entries = manifest(v)
+        for e in [e for e in entries if e.onboard and e.destination == v.location]:
+            entries.remove(e)
             events.append(DropEvent(e.request_id, v.id, v.location, tick))
         picked = False
-        for e in v.manifest:
+        for i, e in enumerate(entries):
             if not e.onboard and e.origin == v.location:
-                e.onboard = True
+                entries[i] = e._replace(onboard=True)
                 picked = True
                 events.append(PickupEvent(e.request_id, v.id, v.location, tick))
         if events:
-            v.replan()
+            set_manifest(v, entries)
         if picked and v.status == MATCHED:
             v.set_status(SERVING)
-        if v.status == SERVING and not v.manifest:
+        if v.status == SERVING and not manifest(v):
             v.set_status(IDLE)
     return events
 
@@ -587,7 +612,7 @@ def route_state(v):
     and its table row but for the odometer."""
     index = {zone: cum - v.driven for zone, cum in v.zone_index.items()}
     row = {name: value for name, value in v.fleet.row(v.id).items() if name != "driven"}
-    return (v.status, v.location, v.manifest, v.remaining_stops(), index, row)
+    return (v.status, v.location, manifest(v), v.remaining_stops(), index, row)
 
 
 def drive_against_the_reference(got, want, grid, tick=0, ticks=60):
@@ -598,7 +623,7 @@ def drive_against_the_reference(got, want, grid, tick=0, ticks=60):
     elsewhere on the plan."""
     at_first = elsewhere = 0
     for tick in range(tick, tick + ticks):
-        first = got.stops[0][0] if got.stops else None
+        first = zoned(got, got.stops[:1])[0][0] if got.stops else None
         events = process_arrivals(got, tick)
         want_events = reference_process_arrivals(want, tick)
         assert events == [e._replace(vehicle_id=got.id) for e in want_events], tick
@@ -637,7 +662,7 @@ def test_advanced_plan_equals_the_replanned_one():
         pair = vehicles_in_table(grid, [start] * 2, status=status, seats_total=9, trunk_total=9)
         for v in pair:
             for e in entries:
-                v.add_entry(ManifestEntry(*e))
+                add(v, ManifestEntry(*e))
         got, want = pair
         a, b = drive_against_the_reference(got, want, grid, ticks=int(rng.integers(1, 20)))
         at_first, elsewhere = at_first + a, elsewhere + b
@@ -646,10 +671,10 @@ def test_advanced_plan_equals_the_replanned_one():
         origin, dest = zone(), zone()
         if dest != origin and got.status != IDLE and free_capacity(got)[0]:
             for v in pair:
-                v.add_entry(ManifestEntry(rid, PASSENGER, origin, dest))
+                add(v, ManifestEntry(rid, PASSENGER, origin, dest))
         a, b = drive_against_the_reference(got, want, grid, tick=20)
         at_first, elsewhere = at_first + a, elsewhere + b
-        assert not got.manifest or got.status != IDLE
+        assert not manifest(got) or got.status != IDLE
     assert at_first > 5000 and elsewhere > 500
 
 
@@ -659,14 +684,15 @@ def test_advanced_plan_at_a_zone_planned_twice():
     grid = GridWorld(width=6, height=1)
     pair = vehicles_in_table(grid, [(0, 0)] * 2, status=SERVING)
     for v in pair:
-        v.add_entry(entry(1, PASSENGER, (0, 0), (0, 1), onboard=True))
-        v.add_entry(entry(2, PASSENGER, (0, 3), (0, 1)))
-        v.add_entry(entry(3, GOODS, (0, 1), (0, 5)))
+        add(v, entry(1, PASSENGER, (0, 0), (0, 1), onboard=True))
+        add(v, entry(2, PASSENGER, (0, 3), (0, 1)))
+        add(v, entry(3, GOODS, (0, 1), (0, 5)))
     got, want = pair
-    assert got.remaining_stops() == [(ZoneId(0, 1), 1), (ZoneId(0, 3), 3), (ZoneId(0, 1), 5),
+    assert zoned(got, got.remaining_stops()) == [(ZoneId(0, 1), 1), (ZoneId(0, 3), 3),
+                                                 (ZoneId(0, 1), 5),
                                      (ZoneId(0, 5), 9)]
     assert drive_against_the_reference(got, want, grid) == (4, 0)
-    assert got.status == IDLE and not got.manifest
+    assert got.status == IDLE and not manifest(got)
 
 
 def test_drop_on_the_way_to_a_pickup_replans():
@@ -675,12 +701,13 @@ def test_drop_on_the_way_to_a_pickup_replans():
     grid = GridWorld(width=6, height=1)
     pair = vehicles_in_table(grid, [(0, 0)] * 2, status=SERVING)
     for v in pair:
-        v.add_entry(entry(1, PASSENGER, (0, 0), (0, 2), onboard=True))
-        v.add_entry(entry(2, PASSENGER, (0, 4), (0, 3)))
+        add(v, entry(1, PASSENGER, (0, 0), (0, 2), onboard=True))
+        add(v, entry(2, PASSENGER, (0, 4), (0, 3)))
     got, want = pair
-    assert got.remaining_stops() == [(ZoneId(0, 4), 4), (ZoneId(0, 3), 5), (ZoneId(0, 2), 6)]
+    assert zoned(got, got.remaining_stops()) == [(ZoneId(0, 4), 4), (ZoneId(0, 3), 5),
+                                                 (ZoneId(0, 2), 6)]
     assert drive_against_the_reference(got, want, grid, ticks=3) == (0, 1)
-    assert got.remaining_stops() == [(ZoneId(0, 4), 1), (ZoneId(0, 3), 2)]
+    assert zoned(got, got.remaining_stops()) == [(ZoneId(0, 4), 1), (ZoneId(0, 3), 2)]
     assert drive_against_the_reference(got, want, grid, tick=3) == (2, 0)
     assert got.status == IDLE
 
@@ -710,11 +737,11 @@ def interleave(v, grid, rng, new_entry, steps):
         if action == 0:
             move_one(v, grid)
         elif action == 1:
-            if process_arrivals(v, tick) and first[0] == v.location:
-                repeated += v.location in v.zone_index
+            if process_arrivals(v, tick) and first[0] == flat(v, v.location):
+                repeated += flat(v, v.location) in v.zone_index
             replanned += driven > 0 and v.driven == 0
         elif all(free_capacity(v)):
-            v.add_entry(new_entry(len(v.manifest) + 100 * tick))
+            add(v, new_entry(len(manifest(v)) + 100 * tick))
             replanned += driven > 0
             if v.status == SERVING:
                 v.set_status(MATCHED)
@@ -745,13 +772,13 @@ def test_odometer_and_zone_index_equal_a_fresh_plan(speed):
         v = make_vehicle(loc=zone(), grid=grid, status=DISPATCHING, seats_total=6, trunk_total=6)
         v.dispatch_target = zone()
         for rid in range(int(rng.integers(0, 3))):
-            v.add_entry(new_entry(rid, onboard=bool(rng.random() < 0.5)))
+            add(v, new_entry(rid, onboard=bool(rng.random() < 0.5)))
         built = (list(v.stops), v.driven, dict(v.zone_index))
         while v.status == DISPATCHING:
             process_arrivals(v, trial)
             frozen += move_one(v, grid) > 0 and bool(v.stops)
             assert (v.stops, v.driven, v.zone_index) == built
-        v.add_entry(new_entry(99))
+        add(v, new_entry(99))
         v.set_status(MATCHED)
         assert_plan_is_fresh(v)
         a, b = interleave(v, grid, rng, new_entry, steps=60)
@@ -765,16 +792,96 @@ def test_odometer_through_a_zone_planned_twice(speed):
     # dropped, the index must point at the third
     grid = GridWorld(width=6, height=1, vehicle_speed=speed)
     v = make_vehicle(loc=(0, 0), grid=grid, status=SERVING)
-    v.add_entry(entry(1, PASSENGER, (0, 0), (0, 1), onboard=True))
-    v.add_entry(entry(2, PASSENGER, (0, 3), (0, 1)))
-    v.add_entry(entry(3, GOODS, (0, 1), (0, 5)))
-    assert v.stops == [(ZoneId(0, 1), 1), (ZoneId(0, 3), 3), (ZoneId(0, 1), 5), (ZoneId(0, 5), 9)]
+    add(v, entry(1, PASSENGER, (0, 0), (0, 1), onboard=True))
+    add(v, entry(2, PASSENGER, (0, 3), (0, 1)))
+    add(v, entry(3, GOODS, (0, 1), (0, 5)))
+    assert zoned(v, v.stops) == [(ZoneId(0, 1), 1), (ZoneId(0, 3), 3), (ZoneId(0, 1), 5),
+                                 (ZoneId(0, 5), 9)]
     indexes = []
     for tick in range(20):
         process_arrivals(v, tick)
         assert_plan_is_fresh(v)
-        indexes.append(dict(v.zone_index))
+        indexes.append(dict(zoned(v, v.zone_index.items())))
         move_one(v, grid)
         assert_plan_is_fresh(v)
     assert v.status == IDLE
     assert {ZoneId(0, 3): 3, ZoneId(0, 1): 5, ZoneId(0, 5): 9} in indexes
+
+
+def reference_late_orders(vehicles, registry, tick, speed):
+    """The late orders as the engine's settle found them before the order
+    table: a loop over the loaded vehicles in id order and their onboard
+    orders in manifest order, each ETA read from the drop zone's entry in
+    the zone index through ticks_to, and each request's created tick,
+    urgency and hop index read from the registry."""
+    owner, urgency, extra, max_hops = [], [], [], [0] * len(vehicles)
+    for v in vehicles:
+        if not v.fleet.onboard[v.id]:
+            continue
+        for e in manifest(v):
+            if not e.onboard:
+                continue
+            req = registry[e.request_id]
+            eta = v.ticks_to(v.zone_index[flat(v, e.destination)], speed)
+            delay = tick - req.created_tick + eta - e.direct_ticks
+            if delay > 0:
+                owner.append(v.id)
+                urgency.append(req.urgency)
+                extra.append(delay)
+            if e.kind == GOODS and req.hops_completed > max_hops[v.id]:
+                max_hops[v.id] = req.hops_completed
+    return owner, urgency, extra, max_hops
+
+
+@pytest.mark.parametrize("speed", [2, 3])
+def test_late_orders_equal_the_reference_loop(speed):
+    # random fleets on a 6 x 6 grid with random orders, moved and resolved
+    # for a few ticks; at speeds 2 and 3 an ETA is a ceiling that a floor
+    # division gets wrong, and packages ride at several hop indices
+    rng = np.random.default_rng(90 + speed)
+    grid = GridWorld(width=6, height=6, vehicle_speed=speed)
+    weights = RewardWeights.preset("eval")
+
+    def zone():
+        return ZoneId(int(rng.integers(6)), int(rng.integers(6)))
+
+    late = ceiling = hops = several = 0
+    for trial in range(300):
+        n = int(rng.integers(1, 8))
+        vehicles = vehicles_in_table(grid, [zone() for _ in range(n)], status=SERVING,
+                                     seats_total=3, trunk_total=3)
+        fleet, registry, tick = vehicles[0].fleet, {}, 20
+        for v in vehicles:
+            for _ in range(int(rng.integers(0, 6))):
+                kind = GOODS if rng.random() < 0.5 else PASSENGER
+                if not free_capacity(v)[kind == GOODS]:
+                    continue
+                origin, dest = zone(), zone()
+                while dest == origin:
+                    dest = zone()
+                req = Request(len(registry), kind, origin, dest, int(rng.integers(8, tick + 1)),
+                              float(rng.choice([0.5, 1.0, rng.uniform(0.05, 1.0)])),
+                              hops_completed=int(rng.integers(4)) if kind == GOODS else 0)
+                registry[req.id] = req
+                add(v, ManifestEntry(req.id, kind, origin, dest, bool(rng.random() < 0.7),
+                                     created_tick=req.created_tick, urgency=req.urgency,
+                                     hops_completed=req.hops_completed))
+        for step in range(int(rng.integers(0, 4))):
+            move(fleet, [v.id for v in vehicles if v.stops], grid)
+            for vid in fleet.arriving:
+                process_arrivals(vehicles[vid], tick + step)
+        want = reference_late_orders(vehicles, registry, tick, speed)
+        got = late_orders(fleet, tick, speed)
+        assert got[0].tolist() == want[0], trial
+        assert [u.hex() for u in got[1].tolist()] == [float(u).hex() for u in want[1]], trial
+        assert got[2].tolist() == want[2] and got[3].tolist() == want[3], trial
+        ones, detour = np.ones(n, dtype=np.int64), rng.integers(0, 3, n).astype(float)
+        rewards = [agent_reward(weights, fleet.onboard, detour, ones, ones * 0, hops_, *late_)
+                   for hops_, late_ in ((got[3], got[:3]), (want[3], want[:3]))]
+        assert rewards[0].tobytes() == rewards[1].tobytes(), trial
+        late += len(want[0])
+        several += sum(want[0].count(vid) > 1 for vid in set(want[0]))
+        hops += sum(h > 1 for h in want[3])
+        ceiling += sum((cum - v.driven) % speed > 0 for v in vehicles
+                       for cum, on in zip(v.rows()[DROP_CUM], v.rows()[ONBOARD]) if on)
+    assert late > 1000 and several > 300 and hops > 200 and ceiling > 600

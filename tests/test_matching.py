@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from hopfleet.demand import GOODS, PASSENGER, Request
-from hopfleet.fleet import FleetTable, ManifestEntry
+from hopfleet.fleet import IDLE, SERVING, DropEvent, FleetTable, process_arrivals
 from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId
 from hopfleet.matching import SEAT, TRUNK, Assignment, match, reject_radius_ticks
 
-from fleet_rows import free_capacity, vehicles_in_table
+from fleet_rows import ManifestEntry, add, free_capacity, put, vehicles_in_table
 
 
 def make_grid(speed=1):
@@ -29,9 +29,9 @@ def match_all(requests, vehicles, grid, reject_radius, rng):
 
 def occupy(v, n_pass=0, n_goods=0):
     for i in range(n_pass):
-        v.add_entry(ManifestEntry(1000 + v.id * 10 + i, PASSENGER, ZoneId(0, 0), ZoneId(1, 1), onboard=True))
+        add(v, ManifestEntry(1000 + v.id * 10 + i, PASSENGER, ZoneId(0, 0), ZoneId(1, 1), onboard=True))
     for i in range(n_goods):
-        v.add_entry(ManifestEntry(2000 + v.id * 10 + i, GOODS, ZoneId(0, 0), ZoneId(1, 1), onboard=True))
+        add(v, ManifestEntry(2000 + v.id * 10 + i, GOODS, ZoneId(0, 0), ZoneId(1, 1), onboard=True))
     return v
 
 
@@ -96,16 +96,19 @@ def test_only_the_pool_is_matched():
 
 def test_free_capacity_is_read_from_the_table():
     # the table follows the manifest: a vehicle filled after the table was
-    # built takes no more passengers, and takes them again once recounted empty
+    # built takes no more passengers, and takes them again once it has dropped
+    # its passenger
     grid = make_grid()
-    near, far = vehicles_in_table(grid, [(0, 1), (0, 3)], seats_total=[1, 4])
+    near, far = vehicles_in_table(grid, [(0, 1), (0, 3)], status=[SERVING, IDLE],
+                                  seats_total=[1, 4])
     fleet = near.fleet
-    near.add_entry(ManifestEntry(50, PASSENGER, ZoneId(0, 1), ZoneId(0, 2), onboard=True))
+    add(near, ManifestEntry(50, PASSENGER, ZoneId(0, 1), ZoneId(0, 2), onboard=True))
     pool = np.arange(2)
     assert match([passenger(0, (0, 0))], pool, fleet, grid, 10,
                  np.random.default_rng(0)) == [Assignment(0, 1, SEAT, 3)]
-    near.manifest.clear()
-    near.recount()
+    put(near, (0, 2))
+    assert process_arrivals(near, tick=1) == [DropEvent(50, near.id, ZoneId(0, 2), 1)]
+    put(near, (0, 1))
     assert match([passenger(0, (0, 0))], pool, fleet, grid, 10,
                  np.random.default_rng(0)) == [Assignment(0, 0, SEAT, 1)]
 
