@@ -118,9 +118,14 @@ def build_config(cls, data, where: str = ""):
     return cls(**values)
 
 
+# libyaml's parser where PyYAML was built with it, else the pure-Python one;
+# both build the document with SafeLoader's constructor
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        data = yaml.load(fh, Loader=YAML_LOADER)
     return build_config(ExperimentConfig, data)
 
 

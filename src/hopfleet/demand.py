@@ -7,8 +7,11 @@ Generation takes two steps: :func:`demand_sources` lays the sources out once
 destinations), then :func:`generate_tick_requests` draws one tick from them.
 A passenger zone emits nothing iff its uniform is at most exp(-rate), as most
 do, so the passenger uniforms are drawn in blocks of DRAW_BLOCK to find the
-next zone that emits; its count comes from its own uniform and the generator
-is rewound to just after it, which keeps the stream of the zone-by-zone draw.
+next zone that emits; its count comes from its own uniform. The generator's
+state is read before each block, and at an emitting zone it is written back
+and the block redrawn up to that zone, which keeps the stream of the
+zone-by-zone draw with no rewind, so a bit generator without ``advance``,
+such as SFC64, serves too.
 Thresholds are ``math.exp`` values, as in :func:`poisson_count`: an
 ``np.exp`` one bit off would change the stream.
 The demand forecaster is a trailing tick-of-day historical average; it sits
@@ -192,17 +195,25 @@ def demand_sources(
     """Validate the demand sources against the grid and lay them out for drawing."""
     if goods_radius <= 0:
         raise ValueError("goods_radius must be > 0")
-    passenger = [(grid.require(zone), lam) for zone, lam in sorted(passenger_rates.items())]
-    if any(lam < 0 for _, lam in passenger):
+    origins = [z if type(z) is ZoneId else ZoneId(*z) for z in passenger_rates]
+    zones = grid.require_all(origins)
+    lams = np.fromiter(passenger_rates.values(), dtype=float, count=len(origins))
+    if (lams < 0).any():
         raise ValueError("passenger rates must be >= 0")
-    passenger = tuple((zone, lam) for zone, lam in passenger if lam > 0)
-    p0 = np.array([math.exp(-lam) for _, lam in passenger])
-    goods = []
+    order = np.argsort(zones[:, 0] * grid.width + zones[:, 1])
+    order = order[lams[order] > 0]
+    lams = lams[order]
+    # math.exp once per distinct rate: most zones share the base rate
+    rates, inverse = np.unique(lams, return_inverse=True)
+    p0 = np.array([math.exp(-lam) for lam in rates.tolist()])[inverse]
+    passenger = tuple(zip(map(origins.__getitem__, order.tolist()), lams.tolist()))
+    goods, reach = [], {}  # reach: the candidates of each site zone
     for loc in locations:
         origin = grid.require(loc.zone)
-        candidates = tuple(grid.zones_within(origin, goods_radius))
-        if candidates:
-            goods.append((origin, loc.rate, candidates))
+        if origin not in reach:
+            reach[origin] = tuple(grid.zones_within(origin, goods_radius))
+        if reach[origin]:
+            goods.append((origin, loc.rate, reach[origin]))
     return DemandSources(grid, passenger, p0, tuple(goods), goods_radius)
 
 
@@ -217,15 +228,18 @@ def generate_tick_requests(
 ) -> list[Request]:
     """Draw one tick of demand. Goods destinations stay within the sources'
     goods radius; optionally a share of them lands next to busy zones inside
-    that radius. ``rng`` needs a bit generator with ``advance``, as PCG64 has.
+    that radius.
 
     The passenger zones take one uniform each, in order, and a zone's
     destinations follow its uniform in the stream. The uniforms come in
-    blocks of DRAW_BLOCK: a block in which no zone emits is consumed whole;
-    at a block's first emitting zone the count comes from that zone's
-    uniform, and a negative ``advance`` rewinds the generator to just after
-    it, so the next block starts after the destinations. The work is
-    zones + hits x DRAW_BLOCK uniforms rather than zones x hits."""
+    blocks of DRAW_BLOCK, the generator's state read before each: a block
+    in which no zone emits is consumed whole; at a block's first emitting
+    zone ``h`` the count comes from that zone's uniform, and the state is
+    written back and ``h + 1`` uniforms redrawn, so the next block starts
+    after the destinations. Doubles leave the 32-bit half a previous
+    ``rng.integers`` buffered alone, so the redraw leaves the generator as
+    the zone-by-zone draw would, with no rewind and no ``advance``. The
+    work is zones + hits x DRAW_BLOCK uniforms rather than zones x hits."""
     grid, goods_radius = sources.grid, sources.goods_radius
     trip_distribution = trip_distribution or TripDistribution()
     goods_dest_hot = [ZoneId(*z) for z in goods_dest_hot]
@@ -235,18 +249,15 @@ def generate_tick_requests(
     bitgen, zones, p0 = rng.bit_generator, sources.passenger, sources.passenger_p0
     i = 0
     while i < len(zones):
+        before = bitgen.state
         block = rng.random(min(DRAW_BLOCK, len(zones) - i))
-        hits = np.flatnonzero(block > p0[i : i + len(block)])
-        if not hits.size:
+        emits = block > p0[i : i + len(block)]
+        h = int(emits.argmax())  # the first zone that emits, or 0 if none does
+        if not emits[h]:
             i += len(block)
             continue
-        h = int(hits[0])
-        # doubles leave the 32-bit half a previous rng.integers buffered,
-        # and advance drops it, so it is put back
-        half = bitgen.state
-        bitgen.advance(h + 1 - len(block))
-        bitgen.state = {**bitgen.state, "has_uint32": half["has_uint32"],
-                        "uinteger": half["uinteger"]}
+        bitgen.state = before
+        rng.random(h + 1)
         origin, lam = zones[i + h]
         for _ in range(poisson_count(lam, float(block[h]))):
             dest = trip_distribution.sample_destination(grid, origin, rng)

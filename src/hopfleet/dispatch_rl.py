@@ -16,6 +16,7 @@ on the stack, rather than as one batch, whose bits do.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import zipfile
@@ -252,8 +253,10 @@ class QNetwork:
         self.biases[:] = [b.copy() for b in params[k:]]
 
     def clone(self) -> "QNetwork":
-        twin = QNetwork(self.input_dim, self.n_actions, self.hidden, rng=np.random.default_rng(0))
-        twin.set_parameters(self.parameters())
+        """A network with copies of this one's weights and biases."""
+        twin = copy.copy(self)
+        twin.weights = [w.copy() for w in self.weights]
+        twin.biases = [b.copy() for b in self.biases]
         return twin
 
 

@@ -80,7 +80,8 @@ import numpy as np
 from . import demand as dm
 from . import dispatch_rl as rl
 from . import fleet as fl
-from .geo import GridWorld, ZoneId, designate_hop_zones, hub_lattice, manhattan
+from .geo import (GridWorld, ZoneId, designate_hop_zones, hub_lattice, nearest_zone,
+                  neighborhood_counts)
 from .hopplan import assign_hop_zones
 from .matching import match
 from .reward import (
@@ -429,11 +430,11 @@ class Simulation:
             hot_zones=tuple(self._origin_hot),
             hot_weight=cfg.demand.hot_weight,
         )
-        passenger_rates = {z: cfg.demand.passenger_rate_per_zone for z in self.grid.all_zones()}
+        passenger_rates = dict.fromkeys(self.grid.all_zones(), cfg.demand.passenger_rate_per_zone)
         for z in self._origin_hot:
             passenger_rates[z] += cfg.demand.origin_hot_rate
 
-        lattice = hub_lattice(self.grid, cfg.grid.hop_stride)
+        lattice = np.array(hub_lattice(self.grid, cfg.grid.hop_stride))
         locations = []
         for kind in ("postal", "meal", "supermarket"):
             for _ in range(cfg.demand.goods_locations_per_kind):
@@ -441,7 +442,7 @@ class Simulation:
                     # park goods sources on the relay lattice next to a busy
                     # center, so their own corner never splits their trips
                     hub = self._origin_hot[int(rng.integers(len(self._origin_hot)))]
-                    z = min(lattice, key=lambda cand: manhattan(hub, cand))
+                    z = nearest_zone(lattice, hub)
                 else:
                     z = ZoneId(int(rng.integers(self.grid.height)), int(rng.integers(self.grid.width)))
                 locations.append(dm.ServiceLocation(z, kind, cfg.demand.goods_location_rate))
@@ -513,23 +514,20 @@ class Simulation:
         self.prev_active = np.zeros(cfg.n_vehicles, dtype=np.int64)
 
         # warmup: demand history and pickup counts only, no dispatch, no queueing
-        pickup_counts: dict[ZoneId, int] = {}
+        height, width = self.grid.height, self.grid.width
+        pickups: list[int] = []  # the flat origin zone of each warmup request
         for k in range(cfg.warmup_ticks):
             tick = -cfg.warmup_ticks + k
             batch = self._draw_requests(tick, self.demand_rng) if self._trip_table is None else []
             self.forecaster.record_requests(tick, batch)
-            for r in batch:
-                pickup_counts[r.origin] = pickup_counts.get(r.origin, 0) + 1
+            pickups.extend(r.origin.row * width + r.origin.col for r in batch)
         self.next_request_id = 0  # warmup ids are discarded with the requests
+        counts = np.bincount(np.array(pickups, dtype=np.int64), minlength=height * width)
 
         # candidates qualify on pickups in their neighborhood, so relay hubs
         # land next to busy blocks rather than exactly on them
-        smoothed = {}
-        for z in hub_lattice(self.grid, cfg.grid.hop_stride):
-            total = pickup_counts.get(z, 0)
-            for nb in self.grid.zones_within(z, cfg.grid.hop_count_radius):
-                total += pickup_counts.get(nb, 0)
-            smoothed[z] = total
+        smoothed = neighborhood_counts(self.grid, cfg.grid.hop_stride, counts.reshape(height, -1),
+                                       cfg.grid.hop_count_radius)
         designate_hop_zones(self.grid, cfg.grid.hop_stride, smoothed, cfg.grid.hop_min_pickups)
 
         self.log = EpisodeLog(

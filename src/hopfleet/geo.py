@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -79,9 +79,8 @@ class GridWorld:
         return ZoneId(min(max(row, 0), self.height - 1), min(max(col, 0), self.width - 1))
 
     def all_zones(self) -> Iterator[ZoneId]:
-        for row in range(self.height):
-            for col in range(self.width):
-                yield ZoneId(row, col)
+        """Every zone, in row-major order."""
+        return map(ZoneId._make, product(range(self.height), range(self.width)))
 
     def distance(self, a, b) -> int:
         """Manhattan distance in zone-units; a metric, zero iff a == b."""
@@ -112,6 +111,30 @@ def hub_lattice(grid: GridWorld, stride: int) -> list[ZoneId]:
     return [ZoneId(row, col)
             for row in range(0, grid.height, stride)
             for col in range(0, grid.width, stride)]
+
+
+def nearest_zone(zones: np.ndarray, target) -> ZoneId:
+    """The first of ``zones``, an (n, 2) array of (row, col), at the least
+    Manhattan distance from ``target``: ``argmin`` takes the first minimum,
+    as ``min(zones, key=distance)`` does."""
+    distance = np.abs(zones - target).sum(axis=1)
+    return ZoneId(*zones[int(np.argmin(distance))].tolist())
+
+
+def neighborhood_counts(grid: GridWorld, stride: int, counts: np.ndarray,
+                        radius: int) -> dict:
+    """Each :func:`hub_lattice` zone with its count plus those of the zones
+    within ``radius`` of it (:meth:`GridWorld.zones_within`), from a
+    (height, width) array of counts: the array shifted by every offset of
+    the Manhattan diamond and summed, with zeros beyond the grid's edges."""
+    padded = np.zeros((grid.height + 2 * radius, grid.width + 2 * radius), dtype=counts.dtype)
+    padded[radius : radius + grid.height, radius : radius + grid.width] = counts
+    sums = np.zeros_like(counts)
+    for row in range(2 * radius + 1):
+        rem = radius - abs(row - radius)
+        for col in range(radius - rem, radius + rem + 1):
+            sums += padded[row : row + grid.height, col : col + grid.width]
+    return dict(zip(hub_lattice(grid, stride), sums[::stride, ::stride].ravel().tolist()))
 
 
 def designate_hop_zones(grid: GridWorld, stride: int, pickup_counts: Mapping,

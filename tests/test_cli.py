@@ -10,6 +10,7 @@ import yaml
 
 from hopfleet.cli import EvalSettings, ExperimentConfig, TrainSettings, load_config, main
 from hopfleet.demand import HistoricalAverageForecaster, ingest_trip_records
+from hopfleet import cli
 from hopfleet import dispatch_rl as rl
 from hopfleet.dispatch_rl import encode_state, load_checkpoint, save_checkpoint
 from hopfleet.engine import PHASES, DemandConfig, DispatchPolicy, GridConfig, RLConfig, SimConfig
@@ -17,7 +18,7 @@ from hopfleet.fleet import VehicleState
 from hopfleet.geo import GridWorld
 from hopfleet.hopplan import assign_hop_zones
 
-from desk_config import desk_config, desk_yaml, leaf_keys, locate, write_config
+from desk_config import DESK_CONFIG, desk_config, desk_yaml, leaf_keys, locate, write_config
 
 COMMANDS = ["train", "eval", "gen-data"]
 
@@ -187,6 +188,20 @@ def test_config_fields_have_no_default(cls):
                                         (VehicleState, "trunk_total")])
 def test_config_parameters_have_no_default(func, name):
     assert inspect.signature(func).parameters[name].default is inspect.Parameter.empty
+
+
+def test_config_loaders_agree(monkeypatch, tmp_path):
+    # libyaml's loader where PyYAML has it; the pure-Python one otherwise
+    assert cli.YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    shipped = load_config(DESK_CONFIG)
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("sim: [unclosed\n")
+    with pytest.raises(yaml.YAMLError):
+        load_config(broken)
+    monkeypatch.setattr(cli, "YAML_LOADER", yaml.SafeLoader)
+    assert load_config(DESK_CONFIG) == shipped
+    with pytest.raises(yaml.YAMLError):
+        load_config(broken)
 
 
 def test_malformed_yaml_exit_2(tmp_path):

@@ -226,24 +226,36 @@ def drawn_blocks(trace, block):
     return out
 
 
+def plain_state(rng):
+    """The bit generator's state with its words as lists (SFC64 keeps an
+    array), so that two states compare with ==."""
+    state = rng.bit_generator.state
+    return {**state, "state": {k: np.asarray(v).tolist() for k, v in state["state"].items()}}
+
+
 def test_block_draw_keeps_the_per_zone_stream():
     key = lambda reqs: [(r.kind, r.origin, r.destination, r.created_tick) for r in reqs]
     seen = dict(empty_ticks=0, buffered_half=0, zero_rate_zones=0, goods=0, boundary=0,
-                empty_block=0, hit_on_last_zone=0, then_on_first_zone=0, half_across_block=0)
-    cases = [(seed, None, 6, random_world) for seed in range(200)]
+                empty_block=0, hit_on_last_zone=0, then_on_first_zone=0, half_across_block=0,
+                sfc64_hits=0)
+    pcg64, sfc64 = np.random.PCG64, np.random.SFC64
+    cases = [(seed, None, 6, random_world, pcg64) for seed in range(200)]
     # boundary cases: zone (0, 0) comes first and its uniform is the float
     # just above its zero-count threshold, so it must emit
     for seed, lam in enumerate(np.random.default_rng(7).uniform(0.0, math.log(2), 200), 200):
-        cases.append((seed, float(lam), 3, random_world))
+        cases.append((seed, float(lam), 3, random_world, pcg64))
     # worlds larger than one block, with busy zones on a block boundary
-    cases.extend((seed, None, 3, block_world) for seed in range(400, 460))
-    for seed, first_rate, ticks, world in cases:
+    cases.extend((seed, None, 3, block_world, pcg64) for seed in range(400, 460))
+    # a bit generator without advance
+    cases.extend((seed, None, 6, random_world, sfc64) for seed in range(500, 560))
+    cases.extend((seed, None, 3, block_world, sfc64) for seed in range(560, 580))
+    for seed, first_rate, ticks, world, bit_generator in cases:
         if world is random_world:
             grid, rates, sources, draw = random_world(np.random.default_rng(seed), first_rate)
         else:
             grid, rates, sources, draw = block_world(np.random.default_rng(seed))
         if first_rate is None:
-            ours, ref = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+            ours, ref = (np.random.Generator(bit_generator([seed, 1])) for _ in range(2))
         else:
             u = math.nextafter(math.exp(-first_rate), 1.0)
             ours, ref = generator_drawing_first(u, seed), generator_drawing_first(u, seed)
@@ -254,13 +266,15 @@ def test_block_draw_keeps_the_per_zone_stream():
             trace = []
             want = reference_generate(grid, rates, sources, tick, ref, **draw, trace=trace)
             assert key(got) == key(want), (seed, tick)
-            assert ours.bit_generator.state == ref.bit_generator.state, (seed, tick)
+            assert plain_state(ours) == plain_state(ref), (seed, tick)
             seen["empty_ticks"] += not want
             seen["goods"] += sum(r.kind == GOODS for r in want)
             if first_rate is not None and tick == 0:
                 assert want[0].origin == ZoneId(0, 0), seed
                 seen["boundary"] += 1
             blocks = drawn_blocks(trace, DRAW_BLOCK)
+            if bit_generator is sfc64:
+                seen["sfc64_hits"] += sum(hit is not None for _, hit, _ in blocks)
             seen["empty_block"] += sum(hit is None and size == DRAW_BLOCK for size, hit, _ in blocks)
             # a half buffered before a block in which no zone emits, still
             # there when the next block rewinds
@@ -311,6 +325,26 @@ def test_sources_laid_out_in_draw_order(grid):
     # on a 1x1 grid a goods site reaches no zone and emits nothing
     lone = GridWorld(width=1, height=1)
     assert demand_sources(lone, [ServiceLocation(ZoneId(0, 0), "meal", 5.0)], {}, 1).goods == ()
+
+
+def test_layout_equals_the_per_zone_layout():
+    # rates in random insertion order, keyed by ZoneId or plain tuples, zero
+    # rates and rates shared by many zones, against the per-zone layout
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        grid = GridWorld(width=int(rng.integers(1, 12)), height=int(rng.integers(1, 12)))
+        zones = list(grid.all_zones())
+        shared = rng.uniform(0.0, 3.0, size=3).tolist()
+        rates = {}
+        for i in rng.permutation(len(zones))[: int(rng.integers(0, len(zones) + 1))]:
+            key = tuple(zones[i]) if rng.random() < 0.3 else zones[i]
+            rates[key] = float(rng.choice([0.0, *shared, rng.uniform(0.0, 3.0)]))
+        sources = demand_sources(grid, [], rates, goods_radius=2)
+        want = [(grid.require(z), lam) for z, lam in sorted(rates.items()) if lam > 0]
+        assert sources.passenger == tuple(want), seed
+        assert all(type(z) is ZoneId for z, _ in sources.passenger)
+        p0 = np.array([math.exp(-lam) for _, lam in want], dtype=float)
+        assert sources.passenger_p0.tobytes() == p0.tobytes(), seed
 
 
 def test_hot_zone_trip_distribution(grid):

@@ -483,6 +483,28 @@ def test_gradient_check_against_finite_differences(hidden):
         assert rel_err(a, b) < 1e-4
 
 
+def test_clone_copies_the_parameters():
+    net = QNetwork(24, 9, hidden=(32, 16), rng=np.random.default_rng(33))
+    twin = net.clone()
+    assert (twin.input_dim, twin.n_actions, twin.hidden) == (24, 9, (32, 16))
+    for p, q in zip(net.parameters(), twin.parameters()):
+        assert p.dtype == q.dtype and p.shape == q.shape
+        assert p.tobytes() == q.tobytes()
+    state = np.random.default_rng(34).normal(size=24)
+    assert net.q_values(state).tobytes() == twin.q_values(state).tobytes()
+    # writing either one leaves the other as it was
+    before = net.parameters()
+    twin.weights[0][0, 0] += 1.0
+    twin.biases[-1] += 1.0
+    for p, q in zip(before, net.parameters()):
+        assert p.tobytes() == q.tobytes()
+    twin_before = twin.parameters()
+    net.weights[-1] *= 2.0
+    net.biases[0][:] = 3.0
+    for p, q in zip(twin_before, twin.parameters()):
+        assert p.tobytes() == q.tobytes()
+
+
 def test_train_step_zero_loss_leaves_params():
     rng = np.random.default_rng(5)
     net = QNetwork(4, 3, hidden=(6,), rng=np.random.default_rng(2))

@@ -10,6 +10,9 @@ from hopfleet.geo import (
     ZoneId,
     designate_hop_zones,
     hub_lattice,
+    manhattan,
+    nearest_zone,
+    neighborhood_counts,
 )
 
 
@@ -99,6 +102,40 @@ def test_hub_lattice_row_major():
     assert hub_lattice(g, stride=1) == list(g.all_zones())
     with pytest.raises(ValueError):
         hub_lattice(g, stride=0)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_neighborhood_counts_equal_the_zones_within_loop(radius):
+    rng = np.random.default_rng(60 + radius)
+    far_edge = 0
+    for _ in range(60):
+        stride = int(rng.integers(1, 5))
+        # a side of a multiple of the stride plus one puts hubs on the far edge
+        g = make_grid(w=int(rng.choice([rng.integers(1, 14), 2 * stride + 1])),
+                      h=int(rng.choice([rng.integers(1, 14), 3 * stride + 1])))
+        counts = rng.integers(0, 9, size=(g.height, g.width)) * (rng.random((g.height, g.width)) < 0.6)
+        got = neighborhood_counts(g, stride, counts, radius)
+        want = {z: int(counts[z]) + sum(int(counts[nb]) for nb in g.zones_within(z, radius))
+                for z in hub_lattice(g, stride)}
+        assert list(got.items()) == list(want.items()), (g, stride)
+        far_edge += sum(z.row == g.height - 1 or z.col == g.width - 1 for z in got)
+    assert far_edge >= 20
+
+
+def test_nearest_zone_takes_the_first_of_ties():
+    rng = np.random.default_rng(64)
+    ties = 0
+    for _ in range(300):
+        stride = int(rng.integers(1, 5))
+        g = make_grid(w=int(rng.integers(1, 16)), h=int(rng.integers(1, 16)))
+        lattice = hub_lattice(g, stride)
+        target = ZoneId(int(rng.integers(g.height)), int(rng.integers(g.width)))
+        got = nearest_zone(np.array(lattice), target)
+        assert type(got) is ZoneId
+        assert got == min(lattice, key=lambda z: manhattan(target, z))
+        best = manhattan(target, got)
+        ties += sum(manhattan(target, z) == best for z in lattice) > 1
+    assert ties >= 50
 
 
 def test_zones_within_radius():

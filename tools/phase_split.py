@@ -1,4 +1,4 @@
-"""Where a benchmark workload's tick time goes, phase by phase.
+"""Where a benchmark workload's set-up and tick time go, part by part.
 
     python3 tools/phase_split.py --workload city_eval --seed 1
 
@@ -8,14 +8,19 @@ builds them (its ``WORKLOADS``, ``world_seeds`` and ``set_up``), and prints
 phase of ``Simulation.step``, as a share of the tick. Tick 0, where every
 vehicle of the fleet is idle and decides, is printed in ms per world, apart
 from the steady ticks after it, in ms per tick, which ``tick_ms.p50``
-measures. Run it from the root of a source checkout; it imports that
-checkout's ``src`` and ``bench/run.py``, and pins BLAS to one thread as the
-bench does.
+measures. Set-up, which ``setup_s`` measures, is printed first, in ms per
+world, split into the parts of ``SETUP_PARTS``; the split comes from the
+thread time at the calls that bound each part, which are wrapped for the
+set-up and restored after it. Run it from the root of a source checkout; it
+imports that checkout's ``src`` and ``bench/run.py``, and pins BLAS to one
+thread as the bench does.
 """
 
 import argparse
 import sys
 import tempfile
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -23,12 +28,71 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import run as bench  # noqa: E402  (pins BLAS to one thread before numpy loads)
 
 
+# the parts of bench.set_up, in order: cli.load_config; the DispatchPolicy;
+# Simulation._build_demand; the placement draws and the fleet table; the
+# warmup ticks; the hub tally and designation; and the rest (the config's
+# workload changes and the Simulation's construction)
+SETUP_PARTS = ("config", "policy", "layout", "placement", "warmup", "hubs", "other")
+
+
+@contextmanager
+def marked(calls):
+    """Wrap each ``(owner, name, entry key, exit key)`` so that its first
+    call records the thread time at its entry and at its return under those
+    keys (None: none); yield the marks, and restore the names after."""
+    marks, installed = {}, []
+
+    def wrapped(original, at_entry, at_exit):
+        def call(*args, **kwargs):
+            if at_entry:
+                marks.setdefault(at_entry, time.thread_time())
+            out = original(*args, **kwargs)
+            if at_exit:
+                marks.setdefault(at_exit, time.thread_time())
+            return out
+        return call
+
+    try:
+        for owner, name, at_entry, at_exit in calls:
+            original = getattr(owner, name)
+            setattr(owner, name, wrapped(original, at_entry, at_exit))
+            installed.append((owner, name, original))
+        yield marks
+    finally:
+        for owner, name, original in reversed(installed):
+            setattr(owner, name, original)
+
+
+def timed_set_up(prog, wl, world: int, trips) -> tuple:
+    """``bench.set_up`` and its seconds in each of SETUP_PARTS."""
+    eng = prog.engine
+    calls = [(prog.cli, "load_config", "config_in", "config_out"),
+             (eng.DispatchPolicy, "__init__", "policy_in", "policy_out"),
+             (eng.Simulation, "initialize", "layout_in", "hubs_out"),
+             (eng.Simulation, "_build_demand", None, "layout_out"),
+             (prog.fleet.FleetTable, "__init__", None, "placement_out"),
+             # the engine's own reference: the hub tally
+             (eng, "neighborhood_counts", "warmup_out", None)]
+    with marked(calls) as marks:
+        start = time.thread_time()
+        sim = bench.set_up(prog, wl, world, trips)
+        total = time.thread_time() - start
+    bounds = {"config": ("config_in", "config_out"), "policy": ("policy_in", "policy_out"),
+              "layout": ("layout_in", "layout_out"),
+              "placement": ("layout_out", "placement_out"),
+              "warmup": ("placement_out", "warmup_out"), "hubs": ("warmup_out", "hubs_out")}
+    parts = {part: marks[b] - marks[a] for part, (a, b) in bounds.items()}
+    parts["other"] = total - sum(parts.values())
+    return sim, parts
+
+
 def phase_split(workload: str, seed: int, worlds: int = 0) -> dict:
-    """Phase seconds summed over the workload's worlds, for tick 0
-    (``opening``) and for the ticks after it (``steady``); the worlds run
-    and the steady ticks among them."""
+    """Set-up seconds by part (``setup``) and phase seconds summed over the
+    workload's worlds, for tick 0 (``opening``) and for the ticks after it
+    (``steady``); the worlds run and the steady ticks among them."""
     prog = bench.load_program()
     wl = bench.WORKLOADS[workload]
+    setup = dict.fromkeys(SETUP_PARTS, 0.0)
     opening = dict.fromkeys(prog.engine.PHASES, 0.0)
     steady = dict.fromkeys(prog.engine.PHASES, 0.0)
     seeds = bench.world_seeds(seed, worlds or wl.worlds)
@@ -37,7 +101,9 @@ def phase_split(workload: str, seed: int, worlds: int = 0) -> dict:
         for world in seeds:
             trips = (bench.write_trips(prog, wl, world, Path(work_dir) / f"trips-{world}.csv")
                      if wl.replay else None)
-            sim = bench.set_up(prog, wl, world, trips)
+            sim, parts = timed_set_up(prog, wl, world, trips)
+            for part, seconds in parts.items():
+                setup[part] += seconds
             first = {}
 
             def step(_step=sim.step, _sim=sim, _first=first):
@@ -52,13 +118,14 @@ def phase_split(workload: str, seed: int, worlds: int = 0) -> dict:
                 opening[phase] += first.get(phase, 0.0)
                 steady[phase] += seconds - first.get(phase, 0.0)
             ticks += max(sim.tick - 1, 0)
-    return {"opening": opening, "steady": steady, "worlds": len(seeds), "ticks": ticks}
+    return {"setup": setup, "opening": opening, "steady": steady, "worlds": len(seeds),
+            "ticks": ticks}
 
 
-def print_block(title: str, seconds: dict, count: int, unit: str):
+def print_block(title: str, seconds: dict, count: int, unit: str, label: str = "phase"):
     total = sum(seconds.values())
     print(f"{title}: {total / count * 1e3:.3f} {unit}")
-    print(f"{'phase':<10}  {unit:>8}  {'share':>6}")
+    print(f"{label:<10}  {unit:>8}  {'share':>6}")
     for phase, s in seconds.items():
         print(f"{phase:<10}  {s / count * 1e3:8.4f}  {s / total:6.1%}")
 
@@ -72,6 +139,7 @@ def main(argv=None) -> int:
     split = phase_split(args.workload, args.seed, args.worlds)
     worlds, steady = split["worlds"], split["ticks"] // split["worlds"]
     print(f"{args.workload} seed {args.seed}: {worlds} x {steady + 1} ticks")
+    print_block("set-up", split["setup"], worlds, "ms/world", "part")
     print_block("tick 0", split["opening"], worlds, "ms/world")
     print_block(f"ticks 1..{steady}", split["steady"], split["ticks"], "ms/tick")
     return 0
