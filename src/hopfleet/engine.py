@@ -9,13 +9,10 @@ over the columns each:
 
   1. intake new requests; plan relay chains for goods
   2. arrival processing, in id order, for the vehicles the last move pass
-     left where something can resolve: those standing on their objective,
-     and those holding both a pending pickup and an onboard order that
-     stand on a zone of their plan (``fleet.FleetTable.arriving``; no other
-     vehicle can resolve anything, and no vehicle changes between that pass
-     and this phase). Status transitions, pickups, drops: a vehicle on its
-     plan's first stop drops that stop and re-indexes the plan, a drop
-     elsewhere rebuilds the plan; a drop that is not a chain's last leg
+     left where something resolves (``fleet.FleetTable.arriving``; the fleet
+     module docstring states the rule). Status transitions, pickups, drops:
+     a vehicle on its plan's first stop drops that stop, a drop elsewhere
+     rebuilds the plan; a drop that is not a chain's last leg
      enqueues the next leg as a child request. A leg request's
      ``hops_completed`` is its index in its chain, so
      ``legs[chain id][hops_completed]`` is the leg it carries
@@ -57,10 +54,10 @@ held at once fails here or on the queue's status check) and every queued
 request against its own. Every ``FULL_CHECK_EVERY`` ticks, the fleet table
 is compared with a fresh count of the status column, plans and order table
 (``first_stale``, which keeps the zone column on the grid), the stored stop
-plans and zone indexes with fresh ones built from the zone column (which
-covers the position and the odometer), each order's ``drop_cum`` with its
-vehicle's zone index, and each open request's live legs are counted, which
-catches a leg held twice. Onboard orders are a subset of held ones, so a
+plans with fresh ones built from the zone column (which covers the position
+and the odometer), each order's ``drop_cum`` with its vehicle's stored plan,
+and each open request's live legs are counted, which catches a leg held
+twice. Onboard orders are a subset of held ones, so a
 fresh column that is not overcommitted is within capacity too.
 
 Identical seed and config give bit-identical episode logs. ``step`` also sums
@@ -451,11 +448,10 @@ class Simulation:
 
     def _draw_requests(self, tick: int, rng) -> list:
         if self._trip_table is not None:
-            rows = self._trip_table.get(tick, [])
-            out = []
-            for r in rows:
-                out.append(dm.Request(self.next_request_id, r.kind, r.origin, r.destination,
-                                      tick, r.urgency))
+            # the tick's ingested requests, handed out once with the next ids
+            out = self._trip_table.pop(tick, [])
+            for r in out:
+                r.id = self.next_request_id
                 self.next_request_id += 1
             return out
         reqs = dm.generate_tick_requests(
@@ -799,12 +795,10 @@ class Simulation:
             if v.remaining_stops() != v.planned_stops():
                 raise EngineInvariantError(self._dump(
                     f"vehicle {v.id} stored stop plan is stale", v.id))
-            if v.zone_index != fl.stop_index(v.stops):
-                raise EngineInvariantError(self._dump(
-                    f"vehicle {v.id} stored zone index is stale", v.id))
-        # each order's drop_cum is its destination's entry in its vehicle's zone index
+        # each order's drop_cum is its destination's entry in the zone index of its vehicle's plan
+        index = [fl.stop_index(v.stops) for v in self.vehicles]
         vids = np.nonzero(live)[0].tolist()
-        indexed = [self.vehicles[vid].zone_index.get(zone)
+        indexed = [index[vid].get(zone)
                    for vid, zone in zip(vids, orders[fl.DESTINATION][live].tolist())]
         stored = orders[fl.DROP_CUM][live].tolist()
         if stored != indexed:

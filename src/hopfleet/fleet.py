@@ -15,11 +15,10 @@ distance) pairs measured from where it was built, on an odometer:
 vehicle is ``(zone, cum - driven)``. That view is exact: a step toward the
 first stop shortens only the first leg, and ties break on the zone, so the
 greedy order holds. Every ETA is the one rule ``ticks_to``: ``ceil((cum -
-driven) / speed)``. ``zone_index`` maps each stop zone to the cumulative
-distance of the plan's first stop there. A vehicle that reaches the plan's
-first stop resolves there what the greedy resolved there (no order ends
-where it starts), and the greedy from that stop is the rest of the plan, so
-``process_arrivals`` drops the stop and re-indexes; only an added order or
+driven) / speed)``. A vehicle that reaches the plan's first stop resolves
+there what the greedy resolved there (no order ends where it starts), and
+the greedy from that stop is the rest of the plan, so ``process_arrivals``
+drops the stop and rewrites its rows with ``index``; only an added order or
 a drop at a later stop rebuilds the plan with ``replan``, which resets the
 odometer.
 
@@ -33,8 +32,9 @@ slots, onboard count and pending pickups. ``VehicleState.status``,
 The order table ``orders[field, vehicle, slot]`` holds each vehicle's
 orders from slot 0 in manifest order, one plane per field of
 ``ORDER_FIELDS`` (``urgency`` a float plane), so a row-major pass meets
-them by vehicle, then by manifest position; an order's ``drop_cum`` is its
-destination's entry in the zone index, written wherever the index changes.
+them by vehicle, then by manifest position; an order's ``drop_cum`` is the
+cumulative distance of the plan's first stop at its destination
+(``stop_index``), written wherever the plan changes.
 A vehicle writes its rows where these facts change, and nowhere else:
 ``set_status`` the status and objective; ``add_entry``, ``process_arrivals``
 and ``replan`` the orders, their ``drop_cum`` and the capacity counted from
@@ -45,31 +45,10 @@ with one ``np.bincount``, matching and the state encoder read zones and
 free capacity as arrays, and ``move`` and ``late_orders`` pass once over
 the fleet and its onboard orders.
 
-Arrival checks rely on the stored plan: every pending pickup's origin and
-every onboard order's destination is one of its stops, so a matched or
-serving vehicle that stands on none of them resolves nothing. Parked
-vehicles (idle or dispatched) hold position with nothing to resolve. Of the
-vehicles that move, ``move`` leaves in ``FleetTable.arriving`` the only
-ones where something can resolve, and the engine calls ``process_arrivals``
-for those alone:
-
-* those standing on their objective;
-* those that hold both a pending pickup and an onboard order and stand on
-  a zone of their plan.
-
-Every other moving vehicle can resolve nothing. A dispatching vehicle
-resolves only at its target. A matched or serving vehicle drives from the
-point P where its plan was built, or where its last first stop was dropped,
-along a shortest path toward the first stop S, so wherever it stands short
-of S it is nearer to P than S is. The greedy took S as the nearest pending
-pickup from P, or, with none pending, the nearest drop; so no pending
-pickup lies short of S on the way, and without a pending pickup no drop
-does either. A drop needs an onboard order, so only a vehicle holding both
-a pending pickup (S is a pickup) and an onboard order can meet a drop
-before S, and only on a zone of its plan. So the vehicles skipped are those
-that can resolve nothing, not those away from every zone of their plan: a
-vehicle can stand on the drop zone of an order it has not picked up yet, a
-zone of its plan where nothing resolves.
+A dispatch resolves at its target, and an order at its destination once
+onboard and at its origin before that. ``move`` leaves in
+``FleetTable.arriving`` the moved vehicles that stand where one of theirs
+resolves, and the engine calls ``process_arrivals`` for those alone.
 """
 
 from __future__ import annotations
@@ -140,7 +119,6 @@ class VehicleState:
     seats_total: int
     trunk_total: int
     stops: list = field(default_factory=list)  # planned_stops() where it was built
-    zone_index: dict = field(default_factory=dict, init=False)  # stop_index(stops)
     # the table whose row ``id`` this vehicle is, set when the table is built
     fleet: FleetTable = field(init=False, repr=False, compare=False)
 
@@ -232,14 +210,14 @@ class VehicleState:
 
     def index(self, cols: list, changed: int | None = None, code: int | None = None):
         """Bring the vehicle's rows up to its plan and its orders ``cols`` (as
-        ``rows`` reads them): the zone index, each order's ``drop_cum`` (when
-        the index changed at the one zone ``changed`` alone, only an order
-        bound there has a new one), the capacity columns and, through
-        ``aim`` with ``code``, the objective."""
+        ``rows`` reads them): each order's ``drop_cum`` (when the plan changed
+        at the one zone ``changed`` alone, only an order bound there has a
+        new one), the capacity columns and, through ``aim`` with ``code``,
+        the objective."""
         fleet, vid = self.fleet, self.id
-        index = self.zone_index = stop_index(self.stops)
         count, onboard, kinds = len(cols[REQUEST]), sum(cols[ONBOARD]), cols[KIND]
         if changed is None or changed in cols[DESTINATION]:
+            index = stop_index(self.stops)
             fleet.orders[DROP_CUM, vid, :count] = list(map(index.__getitem__, cols[DESTINATION]))
         fleet.seats_free[vid] = self.seats_total - kinds.count(0)
         fleet.trunk_free[vid] = self.trunk_total - kinds.count(1)
@@ -376,8 +354,8 @@ def move(fleet: FleetTable, ids, grid: GridWorld) -> tuple:
     Dispatching vehicles head for their dispatch target; matched/serving
     vehicles head for their next planned stop and add the steps to their
     odometer; idle and dispatched vehicles hold position. Leaves in
-    ``fleet.arriving`` the moved vehicles where something can resolve (see
-    the module docstring). Returns (steps moved in total, steps moved by
+    ``fleet.arriving`` the moved vehicles where something resolves (see the
+    module docstring). Returns (steps moved in total, steps moved by
     matched or serving vehicles).
     """
     ids = np.asarray(ids, dtype=np.int64)
@@ -398,13 +376,12 @@ def move(fleet: FleetTable, ids, grid: GridWorld) -> tuple:
     steps += np.abs(cols)
     zone += rows * width + cols  # the objective is on the grid, so is the step
     fleet.zone[ids] = zone
-    served = steps * (status != STATUS_CODE[DISPATCHING])
+    dispatching = status == _DISPATCHING
+    served = steps * ~dispatching
     fleet.driven[ids] += served
-    arriving = zone == target
-    mixed = np.flatnonzero(np.minimum(fleet.onboard[ids], fleet.pending[ids]))
-    for i, vid, at in zip(mixed.tolist(), ids[mixed].tolist(), zone[mixed].tolist()):
-        if at in fleet.vehicles[vid].zone_index:
-            arriving[i] = True
+    orders = fleet.orders  # each order's resolve zone; the -1 padding matches none
+    resolve = np.where(orders[ONBOARD] == 1, orders[DESTINATION], orders[ORIGIN])[ids]
+    arriving = (dispatching & (zone == target)) | (resolve == zone[:, None]).any(axis=1)
     fleet.arriving = ids[arriving].tolist()
     return int(steps.sum()), int(served.sum())
 
@@ -474,7 +451,7 @@ class FleetTable:
         self.status = np.full(len(vehicles), STATUS_CODE[IDLE], dtype=np.int64)
         self.driven = np.zeros(len(vehicles), dtype=np.int64)
         self.target = np.full(len(vehicles), -1, dtype=np.int64)  # idle: parked
-        self.arriving = []  # the vehicles the last move left where something can resolve
+        self.arriving = []  # the vehicles the last move left where something resolves
         slots = max((v.seats_total + v.trunk_total for v in vehicles), default=0)
         self.orders = np.full((len(ORDER_FIELDS), len(vehicles), slots), -1, dtype=np.int64)
         self.urgency = np.zeros((len(vehicles), slots))

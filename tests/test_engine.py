@@ -92,6 +92,22 @@ def test_initialize_places_vehicles_at_first_request_origins(tmp_path):
     assert [v.location for v in sim.vehicles] == [ZoneId(2, 3), ZoneId(7, 1), ZoneId(5, 5)]
 
 
+def test_replayed_requests_are_the_file_rows_in_file_order(tmp_path):
+    # each row of a trip file is handed out once, at its tick, in file order
+    # and with consecutive ids from 0 (no relays, whose legs take ids too)
+    cfg = small_cfg(seed=5, n_vehicles=6, baseline=BASELINE_FLEX_NOHOPS)
+    rows = engine.generate_workload(cfg, 30)
+    path = tmp_path / "trips.csv"
+    write_trip_records(path, rows)
+    cfg = replace(cfg, demand=replace(cfg.demand, trips_csv=str(path)))
+    log = Simulation(cfg).run(ticks=30, mode=engine.MODE_TRAIN)
+    got = [(e["request"], e["tick"], e["req_kind"], e["origin"], e["destination"])
+           for e in log.by_kind("request")]
+    want = [(i, r.created_tick, r.kind, list(r.origin), list(r.destination))
+            for i, r in enumerate(rows)]
+    assert got == want and len(want) > 50 and len({r.created_tick for r in rows}) > 10
+
+
 def test_initialize_same_seed_identical_state():
     def snapshot():
         sim = Simulation(small_cfg(seed=9))
@@ -275,7 +291,7 @@ def vehicle_state(v):
     """A vehicle's state with its stop plan and zone index as seen from the
     vehicle, whichever distance the stored plan is measured from, and its
     row of the fleet table but for the odometer."""
-    index = {zone: cum - v.driven for zone, cum in v.zone_index.items()}
+    index = {zone: cum - v.driven for zone, cum in fl.stop_index(v.stops).items()}
     row = {name: value for name, value in v.fleet.row(v.id).items() if name != "driven"}
     return (v.status, v.location, v.dispatch_target, manifest(v), v.remaining_stops(), index, row)
 
@@ -324,7 +340,6 @@ def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed, monkeypatch):
                 _run(*args)
                 for v in sim.vehicles:
                     assert v.remaining_stops() == v.planned_stops(), (seed, sim.tick, _phase, v.id)
-                    assert v.zone_index == fl.stop_index(v.stops), (seed, sim.tick, _phase, v.id)
                     checked += len(v.stops) > 1
                 assert sim.fleet.first_stale() is None, (seed, sim.tick, _phase)
             setattr(sim, phase, checked_phase)
@@ -335,17 +350,18 @@ def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed, monkeypatch):
 
 def arrival_state(v):
     """Everything process_arrivals may change on a vehicle: its status,
-    manifest, stop plan, zone index and whole table row."""
-    return v.status, manifest(v), v.stops, v.zone_index, v.fleet.row(v.id)
+    manifest, stop plan, order rows (with each drop_cum) and whole table row."""
+    return v.status, manifest(v), v.stops, v.rows(), v.fleet.row(v.id)
 
 
 @pytest.mark.parametrize("speed", [1, 2, 3])
 @pytest.mark.parametrize("baseline", BASELINES)
 def test_arrivals_only_where_something_can_resolve(baseline, speed, monkeypatch):
     # the engine resolves arrivals only for the vehicles the last move pass
-    # left where something can resolve (the fleet module docstring has the
-    # argument); process_arrivals on every moving vehicle of a twin fleet
-    # must give the same events and leave the same vehicles and table
+    # left where something resolves (the fleet module docstring states the
+    # rule); process_arrivals on every moving vehicle of a twin fleet must
+    # give the same events and leave the same vehicles and table, and the
+    # vehicles left arriving are exactly the twins it changes or gets events of
     process_arrivals = fl.process_arrivals
     seen = []
 
@@ -366,9 +382,16 @@ def test_arrivals_only_where_something_can_resolve(baseline, speed, monkeypatch)
         def arrivals_against_every_moving_vehicle(*args, _run=sim._arrivals):
             nonlocal skipped, resolved, on_the_way
             twin = copy.deepcopy(sim.vehicles)  # the twins share one copied table
-            want = [ev for c in twin if c.status in moving
-                    for ev in process_arrivals(c, sim.tick)]
-            candidates = set(sim.fleet.arriving)
+            want, resolving = [], []
+            for c in twin:
+                if c.status in moving:
+                    before = arrival_state(c)
+                    events = process_arrivals(c, sim.tick)
+                    want.extend(events)
+                    if events or arrival_state(c) != before:
+                        resolving.append(c.id)
+            assert sim.fleet.arriving == resolving, (seed, sim.tick)
+            candidates = set(resolving)
             skipped += sum(v.status in moving and v.id not in candidates for v in sim.vehicles)
             on_the_way += sum(v.id in candidates and v.status != fl.DISPATCHING
                               and int(sim.fleet.zone[v.id]) != int(sim.fleet.target[v.id])
@@ -528,22 +551,18 @@ def test_full_check_catches_a_stale_stop_plan():
         sim.step()
     sim.run(ticks=0)  # the true plans pass
     v = next(v for v in sim.vehicles if v.stops and v.driven)
-    stops, driven, index = list(v.stops), v.driven, dict(v.zone_index)
-    zone, cum = stops[0]
+    stops, driven = list(v.stops), v.driven
     stale = [
-        ("stops", [(z, c + 1) for z, c in stops], "stored stop plan"),
+        ("stops", [(z, c + 1) for z, c in stops]),
         # an odometer that missed a move, or counted one twice
-        ("driven", driven - 1, "stored stop plan"),
-        ("driven", driven + 1, "stored stop plan"),
-        # an index with a stop's distance wrong, or with a zone off the plan
-        ("zone_index", {**index, zone: cum - 1}, "stored zone index"),
-        ("zone_index", {**index, -1: cum}, "stored zone index"),
+        ("driven", driven - 1),
+        ("driven", driven + 1),
     ]
-    for name, value, message in stale:
+    for name, value in stale:
         setattr(v, name, value)
-        with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} {message}"):
+        with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} stored stop plan"):
             sim.run(ticks=0)
-        v.stops, v.driven, v.zone_index = list(stops), driven, dict(index)
+        v.stops, v.driven = list(stops), driven
         sim.run(ticks=0)
 
 
@@ -694,7 +713,7 @@ def corrupt_order_table(sim, case):
 
 @pytest.mark.parametrize("case", ["drop_cum", "onboard", "vehicle", "in-two-manifests"])
 def test_full_check_catches_a_stale_order_table(case):
-    # an order's drop_cum has its vehicle's zone index as a second source, its
+    # an order's drop_cum has its vehicle's stored plan as a second source, its
     # onboard flag and its vehicle the status of its leg request; a leg in two
     # manifests shows in the count of live legs
     sim = busy_sim()

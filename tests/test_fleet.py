@@ -11,6 +11,7 @@ from hopfleet.fleet import (
     MATCHED,
     SERVING,
     STATUS_CODE,
+    DESTINATION,
     DROP_CUM,
     ONBOARD,
     REQUEST,
@@ -241,10 +242,24 @@ def test_move_leaves_only_vehicles_that_can_resolve():
     add(loaded, entry(2, PASSENGER, (0, 0), (0, 1), onboard=True))
     move(empty.fleet, [empty.id, loaded.id], grid)
     assert empty.location == loaded.location == ZoneId(0, 1)
-    assert flat(empty, (0, 1)) in empty.zone_index and flat(loaded, (0, 1)) in loaded.zone_index
+    assert all(flat(v, (0, 1)) in stop_index(v.stops) for v in (empty, loaded))
     assert empty.fleet.arriving == [loaded.id]
     assert process_arrivals(empty, tick=1) == []
     assert process_arrivals(loaded, tick=1) == [DropEvent(2, loaded.id, ZoneId(0, 1), 1)]
+
+
+def test_move_leaves_out_a_vehicle_on_a_planned_zone_where_nothing_resolves():
+    # a vehicle with an onboard order bound for (0, 5) and a pickup ahead at
+    # (0, 3) stands on (0, 1), the drop zone of the order still to be picked
+    # up: a zone of its plan, but no order of its resolves there
+    grid = GridWorld(width=6, height=1)
+    v = make_vehicle(loc=(0, 0), grid=grid, status=SERVING)
+    add(v, entry(1, PASSENGER, (0, 0), (0, 5), onboard=True))
+    add(v, entry(2, PASSENGER, (0, 3), (0, 1)))
+    move_one(v, grid)
+    assert v.location == ZoneId(0, 1) and flat(v, (0, 1)) in stop_index(v.stops)
+    assert v.fleet.arriving == []
+    assert process_arrivals(v, tick=1) == []
 
 
 def test_goods_drop_at_hub_reports_drop_event():
@@ -300,8 +315,8 @@ def test_onboard_etas_take_the_first_stop_at_a_zone():
     add(v, entry(3, GOODS, (0, 1), (0, 5)))
     assert zoned(v, v.stops) == [(ZoneId(0, 1), 1), (ZoneId(0, 3), 3), (ZoneId(0, 1), 5),
                                  (ZoneId(0, 5), 9)]
-    assert dict(zoned(v, v.zone_index.items())) == {ZoneId(0, 1): 1, ZoneId(0, 3): 3,
-                                                    ZoneId(0, 5): 9}
+    assert dict(zoned(v, stop_index(v.stops).items())) == {ZoneId(0, 1): 1, ZoneId(0, 3): 3,
+                                                          ZoneId(0, 5): 9}
     assert onboard_etas(v, speed=1) == {1: 1}
     assert onboard_etas(v, speed=2) == {1: 1}
 
@@ -610,7 +625,7 @@ def route_state(v):
     """What a vehicle's route is, whichever distance the stored plan is
     measured from: the plan and its zone index as seen from the vehicle,
     and its table row but for the odometer."""
-    index = {zone: cum - v.driven for zone, cum in v.zone_index.items()}
+    index = {zone: cum - v.driven for zone, cum in stop_index(v.stops).items()}
     row = {name: value for name, value in v.fleet.row(v.id).items() if name != "driven"}
     return (v.status, v.location, manifest(v), v.remaining_stops(), index, row)
 
@@ -714,11 +729,14 @@ def test_drop_on_the_way_to_a_pickup_replans():
 
 def assert_plan_is_fresh(v):
     """The stored plan seen from the vehicle, its zone index and its route
-    ETA equal those of a plan built from scratch."""
+    ETA equal those of a plan built from scratch, and each order's drop_cum
+    is its destination's entry in the zone index of the stored plan."""
     fresh = v.planned_stops()
     assert v.remaining_stops() == fresh
-    assert {zone: cum - v.driven for zone, cum in v.zone_index.items()} == stop_index(fresh)
-    assert v.zone_index == stop_index(v.stops)
+    index = stop_index(v.stops)
+    assert {zone: cum - v.driven for zone, cum in index.items()} == stop_index(fresh)
+    cols = v.rows()
+    assert list(cols[DROP_CUM]) == [index[zone] for zone in cols[DESTINATION]]
     for speed in (1, 2, 3):
         assert v.route_eta(speed) == (math.ceil(fresh[-1][1] / speed) if fresh else 0)
 
@@ -738,7 +756,7 @@ def interleave(v, grid, rng, new_entry, steps):
             move_one(v, grid)
         elif action == 1:
             if process_arrivals(v, tick) and first[0] == flat(v, v.location):
-                repeated += flat(v, v.location) in v.zone_index
+                repeated += flat(v, v.location) in stop_index(v.stops)
             replanned += driven > 0 and v.driven == 0
         elif all(free_capacity(v)):
             add(v, new_entry(len(manifest(v)) + 100 * tick))
@@ -773,11 +791,11 @@ def test_odometer_and_zone_index_equal_a_fresh_plan(speed):
         v.dispatch_target = zone()
         for rid in range(int(rng.integers(0, 3))):
             add(v, new_entry(rid, onboard=bool(rng.random() < 0.5)))
-        built = (list(v.stops), v.driven, dict(v.zone_index))
+        built = (list(v.stops), v.driven, v.rows())
         while v.status == DISPATCHING:
             process_arrivals(v, trial)
             frozen += move_one(v, grid) > 0 and bool(v.stops)
-            assert (v.stops, v.driven, v.zone_index) == built
+            assert (v.stops, v.driven, v.rows()) == built
         add(v, new_entry(99))
         v.set_status(MATCHED)
         assert_plan_is_fresh(v)
@@ -801,7 +819,7 @@ def test_odometer_through_a_zone_planned_twice(speed):
     for tick in range(20):
         process_arrivals(v, tick)
         assert_plan_is_fresh(v)
-        indexes.append(dict(zoned(v, v.zone_index.items())))
+        indexes.append(dict(zoned(v, stop_index(v.stops).items())))
         move_one(v, grid)
         assert_plan_is_fresh(v)
     assert v.status == IDLE
@@ -822,7 +840,7 @@ def reference_late_orders(vehicles, registry, tick, speed):
             if not e.onboard:
                 continue
             req = registry[e.request_id]
-            eta = v.ticks_to(v.zone_index[flat(v, e.destination)], speed)
+            eta = v.ticks_to(stop_index(v.stops)[flat(v, e.destination)], speed)
             delay = tick - req.created_tick + eta - e.direct_ticks
             if delay > 0:
                 owner.append(v.id)
