@@ -1,4 +1,5 @@
-"""Passenger and goods request workload: generation, ingestion, and forecasting.
+"""Passenger and goods request workload: generation, ingestion, forecasting,
+and the request table that holds each request's status.
 
 Request counts per source follow a Poisson law sampled by CDF inversion from a
 seeded uniform stream, so identical seeds give bit-identical request streams.
@@ -46,6 +47,11 @@ REQUEST_TRANSITIONS = {
     DELIVERED: set(),
     REJECTED: set(),
 }
+# a request's status is stored as its index here (``RequestTable.status``)
+REQUEST_STATUSES = (QUEUED, ASSIGNED, PICKED_UP, DELIVERED, REJECTED)
+REQUEST_STATUS_CODE = {status: code for code, status in enumerate(REQUEST_STATUSES)}
+_CODE_TRANSITIONS = {(REQUEST_STATUS_CODE[old], REQUEST_STATUS_CODE[new])
+                     for old, news in REQUEST_TRANSITIONS.items() for new in news}
 
 DEFAULT_URGENCY = {PASSENGER: 1.0, GOODS: 0.5}
 
@@ -67,7 +73,9 @@ class Request:
     through ``parent_id``; only original requests (parent_id None) count in
     service metrics. A leg request's ``hops_completed`` is its index in its
     relay chain: the original request is leg 0 and each handoff at a hub
-    creates the next leg with the index after the one dropped.
+    creates the next leg with the index after the one dropped. A request
+    holds only these facts; its status is kept by the ``RequestTable`` it
+    is registered in.
     """
 
     id: int
@@ -76,7 +84,6 @@ class Request:
     destination: ZoneId
     created_tick: int
     urgency: float
-    status: str = QUEUED
     hops_completed: int = 0
     parent_id: int | None = None
 
@@ -90,10 +97,55 @@ class Request:
         if self.kind == PASSENGER and self.hops_completed:
             raise ValueError("passengers never hop")
 
-    def set_status(self, new: str):
-        if new not in REQUEST_TRANSITIONS[self.status]:
-            raise ValueError(f"request {self.id}: illegal transition {self.status} -> {new}")
-        self.status = new
+    @property
+    def chain_id(self) -> int:
+        """The primary request of the relay chain this request is a leg of
+        (its own id for a primary)."""
+        return self.id if self.parent_id is None else self.parent_id
+
+
+class RequestTable:
+    """The requests of one episode, request ``i`` at index ``i``: each one's
+    facts (``requests``), the one stored copy of its status as a code of
+    ``REQUEST_STATUSES`` (the ``status`` column) and its ``chain_id`` (the
+    ``chain`` column). Requests join queued, and every status change goes
+    through ``set_status``, which refuses what ``REQUEST_TRANSITIONS`` refuses."""
+
+    def __init__(self):
+        self.requests: list[Request] = []
+        # buffers that double when full; status and chain view their first len(self)
+        self._status = np.zeros(256, dtype=np.int8)
+        self._chain = np.zeros(256, dtype=np.int32)
+        self.status, self.chain = self._status[:0], self._chain[:0]
+
+    def __len__(self) -> int:
+        return len(self.requests)
+
+    def __getitem__(self, rid: int) -> Request:
+        return self.requests[rid]
+
+    def add(self, requests: Sequence[Request]):
+        """Register ``requests``, queued; their ids must be the next ones, in order."""
+        start, end = len(self.requests), len(self.requests) + len(requests)
+        if [r.id for r in requests] != list(range(start, end)):
+            raise ValueError(f"requests join the table under the next ids, from {start}")
+        if end > len(self._status):
+            size = max(2 * len(self._status), end)
+            self._status = np.resize(self._status, size)
+            self._chain = np.resize(self._chain, size)
+        self._status[start:end] = REQUEST_STATUS_CODE[QUEUED]
+        self._chain[start:end] = [r.chain_id for r in requests]
+        self.requests.extend(requests)
+        self.status, self.chain = self._status[:end], self._chain[:end]
+
+    def status_of(self, rid: int) -> str:
+        return REQUEST_STATUSES[self.status.item(rid)]
+
+    def set_status(self, rid: int, new: str):
+        old, code = self.status.item(rid), REQUEST_STATUS_CODE.get(new)
+        if (old, code) not in _CODE_TRANSITIONS:
+            raise ValueError(f"request {rid}: illegal transition {REQUEST_STATUSES[old]} -> {new}")
+        self.status[rid] = code
 
 
 @dataclass(frozen=True)

@@ -46,19 +46,25 @@ over the columns each:
      no decisions and pushes nothing)
   7. training mode takes one gradient step and syncs the target on schedule
 
-The invariant checks run after settling. Every tick, column expressions find
-an overcommitted vehicle (free seats or trunk slots below zero) or a status
-code outside ``VEHICLE_STATUSES``, every order is checked against its leg
-request's status (assigned, or picked up when onboard; a request queued and
-held at once fails here or on the queue's status check) and every queued
-request against its own. Every ``FULL_CHECK_EVERY`` ticks, the fleet table
-is compared with a fresh count of the status column, plans and order table
-(``first_stale``, which keeps the zone column on the grid), the stored stop
-plans with fresh ones built from the zone column (which covers the position
-and the odometer), each order's ``drop_cum`` with its vehicle's stored plan,
-and each open request's live legs are counted, which catches a leg held
-twice. Onboard orders are a subset of held ones, so a
-fresh column that is not overcommitted is within capacity too.
+The invariant checks run after settling, as passes over the fleet table and
+the request table (``demand.RequestTable``, the one stored copy of each
+request's status, as a code column beside its chain id). Every tick, column
+expressions find an overcommitted vehicle (free seats or trunk slots below
+zero) or a status code outside ``VEHICLE_STATUSES``, compare the status of
+every order's leg request with assigned, or picked up when onboard (a
+request queued and held at once fails here or on the queue's check), and
+the status of every queued request with queued. Every ``FULL_CHECK_EVERY``
+ticks, the fleet table is compared with a fresh count of the status column,
+plans and order table (``first_stale``, which keeps the zone column on the
+grid); then the stored stop plan of each vehicle that holds orders with a
+fresh one built from the zone column (which covers the position and the
+odometer), while a vehicle with none must have an empty plan, as
+``planned_stops`` would make it; each order's ``drop_cum`` with its
+vehicle's stored plan; and the live legs (the queue and the order table) are
+counted per chain with one ``np.bincount``: one for each open primary
+request, none for a delivered or rejected one, which catches a leg lost or
+held twice. Onboard orders are a subset of held ones, so a fresh column
+that is not overcommitted is within capacity too.
 
 Identical seed and config give bit-identical episode logs. ``step`` also sums
 the thread's cpu time in each phase into ``phase_seconds``, which is kept
@@ -70,7 +76,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -97,6 +102,10 @@ MODE_TRAIN = "train"
 MODE_EVAL = "eval"
 
 FULL_CHECK_EVERY = 25  # ticks between full conservation scans
+
+_QUEUED, _ASSIGNED, _PICKED_UP, _DELIVERED, _REJECTED = (
+    dm.REQUEST_STATUS_CODE[s] for s in (dm.QUEUED, dm.ASSIGNED, dm.PICKED_UP, dm.DELIVERED,
+                                        dm.REJECTED))
 
 # the parts of Simulation.step timed into Simulation.phase_seconds, in order
 PHASES = ("intake", "arrivals", "supply", "forecast", "dispatch", "match", "advance",
@@ -388,7 +397,7 @@ class Simulation:
         self.forecaster = dm.HistoricalAverageForecaster(self.grid, cfg.ticks_per_day)
         self.vehicles: list[fl.VehicleState] = []
         self.fleet: fl.FleetTable | None = None  # built with the vehicles
-        self.registry: dict[int, dm.Request] = {}
+        self.registry = dm.RequestTable()
         self.queue: list[int] = []
         self.legs: dict[int, tuple] = {}  # relayed goods id -> HopTrip.legs
         self.next_request_id = 0
@@ -537,14 +546,9 @@ class Simulation:
 
     # -- per-tick helpers ----------------------------------------------------
 
-    @staticmethod
-    def _chain_id(req: dm.Request) -> int:
-        """The primary request a leg belongs to (itself for a primary)."""
-        return req.id if req.parent_id is None else req.parent_id
-
     def _leg_for(self, req: dm.Request) -> tuple:
         """(origin, destination, is_last) of the leg a request carries."""
-        legs = self.legs.get(self._chain_id(req))
+        legs = self.legs.get(req.chain_id)
         if legs is None:
             return req.origin, req.destination, True
         o, d = legs[req.hops_completed]
@@ -553,8 +557,8 @@ class Simulation:
     def _intake(self, detail: dict):
         reqs = self._draw_requests(self.tick, self.demand_rng)
         self.forecaster.record_requests(self.tick, reqs)
+        self.registry.add(reqs)
         for r in reqs:
-            self.registry[r.id] = r
             self.queue.append(r.id)
             self.log.add(self.tick, "request", request=r.id, req_kind=r.kind,
                          origin=r.origin, destination=r.destination, parent=r.parent_id,
@@ -567,13 +571,14 @@ class Simulation:
 
     def _handle_drop(self, event: fl.DropEvent, detour: dict) -> bool:
         """Deliver the package or hand it off at a hub; True for a handoff."""
-        req = self.registry[event.request_id]
-        orig = self.registry[self._chain_id(req)]
+        registry = self.registry
+        req = registry[event.request_id]
+        orig = registry[req.chain_id]
         if req.parent_id is not None:
-            req.set_status(dm.DELIVERED)
+            registry.set_status(req.id, dm.DELIVERED)
         _, _, last = self._leg_for(req)
         if last:
-            orig.set_status(dm.DELIVERED)
+            registry.set_status(orig.id, dm.DELIVERED)
             self.log.add(event.tick, "deliver", request=orig.id, vehicle=event.vehicle_id,
                          zone=event.zone, leg=event.request_id)
             return False
@@ -586,7 +591,7 @@ class Simulation:
         child = dm.Request(self.next_request_id, dm.GOODS, o, d, event.tick, orig.urgency,
                            hops_completed=idx, parent_id=orig.id)
         self.next_request_id += 1
-        self.registry[child.id] = child
+        registry.add([child])
         self.queue.append(child.id)
         detour[event.vehicle_id] = detour.get(event.vehicle_id, 0.0) + 1.0
         self.log.add(event.tick, "hop_drop", request=orig.id, leg=event.request_id,
@@ -600,7 +605,7 @@ class Simulation:
             for event in fl.process_arrivals(self.vehicles[vid], self.tick):
                 if isinstance(event, fl.PickupEvent):
                     req = self.registry[event.request_id]
-                    req.set_status(dm.PICKED_UP)
+                    self.registry.set_status(req.id, dm.PICKED_UP)
                     self.log.add(self.tick, "pickup", request=event.request_id,
                                  parent=req.parent_id, vehicle=event.vehicle_id,
                                  zone=event.zone, wait=self.tick - req.created_tick)
@@ -657,40 +662,38 @@ class Simulation:
         cfg = self.cfg
         speed = self.grid.vehicle_speed
         # dispatched vehicles and partly filled en-route ones, in id order
-        fleet = self.fleet
+        fleet, registry = self.fleet, self.registry
         pool = np.flatnonzero(fleet.mask(fl.DISPATCHED)
                               | (fleet.mask(fl.MATCHED, fl.SERVING) & fleet.available()))
-        requests = [self.registry[rid] for rid in self.queue]
+        requests = list(map(registry.requests.__getitem__, self.queue))
         assignments = match(requests, pool, fleet, self.grid, cfg.reject_radius_zones,
                             self.match_rng)
         for a in assignments:
             v = self.vehicles[a.vehicle_id]
-            req = self.registry[a.request_id]
+            req = registry[a.request_id]
             origin, dest, _ = self._leg_for(req)
             before = v.route_eta(speed) if v.stops else None
             v.add_entry(req, origin, dest)
             if before is not None:
                 after = v.route_eta(speed)
                 detour[v.id] = detour.get(v.id, 0.0) + max(0.0, after - before)
-            req.set_status(dm.ASSIGNED)
+            registry.set_status(req.id, dm.ASSIGNED)
             if v.status in (fl.DISPATCHED, fl.SERVING):
                 v.set_status(fl.MATCHED)
             self.log.add(self.tick, "assign", request=req.id, parent=req.parent_id,
                          vehicle=v.id, slot=a.slot, eta=a.eta_ticks)
-        # expire stale primary requests; relay legs wait at their hop-zone
-        assigned = {a.request_id for a in assignments}
-        expired = [
-            r for r in requests
-            if r.id not in assigned and r.parent_id is None
-            and self.tick - r.created_tick >= cfg.patience_ticks
-        ]
+        # expire stale primary requests still queued; relay legs wait at their hop-zone
+        cutoff = self.tick - cfg.patience_ticks
+        waiting = (registry.status[self.queue] == _QUEUED).tolist()
+        expired = [r for r, queued in zip(requests, waiting)
+                   if queued and r.parent_id is None and r.created_tick <= cutoff]
         for r in expired:
-            r.set_status(dm.REJECTED)
+            registry.set_status(r.id, dm.REJECTED)
             self.legs.pop(r.id, None)
             self.log.add(self.tick, "reject", request=r.id, req_kind=r.kind)
-        if assigned or expired:
-            gone = assigned.union(r.id for r in expired)
-            self.queue = [rid for rid in self.queue if rid not in gone]
+        if assignments or expired:
+            queue = np.array(self.queue, dtype=np.int64)
+            self.queue = queue[registry.status[queue] == _QUEUED].tolist()
         detail["assigned"] = len(assignments)
         detail["rejected"] = len(expired)
 
@@ -766,7 +769,7 @@ class Simulation:
                 f"the vehicle says {counted}", vid))
 
     def _check_invariants(self, full: bool):
-        fleet = self.fleet
+        fleet, registry = self.fleet, self.registry
         over = (fleet.seats_free < 0) | (fleet.trunk_free < 0)
         broken = over | (fleet.status < 0) | (fleet.status >= len(fl.VEHICLE_STATUSES))
         if broken.any():
@@ -774,30 +777,37 @@ class Simulation:
             what = "overcommitted" if over[vid] else f"bad status code {fleet.status[vid]}"
             raise EngineInvariantError(self._dump(f"vehicle {vid} {what}", vid))
         # every order against its leg request: assigned, or picked up once onboard
-        orders, registry = fleet.orders, self.registry
+        orders = fleet.orders
         live = orders[fl.REQUEST] >= 0  # row-major: by vehicle, then manifest position
-        rids = orders[fl.REQUEST][live].tolist()
-        onboard = orders[fl.ONBOARD][live].tolist()
-        expect = list(map((dm.ASSIGNED, dm.PICKED_UP).__getitem__, onboard))
-        got = list(map(attrgetter("status"), map(registry.__getitem__, rids)))
-        if got != expect:
-            i = next(i for i, pair in enumerate(zip(got, expect)) if pair[0] != pair[1])
+        rids = orders[fl.REQUEST][live]
+        expect = np.where(orders[fl.ONBOARD][live] == 1, _PICKED_UP, _ASSIGNED)
+        got = registry.status[rids]
+        wrong = got != expect
+        if wrong.any():
+            i = int(np.argmax(wrong))
             vid = int(np.nonzero(live)[0][i])
             raise EngineInvariantError(self._dump(
-                f"request {rids[i]} status {got[i]} vs manifest {expect[i]} on vehicle {vid}", vid))
-        for rid in self.queue:
-            if registry[rid].status != dm.QUEUED:
-                raise EngineInvariantError(self._dump(f"queued request {rid} not in queued status"))
+                f"request {rids[i]} status {dm.REQUEST_STATUSES[got[i]]} vs manifest "
+                f"{dm.REQUEST_STATUSES[expect[i]]} on vehicle {vid}", vid))
+        unqueued = registry.status[self.queue] != _QUEUED
+        if unqueued.any():
+            rid = self.queue[int(np.argmax(unqueued))]
+            raise EngineInvariantError(self._dump(f"queued request {rid} not in queued status"))
         if not full:
             return
         self._check_fleet_table()
-        for v in self.vehicles:
-            if v.remaining_stops() != v.planned_stops():
-                raise EngineInvariantError(self._dump(
-                    f"vehicle {v.id} stored stop plan is stale", v.id))
+        # the fleet table now vouches for each vehicle's order count: a
+        # vehicle with no orders has an empty plan, as planned_stops makes it
+        vehicles, held = self.vehicles, fleet.onboard + fleet.pending
+        stale = [vid for vid in np.flatnonzero(held == 0).tolist() if vehicles[vid].stops]
+        stale += [vid for vid in np.flatnonzero(held).tolist()
+                  if vehicles[vid].remaining_stops() != vehicles[vid].planned_stops()]
+        if stale:
+            vid = min(stale)
+            raise EngineInvariantError(self._dump(f"vehicle {vid} stored stop plan is stale", vid))
         # each order's drop_cum is its destination's entry in the zone index of its vehicle's plan
-        index = [fl.stop_index(v.stops) for v in self.vehicles]
         vids = np.nonzero(live)[0].tolist()
+        index = {vid: fl.stop_index(vehicles[vid].stops) for vid in dict.fromkeys(vids)}
         indexed = [index[vid].get(zone)
                    for vid, zone in zip(vids, orders[fl.DESTINATION][live].tolist())]
         stored = orders[fl.DROP_CUM][live].tolist()
@@ -808,18 +818,17 @@ class Simulation:
                 f"is stale, the zone index says {indexed[i]}", vids[i]))
         # an open primary request has exactly one live leg, queued or in a
         # manifest; a delivered or rejected one has none
-        legs: dict[int, int] = {}
-        for rid in [*self.queue, *rids]:
-            chain_id = self._chain_id(registry[rid])
-            legs[chain_id] = legs.get(chain_id, 0) + 1
-        for req in registry.values():
-            if req.parent_id is not None:
-                continue
-            n = legs.get(req.id, 0)
-            expect = 0 if req.status in (dm.DELIVERED, dm.REJECTED) else 1
-            if n != expect:
-                raise EngineInvariantError(self._dump(
-                    f"request {req.id} ({req.status}) has {n} live legs, expected {expect}"))
+        chain, status = registry.chain, registry.status
+        legs = np.bincount(chain[np.concatenate([np.asarray(self.queue, dtype=np.int64), rids])],
+                           minlength=len(registry))
+        expect = ((chain == np.arange(len(registry)))
+                  & (status != _DELIVERED) & (status != _REJECTED))
+        bad = np.flatnonzero(legs != expect)
+        if len(bad):
+            rid = int(bad[0])
+            raise EngineInvariantError(self._dump(
+                f"request {rid} ({registry.status_of(rid)}) has {legs[rid]} live legs, "
+                f"expected {int(expect[rid])}"))
 
     # -- main loop -----------------------------------------------------------
 

@@ -26,9 +26,10 @@ A ``FleetTable`` holds the vehicles (vehicle ``i`` at index ``i``) and is
 the one stored copy of their status, zone, odometer, objective, capacity
 and manifests, each an int column: the objective ``target`` is the dispatch
 target while dispatching, the plan's first stop while matched or serving,
-and -1 when parked; the capacity columns are the free seats, free trunk
-slots, onboard count and pending pickups. ``VehicleState.status``,
-``location``, ``driven`` and ``dispatch_target`` are views of the columns.
+and -1 when parked; the capacity columns are the seats and trunk slots,
+free seats, free trunk slots, onboard count and pending pickups.
+``VehicleState.status``, ``location``, ``driven``, ``dispatch_target``,
+``seats_total`` and ``trunk_total`` are views of the columns.
 The order table ``orders[field, vehicle, slot]`` holds each vehicle's
 orders from slot 0 in manifest order, one plane per field of
 ``ORDER_FIELDS`` (``urgency`` a float plane), so a row-major pass meets
@@ -54,7 +55,7 @@ resolves, and the engine calls ``process_arrivals`` for those alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -110,23 +111,33 @@ class DropEvent(NamedTuple):
     tick: int
 
 
-@dataclass
 class VehicleState:
-    """One vehicle; its status, position, odometer, objective and orders
-    are its rows of the table it is built into (``FleetTable``)."""
+    """One vehicle; its status, position, odometer, objective, capacity and
+    orders are its rows of the table it is built into (``FleetTable``),
+    which takes its seats and trunk slots from here when it is built."""
 
-    id: int
-    seats_total: int
-    trunk_total: int
-    stops: list = field(default_factory=list)  # planned_stops() where it was built
-    # the table whose row ``id`` this vehicle is, set when the table is built
-    fleet: FleetTable = field(init=False, repr=False, compare=False)
+    fleet: FleetTable  # the table whose row ``id`` this vehicle is, set when it is built
+
+    def __init__(self, id: int, seats_total: int, trunk_total: int):
+        self.id = id
+        self.stops = []  # planned_stops() where it was built
+        # the totals until a table takes them, None after; the key stays, as
+        # deleting an attribute slows every attribute read of the instance
+        self._capacity = (seats_total, trunk_total)
 
     # ---- the vehicle's row ------------------------------------------------
 
     @property
     def status(self) -> str:
         return VEHICLE_STATUSES[self.fleet.status.item(self.id)]
+
+    @property
+    def seats_total(self) -> int:
+        return self.fleet.seats_total.item(self.id)
+
+    @property
+    def trunk_total(self) -> int:
+        return self.fleet.trunk_total.item(self.id)
 
     @property
     def location(self) -> ZoneId:
@@ -219,8 +230,8 @@ class VehicleState:
         if changed is None or changed in cols[DESTINATION]:
             index = stop_index(self.stops)
             fleet.orders[DROP_CUM, vid, :count] = list(map(index.__getitem__, cols[DESTINATION]))
-        fleet.seats_free[vid] = self.seats_total - kinds.count(0)
-        fleet.trunk_free[vid] = self.trunk_total - kinds.count(1)
+        fleet.seats_free[vid] = fleet.seats_total.item(vid) - kinds.count(0)
+        fleet.trunk_free[vid] = fleet.trunk_total.item(vid) - kinds.count(1)
         fleet.onboard[vid] = onboard
         fleet.pending[vid] = count - onboard
         self.aim(code)
@@ -232,41 +243,40 @@ class VehicleState:
 
         Returns [(flat zone, cumulative_distance)], merging co-located
         events. The next stop is the nearest pending pickup, or once none is
-        left the nearest drop; equal distances go to the smaller zone.
-        ``cols`` are the orders as ``rows`` reads them, when in hand.
+        left the nearest drop; equal distances go to the smaller flat zone,
+        which orders zones as (row, col) does. ``cols`` are the orders as
+        ``rows`` reads them, when in hand.
         """
         cols = self.rows() if cols is None else cols
         if not cols[REQUEST]:
             return []
         width = self.fleet.grid.width
-        row, col = divmod(self.fleet.zone.item(self.id), width)
-        cum = 0
-        origins, carried, drops = [], [], []  # (row, col) pairs; carried: the origins' drops
+        pickups: dict = {}  # flat origin -> the destinations its pickups carry
+        drops = set()
         for o, d, on in zip(cols[ORIGIN], cols[DESTINATION], cols[ONBOARD]):
             if on:
-                drops.append(divmod(d, width))
+                drops.add(d)
+            elif o in pickups:
+                pickups[o].append(d)
             else:
-                origins.append(divmod(o, width))
-                carried.append(divmod(d, width))
+                pickups[o] = [d]
+        row, col = divmod(self.fleet.zone.item(self.id), width)
+        cum = 0
         stops = []
-        while origins or drops:
-            zone, dist = None, math.inf
-            for z in origins or drops:
+        while pickups or drops:
+            zone, dist = -1, math.inf
+            for z in pickups or drops:
                 # manhattan(), inlined: a call per candidate costs more than the rest
-                z_row, z_col = z
-                d = ((row - z_row if row > z_row else z_row - row)
-                     + (col - z_col if col > z_col else z_col - col))
+                d = abs(z // width - row) + abs(z % width - col)
                 if d < dist or (d == dist and z < zone):
                     zone, dist = z, d
             cum += dist
-            row, col = zone
-            stops.append((row * width + col, cum))
+            row, col = divmod(zone, width)
+            stops.append((zone, cum))
             # everything co-located resolves at this stop
-            if zone in origins:
-                drops += [d for o, d in zip(origins, carried) if o == zone]
-                carried = [d for o, d in zip(origins, carried) if o != zone]
-                origins = [o for o in origins if o != zone]
-            drops = [d for d in drops if d != zone]
+            if zone in pickups:
+                drops.update(pickups.pop(zone))
+            drops.discard(zone)
         return stops
 
     def remaining_stops(self) -> list:
@@ -399,15 +409,15 @@ def fleet_columns(fleet: FleetTable) -> dict:
     off = (fleet.zone < 0) | (fleet.zone >= grid.height * grid.width)
     if off.any():
         grid.require(divmod(int(fleet.zone[np.argmax(off)]), grid.width))
-    first = np.array([v.stops[0][0] if v.stops else -1 for v in fleet.vehicles], dtype=np.int64)
-    busy = (fleet.status == _MATCHED) | (fleet.status == _SERVING)
-    totals = np.array([(v.seats_total, v.trunk_total) for v in fleet.vehicles],
-                      dtype=np.int64).reshape(-1, 2)
+    # the first stop of each matched or serving vehicle's plan, -1 for any other
+    first = np.full(len(fleet.vehicles), -1, dtype=np.int64)
+    busy = np.flatnonzero((fleet.status == _MATCHED) | (fleet.status == _SERVING)).tolist()
+    first[busy] = [stops[0][0] if (stops := fleet.vehicles[vid].stops) else -1 for vid in busy]
     kind, onboard = fleet.orders[KIND], fleet.orders[ONBOARD]
     return {
-        "target": np.where(fleet.status == _DISPATCHING, fleet.target, np.where(busy, first, -1)),
-        "seats_free": totals[:, 0] - np.count_nonzero(kind == KINDS.index(PASSENGER), axis=1),
-        "trunk_free": totals[:, 1] - np.count_nonzero(kind == KINDS.index(GOODS), axis=1),
+        "target": np.where(fleet.status == _DISPATCHING, fleet.target, first),
+        "seats_free": fleet.seats_total - np.count_nonzero(kind == KINDS.index(PASSENGER), axis=1),
+        "trunk_free": fleet.trunk_total - np.count_nonzero(kind == KINDS.index(GOODS), axis=1),
         "onboard": np.count_nonzero(onboard == 1, axis=1),
         "pending": np.count_nonzero(onboard == 0, axis=1),
     }
@@ -433,8 +443,9 @@ def late_orders(fleet: FleetTable, tick: int, speed: int) -> tuple:
 
 class FleetTable:
     """The vehicles of one grid, vehicle ``i`` at index ``i``, idle and at
-    ``locations[i]``; their columns (``COLUMNS`` and the odometer
-    ``driven``), written by the vehicles and by ``move``; and their orders,
+    ``locations[i]``; their columns (``COLUMNS``, the odometer ``driven``
+    and the totals ``seats_total`` and ``trunk_total``, which nothing
+    writes), written by the vehicles and by ``move``; and their orders,
     as many slots each as the largest vehicle holds, -1 past a vehicle's
     orders (whose urgency is not read). A location off the grid raises
     InvalidZoneError."""
@@ -452,11 +463,15 @@ class FleetTable:
         self.driven = np.zeros(len(vehicles), dtype=np.int64)
         self.target = np.full(len(vehicles), -1, dtype=np.int64)  # idle: parked
         self.arriving = []  # the vehicles the last move left where something resolves
-        slots = max((v.seats_total + v.trunk_total for v in vehicles), default=0)
+        # each vehicle's totals: as it was built with them, or as the table it leaves holds them
+        totals = np.array([v._capacity or (v.seats_total, v.trunk_total) for v in vehicles],
+                          dtype=np.int64).reshape(-1, 2)
+        self.seats_total, self.trunk_total = totals[:, 0].copy(), totals[:, 1].copy()
+        slots = int(totals.sum(axis=1).max(initial=0))
         self.orders = np.full((len(ORDER_FIELDS), len(vehicles), slots), -1, dtype=np.int64)
         self.urgency = np.zeros((len(vehicles), slots))
         for v in self.vehicles:
-            v.fleet = self
+            v._capacity, v.fleet = None, self
         for name, column in fleet_columns(self).items():
             setattr(self, name, column)
 

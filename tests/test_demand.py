@@ -8,7 +8,11 @@ from hopfleet.demand import (
     GOODS,
     PASSENGER,
     HistoricalAverageForecaster,
+    REQUEST_STATUS_CODE,
+    REQUEST_STATUSES,
+    REQUEST_TRANSITIONS,
     Request,
+    RequestTable,
     ServiceLocation,
     TripDistribution,
     TripRecordError,
@@ -438,14 +442,69 @@ def test_forecast_nonnegative_and_horizon_length(grid):
 
 
 def test_request_lifecycle_guards():
+    table = RequestTable()
     r = Request(0, GOODS, ZoneId(0, 0), ZoneId(1, 1), 0, 0.5)
-    r.set_status("assigned")
-    r.set_status("picked_up")
+    table.add([r])
+    table.set_status(0, "assigned")
+    table.set_status(0, "picked_up")
     with pytest.raises(ValueError):
-        r.set_status("rejected")
-    r.set_status("delivered")
-    assert r.status == "delivered"
+        table.set_status(0, "rejected")
+    table.set_status(0, "delivered")
+    assert table.status_of(0) == "delivered"
+    assert not hasattr(r, "status")
     with pytest.raises(ValueError):
         Request(1, PASSENGER, ZoneId(0, 0), ZoneId(0, 0), 0, 1.0)
     with pytest.raises(ValueError):
         Request(2, PASSENGER, ZoneId(0, 0), ZoneId(1, 1), 0, 1.0, hops_completed=2)
+
+
+# a legal path from queued to each status
+PATH_TO = {"queued": [], "assigned": ["assigned"], "picked_up": ["assigned", "picked_up"],
+           "delivered": ["assigned", "picked_up", "delivered"], "rejected": ["rejected"]}
+
+
+@pytest.mark.parametrize("old", REQUEST_STATUSES)
+@pytest.mark.parametrize("new", [*REQUEST_STATUSES, "lost"])
+def test_request_table_refuses_what_the_transitions_refuse(old, new):
+    # the table is the one copy of each status; it takes every transition
+    # REQUEST_TRANSITIONS allows and refuses every other, the status unchanged
+    table = RequestTable()
+    table.add([Request(0, PASSENGER, ZoneId(0, 0), ZoneId(1, 1), 0, 1.0),
+               Request(1, GOODS, ZoneId(0, 0), ZoneId(1, 1), 0, 0.5)])
+    for status in PATH_TO[old]:
+        table.set_status(1, status)
+    assert table.status_of(1) == old and table.status_of(0) == "queued"
+    if new in REQUEST_TRANSITIONS[old]:
+        table.set_status(1, new)
+        assert table.status.tolist() == [REQUEST_STATUS_CODE["queued"], REQUEST_STATUS_CODE[new]]
+        return
+    with pytest.raises(ValueError, match=f"^request 1: illegal transition {old} -> {new}$"):
+        table.set_status(1, new)
+    assert table.status_of(1) == old
+
+
+def test_request_table_columns_grow_with_the_requests():
+    # requests join queued under the next ids; the chain column holds each
+    # one's own id, or its parent's for a relay leg
+    table = RequestTable()
+    with pytest.raises(ValueError, match="next ids, from 0"):
+        table.add([Request(1, PASSENGER, ZoneId(0, 0), ZoneId(1, 1), 0, 1.0)])
+    chains = []
+    for rid in range(600):  # past the first buffer
+        parent = rid - 1 if rid % 3 == 2 else None
+        table.add([Request(rid, GOODS, ZoneId(0, 0), ZoneId(1, 1), 0, 0.5,
+                           hops_completed=int(parent is not None), parent_id=parent)])
+        chains.append(rid if parent is None else parent)
+        if rid % 7 == 0:
+            table.set_status(rid, "rejected")
+    assert len(table) == len(table.status) == len(table.chain) == 600
+    assert table.chain.tolist() == chains
+    assert [table.status_of(rid) for rid in range(600)] == [
+        "rejected" if rid % 7 == 0 else "queued" for rid in range(600)]
+    assert [table[rid].id for rid in range(600)] == list(range(600))
+    assert table.status.dtype.itemsize == 1 and table.chain.dtype.itemsize == 4
+    assert [table[rid].chain_id for rid in (0, 2, 599)] == [0, 1, 598]
+    # the buffers hold more entries than the table: an id past its end is refused
+    for read in (table.status_of, lambda rid: table.set_status(rid, "assigned")):
+        with pytest.raises(IndexError):
+            read(600)

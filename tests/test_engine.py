@@ -214,8 +214,7 @@ def test_goods_relay_three_legs_indexed_by_hops_completed():
     assert len(deliver) == 1 and deliver[0]["request"] == 0
     assert tuple(deliver[0]["zone"]) == (0, 9)
 
-    legs = sorted((r for r in sim.registry.values() if 0 in (r.id, r.parent_id)),
-                  key=lambda r: r.id)
+    legs = [sim.registry[rid] for rid in np.flatnonzero(sim.registry.chain == 0).tolist()]
     assert [r.hops_completed for r in legs] == [0, 1, 2]
     # each leg request was picked up and dropped at the ends of the leg its
     # hops_completed indexes
@@ -224,7 +223,7 @@ def test_goods_relay_three_legs_indexed_by_hops_completed():
     for r in legs:
         origin, dest = sim.legs[0][r.hops_completed]
         assert (picked[r.id], dropped[r.id]) == (tuple(origin), tuple(dest))
-        assert r.status == dm.DELIVERED
+        assert sim.registry.status_of(r.id) == dm.DELIVERED
 
 
 def relay_waiting_at_hub():
@@ -240,7 +239,8 @@ def relay_waiting_at_hub():
         if sim.log.by_kind("hop_drop"):
             break
     assert sim.log.by_kind("hop_drop"), "the first leg reached no hub within 30 ticks"
-    leg = next(r for r in sim.registry.values() if r.parent_id == 0)
+    leg = sim.registry[int(np.flatnonzero(sim.registry.chain == 0)[-1])]
+    assert leg.parent_id == 0
     assert sim.queue == [leg.id]
     sim.run(ticks=0)  # the intact relay passes the full conservation check
     return sim, leg
@@ -258,6 +258,35 @@ def test_conservation_check_catches_a_duplicated_leg():
     sim.queue.append(leg.id)
     with pytest.raises(EngineInvariantError, match="request 0 .* 2 live legs, expected 1"):
         sim.run(ticks=0)
+
+
+@pytest.mark.parametrize("closed", [dm.DELIVERED, dm.REJECTED])
+def test_conservation_check_catches_a_leg_of_a_closed_request(closed):
+    # a delivered or rejected primary request has no live leg; the relay's
+    # primary is picked up, so delivery is a legal transition, and a
+    # rejection is written into the status column, its one copy
+    sim, leg = relay_waiting_at_hub()
+    if closed == dm.DELIVERED:
+        sim.registry.set_status(0, dm.DELIVERED)
+    else:
+        sim.registry.status[0] = dm.REQUEST_STATUS_CODE[dm.REJECTED]
+    with pytest.raises(EngineInvariantError,
+                       match=rf"request 0 \({closed}\) has 1 live legs, expected 0"):
+        sim.run(ticks=0)
+
+
+def test_full_check_catches_a_plan_on_a_vehicle_without_orders():
+    # a vehicle that holds no orders is checked against the empty plan
+    # planned_stops makes for it, without building one
+    sim = busy_sim()
+    sim.run(ticks=0)
+    v = next(v for v in sim.vehicles if not manifest(v))
+    assert v.status not in (fl.MATCHED, fl.SERVING) and v.stops == []
+    v.stops = [(int(sim.fleet.zone[v.id]), 0)]
+    with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} stored stop plan is stale"):
+        sim.run(ticks=0)
+    v.stops = []
+    sim.run(ticks=0)
 
 
 def reference_process_arrivals(v, tick):
@@ -667,7 +696,7 @@ def corrupt_light(sim, case):
         sim.queue.append(rid)
         return f"queued request {rid} not in queued status"
     queued = sim.queue[0]
-    sim.registry[queued].status = dm.ASSIGNED
+    sim.registry.set_status(queued, dm.ASSIGNED)
     return f"queued request {queued} not in queued status"
 
 
@@ -708,7 +737,7 @@ def corrupt_order_table(sim, case):
     # a copy of the order on a second vehicle, every column of it consistent
     u = next(u for u in sim.vehicles if u is not v and free_capacity(u)[e.kind == GOODS])
     add(u, e)
-    return f"request {sim._chain_id(sim.registry[e.request_id])} .* has 2 live legs, expected 1"
+    return f"request {sim.registry.chain[e.request_id]} .* has 2 live legs, expected 1"
 
 
 @pytest.mark.parametrize("case", ["drop_cum", "onboard", "vehicle", "in-two-manifests"])
@@ -738,17 +767,19 @@ def test_dump_shows_the_named_vehicle_past_the_first_twenty():
     assert record["table"]["seats_free"] == seats_free + 1
     assert record["location"] == list(sim.vehicles[30].location)
     sim.fleet.seats_free[30] -= 1
-    # a stale manifest entry: request 999 is queued, not assigned
-    sim.registry[999] = Request(999, PASSENGER, ZoneId(0, 0), ZoneId(0, 1), 0, 1.0)
-    add(sim.vehicles[30], ManifestEntry(999, PASSENGER, ZoneId(0, 0), ZoneId(0, 1)))
-    with pytest.raises(EngineInvariantError, match="request 999 status queued") as info:
+    # a stale manifest entry: the request joins the table queued, not assigned
+    rid = sim.next_request_id
+    sim.registry.add([Request(rid, PASSENGER, ZoneId(0, 0), ZoneId(0, 1), 0, 1.0)])
+    sim.next_request_id += 1
+    add(sim.vehicles[30], ManifestEntry(rid, PASSENGER, ZoneId(0, 0), ZoneId(0, 1)))
+    with pytest.raises(EngineInvariantError, match=f"request {rid} status queued") as info:
         sim.run(ticks=0)
     dump = json.loads(str(info.value).split("state dump: ", 1)[1])
     assert [v["id"] for v in dump["vehicles"]] == [*range(20), 30]
     orders = dump["vehicles"][-1]["orders"]
     assert sorted(orders) == sorted(fl.ORDER_FIELDS)
     assert (orders["request"], orders["kind"], orders["onboard"]) == (
-        [999], [fl.KINDS.index(PASSENGER)], [0])
+        [rid], [fl.KINDS.index(PASSENGER)], [0])
     # a dump that names one of the first twenty shows it once
     assert [v["id"] for v in json.loads(sim._dump("probe", 3).split("state dump: ")[1])
             ["vehicles"]] == list(range(20))
@@ -804,12 +835,13 @@ def test_goods_conservation_over_episode():
     picked = {e["request"]: e["tick"] for e in log.by_kind("pickup") if e["parent"] is None}
     delivered = {e["request"]: e["tick"] for e in log.by_kind("deliver")}
     checked = 0
-    for req in sim.registry.values():
+    for req in sim.registry.requests:
         if req.parent_id is not None or req.kind != GOODS:
             continue
-        assert req.status in (dm.QUEUED, dm.ASSIGNED, dm.PICKED_UP, dm.DELIVERED, dm.REJECTED)
-        assert (req.id in delivered) == (req.status == dm.DELIVERED)
-        if req.status == dm.DELIVERED:
+        status = sim.registry.status_of(req.id)
+        assert status in (dm.QUEUED, dm.ASSIGNED, dm.PICKED_UP, dm.DELIVERED, dm.REJECTED)
+        assert (req.id in delivered) == (status == dm.DELIVERED)
+        if status == dm.DELIVERED:
             assert req.created_tick <= picked[req.id] <= delivered[req.id]
             checked += 1
     assert checked

@@ -115,6 +115,27 @@ def test_status_is_the_table_column_alone():
         VehicleState(id=0, seats_total=4, trunk_total=5, status=IDLE)
 
 
+def test_totals_are_the_table_columns_alone():
+    # a table takes each vehicle's seats and trunk slots when it is built;
+    # the vehicle then holds none and reads them from the table's columns
+    grid = GridWorld(width=4, height=4)
+    vehicles = [VehicleState(id=0, seats_total=4, trunk_total=5),
+                VehicleState(id=1, seats_total=0, trunk_total=2)]
+    fleet = FleetTable(vehicles, grid, [ZoneId(0, 0)] * 2)
+    assert (fleet.seats_total.tolist(), fleet.trunk_total.tolist()) == ([4, 0], [5, 2])
+    assert all(v._capacity is None and v.fleet is fleet for v in vehicles)
+    assert (vehicles[1].seats_total, vehicles[1].trunk_total) == (0, 2)
+    assert (fleet.seats_free.tolist(), fleet.trunk_free.tolist()) == ([4, 0], [5, 2])
+    fleet.seats_total[1] = 3
+    assert vehicles[1].seats_total == 3 and type(vehicles[1].seats_total) is int
+    assert fleet_columns(fleet)["seats_free"].tolist() == [4, 3]
+    # a table built anew from the same vehicles takes the totals the old one holds
+    again = FleetTable(vehicles, grid, [ZoneId(1, 1)] * 2)
+    assert all(v.fleet is again for v in vehicles)
+    assert (again.seats_total.tolist(), again.seats_free.tolist()) == ([4, 3], [4, 3])
+    assert again.orders.shape[2] == 9  # slots for the largest vehicle: 4 seats, 5 trunk slots
+
+
 def test_dispatching_arrival_becomes_dispatched():
     v = make_vehicle(loc=(2, 2), status=DISPATCHING)
     v.dispatch_target = ZoneId(2, 2)

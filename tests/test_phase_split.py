@@ -1,11 +1,12 @@
 """``tools/phase_split.py`` prints every part of a benchmark workload's
-set-up and every phase of its tick 0 and of its steady ticks."""
+set-up and every phase of its tick 0, of its steady ticks and of its
+full-check ticks."""
 
 import subprocess
 import sys
 from pathlib import Path
 
-from hopfleet.engine import PHASES
+from hopfleet.engine import FULL_CHECK_EVERY, PHASES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,12 +23,15 @@ def test_phase_split_prints_every_phase():
     assert result.returncode == 0, result.stderr[-2000:]
     lines = result.stdout.strip().splitlines()
     assert lines[0] == "desk_train_replay seed 1: 1 x 500 ticks"
-    # three blocks of a title, a header and one row per part or phase: the
-    # set-up and tick 0, in ms per world, then the steady ticks after it, in
-    # ms per tick
+    # four blocks of a title, a header and one row per part or phase: the
+    # set-up and tick 0, in ms per world, then the steady ticks after it and,
+    # apart from them, the full-check ticks, in ms per tick
+    assert FULL_CHECK_EVERY == 25
     blocks = [("set-up: ", "ms/world", "part", SETUP_PARTS),
               ("tick 0: ", "ms/world", "phase", list(PHASES)),
-              ("ticks 1..499: ", "ms/tick", "phase", list(PHASES))]
+              ("ticks 1..499 but every 25th, 480 ticks: ", "ms/tick", "phase", list(PHASES)),
+              ("full-check ticks 25..475 every 25th, 19 ticks: ", "ms/tick", "phase",
+               list(PHASES))]
     assert len(lines) == 1 + sum(len(rows) + 2 for *_, rows in blocks)
     start = 1
     for title, unit, label, names in blocks:
@@ -40,6 +44,9 @@ def test_phase_split_prints_every_phase():
         total = float(block[0].split()[-2])
         assert abs(sum(float(row[1]) for row in rows) - total) < 0.01
         # every set-up part but the rest takes time, and every phase runs in
-        # the steady ticks
-        if label == "part" or title.startswith("ticks"):
+        # the steady ticks and in the full-check ticks
+        if label == "part" or not title.startswith("tick 0"):
             assert all(float(row[1]) > 0 for row in rows if row[0] != "other"), rows
+    # a full check costs more than the light pass of a steady tick
+    checks = [float(line.split()[1]) for line in lines if line.startswith("checks")]
+    assert checks[2] > checks[1]

@@ -7,8 +7,10 @@ builds them (its ``WORKLOADS``, ``world_seeds`` and ``set_up``), and prints
 ``Simulation.phase_seconds`` summed over them: the thread's cpu time in each
 phase of ``Simulation.step``, as a share of the tick. Tick 0, where every
 vehicle of the fleet is idle and decides, is printed in ms per world, apart
-from the steady ticks after it, in ms per tick, which ``tick_ms.p50``
-measures. Set-up, which ``setup_s`` measures, is printed first, in ms per
+from the ticks after it, in ms per tick: first the steady ticks, which
+``tick_ms.p50`` measures, then apart from them the full-check ticks (every
+``FULL_CHECK_EVERY``-th), which run the full invariant check and weigh on
+``tick_ms.p95``. Set-up, which ``setup_s`` measures, is printed first, in ms per
 world, split into the parts of ``SETUP_PARTS``; the split comes from the
 thread time at the calls that bound each part, which are wrapped for the
 set-up and restored after it. Run it from the root of a source checkout; it
@@ -88,15 +90,17 @@ def timed_set_up(prog, wl, world: int, trips) -> tuple:
 
 def phase_split(workload: str, seed: int, worlds: int = 0) -> dict:
     """Set-up seconds by part (``setup``) and phase seconds summed over the
-    workload's worlds, for tick 0 (``opening``) and for the ticks after it
-    (``steady``); the worlds run and the steady ticks among them."""
+    workload's worlds, for tick 0 (``opening``), the ticks after it without
+    a full check (``steady``) and those with one (``full``); the worlds run
+    and the ticks in each block (``counts``)."""
     prog = bench.load_program()
     wl = bench.WORKLOADS[workload]
+    full_every = prog.engine.FULL_CHECK_EVERY
     setup = dict.fromkeys(SETUP_PARTS, 0.0)
-    opening = dict.fromkeys(prog.engine.PHASES, 0.0)
-    steady = dict.fromkeys(prog.engine.PHASES, 0.0)
+    blocks = {block: dict.fromkeys(prog.engine.PHASES, 0.0)
+              for block in ("opening", "steady", "full")}
+    counts = dict.fromkeys(blocks, 0)
     seeds = bench.world_seeds(seed, worlds or wl.worlds)
-    ticks = 0
     with tempfile.TemporaryDirectory() as work_dir:
         for world in seeds:
             trips = (bench.write_trips(prog, wl, world, Path(work_dir) / f"trips-{world}.csv")
@@ -104,22 +108,21 @@ def phase_split(workload: str, seed: int, worlds: int = 0) -> dict:
             sim, parts = timed_set_up(prog, wl, world, trips)
             for part, seconds in parts.items():
                 setup[part] += seconds
-            first = {}
 
-            def step(_step=sim.step, _sim=sim, _first=first):
+            def step(_step=sim.step, _sim=sim):
+                tick = _sim.tick
+                block = "opening" if tick == 0 else "full" if tick % full_every == 0 else "steady"
+                before = dict(_sim.phase_seconds)
                 detail = _step()
-                if _sim.tick == 1:
-                    _first.update(_sim.phase_seconds)
+                for phase, seconds in _sim.phase_seconds.items():
+                    blocks[block][phase] += seconds - before[phase]
+                counts[block] += 1
                 return detail
 
             sim.step = step
             sim.run(mode=wl.mode)
-            for phase, seconds in sim.phase_seconds.items():
-                opening[phase] += first.get(phase, 0.0)
-                steady[phase] += seconds - first.get(phase, 0.0)
-            ticks += max(sim.tick - 1, 0)
-    return {"setup": setup, "opening": opening, "steady": steady, "worlds": len(seeds),
-            "ticks": ticks}
+    return {"setup": setup, **blocks, "worlds": len(seeds), "counts": counts,
+            "full_every": full_every}
 
 
 def print_block(title: str, seconds: dict, count: int, unit: str, label: str = "phase"):
@@ -137,11 +140,16 @@ def main(argv=None) -> int:
     parser.add_argument("--worlds", type=int, default=0, help="0: the workload's own count")
     args = parser.parse_args(argv)
     split = phase_split(args.workload, args.seed, args.worlds)
-    worlds, steady = split["worlds"], split["ticks"] // split["worlds"]
-    print(f"{args.workload} seed {args.seed}: {worlds} x {steady + 1} ticks")
+    worlds, counts, every = split["worlds"], split["counts"], split["full_every"]
+    last = (counts["steady"] + counts["full"]) // worlds
+    print(f"{args.workload} seed {args.seed}: {worlds} x {last + 1} ticks")
     print_block("set-up", split["setup"], worlds, "ms/world", "part")
     print_block("tick 0", split["opening"], worlds, "ms/world")
-    print_block(f"ticks 1..{steady}", split["steady"], split["ticks"], "ms/tick")
+    print_block(f"ticks 1..{last} but every {every}th, {counts['steady'] // worlds} ticks",
+                split["steady"], counts["steady"], "ms/tick")
+    if counts["full"]:
+        print_block(f"full-check ticks {every}..{last // every * every} every {every}th, "
+                    f"{counts['full'] // worlds} ticks", split["full"], counts["full"], "ms/tick")
     return 0
 
 
