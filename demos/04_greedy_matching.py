@@ -8,7 +8,7 @@ ties are settled uniformly at random.
 import numpy as np
 
 from hopfleet.demand import GOODS, PASSENGER, Request
-from hopfleet.fleet import FleetTable, VehicleState
+from hopfleet.fleet import FleetTable
 from hopfleet.geo import GridWorld, ZoneId
 from hopfleet.matching import match
 
@@ -21,12 +21,9 @@ requests = [
     Request(2, GOODS, ZoneId(3, 3), ZoneId(6, 6), 0, 0.5),
     Request(3, GOODS, ZoneId(11, 11), ZoneId(7, 7), 0, 0.5),
 ]
-# desk cars: 4 seats and 5 trunk slots
-fleet = FleetTable([
-    VehicleState(id=0, seats_total=4, trunk_total=5),
-    VehicleState(id=1, seats_total=4, trunk_total=5),
-    VehicleState(id=2, seats_total=4, trunk_total=0),  # no trunk space
-], grid, [ZoneId(0, 1), ZoneId(2, 4), ZoneId(4, 4)])
+# desk cars: 4 seats and 5 trunk slots; vehicle 2 has no trunk space
+fleet = FleetTable(grid, seats_total=[4, 4, 4], trunk_total=[5, 5, 0],
+                   locations=[ZoneId(0, 1), ZoneId(2, 4), ZoneId(4, 4)])
 
 # the pool is every vehicle of the table, by id
 for a in match(requests, range(len(fleet.vehicles)), fleet, grid, reject_radius=6, rng=rng):
@@ -36,7 +33,7 @@ for a in match(requests, range(len(fleet.vehicles)), fleet, grid, reject_radius=
 print("request 3 stays queued: nothing within the reject radius.\n")
 
 # full vehicles never accept more than their capacity
-small = FleetTable([VehicleState(id=0, seats_total=1, trunk_total=0)], grid, [ZoneId(0, 0)])
+small = FleetTable(grid, seats_total=[1], trunk_total=[0], locations=[ZoneId(0, 0)])
 crowd = [Request(i, PASSENGER, ZoneId(0, i + 1), ZoneId(5, 5), 0, 1.0) for i in range(3)]
 got = match(crowd, [0], small, grid, reject_radius=8, rng=rng)
 print(f"one seat, three passengers: {len(got)} assignment ->",

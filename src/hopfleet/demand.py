@@ -109,7 +109,9 @@ class RequestTable:
     facts (``requests``), the one stored copy of its status as a code of
     ``REQUEST_STATUSES`` (the ``status`` column) and its ``chain_id`` (the
     ``chain`` column). Requests join queued, and every status change goes
-    through ``set_status``, which refuses what ``REQUEST_TRANSITIONS`` refuses."""
+    through ``set_status``, which refuses what ``REQUEST_TRANSITIONS`` refuses.
+    The queue is the queued rows (``queued``), and the next request takes
+    the id ``len(table)``."""
 
     def __init__(self):
         self.requests: list[Request] = []
@@ -137,6 +139,10 @@ class RequestTable:
         self._chain[start:end] = [r.chain_id for r in requests]
         self.requests.extend(requests)
         self.status, self.chain = self._status[:end], self._chain[:end]
+
+    def queued(self) -> np.ndarray:
+        """The ids of the queued requests, ascending: the queue."""
+        return np.flatnonzero(self.status == REQUEST_STATUS_CODE[QUEUED])
 
     def status_of(self, rid: int) -> str:
         return REQUEST_STATUSES[self.status.item(rid)]

@@ -1,11 +1,11 @@
 """Discrete-time fleet simulation: intake, dispatch, matching, relays, learning.
 
 Each tick runs a fixed phase order over vehicles in ascending id. The
-fleet is a ``fleet.FleetTable``, the one stored copy of each vehicle's
-status, zone, objective, odometer, capacity and orders: phases 2-6 pick
-their vehicles by a mask over its columns, which the vehicles write as they
-change, phase 5 moves the fleet and phase 6 prices its orders in one pass
-over the columns each:
+fleet is a ``fleet.FleetTable``, which builds the vehicles as its rows and
+is the one stored copy of each vehicle's status, zone, objective, odometer,
+capacity and orders: phases 2-6 pick their vehicles by a mask over its
+columns, which the vehicles write as they change, phase 5 moves the fleet
+and phase 6 prices its orders in one pass over the columns each:
 
   1. intake new requests; plan relay chains for goods
   2. arrival processing, in id order, for the vehicles the last move pass
@@ -48,23 +48,23 @@ over the columns each:
 
 The invariant checks run after settling, as passes over the fleet table and
 the request table (``demand.RequestTable``, the one stored copy of each
-request's status, as a code column beside its chain id). Every tick, column
+request's status, as a code column beside its chain id: the queue is its
+queued rows, and the next request id its length). Every tick, column
 expressions find an overcommitted vehicle (free seats or trunk slots below
-zero) or a status code outside ``VEHICLE_STATUSES``, compare the status of
-every order's leg request with assigned, or picked up when onboard (a
-request queued and held at once fails here or on the queue's check), and
-the status of every queued request with queued. Every ``FULL_CHECK_EVERY``
+zero) or a status code outside ``VEHICLE_STATUSES``, and compare the status
+of every order's leg request with assigned, or picked up when onboard, so a
+request queued and held at once fails here. Every ``FULL_CHECK_EVERY``
 ticks, the fleet table is compared with a fresh count of the status column,
 plans and order table (``first_stale``, which keeps the zone column on the
 grid); then the stored stop plan of each vehicle that holds orders with a
 fresh one built from the zone column (which covers the position and the
 odometer), while a vehicle with none must have an empty plan, as
 ``planned_stops`` would make it; each order's ``drop_cum`` with its
-vehicle's stored plan; and the live legs (the queue and the order table) are
-counted per chain with one ``np.bincount``: one for each open primary
-request, none for a delivered or rejected one, which catches a leg lost or
-held twice. Onboard orders are a subset of held ones, so a fresh column
-that is not overcommitted is within capacity too.
+vehicle's stored plan; and the live legs (the queued rows and the order
+table) are counted per chain with one ``np.bincount``: one for each open
+primary request, none for a delivered or rejected one, which catches a leg
+lost or held twice. Onboard orders are a subset of held ones, so a fresh
+column that is not overcommitted is within capacity too.
 
 Identical seed and config give bit-identical episode logs. ``step`` also sums
 the thread's cpu time in each phase into ``phase_seconds``, which is kept
@@ -395,12 +395,9 @@ class Simulation:
             vehicle_speed=cfg.grid.vehicle_speed,
         )
         self.forecaster = dm.HistoricalAverageForecaster(self.grid, cfg.ticks_per_day)
-        self.vehicles: list[fl.VehicleState] = []
-        self.fleet: fl.FleetTable | None = None  # built with the vehicles
+        self.fleet: fl.FleetTable | None = None  # built by initialize
         self.registry = dm.RequestTable()
-        self.queue: list[int] = []
         self.legs: dict[int, tuple] = {}  # relayed goods id -> HopTrip.legs
-        self.next_request_id = 0
         self.tick = 0
         self.training = False
         self.pending: dict[int, _Pending] = {}
@@ -414,6 +411,11 @@ class Simulation:
         self._sources: dm.DemandSources | None = None
         self._origin_hot: list[ZoneId] = []
         self._trip_distribution = dm.TripDistribution()
+
+    @property
+    def vehicles(self) -> list:
+        """The fleet table's vehicles, vehicle ``i`` at index ``i``."""
+        return self.fleet.vehicles
 
     # -- demand sources ----------------------------------------------------
 
@@ -455,26 +457,22 @@ class Simulation:
         self._sources = dm.demand_sources(self.grid, locations, passenger_rates,
                                           cfg.demand.goods_radius_zones)
 
-    def _draw_requests(self, tick: int, rng) -> list:
+    def _draw_requests(self, tick: int, rng, id_start: int) -> list:
+        """The tick's requests, numbered from ``id_start``; a trip file hands each out once."""
         if self._trip_table is not None:
-            # the tick's ingested requests, handed out once with the next ids
             out = self._trip_table.pop(tick, [])
-            for r in out:
-                r.id = self.next_request_id
-                self.next_request_id += 1
+            for i, r in enumerate(out, id_start):
+                r.id = i
             return out
-        reqs = dm.generate_tick_requests(
+        return dm.generate_tick_requests(
             self._sources,
             tick,
             rng,
-            id_start=self.next_request_id,
+            id_start=id_start,
             trip_distribution=self._trip_distribution,
             goods_dest_hot=self._origin_hot,
             goods_dest_hot_weight=self.cfg.demand.goods_dest_hot_weight,
         )
-        if reqs:
-            self.next_request_id = reqs[-1].id + 1
-        return reqs
 
     # -- initialization ----------------------------------------------------
 
@@ -505,17 +503,12 @@ class Simulation:
                 if guard > 100_000:
                     raise EngineInvariantError("placement stream is empty; are all demand rates zero?")
 
-        n_passenger_only = round(cfg.n_vehicles * cfg.separate_split)
-        for i in range(cfg.n_vehicles):
-            if cfg.baseline == BASELINE_SEPARATE:
-                if i < n_passenger_only:
-                    seats, trunk = cfg.seats, 0
-                else:
-                    seats, trunk = 0, cfg.separate_goods_trunk
-            else:
-                seats, trunk = cfg.seats, cfg.trunk
-            self.vehicles.append(fl.VehicleState(id=i, seats_total=seats, trunk_total=trunk))
-        self.fleet = fl.FleetTable(self.vehicles, self.grid, origins[: cfg.n_vehicles])
+        seats, trunk = np.full(cfg.n_vehicles, cfg.seats), np.full(cfg.n_vehicles, cfg.trunk)
+        if cfg.baseline == BASELINE_SEPARATE:
+            split = round(cfg.n_vehicles * cfg.separate_split)
+            seats[split:] = 0  # passenger-only vehicles first, then goods-only ones
+            trunk[:split], trunk[split:] = 0, cfg.separate_goods_trunk
+        self.fleet = fl.FleetTable(self.grid, seats, trunk, origins[: cfg.n_vehicles])
         self.prev_active = np.zeros(cfg.n_vehicles, dtype=np.int64)
 
         # warmup: demand history and pickup counts only, no dispatch, no queueing
@@ -523,10 +516,10 @@ class Simulation:
         pickups: list[int] = []  # the flat origin zone of each warmup request
         for k in range(cfg.warmup_ticks):
             tick = -cfg.warmup_ticks + k
-            batch = self._draw_requests(tick, self.demand_rng) if self._trip_table is None else []
+            # warmup ids are discarded with the requests
+            batch = self._draw_requests(tick, self.demand_rng, 0) if self._sources else []
             self.forecaster.record_requests(tick, batch)
             pickups.extend(r.origin.row * width + r.origin.col for r in batch)
-        self.next_request_id = 0  # warmup ids are discarded with the requests
         counts = np.bincount(np.array(pickups, dtype=np.int64), minlength=height * width)
 
         # candidates qualify on pickups in their neighborhood, so relay hubs
@@ -555,11 +548,10 @@ class Simulation:
         return o, d, req.hops_completed == len(legs) - 1
 
     def _intake(self, detail: dict):
-        reqs = self._draw_requests(self.tick, self.demand_rng)
+        reqs = self._draw_requests(self.tick, self.demand_rng, len(self.registry))
         self.forecaster.record_requests(self.tick, reqs)
         self.registry.add(reqs)
         for r in reqs:
-            self.queue.append(r.id)
             self.log.add(self.tick, "request", request=r.id, req_kind=r.kind,
                          origin=r.origin, destination=r.destination, parent=r.parent_id,
                          urgency=r.urgency)
@@ -588,11 +580,8 @@ class Simulation:
         if o != event.zone:
             raise EngineInvariantError(self._dump(f"hop chain misaligned for request {orig.id}",
                                                   event.vehicle_id))
-        child = dm.Request(self.next_request_id, dm.GOODS, o, d, event.tick, orig.urgency,
-                           hops_completed=idx, parent_id=orig.id)
-        self.next_request_id += 1
-        registry.add([child])
-        self.queue.append(child.id)
+        registry.add([dm.Request(len(registry), dm.GOODS, o, d, event.tick, orig.urgency,
+                                 hops_completed=idx, parent_id=orig.id)])
         detour[event.vehicle_id] = detour.get(event.vehicle_id, 0.0) + 1.0
         self.log.add(event.tick, "hop_drop", request=orig.id, leg=event.request_id,
                      vehicle=event.vehicle_id, zone=event.zone, hops_done=idx)
@@ -602,7 +591,7 @@ class Simulation:
         hops = 0
         # nothing moves between the last move pass and here
         for vid in self.fleet.arriving:
-            for event in fl.process_arrivals(self.vehicles[vid], self.tick):
+            for event in fl.process_arrivals(self.fleet.vehicles[vid], self.tick):
                 if isinstance(event, fl.PickupEvent):
                     req = self.registry[event.request_id]
                     self.registry.set_status(req.id, dm.PICKED_UP)
@@ -644,13 +633,13 @@ class Simulation:
                 action = rl.select_action(row, explore)
                 if self.training:
                     self._decisions.append((vid, vec, action))
-                v = self.vehicles[vid]
+                v = self.fleet.vehicles[vid]
                 location = v.location
                 target = rl.action_target(self.grid, location, action, cfg.rl.action_radius)
                 if target == location:
                     continue  # hold: stay idle, stay unmatched
                 v.set_status(fl.DISPATCHING)
-                v.dispatch_target = target
+                self.fleet.target[vid] = target.row * self.grid.width + target.col
                 eta = self.grid.eta(location, target).ticks
                 dispatch_time += eta
                 self.log.add(self.tick, "dispatch", vehicle=v.id, origin=location,
@@ -665,11 +654,12 @@ class Simulation:
         fleet, registry = self.fleet, self.registry
         pool = np.flatnonzero(fleet.mask(fl.DISPATCHED)
                               | (fleet.mask(fl.MATCHED, fl.SERVING) & fleet.available()))
-        requests = list(map(registry.requests.__getitem__, self.queue))
+        queue = registry.queued()
+        requests = list(map(registry.requests.__getitem__, queue.tolist()))
         assignments = match(requests, pool, fleet, self.grid, cfg.reject_radius_zones,
                             self.match_rng)
         for a in assignments:
-            v = self.vehicles[a.vehicle_id]
+            v = fleet.vehicles[a.vehicle_id]
             req = registry[a.request_id]
             origin, dest, _ = self._leg_for(req)
             before = v.route_eta(speed) if v.stops else None
@@ -684,22 +674,18 @@ class Simulation:
                          vehicle=v.id, slot=a.slot, eta=a.eta_ticks)
         # expire stale primary requests still queued; relay legs wait at their hop-zone
         cutoff = self.tick - cfg.patience_ticks
-        waiting = (registry.status[self.queue] == _QUEUED).tolist()
+        waiting = (registry.status[queue] == _QUEUED).tolist()
         expired = [r for r, queued in zip(requests, waiting)
                    if queued and r.parent_id is None and r.created_tick <= cutoff]
         for r in expired:
             registry.set_status(r.id, dm.REJECTED)
             self.legs.pop(r.id, None)
             self.log.add(self.tick, "reject", request=r.id, req_kind=r.kind)
-        if assignments or expired:
-            queue = np.array(self.queue, dtype=np.int64)
-            self.queue = queue[registry.status[queue] == _QUEUED].tolist()
         detail["assigned"] = len(assignments)
         detail["rejected"] = len(expired)
 
     def _advance(self, detail: dict):
-        detail["moved_total"], detail["moved_serving"] = fl.move(
-            self.fleet, np.arange(len(self.vehicles)), self.grid)
+        detail["moved_total"], detail["moved_serving"] = fl.move(self.fleet, self.grid)
 
     def _settle(self, supply, forecast, detour: dict, detail: dict):
         tick, fleet = self.tick, self.fleet
@@ -736,20 +722,20 @@ class Simulation:
         detail["activations"] = activations
         detail["reward_mean"] = float(np.mean(rewards))
         detail["active"] = active
-        detail["queued"] = len(self.queue)
+        detail["queued"] = len(self.registry.queued())
 
     # -- invariants ----------------------------------------------------------
 
     def _dump(self, message: str, vid: int | None = None) -> str:
         """The message and a state dump: the first 20 vehicles and vehicle
         ``vid``, each with its fleet table row and its orders."""
-        shown = self.vehicles[:20]
+        shown = self.fleet.vehicles[:20]
         if vid is not None and vid >= len(shown):
-            shown = [*shown, self.vehicles[vid]]
+            shown = [*shown, self.fleet.vehicles[vid]]
         names = dict(enumerate(fl.VEHICLE_STATUSES))  # a code that names no status shows as it is
         state = {
             "tick": self.tick,
-            "queue": self.queue[:50],
+            "queue": self.registry.queued()[:50].tolist(),
             "vehicles": [
                 {"id": v.id, "status": names.get(code := self.fleet.status.item(v.id), code),
                  "location": list(v.location),
@@ -789,16 +775,12 @@ class Simulation:
             raise EngineInvariantError(self._dump(
                 f"request {rids[i]} status {dm.REQUEST_STATUSES[got[i]]} vs manifest "
                 f"{dm.REQUEST_STATUSES[expect[i]]} on vehicle {vid}", vid))
-        unqueued = registry.status[self.queue] != _QUEUED
-        if unqueued.any():
-            rid = self.queue[int(np.argmax(unqueued))]
-            raise EngineInvariantError(self._dump(f"queued request {rid} not in queued status"))
         if not full:
             return
         self._check_fleet_table()
         # the fleet table now vouches for each vehicle's order count: a
         # vehicle with no orders has an empty plan, as planned_stops makes it
-        vehicles, held = self.vehicles, fleet.onboard + fleet.pending
+        vehicles, held = fleet.vehicles, fleet.onboard + fleet.pending
         stale = [vid for vid in np.flatnonzero(held == 0).tolist() if vehicles[vid].stops]
         stale += [vid for vid in np.flatnonzero(held).tolist()
                   if vehicles[vid].remaining_stops() != vehicles[vid].planned_stops()]
@@ -819,7 +801,7 @@ class Simulation:
         # an open primary request has exactly one live leg, queued or in a
         # manifest; a delivered or rejected one has none
         chain, status = registry.chain, registry.status
-        legs = np.bincount(chain[np.concatenate([np.asarray(self.queue, dtype=np.int64), rids])],
+        legs = np.bincount(chain[np.concatenate([registry.queued(), rids])],
                            minlength=len(registry))
         expect = ((chain == np.arange(len(registry)))
                   & (status != _DELIVERED) & (status != _REJECTED))
@@ -918,5 +900,5 @@ def generate_workload(cfg: SimConfig, ticks: int) -> list:
     rng = np.random.default_rng(sim.cfg.seed)
     out = []
     for tick in range(ticks):
-        out.extend(sim._draw_requests(tick, rng))
+        out.extend(sim._draw_requests(tick, rng, len(out)))
     return out

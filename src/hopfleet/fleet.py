@@ -22,14 +22,14 @@ drops the stop and rewrites its rows with ``index``; only an added order or
 a drop at a later stop rebuilds the plan with ``replan``, which resets the
 odometer.
 
-A ``FleetTable`` holds the vehicles (vehicle ``i`` at index ``i``) and is
-the one stored copy of their status, zone, odometer, objective, capacity
-and manifests, each an int column: the objective ``target`` is the dispatch
-target while dispatching, the plan's first stop while matched or serving,
-and -1 when parked; the capacity columns are the seats and trunk slots,
-free seats, free trunk slots, onboard count and pending pickups.
-``VehicleState.status``, ``location``, ``driven``, ``dispatch_target``,
-``seats_total`` and ``trunk_total`` are views of the columns.
+A ``FleetTable`` builds the vehicles as its rows (vehicle ``i`` at index
+``i``) from their seats, trunk slots and locations, and is the one stored
+copy of their status, zone, odometer, objective, capacity and manifests,
+each an int column: the objective ``target`` is the dispatch target while
+dispatching, the plan's first stop while matched or serving, and -1 when
+parked; the capacity columns are the seats and trunk slots, free seats,
+free trunk slots, onboard count and pending pickups.
+``VehicleState.status`` and ``location`` are views of the columns.
 The order table ``orders[field, vehicle, slot]`` holds each vehicle's
 orders from slot 0 in manifest order, one plane per field of
 ``ORDER_FIELDS`` (``urgency`` a float plane), so a row-major pass meets
@@ -37,7 +37,8 @@ them by vehicle, then by manifest position; an order's ``drop_cum`` is the
 cumulative distance of the plan's first stop at its destination
 (``stop_index``), written wherever the plan changes.
 A vehicle writes its rows where these facts change, and nowhere else:
-``set_status`` the status and objective; ``add_entry``, ``process_arrivals``
+``set_status`` the status and objective (a dispatch writes the dispatching
+vehicle's target into the objective column); ``add_entry``, ``process_arrivals``
 and ``replan`` the orders, their ``drop_cum`` and the capacity counted from
 them. Locations are on the grid: the table checks each one when it is
 built, and a vehicle moves only toward a stop or a dispatch target. So the
@@ -112,18 +113,14 @@ class DropEvent(NamedTuple):
 
 
 class VehicleState:
-    """One vehicle; its status, position, odometer, objective, capacity and
-    orders are its rows of the table it is built into (``FleetTable``),
-    which takes its seats and trunk slots from here when it is built."""
+    """One vehicle, row ``id`` of the table that builds it (``FleetTable``):
+    its status, position, odometer, objective, capacity and orders are its
+    rows there, and it holds only its stored stop plan."""
 
-    fleet: FleetTable  # the table whose row ``id`` this vehicle is, set when it is built
-
-    def __init__(self, id: int, seats_total: int, trunk_total: int):
+    def __init__(self, id: int, fleet: FleetTable):
         self.id = id
+        self.fleet = fleet
         self.stops = []  # planned_stops() where it was built
-        # the totals until a table takes them, None after; the key stays, as
-        # deleting an attribute slows every attribute read of the instance
-        self._capacity = (seats_total, trunk_total)
 
     # ---- the vehicle's row ------------------------------------------------
 
@@ -132,38 +129,8 @@ class VehicleState:
         return VEHICLE_STATUSES[self.fleet.status.item(self.id)]
 
     @property
-    def seats_total(self) -> int:
-        return self.fleet.seats_total.item(self.id)
-
-    @property
-    def trunk_total(self) -> int:
-        return self.fleet.trunk_total.item(self.id)
-
-    @property
     def location(self) -> ZoneId:
         return ZoneId._make(divmod(self.fleet.zone.item(self.id), self.fleet.grid.width))
-
-    @property
-    def driven(self) -> int:
-        """Steps moved since the plan was built."""
-        return self.fleet.driven.item(self.id)
-
-    @driven.setter
-    def driven(self, steps: int):
-        self.fleet.driven[self.id] = steps
-
-    @property
-    def dispatch_target(self) -> ZoneId | None:
-        """Where a dispatching vehicle drives; None for any other vehicle,
-        or for a dispatching one not yet given a target."""
-        target = self.fleet.target.item(self.id)
-        if self.status != DISPATCHING or target < 0:
-            return None
-        return ZoneId._make(divmod(target, self.fleet.grid.width))
-
-    @dispatch_target.setter
-    def dispatch_target(self, zone: ZoneId | None):
-        self.fleet.target[self.id] = -1 if zone is None else zone[0] * self.fleet.grid.width + zone[1]
 
     def aim(self, code: int | None = None):
         """Write the objective, the flat zone the vehicle drives toward, into
@@ -216,7 +183,7 @@ class VehicleState:
         when in hand."""
         cols = self.rows() if cols is None else cols
         self.stops = self.planned_stops(cols)
-        self.driven = 0
+        self.fleet.driven[self.id] = 0
         self.index(cols)
 
     def index(self, cols: list, changed: int | None = None, code: int | None = None):
@@ -283,7 +250,7 @@ class VehicleState:
         """The stored plan as seen from the vehicle: [(zone, distance left)]."""
         if not self.stops:
             return []
-        driven = self.driven
+        driven = self.fleet.driven.item(self.id)
         return [(zone, cum - driven) for zone, cum in self.stops]
 
     def ticks_to(self, cum: int, speed: int) -> int:
@@ -356,10 +323,10 @@ def process_arrivals(v: VehicleState, tick: int) -> list:
     return events
 
 
-def move(fleet: FleetTable, ids, grid: GridWorld) -> tuple:
-    """Advance each vehicle of ``ids`` (ascending) that is not parked
-    min(vehicle_speed, distance) lattice steps toward its objective, row
-    steps first, then column steps, in one array pass.
+def move(fleet: FleetTable, grid: GridWorld) -> tuple:
+    """Advance each vehicle that is not parked min(vehicle_speed, distance)
+    lattice steps toward its objective, row steps first, then column steps,
+    in one array pass.
 
     Dispatching vehicles head for their dispatch target; matched/serving
     vehicles head for their next planned stop and add the steps to their
@@ -368,8 +335,7 @@ def move(fleet: FleetTable, ids, grid: GridWorld) -> tuple:
     module docstring). Returns (steps moved in total, steps moved by
     matched or serving vehicles).
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    ids = ids[fleet.mask(DISPATCHING, MATCHED, SERVING)[ids]]
+    ids = np.flatnonzero(fleet.mask(DISPATCHING, MATCHED, SERVING))
     status, target = fleet.status[ids], fleet.target[ids]
     if (target < 0).any():
         v = fleet.vehicles[int(ids[np.argmax(target < 0)])]
@@ -442,36 +408,32 @@ def late_orders(fleet: FleetTable, tick: int, speed: int) -> tuple:
 
 
 class FleetTable:
-    """The vehicles of one grid, vehicle ``i`` at index ``i``, idle and at
-    ``locations[i]``; their columns (``COLUMNS``, the odometer ``driven``
-    and the totals ``seats_total`` and ``trunk_total``, which nothing
-    writes), written by the vehicles and by ``move``; and their orders,
-    as many slots each as the largest vehicle holds, -1 past a vehicle's
-    orders (whose urgency is not read). A location off the grid raises
-    InvalidZoneError."""
+    """The vehicles of one grid, vehicle ``i`` (``vehicles[i]``, built here
+    as the table's row ``i``) idle at ``locations[i]`` with
+    ``seats_total[i]`` seats and ``trunk_total[i]`` trunk slots; their
+    columns (``COLUMNS``, the odometer ``driven`` and the two totals, which
+    nothing writes), written by the vehicles and by ``move``; and their
+    orders, as many slots each as the largest vehicle holds, -1 past a
+    vehicle's orders (whose urgency is not read). A location off the grid
+    raises InvalidZoneError."""
 
-    def __init__(self, vehicles: list, grid: GridWorld, locations: list):
-        self.vehicles = vehicles
-        if [v.id for v in self.vehicles] != list(range(len(self.vehicles))):
-            raise ValueError("a fleet table holds vehicles 0..n-1 in id order")
-        if len(locations) != len(vehicles):
-            raise ValueError("a fleet table holds one location per vehicle")
+    def __init__(self, grid: GridWorld, seats_total, trunk_total, locations: list):
+        n = len(locations)
+        self.seats_total = np.array(seats_total, dtype=np.int64)
+        self.trunk_total = np.array(trunk_total, dtype=np.int64)
+        if self.seats_total.shape != (n,) or self.trunk_total.shape != (n,):
+            raise ValueError("a fleet table holds one location and one of each total per vehicle")
         self.grid = grid
         zones = grid.require_all(locations)
         self.zone = zones[:, 0] * grid.width + zones[:, 1]
-        self.status = np.full(len(vehicles), STATUS_CODE[IDLE], dtype=np.int64)
-        self.driven = np.zeros(len(vehicles), dtype=np.int64)
-        self.target = np.full(len(vehicles), -1, dtype=np.int64)  # idle: parked
+        self.status = np.full(n, STATUS_CODE[IDLE], dtype=np.int64)
+        self.driven = np.zeros(n, dtype=np.int64)
+        self.target = np.full(n, -1, dtype=np.int64)  # idle: parked
         self.arriving = []  # the vehicles the last move left where something resolves
-        # each vehicle's totals: as it was built with them, or as the table it leaves holds them
-        totals = np.array([v._capacity or (v.seats_total, v.trunk_total) for v in vehicles],
-                          dtype=np.int64).reshape(-1, 2)
-        self.seats_total, self.trunk_total = totals[:, 0].copy(), totals[:, 1].copy()
-        slots = int(totals.sum(axis=1).max(initial=0))
-        self.orders = np.full((len(ORDER_FIELDS), len(vehicles), slots), -1, dtype=np.int64)
-        self.urgency = np.zeros((len(vehicles), slots))
-        for v in self.vehicles:
-            v._capacity, v.fleet = None, self
+        slots = int((self.seats_total + self.trunk_total).max(initial=0))
+        self.orders = np.full((len(ORDER_FIELDS), n, slots), -1, dtype=np.int64)
+        self.urgency = np.zeros((n, slots))
+        self.vehicles = [VehicleState(vid, self) for vid in range(n)]
         for name, column in fleet_columns(self).items():
             setattr(self, name, column)
 

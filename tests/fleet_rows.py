@@ -11,7 +11,6 @@ from hopfleet.fleet import (
     REQUEST,
     STATUS_CODE,
     FleetTable,
-    VehicleState,
 )
 from hopfleet.geo import ZoneId
 
@@ -20,30 +19,38 @@ from desk_config import desk_config
 _DESK = desk_config().sim
 
 
-def vehicles_in_table(grid, locations, status=IDLE, **fields) -> list:
+def vehicles_in_table(grid, locations, status=IDLE, seats_total=_DESK.seats,
+                      trunk_total=_DESK.trunk) -> list:
     """Vehicles 0..n-1 at ``locations`` ((row, col) pairs), the rows of one
-    FleetTable on ``grid``. ``status`` and each of ``fields``, a
-    VehicleState field, are one value for every vehicle or a list of one
-    value per vehicle; ``seats_total`` and ``trunk_total`` default to the
-    desk car's. The status is written into the table's status column, the
-    one stored copy, and each vehicle then aims at its objective."""
-    fields = {"status": status, "seats_total": _DESK.seats, "trunk_total": _DESK.trunk, **fields}
-    per_vehicle = {name: value if isinstance(value, list) else [value] * len(locations)
-                   for name, value in fields.items()}
-    statuses = per_vehicle.pop("status")
-    vehicles = [VehicleState(id=vid, **{name: values[vid] for name, values in per_vehicle.items()})
-                for vid in range(len(locations))]
-    fleet = FleetTable(vehicles, grid, [ZoneId(*loc) for loc in locations])
+    FleetTable on ``grid``. ``status``, ``seats_total`` and ``trunk_total``
+    are one value for every vehicle or a list of one value per vehicle; the
+    totals default to the desk car's. The status is written into the
+    table's status column, the one stored copy, and each vehicle then aims
+    at its objective."""
+    seats, trunk, statuses = (value if isinstance(value, list) else [value] * len(locations)
+                              for value in (seats_total, trunk_total, status))
+    fleet = FleetTable(grid, seats, trunk, [ZoneId(*loc) for loc in locations])
     fleet.status[:] = [STATUS_CODE[s] for s in statuses]
-    for v in vehicles:
+    for v in fleet.vehicles:
         v.aim()
-    return vehicles
+    return fleet.vehicles
 
 
 def put(v, zone):
     """Set vehicle ``v`` down at ``zone`` ((row, col)) by writing its table
     row, the one stored copy of its location; plan and objective stay."""
     v.fleet.zone[v.id] = zone[0] * v.fleet.grid.width + zone[1]
+
+
+def aim_at(v, zone):
+    """Give dispatching vehicle ``v`` the target ``zone`` ((row, col)) by
+    writing its objective entry, as the engine's dispatch does."""
+    v.fleet.target[v.id] = flat(v, zone)
+
+
+def odometer(v) -> int:
+    """The steps vehicle ``v`` moved since its plan was built, as its table row holds them."""
+    return v.fleet.driven.item(v.id)
 
 
 def free_capacity(v) -> tuple:

@@ -41,6 +41,7 @@ from hopfleet.engine import (
     MODE_TRAIN,
     Simulation,
 )
+from hopfleet.fleet import FleetTable
 from hopfleet.geo import GridWorld, ZoneId, manhattan
 from hopfleet.hopplan import assign_hop_zones, eligible_hop_zone
 from hopfleet.matching import SEAT, TRUNK, match, reject_radius_ticks
@@ -53,7 +54,7 @@ from hopfleet.metrics import (
 from hopfleet.reward import RewardWeights, agent_reward
 
 from desk_config import desk_config
-from fleet_rows import free_capacity, vehicles_in_table
+from fleet_rows import free_capacity
 from test_metrics import add_request, add_stats, empty_log
 
 
@@ -140,11 +141,11 @@ def _check_matching_instance(rng) -> bool:
         reqs.append(Request(i, kind, o, d, 0, 1.0 if kind == PASSENGER else 0.5))
     specs = [((int(rng.integers(8)), int(rng.integers(8))), int(rng.integers(0, 3)),
               int(rng.integers(0, 3))) for _ in range(n_veh)]
-    vehicles = vehicles_in_table(grid, [loc for loc, _, _ in specs],
-                                 seats_total=[seats for _, seats, _ in specs],
-                                 trunk_total=[trunk for _, _, trunk in specs])
+    fleet = FleetTable(grid, [seats for _, seats, _ in specs], [trunk for _, _, trunk in specs],
+                       [ZoneId(*loc) for loc, _, _ in specs])
+    vehicles = fleet.vehicles
     radius = float(rng.integers(2, 12))
-    got = match(reqs, np.arange(n_veh), vehicles[0].fleet, grid, radius, rng)
+    got = match(reqs, np.arange(n_veh), fleet, grid, radius, rng)
     bound = reject_radius_ticks(grid, radius)
 
     seats = {v.id: free_capacity(v)[0] for v in vehicles}

@@ -14,7 +14,7 @@ from hopfleet import cli
 from hopfleet import dispatch_rl as rl
 from hopfleet.dispatch_rl import encode_state, load_checkpoint, save_checkpoint
 from hopfleet.engine import PHASES, DemandConfig, DispatchPolicy, GridConfig, RLConfig, SimConfig
-from hopfleet.fleet import VehicleState
+from hopfleet.fleet import FleetTable
 from hopfleet.geo import GridWorld
 from hopfleet.hopplan import assign_hop_zones
 
@@ -184,8 +184,8 @@ def test_config_fields_have_no_default(cls):
                                         (rl.action_target, "radius"),
                                         (rl.QNetwork, "hidden"), (rl.ReplayBuffer, "capacity"),
                                         (rl.sync_target, "period"),
-                                        (VehicleState, "seats_total"),
-                                        (VehicleState, "trunk_total")])
+                                        (FleetTable, "seats_total"),
+                                        (FleetTable, "trunk_total")])
 def test_config_parameters_have_no_default(func, name):
     assert inspect.signature(func).parameters[name].default is inspect.Parameter.empty
 

@@ -141,7 +141,8 @@ def reference_project_supply(vehicles, grid, horizon=30):
     projected = np.zeros((horizon + 1, grid.height, grid.width))
     for v in vehicles:
         kinds = [e.kind for e in manifest(v)]
-        if kinds.count(PASSENGER) < v.seats_total or kinds.count(GOODS) < v.trunk_total:
+        seats, trunk = v.fleet.seats_total[v.id], v.fleet.trunk_total[v.id]
+        if kinds.count(PASSENGER) < seats or kinds.count(GOODS) < trunk:
             available[v.location.row, v.location.col] += 1
             continue
         if not v.stops:
@@ -164,7 +165,8 @@ def reference_encode(available, projected, forecast, v, tick, ticks_per_day, win
     tod = 2.0 * math.pi * (tick % ticks_per_day) / ticks_per_day
     dow = 2.0 * math.pi * ((tick // ticks_per_day) % 7) / 7.0
     kinds = [e.kind for e in manifest(v)]
-    scalars = [v.seats_total - kinds.count(PASSENGER), v.trunk_total - kinds.count(GOODS),
+    scalars = [v.fleet.seats_total[v.id] - kinds.count(PASSENGER),
+               v.fleet.trunk_total[v.id] - kinds.count(GOODS),
                math.sin(tod), math.cos(tod), math.sin(dow), math.cos(dow)]
     return np.concatenate([channels.ravel(), scalars])
 

@@ -25,7 +25,8 @@ from hopfleet.geo import InvalidZoneError, ZoneId, manhattan
 from hopfleet.reward import agent_reward
 
 from desk_config import desk_config, desk_yaml, locate
-from fleet_rows import ManifestEntry, add, flat, free_capacity, manifest, set_manifest
+from fleet_rows import (ManifestEntry, add, flat, free_capacity, manifest, odometer, put,
+                        set_manifest)
 from test_reward import reference_agent_reward
 
 
@@ -108,6 +109,46 @@ def test_replayed_requests_are_the_file_rows_in_file_order(tmp_path):
     assert got == want and len(want) > 50 and len({r.created_tick for r in rows}) > 10
 
 
+@pytest.mark.parametrize("baseline, seed, replay", [
+    *((baseline, seed, False) for baseline in BASELINES for seed in (1, 2)),
+    (BASELINE_FLEX_HOPS, 3, True),
+])
+def test_queue_and_ids_from_the_request_table_agree_with_the_log(baseline, seed, replay,
+                                                                  tmp_path):
+    # the queue is the request table's queued rows and the next request id
+    # its length; at every tick the queue holds the requests and relay legs
+    # the log has created and not yet assigned or rejected, in id order, and
+    # the ids the log knows are 0..len(registry)-1: each request event takes
+    # the next id, and so does the leg each hop_drop creates
+    cfg = small_cfg(seed=seed, baseline=baseline, episode_ticks=60)
+    if replay:
+        path = tmp_path / "trips.csv"
+        write_trip_records(path, engine.generate_workload(cfg, cfg.episode_ticks))
+        cfg = replace(cfg, demand=replace(cfg.demand, trips_csv=str(path)))
+    sim = Simulation(cfg)
+    sim.initialize()
+    sim.training = replay
+    created, closed, read, legs = 0, set(), 0, 0
+    for _ in range(cfg.episode_ticks):
+        sim.step()
+        for e in sim.log.events[read:]:
+            if e["kind"] == "request":
+                assert e["request"] == created, e
+                created += 1
+            elif e["kind"] == "hop_drop":
+                created, legs = created + 1, legs + 1
+            elif e["kind"] in ("assign", "reject"):
+                assert e["request"] < created and e["request"] not in closed, e
+                closed.add(e["request"])
+            elif e["kind"] in ("pickup", "deliver"):
+                assert e.get("leg", e["request"]) in closed, e
+        read = len(sim.log.events)
+        assert len(sim.registry) == created, sim.tick
+        assert sim.registry.queued().tolist() == sorted(set(range(created)) - closed), sim.tick
+    assert created > 100 and len(closed) > 50
+    assert (legs > 0) == (baseline == BASELINE_FLEX_HOPS)
+
+
 def test_initialize_same_seed_identical_state():
     def snapshot():
         sim = Simulation(small_cfg(seed=9))
@@ -140,27 +181,25 @@ def test_step_without_requests_only_advances_clock(tmp_path):
 
 
 def inject_requests(sim, requests):
-    """Replace the demand stream with a fixed script keyed by tick."""
+    """Replace the demand stream with a fixed script keyed by tick; the
+    requests take the ids the engine hands out, from the request table's
+    length."""
     table = {}
     for r in requests:
         table.setdefault(r.created_tick, []).append(r)
 
-    def draw(tick, rng):
-        out = []
-        for r in table.get(tick, []):
-            out.append(
-                dm.Request(sim.next_request_id, r.kind, r.origin, r.destination, tick, r.urgency)
-            )
-            sim.next_request_id += 1
-        return out
+    def draw(tick, rng, id_start):
+        return [dm.Request(rid, r.kind, r.origin, r.destination, tick, r.urgency)
+                for rid, r in enumerate(table.get(tick, []), id_start)]
 
     sim._draw_requests = draw
 
 
 def place(sim, *zones):
-    """Put vehicles 0, 1, ... at ``zones``: build the fleet table anew from
-    the vehicles and their zones, as ``initialize`` builds it."""
-    sim.fleet = fl.FleetTable(sim.vehicles, sim.grid, [ZoneId(*zone) for zone in zones])
+    """Put vehicles 0, 1, ... at ``zones`` by writing the zone column, the
+    one stored copy of their locations."""
+    for v, zone in zip(sim.vehicles, zones, strict=True):
+        put(v, zone)
 
 
 def test_adjacent_passenger_delivered_within_overhead_budget():
@@ -241,21 +280,25 @@ def relay_waiting_at_hub():
     assert sim.log.by_kind("hop_drop"), "the first leg reached no hub within 30 ticks"
     leg = sim.registry[int(np.flatnonzero(sim.registry.chain == 0)[-1])]
     assert leg.parent_id == 0
-    assert sim.queue == [leg.id]
+    assert sim.registry.queued().tolist() == [leg.id]
     sim.run(ticks=0)  # the intact relay passes the full conservation check
     return sim, leg
 
 
 def test_conservation_check_catches_a_lost_leg():
+    # the waiting leg marked assigned while no vehicle holds it
     sim, leg = relay_waiting_at_hub()
-    sim.queue.remove(leg.id)
+    sim.registry.status[leg.id] = dm.REQUEST_STATUS_CODE[dm.ASSIGNED]
     with pytest.raises(EngineInvariantError, match="request 0 .* 0 live legs, expected 1"):
         sim.run(ticks=0)
 
 
 def test_conservation_check_catches_a_duplicated_leg():
+    # the first leg, dropped at the hub and picked up, still onboard its
+    # vehicle while the next leg waits: every column of the order consistent
     sim, leg = relay_waiting_at_hub()
-    sim.queue.append(leg.id)
+    origin, hub = sim.legs[0][0]
+    add(sim.vehicles[0], ManifestEntry(0, GOODS, origin, hub, onboard=True))
     with pytest.raises(EngineInvariantError, match="request 0 .* 2 live legs, expected 1"):
         sim.run(ticks=0)
 
@@ -293,8 +336,7 @@ def reference_process_arrivals(v, tick):
     """process_arrivals as it was before it read the stored plan: a scan of
     the whole manifest for every matched or serving vehicle."""
     events = []
-    if v.status == fl.DISPATCHING and v.location == v.dispatch_target:
-        v.dispatch_target = None
+    if v.status == fl.DISPATCHING and flat(v, v.location) == v.fleet.target[v.id]:
         v.set_status(fl.DISPATCHED)
     if v.status in (fl.MATCHED, fl.SERVING):
         entries = manifest(v)
@@ -319,10 +361,11 @@ def reference_process_arrivals(v, tick):
 def vehicle_state(v):
     """A vehicle's state with its stop plan and zone index as seen from the
     vehicle, whichever distance the stored plan is measured from, and its
-    row of the fleet table but for the odometer."""
-    index = {zone: cum - v.driven for zone, cum in fl.stop_index(v.stops).items()}
+    row of the fleet table but for the odometer (the objective holds the
+    dispatch target)."""
+    index = {zone: cum - odometer(v) for zone, cum in fl.stop_index(v.stops).items()}
     row = {name: value for name, value in v.fleet.row(v.id).items() if name != "driven"}
-    return (v.status, v.location, v.dispatch_target, manifest(v), v.remaining_stops(), index, row)
+    return (v.status, v.location, manifest(v), v.remaining_stops(), index, row)
 
 
 @pytest.mark.parametrize("speed", [1, 2])
@@ -576,22 +619,22 @@ def test_replay_transitions_discount_the_rewards_between_decisions(seed, monkeyp
 def test_full_check_catches_a_stale_stop_plan():
     sim = Simulation(small_cfg(seed=3))
     sim.initialize()
-    while not any(v.stops and v.driven for v in sim.vehicles):
+    while not any(v.stops and odometer(v) for v in sim.vehicles):
         sim.step()
     sim.run(ticks=0)  # the true plans pass
-    v = next(v for v in sim.vehicles if v.stops and v.driven)
-    stops, driven = list(v.stops), v.driven
+    v = next(v for v in sim.vehicles if v.stops and odometer(v))
+    stops, driven = list(v.stops), odometer(v)
     stale = [
-        ("stops", [(z, c + 1) for z, c in stops]),
+        ([(z, c + 1) for z, c in stops], driven),
         # an odometer that missed a move, or counted one twice
-        ("driven", driven - 1),
-        ("driven", driven + 1),
+        (stops, driven - 1),
+        (stops, driven + 1),
     ]
-    for name, value in stale:
-        setattr(v, name, value)
+    for plan, steps in stale:
+        v.stops, sim.fleet.driven[v.id] = list(plan), steps
         with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} stored stop plan"):
             sim.run(ticks=0)
-        v.stops, v.driven = list(stops), driven
+        v.stops, sim.fleet.driven[v.id] = list(stops), driven
         sim.run(ticks=0)
 
 
@@ -670,7 +713,7 @@ def busy_sim():
     request waits in the queue; its light invariant pass holds."""
     sim = Simulation(small_cfg(seed=3))
     sim.initialize()
-    while not (sim.queue and any(manifest(v) for v in sim.vehicles)):
+    while not (len(sim.registry.queued()) and any(manifest(v) for v in sim.vehicles)):
         sim.step()
     sim._check_invariants(full=False)
     return sim
@@ -679,29 +722,19 @@ def busy_sim():
 def corrupt_light(sim, case):
     """Break one thing the light pass checks; the message it must raise."""
     v = next(v for v in sim.vehicles if manifest(v))
-    rid = manifest(v)[0].request_id
     if case == "overcommitted":
         sim.fleet.seats_free[v.id] = -1
         return f"vehicle {v.id} overcommitted"
     if case == "overcommitted-trunk":
         sim.fleet.trunk_free[v.id] = -1
         return f"vehicle {v.id} overcommitted"
-    if case in ("status-negative", "status-past-end"):
-        code = -1 if case == "status-negative" else len(fl.VEHICLE_STATUSES)
-        sim.fleet.status[v.id] = code
-        return f"vehicle {v.id} bad status code {code}"
-    if case == "queued-and-assigned":
-        # an assigned request is not in queued status, so the queue's check
-        # names it before a check of queue against manifests could
-        sim.queue.append(rid)
-        return f"queued request {rid} not in queued status"
-    queued = sim.queue[0]
-    sim.registry.set_status(queued, dm.ASSIGNED)
-    return f"queued request {queued} not in queued status"
+    code = -1 if case == "status-negative" else len(fl.VEHICLE_STATUSES)
+    sim.fleet.status[v.id] = code
+    return f"vehicle {v.id} bad status code {code}"
 
 
 @pytest.mark.parametrize("case", ["overcommitted", "overcommitted-trunk", "status-negative",
-                                  "status-past-end", "queued-and-assigned", "not-queued"])
+                                  "status-past-end"])
 def test_light_invariant_pass_names_what_broke(case):
     sim = busy_sim()
     message = corrupt_light(sim, case)
@@ -731,7 +764,7 @@ def corrupt_order_table(sim, case):
         return f"request {e.request_id} status {status} vs manifest {flag} on vehicle {v.id}"
     if case == "vehicle":
         # the table puts a request on a vehicle while the request waits in the queue
-        rid = sim.queue[0]
+        rid = int(sim.registry.queued()[0])
         orders[fl.REQUEST, v.id, 0] = rid
         return f"request {rid} status {dm.QUEUED} vs manifest .* on vehicle {v.id}"
     # a copy of the order on a second vehicle, every column of it consistent
@@ -768,9 +801,8 @@ def test_dump_shows_the_named_vehicle_past_the_first_twenty():
     assert record["location"] == list(sim.vehicles[30].location)
     sim.fleet.seats_free[30] -= 1
     # a stale manifest entry: the request joins the table queued, not assigned
-    rid = sim.next_request_id
+    rid = len(sim.registry)
     sim.registry.add([Request(rid, PASSENGER, ZoneId(0, 0), ZoneId(0, 1), 0, 1.0)])
-    sim.next_request_id += 1
     add(sim.vehicles[30], ManifestEntry(rid, PASSENGER, ZoneId(0, 0), ZoneId(0, 1)))
     with pytest.raises(EngineInvariantError, match=f"request {rid} status queued") as info:
         sim.run(ticks=0)
@@ -794,12 +826,13 @@ def test_separate_never_mixes_kinds_in_one_vehicle():
     cfg = small_cfg(baseline=BASELINE_SEPARATE, n_vehicles=6, episode_ticks=40)
     sim = Simulation(cfg)
     sim.initialize()
-    passenger_vehicles = [v for v in sim.vehicles if v.seats_total > 0]
-    goods_vehicles = [v for v in sim.vehicles if v.trunk_total > 0]
+    seats, trunk = sim.fleet.seats_total, sim.fleet.trunk_total
+    passenger_vehicles = [v for v in sim.vehicles if seats[v.id] > 0]
+    goods_vehicles = [v for v in sim.vehicles if trunk[v.id] > 0]
     assert len(passenger_vehicles) == 3 and len(goods_vehicles) == 3
-    assert all(v.trunk_total == 0 for v in passenger_vehicles)
-    assert all(v.seats_total == 0 for v in goods_vehicles)
-    assert all(v.trunk_total == cfg.separate_goods_trunk for v in goods_vehicles)
+    assert all(trunk[v.id] == 0 for v in passenger_vehicles)
+    assert all(seats[v.id] == 0 for v in goods_vehicles)
+    assert all(trunk[v.id] == cfg.separate_goods_trunk for v in goods_vehicles)
     sim.training = True
     for _ in range(40):
         sim.step()

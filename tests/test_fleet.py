@@ -34,9 +34,11 @@ from hopfleet.reward import RewardWeights, agent_reward
 from fleet_rows import (
     ManifestEntry,
     add,
+    aim_at,
     flat,
     free_capacity,
     manifest,
+    odometer,
     put,
     set_manifest,
     vehicles_in_table,
@@ -50,8 +52,9 @@ def make_vehicle(loc=(0, 0), grid=GridWorld(width=10, height=10), **kw):
 
 
 def move_one(v, grid):
-    """The steps vehicle ``v`` moves in a column pass over its id alone."""
-    return move(v.fleet, [v.id], grid)[0]
+    """The steps moved in a column pass over vehicle ``v``'s table, where
+    no other vehicle can move."""
+    return move(v.fleet, grid)[0]
 
 
 def entry(rid, kind, origin, dest, onboard=False):
@@ -112,36 +115,29 @@ def test_status_is_the_table_column_alone():
     fleet.status[v.id] = STATUS_CODE[MATCHED]
     assert v.status == MATCHED and type(v.status) is str
     with pytest.raises(TypeError, match="status"):
-        VehicleState(id=0, seats_total=4, trunk_total=5, status=IDLE)
+        VehicleState(0, fleet, status=IDLE)
 
 
 def test_totals_are_the_table_columns_alone():
-    # a table takes each vehicle's seats and trunk slots when it is built;
-    # the vehicle then holds none and reads them from the table's columns
+    # a table holds each vehicle's seats and trunk slots in its columns and
+    # builds the vehicles as its rows, which hold none of their own
     grid = GridWorld(width=4, height=4)
-    vehicles = [VehicleState(id=0, seats_total=4, trunk_total=5),
-                VehicleState(id=1, seats_total=0, trunk_total=2)]
-    fleet = FleetTable(vehicles, grid, [ZoneId(0, 0)] * 2)
+    fleet = FleetTable(grid, [4, 0], [5, 2], [ZoneId(0, 0)] * 2)
+    vehicles = fleet.vehicles
     assert (fleet.seats_total.tolist(), fleet.trunk_total.tolist()) == ([4, 0], [5, 2])
-    assert all(v._capacity is None and v.fleet is fleet for v in vehicles)
-    assert (vehicles[1].seats_total, vehicles[1].trunk_total) == (0, 2)
+    assert all(v.fleet is fleet and vars(v).keys() == {"id", "fleet", "stops"} for v in vehicles)
     assert (fleet.seats_free.tolist(), fleet.trunk_free.tolist()) == ([4, 0], [5, 2])
     fleet.seats_total[1] = 3
-    assert vehicles[1].seats_total == 3 and type(vehicles[1].seats_total) is int
     assert fleet_columns(fleet)["seats_free"].tolist() == [4, 3]
-    # a table built anew from the same vehicles takes the totals the old one holds
-    again = FleetTable(vehicles, grid, [ZoneId(1, 1)] * 2)
-    assert all(v.fleet is again for v in vehicles)
-    assert (again.seats_total.tolist(), again.seats_free.tolist()) == ([4, 3], [4, 3])
-    assert again.orders.shape[2] == 9  # slots for the largest vehicle: 4 seats, 5 trunk slots
+    assert fleet.orders.shape[2] == 9  # slots for the largest vehicle: 4 seats, 5 trunk slots
 
 
 def test_dispatching_arrival_becomes_dispatched():
     v = make_vehicle(loc=(2, 2), status=DISPATCHING)
-    v.dispatch_target = ZoneId(2, 2)
+    aim_at(v, (2, 2))
     events = process_arrivals(v, tick=5)
     assert v.status == DISPATCHED
-    assert v.dispatch_target is None
+    assert v.fleet.target[v.id] == -1  # parked
     assert events == []
 
 
@@ -158,7 +154,7 @@ def test_idle_vehicle_unchanged_by_advance():
     grid = GridWorld(width=10, height=10)
     v = make_vehicle(loc=(4, 4), grid=grid)
     events = process_arrivals(v, tick=0)
-    moved = move(v.fleet, [v.id], grid)
+    moved = move(v.fleet, grid)
     assert (v.status, v.location, events, moved) == (IDLE, ZoneId(4, 4), [], (0, 0))
     assert v.fleet.arriving == []
 
@@ -175,10 +171,10 @@ def test_matched_arrival_at_pickup_becomes_serving():
 def test_move_respects_speed_and_row_first():
     grid = GridWorld(width=10, height=10, vehicle_speed=2)
     v = make_vehicle(loc=(0, 0), grid=grid, status=DISPATCHING)
-    v.dispatch_target = ZoneId(3, 1)
-    assert move(v.fleet, [v.id], grid) == (2, 0)  # a dispatch drive is not service
-    assert (v.location, v.driven, v.fleet.arriving) == (ZoneId(2, 0), 0, [])
-    assert move(v.fleet, [v.id], grid) == (2, 0)
+    aim_at(v, (3, 1))
+    assert move(v.fleet, grid) == (2, 0)  # a dispatch drive is not service
+    assert (v.location, odometer(v), v.fleet.arriving) == (ZoneId(2, 0), 0, [])
+    assert move(v.fleet, grid) == (2, 0)
     assert (v.location, v.fleet.arriving) == (ZoneId(3, 1), [v.id])
 
 
@@ -189,7 +185,8 @@ def reference_move(v, grid):
     odometer."""
     if v.status not in (DISPATCHING, MATCHED, SERVING):
         return 0
-    target = v.dispatch_target if v.status == DISPATCHING else zoned(v, v.stops[:1])[0][0]
+    target = divmod(v.fleet.target.item(v.id) if v.status == DISPATCHING else v.stops[0][0],
+                    grid.width)
     moved = 0
     while moved < grid.vehicle_speed and v.location != target:
         (row, col), (t_row, t_col) = v.location, target
@@ -225,7 +222,7 @@ def test_move_matches_stepwise_reference():
                        for _ in range(int(rng.integers(1, 4)))]
             for v in (got[vid], want[vid]):
                 if status == DISPATCHING:
-                    v.dispatch_target = target
+                    aim_at(v, target)
                 elif status in (MATCHED, SERVING):
                     for rid, (onboard, origin, dest) in enumerate(entries):
                         add(v, entry(rid, PASSENGER, origin, dest, onboard=bool(onboard)))
@@ -233,7 +230,7 @@ def test_move_matches_stepwise_reference():
         for _ in range(3):  # consecutive moves, up to and past the targets
             steps = [reference_move(v, grid) for v in want]
             busy = [s for s, status in zip(steps, statuses) if status in (MATCHED, SERVING)]
-            assert move(fleet, np.arange(n), grid) == (sum(steps), sum(busy)), trial
+            assert move(fleet, grid) == (sum(steps), sum(busy)), trial
             for g, w in zip(got, want):
                 assert (g.location, g.remaining_stops()) == (w.location, w.stops), trial
                 assert type(g.location) is ZoneId
@@ -245,9 +242,9 @@ def test_location_changes_at_most_speed_per_tick():
     rng = np.random.default_rng(0)
     v = make_vehicle(loc=(10, 10), grid=grid, status=DISPATCHING)
     for _ in range(30):
-        v.dispatch_target = ZoneId(int(rng.integers(20)), int(rng.integers(20)))  # roam on
+        aim_at(v, (int(rng.integers(20)), int(rng.integers(20))))  # roam on
         before = v.location
-        moved, _ = move(v.fleet, [v.id], grid)
+        moved, _ = move(v.fleet, grid)
         assert moved <= 3
         assert grid.distance(before, v.location) == moved
 
@@ -261,7 +258,7 @@ def test_move_leaves_only_vehicles_that_can_resolve():
     for v in (empty, loaded):
         add(v, entry(1, PASSENGER, (0, 3), (0, 1)))
     add(loaded, entry(2, PASSENGER, (0, 0), (0, 1), onboard=True))
-    move(empty.fleet, [empty.id, loaded.id], grid)
+    move(empty.fleet, grid)
     assert empty.location == loaded.location == ZoneId(0, 1)
     assert all(flat(v, (0, 1)) in stop_index(v.stops) for v in (empty, loaded))
     assert empty.fleet.arriving == [loaded.id]
@@ -321,7 +318,7 @@ def test_onboard_etas_follow_stop_plan():
     assert v.route_eta(speed=1) == 6
     assert v.route_eta(speed=2) == 3
     move_one(v, grid)
-    assert v.driven == 1 and zoned(v, v.stops) == [(ZoneId(0, 4), 4), (ZoneId(0, 6), 6)]
+    assert odometer(v) == 1 and zoned(v, v.stops) == [(ZoneId(0, 4), 4), (ZoneId(0, 6), 6)]
     assert onboard_etas(v, speed=1) == {1: 3, 2: 5}
     assert onboard_etas(v, speed=2) == {1: 2, 2: 3}
     assert v.route_eta(speed=1) == 5
@@ -361,12 +358,12 @@ def test_serving_with_empty_plan_raises():
     grid = GridWorld(width=5, height=5)
     v = make_vehicle(loc=(0, 0), grid=grid, status=SERVING)
     with pytest.raises(VehicleStateError, match="vehicle 0: serving with an empty stop plan"):
-        move(v.fleet, [v.id], grid)
+        move(v.fleet, grid)
     # a dispatching vehicle without a target, named among vehicles that can move
     vehicles = vehicles_in_table(grid, [(0, 0)] * 3, status=DISPATCHING)
-    vehicles[0].dispatch_target = ZoneId(1, 1)
+    aim_at(vehicles[0], (1, 1))
     with pytest.raises(VehicleStateError, match="vehicle 1: dispatching without a target"):
-        move(vehicles[0].fleet, [0, 1, 2], grid)
+        move(vehicles[0].fleet, grid)
 
 
 def test_project_supply_all_idle():
@@ -394,10 +391,11 @@ def test_project_supply_busy_vehicle_eta():
 def test_project_supply_counts_vehicles_by_zone_from_the_table():
     # vehicles move and fill up after the table is built; the counts follow
     grid = GridWorld(width=4, height=3)
-    vehicles = vehicles_in_table(grid, [(0, 0), (0, 0), (2, 3), (1, 2)], status=DISPATCHING,
+    vehicles = vehicles_in_table(grid, [(0, 0), (0, 0), (2, 3), (1, 2)],
+                                 status=[DISPATCHING] + [DISPATCHED] * 3,  # one drives, 3 wait
                                  seats_total=1, trunk_total=0)
     fleet = vehicles[0].fleet
-    vehicles[0].dispatch_target = ZoneId(0, 1)
+    aim_at(vehicles[0], (0, 1))
     move_one(vehicles[0], grid)
     add(vehicles[2], entry(1, PASSENGER, (2, 3), (2, 1), onboard=True))
     want = np.zeros((3, 4))
@@ -419,8 +417,8 @@ def table_as_counted(vehicles, grid):
     return {
         "status": [STATUS_CODE[v.status] for v in vehicles],
         "zone": [v.location.row * grid.width + v.location.col for v in vehicles],
-        "seats_free": [v.seats_total - count(v, PASSENGER) for v in vehicles],
-        "trunk_free": [v.trunk_total - count(v, GOODS) for v in vehicles],
+        "seats_free": [v.fleet.seats_total[v.id] - count(v, PASSENGER) for v in vehicles],
+        "trunk_free": [v.fleet.trunk_total[v.id] - count(v, GOODS) for v in vehicles],
         "onboard": [count(v, onboard=True) for v in vehicles],
     }
 
@@ -454,7 +452,7 @@ def test_fleet_table_follows_random_operations(speed):
         op = int(rng.integers(4))
         if op == 0 and (v.status != SERVING or not manifest(v)):
             if v.status == IDLE:
-                v.dispatch_target = zone()
+                aim_at(v, zone())
             v.set_status(next_status[v.status])
         elif op == 1 and v.status in (DISPATCHED, MATCHED, SERVING):
             kind = PASSENGER if rng.random() < 0.5 else GOODS
@@ -465,9 +463,8 @@ def test_fleet_table_follows_random_operations(speed):
                 add(v, ManifestEntry(step, kind, origin, dest))
                 if v.status != MATCHED:
                     v.set_status(MATCHED)
-        elif op == 2 and v.status in (DISPATCHING, MATCHED, SERVING):
-            if v.status == DISPATCHING or v.stops:
-                move_one(v, grid)
+        elif op == 2 and (fleet.target[fleet.mask(DISPATCHING, MATCHED, SERVING)] >= 0).all():
+            move(fleet, grid)  # every vehicle that is not parked has an objective
         elif op == 3:
             process_arrivals(v, step)
         else:
@@ -495,17 +492,13 @@ def test_fleet_table_masks_and_rows():
 
 
 def test_fleet_table_holds_vehicles_in_id_order():
+    # the table builds vehicle i as its row i, one per location and pair of totals
     grid = GridWorld(width=4, height=4)
-
-    def bare(vid):
-        return VehicleState(id=vid, seats_total=4, trunk_total=5)
-
-    with pytest.raises(ValueError, match="vehicles 0..n-1 in id order"):
-        FleetTable([bare(1), bare(0)], grid, [ZoneId(0, 0)] * 2)
-    with pytest.raises(ValueError, match="vehicles 0..n-1 in id order"):
-        FleetTable([bare(0), bare(2)], grid, [ZoneId(0, 0)] * 2)
-    with pytest.raises(ValueError, match="one location per vehicle"):
-        FleetTable([bare(0), bare(1)], grid, [ZoneId(0, 0)])
+    fleet = FleetTable(grid, [4, 4], [5, 5], [ZoneId(0, 0)] * 2)
+    assert [v.id for v in fleet.vehicles] == [0, 1]
+    for seats, trunk, n in (([4, 4], [5, 5], 1), ([4], [5, 5], 2), ([4, 4], [5], 2)):
+        with pytest.raises(ValueError, match="one location and one of each total per vehicle"):
+            FleetTable(grid, seats, trunk, [ZoneId(0, 0)] * n)
 
 
 def test_fleet_table_marks_off_grid_zones():
@@ -518,7 +511,7 @@ def test_fleet_table_marks_off_grid_zones():
     assert vs[0].fleet.zone.tolist() == [0, 11, 4]
     v = vs[2]
     v.set_status(DISPATCHING)
-    v.dispatch_target = ZoneId(2, 3)
+    aim_at(v, (2, 3))
     move_one(v, grid)
     assert (v.location, v.fleet.zone[2]) == (ZoneId(2, 0), 8)
     for row, col in [(3, 0), (0, 4), (-1, 2), (1, -1), (12, 3)]:
@@ -617,8 +610,7 @@ def reference_process_arrivals(v, tick):
     """process_arrivals as it was before it advanced the plan: every
     resolution rebuilds the stop plan with replan()."""
     events = []
-    if v.status == DISPATCHING and v.location == v.dispatch_target:
-        v.dispatch_target = None
+    if v.status == DISPATCHING and flat(v, v.location) == v.fleet.target[v.id]:
         v.set_status(DISPATCHED)
     if v.status in (MATCHED, SERVING):
         if manifest(v) and all(zone != flat(v, v.location) for zone, _ in v.stops):
@@ -646,7 +638,7 @@ def route_state(v):
     """What a vehicle's route is, whichever distance the stored plan is
     measured from: the plan and its zone index as seen from the vehicle,
     and its table row but for the odometer."""
-    index = {zone: cum - v.driven for zone, cum in stop_index(v.stops).items()}
+    index = {zone: cum - odometer(v) for zone, cum in stop_index(v.stops).items()}
     row = {name: value for name, value in v.fleet.row(v.id).items() if name != "driven"}
     return (v.status, v.location, manifest(v), v.remaining_stops(), index, row)
 
@@ -669,7 +661,7 @@ def drive_against_the_reference(got, want, grid, tick=0, ticks=60):
             elsewhere += first != got.location
         if got.status == IDLE:
             break
-        move(got.fleet, [got.id, want.id], grid)
+        move(got.fleet, grid)
     return at_first, elsewhere
 
 
@@ -755,7 +747,7 @@ def assert_plan_is_fresh(v):
     fresh = v.planned_stops()
     assert v.remaining_stops() == fresh
     index = stop_index(v.stops)
-    assert {zone: cum - v.driven for zone, cum in index.items()} == stop_index(fresh)
+    assert {zone: cum - odometer(v) for zone, cum in index.items()} == stop_index(fresh)
     cols = v.rows()
     assert list(cols[DROP_CUM]) == [index[zone] for zone in cols[DESTINATION]]
     for speed in (1, 2, 3):
@@ -772,13 +764,13 @@ def interleave(v, grid, rng, new_entry, steps):
         if v.status == IDLE:
             break
         action = rng.integers(3)
-        first, driven = v.stops[0] if v.stops else (None, 0), v.driven
+        first, driven = v.stops[0] if v.stops else (None, 0), odometer(v)
         if action == 0:
             move_one(v, grid)
         elif action == 1:
             if process_arrivals(v, tick) and first[0] == flat(v, v.location):
                 repeated += flat(v, v.location) in stop_index(v.stops)
-            replanned += driven > 0 and v.driven == 0
+            replanned += driven > 0 and odometer(v) == 0
         elif all(free_capacity(v)):
             add(v, new_entry(len(manifest(v)) + 100 * tick))
             replanned += driven > 0
@@ -809,14 +801,14 @@ def test_odometer_and_zone_index_equal_a_fresh_plan(speed):
     repeated = replanned = frozen = 0
     for trial in range(400):
         v = make_vehicle(loc=zone(), grid=grid, status=DISPATCHING, seats_total=6, trunk_total=6)
-        v.dispatch_target = zone()
+        aim_at(v, zone())
         for rid in range(int(rng.integers(0, 3))):
             add(v, new_entry(rid, onboard=bool(rng.random() < 0.5)))
-        built = (list(v.stops), v.driven, v.rows())
+        built = (list(v.stops), odometer(v), v.rows())
         while v.status == DISPATCHING:
             process_arrivals(v, trial)
             frozen += move_one(v, grid) > 0 and bool(v.stops)
-            assert (v.stops, v.driven, v.rows()) == built
+            assert (v.stops, odometer(v), v.rows()) == built
         add(v, new_entry(99))
         v.set_status(MATCHED)
         assert_plan_is_fresh(v)
@@ -905,8 +897,11 @@ def test_late_orders_equal_the_reference_loop(speed):
                 add(v, ManifestEntry(req.id, kind, origin, dest, bool(rng.random() < 0.7),
                                      created_tick=req.created_tick, urgency=req.urgency,
                                      hops_completed=req.hops_completed))
+        for v in vehicles:
+            if not v.stops:
+                v.set_status(IDLE)  # serving with nothing to serve, as an arrival leaves it
         for step in range(int(rng.integers(0, 4))):
-            move(fleet, [v.id for v in vehicles if v.stops], grid)
+            move(fleet, grid)
             for vid in fleet.arriving:
                 process_arrivals(vehicles[vid], tick + step)
         want = reference_late_orders(vehicles, registry, tick, speed)
@@ -921,6 +916,6 @@ def test_late_orders_equal_the_reference_loop(speed):
         late += len(want[0])
         several += sum(want[0].count(vid) > 1 for vid in set(want[0]))
         hops += sum(h > 1 for h in want[3])
-        ceiling += sum((cum - v.driven) % speed > 0 for v in vehicles
+        ceiling += sum((cum - odometer(v)) % speed > 0 for v in vehicles
                        for cum, on in zip(v.rows()[DROP_CUM], v.rows()[ONBOARD]) if on)
     assert late > 1000 and several > 300 and hops > 200 and ceiling > 600

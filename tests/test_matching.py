@@ -23,7 +23,7 @@ def goods(rid, origin, dest=(11, 11)):
 
 def match_all(requests, vehicles, grid, reject_radius, rng):
     """match over a pool of every vehicle of one table."""
-    fleet = vehicles[0].fleet if vehicles else FleetTable([], grid, [])
+    fleet = vehicles[0].fleet if vehicles else FleetTable(grid, [], [], [])
     return match(requests, np.arange(len(vehicles)), fleet, grid, reject_radius, rng)
 
 
