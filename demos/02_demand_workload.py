@@ -1,8 +1,10 @@
 """Synthetic demand: Poisson arrivals, trip records, and the forecaster.
 
-Request counts per source are Poisson draws inverted from a seeded uniform
-stream, so a seed pins the entire workload. The forecaster averages counts
-by tick-of-day and backs the demand channel of the dispatch observation.
+Each tick draws one Poisson total of passenger requests, each origin picked
+in proportion to the zones' rates, and one Poisson count per goods site, all
+from a seeded generator, so a seed pins the entire workload. Demand is
+stationary, so the forecaster is the flat per-zone mean of the counts seen,
+and it backs the demand channel of the dispatch observation.
 """
 
 import numpy as np
@@ -30,18 +32,18 @@ passenger_rates = {z: 0.02 for z in grid.all_zones()}
 # laid out once: validated origins and each site's reachable destinations
 sources = demand_sources(grid, locations, passenger_rates, goods_radius=4)
 
-forecaster = HistoricalAverageForecaster(grid, ticks_per_day=48)
+forecaster = HistoricalAverageForecaster(grid)
 total = {"passenger": 0, "goods": 0}
 next_id = 0
-for tick in range(96):  # two synthetic days
+for tick in range(96):
     batch = generate_tick_requests(sources, tick, rng, id_start=next_id)
     next_id += len(batch)
-    forecaster.record_requests(tick, batch)
+    forecaster.record_requests(batch)
     for r in batch:
         total[r.kind] += 1
 
-print(f"\ntwo days of workload: {total} requests")
-fc = forecaster.forecast(now=96, steps=5)
-print("forecast for the postal source zone over the next 6 ticks:",
-      np.round(fc[:, 2, 2], 2))
+print(f"\n96 ticks of workload: {total} requests")
+fc = forecaster.forecast()
+print(f"forecast per tick at the postal source zone: {fc[2, 2]:.2f} "
+      f"(its rates: 1.2 goods + 0.02 passengers)")
 print("every goods destination lies within the 4-zone delivery radius.")

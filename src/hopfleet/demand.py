@@ -1,23 +1,18 @@
 """Passenger and goods request workload: generation, ingestion, forecasting,
 and the request table that holds each request's status.
 
-Request counts per source follow a Poisson law sampled by CDF inversion from a
-seeded uniform stream, so identical seeds give bit-identical request streams.
 Generation takes two steps: :func:`demand_sources` lays the sources out once
-(validated origins in draw order, and each goods site's reachable
-destinations), then :func:`generate_tick_requests` draws one tick from them.
-A passenger zone emits nothing iff its uniform is at most exp(-rate), as most
-do, so the passenger uniforms are drawn in blocks of DRAW_BLOCK to find the
-next zone that emits; its count comes from its own uniform. The generator's
-state is read before each block, and at an emitting zone it is written back
-and the block redrawn up to that zone, which keeps the stream of the
-zone-by-zone draw with no rewind, so a bit generator without ``advance``,
-such as SFC64, serves too.
-Thresholds are ``math.exp`` values, as in :func:`poisson_count`: an
-``np.exp`` one bit off would change the stream.
-The demand forecaster is a trailing tick-of-day historical average; it sits
-behind a plain ``forecast(now, steps)`` call so other predictors can be
-swapped in.
+(validated origins with their cumulative rates, and each goods site's
+reachable destinations), then :func:`generate_tick_requests` draws one tick
+from them. Independent Poisson counts per passenger zone are the same process
+as one Poisson total over all zones, each request's origin drawn in
+proportion to the zones' rates, so a tick draws one total and one uniform per
+request rather than one per zone; each goods site draws its own count. Every
+count comes from numpy's ``Generator.poisson``, and identical seeds give
+identical request streams.
+Demand is stationary, so the demand forecaster is the flat per-zone mean of
+the counts seen so far, behind a plain ``forecast()`` call so other
+predictors can be swapped in.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geo import GridWorld, ZoneId, manhattan
+from .geo import GridWorld, ZoneId
 
 PASSENGER = "passenger"
 GOODS = "goods"
@@ -56,9 +51,6 @@ _CODE_TRANSITIONS = {(REQUEST_STATUS_CODE[old], REQUEST_STATUS_CODE[new])
 DEFAULT_URGENCY = {PASSENGER: 1.0, GOODS: 0.5}
 
 TRIP_RECORD_HEADER = ["pickup_tick", "kind", "origin_row", "origin_col", "dest_row", "dest_col"]
-
-# passenger uniforms drawn per block by generate_tick_requests
-DRAW_BLOCK = 512
 
 
 class TripRecordError(ValueError):
@@ -177,28 +169,6 @@ def poisson_pmf(x: int, lam: float) -> float:
     return math.exp(x * math.log(lam) - lam - math.lgamma(x + 1))
 
 
-def poisson_count(lam: float, u: float, max_count: int = 10_000) -> int:
-    """The Poisson(lam) count at the uniform ``u``: the least k whose CDF
-    reaches ``u``, capped at ``max_count``. Zero iff ``u <= exp(-lam)``."""
-    k = 0
-    p = math.exp(-lam)
-    cum = p
-    while u > cum and k < max_count:
-        k += 1
-        p *= lam / k
-        cum += p
-    return k
-
-
-def poisson_sample(lam: float, rng: np.random.Generator, max_count: int = 10_000) -> int:
-    """Draw one Poisson count by inverting the CDF on a uniform draw."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if lam == 0:
-        return 0
-    return poisson_count(lam, rng.random(), max_count)
-
-
 @dataclass
 class TripDistribution:
     """Passenger destination model: city-wide trips with optional hot zones.
@@ -229,19 +199,21 @@ class TripDistribution:
 class DemandSources:
     """Where demand arises, laid out once for a world by :func:`demand_sources`.
 
-    ``passenger`` holds ``(origin, rate)`` in ascending zone order, the order
-    of the per-zone draws, for each zone with a positive rate (a zero rate
-    draws no uniform); ``passenger_p0`` holds their thresholds exp(-rate).
-    ``goods`` holds ``(origin, rate, candidates)`` per goods site in site
-    order, ``candidates`` being the zones within ``goods_radius`` of the
-    site; a site with no zone in reach is left out, as it can emit nothing.
+    ``passenger`` holds ``(origin, rate)`` in ascending zone order for each
+    zone with a positive rate; ``passenger_total`` is the sum of those rates
+    and ``passenger_cum`` their running sums over it, whose last entry is
+    exactly 1.0. ``goods`` holds ``(origin, candidates)`` per goods site in
+    site order, ``candidates`` being the zones within the goods radius of
+    the site, and ``goods_rates`` their rates; a site with no zone in reach
+    is left out, as it can emit nothing.
     """
 
     grid: GridWorld
     passenger: tuple
-    passenger_p0: np.ndarray
+    passenger_total: float
+    passenger_cum: np.ndarray
     goods: tuple
-    goods_radius: int
+    goods_rates: np.ndarray
 
 
 def demand_sources(
@@ -260,19 +232,21 @@ def demand_sources(
         raise ValueError("passenger rates must be >= 0")
     order = np.argsort(zones[:, 0] * grid.width + zones[:, 1])
     order = order[lams[order] > 0]
-    lams = lams[order]
-    # math.exp once per distinct rate: most zones share the base rate
-    rates, inverse = np.unique(lams, return_inverse=True)
-    p0 = np.array([math.exp(-lam) for lam in rates.tolist()])[inverse]
-    passenger = tuple(zip(map(origins.__getitem__, order.tolist()), lams.tolist()))
-    goods, reach = [], {}  # reach: the candidates of each site zone
+    cum = np.cumsum(lams[order])
+    total = float(cum[-1]) if len(cum) else 0.0
+    # divided by the last entry, which becomes 1.0: a uniform below it
+    # never indexes past the end, as one scaled by the total might
+    cum /= total or 1.0
+    passenger = tuple(zip(map(origins.__getitem__, order.tolist()), lams[order].tolist()))
+    goods, rates, reach = [], [], {}  # reach: the candidates of each site zone
     for loc in locations:
         origin = grid.require(loc.zone)
         if origin not in reach:
             reach[origin] = tuple(grid.zones_within(origin, goods_radius))
         if reach[origin]:
-            goods.append((origin, loc.rate, reach[origin]))
-    return DemandSources(grid, passenger, p0, tuple(goods), goods_radius)
+            goods.append((origin, reach[origin]))
+            rates.append(loc.rate)
+    return DemandSources(grid, passenger, total, cum, tuple(goods), np.array(rates, dtype=float))
 
 
 def generate_tick_requests(
@@ -281,62 +255,27 @@ def generate_tick_requests(
     rng: np.random.Generator,
     id_start: int = 0,
     trip_distribution: TripDistribution | None = None,
-    goods_dest_hot: Sequence = (),
-    goods_dest_hot_weight: float = 0.0,
 ) -> list[Request]:
-    """Draw one tick of demand. Goods destinations stay within the sources'
-    goods radius; optionally a share of them lands next to busy zones inside
-    that radius.
-
-    The passenger zones take one uniform each, in order, and a zone's
-    destinations follow its uniform in the stream. The uniforms come in
-    blocks of DRAW_BLOCK, the generator's state read before each: a block
-    in which no zone emits is consumed whole; at a block's first emitting
-    zone ``h`` the count comes from that zone's uniform, and the state is
-    written back and ``h + 1`` uniforms redrawn, so the next block starts
-    after the destinations. Doubles leave the 32-bit half a previous
-    ``rng.integers`` buffered alone, so the redraw leaves the generator as
-    the zone-by-zone draw would, with no rewind and no ``advance``. The
-    work is zones + hits x DRAW_BLOCK uniforms rather than zones x hits."""
-    grid, goods_radius = sources.grid, sources.goods_radius
+    """Draw one tick of demand, numbered from ``id_start``: a Poisson total
+    of passenger requests, each origin found by its uniform in the
+    cumulative rates and each destination drawn by ``trip_distribution``,
+    then a Poisson count per goods site, each destination uniform over the
+    site's candidates."""
+    grid, passenger = sources.grid, sources.passenger
     trip_distribution = trip_distribution or TripDistribution()
-    goods_dest_hot = [ZoneId(*z) for z in goods_dest_hot]
     out: list[Request] = []
-    next_id = id_start
-
-    bitgen, zones, p0 = rng.bit_generator, sources.passenger, sources.passenger_p0
-    i = 0
-    while i < len(zones):
-        before = bitgen.state
-        block = rng.random(min(DRAW_BLOCK, len(zones) - i))
-        emits = block > p0[i : i + len(block)]
-        h = int(emits.argmax())  # the first zone that emits, or 0 if none does
-        if not emits[h]:
-            i += len(block)
-            continue
-        bitgen.state = before
-        rng.random(h + 1)
-        origin, lam = zones[i + h]
-        for _ in range(poisson_count(lam, float(block[h]))):
-            dest = trip_distribution.sample_destination(grid, origin, rng)
-            out.append(Request(next_id, PASSENGER, origin, dest, tick, DEFAULT_URGENCY[PASSENGER]))
-            next_id += 1
-        i += h + 1
-
-    for origin, rate, candidates in sources.goods:
-        hot_nearby = [z for z in goods_dest_hot
-                      if z != origin and manhattan(origin, z) <= goods_radius]
-        for _ in range(poisson_sample(rate, rng)):
-            if hot_nearby and rng.random() < goods_dest_hot_weight:
-                around = hot_nearby[int(rng.integers(len(hot_nearby)))]
-                near = [z for z in grid.zones_within(around, 2) + [around]
-                        if z != origin and manhattan(origin, z) <= goods_radius]
-                dest = near[int(rng.integers(len(near)))] if near else \
-                    candidates[int(rng.integers(len(candidates)))]
-            else:
-                dest = candidates[int(rng.integers(len(candidates)))]
-            out.append(Request(next_id, GOODS, origin, dest, tick, DEFAULT_URGENCY[GOODS]))
-            next_id += 1
+    uniforms = rng.random(rng.poisson(sources.passenger_total))
+    for i in np.searchsorted(sources.passenger_cum, uniforms, side="right").tolist():
+        origin = passenger[i][0]
+        dest = trip_distribution.sample_destination(grid, origin, rng)
+        out.append(Request(id_start + len(out), PASSENGER, origin, dest, tick,
+                           DEFAULT_URGENCY[PASSENGER]))
+    counts = rng.poisson(sources.goods_rates)
+    for k in np.flatnonzero(counts).tolist():
+        origin, candidates = sources.goods[k]
+        for j in rng.integers(len(candidates), size=counts[k]).tolist():
+            out.append(Request(id_start + len(out), GOODS, origin, candidates[j], tick,
+                               DEFAULT_URGENCY[GOODS]))
     return out
 
 
@@ -379,50 +318,25 @@ def write_trip_records(path, requests: Iterable[Request]):
 
 
 class HistoricalAverageForecaster:
-    """Trailing tick-of-day average of per-zone request counts.
+    """Flat historical average of per-zone request counts: the mean count of
+    each zone over the ticks recorded so far, zero with no history. Demand
+    is stationary, so the mean serves every step ahead."""
 
-    For each step ahead the forecast is the mean count observed in past
-    ticks sharing the same tick-of-day; when a tick-of-day has no history yet
-    the overall per-zone mean is used, and with no history at all the
-    forecast is zero.
-    """
-
-    def __init__(self, grid: GridWorld, ticks_per_day: int):
-        if ticks_per_day < 1:
-            raise ValueError("ticks_per_day must be >= 1")
+    def __init__(self, grid: GridWorld):
         self.grid = grid
-        self.ticks_per_day = ticks_per_day
-        shape = (grid.height, grid.width)
-        self._tod_sum = {}
-        self._tod_n = {}
-        self._total = np.zeros(shape)
+        self._total = np.zeros((grid.height, grid.width))
         self._n = 0
 
-    def record(self, tick: int, counts: np.ndarray):
-        tod = tick % self.ticks_per_day
-        if tod not in self._tod_sum:
-            self._tod_sum[tod] = np.zeros_like(self._total)
-            self._tod_n[tod] = 0
-        self._tod_sum[tod] += counts
-        self._tod_n[tod] += 1
+    def record(self, counts: np.ndarray):
         self._total += counts
         self._n += 1
 
-    def record_requests(self, tick: int, requests: Sequence[Request]):
+    def record_requests(self, requests: Sequence[Request]):
         counts = np.zeros((self.grid.height, self.grid.width))
         for r in requests:
             counts[r.origin.row, r.origin.col] += 1
-        self.record(tick, counts)
+        self.record(counts)
 
-    def forecast(self, now: int, steps: int) -> np.ndarray:
-        """Expected request counts per zone for ticks now..now+steps,
-        shape (steps + 1, height, width)."""
-        out = []
-        overall = self._total / self._n if self._n else np.zeros_like(self._total)
-        for k in range(steps + 1):
-            tod = (now + k) % self.ticks_per_day
-            if self._tod_n.get(tod):
-                out.append(self._tod_sum[tod] / self._tod_n[tod])
-            else:
-                out.append(overall)
-        return np.stack(out)
+    def forecast(self) -> np.ndarray:
+        """Expected request counts per zone in any one tick, shape (height, width)."""
+        return self._total / max(self._n, 1)

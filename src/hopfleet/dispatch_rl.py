@@ -32,13 +32,13 @@ ACT_PROBABILITY_START = 0.3
 CLIP_NORM = 10.0  # global gradient-norm cap of one SGD step
 STACK_CHUNK = 64  # rows per stacked single-row pass of the dispatch phase
 
-# the look-ahead of the observation: forecast demand summed over steps
-# 1..DEMAND_REACH, and busy vehicles freeing within 1..reach ticks, one
+# the look-ahead of the observation: forecast demand over the next
+# DEMAND_REACH ticks, and busy vehicles freeing within 1..reach ticks, one
 # channel per reach
 DEMAND_REACH = 15
 FREEING_REACHES = (15, 30)
 N_CHANNELS = 2 + len(FREEING_REACHES)  # demand, available now, the freeing channels
-N_SCALARS = 6  # seats_free, trunk_free, sin/cos tick-of-day, sin/cos day-of-week
+N_SCALARS = 2  # seats_free, trunk_free
 
 
 class CheckpointError(ValueError):
@@ -86,16 +86,17 @@ def state_dim(window: int) -> int:
 
 def observation_maps(supply: FleetSnapshot, forecast: np.ndarray) -> np.ndarray:
     """The full-grid channels every vehicle's observation is cropped from,
-    (N_CHANNELS, height, width): forecast demand over steps 1..DEMAND_REACH,
-    vehicles available now, and busy vehicles freeing within each of
-    FREEING_REACHES. ``forecast`` holds steps 0..DEMAND_REACH. The maps are
-    the same for every vehicle of a tick, so a tick computes them once."""
+    (N_CHANNELS, height, width): forecast demand over the next DEMAND_REACH
+    ticks, vehicles available now, and busy vehicles freeing within each of
+    FREEING_REACHES. ``forecast`` holds the expected count per zone in one
+    tick. The maps are the same for every vehicle of a tick, so a tick
+    computes them once."""
     height, width = supply.available.shape
     eta, rows, cols = supply.freeing.T
     zones = rows * width + cols
     freeing = [np.bincount(zones[(eta >= 1) & (eta <= reach)], minlength=height * width)
                for reach in FREEING_REACHES]
-    return np.stack([forecast[1 : DEMAND_REACH + 1].sum(axis=0), supply.available,
+    return np.stack([DEMAND_REACH * forecast, supply.available,
                      *(f.reshape(height, width) for f in freeing)])
 
 
@@ -103,14 +104,12 @@ def encode_state(
     maps: np.ndarray,
     fleet: FleetTable,
     vids: Sequence[int],
-    tick: int,
-    ticks_per_day: int,
     window: int,
 ) -> np.ndarray:
     """Deterministic state vectors, one row per vehicle id of ``vids``,
     (len(vids), state_dim(window)): the window x window crops of the tick's
     ``observation_maps`` centred on the vehicle's zone, zero off the grid,
-    then its free capacity and the clock features (N_SCALARS). Zones and
+    then its free seats and free trunk slots (N_SCALARS). Zones and
     free capacity are read from ``fleet``, a table of the maps' grid. A
     single vehicle is a batch of one; each row depends on its own vehicle
     only."""
@@ -126,16 +125,11 @@ def encode_state(
                  cols.clip(0, width - 1)[:, None, None, :]]  # (vehicles, channels, window, window)
     inside = ((rows >= 0) & (rows < height))[:, :, None] & ((cols >= 0) & (cols < width))[:, None, :]
     np.copyto(crops, 0.0, where=~inside[:, None])
-    tod = 2.0 * math.pi * (tick % ticks_per_day) / ticks_per_day
-    dow = 2.0 * math.pi * ((tick // ticks_per_day) % 7) / 7.0
-    clock = [math.sin(tod), math.cos(tod), math.sin(dow), math.cos(dow)]
     cropped = channels * window * window
     out = np.empty((len(vids), cropped + N_SCALARS))
     out[:, :cropped] = crops.reshape(len(vids), cropped)
-    scalars = out[:, -N_SCALARS:]
-    scalars[:, 0] = fleet.seats_free[vids]
-    scalars[:, 1] = fleet.trunk_free[vids]
-    scalars[:, 2:] = clock
+    out[:, -2] = fleet.seats_free[vids]
+    out[:, -1] = fleet.trunk_free[vids]
     return out
 
 

@@ -7,7 +7,10 @@ capacity and orders: phases 2-6 pick their vehicles by a mask over its
 columns, which the vehicles write as they change, phase 5 moves the fleet
 and phase 6 prices its orders in one pass over the columns each:
 
-  1. intake new requests; plan relay chains for goods
+  1. intake the tick's requests, drawn as one Poisson total of passengers
+     and one count per goods site (``demand.generate_tick_requests``), and
+     add their origins to the forecaster's flat per-zone mean; plan relay
+     chains for goods
   2. arrival processing, in id order, for the vehicles the last move pass
      left where something resolves (``fleet.FleetTable.arriving``; the fleet
      module docstring states the rule). Status transitions, pickups, drops:
@@ -159,16 +162,14 @@ class DemandConfig:
     goods_locations_per_kind: int
     goods_location_rate: float
     goods_radius_zones: int
-    goods_dest_hot_weight: float  # share of packages headed near another center
     trips_csv: str | None
 
     def __post_init__(self):
         check_lower_bounds(self, "demand.", (("passenger_rate_per_zone", 0), ("origin_hot_rate", 0),
                                              ("goods_location_rate", 0), ("goods_radius_zones", 1),
                                              ("goods_locations_per_kind", 0)))
-        for name in ("hot_weight", "goods_dest_hot_weight"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"demand.{name} must be in [0, 1], got {getattr(self, name)}")
+        if not 0.0 <= self.hot_weight <= 1.0:
+            raise ValueError(f"demand.hot_weight must be in [0, 1], got {self.hot_weight}")
 
 
 @dataclass
@@ -377,14 +378,11 @@ class _Pending:
 class Simulation:
     def __init__(self, cfg: SimConfig, policy: DispatchPolicy | None = None):
         self.cfg = cfg
-        # child 4 is unused: the policy seeds from cfg.seed itself, and
-        # spawning six keeps the layout on child 5 and its stream
-        seq = np.random.SeedSequence(cfg.seed)
-        (self.demand_seq, self.place_seq, self.match_seq, self.explore_seq,
-         _, self._layout_seq) = seq.spawn(6)
-        self.demand_rng = np.random.default_rng(self.demand_seq)
-        self.match_rng = np.random.default_rng(self.match_seq)
-        self.explore_rng = np.random.default_rng(self.explore_seq)
+        demand_seq, self.place_seq, match_seq, explore_seq, self._layout_seq = (
+            np.random.SeedSequence(cfg.seed).spawn(5))
+        self.demand_rng = np.random.default_rng(demand_seq)
+        self.match_rng = np.random.default_rng(match_seq)
+        self.explore_rng = np.random.default_rng(explore_seq)
         self.policy = policy or DispatchPolicy(cfg)
         self.weights = cfg.weights()
 
@@ -394,7 +392,7 @@ class Simulation:
             zone_edge_m=cfg.grid.zone_edge_m,
             vehicle_speed=cfg.grid.vehicle_speed,
         )
-        self.forecaster = dm.HistoricalAverageForecaster(self.grid, cfg.ticks_per_day)
+        self.forecaster = dm.HistoricalAverageForecaster(self.grid)
         self.fleet: fl.FleetTable | None = None  # built by initialize
         self.registry = dm.RequestTable()
         self.legs: dict[int, tuple] = {}  # relayed goods id -> HopTrip.legs
@@ -409,7 +407,6 @@ class Simulation:
         self._initialized = False
         self._trip_table = None
         self._sources: dm.DemandSources | None = None
-        self._origin_hot: list[ZoneId] = []
         self._trip_distribution = dm.TripDistribution()
 
     @property
@@ -428,28 +425,28 @@ class Simulation:
             for r in records:
                 self._trip_table.setdefault(r.created_tick, []).append(r)
             return
-        self._origin_hot = []
-        while len(self._origin_hot) < cfg.demand.origin_hot_zone_count:
+        origin_hot = []
+        while len(origin_hot) < cfg.demand.origin_hot_zone_count:
             z = ZoneId(int(rng.integers(self.grid.height)), int(rng.integers(self.grid.width)))
-            if z not in self._origin_hot:
-                self._origin_hot.append(z)
+            if z not in origin_hot:
+                origin_hot.append(z)
         # the busy centers both emit and attract passenger trips
         self._trip_distribution = dm.TripDistribution(
-            hot_zones=tuple(self._origin_hot),
+            hot_zones=tuple(origin_hot),
             hot_weight=cfg.demand.hot_weight,
         )
         passenger_rates = dict.fromkeys(self.grid.all_zones(), cfg.demand.passenger_rate_per_zone)
-        for z in self._origin_hot:
+        for z in origin_hot:
             passenger_rates[z] += cfg.demand.origin_hot_rate
 
         lattice = np.array(hub_lattice(self.grid, cfg.grid.hop_stride))
         locations = []
         for kind in ("postal", "meal", "supermarket"):
             for _ in range(cfg.demand.goods_locations_per_kind):
-                if self._origin_hot:
+                if origin_hot:
                     # park goods sources on the relay lattice next to a busy
                     # center, so their own corner never splits their trips
-                    hub = self._origin_hot[int(rng.integers(len(self._origin_hot)))]
+                    hub = origin_hot[int(rng.integers(len(origin_hot)))]
                     z = nearest_zone(lattice, hub)
                 else:
                     z = ZoneId(int(rng.integers(self.grid.height)), int(rng.integers(self.grid.width)))
@@ -464,15 +461,8 @@ class Simulation:
             for i, r in enumerate(out, id_start):
                 r.id = i
             return out
-        return dm.generate_tick_requests(
-            self._sources,
-            tick,
-            rng,
-            id_start=id_start,
-            trip_distribution=self._trip_distribution,
-            goods_dest_hot=self._origin_hot,
-            goods_dest_hot_weight=self.cfg.demand.goods_dest_hot_weight,
-        )
+        return dm.generate_tick_requests(self._sources, tick, rng, id_start=id_start,
+                                         trip_distribution=self._trip_distribution)
 
     # -- initialization ----------------------------------------------------
 
@@ -494,10 +484,8 @@ class Simulation:
             place_rng = np.random.default_rng(self.place_seq)
             guard = 0
             while len(origins) < cfg.n_vehicles:
-                batch = dm.generate_tick_requests(
-                    self._sources, 0, place_rng,
-                    trip_distribution=self._trip_distribution,
-                )
+                batch = dm.generate_tick_requests(self._sources, 0, place_rng,
+                                                  trip_distribution=self._trip_distribution)
                 origins.extend(r.origin for r in batch)
                 guard += 1
                 if guard > 100_000:
@@ -518,7 +506,7 @@ class Simulation:
             tick = -cfg.warmup_ticks + k
             # warmup ids are discarded with the requests
             batch = self._draw_requests(tick, self.demand_rng, 0) if self._sources else []
-            self.forecaster.record_requests(tick, batch)
+            self.forecaster.record_requests(batch)
             pickups.extend(r.origin.row * width + r.origin.col for r in batch)
         counts = np.bincount(np.array(pickups, dtype=np.int64), minlength=height * width)
 
@@ -549,7 +537,7 @@ class Simulation:
 
     def _intake(self, detail: dict):
         reqs = self._draw_requests(self.tick, self.demand_rng, len(self.registry))
-        self.forecaster.record_requests(self.tick, reqs)
+        self.forecaster.record_requests(reqs)
         self.registry.add(reqs)
         for r in reqs:
             self.log.add(self.tick, "request", request=r.id, req_kind=r.kind,
@@ -605,8 +593,7 @@ class Simulation:
     def _observe(self, maps: np.ndarray, vids: list) -> np.ndarray:
         """The state vectors of the vehicles ``vids``, one row each,
         cropped from the tick's maps."""
-        return rl.encode_state(maps, self.fleet, vids, self.tick, window=self.cfg.rl.window,
-                               ticks_per_day=self.cfg.ticks_per_day)
+        return rl.encode_state(maps, self.fleet, vids, window=self.cfg.rl.window)
 
     def _dispatch(self, supply: fl.FleetSnapshot, forecast: np.ndarray, detail: dict):
         cfg, rng, online = self.cfg, self.explore_rng, self.policy.online
@@ -713,7 +700,7 @@ class Simulation:
             self.pending[vid] = _Pending(vec, action, tick)
         self._decisions = []
 
-        gap = supply_demand_gap(forecast[0], supply.available)
+        gap = supply_demand_gap(forecast, supply.available)
         components = [gap, detail["dispatch_time"], total_detour_delay,
                       float(activations), float(detail["hops"])]
         detail["objective"] = global_objective(components, self.weights)
@@ -834,7 +821,7 @@ class Simulation:
             table_check = clock() - marks[-1]
         supply = fl.project_supply(self.fleet, self.grid)
         marks.append(clock())
-        forecast = self.forecaster.forecast(self.tick, rl.DEMAND_REACH)
+        forecast = self.forecaster.forecast()
         marks.append(clock())
         self._dispatch(supply, forecast, detail)
         marks.append(clock())
@@ -871,7 +858,7 @@ class Simulation:
     def _flush_pending(self):
         """Episode truncation: bootstrap every in-flight decision."""
         maps = rl.observation_maps(fl.project_supply(self.fleet, self.grid),
-                                   self.forecaster.forecast(self.tick, rl.DEMAND_REACH))
+                                   self.forecaster.forecast())
         vids = sorted(self.pending)
         for vid, state in zip(vids, self._observe(maps, vids)):
             pend = self.pending[vid]

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hopfleet.demand import GOODS, PASSENGER, Request, poisson_pmf, poisson_sample
+from hopfleet.demand import GOODS, PASSENGER, Request, poisson_pmf
 from hopfleet.dispatch_rl import (
     QNetwork,
     ReplayBuffer,
@@ -100,27 +100,6 @@ def test_criterion_1_unit_exactness():
 
     verdict("criterion 1: unit-exact reward/ratio/poisson/fuel arithmetic",
             ok_reward and ok_ratio and ok_poisson and ok_fuel)
-
-
-class _Uniform:
-    """Stands in for a generator whose next uniform is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-def test_poisson_sample_zero_iff_uniform_at_most_threshold():
-    # the block draw of generate_tick_requests skips a zone exactly when its
-    # uniform is at most math.exp(-lam); the engine samples, it never calls
-    # poisson_pmf
-    rng = np.random.default_rng(12)
-    for lam in [1e-9, 0.003, 0.45, 0.453, 1.0, 7.5, *rng.uniform(0.0, 10.0, 200)]:
-        p0 = math.exp(-lam)
-        for u in (p0, math.nextafter(p0, 0.0), math.nextafter(p0, 1.0), *rng.random(20)):
-            assert (poisson_sample(lam, _Uniform(u)) == 0) == (u <= p0), (lam, u)
 
 
 # ---------------------------------------------------------------------------

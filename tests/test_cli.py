@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from hopfleet.cli import EvalSettings, ExperimentConfig, TrainSettings, load_config, main
-from hopfleet.demand import HistoricalAverageForecaster, ingest_trip_records
+from hopfleet.demand import ingest_trip_records
 from hopfleet import cli
 from hopfleet import dispatch_rl as rl
 from hopfleet.dispatch_rl import encode_state, load_checkpoint, save_checkpoint
@@ -82,7 +82,8 @@ def test_missing_config_exit_2():
         ("grid.vehicle_speed", 0),
         ("grid.hop_count_radius", -1),
         ("demand.hot_weight", 1.5),
-        ("demand.goods_dest_hot_weight", -0.1),
+        # removed: every package heads uniformly into its site's radius
+        ("demand.goods_dest_hot_weight", 0.0),
         # one zone: no trip has a destination other than its origin
         ("grid.width", 1, "grid.height", 1),
         ("demand.origin_hot_zone_count", -1),
@@ -174,9 +175,7 @@ def test_config_fields_have_no_default(cls):
             if f.default is not MISSING or f.default_factory is not MISSING] == []
 
 
-@pytest.mark.parametrize("func, name", [(encode_state, "ticks_per_day"),
-                                        (HistoricalAverageForecaster, "ticks_per_day"),
-                                        (assign_hop_zones, "max_depth"),
+@pytest.mark.parametrize("func, name", [(assign_hop_zones, "max_depth"),
                                         (encode_state, "window"), (rl.state_dim, "window"),
                                         (rl.action_count, "radius"),
                                         (rl.action_to_offset, "radius"),

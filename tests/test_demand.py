@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hopfleet.demand import (
-    DRAW_BLOCK,
     GOODS,
     PASSENGER,
     HistoricalAverageForecaster,
@@ -20,10 +19,9 @@ from hopfleet.demand import (
     generate_tick_requests,
     ingest_trip_records,
     poisson_pmf,
-    poisson_sample,
     write_trip_records,
 )
-from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId, manhattan
+from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId
 
 
 @pytest.fixture
@@ -48,13 +46,6 @@ def test_poisson_pmf_domain_errors():
 def test_poisson_pmf_sums_to_one(lam):
     total = sum(poisson_pmf(x, lam) for x in range(0, 400))
     assert abs(total - 1.0) < 1e-9
-
-
-def test_poisson_sample_matches_rate():
-    rng = np.random.default_rng(42)
-    n = 10_000
-    mean = sum(poisson_sample(5.0, rng) for _ in range(n)) / n
-    assert 4.8 <= mean <= 5.2
 
 
 def test_generate_zero_rates_empty(grid):
@@ -126,180 +117,46 @@ def test_generate_mean_rate_statistics(grid):
     assert 4.8 <= total / ticks <= 5.2
 
 
-def reference_generate(grid, passenger_rates, sources, tick, rng, trip_distribution,
-                       goods_dest_hot, goods_dest_hot_weight, trace=None):
-    """The per-zone draw that the block draw of generate_tick_requests
-    replaced: one poisson_sample per passenger zone in ascending zone order,
-    zero-rate zones included, then the goods sites. ``trace`` receives, for
-    each zone that draws a uniform, whether a 32-bit half was buffered
-    before the draw and whether the zone emitted."""
-    out = []
-    for origin, lam in sorted(passenger_rates.items()):
-        half = rng.bit_generator.state["has_uint32"] if trace is not None and lam > 0 else None
-        count = poisson_sample(lam, rng)
-        if half is not None:
-            trace.append((half, count > 0))
-        for _ in range(count):
-            dest = trip_distribution.sample_destination(grid, origin, rng)
-            out.append(Request(len(out), PASSENGER, origin, dest, tick, 1.0))
-    for origin, rate, candidates in sources.goods:
-        hot_nearby = [z for z in goods_dest_hot
-                      if z != origin and manhattan(origin, z) <= sources.goods_radius]
-        for _ in range(poisson_sample(rate, rng)):
-            if hot_nearby and rng.random() < goods_dest_hot_weight:
-                around = hot_nearby[int(rng.integers(len(hot_nearby)))]
-                near = [z for z in grid.zones_within(around, 2) + [around]
-                        if z != origin and manhattan(origin, z) <= sources.goods_radius]
-                dest = near[int(rng.integers(len(near)))] if near else \
-                    candidates[int(rng.integers(len(candidates)))]
-            else:
-                dest = candidates[int(rng.integers(len(candidates)))]
-            out.append(Request(len(out), GOODS, origin, dest, tick, 0.5))
-    return out
+def test_tick_counts_match_their_rates():
+    # one Poisson total per tick with origins drawn by rate is the process of
+    # independent per-zone counts: over T ticks a zone of rate lam emits
+    # lam * T on average with standard deviation sqrt(lam * T), and each
+    # zone's total must lie within 5 of those of it; zero-rate zones and
+    # zones left out of the rates never emit
+    grid = GridWorld(width=6, height=5)
+    rng = np.random.default_rng(26)
+    levels = (0.0, 0.002, 0.05, 0.3, 1.0, 2.5)
+    rates = {z: levels[i % len(levels)] for i, z in enumerate(grid.all_zones()) if i != 7}
+    sources = demand_sources(grid, [], rates, goods_radius=2)
+    dist = TripDistribution(hot_zones=((0, 0), (4, 5)), hot_weight=0.5)
+    ticks = 4000
+    counts = np.zeros((grid.height, grid.width))
+    for tick in range(ticks):
+        for r in generate_tick_requests(sources, tick, rng, trip_distribution=dist):
+            assert r.kind == PASSENGER and r.created_tick == tick and r.destination != r.origin
+            counts[r.origin] += 1
+    want = np.zeros_like(counts)
+    for z, lam in rates.items():
+        want[z] = lam * ticks
+    assert counts[want == 0].sum() == 0
+    assert np.all(np.abs(counts - want) <= 5 * np.sqrt(want)), (counts, want)
 
 
-PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def generator_drawing_first(u: float, seed) -> np.random.Generator:
-    """``default_rng(seed)`` moved to the state from which the next
-    ``rng.random()`` returns ``u``, a float in [0.5, 1)."""
-    rng = np.random.default_rng(seed)
-    state = rng.bit_generator.state
-    # random() keeps the top 53 bits of the next 64-bit output. PCG64 steps
-    # its 128-bit LCG state, then outputs high ^ low word rotated right by
-    # the top 6 bits, so a stepped state with high word 0 outputs its low word.
-    stepped = int(u * 2**53) << 11
-    state["state"]["state"] = ((stepped - state["state"]["inc"])
-                               * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128)
-    rng.bit_generator.state = state
-    return rng
-
-
-def random_world(rng, first_rate=None):
-    """A small world: zero-rate, quiet and busy passenger zones, hot zones
-    (their destination draws leave a 32-bit half buffered in the generator),
-    goods sites and goods hot spots. ``first_rate`` overrides zone (0, 0)."""
-    grid = GridWorld(width=int(rng.integers(1, 9)), height=int(rng.integers(2, 9)))
-    zones = list(grid.all_zones())
-    levels = rng.choice(3, size=len(zones), p=rng.dirichlet(np.ones(3)))
-    rates = {z: (0.0, float(rng.uniform(1e-3, 0.3)), float(rng.uniform(0.5, 3.0)))[k]
-             for z, k in zip(zones, levels)}
-    if first_rate is not None:
-        rates[ZoneId(0, 0)] = first_rate
-    hot = [zones[int(i)] for i in rng.choice(len(zones), size=int(rng.integers(0, 4)))]
-    locs = [ServiceLocation(zones[int(rng.integers(len(zones)))], "meal", float(rng.uniform(0, 2)))
-            for _ in range(int(rng.integers(0, 4)))]
-    sources = demand_sources(grid, locs, rates, goods_radius=int(rng.integers(1, 5)))
-    draw = dict(trip_distribution=TripDistribution(hot_zones=tuple(hot),
-                                                   hot_weight=float(rng.choice([rng.random(), 1.0]))),
-                goods_dest_hot=hot, goods_dest_hot_weight=float(rng.random()))
-    return grid, rates, sources, draw
-
-
-def block_world(rng):
-    """A world of two to four blocks of passenger zones, nearly all quiet.
-    The zones that end the first block and start the second are busy, as
-    are a few others, and every passenger trip heads for one of two or three
-    hot zones, which leaves a 32-bit half buffered after an odd count."""
-    grid = GridWorld(width=32, height=int(rng.integers(2 * DRAW_BLOCK // 32 + 1, 4 * DRAW_BLOCK // 32)))
-    zones = list(grid.all_zones())
-    rates = {z: 1e-6 for z in zones}
-    busy = [DRAW_BLOCK - 1, DRAW_BLOCK, *rng.integers(len(zones), size=int(rng.integers(0, 6)))]
-    for i in busy:
-        rates[zones[int(i)]] = float(rng.uniform(0.5, 3.0))
-    hot = [zones[int(i)] for i in rng.choice(len(zones), size=int(rng.integers(2, 4)), replace=False)]
-    locs = [ServiceLocation(zones[int(rng.integers(len(zones)))], "meal", float(rng.uniform(0, 2)))
-            for _ in range(int(rng.integers(0, 3)))]
-    sources = demand_sources(grid, locs, rates, goods_radius=int(rng.integers(1, 5)))
-    draw = dict(trip_distribution=TripDistribution(hot_zones=tuple(hot), hot_weight=1.0),
-                goods_dest_hot=hot, goods_dest_hot_weight=float(rng.random()))
-    return grid, rates, sources, draw
-
-
-def drawn_blocks(trace, block):
-    """The blocks a tick's block draw takes, rebuilt from the reference's
-    per-zone trace: (size, offset of the first emitting zone or None,
-    32-bit half buffered when the block is drawn) for each."""
-    out, i = [], 0
-    while i < len(trace):
-        size = min(block, len(trace) - i)
-        hit = next((k for k in range(size) if trace[i + k][1]), None)
-        out.append((size, hit, trace[i][0]))
-        i += size if hit is None else hit + 1
-    return out
-
-
-def plain_state(rng):
-    """The bit generator's state with its words as lists (SFC64 keeps an
-    array), so that two states compare with ==."""
-    state = rng.bit_generator.state
-    return {**state, "state": {k: np.asarray(v).tolist() for k, v in state["state"].items()}}
-
-
-def test_block_draw_keeps_the_per_zone_stream():
-    key = lambda reqs: [(r.kind, r.origin, r.destination, r.created_tick) for r in reqs]
-    seen = dict(empty_ticks=0, buffered_half=0, zero_rate_zones=0, goods=0, boundary=0,
-                empty_block=0, hit_on_last_zone=0, then_on_first_zone=0, half_across_block=0,
-                sfc64_hits=0)
-    pcg64, sfc64 = np.random.PCG64, np.random.SFC64
-    cases = [(seed, None, 6, random_world, pcg64) for seed in range(200)]
-    # boundary cases: zone (0, 0) comes first and its uniform is the float
-    # just above its zero-count threshold, so it must emit
-    for seed, lam in enumerate(np.random.default_rng(7).uniform(0.0, math.log(2), 200), 200):
-        cases.append((seed, float(lam), 3, random_world, pcg64))
-    # worlds larger than one block, with busy zones on a block boundary
-    cases.extend((seed, None, 3, block_world, pcg64) for seed in range(400, 460))
-    # a bit generator without advance
-    cases.extend((seed, None, 6, random_world, sfc64) for seed in range(500, 560))
-    cases.extend((seed, None, 3, block_world, sfc64) for seed in range(560, 580))
-    for seed, first_rate, ticks, world, bit_generator in cases:
-        if world is random_world:
-            grid, rates, sources, draw = random_world(np.random.default_rng(seed), first_rate)
-        else:
-            grid, rates, sources, draw = block_world(np.random.default_rng(seed))
-        if first_rate is None:
-            ours, ref = (np.random.Generator(bit_generator([seed, 1])) for _ in range(2))
-        else:
-            u = math.nextafter(math.exp(-first_rate), 1.0)
-            ours, ref = generator_drawing_first(u, seed), generator_drawing_first(u, seed)
-        seen["zero_rate_zones"] += 0.0 in rates.values()
-        for tick in range(ticks):
-            seen["buffered_half"] += ours.bit_generator.state["has_uint32"]
-            got = generate_tick_requests(sources, tick, ours, **draw)
-            trace = []
-            want = reference_generate(grid, rates, sources, tick, ref, **draw, trace=trace)
-            assert key(got) == key(want), (seed, tick)
-            assert plain_state(ours) == plain_state(ref), (seed, tick)
-            seen["empty_ticks"] += not want
-            seen["goods"] += sum(r.kind == GOODS for r in want)
-            if first_rate is not None and tick == 0:
-                assert want[0].origin == ZoneId(0, 0), seed
-                seen["boundary"] += 1
-            blocks = drawn_blocks(trace, DRAW_BLOCK)
-            if bit_generator is sfc64:
-                seen["sfc64_hits"] += sum(hit is not None for _, hit, _ in blocks)
-            seen["empty_block"] += sum(hit is None and size == DRAW_BLOCK for size, hit, _ in blocks)
-            # a half buffered before a block in which no zone emits, still
-            # there when the next block rewinds
-            seen["half_across_block"] += sum(
-                size == DRAW_BLOCK and hit is None and half and next_hit is not None
-                for (size, hit, half), (_, next_hit, _) in zip(blocks, blocks[1:]))
-            for (_, hit, _), (_, next_hit, _) in zip(blocks, blocks[1:] + [(0, None, 0)]):
-                seen["hit_on_last_zone"] += hit == DRAW_BLOCK - 1
-                seen["then_on_first_zone"] += hit == DRAW_BLOCK - 1 and next_hit == 0
-    assert min(seen.values()) >= 20, seen
-
-
-def test_block_draw_emits_just_above_the_threshold():
-    # math.exp and numpy's vectorised exp differ in the last bit for some
-    # rates on some hosts; a threshold one bit above poisson_sample's would
-    # skip a zone whose uniform lies just above the true threshold
-    grid = GridWorld(width=2, height=1)
-    for lam in np.random.default_rng(8).uniform(0.0, math.log(2), 20_000):
-        sources = demand_sources(grid, [], {ZoneId(0, 0): float(lam)}, goods_radius=1)
-        rng = generator_drawing_first(math.nextafter(math.exp(-lam), 1.0), 0)
-        assert generate_tick_requests(sources, 0, rng), lam
+def test_large_totals_keep_their_mean():
+    # the passenger total and the goods counts are numpy Poisson draws, right
+    # for any rate: an inverse-CDF draw from exp(-lam) would read a CDF of 0
+    # past lam of about 745 and return its cap. A 40 x 50 world of total
+    # rate 2,000, and a goods site of rate 1,000, each average their rate
+    # within 2% over 50 ticks, more than 6 standard deviations of the mean
+    grid = GridWorld(width=50, height=40)
+    rng = np.random.default_rng(9)
+    passengers = demand_sources(grid, [], dict.fromkeys(grid.all_zones(), 1.0), goods_radius=2)
+    assert passengers.passenger_total == pytest.approx(2000.0)
+    site = demand_sources(grid, [ServiceLocation(ZoneId(20, 25), "postal", 1000.0)], {},
+                          goods_radius=3)
+    for sources, rate in ((passengers, 2000.0), (site, 1000.0)):
+        sizes = [len(generate_tick_requests(sources, tick, rng)) for tick in range(50)]
+        assert abs(np.mean(sizes) - rate) <= 0.02 * rate, (rate, np.mean(sizes))
 
 
 def test_sources_reject_off_grid_zones(grid):
@@ -319,16 +176,21 @@ def test_sources_laid_out_in_draw_order(grid):
     rates = {ZoneId(4, 1): 0.5, ZoneId(0, 9): 0.2, (0, 3): 0.1, ZoneId(2, 2): 0.0}
     locs = [ServiceLocation(ZoneId(9, 9), "meal", 2.0), ServiceLocation(ZoneId(0, 0), "postal", 1.0)]
     sources = demand_sources(grid, locs, rates, goods_radius=2)
-    # a zero rate draws no uniform, so its zone is left out
+    # a zero rate can draw no origin, so its zone is left out
     assert sources.passenger == ((ZoneId(0, 3), 0.1), (ZoneId(0, 9), 0.2), (ZoneId(4, 1), 0.5))
-    assert sources.passenger_p0.tolist() == [math.exp(-0.1), math.exp(-0.2), math.exp(-0.5)]
+    assert sources.passenger_total == 0.1 + 0.2 + 0.5
+    assert sources.passenger_cum.tolist() == [0.1 / 0.8, (0.1 + 0.2) / 0.8, 1.0]
     with pytest.raises(ValueError, match="passenger rates must be >= 0"):
         demand_sources(grid, [], {ZoneId(1, 1): -0.1}, goods_radius=2)
-    assert [(o, rate) for o, rate, _ in sources.goods] == [(ZoneId(9, 9), 2.0), (ZoneId(0, 0), 1.0)]
-    assert sources.goods[1][2] == tuple(grid.zones_within(ZoneId(0, 0), 2))
+    assert [o for o, _ in sources.goods] == [ZoneId(9, 9), ZoneId(0, 0)]
+    assert sources.goods_rates.tolist() == [2.0, 1.0]
+    assert sources.goods[1][1] == tuple(grid.zones_within(ZoneId(0, 0), 2))
     # on a 1x1 grid a goods site reaches no zone and emits nothing
     lone = GridWorld(width=1, height=1)
     assert demand_sources(lone, [ServiceLocation(ZoneId(0, 0), "meal", 5.0)], {}, 1).goods == ()
+    # with no positive rate there is nothing to draw from
+    quiet = demand_sources(grid, [], {ZoneId(1, 1): 0.0}, goods_radius=2)
+    assert (quiet.passenger, quiet.passenger_total, quiet.passenger_cum.tolist()) == ((), 0.0, [])
 
 
 def test_layout_equals_the_per_zone_layout():
@@ -347,8 +209,14 @@ def test_layout_equals_the_per_zone_layout():
         want = [(grid.require(z), lam) for z, lam in sorted(rates.items()) if lam > 0]
         assert sources.passenger == tuple(want), seed
         assert all(type(z) is ZoneId for z, _ in sources.passenger)
-        p0 = np.array([math.exp(-lam) for _, lam in want], dtype=float)
-        assert sources.passenger_p0.tobytes() == p0.tobytes(), seed
+        if not want:
+            assert (sources.passenger_total, len(sources.passenger_cum)) == (0.0, 0), seed
+            continue
+        cum = np.cumsum([lam for _, lam in want])
+        assert sources.passenger_total == cum[-1], seed
+        # the last running sum is exactly 1.0, so no uniform indexes past it
+        assert sources.passenger_cum.tolist() == (cum / cum[-1]).tolist(), seed
+        assert sources.passenger_cum[-1] == 1.0
 
 
 def test_hot_zone_trip_distribution(grid):
@@ -396,49 +264,42 @@ def test_trip_records_bad_rows(tmp_path, grid, row, msg):
 
 
 def test_forecast_empty_history(grid):
-    fc = HistoricalAverageForecaster(grid, ticks_per_day=24).forecast(now=0, steps=5)
-    assert fc.shape == (6, 10, 10)
+    fc = HistoricalAverageForecaster(grid).forecast()
+    assert fc.shape == (10, 10)
     assert np.all(fc == 0)
 
 
 def test_forecast_constant_rate(grid):
-    f = HistoricalAverageForecaster(grid, ticks_per_day=24)
+    f = HistoricalAverageForecaster(grid)
     for t in range(48):
         arr = np.zeros((10, 10))
         arr[3, 3] = 2.0
-        f.record(t, arr)
-    fc = f.forecast(now=48, steps=4)
-    assert np.allclose(fc[:, 3, 3], 2.0)
+        f.record(arr)
+    assert f.forecast()[3, 3] == 2.0
+    assert f.forecast().sum() == 2.0
 
 
-def test_forecast_tick_of_day_average(grid):
-    # zone (1, 1) saw 1 then 3 requests at the same tick-of-day on two days
-    f = HistoricalAverageForecaster(grid, ticks_per_day=24)
-    for day in range(2):
+def test_forecast_is_the_mean_over_all_recorded_ticks(grid):
+    # zone (1, 1) saw 1, 3 and 8 requests and zone (0, 2) one request, in
+    # three ticks; the forecast is each zone's mean, whatever the tick
+    f = HistoricalAverageForecaster(grid)
+    for count in (1.0, 3.0, 8.0):
         arr = np.zeros((10, 10))
-        arr[1, 1] = 1.0 + 2.0 * day
-        f.record(5 + 24 * day, arr)
-    fc = f.forecast(now=5 + 48, steps=0)
-    assert fc[0, 1, 1] == pytest.approx(2.0)
+        arr[1, 1] = count
+        f.record(arr)
+    f.record_requests([])
+    f.record_requests([Request(0, PASSENGER, ZoneId(0, 2), ZoneId(5, 5), 0, 1.0)])
+    fc = f.forecast()
+    assert fc[1, 1] == pytest.approx(12.0 / 5) and fc[0, 2] == pytest.approx(1.0 / 5)
+    assert fc.sum() == pytest.approx(13.0 / 5)
 
 
-def test_forecaster_cold_tod_falls_back_to_overall_mean(grid):
-    f = HistoricalAverageForecaster(grid, ticks_per_day=24)
-    arr = np.zeros((10, 10))
-    arr[2, 2] = 4.0
-    f.record(0, arr)
-    fc = f.forecast(now=7, steps=0)  # tick-of-day 7 unseen
-    assert fc[0, 2, 2] == pytest.approx(4.0)
-
-
-def test_forecast_nonnegative_and_horizon_length(grid):
-    f = HistoricalAverageForecaster(grid, ticks_per_day=24)
+def test_forecast_nonnegative(grid):
+    f = HistoricalAverageForecaster(grid)
     rng = np.random.default_rng(8)
     for t in range(100):
-        f.record(t, rng.poisson(1.0, size=(10, 10)).astype(float))
-    fc = f.forecast(now=100, steps=30)
-    assert fc.shape == (31, 10, 10)
-    assert np.all(fc >= 0)
+        f.record(rng.poisson(1.0, size=(10, 10)).astype(float))
+    assert np.all(f.forecast() >= 0)
 
 
 def test_request_lifecycle_guards():

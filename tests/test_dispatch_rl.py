@@ -43,14 +43,13 @@ def empty_world(width=20, height=20):
     grid = GridWorld(width=width, height=height)
     supply = FleetSnapshot(available=np.zeros((height, width)),
                            freeing=np.zeros((0, 3), dtype=np.int64))
-    forecast = np.zeros((DEMAND_REACH + 1, height, width))
+    forecast = np.zeros((height, width))
     return grid, supply, forecast
 
 
-def encode(supply, forecast, v, tick):
+def encode(supply, forecast, v):
     """The state vector of one vehicle, a batch of one."""
-    return encode_state(observation_maps(supply, forecast), v.fleet, [v.id], tick=tick,
-                        ticks_per_day=1440, window=WINDOW)[0]
+    return encode_state(observation_maps(supply, forecast), v.fleet, [v.id], window=WINDOW)[0]
 
 
 def reference_crop(arr, center, window):
@@ -92,23 +91,20 @@ def test_action_target_clamped_to_grid():
     assert action_target(grid, ZoneId(4, 4), idx, RADIUS) == ZoneId(6, 3)
 
 
-def test_encode_empty_world_only_time_features():
+def test_encode_empty_world_only_free_capacity():
     grid, supply, forecast = empty_world()
     v = vehicles_in_table(grid, [(10, 10)])[0]
-    vec = encode(supply, forecast, v, tick=0)
-    assert vec.shape == (state_dim(WINDOW),)
+    vec = encode(supply, forecast, v)
+    assert vec.shape == (state_dim(WINDOW),) == (902,)
     assert np.all(channels(vec) == 0)
-    scalars = vec[-N_SCALARS:]
-    assert scalars[0] == 4.0 and scalars[1] == 5.0
-    assert scalars[2] == pytest.approx(0.0)  # sin of tick 0
-    assert scalars[3] == pytest.approx(1.0)
+    assert vec[-N_SCALARS:].tolist() == [4.0, 5.0]  # free seats, free trunk slots
 
 
 def test_encode_corner_zero_padded():
     grid, supply, forecast = empty_world()
     supply.available[:, :] = 1.0
     v = vehicles_in_table(grid, [(0, 0)])[0]
-    avail = channels(encode(supply, forecast, v, tick=0))[1]
+    avail = channels(encode(supply, forecast, v))[1]
     assert avail[7, 7] == 1.0  # own zone at the crop center
     assert np.all(avail[:7, :] == 0.0)  # off-map rows above
     assert np.all(avail[:, :7] == 0.0)
@@ -116,21 +112,22 @@ def test_encode_corner_zero_padded():
 
 def test_encode_demand_offset_east():
     grid, supply, forecast = empty_world()
-    # 3 requests expected one step ahead, two zones east of the vehicle
-    forecast[1, 10, 12] = 3.0
+    # 0.25 requests expected per tick two zones east of the vehicle: 3.75
+    # over the DEMAND_REACH ticks ahead
+    forecast[10, 12] = 0.25
     v = vehicles_in_table(grid, [(10, 10)])[0]
-    demand = channels(encode(supply, forecast, v, tick=0))[0]
-    assert demand[7, 9] == 3.0
-    assert demand.sum() == 3.0
+    demand = channels(encode(supply, forecast, v))[0]
+    assert demand[7, 9] == 0.25 * DEMAND_REACH == 3.75
+    assert demand.sum() == 3.75
 
 
 def test_encode_deterministic():
     grid, supply, forecast = empty_world()
     supply.available[3, 4] = 2
-    forecast[2, 5, 5] = 1.5
+    forecast[5, 5] = 1.5
     v = vehicles_in_table(grid, [(5, 5)])[0]
-    a = encode(supply, forecast, v, tick=77)
-    b = encode(supply, forecast, v, tick=77)
+    a = encode(supply, forecast, v)
+    b = encode(supply, forecast, v)
     assert np.array_equal(a, b)
 
 
@@ -154,20 +151,18 @@ def reference_project_supply(vehicles, grid, horizon=30):
     return available, projected
 
 
-def reference_encode(available, projected, forecast, v, tick, ticks_per_day, window):
-    """The observation as it was built from 30-step cubes: each call sums
-    the forecast and projection steps itself and crops each channel."""
-    demand_next = forecast[1 : min(16, forecast.shape[0])].sum(axis=0)
+def reference_encode(available, projected, forecast, v, window):
+    """The observation as it was built from a 30-step supply cube: each call
+    scales the per-tick forecast, sums the projection steps itself and
+    crops each channel."""
+    demand_next = 15 * forecast
     freeing_15 = projected[1 : min(16, projected.shape[0])].sum(axis=0)
     freeing_30 = projected[1 : min(31, projected.shape[0])].sum(axis=0)
     channels = np.stack([reference_crop(m, v.location, window)
                          for m in (demand_next, available, freeing_15, freeing_30)])
-    tod = 2.0 * math.pi * (tick % ticks_per_day) / ticks_per_day
-    dow = 2.0 * math.pi * ((tick // ticks_per_day) % 7) / 7.0
     kinds = [e.kind for e in manifest(v)]
     scalars = [v.fleet.seats_total[v.id] - kinds.count(PASSENGER),
-               v.fleet.trunk_total[v.id] - kinds.count(GOODS),
-               math.sin(tod), math.cos(tod), math.sin(dow), math.cos(dow)]
+               v.fleet.trunk_total[v.id] - kinds.count(GOODS)]
     return np.concatenate([channels.ravel(), scalars])
 
 
@@ -197,34 +192,31 @@ def random_fleet(rng, grid):
 
 @pytest.mark.parametrize("seed", [5, 15, 20, 30, 40])
 def test_encode_from_tick_maps_equals_per_call_sums(seed):
-    # the maps from the 15-step forecast and the freeing list are, bit for
-    # bit, the slices of the 30-step forecast and supply cubes
+    # the maps from the forecast and the freeing list are, bit for bit, the
+    # scaled forecast and the slices of the 30-step supply cube
     rng = np.random.default_rng(seed)
     for trial in range(20):
         height, width = (int(n) for n in rng.integers(1, 25, size=2))
         grid = GridWorld(width=width, height=height, vehicle_speed=int(rng.integers(1, 4)))
-        forecaster = HistoricalAverageForecaster(grid, ticks_per_day=int(rng.integers(1, 60)))
+        forecaster = HistoricalAverageForecaster(grid)
         for t in range(int(rng.integers(0, 80))):
-            forecaster.record(t, rng.poisson(0.3, size=(height, width)) * rng.random())
-        tick = int(rng.integers(5000))
+            forecaster.record(rng.poisson(0.3, size=(height, width)) * rng.random())
         fleet = random_fleet(rng, grid)
         table = fleet[0].fleet
-        maps = observation_maps(project_supply(table, grid),
-                                forecaster.forecast(tick, DEMAND_REACH))
+        forecast = forecaster.forecast()
+        maps = observation_maps(project_supply(table, grid), forecast)
         available, projected = reference_project_supply(fleet, grid)
-        cube = forecaster.forecast(tick, 30)
         for v in fleet:
             window = int(rng.choice([1, 3, 15]))
-            got = encode_state(maps, table, [v.id], tick, ticks_per_day=250, window=window)[0]
-            want = reference_encode(available, projected, cube, v, tick, 250, window)
+            got = encode_state(maps, table, [v.id], window=window)[0]
+            want = reference_encode(available, projected, forecast, v, window)
             assert got.tobytes() == want.tobytes(), (seed, trial, v.id, window)
         # the whole fleet in one batch, rows in fleet order
         window = int(rng.choice([1, 3, 15]))
-        batch = encode_state(maps, table, [v.id for v in fleet], tick, ticks_per_day=250,
-                             window=window)
+        batch = encode_state(maps, table, [v.id for v in fleet], window=window)
         assert batch.shape == (len(fleet), state_dim(window))
         for v, got in zip(fleet, batch):
-            want = reference_encode(available, projected, cube, v, tick, 250, window)
+            want = reference_encode(available, projected, forecast, v, window)
             assert got.tobytes() == want.tobytes(), (seed, trial, v.id, window)
 
 
@@ -242,7 +234,7 @@ def test_encoded_crop_is_identity_inside():
     arr = np.arange(100.0).reshape(10, 10)
     maps = np.stack([arr, 2 * arr, 3 * arr, 4 * arr])
     fleet = vehicles_in_table(GridWorld(width=10, height=10), [(5, 5)])[0].fleet
-    vec = encode_state(maps, fleet, [0], 0, 1440, window=3)[0]
+    vec = encode_state(maps, fleet, [0], window=3)[0]
     assert np.array_equal(channels(vec, window=3), maps[:, 4:7, 4:7])
 
 
@@ -263,17 +255,16 @@ def test_encoder_batch_equals_per_vehicle_crops_at_corners_and_edges(window):
     add(vehicles[4], ManifestEntry(0, PASSENGER, ZoneId(0, 4), ZoneId(1, 4)))
     fleet = vehicles[0].fleet
     vids = [7, 0, 9, 4, 1, 2, 8, 3, 6, 5]
-    batch = encode_state(maps, fleet, vids, 613, ticks_per_day=250, window=window)
+    batch = encode_state(maps, fleet, vids, window=window)
     assert batch.shape == (len(vehicles), state_dim(window))
     for vid, row in zip(vids, batch):
         v = vehicles[vid]
-        single = encode_state(maps, fleet, [vid], 613, ticks_per_day=250, window=window)[0]
+        single = encode_state(maps, fleet, [vid], window=window)[0]
         assert row.tobytes() == single.tobytes(), v.location
         assert channels(row, window).tobytes() == reference_crop(maps, v.location, window).tobytes()
-        assert row[-N_SCALARS:-N_SCALARS + 2].tolist() == list(free_capacity(v))
+        assert row[-N_SCALARS:].tolist() == list(free_capacity(v))
     assert free_capacity(vehicles[4]) == (3, 2)
-    assert encode_state(maps, fleet, [], 613, ticks_per_day=250,
-                        window=window).shape == (0, state_dim(window))
+    assert encode_state(maps, fleet, [], window=window).shape == (0, state_dim(window))
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 500])

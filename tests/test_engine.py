@@ -642,12 +642,29 @@ def test_full_check_catches_a_stale_stop_plan():
 def test_full_check_catches_a_stale_fleet_table(column):
     # the objective is compared with the vehicles' status and plans, the
     # capacity columns with a recount of the manifests
-    sim = Simulation(small_cfg(seed=3))
+    # six vehicles: four are full from tick 12 on, leaving no onboard
+    # vehicle a free seat and none of them empty
+    sim = Simulation(small_cfg(seed=3, n_vehicles=6))
     sim.initialize()
-    while not sim.fleet.onboard.any():
+
+    def candidates():
+        """The vehicles with something onboard; for a free-capacity column,
+        only those with a free entry above 0, so that the true entry less
+        one is stale without being overcommitted; for the zone column, none
+        until another vehicle holds nothing, as its off-grid case needs one."""
+        fleet = sim.fleet
+        held = fleet.onboard > 0
+        if column.endswith("_free"):
+            held &= getattr(fleet, column) > 0
+        if column == "zone" and (fleet.onboard + fleet.pending).all():
+            held[:] = False
+        return np.flatnonzero(held)
+
+    while not len(candidates()):
+        assert sim.tick < sim.cfg.episode_ticks, "no vehicle fits the case"
         sim.step()
     sim.run(ticks=0)  # the true table passes
-    v = sim.vehicles[int(np.flatnonzero(sim.fleet.onboard)[0])]
+    v = sim.vehicles[int(candidates()[0])]
     stored = getattr(sim.fleet, column)
     true = int(stored[v.id])
     if column == "zone":

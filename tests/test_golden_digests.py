@@ -12,8 +12,7 @@ settings too, and a ``flex_hops`` case must relay at least one package.
 In those train cases each vehicle decides once; one more train case has
 vehicles decide again, so that transitions pushed from the decision ledger
 reach its parameter digest. A larger world, in eval and in train mode, has
-more passenger zones than one demand block and more idle vehicles at tick 0
-than one stacked pass of the dispatch phase.
+more idle vehicles at tick 0 than one stacked pass of the dispatch phase.
 Each case runs the policy ``Simulation(cfg)`` builds, which is the
 ``DispatchPolicy(cfg)`` that ``hopfleet train``, ``hopfleet eval`` and
 ``bench/run.py`` build, so the pinned path is the one they run.
@@ -30,7 +29,6 @@ from types import SimpleNamespace
 import pytest
 
 from hopfleet import engine
-from hopfleet.demand import DRAW_BLOCK
 from hopfleet.dispatch_rl import STACK_CHUNK, load_checkpoint
 from hopfleet.engine import (
     BASELINE_FLEX_HOPS,
@@ -48,28 +46,28 @@ from test_engine import small_cfg
 
 GOLDEN = {
     (BASELINE_FLEX_HOPS, MODE_EVAL): (
-        "e13865ceddd73d938f56e98c91ff800c6f76bebb088e971292c5420a7b154122",
+        "70455dcada287e42d9aa5c2981804cf75bcd26facc87f79a50c6a9d2e641d59f",
         None,
     ),
     (BASELINE_FLEX_HOPS, MODE_TRAIN): (
-        "c73f70845cfac26f8da624f19cf38e2f5a5a9dfe6d3c8f5ece0b3bc40560f94c",
-        "69c01ea087f637e38ebdba52b1ef3372f96dfae0b729c83e98267c4139dde7bc",
+        "72d04f54a59052f65263e6721cf3b314708207b94c63e847b68820f1f180443b",
+        "d25e937455e4a2cb2e010d457fa843666e72944931fadd8b4acefdd74ce2a7bf",
     ),
     (BASELINE_FLEX_NOHOPS, MODE_EVAL): (
-        "e3050b8c1c36714681a463c1d1396a4f9bf30dc5c7c97c8934050b2d1b1ad55e",
+        "741d04798f6ce506ea3a84abb96b9fd51148a65ff7468fb055a330de56463868",
         None,
     ),
     (BASELINE_FLEX_NOHOPS, MODE_TRAIN): (
-        "3978aeadda00d3a093e3962dab8a938f074ae28e9c31f5f89a8bed7c4d168dfe",
-        "89154bf377b6bf255bf7d08529d7a00bb85612fb2b1898664da967778da4a848",
+        "23c3630994bfab89cc9222b8715105f83bf37ed37a82f0a2b419ad0707e07d31",
+        "f1bab84440b79bd41cfc47ffd824c57ad6ad39bd6aec17f96c295511509af50b",
     ),
     (BASELINE_SEPARATE, MODE_EVAL): (
-        "0f7c2984a79482f6eb475b442058b0fcce93792e57b1c93946b8232f89f8b508",
+        "666687262f121ba58eb824c43396fe97b1bbaa530be84cbb5c64e4af2c2a5ee1",
         None,
     ),
     (BASELINE_SEPARATE, MODE_TRAIN): (
-        "d3eb658a42783bfcbe9658c0036f043ef4c1bc95fbe3a1f8112480a2dbb5b0a6",
-        "15cb0e1d740329893a964f8e36d556d93cd5e3236d7ece548c278e052bb7ca89",
+        "c9b6bf660a766e8ed7698af04d3549f9c8a424034f441e54d035fab6069a02e8",
+        "88f40808fb2c62f6bc94226fd3d51c67d40e1910eba542f72dd1ac8c72a290f2",
     ),
 }
 
@@ -78,21 +76,20 @@ GOLDEN = {
 # fifth of the desk demand, matched up to 20 zones away, go idle again once
 # their manifests empty; (log digest, parameter digest)
 GOLDEN_REPEAT_DECISIONS = (
-    "783d44ad97228e712df976640600471e5def50de83eafbb1521f72a813da778a",
-    "8b90511c1f75021803c0d9239079224b319c2e4df2fcd957a2c4beb6eb19631e",
+    "4ea88106a01f78a429161ac3a0624bd26b2595542036ac15713b2320c5a4bee0",
+    "dc4f1fe45c15ae236590c8495799b574757a242837717ed32d8b1895e621af85",
 )
 
-# a 30x30 world with 200 vehicles for 30 ticks: its 900 passenger zones span
-# more than one demand block, and tick 0 evaluates more idle vehicles than one
-# stacked pass takes; mode -> (log digest, parameter digest)
+# a 30x30 world with 200 vehicles for 30 ticks: tick 0 evaluates more idle
+# vehicles than one stacked pass takes; mode -> (log digest, parameter digest)
 GOLDEN_BEYOND_ONE_BLOCK = {
     MODE_EVAL: (
-        "0d02cda5f54dac5f7573c3774f2df11065b470328fddc0a4829a0d9550515e65",
+        "2a6ccbcaf49e0ab76897c3d53b01418d65e1f72321e3ca0dda20dd0bfc1aa742",
         None,
     ),
     MODE_TRAIN: (
-        "5a98c30369138b3eadf2e0a5914dc77d01b3e4da09bfa94950194f7e2c30c576",
-        "443fd9ea8c2113adc53e2ea0af627f8c383992cefb4a975938a9f06322afed0d",
+        "2347a038b08dc674a37b06c921235fd4aaf723752dd08521a0aa738876ccf09a",
+        "9bb9a89111740cbe7dd536394f2d25989c6ea40ae65dc60818696e0446357b4a",
     ),
 }
 
@@ -174,7 +171,6 @@ def test_digest_beyond_one_block_and_one_chunk_pinned(mode, tmp_path):
         cfg, policy = replace(cfg, seed=cfg.seed + 1), warm_policy(cfg)
     sim = Simulation(cfg, policy=policy)
     sim.initialize()
-    assert len(sim._sources.passenger) > DRAW_BLOCK
     observed = []  # (tick, vehicles) of each stacked pass
 
     def observe(maps, vehicles, _observe=sim._observe):
@@ -238,9 +234,9 @@ def test_phase_timers_count_cpu_time_not_waits():
     sim = Simulation(golden_cfg(BASELINE_FLEX_HOPS))
     sim.initialize()
 
-    def sleepy_forecast(tick, reach, _forecast=sim.forecaster.forecast):
+    def sleepy_forecast(_forecast=sim.forecaster.forecast):
         time.sleep(0.05)
-        return _forecast(tick, reach)
+        return _forecast()
 
     sim.forecaster.forecast = sleepy_forecast
     start = time.perf_counter()
