@@ -25,8 +25,10 @@ requests = [
 fleet = FleetTable(grid, seats_total=[4, 4, 4], trunk_total=[5, 5, 0],
                    locations=[ZoneId(0, 1), ZoneId(2, 4), ZoneId(4, 4)])
 
-# the pool is every vehicle of the table, by id
-for a in match(requests, range(len(fleet.vehicles)), fleet, grid, reject_radius=6, rng=rng):
+# the pool is every vehicle of the table, by id; each request is picked up
+# at its origin (a package relayed at a hub would be picked up there)
+for a in match(requests, range(len(fleet.vehicles)), fleet, grid, reject_radius=6, rng=rng,
+               origins=[r.origin for r in requests]):
     r = requests[a.request_id]
     print(f"request {a.request_id} ({r.kind:9s} at {tuple(r.origin)}) -> "
           f"vehicle {a.vehicle_id} in the {a.slot}, pickup eta {a.eta_ticks}")
@@ -35,6 +37,6 @@ print("request 3 stays queued: nothing within the reject radius.\n")
 # full vehicles never accept more than their capacity
 small = FleetTable(grid, seats_total=[1], trunk_total=[0], locations=[ZoneId(0, 0)])
 crowd = [Request(i, PASSENGER, ZoneId(0, i + 1), ZoneId(5, 5), 0, 1.0) for i in range(3)]
-got = match(crowd, [0], small, grid, reject_radius=8, rng=rng)
+got = match(crowd, [0], small, grid, reject_radius=8, rng=rng, origins=[r.origin for r in crowd])
 print(f"one seat, three passengers: {len(got)} assignment ->",
       [(a.request_id, a.eta_ticks) for a in got])

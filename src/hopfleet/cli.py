@@ -345,19 +345,22 @@ def cmd_compare(args) -> int:
                 and isinstance(report.get("aggregate"), dict)):
             raise InputError(f"not an eval report: {path}")
         reports.append(report)
-    base = reports[0]
-    comparison = {"reference": base["baseline"], "metrics": {}}
+    # one label per report given, by position: two reports of one baseline stay apart
+    labels = [f"{i}:{r['baseline']}" for i, r in enumerate(reports)]
+    comparison = {"reference": labels[0], "reports": dict(zip(labels, args.reports)),
+                  "metrics": {}}
     name_width = max(len(m) for m in COMPARE_DIRECTIONS)
-    header = f"{'metric':<{name_width}}  " + "  ".join(f"{r['baseline']:>14}" for r in reports)
+    header = f"{'metric':<{name_width}}  " + "  ".join(f"{label:>14}" for label in labels)
     lines = [header]
     for metric, bigger_is_better in COMPARE_DIRECTIONS.items():
         values = [r["aggregate"].get(metric) for r in reports]
         deltas = [None if (v is None or values[0] is None) else v - values[0] for v in values]
-        usable = [(v, r["baseline"]) for v, r in zip(values, reports) if v is not None]
-        best = (max(usable)[1] if bigger_is_better else min(usable)[1]) if usable else None
+        usable = [(v, label) for v, label in zip(values, labels) if v is not None]
+        pick = max if bigger_is_better else min  # the first report at the best value
+        best = pick(usable, key=lambda pair: pair[0])[1] if usable else None
         comparison["metrics"][metric] = {
-            "values": {r["baseline"]: v for r, v in zip(reports, values)},
-            "delta_vs_reference": {r["baseline"]: d for r, d in zip(reports, deltas)},
+            "values": dict(zip(labels, values)),
+            "delta_vs_reference": dict(zip(labels, deltas)),
             "direction": "higher_better" if bigger_is_better else "lower_better",
             "best": best,
         }

@@ -59,15 +59,12 @@ class TripRecordError(ValueError):
 
 @dataclass
 class Request:
-    """One pickup demand: a passenger seat or a goods trunk slot.
+    """One package or passenger: a goods trunk slot or a passenger seat.
 
-    Hop-trip legs created mid-journey reference the original goods request
-    through ``parent_id``; only original requests (parent_id None) count in
-    service metrics. A leg request's ``hops_completed`` is its index in its
-    relay chain: the original request is leg 0 and each handoff at a hub
-    creates the next leg with the index after the one dropped. A request
-    holds only these facts; its status is kept by the ``RequestTable`` it
-    is registered in.
+    ``legs`` is the chain of (origin, destination) legs it travels, planned
+    at intake: a relayed package is handed off at a hub after each leg but
+    its last; anything else travels one direct leg. The request holds only
+    these facts; the ``RequestTable`` it joins keeps its status and leg.
     """
 
     id: int
@@ -76,8 +73,7 @@ class Request:
     destination: ZoneId
     created_tick: int
     urgency: float
-    hops_completed: int = 0
-    parent_id: int | None = None
+    legs: tuple = ()  # empty: the one direct leg
 
     def __post_init__(self):
         if self.kind not in (PASSENGER, GOODS):
@@ -86,31 +82,33 @@ class Request:
             raise ValueError(f"request {self.id}: origin equals destination")
         if not (0.0 < self.urgency <= 1.0):
             raise ValueError(f"request {self.id}: urgency must be in (0, 1]")
-        if self.kind == PASSENGER and self.hops_completed:
-            raise ValueError("passengers never hop")
-
-    @property
-    def chain_id(self) -> int:
-        """The primary request of the relay chain this request is a leg of
-        (its own id for a primary)."""
-        return self.id if self.parent_id is None else self.parent_id
+        if not self.legs:
+            self.legs = ((self.origin, self.destination),)
 
 
 class RequestTable:
-    """The requests of one episode, request ``i`` at index ``i``: each one's
-    facts (``requests``), the one stored copy of its status as a code of
-    ``REQUEST_STATUSES`` (the ``status`` column) and its ``chain_id`` (the
-    ``chain`` column). Requests join queued, and every status change goes
-    through ``set_status``, which refuses what ``REQUEST_TRANSITIONS`` refuses.
-    The queue is the queued rows (``queued``), and the next request takes
-    the id ``len(table)``."""
+    """The requests of one episode, request ``i`` at row ``i`` for its whole
+    life: its facts (``requests``) and the one stored copy of its status as
+    a code of ``REQUEST_STATUSES`` (``status``), its current leg as an index
+    into its ``legs`` (``leg``), the tick that leg joined the queue
+    (``since``) and its rank among the queue entries (``rank``). Requests
+    join queued on their first leg; ``set_status`` refuses what
+    ``REQUEST_TRANSITIONS`` refuses, and ``hand_off`` queues a relayed
+    package again at a hub. The queue is the queued rows in order of entry
+    (``queued``), and the next request takes the id ``len(table)``."""
+
+    COLUMNS = (("status", np.int8), ("leg", np.int32), ("since", np.int64), ("rank", np.int64))
 
     def __init__(self):
         self.requests: list[Request] = []
-        # buffers that double when full; status and chain view their first len(self)
-        self._status = np.zeros(256, dtype=np.int8)
-        self._chain = np.zeros(256, dtype=np.int32)
-        self.status, self.chain = self._status[:0], self._chain[:0]
+        self.entries = 0  # queue entries so far: the next rank
+        # buffers that double when full; each column views its first len(self)
+        self._buffers = {name: np.zeros(256, dtype=dtype) for name, dtype in self.COLUMNS}
+        self._view(0)
+
+    def _view(self, n: int):
+        for name, buffer in self._buffers.items():
+            setattr(self, name, buffer[:n])
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -119,22 +117,26 @@ class RequestTable:
         return self.requests[rid]
 
     def add(self, requests: Sequence[Request]):
-        """Register ``requests``, queued; their ids must be the next ones, in order."""
+        """Register ``requests``, queued on their first leg in the order
+        given; their ids must be the next ones, in order."""
         start, end = len(self.requests), len(self.requests) + len(requests)
         if [r.id for r in requests] != list(range(start, end)):
             raise ValueError(f"requests join the table under the next ids, from {start}")
-        if end > len(self._status):
-            size = max(2 * len(self._status), end)
-            self._status = np.resize(self._status, size)
-            self._chain = np.resize(self._chain, size)
-        self._status[start:end] = REQUEST_STATUS_CODE[QUEUED]
-        self._chain[start:end] = [r.chain_id for r in requests]
+        buffers = self._buffers
+        if end > len(buffers["status"]):
+            for name, buffer in buffers.items():
+                buffers[name] = np.resize(buffer, max(2 * len(buffer), end))
         self.requests.extend(requests)
-        self.status, self.chain = self._status[:end], self._chain[:end]
+        self._view(end)
+        self.status[start:], self.leg[start:] = REQUEST_STATUS_CODE[QUEUED], 0
+        self.since[start:] = [r.created_tick for r in requests]
+        self.rank[start:] = range(self.entries, self.entries + len(requests))
+        self.entries += len(requests)
 
     def queued(self) -> np.ndarray:
-        """The ids of the queued requests, ascending: the queue."""
-        return np.flatnonzero(self.status == REQUEST_STATUS_CODE[QUEUED])
+        """The ids of the queued requests in the order they joined the queue."""
+        rids = np.flatnonzero(self.status == REQUEST_STATUS_CODE[QUEUED])
+        return rids[np.argsort(self.rank[rids])]
 
     def status_of(self, rid: int) -> str:
         return REQUEST_STATUSES[self.status.item(rid)]
@@ -144,6 +146,19 @@ class RequestTable:
         if (old, code) not in _CODE_TRANSITIONS:
             raise ValueError(f"request {rid}: illegal transition {REQUEST_STATUSES[old]} -> {new}")
         self.status[rid] = code
+
+    def hand_off(self, rid: int, tick: int):
+        """Queue package ``rid``, dropped at a hub at ``tick``, for its next
+        leg: picked up -> queued, the leg cursor advanced, queued since
+        ``tick`` and ranked behind every earlier queue entry. Refuses a
+        passenger, a package on its last leg and a row not picked up."""
+        req, leg = self.requests[rid], self.leg.item(rid) + 1
+        if req.kind != GOODS or leg >= len(req.legs) or self.status_of(rid) != PICKED_UP:
+            raise ValueError(f"request {rid}: no hand-off for a {self.status_of(rid)} {req.kind} "
+                             f"request on leg {leg} of {len(req.legs)}")
+        self.status[rid] = REQUEST_STATUS_CODE[QUEUED]
+        self.leg[rid], self.since[rid], self.rank[rid] = leg, tick, self.entries
+        self.entries += 1
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,15 @@ and phase 6 prices its orders in one pass over the columns each:
 
   1. intake the tick's requests, drawn as one Poisson total of passengers
      and one count per goods site (``demand.generate_tick_requests``), and
-     add their origins to the forecaster's flat per-zone mean; plan relay
-     chains for goods
+     add their origins to the forecaster's flat per-zone mean; plan each
+     package's relay chain (``Request.legs``)
   2. arrival processing, in id order, for the vehicles the last move pass
      left where something resolves (``fleet.FleetTable.arriving``; the fleet
      module docstring states the rule). Status transitions, pickups, drops:
      a vehicle on its plan's first stop drops that stop, a drop elsewhere
-     rebuilds the plan; a drop that is not a chain's last leg
-     enqueues the next leg as a child request. A leg request's
-     ``hops_completed`` is its index in its chain, so
-     ``legs[chain id][hops_completed]`` is the leg it carries
+     rebuilds the plan; a drop at the end of a leg that is not the
+     package's last queues the same request row again at the hub, its leg
+     cursor advanced (``RequestTable.hand_off``)
   3. idle vehicles query the dispatch policy with the scheduled probability;
      a self-targeted action holds the vehicle idle, anything else starts a
      dispatch drive. Each idle vehicle first makes its draws in id order
@@ -30,9 +29,10 @@ and phase 6 prices its orders in one pass over the columns each:
      with one ``np.bincount`` over the zone column; on a full-check tick the
      fleet table is checked against a fresh count first, since supply and
      matching read it
-  4. greedy matching binds queued requests to dispatched vehicles and to
-     partially filled en-route vehicles, a pool whose zones and free
-     capacity it reads from the table; stale requests expire
+  4. greedy matching binds queued requests, in queue order and each priced
+     from its current leg's origin, to dispatched vehicles and to partially
+     filled en-route vehicles, a pool whose zones and free capacity it reads
+     from the table; stale requests expire
   5. one ``fleet.move`` pass advances every vehicle that is not parked,
      i.e. neither idle nor dispatched, toward its objective, in integer
      arrays over the zone and target columns; a matched or serving vehicle
@@ -50,24 +50,24 @@ and phase 6 prices its orders in one pass over the columns each:
   7. training mode takes one gradient step and syncs the target on schedule
 
 The invariant checks run after settling, as passes over the fleet table and
-the request table (``demand.RequestTable``, the one stored copy of each
-request's status, as a code column beside its chain id: the queue is its
-queued rows, and the next request id its length). Every tick, column
-expressions find an overcommitted vehicle (free seats or trunk slots below
-zero) or a status code outside ``VEHICLE_STATUSES``, and compare the status
-of every order's leg request with assigned, or picked up when onboard, so a
-request queued and held at once fails here. Every ``FULL_CHECK_EVERY``
-ticks, the fleet table is compared with a fresh count of the status column,
-plans and order table (``first_stale``, which keeps the zone column on the
-grid); then the stored stop plan of each vehicle that holds orders with a
-fresh one built from the zone column (which covers the position and the
-odometer), while a vehicle with none must have an empty plan, as
-``planned_stops`` would make it; each order's ``drop_cum`` with its
-vehicle's stored plan; and the live legs (the queued rows and the order
-table) are counted per chain with one ``np.bincount``: one for each open
-primary request, none for a delivered or rejected one, which catches a leg
-lost or held twice. Onboard orders are a subset of held ones, so a fresh
-column that is not overcommitted is within capacity too.
+the request table (``demand.RequestTable``, one row per request for its
+whole life and the one stored copy of its status, leg cursor and queue
+entry: the queue is its queued rows, and the next request id its length).
+Every tick, column expressions find an overcommitted vehicle (free seats or
+trunk slots below zero) or a status code outside ``VEHICLE_STATUSES``, and
+compare the status of every order's request with assigned, or picked up
+when onboard, so a request queued or closed while held fails here. Every
+``FULL_CHECK_EVERY`` ticks, the fleet table is compared with a fresh count
+of the status column, plans and order table (``first_stale``, which keeps
+the zone column on the grid); then the stored stop plan of each vehicle
+that holds orders with a fresh one built from the zone column (which covers
+the position and the odometer), while a vehicle with none must have an
+empty plan, as ``planned_stops`` would make it; each order's ``drop_cum``
+with its vehicle's stored plan; and the orders are counted per request with
+one ``np.bincount``: one for each assigned or picked-up request, none for
+any other, which catches a request lost or held twice. Onboard orders are a
+subset of held ones, so a fresh column that is not overcommitted is within
+capacity too.
 
 Identical seed and config give bit-identical episode logs. ``step`` also sums
 the thread's cpu time in each phase into ``phase_seconds``, which is kept
@@ -106,9 +106,8 @@ MODE_EVAL = "eval"
 
 FULL_CHECK_EVERY = 25  # ticks between full conservation scans
 
-_QUEUED, _ASSIGNED, _PICKED_UP, _DELIVERED, _REJECTED = (
-    dm.REQUEST_STATUS_CODE[s] for s in (dm.QUEUED, dm.ASSIGNED, dm.PICKED_UP, dm.DELIVERED,
-                                        dm.REJECTED))
+_QUEUED, _ASSIGNED, _PICKED_UP = (
+    dm.REQUEST_STATUS_CODE[s] for s in (dm.QUEUED, dm.ASSIGNED, dm.PICKED_UP))
 
 # the parts of Simulation.step timed into Simulation.phase_seconds, in order
 PHASES = ("intake", "arrivals", "supply", "forecast", "dispatch", "match", "advance",
@@ -395,7 +394,6 @@ class Simulation:
         self.forecaster = dm.HistoricalAverageForecaster(self.grid)
         self.fleet: fl.FleetTable | None = None  # built by initialize
         self.registry = dm.RequestTable()
-        self.legs: dict[int, tuple] = {}  # relayed goods id -> HopTrip.legs
         self.tick = 0
         self.training = False
         self.pending: dict[int, _Pending] = {}
@@ -527,65 +525,47 @@ class Simulation:
 
     # -- per-tick helpers ----------------------------------------------------
 
-    def _leg_for(self, req: dm.Request) -> tuple:
-        """(origin, destination, is_last) of the leg a request carries."""
-        legs = self.legs.get(req.chain_id)
-        if legs is None:
-            return req.origin, req.destination, True
-        o, d = legs[req.hops_completed]
-        return o, d, req.hops_completed == len(legs) - 1
-
     def _intake(self, detail: dict):
         reqs = self._draw_requests(self.tick, self.demand_rng, len(self.registry))
         self.forecaster.record_requests(reqs)
         self.registry.add(reqs)
         for r in reqs:
             self.log.add(self.tick, "request", request=r.id, req_kind=r.kind,
-                         origin=r.origin, destination=r.destination, parent=r.parent_id,
+                         origin=r.origin, destination=r.destination, parent=None,
                          urgency=r.urgency)
             if r.kind == dm.GOODS and self.cfg.baseline == BASELINE_FLEX_HOPS:
-                trip = assign_hop_zones(r, self.grid, self.cfg.max_hop_depth)
-                if len(trip.legs) > 1:
-                    self.legs[r.id] = trip.legs
+                r.legs = assign_hop_zones(r, self.grid, self.cfg.max_hop_depth).legs
         detail["generated"] = len(reqs)
 
     def _handle_drop(self, event: fl.DropEvent, detour: dict) -> bool:
         """Deliver the package or hand it off at a hub; True for a handoff."""
-        registry = self.registry
-        req = registry[event.request_id]
-        orig = registry[req.chain_id]
-        if req.parent_id is not None:
-            registry.set_status(req.id, dm.DELIVERED)
-        _, _, last = self._leg_for(req)
-        if last:
-            registry.set_status(orig.id, dm.DELIVERED)
-            self.log.add(event.tick, "deliver", request=orig.id, vehicle=event.vehicle_id,
-                         zone=event.zone, leg=event.request_id)
+        rid, registry = event.request_id, self.registry
+        hop = registry.leg.item(rid) + 1
+        if hop == len(registry[rid].legs):
+            registry.set_status(rid, dm.DELIVERED)
+            self.log.add(event.tick, "deliver", request=rid, vehicle=event.vehicle_id,
+                         zone=event.zone, leg=rid)
             return False
-        # hop handoff: enqueue the next leg, indexed by its hops_completed
-        idx = req.hops_completed + 1
-        o, d = self.legs[orig.id][idx]
-        if o != event.zone:
-            raise EngineInvariantError(self._dump(f"hop chain misaligned for request {orig.id}",
-                                                  event.vehicle_id))
-        registry.add([dm.Request(len(registry), dm.GOODS, o, d, event.tick, orig.urgency,
-                                 hops_completed=idx, parent_id=orig.id)])
+        registry.hand_off(rid, event.tick)  # queued at the hub for its next leg
         detour[event.vehicle_id] = detour.get(event.vehicle_id, 0.0) + 1.0
-        self.log.add(event.tick, "hop_drop", request=orig.id, leg=event.request_id,
-                     vehicle=event.vehicle_id, zone=event.zone, hops_done=idx)
+        self.log.add(event.tick, "hop_drop", request=rid, leg=rid, vehicle=event.vehicle_id,
+                     zone=event.zone, hops_done=hop)
         return True
 
     def _arrivals(self, detour: dict, detail: dict):
         hops = 0
+        registry = self.registry
         # nothing moves between the last move pass and here
         for vid in self.fleet.arriving:
             for event in fl.process_arrivals(self.fleet.vehicles[vid], self.tick):
                 if isinstance(event, fl.PickupEvent):
-                    req = self.registry[event.request_id]
-                    self.registry.set_status(req.id, dm.PICKED_UP)
-                    self.log.add(self.tick, "pickup", request=event.request_id,
-                                 parent=req.parent_id, vehicle=event.vehicle_id,
-                                 zone=event.zone, wait=self.tick - req.created_tick)
+                    rid = event.request_id
+                    registry.set_status(rid, dm.PICKED_UP)
+                    # parent flags a later leg, whose wait counts from its handoff
+                    self.log.add(self.tick, "pickup", request=rid,
+                                 parent=rid if registry.leg.item(rid) else None,
+                                 vehicle=event.vehicle_id, zone=event.zone,
+                                 wait=self.tick - registry.since.item(rid))
                 elif self._handle_drop(event, detour):
                     hops += 1
         detail["hops"] = hops
@@ -643,31 +623,30 @@ class Simulation:
                               | (fleet.mask(fl.MATCHED, fl.SERVING) & fleet.available()))
         queue = registry.queued()
         requests = list(map(registry.requests.__getitem__, queue.tolist()))
+        # each package is picked up where its current leg starts
+        origins = [r.legs[leg][0] for r, leg in zip(requests, registry.leg[queue].tolist())]
         assignments = match(requests, pool, fleet, self.grid, cfg.reject_radius_zones,
-                            self.match_rng)
+                            self.match_rng, origins)
         for a in assignments:
             v = fleet.vehicles[a.vehicle_id]
-            req = registry[a.request_id]
-            origin, dest, _ = self._leg_for(req)
+            rid = a.request_id
+            leg = registry.leg.item(rid)
             before = v.route_eta(speed) if v.stops else None
-            v.add_entry(req, origin, dest)
+            v.add_entry(registry[rid], leg, registry.since.item(rid))
             if before is not None:
                 after = v.route_eta(speed)
                 detour[v.id] = detour.get(v.id, 0.0) + max(0.0, after - before)
-            registry.set_status(req.id, dm.ASSIGNED)
+            registry.set_status(rid, dm.ASSIGNED)
             if v.status in (fl.DISPATCHED, fl.SERVING):
                 v.set_status(fl.MATCHED)
-            self.log.add(self.tick, "assign", request=req.id, parent=req.parent_id,
+            self.log.add(self.tick, "assign", request=rid, parent=rid if leg else None,
                          vehicle=v.id, slot=a.slot, eta=a.eta_ticks)
-        # expire stale primary requests still queued; relay legs wait at their hop-zone
-        cutoff = self.tick - cfg.patience_ticks
-        waiting = (registry.status[queue] == _QUEUED).tolist()
-        expired = [r for r, queued in zip(requests, waiting)
-                   if queued and r.parent_id is None and r.created_tick <= cutoff]
-        for r in expired:
-            registry.set_status(r.id, dm.REJECTED)
-            self.legs.pop(r.id, None)
-            self.log.add(self.tick, "reject", request=r.id, req_kind=r.kind)
+        # expire stale requests still queued on their first leg; a relayed package waits at its hub
+        expired = queue[(registry.status[queue] == _QUEUED) & (registry.leg[queue] == 0)
+                        & (registry.since[queue] <= self.tick - cfg.patience_ticks)].tolist()
+        for rid in expired:
+            registry.set_status(rid, dm.REJECTED)
+            self.log.add(self.tick, "reject", request=rid, req_kind=registry[rid].kind)
         detail["assigned"] = len(assignments)
         detail["rejected"] = len(expired)
 
@@ -709,7 +688,7 @@ class Simulation:
         detail["activations"] = activations
         detail["reward_mean"] = float(np.mean(rewards))
         detail["active"] = active
-        detail["queued"] = len(self.registry.queued())
+        detail["queued"] = int(np.count_nonzero(self.registry.status == _QUEUED))
 
     # -- invariants ----------------------------------------------------------
 
@@ -749,7 +728,7 @@ class Simulation:
             vid = int(np.argmax(broken))
             what = "overcommitted" if over[vid] else f"bad status code {fleet.status[vid]}"
             raise EngineInvariantError(self._dump(f"vehicle {vid} {what}", vid))
-        # every order against its leg request: assigned, or picked up once onboard
+        # every order against its request: assigned, or picked up once onboard
         orders = fleet.orders
         live = orders[fl.REQUEST] >= 0  # row-major: by vehicle, then manifest position
         rids = orders[fl.REQUEST][live]
@@ -785,18 +764,14 @@ class Simulation:
             raise EngineInvariantError(self._dump(
                 f"vehicle {vids[i]} order table drop_cum {stored[i]} of request {rids[i]} "
                 f"is stale, the zone index says {indexed[i]}", vids[i]))
-        # an open primary request has exactly one live leg, queued or in a
-        # manifest; a delivered or rejected one has none
-        chain, status = registry.chain, registry.status
-        legs = np.bincount(chain[np.concatenate([registry.queued(), rids])],
-                           minlength=len(registry))
-        expect = ((chain == np.arange(len(registry)))
-                  & (status != _DELIVERED) & (status != _REJECTED))
-        bad = np.flatnonzero(legs != expect)
+        # an assigned or picked-up request sits in exactly one order, every other in none
+        held = np.bincount(rids, minlength=len(registry))
+        expect = (registry.status == _ASSIGNED) | (registry.status == _PICKED_UP)
+        bad = np.flatnonzero(held != expect)
         if len(bad):
             rid = int(bad[0])
             raise EngineInvariantError(self._dump(
-                f"request {rid} ({registry.status_of(rid)}) has {legs[rid]} live legs, "
+                f"request {rid} ({registry.status_of(rid)}) is held in {held[rid]} orders, "
                 f"expected {int(expect[rid])}"))
 
     # -- main loop -----------------------------------------------------------

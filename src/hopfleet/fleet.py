@@ -5,7 +5,8 @@ Statuses move along idle -> dispatching -> dispatched -> matched -> serving
 steps back to matched to route to the new pickup. Any other transition is a
 bug and raises.
 
-A vehicle's work is its manifest, its orders in the order it took them on:
+A vehicle's work is its manifest, its orders in the order it took them on,
+each the current leg of a request (a relayed package's leg ends at a hub):
 reserved pickups until they become onboard at their origin. Seats and trunk
 slots are reserved at assignment, so matching can never overbook. Stops are
 ordered by a nearest-next greedy: all pending pickups first, then
@@ -86,10 +87,11 @@ class VehicleStateError(RuntimeError):
     """Internal consistency violation in a vehicle's lifecycle."""
 
 
-# an order's fields, one int each: its leg request, its kind (an index in
-# KINDS), flat origin and destination zones, onboard (0 or 1), the ticks of
-# a direct trip origin -> destination, the request's created tick and hop
-# index, and its drop_cum
+# an order's fields, one int each: its request, its kind (an index in
+# KINDS), the flat origin and destination zones of the leg it carries,
+# onboard (0 or 1), the ticks of a direct trip origin -> destination, the
+# tick the leg joined the queue, the leg's index in the request's relay
+# chain, and its drop_cum
 ORDER_FIELDS = ("request", "kind", "origin", "destination", "onboard", "direct_ticks",
                 "created_tick", "hops", "drop_cum")
 REQUEST, KIND, ORIGIN, DESTINATION, ONBOARD, DIRECT, CREATED, HOPS, DROP_CUM = range(9)
@@ -161,19 +163,21 @@ class VehicleState:
         code = self.fleet.status[self.id] = STATUS_CODE[new]
         self.aim(code)
 
-    def add_entry(self, request, origin: ZoneId, destination: ZoneId):
-        """Take on leg request ``request`` (a ``demand.Request``) from
-        ``origin`` to ``destination`` as the last order, a pending pickup."""
+    def add_entry(self, request, leg: int, created: int):
+        """Take on leg ``leg`` of ``request`` (a ``demand.Request``), which
+        joined the queue at tick ``created``, as the last order, a pending
+        pickup."""
         fleet, vid, width = self.fleet, self.id, self.fleet.grid.width
         kind = KINDS.index(request.kind)
         if (fleet.seats_free, fleet.trunk_free)[kind].item(vid) <= 0:
             raise VehicleStateError(f"vehicle {vid}: no {('seat', 'trunk slot')[kind]} "
                                     f"for request {request.id}")
         slot = fleet.onboard.item(vid) + fleet.pending.item(vid)
+        origin, destination = request.legs[leg]
         direct = math.ceil(manhattan(origin, destination) / fleet.grid.vehicle_speed)
         fleet.orders[:, vid, slot] = (request.id, kind, origin[0] * width + origin[1],
                                       destination[0] * width + destination[1], 0, direct,
-                                      request.created_tick, request.hops_completed, -1)
+                                      created, leg, -1)
         fleet.urgency[vid, slot] = request.urgency
         self.replan(fleet.orders[:, vid, : slot + 1].tolist())
 

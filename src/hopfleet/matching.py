@@ -7,10 +7,10 @@ the reject radius and whose slot type (seat for passengers, trunk for goods)
 has free capacity. They come from one requests x vehicles matrix of
 Manhattan distances, turned into ETAs by ceiling division by the vehicle
 speed, so no per-pair Python runs. Pairs are consumed in ascending
-(ETA, request id, vehicle id) order; when several vehicles tie at a
-request's best ETA, one of them is drawn uniformly at random. Capacity is
-decremented as assignments accrue, so a single call can never overbook a
-vehicle.
+(ETA, queue position, vehicle id) order, so a request queued earlier wins a
+tie; when several vehicles tie at a request's best ETA, one of them is drawn
+uniformly at random. Capacity is decremented as assignments accrue, so a
+single call can never overbook a vehicle.
 """
 
 from __future__ import annotations
@@ -49,9 +49,12 @@ def match(
     grid: GridWorld,
     reject_radius: float,
     rng: np.random.Generator,
+    origins: Sequence,
 ) -> list[Assignment]:
-    """Assign queued requests to the pool's vehicles (ids into ``fleet``, a
-    table of this grid), minimizing pickup ETA greedily.
+    """Assign queued requests, in queue order, to the pool's vehicles (ids
+    into ``fleet``, a table of this grid), minimizing pickup ETA greedily.
+    ``origins`` are the pickup zones, one per request: a relayed package is
+    picked up where its current leg starts.
 
     Unassignable requests are simply left out; expiring them is the engine's
     job. Output order follows assignment order and is deterministic for a
@@ -60,7 +63,7 @@ def match(
     bound = reject_radius_ticks(grid, reject_radius)
     if not requests or not len(pool):
         return []
-    origins = grid.require_all([r.origin for r in requests])
+    origins = grid.require_all(origins)
     pool = np.asarray(pool, dtype=np.intp)
     rows, cols = np.divmod(fleet.zone[pool], grid.width)
     seats, trunk = fleet.seats_free[pool], fleet.trunk_free[pool]
@@ -73,30 +76,28 @@ def match(
     if not len(ri):
         return []
     etas = eta[ri, vi]
-    rids = np.array([r.id for r in requests])[ri]
-    order = np.lexsort((pool[vi], rids, etas))
-    etas, rids, vi = etas[order], rids[order], vi[order]
+    order = np.lexsort((pool[vi], ri, etas))
+    etas, ri, vi = etas[order], ri[order], vi[order]
     # one group per (ETA, request): that request's vehicles tied at that ETA
-    starts = np.flatnonzero(np.r_[True, (etas[1:] != etas[:-1]) | (rids[1:] != rids[:-1])])
+    starts = np.flatnonzero(np.r_[True, (etas[1:] != etas[:-1]) | (ri[1:] != ri[:-1])])
     ends = [*starts[1:].tolist(), len(vi)]
     vi = vi.tolist()
 
     # free capacity and ids by position in the pool
     seats_free, trunk_free, vehicle_ids = seats.tolist(), trunk.tolist(), pool.tolist()
-    kind_of = {r.id: r.kind for r in requests}
-    assigned: set = set()
+    passenger = is_passenger.tolist()
+    assigned: set = set()  # positions in ``requests``
     out: list[Assignment] = []
-    for start, end, eta, rid in zip(starts.tolist(), ends, etas[starts].tolist(),
-                                    rids[starts].tolist()):
-        if rid in assigned:
+    for start, end, eta, i in zip(starts.tolist(), ends, etas[starts].tolist(),
+                                  ri[starts].tolist()):
+        if i in assigned:
             continue
-        kind = kind_of[rid]
-        free = seats_free if kind == PASSENGER else trunk_free
+        free = seats_free if passenger[i] else trunk_free
         tied = [k for k in vi[start:end] if free[k] > 0]
         if not tied:
             continue
         k = tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
         free[k] -= 1
-        assigned.add(rid)
-        out.append(Assignment(rid, vehicle_ids[k], SEAT if kind == PASSENGER else TRUNK, eta))
+        assigned.add(i)
+        out.append(Assignment(requests[i].id, vehicle_ids[k], SEAT if passenger[i] else TRUNK, eta))
     return out

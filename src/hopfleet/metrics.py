@@ -1,7 +1,7 @@
 """Service metrics computed post-hoc from an episode log.
 
-All figures count primary requests only: relay legs created at hop-zones are
-bookkeeping and are excluded from acceptance and wait accounting. Fuel is
+Each request counts once, however many relay legs it travels: acceptance
+and wait count its first leg's pickup, and delivery its last leg's drop. Fuel is
 charged per non-idle vehicle-hour at a flat gallons-per-hour burn rate.
 """
 
@@ -20,7 +20,7 @@ GALLONS_PER_DRIVING_HOUR = 0.5
 class LogIndex:
     """What the metrics read from one episode log, gathered by :func:`index_log`."""
 
-    requests: dict  # primary request id -> record
+    requests: dict  # request id -> record
     stats: list  # tick_stats events in tick order
     hop_transfers: int
     n_vehicles: int
@@ -29,9 +29,10 @@ class LogIndex:
 
 
 def index_log(log) -> LogIndex:
-    """Index the primary requests, the tick stats and the hop drops of
-    ``log`` in one pass over its events. Events are in log order, so a
-    request's record exists before its pickup or delivery is read."""
+    """Index the requests, the tick stats and the hop drops of ``log`` in
+    one pass over its events; a pickup with a ``parent`` is a later leg's.
+    Events are in log order, so a request's record exists before its pickup
+    or delivery is read."""
     requests, stats, hops = {}, [], 0
     for e in log.events:
         kind = e["kind"]
@@ -39,7 +40,7 @@ def index_log(log) -> LogIndex:
             stats.append(e)
         elif kind == "hop_drop":
             hops += 1
-        elif kind == "request" and e.get("parent") is None:
+        elif kind == "request":
             requests[e["request"]] = {
                 "kind": e["req_kind"],
                 "origin": tuple(e["origin"]),

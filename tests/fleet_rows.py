@@ -81,15 +81,16 @@ class ManifestEntry(NamedTuple):
     direct_ticks: int = 0
     created_tick: int = 0
     urgency: float = 1.0
-    hops_completed: int = 0
+    hops: int = 0  # the index of the leg in its request's relay chain
 
 
 def add(v, e: ManifestEntry):
-    """Vehicle ``v`` takes on order ``e`` as matching assigns one; an
-    onboard ``e`` is then marked picked up, and the plan rebuilt."""
-    request = SimpleNamespace(id=e.request_id, kind=e.kind, created_tick=e.created_tick,
-                              urgency=e.urgency, hops_completed=e.hops_completed)
-    v.add_entry(request, e.origin, e.destination)
+    """Vehicle ``v`` takes on order ``e``, leg ``e.hops`` of its request,
+    as matching assigns one; an onboard ``e`` is then marked picked up,
+    and the plan rebuilt."""
+    request = SimpleNamespace(id=e.request_id, kind=e.kind, urgency=e.urgency,
+                              legs={e.hops: (e.origin, e.destination)})
+    v.add_entry(request, e.hops, e.created_tick)
     if e.onboard:
         v.fleet.orders[ONBOARD, v.id, len(v.rows()[REQUEST]) - 1] = 1
         v.replan()

@@ -124,7 +124,7 @@ def _check_matching_instance(rng) -> bool:
                        [ZoneId(*loc) for loc, _, _ in specs])
     vehicles = fleet.vehicles
     radius = float(rng.integers(2, 12))
-    got = match(reqs, np.arange(n_veh), fleet, grid, radius, rng)
+    got = match(reqs, np.arange(n_veh), fleet, grid, radius, rng, [r.origin for r in reqs])
     bound = reject_radius_ticks(grid, radius)
 
     seats = {v.id: free_capacity(v)[0] for v in vehicles}

@@ -347,9 +347,17 @@ def test_compare_identical_reports_zero_delta(smoke_config, tmp_path, capsys):
     assert main(["compare", report, report, "--out", out]) == 0
     with open(os.path.join(out, "compare.json")) as fh:
         cmp_data = json.load(fh)
+    # two reports of one baseline keep one entry each, labelled by position
+    labels = ["0:flex_hops", "1:flex_hops"]
+    assert cmp_data["reference"] == labels[0]
+    assert cmp_data["reports"] == dict.fromkeys(labels, report)
     for metric in cmp_data["metrics"].values():
+        assert list(metric["values"]) == list(metric["delta_vs_reference"]) == labels
+        assert metric["values"][labels[0]] == metric["values"][labels[1]]
         deltas = [d for d in metric["delta_vs_reference"].values() if d is not None]
         assert all(abs(d) < 1e-12 for d in deltas)
+        # a tie goes to the first report at the best value
+        assert metric["best"] == (labels[0] if metric["values"][labels[0]] is not None else None)
 
 
 def test_compare_missing_file_exit_2():

@@ -315,8 +315,8 @@ def test_request_lifecycle_guards():
     assert not hasattr(r, "status")
     with pytest.raises(ValueError):
         Request(1, PASSENGER, ZoneId(0, 0), ZoneId(0, 0), 0, 1.0)
-    with pytest.raises(ValueError):
-        Request(2, PASSENGER, ZoneId(0, 0), ZoneId(1, 1), 0, 1.0, hops_completed=2)
+    # a request travels one direct leg unless a relay chain is planned for it
+    assert r.legs == ((ZoneId(0, 0), ZoneId(1, 1)),)
 
 
 # a legal path from queued to each status
@@ -345,27 +345,82 @@ def test_request_table_refuses_what_the_transitions_refuse(old, new):
 
 
 def test_request_table_columns_grow_with_the_requests():
-    # requests join queued under the next ids; the chain column holds each
-    # one's own id, or its parent's for a relay leg
+    # requests join queued on their first leg under the next ids, queued
+    # since their created tick and ranked in the order they joined
     table = RequestTable()
     with pytest.raises(ValueError, match="next ids, from 0"):
         table.add([Request(1, PASSENGER, ZoneId(0, 0), ZoneId(1, 1), 0, 1.0)])
-    chains = []
-    for rid in range(600):  # past the first buffer
-        parent = rid - 1 if rid % 3 == 2 else None
-        table.add([Request(rid, GOODS, ZoneId(0, 0), ZoneId(1, 1), 0, 0.5,
-                           hops_completed=int(parent is not None), parent_id=parent)])
-        chains.append(rid if parent is None else parent)
-        if rid % 7 == 0:
-            table.set_status(rid, "rejected")
-    assert len(table) == len(table.status) == len(table.chain) == 600
-    assert table.chain.tolist() == chains
+    for start in range(0, 600, 3):  # past the first buffer, three a tick
+        table.add([Request(rid, GOODS, ZoneId(0, 0), ZoneId(1, 1), start // 3, 0.5)
+                   for rid in range(start, start + 3)])
+        if start % 7 == 0:
+            table.set_status(start, "rejected")
+    columns = (table.status, table.leg, table.since, table.rank)
+    assert len(table) == 600 and [len(c) for c in columns] == [600] * 4
     assert [table.status_of(rid) for rid in range(600)] == [
-        "rejected" if rid % 7 == 0 else "queued" for rid in range(600)]
+        "rejected" if rid % 21 == 0 else "queued" for rid in range(600)]
+    assert table.leg.tolist() == [0] * 600
+    assert table.since.tolist() == [rid // 3 for rid in range(600)]
+    assert table.rank.tolist() == list(range(600)) and table.entries == 600
     assert [table[rid].id for rid in range(600)] == list(range(600))
-    assert table.status.dtype.itemsize == 1 and table.chain.dtype.itemsize == 4
-    assert [table[rid].chain_id for rid in (0, 2, 599)] == [0, 1, 598]
+    assert [c.dtype.itemsize for c in columns] == [1, 4, 8, 8]
     # the buffers hold more entries than the table: an id past its end is refused
     for read in (table.status_of, lambda rid: table.set_status(rid, "assigned")):
         with pytest.raises(IndexError):
             read(600)
+
+
+def relay_table():
+    """A picked-up passenger, a picked-up direct package and a two-leg
+    package on its first leg, created at tick 2, and a request queued at
+    tick 5 behind them."""
+    hub, dest = ZoneId(0, 3), ZoneId(0, 6)
+    table = RequestTable()
+    table.add([Request(0, PASSENGER, ZoneId(0, 0), dest, 2, 1.0),
+               Request(1, GOODS, ZoneId(0, 0), dest, 2, 0.5),
+               Request(2, GOODS, ZoneId(0, 0), dest, 2, 0.5,
+                       legs=((ZoneId(0, 0), hub), (hub, dest)))])
+    table.add([Request(3, GOODS, ZoneId(1, 1), dest, 5, 0.5)])
+    for rid in (0, 1):
+        table.set_status(rid, "assigned")
+        table.set_status(rid, "picked_up")
+    return table
+
+
+def table_rows(table):
+    return [table.status.tolist(), table.leg.tolist(), table.since.tolist(),
+            table.rank.tolist(), table.entries]
+
+
+def test_hand_off_queues_the_package_for_its_next_leg():
+    # picked up -> queued, the cursor on the next leg, queued since the
+    # handoff tick and ranked behind every earlier entry, request 3 included
+    table = relay_table()
+    table.set_status(2, "assigned")
+    table.set_status(2, "picked_up")
+    table.hand_off(2, tick=7)
+    assert table_rows(table) == [[2, 2, 0, 0], [0, 0, 1, 0], [2, 2, 7, 5], [0, 1, 4, 3], 5]
+    assert table.queued().tolist() == [3, 2]
+    assert table.status_of(2) == "queued" and "queued" not in REQUEST_TRANSITIONS["picked_up"]
+    # the next entry ranks behind the handoff
+    table.add([Request(4, GOODS, ZoneId(1, 1), ZoneId(0, 6), 8, 0.5)])
+    assert table.queued().tolist() == [3, 2, 4] and table.rank[4] == 5
+
+
+@pytest.mark.parametrize("case", ["passenger", "direct", "last-leg", "queued", "assigned",
+                                  "delivered"])
+def test_hand_off_refuses_a_passenger_a_last_leg_and_a_row_not_picked_up(case):
+    table = relay_table()
+    rid = {"passenger": 0, "direct": 1}.get(case, 2)
+    path = {"last-leg": ["assigned", "picked_up"], "assigned": ["assigned"],
+            "delivered": ["assigned", "picked_up", "delivered"]}.get(case, [])
+    for status in path:
+        table.set_status(rid, status)
+    if case == "last-leg":
+        table.hand_off(rid, tick=6)
+        for status in ("assigned", "picked_up"):
+            table.set_status(rid, status)
+    before = table_rows(table)
+    with pytest.raises(ValueError, match=f"^request {rid}: no hand-off for a "):
+        table.hand_off(rid, tick=9)
+    assert table_rows(table) == before

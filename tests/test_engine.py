@@ -116,10 +116,10 @@ def test_replayed_requests_are_the_file_rows_in_file_order(tmp_path):
 def test_queue_and_ids_from_the_request_table_agree_with_the_log(baseline, seed, replay,
                                                                   tmp_path):
     # the queue is the request table's queued rows and the next request id
-    # its length; at every tick the queue holds the requests and relay legs
-    # the log has created and not yet assigned or rejected, in id order, and
-    # the ids the log knows are 0..len(registry)-1: each request event takes
-    # the next id, and so does the leg each hop_drop creates
+    # its length; at every tick the queue holds the requests the log has
+    # queued and not yet assigned or rejected, in the order they joined it:
+    # each request event takes the next id and joins the queue, and each
+    # hop_drop queues its package again, behind everything queued before it
     cfg = small_cfg(seed=seed, baseline=baseline, episode_ticks=60)
     if replay:
         path = tmp_path / "trips.csv"
@@ -128,25 +128,28 @@ def test_queue_and_ids_from_the_request_table_agree_with_the_log(baseline, seed,
     sim = Simulation(cfg)
     sim.initialize()
     sim.training = replay
-    created, closed, read, legs = 0, set(), 0, 0
+    created, queue, read, handoffs, closed = 0, [], 0, 0, 0
     for _ in range(cfg.episode_ticks):
         sim.step()
         for e in sim.log.events[read:]:
             if e["kind"] == "request":
                 assert e["request"] == created, e
+                queue.append(created)
                 created += 1
             elif e["kind"] == "hop_drop":
-                created, legs = created + 1, legs + 1
+                assert e["request"] < created and e["request"] not in queue, e
+                queue.append(e["request"])
+                handoffs += 1
             elif e["kind"] in ("assign", "reject"):
-                assert e["request"] < created and e["request"] not in closed, e
-                closed.add(e["request"])
+                queue.remove(e["request"])
+                closed += 1
             elif e["kind"] in ("pickup", "deliver"):
-                assert e.get("leg", e["request"]) in closed, e
+                assert e["request"] < created and e["request"] not in queue, e
         read = len(sim.log.events)
         assert len(sim.registry) == created, sim.tick
-        assert sim.registry.queued().tolist() == sorted(set(range(created)) - closed), sim.tick
-    assert created > 100 and len(closed) > 50
-    assert (legs > 0) == (baseline == BASELINE_FLEX_HOPS)
+        assert sim.registry.queued().tolist() == queue, sim.tick
+    assert created > 100 and closed > 50
+    assert (handoffs > 0) == (baseline == BASELINE_FLEX_HOPS)
 
 
 def test_initialize_same_seed_identical_state():
@@ -236,38 +239,91 @@ def test_goods_relay_one_hop_two_vehicles():
     assert first_leg["vehicle"] != relay_leg["vehicle"]
 
 
-def test_goods_relay_three_legs_indexed_by_hops_completed():
+def test_handed_off_package_is_priced_from_its_hub():
+    # matching prices a package by its current leg: after the handoff at
+    # the hub, the ETA from there, not from where the package started
+    cfg = small_cfg(n_vehicles=2, warmup_ticks=0, episode_ticks=30, max_hop_depth=1)
+    sim = Simulation(cfg, policy=ScriptedPolicy(1, 0))  # dispatch one zone south
+    sim.initialize()
+    place(sim, (0, 0), (0, 3))
+    inject_requests(sim, [Request(0, GOODS, ZoneId(0, 0), ZoneId(0, 6), 0, 0.5)])
+    zones = {}  # the fleet's zones as each tick's match saw them
+
+    def located_match(*args, _run=sim._match):
+        zones[sim.tick] = sim.fleet.zone.copy()
+        _run(*args)
+
+    sim._match = located_match
+    log = sim.run(ticks=30)
+    hub = sim.registry[0].legs[1][0]
+    (second,) = [e for e in log.by_kind("assign") if e["parent"] == 0]
+    at = ZoneId._make(divmod(int(zones[second["tick"]][second["vehicle"]]), sim.grid.width))
+    assert second["eta"] == sim.grid.eta(at, hub).ticks == 1
+    assert sim.grid.eta(at, ZoneId(0, 0)).ticks == 4
+    assert log.by_kind("deliver")
+
+
+def test_handed_off_package_queues_behind_earlier_requests():
+    # vehicle 1, parked at (3, 3) with its one trunk slot free, is 3 ticks
+    # from the hub where the package is handed off at tick 5 and from a
+    # goods request that joined the queue in that tick's intake, before the
+    # handoff: at equal ETA the earlier queue entry takes the slot, though
+    # its id is larger
+    cfg = small_cfg(n_vehicles=2, warmup_ticks=0, episode_ticks=6, max_hop_depth=1, trunk=1)
+    sim = Simulation(cfg, policy=ScriptedPolicy(1, 0))  # dispatch one zone south
+    sim.initialize()
+    place(sim, (0, 0), (2, 3))
+    inject_requests(sim, [Request(0, GOODS, ZoneId(0, 0), ZoneId(0, 6), 0, 0.5),
+                          Request(1, GOODS, ZoneId(3, 6), ZoneId(3, 7), 5, 0.5)])
+    log = sim.run(ticks=6)
+    assert [(e["tick"], tuple(e["zone"])) for e in log.by_kind("hop_drop")] == [(5, (0, 3))]
+    assert [(e["request"], e["vehicle"], e["eta"]) for e in log.by_kind("assign")
+            if e["tick"] == 5] == [(1, 1, 3)]
+    assert sim.registry.queued().tolist() == [0]
+
+
+def test_goods_relay_three_legs_on_one_request_row():
     cfg = small_cfg(n_vehicles=3, warmup_ticks=0, episode_ticks=40, max_hop_depth=2)
     sim = Simulation(cfg, policy=ScriptedPolicy(1, 0))  # dispatch one zone south
     sim.initialize()
     place(sim, (0, 0), (0, 3), (0, 6))
     inject_requests(sim, [Request(0, GOODS, ZoneId(0, 0), ZoneId(0, 9), 0, 0.5)])
+    # every change of the package's row: (status, leg) after it
+    registry, trail = sim.registry, []
+    for name in ("set_status", "hand_off"):
+        def recorded(rid, arg, _run=getattr(registry, name)):
+            _run(rid, arg)
+            trail.append((rid, registry.status_of(rid), registry.leg.item(rid)))
+        setattr(registry, name, recorded)
     log = sim.run(ticks=40)
 
     hubs = [ZoneId(0, 0), ZoneId(0, 3), ZoneId(0, 6), ZoneId(0, 9)]
-    assert sim.legs[0] == tuple(zip(hubs, hubs[1:]))
+    legs = tuple(zip(hubs, hubs[1:]))
+    assert len(registry) == 1 and registry[0].legs == legs
+    # one row through queued -> assigned -> picked up -> queued -> ... -> delivered
+    assert trail == [(0, dm.ASSIGNED, 0), (0, dm.PICKED_UP, 0), (0, dm.QUEUED, 1),
+                     (0, dm.ASSIGNED, 1), (0, dm.PICKED_UP, 1), (0, dm.QUEUED, 2),
+                     (0, dm.ASSIGNED, 2), (0, dm.PICKED_UP, 2), (0, dm.DELIVERED, 2)]
     hops = log.by_kind("hop_drop")
     assert [h["hops_done"] for h in hops] == [1, 2]
     assert [tuple(h["zone"]) for h in hops] == [(0, 3), (0, 6)]
     deliver = log.by_kind("deliver")
-    assert len(deliver) == 1 and deliver[0]["request"] == 0
-    assert tuple(deliver[0]["zone"]) == (0, 9)
-
-    legs = [sim.registry[rid] for rid in np.flatnonzero(sim.registry.chain == 0).tolist()]
-    assert [r.hops_completed for r in legs] == [0, 1, 2]
-    # each leg request was picked up and dropped at the ends of the leg its
-    # hops_completed indexes
-    picked = {e["request"]: tuple(e["zone"]) for e in log.by_kind("pickup")}
-    dropped = {e["leg"]: tuple(e["zone"]) for e in hops + deliver}
-    for r in legs:
-        origin, dest = sim.legs[0][r.hops_completed]
-        assert (picked[r.id], dropped[r.id]) == (tuple(origin), tuple(dest))
-        assert sim.registry.status_of(r.id) == dm.DELIVERED
+    assert [(e["request"], e["leg"], tuple(e["zone"])) for e in deliver] == [(0, 0, (0, 9))]
+    # each leg was picked up and dropped at its ends; a later leg is flagged
+    # by its parent and waits from its handoff
+    pickups = log.by_kind("pickup")
+    assert [tuple(e["zone"]) for e in pickups] == [tuple(o) for o, _ in legs]
+    assert [tuple(e["zone"]) for e in hops + deliver] == [tuple(d) for _, d in legs]
+    assert [e["parent"] for e in pickups] == [None, 0, 0]
+    queued_at = [0] + [h["tick"] for h in hops]
+    assert [e["wait"] for e in pickups] == [e["tick"] - t for e, t in zip(pickups, queued_at)]
+    assert registry.since.tolist() == [hops[-1]["tick"]]
 
 
 def relay_waiting_at_hub():
     """One vehicle carries the first leg of a 2-leg relay and drops it at the
-    hub; the second leg then waits queued, with no vehicle free to take it."""
+    hub; the package then waits queued for its second leg, with no vehicle
+    free to take it."""
     cfg = small_cfg(n_vehicles=1, warmup_ticks=0, max_hop_depth=1)
     sim = Simulation(cfg, policy=ScriptedPolicy(1, 0))
     sim.initialize()
@@ -278,44 +334,62 @@ def relay_waiting_at_hub():
         if sim.log.by_kind("hop_drop"):
             break
     assert sim.log.by_kind("hop_drop"), "the first leg reached no hub within 30 ticks"
-    leg = sim.registry[int(np.flatnonzero(sim.registry.chain == 0)[-1])]
-    assert leg.parent_id == 0
-    assert sim.registry.queued().tolist() == [leg.id]
+    assert len(sim.registry) == 1 and sim.registry.leg.tolist() == [1]
+    assert sim.registry.queued().tolist() == [0]
     sim.run(ticks=0)  # the intact relay passes the full conservation check
-    return sim, leg
+    return sim
+
+
+def relay_held_again():
+    """The relay of ``relay_waiting_at_hub`` stepped until its package is
+    assigned for its second leg: held in one order."""
+    sim = relay_waiting_at_hub()
+    while sim.registry.status_of(0) != dm.ASSIGNED:
+        assert sim.tick < 30, "the second leg found no vehicle within 30 ticks"
+        sim.step()
+    assert manifest(sim.vehicles[0])[0][:4] == (0, GOODS, *sim.registry[0].legs[1])
+    sim.run(ticks=0)
+    return sim
 
 
 def test_conservation_check_catches_a_lost_leg():
-    # the waiting leg marked assigned while no vehicle holds it
-    sim, leg = relay_waiting_at_hub()
-    sim.registry.status[leg.id] = dm.REQUEST_STATUS_CODE[dm.ASSIGNED]
-    with pytest.raises(EngineInvariantError, match="request 0 .* 0 live legs, expected 1"):
+    # the waiting package marked assigned while no vehicle holds it
+    sim = relay_waiting_at_hub()
+    sim.registry.status[0] = dm.REQUEST_STATUS_CODE[dm.ASSIGNED]
+    with pytest.raises(EngineInvariantError,
+                       match=r"request 0 \(assigned\) is held in 0 orders, expected 1"):
         sim.run(ticks=0)
 
 
 def test_conservation_check_catches_a_duplicated_leg():
-    # the first leg, dropped at the hub and picked up, still onboard its
-    # vehicle while the next leg waits: every column of the order consistent
-    sim, leg = relay_waiting_at_hub()
-    origin, hub = sim.legs[0][0]
+    # the first leg, dropped at the hub, still onboard its vehicle while the
+    # package waits queued: the light pass sees a queued request held
+    sim = relay_waiting_at_hub()
+    origin, hub = sim.registry[0].legs[0]
     add(sim.vehicles[0], ManifestEntry(0, GOODS, origin, hub, onboard=True))
-    with pytest.raises(EngineInvariantError, match="request 0 .* 2 live legs, expected 1"):
+    with pytest.raises(EngineInvariantError, match=f"request 0 status {dm.QUEUED} vs "
+                                                   f"manifest {dm.PICKED_UP} on vehicle 0"):
+        sim.run(ticks=0)
+    # the second leg assigned, and a copy of its order consistent in every
+    # column: the held count sees two orders
+    sim = relay_held_again()
+    origin, dest = sim.registry[0].legs[1]
+    add(sim.vehicles[0], ManifestEntry(0, GOODS, origin, dest,
+                                       created_tick=sim.registry.since.item(0), hops=1))
+    with pytest.raises(EngineInvariantError,
+                       match=r"request 0 \(assigned\) is held in 2 orders, expected 1"):
         sim.run(ticks=0)
 
 
 @pytest.mark.parametrize("closed", [dm.DELIVERED, dm.REJECTED])
 def test_conservation_check_catches_a_leg_of_a_closed_request(closed):
-    # a delivered or rejected primary request has no live leg; the relay's
-    # primary is picked up, so delivery is a legal transition, and a
-    # rejection is written into the status column, its one copy
-    sim, leg = relay_waiting_at_hub()
-    if closed == dm.DELIVERED:
-        sim.registry.set_status(0, dm.DELIVERED)
-    else:
-        sim.registry.status[0] = dm.REQUEST_STATUS_CODE[dm.REJECTED]
+    # a delivered or rejected request is held in no order; the package,
+    # assigned for its second leg, is closed in the status column, its one copy
+    sim = relay_held_again()
+    sim.registry.status[0] = dm.REQUEST_STATUS_CODE[closed]
     with pytest.raises(EngineInvariantError,
-                       match=rf"request 0 \({closed}\) has 1 live legs, expected 0"):
-        sim.run(ticks=0)
+                       match=f"request 0 status {closed} vs manifest {dm.ASSIGNED} on vehicle 0"):
+        sim._check_invariants(full=False)
 
 
 def test_full_check_catches_a_plan_on_a_vehicle_without_orders():
@@ -508,12 +582,14 @@ def reference_settle(sim, detour):
                 continue
             onboard[e.kind] += 1
             req = sim.registry[e.request_id]
-            # the wait to pickup plus the ride since, to the drop
-            t_total = sim.tick - req.created_tick + etas.get(e.request_id, 0)
+            # the wait to pickup plus the ride since, to the drop, from the
+            # tick the leg carried joined the queue
+            queued = sim.registry.since.item(e.request_id)
+            t_total = sim.tick - queued + etas.get(e.request_id, 0)
             t_direct = math.ceil(manhattan(e.origin, e.destination) / speed)
             delays.append((req.urgency, max(0.0, t_total - t_direct)))
             if e.kind == GOODS:
-                hops.append(req.hops_completed)
+                hops.append(sim.registry.leg.item(e.request_id))
         rewards.append(reference_agent_reward(
             sim.weights, passengers_onboard=onboard[PASSENGER],
             packages_onboard=onboard[GOODS], detour_ticks=detour.get(v.id, 0.0),
@@ -787,14 +863,15 @@ def corrupt_order_table(sim, case):
     # a copy of the order on a second vehicle, every column of it consistent
     u = next(u for u in sim.vehicles if u is not v and free_capacity(u)[e.kind == GOODS])
     add(u, e)
-    return f"request {sim.registry.chain[e.request_id]} .* has 2 live legs, expected 1"
+    status = sim.registry.status_of(e.request_id)
+    return rf"request {e.request_id} \({status}\) is held in 2 orders, expected 1"
 
 
 @pytest.mark.parametrize("case", ["drop_cum", "onboard", "vehicle", "in-two-manifests"])
 def test_full_check_catches_a_stale_order_table(case):
     # an order's drop_cum has its vehicle's stored plan as a second source, its
-    # onboard flag and its vehicle the status of its leg request; a leg in two
-    # manifests shows in the count of live legs
+    # onboard flag and its vehicle the status of its request; a request in two
+    # manifests shows in the count of orders held per request
     sim = busy_sim()
     sim.run(ticks=0)  # the true table passes
     message = corrupt_order_table(sim, case)
@@ -886,7 +963,7 @@ def test_goods_conservation_over_episode():
     delivered = {e["request"]: e["tick"] for e in log.by_kind("deliver")}
     checked = 0
     for req in sim.registry.requests:
-        if req.parent_id is not None or req.kind != GOODS:
+        if req.kind != GOODS:
             continue
         status = sim.registry.status_of(req.id)
         assert status in (dm.QUEUED, dm.ASSIGNED, dm.PICKED_UP, dm.DELIVERED, dm.REJECTED)

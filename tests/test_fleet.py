@@ -1,9 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hopfleet.demand import GOODS, PASSENGER, Request
+from hopfleet.demand import GOODS, PASSENGER
 from hopfleet.fleet import (
     DISPATCHED,
     DISPATCHING,
@@ -859,8 +860,8 @@ def reference_late_orders(vehicles, registry, tick, speed):
                 owner.append(v.id)
                 urgency.append(req.urgency)
                 extra.append(delay)
-            if e.kind == GOODS and req.hops_completed > max_hops[v.id]:
-                max_hops[v.id] = req.hops_completed
+            if e.kind == GOODS and req.hops > max_hops[v.id]:
+                max_hops[v.id] = req.hops
     return owner, urgency, extra, max_hops
 
 
@@ -890,13 +891,14 @@ def test_late_orders_equal_the_reference_loop(speed):
                 origin, dest = zone(), zone()
                 while dest == origin:
                     dest = zone()
-                req = Request(len(registry), kind, origin, dest, int(rng.integers(8, tick + 1)),
-                              float(rng.choice([0.5, 1.0, rng.uniform(0.05, 1.0)])),
-                              hops_completed=int(rng.integers(4)) if kind == GOODS else 0)
+                # the order's leg, its queue entry tick and its hop index
+                req = SimpleNamespace(id=len(registry), created_tick=int(rng.integers(8, tick + 1)),
+                                      urgency=float(rng.choice([0.5, 1.0, rng.uniform(0.05, 1.0)])),
+                                      hops=int(rng.integers(4)) if kind == GOODS else 0)
                 registry[req.id] = req
                 add(v, ManifestEntry(req.id, kind, origin, dest, bool(rng.random() < 0.7),
                                      created_tick=req.created_tick, urgency=req.urgency,
-                                     hops_completed=req.hops_completed))
+                                     hops=req.hops))
         for v in vehicles:
             if not v.stops:
                 v.set_status(IDLE)  # serving with nothing to serve, as an arrival leaves it

@@ -46,11 +46,11 @@ from test_engine import small_cfg
 
 GOLDEN = {
     (BASELINE_FLEX_HOPS, MODE_EVAL): (
-        "70455dcada287e42d9aa5c2981804cf75bcd26facc87f79a50c6a9d2e641d59f",
+        "60f3c782f3f2d59289464fa7f50a3a1d6538c2fb9f41d68c293e85f857626de7",
         None,
     ),
     (BASELINE_FLEX_HOPS, MODE_TRAIN): (
-        "72d04f54a59052f65263e6721cf3b314708207b94c63e847b68820f1f180443b",
+        "bb0064ab884bd32f4b3b0e4dfc24fb5e670504f978b8a3aac6d98b0a41fbc0a7",
         "d25e937455e4a2cb2e010d457fa843666e72944931fadd8b4acefdd74ce2a7bf",
     ),
     (BASELINE_FLEX_NOHOPS, MODE_EVAL): (
@@ -76,7 +76,7 @@ GOLDEN = {
 # fifth of the desk demand, matched up to 20 zones away, go idle again once
 # their manifests empty; (log digest, parameter digest)
 GOLDEN_REPEAT_DECISIONS = (
-    "4ea88106a01f78a429161ac3a0624bd26b2595542036ac15713b2320c5a4bee0",
+    "8daa93f20d29386990bcb72161380357d321a421ccc1ecffc7bac8d44254caf2",
     "dc4f1fe45c15ae236590c8495799b574757a242837717ed32d8b1895e621af85",
 )
 
@@ -84,11 +84,11 @@ GOLDEN_REPEAT_DECISIONS = (
 # vehicles than one stacked pass takes; mode -> (log digest, parameter digest)
 GOLDEN_BEYOND_ONE_BLOCK = {
     MODE_EVAL: (
-        "2a6ccbcaf49e0ab76897c3d53b01418d65e1f72321e3ca0dda20dd0bfc1aa742",
+        "ccdfffc567bed792a7adb8f8d4b4818da46ede90a9a7c9b3cdf55758f63fdaa9",
         None,
     ),
     MODE_TRAIN: (
-        "2347a038b08dc674a37b06c921235fd4aaf723752dd08521a0aa738876ccf09a",
+        "971ac7c08c477a699c203c54f304c53ec62a2021940a0a947fa9452730d373e9",
         "9bb9a89111740cbe7dd536394f2d25989c6ea40ae65dc60818696e0446357b4a",
     ),
 }

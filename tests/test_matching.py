@@ -21,10 +21,16 @@ def goods(rid, origin, dest=(11, 11)):
     return Request(rid, GOODS, ZoneId(*origin), ZoneId(*dest), 0, 0.5)
 
 
+def origins(requests):
+    """Each request's pickup zone: its origin, as none of these is relayed."""
+    return [r.origin for r in requests]
+
+
 def match_all(requests, vehicles, grid, reject_radius, rng):
     """match over a pool of every vehicle of one table."""
     fleet = vehicles[0].fleet if vehicles else FleetTable(grid, [], [], [])
-    return match(requests, np.arange(len(vehicles)), fleet, grid, reject_radius, rng)
+    return match(requests, np.arange(len(vehicles)), fleet, grid, reject_radius, rng,
+                 origins(requests))
 
 
 def occupy(v, n_pass=0, n_goods=0):
@@ -89,8 +95,8 @@ def test_only_the_pool_is_matched():
     # vehicle 1 is nearest but outside the pool
     grid = make_grid()
     fleet = vehicles_in_table(grid, [(0, 5), (0, 1), (0, 4)])[0].fleet
-    got = match([passenger(0, (0, 0))], np.array([0, 2]), fleet, grid, 10,
-                np.random.default_rng(0))
+    reqs = [passenger(0, (0, 0))]
+    got = match(reqs, np.array([0, 2]), fleet, grid, 10, np.random.default_rng(0), origins(reqs))
     assert got == [Assignment(0, 2, SEAT, 4)]
 
 
@@ -103,14 +109,14 @@ def test_free_capacity_is_read_from_the_table():
                                   seats_total=[1, 4])
     fleet = near.fleet
     add(near, ManifestEntry(50, PASSENGER, ZoneId(0, 1), ZoneId(0, 2), onboard=True))
-    pool = np.arange(2)
-    assert match([passenger(0, (0, 0))], pool, fleet, grid, 10,
-                 np.random.default_rng(0)) == [Assignment(0, 1, SEAT, 3)]
+    pool, reqs = np.arange(2), [passenger(0, (0, 0))]
+    assert match(reqs, pool, fleet, grid, 10, np.random.default_rng(0),
+                 origins(reqs)) == [Assignment(0, 1, SEAT, 3)]
     put(near, (0, 2))
     assert process_arrivals(near, tick=1) == [DropEvent(50, near.id, ZoneId(0, 2), 1)]
     put(near, (0, 1))
-    assert match([passenger(0, (0, 0))], pool, fleet, grid, 10,
-                 np.random.default_rng(0)) == [Assignment(0, 0, SEAT, 1)]
+    assert match(reqs, pool, fleet, grid, 10, np.random.default_rng(0),
+                 origins(reqs)) == [Assignment(0, 0, SEAT, 1)]
 
 
 def test_out_of_radius_requests_skipped():
@@ -210,52 +216,54 @@ def test_random_instances_satisfy_dominance(seed):
 
 
 def reference_match(requests, vehicles, grid, reject_radius, rng):
-    """The scalar request x vehicle loop: one ``grid.eta`` per pair."""
+    """The scalar request x vehicle loop: one ``grid.eta`` per pair, ties
+    on ETA broken by the request's position in the list (its place in the
+    queue), then by vehicle id."""
     bound = reject_radius_ticks(grid, reject_radius)
     seats_free = {v.id: free_capacity(v)[0] for v in vehicles}
     trunk_free = {v.id: free_capacity(v)[1] for v in vehicles}
 
-    candidates = []  # (eta, request_id, vehicle_id)
-    for r in requests:
+    candidates = []  # (eta, position in requests, vehicle_id)
+    for pos, r in enumerate(requests):
         free = seats_free if r.kind == PASSENGER else trunk_free
         for v in vehicles:
             if free[v.id] <= 0:
                 continue
             eta = grid.eta(v.location, r.origin).ticks
             if eta <= bound:
-                candidates.append((eta, r.id, v.id))
+                candidates.append((eta, pos, v.id))
     candidates.sort()
 
-    req_by_id = {r.id: r for r in requests}
     assigned = {}
     out = []
     i = 0
     while i < len(candidates):
-        eta, rid, _ = candidates[i]
+        eta, pos, _ = candidates[i]
         j = i
         tied = []
-        while j < len(candidates) and candidates[j][0] == eta and candidates[j][1] == rid:
+        while j < len(candidates) and candidates[j][0] == eta and candidates[j][1] == pos:
             tied.append(candidates[j][2])
             j += 1
         i = j
-        if rid in assigned:
+        if pos in assigned:
             continue
-        kind = req_by_id[rid].kind
+        kind = requests[pos].kind
         free = seats_free if kind == PASSENGER else trunk_free
         tied = [vid for vid in tied if free[vid] > 0]
         if not tied:
             continue
         vid = tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
         free[vid] -= 1
-        a = Assignment(rid, vid, SEAT if kind == PASSENGER else TRUNK, eta)
-        assigned[rid] = a
+        a = Assignment(requests[pos].id, vid, SEAT if kind == PASSENGER else TRUNK, eta)
+        assigned[pos] = a
         out.append(a)
     return out
 
 
 def random_instance(rng):
     """Requests and vehicles on a small grid, with shared zones, full slots
-    and shuffled ids so that ETA ties and the id tie-breaks all occur."""
+    and shuffled ids so that ETA ties occur and the queue position of a
+    request and its id order disagree."""
     side = int(rng.integers(3, 9))
     grid = GridWorld(width=side, height=side, vehicle_speed=int(rng.integers(1, 3)))
     spots = [ZoneId(int(rng.integers(side)), int(rng.integers(side))) for _ in range(3)]

@@ -23,16 +23,22 @@ def empty_log(n_vehicles=1, ticks=0, dt=1.0, tpd=1440):
 
 
 def add_request(log, rid, kind="passenger", origin=(0, 0), dest=(0, 3), tick=0,
-                picked=None, delivered=None, rejected=False, parent=None):
+                picked=None, delivered=None, rejected=False):
     log.add(tick, "request", request=rid, req_kind=kind, origin=origin, destination=dest,
-            parent=parent, urgency=1.0)
+            parent=None, urgency=1.0)
     if picked is not None:
-        log.add(picked, "pickup", request=rid, parent=parent, vehicle=0, zone=origin,
+        log.add(picked, "pickup", request=rid, parent=None, vehicle=0, zone=origin,
                 wait=picked - tick)
     if delivered is not None:
         log.add(delivered, "deliver", request=rid, vehicle=0, zone=dest, leg=rid)
     if rejected:
         log.add(tick + 10, "reject", request=rid, req_kind=kind)
+
+
+def add_later_leg_pickup(log, rid, tick, queued):
+    """The pickup of package ``rid`` for a leg after a handoff at ``queued``:
+    the log flags it by its parent, the package itself."""
+    log.add(tick, "pickup", request=rid, parent=rid, vehicle=1, zone=(0, 1), wait=tick - queued)
 
 
 def add_stats(log, tick, active=0, moved_total=0, moved_serving=None):
@@ -73,8 +79,10 @@ def test_accept_rate_overall_is_count_weighted_mean():
 def test_accept_rate_ignores_hop_children():
     log = empty_log()
     add_request(log, 0, kind="goods", picked=1, delivered=9)
-    add_request(log, 1, kind="goods", parent=0, tick=4, picked=5)  # relay leg
-    assert accept_rate(index_log(log), "goods") == 1.0
+    add_later_leg_pickup(log, 0, tick=5, queued=4)  # relay leg
+    add_request(log, 1, kind="goods", tick=2)
+    assert accept_rate(index_log(log), "goods") == 0.5
+    assert index_log(log).requests[0]["picked"] == 1
 
 
 def test_fuel_cost_examples():
@@ -134,7 +142,7 @@ def test_mean_wait_examples():
     add_request(log2, 0, tick=0, picked=2)
     add_request(log2, 1, tick=0, picked=4)
     add_request(log2, 2, tick=0, rejected=True)  # excluded
-    add_request(log2, 3, tick=1, picked=5, parent=2)  # hop child excluded
+    add_later_leg_pickup(log2, 0, tick=6, queued=5)  # a relay leg's wait, excluded
     assert mean_wait(index_log(log2)) == pytest.approx(3.0)
 
 
