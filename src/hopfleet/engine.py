@@ -13,30 +13,35 @@ and phase 6 prices its orders in one pass over the columns each:
      package's relay chain (``Request.legs``)
   2. arrival processing, in id order, for the vehicles the last move pass
      left where something resolves (``fleet.FleetTable.arriving``; the fleet
-     module docstring states the rule). Status transitions, pickups, drops:
-     a vehicle on its plan's first stop drops that stop, a drop elsewhere
-     rebuilds the plan; a drop at the end of a leg that is not the
-     package's last queues the same request row again at the hub, its leg
-     cursor advanced (``RequestTable.hand_off``)
+     module docstring states the rule): a dispatching vehicle at its target
+     becomes dispatched; a serving one drops, then picks up, and goes idle
+     once it holds no orders. A vehicle on its plan's first stop drops that
+     stop, a drop elsewhere rebuilds the plan. ``fleet.process_arrivals``
+     returns the dropped and the picked-up request ids, which are logged at
+     the vehicle's zone and the tick; a drop at the end of a leg that is not
+     the package's last queues the same request row again at the hub, its
+     leg cursor advanced (``RequestTable.hand_off``)
   3. idle vehicles query the dispatch policy with the scheduled probability;
      a self-targeted action holds the vehicle idle, anything else starts a
-     dispatch drive. Each idle vehicle first makes its draws in id order
-     (the act gate, then the exploration draw), as no draw reads a Q-value;
-     the acting ones are then encoded and evaluated in chunks of
-     ``STACK_CHUNK``, each a stack of single rows whose values equal the
-     vehicle's own pass bit for bit, and their actions applied in id order.
+     dispatch drive and writes its target. Each idle vehicle first makes its
+     draws in id order (the act gate, then the exploration draw), as no draw
+     reads a Q-value; the acting ones are then encoded and evaluated in
+     chunks of ``STACK_CHUNK``, each a stack of single rows whose values
+     equal the vehicle's own pass bit for bit, and their actions applied in
+     id order.
      Before it, ``project_supply`` counts the available vehicles per zone
      with one ``np.bincount`` over the zone column; on a full-check tick the
      fleet table is checked against a fresh count first, since supply and
      matching read it
   4. greedy matching binds queued requests, in queue order and each priced
      from its current leg's origin, to dispatched vehicles and to partially
-     filled en-route vehicles, a pool whose zones and free capacity it reads
-     from the table; stale requests expire
+     filled serving vehicles, a pool whose zones and free capacity it reads
+     from the table; a dispatched vehicle serves from its first assignment.
+     Stale requests expire
   5. one ``fleet.move`` pass advances every vehicle that is not parked,
      i.e. neither idle nor dispatched, toward its objective, in integer
-     arrays over the zone and target columns; a matched or serving vehicle
-     adds the steps moved to its plan's odometer column
+     arrays over the zone and target columns; a serving vehicle adds the
+     steps moved to its plan's odometer column
   6. rewards and objective components are settled: one ``agent_reward``
      call prices the whole fleet from the status and onboard columns and
      the onboard orders late against a direct trip (``fleet.late_orders``,
@@ -54,7 +59,8 @@ the request table (``demand.RequestTable``, one row per request for its
 whole life and the one stored copy of its status, leg cursor and queue
 entry: the queue is its queued rows, and the next request id its length).
 Every tick, column expressions find an overcommitted vehicle (free seats or
-trunk slots below zero) or a status code outside ``VEHICLE_STATUSES``, and
+trunk slots below zero), a status code outside ``VEHICLE_STATUSES``, or a
+vehicle that serves without orders or holds orders without serving, and
 compare the status of every order's request with assigned, or picked up
 when onboard, so a request queued or closed while held fails here. Every
 ``FULL_CHECK_EVERY`` ticks, the fleet table is compared with a fresh count
@@ -537,19 +543,19 @@ class Simulation:
                 r.legs = assign_hop_zones(r, self.grid, self.cfg.max_hop_depth).legs
         detail["generated"] = len(reqs)
 
-    def _handle_drop(self, event: fl.DropEvent, detour: dict) -> bool:
-        """Deliver the package or hand it off at a hub; True for a handoff."""
-        rid, registry = event.request_id, self.registry
+    def _handle_drop(self, rid: int, vid: int, zone: ZoneId, detour: dict) -> bool:
+        """Deliver the package ``rid`` that vehicle ``vid`` dropped at
+        ``zone``, or hand it off at a hub; True for a handoff."""
+        registry = self.registry
         hop = registry.leg.item(rid) + 1
         if hop == len(registry[rid].legs):
             registry.set_status(rid, dm.DELIVERED)
-            self.log.add(event.tick, "deliver", request=rid, vehicle=event.vehicle_id,
-                         zone=event.zone, leg=rid)
+            self.log.add(self.tick, "deliver", request=rid, vehicle=vid, zone=zone, leg=rid)
             return False
-        registry.hand_off(rid, event.tick)  # queued at the hub for its next leg
-        detour[event.vehicle_id] = detour.get(event.vehicle_id, 0.0) + 1.0
-        self.log.add(event.tick, "hop_drop", request=rid, leg=rid, vehicle=event.vehicle_id,
-                     zone=event.zone, hops_done=hop)
+        registry.hand_off(rid, self.tick)  # queued at the hub for its next leg
+        detour[vid] = detour.get(vid, 0.0) + 1.0
+        self.log.add(self.tick, "hop_drop", request=rid, leg=rid, vehicle=vid, zone=zone,
+                     hops_done=hop)
         return True
 
     def _arrivals(self, detour: dict, detail: dict):
@@ -557,17 +563,19 @@ class Simulation:
         registry = self.registry
         # nothing moves between the last move pass and here
         for vid in self.fleet.arriving:
-            for event in fl.process_arrivals(self.fleet.vehicles[vid], self.tick):
-                if isinstance(event, fl.PickupEvent):
-                    rid = event.request_id
-                    registry.set_status(rid, dm.PICKED_UP)
-                    # parent flags a later leg, whose wait counts from its handoff
-                    self.log.add(self.tick, "pickup", request=rid,
-                                 parent=rid if registry.leg.item(rid) else None,
-                                 vehicle=event.vehicle_id, zone=event.zone,
-                                 wait=self.tick - registry.since.item(rid))
-                elif self._handle_drop(event, detour):
-                    hops += 1
+            v = self.fleet.vehicles[vid]
+            dropped, picked = fl.process_arrivals(v)
+            if not (dropped or picked):
+                continue
+            zone = v.location
+            for rid in dropped:
+                hops += self._handle_drop(rid, vid, zone, detour)
+            for rid in picked:
+                registry.set_status(rid, dm.PICKED_UP)
+                # parent flags a later leg, whose wait counts from its handoff
+                self.log.add(self.tick, "pickup", request=rid,
+                             parent=rid if registry.leg.item(rid) else None,
+                             vehicle=vid, zone=zone, wait=self.tick - registry.since.item(rid))
         detail["hops"] = hops
 
     def _observe(self, maps: np.ndarray, vids: list) -> np.ndarray:
@@ -617,10 +625,10 @@ class Simulation:
     def _match(self, detour: dict, detail: dict):
         cfg = self.cfg
         speed = self.grid.vehicle_speed
-        # dispatched vehicles and partly filled en-route ones, in id order
+        # dispatched vehicles and partly filled serving ones, in id order
         fleet, registry = self.fleet, self.registry
         pool = np.flatnonzero(fleet.mask(fl.DISPATCHED)
-                              | (fleet.mask(fl.MATCHED, fl.SERVING) & fleet.available()))
+                              | (fleet.mask(fl.SERVING) & fleet.available()))
         queue = registry.queued()
         requests = list(map(registry.requests.__getitem__, queue.tolist()))
         # each package is picked up where its current leg starts
@@ -637,8 +645,8 @@ class Simulation:
                 after = v.route_eta(speed)
                 detour[v.id] = detour.get(v.id, 0.0) + max(0.0, after - before)
             registry.set_status(rid, dm.ASSIGNED)
-            if v.status in (fl.DISPATCHED, fl.SERVING):
-                v.set_status(fl.MATCHED)
+            if v.status == fl.DISPATCHED:
+                v.set_status(fl.SERVING)
             self.log.add(self.tick, "assign", request=rid, parent=rid if leg else None,
                          vehicle=v.id, slot=a.slot, eta=a.eta_ticks)
         # expire stale requests still queued on their first leg; a relayed package waits at its hub
@@ -723,10 +731,18 @@ class Simulation:
     def _check_invariants(self, full: bool):
         fleet, registry = self.fleet, self.registry
         over = (fleet.seats_free < 0) | (fleet.trunk_free < 0)
-        broken = over | (fleet.status < 0) | (fleet.status >= len(fl.VEHICLE_STATUSES))
+        code, held = fleet.status, fleet.onboard + fleet.pending
+        bad_code = (code < 0) | (code >= len(fl.VEHICLE_STATUSES))
+        # a vehicle serves exactly while it holds orders
+        broken = over | bad_code | ((code == fl.STATUS_CODE[fl.SERVING]) != (held > 0))
         if broken.any():
             vid = int(np.argmax(broken))
-            what = "overcommitted" if over[vid] else f"bad status code {fleet.status[vid]}"
+            if over[vid]:
+                what = "overcommitted"
+            elif bad_code[vid]:
+                what = f"bad status code {code[vid]}"
+            else:
+                what = f"{fl.VEHICLE_STATUSES[code[vid]]} with {held[vid]} orders"
             raise EngineInvariantError(self._dump(f"vehicle {vid} {what}", vid))
         # every order against its request: assigned, or picked up once onboard
         orders = fleet.orders
@@ -746,7 +762,7 @@ class Simulation:
         self._check_fleet_table()
         # the fleet table now vouches for each vehicle's order count: a
         # vehicle with no orders has an empty plan, as planned_stops makes it
-        vehicles, held = fleet.vehicles, fleet.onboard + fleet.pending
+        vehicles = fleet.vehicles
         stale = [vid for vid in np.flatnonzero(held == 0).tolist() if vehicles[vid].stops]
         stale += [vid for vid in np.flatnonzero(held).tolist()
                   if vehicles[vid].remaining_stops() != vehicles[vid].planned_stops()]

@@ -1,9 +1,9 @@
-"""Vehicle state, the five-status lifecycle, and the fleet and order tables.
+"""Vehicle state, the four-status lifecycle, and the fleet and order tables.
 
-Statuses move along idle -> dispatching -> dispatched -> matched -> serving
--> idle; a partially filled serving vehicle that accepts another request
-steps back to matched to route to the new pickup. Any other transition is a
-bug and raises.
+Statuses move along idle -> dispatching -> dispatched -> serving -> idle: a
+dispatched vehicle serves from its first assignment, and a vehicle serves
+exactly while it holds orders, so it goes idle when its last one resolves.
+Any other transition is a bug and raises.
 
 A vehicle's work is its manifest, its orders in the order it took them on,
 each the current leg of a request (a relayed package's leg ends at a hub):
@@ -27,9 +27,9 @@ A ``FleetTable`` builds the vehicles as its rows (vehicle ``i`` at index
 ``i``) from their seats, trunk slots and locations, and is the one stored
 copy of their status, zone, odometer, objective, capacity and manifests,
 each an int column: the objective ``target`` is the dispatch target while
-dispatching, the plan's first stop while matched or serving, and -1 when
-parked; the capacity columns are the seats and trunk slots, free seats,
-free trunk slots, onboard count and pending pickups.
+dispatching, the plan's first stop while serving, and -1 when parked; the
+capacity columns are the seats and trunk slots, free seats, free trunk
+slots, onboard count and pending pickups.
 ``VehicleState.status`` and ``location`` are views of the columns.
 The order table ``orders[field, vehicle, slot]`` holds each vehicle's
 orders from slot 0 in manifest order, one plane per field of
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,19 +67,16 @@ from .geo import GridWorld, ZoneId, manhattan
 IDLE = "idle"
 DISPATCHING = "dispatching"
 DISPATCHED = "dispatched"
-MATCHED = "matched"
 SERVING = "serving"
 
-VEHICLE_STATUSES = (IDLE, DISPATCHING, DISPATCHED, MATCHED, SERVING)
+VEHICLE_STATUSES = (IDLE, DISPATCHING, DISPATCHED, SERVING)
 STATUS_CODE = {status: code for code, status in enumerate(VEHICLE_STATUSES)}
 
 ALLOWED_TRANSITIONS = {
     (IDLE, DISPATCHING),
     (DISPATCHING, DISPATCHED),
-    (DISPATCHED, MATCHED),
-    (MATCHED, SERVING),
+    (DISPATCHED, SERVING),
     (SERVING, IDLE),
-    (SERVING, MATCHED),
 }
 
 class VehicleStateError(RuntimeError):
@@ -97,21 +93,7 @@ ORDER_FIELDS = ("request", "kind", "origin", "destination", "onboard", "direct_t
 REQUEST, KIND, ORIGIN, DESTINATION, ONBOARD, DIRECT, CREATED, HOPS, DROP_CUM = range(9)
 KINDS = (PASSENGER, GOODS)
 NO_ORDERS = ((),) * len(ORDER_FIELDS)  # an empty vehicle's rows, as ``rows`` reads them
-_DISPATCHING, _MATCHED, _SERVING = (STATUS_CODE[s] for s in (DISPATCHING, MATCHED, SERVING))
-
-
-class PickupEvent(NamedTuple):
-    request_id: int
-    vehicle_id: int
-    zone: ZoneId
-    tick: int
-
-
-class DropEvent(NamedTuple):
-    request_id: int
-    vehicle_id: int
-    zone: ZoneId
-    tick: int
+_DISPATCHING, _SERVING = STATUS_CODE[DISPATCHING], STATUS_CODE[SERVING]
 
 
 class VehicleState:
@@ -134,16 +116,12 @@ class VehicleState:
     def location(self) -> ZoneId:
         return ZoneId._make(divmod(self.fleet.zone.item(self.id), self.fleet.grid.width))
 
-    def aim(self, code: int | None = None):
+    def aim(self):
         """Write the objective, the flat zone the vehicle drives toward, into
-        its row of the table: its plan's first stop while matched or serving,
-        and -1 when parked or with an empty plan; a dispatching vehicle's
-        target is its own. ``code`` is the status code, when known."""
-        if code is None:
-            code = self.fleet.status.item(self.id)
-        if code != _DISPATCHING:
-            busy = self.stops and (code == _MATCHED or code == _SERVING)
-            self.fleet.target[self.id] = self.stops[0][0] if busy else -1
+        its row of the table: its plan's first stop, -1 with an empty plan.
+        A dispatching vehicle holds no orders; the dispatch writes its
+        target after ``set_status``."""
+        self.fleet.target[self.id] = self.stops[0][0] if self.stops else -1
 
     # ---- orders ---------------------------------------------------------
 
@@ -160,8 +138,8 @@ class VehicleState:
         old = self.status
         if (old, new) not in ALLOWED_TRANSITIONS:
             raise VehicleStateError(f"vehicle {self.id}: illegal transition {old} -> {new}")
-        code = self.fleet.status[self.id] = STATUS_CODE[new]
-        self.aim(code)
+        self.fleet.status[self.id] = STATUS_CODE[new]
+        self.aim()
 
     def add_entry(self, request, leg: int, created: int):
         """Take on leg ``leg`` of ``request`` (a ``demand.Request``), which
@@ -190,12 +168,11 @@ class VehicleState:
         self.fleet.driven[self.id] = 0
         self.index(cols)
 
-    def index(self, cols: list, changed: int | None = None, code: int | None = None):
+    def index(self, cols: list, changed: int | None = None):
         """Bring the vehicle's rows up to its plan and its orders ``cols`` (as
         ``rows`` reads them): each order's ``drop_cum`` (when the plan changed
         at the one zone ``changed`` alone, only an order bound there has a
-        new one), the capacity columns and, through ``aim`` with ``code``,
-        the objective."""
+        new one), the capacity columns and, through ``aim``, the objective."""
         fleet, vid = self.fleet, self.id
         count, onboard, kinds = len(cols[REQUEST]), sum(cols[ONBOARD]), cols[KIND]
         if changed is None or changed in cols[DESTINATION]:
@@ -205,7 +182,7 @@ class VehicleState:
         fleet.trunk_free[vid] = fleet.trunk_total.item(vid) - kinds.count(1)
         fleet.onboard[vid] = onboard
         fleet.pending[vid] = count - onboard
-        self.aim(code)
+        self.aim()
 
     # ---- routing --------------------------------------------------------
 
@@ -273,18 +250,16 @@ def stop_index(stops: list) -> dict:
     return dict(reversed(stops))  # the earliest stop at a zone wins
 
 
-def process_arrivals(v: VehicleState, tick: int) -> list:
+def process_arrivals(v: VehicleState) -> tuple:
     """Resolve everything co-located with the vehicle: dispatch arrival,
-    drops, then pickups, each in manifest order. Returns Pickup/Drop events
-    for the engine."""
+    drops, then pickups. Returns (the dropped requests, the picked-up
+    requests), each in manifest order."""
     fleet, vid = v.fleet, v.id
     code = fleet.status.item(vid)
-    if code == _DISPATCHING:
-        if fleet.zone[vid] == fleet.target[vid]:
-            v.set_status(DISPATCHED)
-        return []
-    if code != _MATCHED and code != _SERVING:
-        return []
+    if code == _DISPATCHING and fleet.zone[vid] == fleet.target[vid]:
+        v.set_status(DISPATCHED)
+    if code != _SERVING:
+        return [], []
     location = fleet.zone.item(vid)
     cols = v.rows()
     requests, onboard = cols[REQUEST], cols[ONBOARD]
@@ -295,14 +270,10 @@ def process_arrivals(v: VehicleState, tick: int) -> list:
                 dropped.append(i)
         elif origin == location:
             picked.append(i)
-    events = []
+    drops, pickups = [requests[i] for i in dropped], [requests[i] for i in picked]
     if dropped or picked:
-        zone = ZoneId._make(divmod(location, fleet.grid.width))
-        for i in dropped:
-            events.append(DropEvent(requests[i], vid, zone, tick))
         for i in picked:
             onboard[i] = fleet.orders[ONBOARD, vid, i] = 1
-            events.append(PickupEvent(requests[i], vid, zone, tick))
         if dropped:
             held = len(requests)
             for i in reversed(dropped):
@@ -317,14 +288,12 @@ def process_arrivals(v: VehicleState, tick: int) -> list:
             # distance: the greedy from here is the rest of the plan, and
             # it resolves here what was just resolved
             del v.stops[0]
-            v.index(cols, location, code)
+            v.index(cols, location)
         else:
             v.replan(cols)  # a drop on the way to another stop
-    if picked and code == _MATCHED:
-        v.set_status(SERVING)  # with what it picked up, the manifest is not empty
-    elif code == _SERVING and not cols[REQUEST]:
+    if not requests:
         v.set_status(IDLE)
-    return events
+    return drops, pickups
 
 
 def move(fleet: FleetTable, grid: GridWorld) -> tuple:
@@ -332,14 +301,13 @@ def move(fleet: FleetTable, grid: GridWorld) -> tuple:
     lattice steps toward its objective, row steps first, then column steps,
     in one array pass.
 
-    Dispatching vehicles head for their dispatch target; matched/serving
-    vehicles head for their next planned stop and add the steps to their
-    odometer; idle and dispatched vehicles hold position. Leaves in
-    ``fleet.arriving`` the moved vehicles where something resolves (see the
-    module docstring). Returns (steps moved in total, steps moved by
-    matched or serving vehicles).
+    Dispatching vehicles head for their dispatch target; serving vehicles
+    head for their next planned stop and add the steps to their odometer;
+    idle and dispatched vehicles hold position. Leaves in ``fleet.arriving``
+    the moved vehicles where something resolves (see the module docstring).
+    Returns (steps moved in total, steps moved by serving vehicles).
     """
-    ids = np.flatnonzero(fleet.mask(DISPATCHING, MATCHED, SERVING))
+    ids = np.flatnonzero(fleet.mask(DISPATCHING, SERVING))
     status, target = fleet.status[ids], fleet.target[ids]
     if (target < 0).any():
         v = fleet.vehicles[int(ids[np.argmax(target < 0)])]
@@ -379,9 +347,9 @@ def fleet_columns(fleet: FleetTable) -> dict:
     off = (fleet.zone < 0) | (fleet.zone >= grid.height * grid.width)
     if off.any():
         grid.require(divmod(int(fleet.zone[np.argmax(off)]), grid.width))
-    # the first stop of each matched or serving vehicle's plan, -1 for any other
+    # the first stop of each serving vehicle's plan, -1 for any other
     first = np.full(len(fleet.vehicles), -1, dtype=np.int64)
-    busy = np.flatnonzero((fleet.status == _MATCHED) | (fleet.status == _SERVING)).tolist()
+    busy = np.flatnonzero(fleet.status == _SERVING).tolist()
     first[busy] = [stops[0][0] if (stops := fleet.vehicles[vid].stops) else -1 for vid in busy]
     kind, onboard = fleet.orders[KIND], fleet.orders[ONBOARD]
     return {
@@ -442,7 +410,11 @@ class FleetTable:
             setattr(self, name, column)
 
     def mask(self, *statuses: str) -> np.ndarray:
-        """The vehicles in any of ``statuses``."""
+        """The vehicles in any of ``statuses``; a status not in
+        ``VEHICLE_STATUSES`` raises ValueError."""
+        unknown = set(statuses).difference(VEHICLE_STATUSES)
+        if unknown:
+            raise ValueError(f"no vehicle status {sorted(unknown)}")
         return np.array([s in statuses for s in VEHICLE_STATUSES])[self.status]
 
     def available(self) -> np.ndarray:

@@ -361,12 +361,19 @@ def test_conservation_check_catches_a_lost_leg():
         sim.run(ticks=0)
 
 
+def serve(v, e):
+    """Vehicle ``v`` takes on order ``e`` and serves it, its status column
+    written as an assignment leaves it, so that only the order is wrong."""
+    add(v, e)
+    v.fleet.status[v.id] = fl.STATUS_CODE[fl.SERVING]
+
+
 def test_conservation_check_catches_a_duplicated_leg():
     # the first leg, dropped at the hub, still onboard its vehicle while the
     # package waits queued: the light pass sees a queued request held
     sim = relay_waiting_at_hub()
     origin, hub = sim.registry[0].legs[0]
-    add(sim.vehicles[0], ManifestEntry(0, GOODS, origin, hub, onboard=True))
+    serve(sim.vehicles[0], ManifestEntry(0, GOODS, origin, hub, onboard=True))
     with pytest.raises(EngineInvariantError, match=f"request 0 status {dm.QUEUED} vs "
                                                    f"manifest {dm.PICKED_UP} on vehicle 0"):
         sim.run(ticks=0)
@@ -398,7 +405,7 @@ def test_full_check_catches_a_plan_on_a_vehicle_without_orders():
     sim = busy_sim()
     sim.run(ticks=0)
     v = next(v for v in sim.vehicles if not manifest(v))
-    assert v.status not in (fl.MATCHED, fl.SERVING) and v.stops == []
+    assert v.status != fl.SERVING and v.stops == []
     v.stops = [(int(sim.fleet.zone[v.id]), 0)]
     with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} stored stop plan is stale"):
         sim.run(ticks=0)
@@ -406,30 +413,34 @@ def test_full_check_catches_a_plan_on_a_vehicle_without_orders():
     sim.run(ticks=0)
 
 
-def reference_process_arrivals(v, tick):
+def reference_process_arrivals(v):
     """process_arrivals as it was before it read the stored plan: a scan of
-    the whole manifest for every matched or serving vehicle."""
-    events = []
+    the whole manifest for every serving vehicle. Returns (the dropped
+    requests, the picked-up requests)."""
+    drops, pickups = [], []
     if v.status == fl.DISPATCHING and flat(v, v.location) == v.fleet.target[v.id]:
         v.set_status(fl.DISPATCHED)
-    if v.status in (fl.MATCHED, fl.SERVING):
+    if v.status == fl.SERVING:
         entries = manifest(v)
         for e in [e for e in entries if e.onboard and e.destination == v.location]:
             entries.remove(e)
-            events.append(fl.DropEvent(e.request_id, v.id, v.location, tick))
-        picked = False
+            drops.append(e.request_id)
         for i, e in enumerate(entries):
             if not e.onboard and e.origin == v.location:
                 entries[i] = e._replace(onboard=True)
-                picked = True
-                events.append(fl.PickupEvent(e.request_id, v.id, v.location, tick))
-        if events:
+                pickups.append(e.request_id)
+        if drops or pickups:
             set_manifest(v, entries)
-        if picked and v.status == fl.MATCHED:
-            v.set_status(fl.SERVING)
-        if v.status == fl.SERVING and not manifest(v):
+        if not manifest(v):
             v.set_status(fl.IDLE)
-    return events
+    return drops, pickups
+
+
+def arrival_events(vid, arrivals):
+    """One process_arrivals return of vehicle ``vid`` as (kind, vehicle,
+    request) events, drops first, as the engine logs them."""
+    drops, pickups = arrivals
+    return [("drop", vid, rid) for rid in drops] + [("pickup", vid, rid) for rid in pickups]
 
 
 def vehicle_state(v):
@@ -453,10 +464,10 @@ def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed, monkeypatch):
     events_seen = []
     process_arrivals = fl.process_arrivals
 
-    def recorded(v, tick):
-        events = process_arrivals(v, tick)
-        events_seen.extend(events)
-        return events
+    def recorded(v):
+        arrivals = process_arrivals(v)
+        events_seen.extend(arrival_events(v.id, arrivals))
+        return arrivals
 
     monkeypatch.setattr(fl, "process_arrivals", recorded)
     resolved = 0
@@ -471,7 +482,8 @@ def test_stored_stop_plan_matches_a_fresh_plan(baseline, speed, monkeypatch):
             # vehicle away from its stops; the full scan of every vehicle
             # must give the same events and leave the same vehicles
             copies = copy.deepcopy(sim.vehicles)
-            want = [ev for c in copies for ev in reference_process_arrivals(c, sim.tick)]
+            want = [ev for c in copies
+                    for ev in arrival_events(c.id, reference_process_arrivals(c))]
             events_seen.clear()
             _run(*args)
             assert events_seen == want, (seed, sim.tick)
@@ -511,13 +523,13 @@ def test_arrivals_only_where_something_can_resolve(baseline, speed, monkeypatch)
     process_arrivals = fl.process_arrivals
     seen = []
 
-    def recorded(v, tick):
-        events = process_arrivals(v, tick)
-        seen.extend(events)
-        return events
+    def recorded(v):
+        arrivals = process_arrivals(v)
+        seen.extend(arrival_events(v.id, arrivals))
+        return arrivals
 
     monkeypatch.setattr(fl, "process_arrivals", recorded)
-    moving = (fl.DISPATCHING, fl.MATCHED, fl.SERVING)
+    moving = (fl.DISPATCHING, fl.SERVING)
     skipped = resolved = on_the_way = 0
     for seed in (21, 22, 23):
         cfg = small_cfg(baseline=baseline, seed=seed, n_vehicles=8,
@@ -532,7 +544,7 @@ def test_arrivals_only_where_something_can_resolve(baseline, speed, monkeypatch)
             for c in twin:
                 if c.status in moving:
                     before = arrival_state(c)
-                    events = process_arrivals(c, sim.tick)
+                    events = arrival_events(c.id, process_arrivals(c))
                     want.extend(events)
                     if events or arrival_state(c) != before:
                         resolving.append(c.id)
@@ -541,7 +553,7 @@ def test_arrivals_only_where_something_can_resolve(baseline, speed, monkeypatch)
             skipped += sum(v.status in moving and v.id not in candidates for v in sim.vehicles)
             on_the_way += sum(v.id in candidates and v.status != fl.DISPATCHING
                               and int(sim.fleet.zone[v.id]) != int(sim.fleet.target[v.id])
-                              and any(ev.vehicle_id == v.id for ev in want)
+                              and any(vid == v.id for _, vid, _ in want)
                               for v in sim.vehicles)
             seen.clear()
             _run(*args)
@@ -574,7 +586,7 @@ def reference_settle(sim, detour):
         active_now, active_prev = int(v.status != fl.IDLE), int(sim.prev_active[v.id])
         activations += max(active_now - active_prev, 0)
         etas = {}
-        if v.status in (fl.MATCHED, fl.SERVING):
+        if v.status == fl.SERVING:
             etas = reference_remaining_etas(v, speed)
         delays, hops, onboard = [], [], {PASSENGER: 0, GOODS: 0}
         for e in manifest(v):
@@ -762,14 +774,25 @@ def test_full_check_catches_a_stale_fleet_table(column):
         return
     if column == "status":
         # the status column is the one stored copy of the vehicles' statuses:
-        # a wrong status shows where it changes the objective, and a code
-        # that names no status is refused
-        target = int(sim.fleet.target[v.id])
+        # a loaded vehicle that does not serve is refused, a wrong status
+        # shows where it changes the objective, and a code that names no
+        # status is refused
+        held = int(sim.fleet.onboard[v.id] + sim.fleet.pending[v.id])
         stored[v.id] = fl.STATUS_CODE[fl.IDLE]
+        with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} idle with {held} orders"):
+            sim.run(ticks=0)
+        stored[v.id] = true
+        # an empty vehicle written as dispatching to a target, then idle
+        parked = next(u.id for u in sim.vehicles if not manifest(u))
+        was = int(stored[parked])
+        stored[parked], sim.fleet.target[parked] = fl.STATUS_CODE[fl.DISPATCHING], 0
+        sim.run(ticks=0)
+        stored[parked] = fl.STATUS_CODE[fl.IDLE]
         with pytest.raises(EngineInvariantError,
-                           match=f"vehicle {v.id} fleet table target {target} is stale, "
+                           match=f"vehicle {parked} fleet table target 0 is stale, "
                                  f"the vehicle says -1"):
             sim.run(ticks=0)
+        stored[parked], sim.fleet.target[parked] = was, -1
         for code in (-1, len(fl.VEHICLE_STATUSES)):
             stored[v.id] = code
             with pytest.raises(EngineInvariantError, match=f"vehicle {v.id} bad status code {code}"):
@@ -841,6 +864,29 @@ def test_light_invariant_pass_names_what_broke(case):
         assert record["status"] == record["table"]["status"] == code
 
 
+@pytest.mark.parametrize("case", ["status", "orders"])
+def test_light_invariant_pass_ties_serving_to_held_orders(case):
+    # a vehicle serves exactly while it holds orders: a status column that
+    # leaves a loaded vehicle dispatched, or an order table emptied under a
+    # serving vehicle (its capacity columns recounted, as an arrival does),
+    # breaks the rule, and the dump shows the vehicle as it stands
+    sim = busy_sim()
+    v = next(v for v in sim.vehicles if manifest(v))
+    assert v.status == fl.SERVING
+    if case == "status":
+        status, held = fl.DISPATCHED, len(manifest(v))
+        sim.fleet.status[v.id] = fl.STATUS_CODE[status]
+    else:
+        status, held = fl.SERVING, 0
+        set_manifest(v, [])
+    with pytest.raises(EngineInvariantError,
+                       match=f"vehicle {v.id} {status} with {held} orders") as info:
+        sim._check_invariants(full=False)
+    dump = json.loads(str(info.value).split("state dump: ", 1)[1])
+    record = next(r for r in dump["vehicles"] if r["id"] == v.id)
+    assert (record["status"], len(record["orders"]["request"])) == (status, held)
+
+
 def corrupt_order_table(sim, case):
     """Break the order table where a column has a second source, or put a
     leg in two manifests; the message the check must raise."""
@@ -862,7 +908,7 @@ def corrupt_order_table(sim, case):
         return f"request {rid} status {dm.QUEUED} vs manifest .* on vehicle {v.id}"
     # a copy of the order on a second vehicle, every column of it consistent
     u = next(u for u in sim.vehicles if u is not v and free_capacity(u)[e.kind == GOODS])
-    add(u, e)
+    serve(u, e)
     status = sim.registry.status_of(e.request_id)
     return rf"request {e.request_id} \({status}\) is held in 2 orders, expected 1"
 
@@ -897,7 +943,7 @@ def test_dump_shows_the_named_vehicle_past_the_first_twenty():
     # a stale manifest entry: the request joins the table queued, not assigned
     rid = len(sim.registry)
     sim.registry.add([Request(rid, PASSENGER, ZoneId(0, 0), ZoneId(0, 1), 0, 1.0)])
-    add(sim.vehicles[30], ManifestEntry(rid, PASSENGER, ZoneId(0, 0), ZoneId(0, 1)))
+    serve(sim.vehicles[30], ManifestEntry(rid, PASSENGER, ZoneId(0, 0), ZoneId(0, 1)))
     with pytest.raises(EngineInvariantError, match=f"request {rid} status queued") as info:
         sim.run(ticks=0)
     dump = json.loads(str(info.value).split("state dump: ", 1)[1])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hopfleet.demand import GOODS, PASSENGER, Request
-from hopfleet.fleet import IDLE, SERVING, DropEvent, FleetTable, process_arrivals
+from hopfleet.fleet import IDLE, SERVING, FleetTable, process_arrivals
 from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId
 from hopfleet.matching import SEAT, TRUNK, Assignment, match, reject_radius_ticks
 
@@ -113,7 +113,7 @@ def test_free_capacity_is_read_from_the_table():
     assert match(reqs, pool, fleet, grid, 10, np.random.default_rng(0),
                  origins(reqs)) == [Assignment(0, 1, SEAT, 3)]
     put(near, (0, 2))
-    assert process_arrivals(near, tick=1) == [DropEvent(50, near.id, ZoneId(0, 2), 1)]
+    assert process_arrivals(near) == ([50], [])
     put(near, (0, 1))
     assert match(reqs, pool, fleet, grid, 10, np.random.default_rng(0),
                  origins(reqs)) == [Assignment(0, 0, SEAT, 1)]
