@@ -25,10 +25,10 @@ and phase 6 prices its orders in one pass over the columns each:
      a self-targeted action holds the vehicle idle, anything else starts a
      dispatch drive and writes its target. Each idle vehicle first makes its
      draws in id order (the act gate, then the exploration draw), as no draw
-     reads a Q-value; the acting ones are then encoded and evaluated in
-     chunks of ``STACK_CHUNK``, each a stack of single rows whose values
-     equal the vehicle's own pass bit for bit, and their actions applied in
-     id order.
+     reads a Q-value; the acting ones are then taken in chunks of
+     ``STACK_CHUNK`` as arrays, one matrix product each (``q_values`` says
+     how near its rows are to a pass per row), the moving ones written as
+     columns (``FleetTable.dispatch``) and logged in id order.
      Before it, ``project_supply`` counts the available vehicles per zone
      with one ``np.bincount`` over the zone column; on a full-check tick the
      fleet table is checked against a fresh count first, since supply and
@@ -584,7 +584,7 @@ class Simulation:
         return rl.encode_state(maps, self.fleet, vids, window=self.cfg.rl.window)
 
     def _dispatch(self, supply: fl.FleetSnapshot, forecast: np.ndarray, detail: dict):
-        cfg, rng, online = self.cfg, self.explore_rng, self.policy.online
+        grid, rng, online = self.grid, self.explore_rng, self.policy.online
         beta = self.policy.act_probability(self.training)
         eps = self.policy.epsilon(self.training)
         # each idle vehicle's draws in id order: the act gate, then the
@@ -594,32 +594,29 @@ class Simulation:
             if rng.random() < beta:
                 acting.append(vid)
                 drawn.append(rl.exploration_draw(online.n_actions, eps, rng))
-        dispatch_time = 0.0
-        q_maxes = []
+        dispatch_time, q_maxes = 0, []
         maps = rl.observation_maps(supply, forecast) if acting else None
         for start in range(0, len(acting), rl.STACK_CHUNK):
-            chunk = acting[start : start + rl.STACK_CHUNK]
+            chunk = np.array(acting[start : start + rl.STACK_CHUNK])
             states = self._observe(maps, chunk)
-            # a stack of single rows: each row's bits are those of its own pass
-            values = online.q_values(states[:, None, :])[:, 0]
+            values = online.q_values(states)  # one matrix product per layer
             q_maxes.extend(values.max(axis=1).tolist())
-            for vid, vec, row, explore in zip(chunk, states, values,
-                                              drawn[start : start + rl.STACK_CHUNK]):
-                action = rl.select_action(row, explore)
-                if self.training:
-                    self._decisions.append((vid, vec, action))
-                v = self.fleet.vehicles[vid]
-                location = v.location
-                target = rl.action_target(self.grid, location, action, cfg.rl.action_radius)
-                if target == location:
-                    continue  # hold: stay idle, stay unmatched
-                v.set_status(fl.DISPATCHING)
-                self.fleet.target[vid] = target.row * self.grid.width + target.col
-                eta = self.grid.eta(location, target).ticks
-                dispatch_time += eta
-                self.log.add(self.tick, "dispatch", vehicle=v.id, origin=location,
-                             target=target, eta=eta)
-        detail["dispatch_time"] = dispatch_time
+            actions = rl.select_action(values, drawn[start : start + rl.STACK_CHUNK])
+            if self.training:
+                self._decisions.extend(zip(chunk.tolist(), states, actions.tolist()))
+            # (row, col) pairs, as the log stores zones
+            origins = np.column_stack(np.divmod(self.fleet.zone[chunk], grid.width))
+            targets = np.column_stack(rl.action_target(grid, origins.T, actions,
+                                                       self.cfg.rl.action_radius))
+            moving = (targets != origins).any(axis=1)  # a hold stays idle, unmatched
+            vids, origins, targets = chunk[moving], origins[moving], targets[moving]
+            self.fleet.dispatch(vids, targets[:, 0] * grid.width + targets[:, 1])
+            eta = -(-abs(targets - origins).sum(axis=1) // grid.vehicle_speed)  # ceil
+            dispatch_time += int(eta.sum())
+            for vid, at, to, ticks in zip(vids.tolist(), origins.tolist(), targets.tolist(),
+                                          eta.tolist()):
+                self.log.add(self.tick, "dispatch", vehicle=vid, origin=at, target=to, eta=ticks)
+        detail["dispatch_time"] = float(dispatch_time)
         detail["q_max"] = float(np.mean(q_maxes)) if q_maxes else None
 
     def _match(self, detour: dict, detail: dict):

@@ -38,15 +38,14 @@ them by vehicle, then by manifest position; an order's ``drop_cum`` is the
 cumulative distance of the plan's first stop at its destination
 (``stop_index``), written wherever the plan changes.
 A vehicle writes its rows where these facts change, and nowhere else:
-``set_status`` the status and objective (a dispatch writes the dispatching
-vehicle's target into the objective column); ``add_entry``, ``process_arrivals``
-and ``replan`` the orders, their ``drop_cum`` and the capacity counted from
-them. Locations are on the grid: the table checks each one when it is
-built, and a vehicle moves only toward a stop or a dispatch target. So the
-engine picks vehicles by mask, ``project_supply`` counts the available ones
-with one ``np.bincount``, matching and the state encoder read zones and
-free capacity as arrays, and ``move`` and ``late_orders`` pass once over
-the fleet and its onboard orders.
+``set_status`` (``FleetTable.dispatch`` for many) the status and objective;
+``add_entry``, ``process_arrivals`` and ``replan`` the orders, their
+``drop_cum`` and the capacity counted from them. Locations are on the grid:
+the table checks each one when it is built, and a vehicle moves only toward
+a stop or a dispatch target. So the engine picks vehicles by mask,
+``project_supply`` counts the available ones with one ``np.bincount``,
+matching and the state encoder read zones and free capacity as arrays, and
+``move`` and ``late_orders`` pass once over the fleet and its onboard orders.
 
 A dispatch resolves at its target, and an order at its destination once
 onboard and at its origin before that. ``move`` leaves in
@@ -118,9 +117,7 @@ class VehicleState:
 
     def aim(self):
         """Write the objective, the flat zone the vehicle drives toward, into
-        its row of the table: its plan's first stop, -1 with an empty plan.
-        A dispatching vehicle holds no orders; the dispatch writes its
-        target after ``set_status``."""
+        its row of the table: its plan's first stop, -1 with an empty plan."""
         self.fleet.target[self.id] = self.stops[0][0] if self.stops else -1
 
     # ---- orders ---------------------------------------------------------
@@ -384,8 +381,8 @@ class FleetTable:
     as the table's row ``i``) idle at ``locations[i]`` with
     ``seats_total[i]`` seats and ``trunk_total[i]`` trunk slots; their
     columns (``COLUMNS``, the odometer ``driven`` and the two totals, which
-    nothing writes), written by the vehicles and by ``move``; and their
-    orders, as many slots each as the largest vehicle holds, -1 past a
+    nothing writes), written by the vehicles, ``dispatch`` and ``move``; and
+    their orders, as many slots each as the largest vehicle holds, -1 past a
     vehicle's orders (whose urgency is not read). A location off the grid
     raises InvalidZoneError."""
 
@@ -416,6 +413,12 @@ class FleetTable:
         if unknown:
             raise ValueError(f"no vehicle status {sorted(unknown)}")
         return np.array([s in statuses for s in VEHICLE_STATUSES])[self.status]
+
+    def dispatch(self, vids: np.ndarray, targets: np.ndarray):
+        """``set_status(DISPATCHING)`` of ``vids`` as column writes, aimed at ``targets``."""
+        for vid in vids[self.status[vids] != STATUS_CODE[IDLE]].tolist():
+            self.vehicles[vid].set_status(DISPATCHING)  # an illegal transition: raises
+        self.status[vids], self.target[vids] = _DISPATCHING, targets
 
     def available(self) -> np.ndarray:
         """The vehicles free for new work: a seat or a trunk slot is uncommitted."""

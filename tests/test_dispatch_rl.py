@@ -9,6 +9,7 @@ from hopfleet.dispatch_rl import (
     DEMAND_REACH,
     N_CHANNELS,
     N_SCALARS,
+    STACK_CHUNK,
     CheckpointShapeError,
     QNetwork,
     ReplayBuffer,
@@ -77,8 +78,15 @@ def test_action_space_size_and_round_trip():
         dr, dc = action_to_offset(idx, RADIUS)
         assert -7 <= dr <= 7 and -7 <= dc <= 7
         assert offset_to_action(dr, dc, RADIUS) == idx
+    # an array of actions, as the dispatch phase passes them, maps row by row
+    rows, cols = action_to_offset(np.arange(225), RADIUS)
+    assert list(zip(rows.tolist(), cols.tolist())) == [action_to_offset(i, RADIUS)
+                                                       for i in range(225)]
     with pytest.raises(ValueError):
         offset_to_action(8, 0, RADIUS)
+    for bad in (-1, 225, np.array([3, 225])):
+        with pytest.raises(ValueError, match="out of range"):
+            action_to_offset(bad, RADIUS)
 
 
 def test_action_target_clamped_to_grid():
@@ -89,6 +97,11 @@ def test_action_target_clamped_to_grid():
     assert action_target(grid, ZoneId(9, 9), idx, RADIUS) == ZoneId(9, 9)
     idx = offset_to_action(2, -1, RADIUS)
     assert action_target(grid, ZoneId(4, 4), idx, RADIUS) == ZoneId(6, 3)
+    # many vehicles at once: row and column arrays, an array of actions
+    actions = [offset_to_action(*offset, RADIUS) for offset in [(-7, -7), (7, 7), (2, -1)]]
+    rows, cols = action_target(grid, (np.array([0, 9, 4]), np.array([0, 9, 4])),
+                               np.array(actions), RADIUS)
+    assert list(zip(rows.tolist(), cols.tolist())) == [(0, 0), (9, 9), (6, 3)]
 
 
 def test_encode_empty_world_only_free_capacity():
@@ -268,19 +281,21 @@ def test_encoder_batch_equals_per_vehicle_crops_at_corners_and_edges(window):
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 500])
-def test_stacked_single_rows_equal_one_pass_per_row(n):
-    # the dispatch phase evaluates idle vehicles as a stack of single rows,
-    # in chunks; each row must keep the bits of its own single-state pass
+def test_chunked_batch_pass_is_close_to_one_pass_per_row(n):
+    # the dispatch phase evaluates its acting vehicles as one matrix product
+    # per chunk of STACK_CHUNK rows; a row's values may differ from its own
+    # single-state pass in the last bits only, and its argmax not at all
     net = QNetwork(state_dim(WINDOW), action_count(RADIUS), hidden=(128, 128),
                    rng=np.random.default_rng(n))
     states = np.random.default_rng(n + 1).normal(size=(n, state_dim(WINDOW)))
-    stacked = net.q_values(states[:, None, :])
-    assert stacked.shape == (n, 1, action_count(RADIUS))
-    chunked = np.concatenate([net.q_values(states[i : i + 37, None, :]) for i in range(0, n, 37)])
+    chunked = np.concatenate([net.q_values(states[i : i + STACK_CHUNK])
+                              for i in range(0, n, STACK_CHUNK)])
+    assert chunked.shape == (n, action_count(RADIUS))
     for k in range(n):
-        want = net.q_values(states[k]).tobytes()
-        assert stacked[k, 0].tobytes() == want, k
-        assert chunked[k, 0].tobytes() == want, k
+        own = net.q_values(states[k])
+        assert np.abs(chunked[k] - own).max() <= 1e-12, k
+        assert np.argmax(chunked[k]) == np.argmax(own), k
+    assert select_action(chunked, [None] * n).tolist() == np.argmax(chunked, axis=1).tolist()
 
 
 def test_select_action_greedy_and_ties():
@@ -291,6 +306,10 @@ def test_select_action_greedy_and_ties():
     assert select_action(q, None) == int(np.argmax(q))
     assert select_action(np.zeros(5), None) == 0
     assert select_action(q, 3) == 3  # a drawn action overrides the values
+    # a batch: one argmax per row, drawn actions overriding it
+    batch = np.stack([q, np.zeros(5), q, q])
+    actions = select_action(batch, [None, None, 3, 0])
+    assert actions.tolist() == [int(np.argmax(q)), 0, 3, 0]
 
 
 def test_select_action_epsilon_one_uniform():

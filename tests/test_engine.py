@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hopfleet import demand as dm
+from hopfleet import dispatch_rl as rl
 from hopfleet import engine
 from hopfleet import fleet as fl
 from hopfleet.cli import build_config
@@ -668,9 +669,10 @@ def test_replay_transitions_discount_the_rewards_between_decisions(seed, monkeyp
         return np.array(rewards[-1])
 
     def chosen(values, drawn, _select=engine.rl.select_action):
-        action = _select(values, drawn)
-        actions.append(action if len(actions) % 4 == 3 else hold)
-        return actions[-1]
+        # a chunk's actions, in id order
+        for action in _select(values, drawn).tolist():
+            actions.append(action if len(actions) % 4 == 3 else hold)
+        return np.array(actions[len(actions) - len(values):])
 
     def observe(maps, vids, _observe=sim._observe):
         states = _observe(maps, vids)
@@ -702,6 +704,60 @@ def test_replay_transitions_discount_the_rewards_between_decisions(seed, monkeyp
         assert tr.state.tobytes() == state0.tobytes() and not tr.terminal
         assert tr.next_state.tobytes() == state.tobytes()
         assert (tr.action, tr.reward.hex(), tr.elapsed) == (action0, accum.hex(), elapsed)
+
+
+def test_dispatch_chunk_writes_what_a_per_vehicle_loop_writes():
+    # one chunk of acting vehicles, written as columns, against a loop over
+    # the vehicles: each one's draws, its own single-row pass, then
+    # action_to_offset, GridWorld.clamp and GridWorld.eta. The greedy action
+    # is (-3, 5) everywhere, so vehicle 0 in the corner clamps to (0, 5),
+    # vehicle 2 in the opposite corner clamps onto itself and holds, and
+    # vehicle 3 by the edge clamps in one coordinate; vehicles 1, 4 and 9
+    # draw their actions. At two zones a tick, an odd distance rounds its ETA up
+    cfg = small_cfg(n_vehicles=12, warmup_ticks=0)
+    cfg = replace(cfg, grid=replace(cfg.grid, vehicle_speed=2))
+    sim = Simulation(cfg)
+    sim.initialize()
+    grid, radius, online = sim.grid, cfg.rl.action_radius, sim.policy.online
+    greedy = rl.offset_to_action(-3, 5, radius)
+    online.biases[-1][greedy] += 1e3
+    sim.policy.epsilon = lambda training: 0.25
+    place(sim, (0, 0), (5, 5), (0, grid.width - 1), (1, grid.width - 2),
+          *[(3 + i, 2 + i) for i in range(8)])
+    supply, forecast = fl.project_supply(sim.fleet, grid), sim.forecaster.forecast()
+    maps = rl.observation_maps(supply, forecast)
+    rng = copy.deepcopy(sim.explore_rng)
+    status, target = sim.fleet.status.copy(), sim.fleet.target.copy()
+    events, explored, clamped, held = [], [], [], []
+    for v in sim.vehicles:
+        assert rng.random() < 1.0  # the act gate: every idle vehicle acts in eval
+        drawn = rl.exploration_draw(online.n_actions, 0.25, rng)
+        values = online.q_values(rl.encode_state(maps, sim.fleet, [v.id], cfg.rl.window)[0])
+        action = int(np.argmax(values)) if drawn is None else drawn
+        if drawn is not None:
+            explored.append(v.id)
+        dr, dc = rl.action_to_offset(action, radius)
+        at = v.location
+        to = grid.clamp(at.row + dr, at.col + dc)
+        if to != (at.row + dr, at.col + dc):
+            clamped.append(v.id)
+        if to == at:
+            held.append(v.id)
+            continue
+        status[v.id] = fl.STATUS_CODE[fl.DISPATCHING]
+        target[v.id] = to.row * grid.width + to.col
+        events.append({"tick": 0, "kind": "dispatch", "vehicle": v.id, "origin": list(at),
+                       "target": list(to), "eta": grid.eta(at, to).ticks})
+    assert explored == [1, 4, 9] and {0, 2, 3} <= set(clamped) and 2 in held
+    assert any(e["eta"] * 2 > manhattan(e["origin"], e["target"]) for e in events)
+    assert len(sim.vehicles) <= rl.STACK_CHUNK
+    logged, detail = len(sim.log.events), {}
+    sim._dispatch(supply, forecast, detail)
+    assert sim.fleet.status.tolist() == status.tolist()
+    assert sim.fleet.target.tolist() == target.tolist()
+    assert sim.log.events[logged:] == events
+    assert detail["dispatch_time"] == float(sum(e["eta"] for e in events))
+    assert sim.explore_rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_full_check_catches_a_stale_stop_plan():

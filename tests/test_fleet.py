@@ -126,6 +126,26 @@ def test_status_is_the_table_column_alone():
         VehicleState(0, fleet, status=IDLE)
 
 
+def test_table_dispatch_writes_what_set_status_and_the_target_write():
+    # many idle vehicles sent at once write the rows that set_status and the
+    # target write give one at a time; a vehicle that is not idle is named,
+    # with set_status's message, and nothing is written
+    grid = GridWorld(width=4, height=4)
+    batch = vehicles_in_table(grid, [(1, 1)] * 4)
+    single = vehicles_in_table(grid, [(1, 1)] * 4)
+    batch[0].fleet.dispatch(np.array([1, 3]), np.array([5, 15]))
+    for vid, zone in ((1, 5), (3, 15)):
+        single[vid].set_status(DISPATCHING)
+        single[vid].fleet.target[vid] = zone
+    assert [v.fleet.row(v.id) for v in batch] == [v.fleet.row(v.id) for v in single]
+    fleet = batch[0].fleet
+    rows = [fleet.row(vid) for vid in range(4)]
+    with pytest.raises(VehicleStateError,
+                       match=f"vehicle 3: illegal transition {DISPATCHING} -> {DISPATCHING}"):
+        fleet.dispatch(np.array([0, 3, 2]), np.array([1, 2, 3]))
+    assert [fleet.row(vid) for vid in range(4)] == rows
+
+
 def test_totals_are_the_table_columns_alone():
     # a table holds each vehicle's seats and trunk slots in its columns and
     # builds the vehicles as its rows, which hold none of their own

@@ -6,14 +6,17 @@ Runs one episode of each of the workload's worlds, as ``bench/run.py``
 builds them (its ``WORKLOADS``, ``world_seeds`` and ``set_up``), and prints
 ``Simulation.phase_seconds`` summed over them: the thread's cpu time in each
 phase of ``Simulation.step``, as a share of the tick. Tick 0, where every
-vehicle of the fleet is idle and decides, is printed in ms per world, apart
-from the ticks after it, in ms per tick: first the steady ticks, which
-``tick_ms.p50`` measures, then apart from them the full-check ticks (every
-``FULL_CHECK_EVERY``-th), which run the full invariant check and weigh on
-``tick_ms.p95``. Set-up, which ``setup_s`` measures, is printed first, in ms per
-world, split into the parts of ``SETUP_PARTS``; the split comes from the
-thread time at the calls that bound each part, which are wrapped for the
-set-up and restored after it. Run it from the root of a source checkout; it
+vehicle of the fleet is idle and decides, is printed in ms per world, and
+its dispatch phase split into the parts of ``DISPATCH_PARTS``: the thread
+time of the calls to ``dispatch_rl.encode_state`` and to
+``QNetwork.q_values``, and the rest. The ticks after it follow, in ms per
+tick: first the steady ticks, which ``tick_ms.p50`` measures, then apart
+from them the full-check ticks (every ``FULL_CHECK_EVERY``-th), which run
+the full invariant check and weigh on ``tick_ms.p95``. Set-up, which
+``setup_s`` measures, is printed first, in ms per world, split into the
+parts of ``SETUP_PARTS``; the split comes from the thread time at the calls
+that bound each part, which are wrapped for the set-up and restored after
+it. Run it from the root of a source checkout; it
 imports that checkout's ``src`` and ``bench/run.py``, and pins BLAS to one
 thread as the bench does.
 """
@@ -35,6 +38,24 @@ import run as bench  # noqa: E402  (pins BLAS to one thread before numpy loads)
 # warmup ticks; the hub tally and designation; and the rest (the config's
 # workload changes and the Simulation's construction)
 SETUP_PARTS = ("config", "policy", "layout", "placement", "warmup", "hubs", "other")
+# the parts of tick 0's dispatch phase: the state encoding, the Q pass, the rest
+DISPATCH_PARTS = ("encode", "q_pass", "rest")
+
+
+@contextmanager
+def patched(calls, wrap):
+    """Replace each ``(owner, name, *args)`` by ``wrap(original, *args)``,
+    and restore the names after."""
+    installed = []
+    try:
+        for owner, name, *args in calls:
+            original = getattr(owner, name)
+            setattr(owner, name, wrap(original, *args))
+            installed.append((owner, name, original))
+        yield
+    finally:
+        for owner, name, original in reversed(installed):
+            setattr(owner, name, original)
 
 
 @contextmanager
@@ -42,7 +63,7 @@ def marked(calls):
     """Wrap each ``(owner, name, entry key, exit key)`` so that its first
     call records the thread time at its entry and at its return under those
     keys (None: none); yield the marks, and restore the names after."""
-    marks, installed = {}, []
+    marks = {}
 
     def wrapped(original, at_entry, at_exit):
         def call(*args, **kwargs):
@@ -54,15 +75,27 @@ def marked(calls):
             return out
         return call
 
-    try:
-        for owner, name, at_entry, at_exit in calls:
-            original = getattr(owner, name)
-            setattr(owner, name, wrapped(original, at_entry, at_exit))
-            installed.append((owner, name, original))
+    with patched(calls, wrapped):
         yield marks
-    finally:
-        for owner, name, original in reversed(installed):
-            setattr(owner, name, original)
+
+
+@contextmanager
+def summed(calls):
+    """Wrap each ``(owner, name, key)`` so that every call adds its thread
+    time to the seconds under its key; yield the seconds, and restore the
+    names after."""
+    spent = {}
+
+    def wrapped(original, key):
+        def call(*args, **kwargs):
+            start = time.thread_time()
+            out = original(*args, **kwargs)
+            spent[key] = spent.get(key, 0.0) + time.thread_time() - start
+            return out
+        return call
+
+    with patched(calls, wrapped):
+        yield spent
 
 
 def timed_set_up(prog, wl, world: int, trips) -> tuple:
@@ -90,13 +123,19 @@ def timed_set_up(prog, wl, world: int, trips) -> tuple:
 
 def phase_split(workload: str, seed: int, worlds: int = 0) -> dict:
     """Set-up seconds by part (``setup``) and phase seconds summed over the
-    workload's worlds, for tick 0 (``opening``), the ticks after it without
-    a full check (``steady``) and those with one (``full``); the worlds run
-    and the ticks in each block (``counts``)."""
+    workload's worlds, for tick 0 (``opening``) and its dispatch phase by
+    part (``dispatch``), the ticks after it without a full check
+    (``steady``) and those with one (``full``); the worlds run and the ticks
+    in each block (``counts``)."""
     prog = bench.load_program()
     wl = bench.WORKLOADS[workload]
     full_every = prog.engine.FULL_CHECK_EVERY
+    rl = prog.dispatch_rl
+    # the replay buffer is empty at tick 0, so only its dispatch phase
+    # encodes states and evaluates the network
+    dispatch_calls = [(rl, "encode_state", "encode"), (rl.QNetwork, "q_values", "q_pass")]
     setup = dict.fromkeys(SETUP_PARTS, 0.0)
+    dispatch = dict.fromkeys(DISPATCH_PARTS, 0.0)
     blocks = {block: dict.fromkeys(prog.engine.PHASES, 0.0)
               for block in ("opening", "steady", "full")}
     counts = dict.fromkeys(blocks, 0)
@@ -113,7 +152,15 @@ def phase_split(workload: str, seed: int, worlds: int = 0) -> dict:
                 tick = _sim.tick
                 block = "opening" if tick == 0 else "full" if tick % full_every == 0 else "steady"
                 before = dict(_sim.phase_seconds)
-                detail = _step()
+                if tick:
+                    detail = _step()
+                else:
+                    with summed(dispatch_calls) as spent:
+                        detail = _step()
+                    for part, seconds in spent.items():
+                        dispatch[part] += seconds
+                    dispatch["rest"] += (_sim.phase_seconds["dispatch"] - before["dispatch"]
+                                         - sum(spent.values()))
                 for phase, seconds in _sim.phase_seconds.items():
                     blocks[block][phase] += seconds - before[phase]
                 counts[block] += 1
@@ -121,8 +168,8 @@ def phase_split(workload: str, seed: int, worlds: int = 0) -> dict:
 
             sim.step = step
             sim.run(mode=wl.mode)
-    return {"setup": setup, **blocks, "worlds": len(seeds), "counts": counts,
-            "full_every": full_every}
+    return {"setup": setup, **blocks, "dispatch": dispatch, "worlds": len(seeds),
+            "counts": counts, "full_every": full_every}
 
 
 def print_block(title: str, seconds: dict, count: int, unit: str, label: str = "phase"):
@@ -145,6 +192,7 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}: {worlds} x {last + 1} ticks")
     print_block("set-up", split["setup"], worlds, "ms/world", "part")
     print_block("tick 0", split["opening"], worlds, "ms/world")
+    print_block("tick 0 dispatch", split["dispatch"], worlds, "ms/world", "part")
     print_block(f"ticks 1..{last} but every {every}th, {counts['steady'] // worlds} ticks",
                 split["steady"], counts["steady"], "ms/tick")
     if counts["full"]:
