@@ -12,7 +12,7 @@ from hopfleet.hopplan import assign_hop_zones
 grid = GridWorld(width=20, height=20, hop_zones=frozenset({(0, 6), (0, 12), (9, 9)}))
 
 def show(origin, dest, depth):
-    req = Request(0, GOODS, ZoneId(*origin), ZoneId(*dest), 0, 0.5)
+    req = Request(0, GOODS, ZoneId(*origin), ZoneId(*dest), 0)
     trip = assign_hop_zones(req, grid, max_depth=depth)
     direct = manhattan(req.origin, req.destination)
     chain = " -> ".join(str(tuple(z)) for z in [trip.legs[0][0]] + [d for _, d in trip.legs])
@@ -26,5 +26,5 @@ show((18, 0), (18, 18), depth=2) # far from every hub: the detour cap rejects al
 
 print("\nwith no hubs at all, every trip is a single direct leg:")
 empty = GridWorld(width=20, height=20)
-req = Request(1, GOODS, ZoneId(0, 0), ZoneId(0, 18), 0, 0.5)
+req = Request(1, GOODS, ZoneId(0, 0), ZoneId(0, 18), 0)
 print(" ", assign_hop_zones(req, empty, 4).legs)

@@ -16,10 +16,10 @@ grid = GridWorld(width=12, height=12)
 rng = np.random.default_rng(1)
 
 requests = [
-    Request(0, PASSENGER, ZoneId(0, 0), ZoneId(9, 9), 0, 1.0),
-    Request(1, PASSENGER, ZoneId(0, 4), ZoneId(8, 2), 0, 1.0),
-    Request(2, GOODS, ZoneId(3, 3), ZoneId(6, 6), 0, 0.5),
-    Request(3, GOODS, ZoneId(11, 11), ZoneId(7, 7), 0, 0.5),
+    Request(0, PASSENGER, ZoneId(0, 0), ZoneId(9, 9), 0),
+    Request(1, PASSENGER, ZoneId(0, 4), ZoneId(8, 2), 0),
+    Request(2, GOODS, ZoneId(3, 3), ZoneId(6, 6), 0),
+    Request(3, GOODS, ZoneId(11, 11), ZoneId(7, 7), 0),
 ]
 # desk cars: 4 seats and 5 trunk slots; vehicle 2 has no trunk space
 fleet = FleetTable(grid, seats_total=[4, 4, 4], trunk_total=[5, 5, 0],
@@ -36,7 +36,7 @@ print("request 3 stays queued: nothing within the reject radius.\n")
 
 # full vehicles never accept more than their capacity
 small = FleetTable(grid, seats_total=[1], trunk_total=[0], locations=[ZoneId(0, 0)])
-crowd = [Request(i, PASSENGER, ZoneId(0, i + 1), ZoneId(5, 5), 0, 1.0) for i in range(3)]
+crowd = [Request(i, PASSENGER, ZoneId(0, i + 1), ZoneId(5, 5), 0) for i in range(3)]
 got = match(crowd, [0], small, grid, reject_radius=8, rng=rng, origins=[r.origin for r in crowd])
 print(f"one seat, three passengers: {len(got)} assignment ->",
       [(a.request_id, a.eta_ticks) for a in got])

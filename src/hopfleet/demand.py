@@ -12,7 +12,9 @@ count comes from numpy's ``Generator.poisson``, and identical seeds give
 identical request streams.
 Demand is stationary, so the demand forecaster is the flat per-zone mean of
 the counts seen so far, behind a plain ``forecast()`` call so other
-predictors can be swapped in.
+predictors can be swapped in. A request is queued, held (in one vehicle's
+order, whose flag alone says if it is onboard), delivered or rejected, and
+its urgency is its kind's (``URGENCY``).
 """
 
 from __future__ import annotations
@@ -30,25 +32,24 @@ PASSENGER = "passenger"
 GOODS = "goods"
 
 QUEUED = "queued"
-ASSIGNED = "assigned"
-PICKED_UP = "picked_up"
+HELD = "held"
 DELIVERED = "delivered"
 REJECTED = "rejected"
 
 REQUEST_TRANSITIONS = {
-    QUEUED: {ASSIGNED, REJECTED},
-    ASSIGNED: {PICKED_UP},
-    PICKED_UP: {DELIVERED},
+    QUEUED: {HELD, REJECTED},
+    HELD: {DELIVERED},
     DELIVERED: set(),
     REJECTED: set(),
 }
 # a request's status is stored as its index here (``RequestTable.status``)
-REQUEST_STATUSES = (QUEUED, ASSIGNED, PICKED_UP, DELIVERED, REJECTED)
+REQUEST_STATUSES = (QUEUED, HELD, DELIVERED, REJECTED)
 REQUEST_STATUS_CODE = {status: code for code, status in enumerate(REQUEST_STATUSES)}
 _CODE_TRANSITIONS = {(REQUEST_STATUS_CODE[old], REQUEST_STATUS_CODE[new])
                      for old, news in REQUEST_TRANSITIONS.items() for new in news}
 
-DEFAULT_URGENCY = {PASSENGER: 1.0, GOODS: 0.5}
+# the weight of a late order's extra ticks in its vehicle's reward, by kind
+URGENCY = {PASSENGER: 1.0, GOODS: 0.5}
 
 TRIP_RECORD_HEADER = ["pickup_tick", "kind", "origin_row", "origin_col", "dest_row", "dest_col"]
 
@@ -72,7 +73,6 @@ class Request:
     origin: ZoneId
     destination: ZoneId
     created_tick: int
-    urgency: float
     legs: tuple = ()  # empty: the one direct leg
 
     def __post_init__(self):
@@ -80,8 +80,6 @@ class Request:
             raise ValueError(f"unknown request kind {self.kind!r}")
         if self.origin == self.destination:
             raise ValueError(f"request {self.id}: origin equals destination")
-        if not (0.0 < self.urgency <= 1.0):
-            raise ValueError(f"request {self.id}: urgency must be in (0, 1]")
         if not self.legs:
             self.legs = ((self.origin, self.destination),)
 
@@ -149,11 +147,12 @@ class RequestTable:
 
     def hand_off(self, rid: int, tick: int):
         """Queue package ``rid``, dropped at a hub at ``tick``, for its next
-        leg: picked up -> queued, the leg cursor advanced, queued since
+        leg: held -> queued, the leg cursor advanced, queued since
         ``tick`` and ranked behind every earlier queue entry. Refuses a
-        passenger, a package on its last leg and a row not picked up."""
+        passenger, a package on its last leg and a row not held (its order,
+        which reads its leg and ``since``, is dropped first)."""
         req, leg = self.requests[rid], self.leg.item(rid) + 1
-        if req.kind != GOODS or leg >= len(req.legs) or self.status_of(rid) != PICKED_UP:
+        if req.kind != GOODS or leg >= len(req.legs) or self.status_of(rid) != HELD:
             raise ValueError(f"request {rid}: no hand-off for a {self.status_of(rid)} {req.kind} "
                              f"request on leg {leg} of {len(req.legs)}")
         self.status[rid] = REQUEST_STATUS_CODE[QUEUED]
@@ -283,14 +282,12 @@ def generate_tick_requests(
     for i in np.searchsorted(sources.passenger_cum, uniforms, side="right").tolist():
         origin = passenger[i][0]
         dest = trip_distribution.sample_destination(grid, origin, rng)
-        out.append(Request(id_start + len(out), PASSENGER, origin, dest, tick,
-                           DEFAULT_URGENCY[PASSENGER]))
+        out.append(Request(id_start + len(out), PASSENGER, origin, dest, tick))
     counts = rng.poisson(sources.goods_rates)
     for k in np.flatnonzero(counts).tolist():
         origin, candidates = sources.goods[k]
         for j in rng.integers(len(candidates), size=counts[k]).tolist():
-            out.append(Request(id_start + len(out), GOODS, origin, candidates[j], tick,
-                               DEFAULT_URGENCY[GOODS]))
+            out.append(Request(id_start + len(out), GOODS, origin, candidates[j], tick))
     return out
 
 
@@ -320,7 +317,7 @@ def ingest_trip_records(path, grid: GridWorld) -> list[Request]:
                 raise TripRecordError(f"{path}:{lineno}: zone outside grid")
             if origin == dest:
                 raise TripRecordError(f"{path}:{lineno}: origin equals destination")
-            out.append(Request(len(out), kind, origin, dest, tick, DEFAULT_URGENCY[kind]))
+            out.append(Request(len(out), kind, origin, dest, tick))
     return out
 
 

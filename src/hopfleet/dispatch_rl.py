@@ -11,7 +11,9 @@ consecutive decisions. A training update takes the targets of a batch as arrays 
 SGD step in place on the fresh gradients; the tests hold both, bit for bit,
 to a per-row loop and an out-of-place step. The dispatch phase takes its
 vehicles in chunks of ``STACK_CHUNK`` as arrays, one matrix product each
-(``q_values`` states how close that is to a pass per row).
+(``q_values`` states how close that is to a pass per row), each chunk's
+states gathered from the tick's observation maps, zero-padded once a tick
+(``observation_maps``).
 """
 
 from __future__ import annotations
@@ -88,48 +90,43 @@ def state_dim(window: int) -> int:
     return N_CHANNELS * window * window + N_SCALARS
 
 
-def observation_maps(supply: FleetSnapshot, forecast: np.ndarray) -> np.ndarray:
-    """The full-grid channels every vehicle's observation is cropped from,
-    (N_CHANNELS, height, width): forecast demand over the next DEMAND_REACH
-    ticks, vehicles available now, and busy vehicles freeing within each of
-    FREEING_REACHES. ``forecast`` holds the expected count per zone in one
-    tick. The maps are the same for every vehicle of a tick, so a tick
-    computes them once."""
+def observation_maps(supply: FleetSnapshot, forecast: np.ndarray, window: int) -> np.ndarray:
+    """The window x window crop around every zone of the full-grid channels,
+    (N_CHANNELS, height, width, window, window), a view of the channels
+    zero-padded by ``window // 2``: forecast demand over the next
+    DEMAND_REACH ticks, vehicles available now, and busy vehicles freeing
+    within each of FREEING_REACHES. ``forecast`` holds the expected count
+    per zone in one tick. The maps are the same for every vehicle of a
+    tick, so a tick computes and pads them once."""
+    if window % 2 == 0:
+        raise ValueError("window must be odd")
     height, width = supply.available.shape
     eta, rows, cols = supply.freeing.T
     zones = rows * width + cols
     freeing = [np.bincount(zones[(eta >= 1) & (eta <= reach)], minlength=height * width)
                for reach in FREEING_REACHES]
-    return np.stack([DEMAND_REACH * forecast, supply.available,
-                     *(f.reshape(height, width) for f in freeing)])
+    half = window // 2
+    padded = np.zeros((N_CHANNELS, height + 2 * half, width + 2 * half))
+    padded[:, half : half + height, half : half + width] = np.stack(
+        [DEMAND_REACH * forecast, supply.available, *(f.reshape(height, width) for f in freeing)])
+    return sliding_window_view(padded, (window, window), axis=(1, 2))
 
 
-def encode_state(
-    maps: np.ndarray,
-    fleet: FleetTable,
-    vids: Sequence[int],
-    window: int,
-) -> np.ndarray:
+def encode_state(maps: np.ndarray, fleet: FleetTable, vids: Sequence[int]) -> np.ndarray:
     """Deterministic state vectors, one row per vehicle id of ``vids``,
-    (len(vids), state_dim(window)): the window x window crops of the tick's
+    (len(vids), state_dim(window)): the crops of the tick's
     ``observation_maps`` centred on the vehicle's zone, zero off the grid,
     then its free seats and free trunk slots (N_SCALARS). Zones and
     free capacity are read from ``fleet``, a table of the maps' grid. A
     single vehicle is a batch of one; each row depends on its own vehicle
     only."""
-    if window % 2 == 0:
-        raise ValueError("window must be odd")
-    channels, height, width = maps.shape
+    channels, height, width, window, _ = maps.shape
     vids = np.asarray(vids, dtype=np.intp)
-    half = window // 2
-    padded = np.zeros((channels, height + 2 * half, width + 2 * half))
-    padded[:, half : half + height, half : half + width] = maps
-    windows = sliding_window_view(padded, (window, window), axis=(1, 2))  # a view
     rows, cols = np.divmod(fleet.zone[vids], width)
     out = np.empty((len(vids), channels * window * window + N_SCALARS))
     crops = out[:, :-N_SCALARS].reshape(len(vids), channels, window, window)
     for channel in range(channels):  # a channel at a time keeps the temporaries small
-        crops[:, channel] = windows[channel, rows, cols]
+        crops[:, channel] = maps[channel, rows, cols]
     out[:, -2] = fleet.seats_free[vids]
     out[:, -1] = fleet.trunk_free[vids]
     return out

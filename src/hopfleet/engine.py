@@ -18,15 +18,16 @@ and phase 6 prices its orders in one pass over the columns each:
      once it holds no orders. A vehicle on its plan's first stop drops that
      stop, a drop elsewhere rebuilds the plan. ``fleet.process_arrivals``
      returns the dropped and the picked-up request ids, which are logged at
-     the vehicle's zone and the tick; a drop at the end of a leg that is not
-     the package's last queues the same request row again at the hub, its
+     the vehicle's zone and the tick (the request stays held); a drop at the
+     end of a leg that is not the package's last queues the same request row again at the hub, its
      leg cursor advanced (``RequestTable.hand_off``)
   3. idle vehicles query the dispatch policy with the scheduled probability;
      a self-targeted action holds the vehicle idle, anything else starts a
      dispatch drive and writes its target. Each idle vehicle first makes its
      draws in id order (the act gate, then the exploration draw), as no draw
      reads a Q-value; the acting ones are then taken in chunks of
-     ``STACK_CHUNK`` as arrays, one matrix product each (``q_values`` says
+     ``STACK_CHUNK`` as arrays, cropped from the tick's maps padded once
+     (``observation_maps``), one matrix product each (``q_values`` says
      how near its rows are to a pass per row), the moving ones written as
      columns (``FleetTable.dispatch``) and logged in id order.
      Before it, ``project_supply`` counts the available vehicles per zone
@@ -45,35 +46,36 @@ and phase 6 prices its orders in one pass over the columns each:
   6. rewards and objective components are settled: one ``agent_reward``
      call prices the whole fleet from the status and onboard columns and
      the onboard orders late against a direct trip (``fleet.late_orders``,
-     one pass over the order table, each ETA at the order's ``drop_cum``),
-     by vehicle and then manifest position; per-tick stats are logged. In
-     training mode each vehicle has at most one open decision: the tick's
-     reward is added to every open one, then each decision of the tick, in
-     dispatch order, pushes its vehicle's open decision to replay with its
-     own state as the next state, and opens in its place (evaluation keeps
-     no decisions and pushes nothing)
+     one pass over the order table and the request table's columns, each
+     ETA at the order's ``drop_cum``), by vehicle and then manifest
+     position; per-tick stats are logged. In training mode each vehicle has
+     at most one open decision: the tick's reward is added to every open
+     one, then each decision of the tick, in dispatch order, pushes its
+     vehicle's open decision to replay with its own state as the next
+     state, and opens in its place (evaluation keeps no decisions and
+     pushes nothing)
   7. training mode takes one gradient step and syncs the target on schedule
 
 The invariant checks run after settling, as passes over the fleet table and
 the request table (``demand.RequestTable``, one row per request for its
 whole life and the one stored copy of its status, leg cursor and queue
-entry: the queue is its queued rows, and the next request id its length).
+entry: the queue is its queued rows, and the next request id its length;
+whether a held request is onboard is its order's flag alone).
 Every tick, column expressions find an overcommitted vehicle (free seats or
 trunk slots below zero), a status code outside ``VEHICLE_STATUSES``, or a
 vehicle that serves without orders or holds orders without serving, and
-compare the status of every order's request with assigned, or picked up
-when onboard, so a request queued or closed while held fails here. Every
-``FULL_CHECK_EVERY`` ticks, the fleet table is compared with a fresh count
-of the status column, plans and order table (``first_stale``, which keeps
-the zone column on the grid); then the stored stop plan of each vehicle
-that holds orders with a fresh one built from the zone column (which covers
-the position and the odometer), while a vehicle with none must have an
-empty plan, as ``planned_stops`` would make it; each order's ``drop_cum``
-with its vehicle's stored plan; and the orders are counted per request with
-one ``np.bincount``: one for each assigned or picked-up request, none for
-any other, which catches a request lost or held twice. Onboard orders are a
-subset of held ones, so a fresh column that is not overcommitted is within
-capacity too.
+check that every order's request is held, so a request queued or closed
+while in an order fails here. Every ``FULL_CHECK_EVERY`` ticks, the fleet
+table is compared with a fresh count of the status column, plans and order
+table (``first_stale``, which keeps the zone column on the grid); then the
+stored stop plan of each vehicle that holds orders with a fresh one built
+from the zone column (which covers the position and the odometer), while a
+vehicle with none must have an empty plan, as ``planned_stops`` would make
+it; each order's ``drop_cum`` with its vehicle's stored plan; and the
+orders are counted per request with one ``np.bincount``: one for each held
+request, none for any other, which catches a request lost or held twice.
+Onboard orders are a subset of held ones, so a fresh column that is not
+overcommitted is within capacity too.
 
 Identical seed and config give bit-identical episode logs. ``step`` also sums
 the thread's cpu time in each phase into ``phase_seconds``, which is kept
@@ -112,8 +114,7 @@ MODE_EVAL = "eval"
 
 FULL_CHECK_EVERY = 25  # ticks between full conservation scans
 
-_QUEUED, _ASSIGNED, _PICKED_UP = (
-    dm.REQUEST_STATUS_CODE[s] for s in (dm.QUEUED, dm.ASSIGNED, dm.PICKED_UP))
+_QUEUED, _HELD = dm.REQUEST_STATUS_CODE[dm.QUEUED], dm.REQUEST_STATUS_CODE[dm.HELD]
 
 # the parts of Simulation.step timed into Simulation.phase_seconds, in order
 PHASES = ("intake", "arrivals", "supply", "forecast", "dispatch", "match", "advance",
@@ -538,7 +539,7 @@ class Simulation:
         for r in reqs:
             self.log.add(self.tick, "request", request=r.id, req_kind=r.kind,
                          origin=r.origin, destination=r.destination, parent=None,
-                         urgency=r.urgency)
+                         urgency=dm.URGENCY[r.kind])
             if r.kind == dm.GOODS and self.cfg.baseline == BASELINE_FLEX_HOPS:
                 r.legs = assign_hop_zones(r, self.grid, self.cfg.max_hop_depth).legs
         detail["generated"] = len(reqs)
@@ -571,7 +572,6 @@ class Simulation:
             for rid in dropped:
                 hops += self._handle_drop(rid, vid, zone, detour)
             for rid in picked:
-                registry.set_status(rid, dm.PICKED_UP)
                 # parent flags a later leg, whose wait counts from its handoff
                 self.log.add(self.tick, "pickup", request=rid,
                              parent=rid if registry.leg.item(rid) else None,
@@ -581,7 +581,7 @@ class Simulation:
     def _observe(self, maps: np.ndarray, vids: list) -> np.ndarray:
         """The state vectors of the vehicles ``vids``, one row each,
         cropped from the tick's maps."""
-        return rl.encode_state(maps, self.fleet, vids, window=self.cfg.rl.window)
+        return rl.encode_state(maps, self.fleet, vids)
 
     def _dispatch(self, supply: fl.FleetSnapshot, forecast: np.ndarray, detail: dict):
         grid, rng, online = self.grid, self.explore_rng, self.policy.online
@@ -595,7 +595,7 @@ class Simulation:
                 acting.append(vid)
                 drawn.append(rl.exploration_draw(online.n_actions, eps, rng))
         dispatch_time, q_maxes = 0, []
-        maps = rl.observation_maps(supply, forecast) if acting else None
+        maps = rl.observation_maps(supply, forecast, self.cfg.rl.window) if acting else None
         for start in range(0, len(acting), rl.STACK_CHUNK):
             chunk = np.array(acting[start : start + rl.STACK_CHUNK])
             states = self._observe(maps, chunk)
@@ -637,11 +637,11 @@ class Simulation:
             rid = a.request_id
             leg = registry.leg.item(rid)
             before = v.route_eta(speed) if v.stops else None
-            v.add_entry(registry[rid], leg, registry.since.item(rid))
+            v.add_entry(registry[rid], leg)
             if before is not None:
                 after = v.route_eta(speed)
                 detour[v.id] = detour.get(v.id, 0.0) + max(0.0, after - before)
-            registry.set_status(rid, dm.ASSIGNED)
+            registry.set_status(rid, dm.HELD)
             if v.status == fl.DISPATCHED:
                 v.set_status(fl.SERVING)
             self.log.add(self.tick, "assign", request=rid, parent=rid if leg else None,
@@ -664,7 +664,8 @@ class Simulation:
         active_prev, self.prev_active = self.prev_active, active_now
         detour_ticks = np.zeros(len(fleet.onboard))
         detour_ticks[list(detour)] = list(detour.values())
-        owner, urgency, extra, max_hops = fl.late_orders(fleet, tick, self.grid.vehicle_speed)
+        owner, urgency, extra, max_hops = fl.late_orders(fleet, tick, self.grid.vehicle_speed,
+                                                         self.registry.since, self.registry.leg)
         rewards = agent_reward(self.weights, fleet.onboard, detour_ticks, active_now, active_prev,
                                max_hops, owner, urgency, extra)
         total_detour_delay = float(extra.sum())
@@ -741,19 +742,18 @@ class Simulation:
             else:
                 what = f"{fl.VEHICLE_STATUSES[code[vid]]} with {held[vid]} orders"
             raise EngineInvariantError(self._dump(f"vehicle {vid} {what}", vid))
-        # every order against its request: assigned, or picked up once onboard
+        # every order's request is held
         orders = fleet.orders
         live = orders[fl.REQUEST] >= 0  # row-major: by vehicle, then manifest position
         rids = orders[fl.REQUEST][live]
-        expect = np.where(orders[fl.ONBOARD][live] == 1, _PICKED_UP, _ASSIGNED)
         got = registry.status[rids]
-        wrong = got != expect
+        wrong = got != _HELD
         if wrong.any():
             i = int(np.argmax(wrong))
             vid = int(np.nonzero(live)[0][i])
             raise EngineInvariantError(self._dump(
-                f"request {rids[i]} status {dm.REQUEST_STATUSES[got[i]]} vs manifest "
-                f"{dm.REQUEST_STATUSES[expect[i]]} on vehicle {vid}", vid))
+                f"request {rids[i]} {dm.REQUEST_STATUSES[got[i]]} in an order of vehicle {vid}",
+                vid))
         if not full:
             return
         self._check_fleet_table()
@@ -777,9 +777,9 @@ class Simulation:
             raise EngineInvariantError(self._dump(
                 f"vehicle {vids[i]} order table drop_cum {stored[i]} of request {rids[i]} "
                 f"is stale, the zone index says {indexed[i]}", vids[i]))
-        # an assigned or picked-up request sits in exactly one order, every other in none
+        # a held request sits in exactly one order, every other in none
         held = np.bincount(rids, minlength=len(registry))
-        expect = (registry.status == _ASSIGNED) | (registry.status == _PICKED_UP)
+        expect = registry.status == _HELD
         bad = np.flatnonzero(held != expect)
         if len(bad):
             rid = int(bad[0])
@@ -846,7 +846,7 @@ class Simulation:
     def _flush_pending(self):
         """Episode truncation: bootstrap every in-flight decision."""
         maps = rl.observation_maps(fl.project_supply(self.fleet, self.grid),
-                                   self.forecaster.forecast())
+                                   self.forecaster.forecast(), self.cfg.rl.window)
         vids = sorted(self.pending)
         for vid, state in zip(vids, self._observe(maps, vids)):
             pend = self.pending[vid]

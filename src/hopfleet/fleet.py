@@ -32,11 +32,12 @@ capacity columns are the seats and trunk slots, free seats, free trunk
 slots, onboard count and pending pickups.
 ``VehicleState.status`` and ``location`` are views of the columns.
 The order table ``orders[field, vehicle, slot]`` holds each vehicle's
-orders from slot 0 in manifest order, one plane per field of
-``ORDER_FIELDS`` (``urgency`` a float plane), so a row-major pass meets
-them by vehicle, then by manifest position; an order's ``drop_cum`` is the
-cumulative distance of the plan's first stop at its destination
-(``stop_index``), written wherever the plan changes.
+orders from slot 0 in manifest order, one int plane per field of
+``ORDER_FIELDS``, so a row-major pass meets them by vehicle, then by
+manifest position. An order keeps only what routing reads, and its onboard
+flag is the one copy of that fact; its ``drop_cum`` is the cumulative
+distance of the plan's first stop at its destination (``stop_index``),
+written wherever the plan changes.
 A vehicle writes its rows where these facts change, and nowhere else:
 ``set_status`` (``FleetTable.dispatch`` for many) the status and objective;
 ``add_entry``, ``process_arrivals`` and ``replan`` the orders, their
@@ -60,8 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import GOODS, PASSENGER
-from .geo import GridWorld, ZoneId, manhattan
+from .demand import GOODS, PASSENGER, URGENCY
+from .geo import GridWorld, ZoneId
 
 IDLE = "idle"
 DISPATCHING = "dispatching"
@@ -84,13 +85,11 @@ class VehicleStateError(RuntimeError):
 
 # an order's fields, one int each: its request, its kind (an index in
 # KINDS), the flat origin and destination zones of the leg it carries,
-# onboard (0 or 1), the ticks of a direct trip origin -> destination, the
-# tick the leg joined the queue, the leg's index in the request's relay
-# chain, and its drop_cum
-ORDER_FIELDS = ("request", "kind", "origin", "destination", "onboard", "direct_ticks",
-                "created_tick", "hops", "drop_cum")
-REQUEST, KIND, ORIGIN, DESTINATION, ONBOARD, DIRECT, CREATED, HOPS, DROP_CUM = range(9)
+# onboard (0 or 1) and its drop_cum
+ORDER_FIELDS = ("request", "kind", "origin", "destination", "onboard", "drop_cum")
+REQUEST, KIND, ORIGIN, DESTINATION, ONBOARD, DROP_CUM = range(6)
 KINDS = (PASSENGER, GOODS)
+_URGENCY = np.array([URGENCY[kind] for kind in KINDS])  # by kind index
 NO_ORDERS = ((),) * len(ORDER_FIELDS)  # an empty vehicle's rows, as ``rows`` reads them
 _DISPATCHING, _SERVING = STATUS_CODE[DISPATCHING], STATUS_CODE[SERVING]
 
@@ -138,10 +137,9 @@ class VehicleState:
         self.fleet.status[self.id] = STATUS_CODE[new]
         self.aim()
 
-    def add_entry(self, request, leg: int, created: int):
-        """Take on leg ``leg`` of ``request`` (a ``demand.Request``), which
-        joined the queue at tick ``created``, as the last order, a pending
-        pickup."""
+    def add_entry(self, request, leg: int):
+        """Take on leg ``leg`` of ``request`` (a ``demand.Request``) as the
+        last order, a pending pickup."""
         fleet, vid, width = self.fleet, self.id, self.fleet.grid.width
         kind = KINDS.index(request.kind)
         if (fleet.seats_free, fleet.trunk_free)[kind].item(vid) <= 0:
@@ -149,11 +147,8 @@ class VehicleState:
                                     f"for request {request.id}")
         slot = fleet.onboard.item(vid) + fleet.pending.item(vid)
         origin, destination = request.legs[leg]
-        direct = math.ceil(manhattan(origin, destination) / fleet.grid.vehicle_speed)
         fleet.orders[:, vid, slot] = (request.id, kind, origin[0] * width + origin[1],
-                                      destination[0] * width + destination[1], 0, direct,
-                                      created, leg, -1)
-        fleet.urgency[vid, slot] = request.urgency
+                                      destination[0] * width + destination[1], 0, -1)
         self.replan(fleet.orders[:, vid, : slot + 1].tolist())
 
     def replan(self, cols: list | None = None):
@@ -249,8 +244,9 @@ def stop_index(stops: list) -> dict:
 
 def process_arrivals(v: VehicleState) -> tuple:
     """Resolve everything co-located with the vehicle: dispatch arrival,
-    drops, then pickups. Returns (the dropped requests, the picked-up
-    requests), each in manifest order."""
+    drops of onboard orders (so nothing is delivered before its pickup),
+    then pickups. Returns (the dropped requests, the picked-up requests),
+    each in manifest order."""
     fleet, vid = v.fleet, v.id
     code = fleet.status.item(vid)
     if code == _DISPATCHING and fleet.zone[vid] == fleet.target[vid]:
@@ -276,7 +272,6 @@ def process_arrivals(v: VehicleState) -> tuple:
             for i in reversed(dropped):
                 if i < held - 1:  # the orders after it move down a slot
                     fleet.orders[:, vid, i : held - 1] = fleet.orders[:, vid, i + 1 : held]
-                    fleet.urgency[vid, i : held - 1] = fleet.urgency[vid, i + 1 : held]
                 for col in cols:
                     del col[i]
             fleet.orders[:, vid, held - len(dropped) : held] = -1
@@ -358,22 +353,30 @@ def fleet_columns(fleet: FleetTable) -> dict:
     }
 
 
-def late_orders(fleet: FleetTable, tick: int, speed: int) -> tuple:
+def late_orders(fleet: FleetTable, tick: int, speed: int, since: np.ndarray,
+                leg: np.ndarray) -> tuple:
     """The onboard orders late at ``tick`` against a direct trip, by vehicle
-    and then manifest position: their vehicles, urgencies and extra ticks,
-    each ETA by the ``ticks_to`` rule at its ``drop_cum``; and each vehicle's
-    largest hop index onboard, 0 with none (a passenger's is 0)."""
+    and then manifest position: their vehicles, urgencies (by kind) and
+    extra ticks, each ETA by the ``ticks_to`` rule at its ``drop_cum``; and
+    each vehicle's largest leg index onboard, 0 with none. The request
+    table's ``since`` and ``leg`` columns give each leg's queue tick and
+    index: a held request's row does not change."""
     orders = fleet.orders
     flat = np.flatnonzero(orders[ONBOARD] == 1)  # row-major: by vehicle, then slot
     vid = flat // orders.shape[2]
     onboard = orders.reshape(len(ORDER_FIELDS), -1)[:, flat]
-    # -((driven - drop_cum) // speed) is the ETA, ceil((drop_cum - driven) / speed)
-    delay = (tick - onboard[CREATED] - onboard[DIRECT]
+    rids, width = onboard[REQUEST], fleet.grid.width
+    (o_row, d_row), (o_col, d_col) = np.divmod(onboard[ORIGIN : DESTINATION + 1], width)
+    length = np.abs(d_row - o_row) + np.abs(d_col - o_col)  # of the leg
+    # less the direct trip, ceil(length / speed) = -((-length) // speed), plus
+    # the ETA, ceil((drop_cum - driven) / speed) = -((driven - drop_cum) // speed)
+    delay = (tick - since[rids] + (-length) // speed
              - (fleet.driven[vid] - onboard[DROP_CUM]) // speed)
     late = np.flatnonzero(delay > 0)
-    max_hops = np.zeros(len(fleet.vehicles), dtype=np.int64)
-    np.maximum.at(max_hops, vid, onboard[HOPS])
-    return vid[late], fleet.urgency.ravel()[flat[late]], delay[late], max_hops
+    # in leg's dtype: ufunc.at is several times slower when it must cast
+    max_hops = np.zeros(len(fleet.vehicles), dtype=leg.dtype)
+    np.maximum.at(max_hops, vid, leg[rids])
+    return vid[late], _URGENCY[onboard[KIND, late]], delay[late], max_hops
 
 
 class FleetTable:
@@ -383,8 +386,7 @@ class FleetTable:
     columns (``COLUMNS``, the odometer ``driven`` and the two totals, which
     nothing writes), written by the vehicles, ``dispatch`` and ``move``; and
     their orders, as many slots each as the largest vehicle holds, -1 past a
-    vehicle's orders (whose urgency is not read). A location off the grid
-    raises InvalidZoneError."""
+    vehicle's orders. A location off the grid raises InvalidZoneError."""
 
     def __init__(self, grid: GridWorld, seats_total, trunk_total, locations: list):
         n = len(locations)
@@ -401,7 +403,6 @@ class FleetTable:
         self.arriving = []  # the vehicles the last move left where something resolves
         slots = int((self.seats_total + self.trunk_total).max(initial=0))
         self.orders = np.full((len(ORDER_FIELDS), n, slots), -1, dtype=np.int64)
-        self.urgency = np.zeros((n, slots))
         self.vehicles = [VehicleState(vid, self) for vid in range(n)]
         for name, column in fleet_columns(self).items():
             setattr(self, name, column)

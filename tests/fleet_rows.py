@@ -4,13 +4,17 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from hopfleet.fleet import (
+    DISPATCHED,
+    DISPATCHING,
     IDLE,
     KINDS,
     ONBOARD,
     ORDER_FIELDS,
     REQUEST,
+    SERVING,
     STATUS_CODE,
     FleetTable,
+    stop_index,
 )
 from hopfleet.geo import ZoneId
 
@@ -71,26 +75,20 @@ def zoned(v, stops) -> list:
 
 class ManifestEntry(NamedTuple):
     """An order as a test gives it to a vehicle (``add``) and reads it back
-    (``manifest``); ``add_entry`` sets the direct ticks itself."""
+    (``manifest``), but for its ``drop_cum``."""
 
     request_id: int
     kind: str  # passenger | goods
     origin: ZoneId
     destination: ZoneId
     onboard: bool = False
-    direct_ticks: int = 0
-    created_tick: int = 0
-    urgency: float = 1.0
-    hops: int = 0  # the index of the leg in its request's relay chain
 
 
 def add(v, e: ManifestEntry):
-    """Vehicle ``v`` takes on order ``e``, leg ``e.hops`` of its request,
-    as matching assigns one; an onboard ``e`` is then marked picked up,
-    and the plan rebuilt."""
-    request = SimpleNamespace(id=e.request_id, kind=e.kind, urgency=e.urgency,
-                              legs={e.hops: (e.origin, e.destination)})
-    v.add_entry(request, e.hops, e.created_tick)
+    """Vehicle ``v`` takes on order ``e`` as matching assigns one; an
+    onboard ``e`` is then marked picked up, and the plan rebuilt."""
+    request = SimpleNamespace(id=e.request_id, kind=e.kind, legs=((e.origin, e.destination),))
+    v.add_entry(request, 0)
     if e.onboard:
         v.fleet.orders[ONBOARD, v.id, len(v.rows()[REQUEST]) - 1] = 1
         v.replan()
@@ -98,11 +96,10 @@ def add(v, e: ManifestEntry):
 
 def manifest(v) -> list:
     """Vehicle ``v``'s orders in manifest order, as ManifestEntry records."""
-    cols, width = v.rows(), v.fleet.grid.width
-    urgency = v.fleet.urgency[v.id, : len(cols[REQUEST])].tolist()
+    width = v.fleet.grid.width
     return [ManifestEntry(rid, KINDS[kind], ZoneId._make(divmod(o, width)),
-                          ZoneId._make(divmod(d, width)), bool(on), direct, created, u, hops)
-            for rid, kind, o, d, on, direct, created, hops, _, u in zip(*cols, urgency)]
+                          ZoneId._make(divmod(d, width)), bool(on))
+            for rid, kind, o, d, on, _ in zip(*v.rows())]
 
 
 def set_manifest(v, entries):
@@ -113,3 +110,37 @@ def set_manifest(v, entries):
     v.replan([[] for _ in ORDER_FIELDS])
     for e in entries:
         add(v, e)
+
+
+def reference_process_arrivals(v):
+    """process_arrivals as it was before it read the stored plan: a scan of
+    the whole manifest for every serving vehicle, and every resolution
+    rebuilds the stop plan with replan(). Returns (the dropped requests,
+    the picked-up requests)."""
+    drops, pickups = [], []
+    if v.status == DISPATCHING and flat(v, v.location) == v.fleet.target[v.id]:
+        v.set_status(DISPATCHED)
+    if v.status == SERVING:
+        entries = manifest(v)
+        for e in [e for e in entries if e.onboard and e.destination == v.location]:
+            entries.remove(e)
+            drops.append(e.request_id)
+        for i, e in enumerate(entries):
+            if not e.onboard and e.origin == v.location:
+                entries[i] = e._replace(onboard=True)
+                pickups.append(e.request_id)
+        if drops or pickups:
+            set_manifest(v, entries)
+        if not manifest(v):
+            v.set_status(IDLE)
+    return drops, pickups
+
+
+def route_state(v):
+    """What a vehicle's route is, whichever distance the stored plan is
+    measured from: its status, location and manifest, the plan and its
+    zone index as seen from the vehicle, and its table row but for the
+    odometer (the objective holds the dispatch target)."""
+    index = {zone: cum - odometer(v) for zone, cum in stop_index(v.stops).items()}
+    row = {name: value for name, value in v.fleet.row(v.id).items() if name != "driven"}
+    return (v.status, v.location, manifest(v), v.remaining_stops(), index, row)

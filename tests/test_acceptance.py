@@ -117,7 +117,7 @@ def _check_matching_instance(rng) -> bool:
         d = ZoneId((o.row + 1 + int(rng.integers(6))) % 8, int(rng.integers(8)))
         if o == d:
             d = ZoneId((o.row + 1) % 8, o.col)
-        reqs.append(Request(i, kind, o, d, 0, 1.0 if kind == PASSENGER else 0.5))
+        reqs.append(Request(i, kind, o, d, 0))
     specs = [((int(rng.integers(8)), int(rng.integers(8))), int(rng.integers(0, 3)),
               int(rng.integers(0, 3))) for _ in range(n_veh)]
     fleet = FleetTable(grid, [seats for _, seats, _ in specs], [trunk for _, _, trunk in specs],
@@ -177,7 +177,7 @@ def _check_hop_instance(rng) -> bool:
         if o != d:
             break
     depth = int(rng.integers(0, 5))
-    req = Request(0, GOODS, o, d, 0, 0.5)
+    req = Request(0, GOODS, o, d, 0)
     trip = assign_hop_zones(req, grid, max_depth=depth)
 
     if trip.legs[0][0] != o or trip.legs[-1][1] != d:

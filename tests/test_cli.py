@@ -12,7 +12,7 @@ from hopfleet.cli import EvalSettings, ExperimentConfig, TrainSettings, load_con
 from hopfleet.demand import ingest_trip_records
 from hopfleet import cli
 from hopfleet import dispatch_rl as rl
-from hopfleet.dispatch_rl import encode_state, load_checkpoint, save_checkpoint
+from hopfleet.dispatch_rl import load_checkpoint, save_checkpoint
 from hopfleet.engine import PHASES, DemandConfig, DispatchPolicy, GridConfig, RLConfig, SimConfig
 from hopfleet.fleet import FleetTable
 from hopfleet.geo import GridWorld
@@ -176,7 +176,7 @@ def test_config_fields_have_no_default(cls):
 
 
 @pytest.mark.parametrize("func, name", [(assign_hop_zones, "max_depth"),
-                                        (encode_state, "window"), (rl.state_dim, "window"),
+                                        (rl.observation_maps, "window"), (rl.state_dim, "window"),
                                         (rl.action_count, "radius"),
                                         (rl.action_to_offset, "radius"),
                                         (rl.offset_to_action, "radius"),

@@ -6,6 +6,7 @@ import pytest
 from hopfleet.demand import (
     GOODS,
     PASSENGER,
+    URGENCY,
     HistoricalAverageForecaster,
     REQUEST_STATUS_CODE,
     REQUEST_STATUSES,
@@ -88,7 +89,7 @@ def test_generate_seed_determinism(grid):
         out = []
         for tick in range(30):
             out.extend(
-                (r.id, r.kind, tuple(r.origin), tuple(r.destination), r.created_tick, r.urgency)
+                (r.id, r.kind, tuple(r.origin), tuple(r.destination), r.created_tick)
                 for r in generate_tick_requests(sources, tick, rng, id_start=len(out))
             )
         return out
@@ -102,8 +103,10 @@ def test_generate_default_urgency(grid):
     rates = {ZoneId(1, 1): 3.0}
     locs = [ServiceLocation(ZoneId(8, 8), "postal", 3.0)]
     reqs = generate_tick_requests(demand_sources(grid, locs, rates, goods_radius=3), 0, rng)
-    for r in reqs:
-        assert r.urgency == (1.0 if r.kind == PASSENGER else 0.5)
+    # urgency is a fact of the kind: a request carries none of its own
+    assert URGENCY == {PASSENGER: 1.0, GOODS: 0.5}
+    assert {r.kind for r in reqs} == {PASSENGER, GOODS}
+    assert not any(hasattr(r, "urgency") for r in reqs)
 
 
 def test_generate_mean_rate_statistics(grid):
@@ -228,9 +231,9 @@ def test_hot_zone_trip_distribution(grid):
 
 def test_trip_records_round_trip(tmp_path, grid):
     reqs = [
-        Request(0, PASSENGER, ZoneId(0, 0), ZoneId(3, 4), 5, 1.0),
-        Request(1, GOODS, ZoneId(2, 2), ZoneId(4, 2), 6, 0.5),
-        Request(2, PASSENGER, ZoneId(9, 9), ZoneId(0, 1), 7, 1.0),
+        Request(0, PASSENGER, ZoneId(0, 0), ZoneId(3, 4), 5),
+        Request(1, GOODS, ZoneId(2, 2), ZoneId(4, 2), 6),
+        Request(2, PASSENGER, ZoneId(9, 9), ZoneId(0, 1), 7),
     ]
     path = tmp_path / "trips.csv"
     write_trip_records(path, reqs)
@@ -288,7 +291,7 @@ def test_forecast_is_the_mean_over_all_recorded_ticks(grid):
         arr[1, 1] = count
         f.record(arr)
     f.record_requests([])
-    f.record_requests([Request(0, PASSENGER, ZoneId(0, 2), ZoneId(5, 5), 0, 1.0)])
+    f.record_requests([Request(0, PASSENGER, ZoneId(0, 2), ZoneId(5, 5), 0)])
     fc = f.forecast()
     assert fc[1, 1] == pytest.approx(12.0 / 5) and fc[0, 2] == pytest.approx(1.0 / 5)
     assert fc.sum() == pytest.approx(13.0 / 5)
@@ -304,34 +307,42 @@ def test_forecast_nonnegative(grid):
 
 def test_request_lifecycle_guards():
     table = RequestTable()
-    r = Request(0, GOODS, ZoneId(0, 0), ZoneId(1, 1), 0, 0.5)
+    r = Request(0, GOODS, ZoneId(0, 0), ZoneId(1, 1), 0)
     table.add([r])
-    table.set_status(0, "assigned")
-    table.set_status(0, "picked_up")
+    table.set_status(0, "held")
     with pytest.raises(ValueError):
         table.set_status(0, "rejected")
     table.set_status(0, "delivered")
     assert table.status_of(0) == "delivered"
     assert not hasattr(r, "status")
     with pytest.raises(ValueError):
-        Request(1, PASSENGER, ZoneId(0, 0), ZoneId(0, 0), 0, 1.0)
+        Request(1, PASSENGER, ZoneId(0, 0), ZoneId(0, 0), 0)
     # a request travels one direct leg unless a relay chain is planned for it
     assert r.legs == ((ZoneId(0, 0), ZoneId(1, 1)),)
 
 
 # a legal path from queued to each status
-PATH_TO = {"queued": [], "assigned": ["assigned"], "picked_up": ["assigned", "picked_up"],
-           "delivered": ["assigned", "picked_up", "delivered"], "rejected": ["rejected"]}
+PATH_TO = {"queued": [], "held": ["held"], "delivered": ["held", "delivered"],
+           "rejected": ["rejected"]}
+
+
+def test_request_statuses_are_queued_held_delivered_rejected():
+    # whether a held request is onboard is its order's flag, not a status
+    assert REQUEST_STATUSES == ("queued", "held", "delivered", "rejected")
+    assert REQUEST_TRANSITIONS == {"queued": {"held", "rejected"}, "held": {"delivered"},
+                                   "delivered": set(), "rejected": set()}
 
 
 @pytest.mark.parametrize("old", REQUEST_STATUSES)
-@pytest.mark.parametrize("new", [*REQUEST_STATUSES, "lost"])
+@pytest.mark.parametrize("new", [*REQUEST_STATUSES, "lost", "assigned", "picked_up"])
 def test_request_table_refuses_what_the_transitions_refuse(old, new):
     # the table is the one copy of each status; it takes every transition
-    # REQUEST_TRANSITIONS allows and refuses every other, the status unchanged
+    # REQUEST_TRANSITIONS allows and refuses every other, the status
+    # unchanged, and the retired names "assigned" and "picked_up" as it
+    # refuses any name that is no status
     table = RequestTable()
-    table.add([Request(0, PASSENGER, ZoneId(0, 0), ZoneId(1, 1), 0, 1.0),
-               Request(1, GOODS, ZoneId(0, 0), ZoneId(1, 1), 0, 0.5)])
+    table.add([Request(0, PASSENGER, ZoneId(0, 0), ZoneId(1, 1), 0),
+               Request(1, GOODS, ZoneId(0, 0), ZoneId(1, 1), 0)])
     for status in PATH_TO[old]:
         table.set_status(1, status)
     assert table.status_of(1) == old and table.status_of(0) == "queued"
@@ -349,9 +360,9 @@ def test_request_table_columns_grow_with_the_requests():
     # since their created tick and ranked in the order they joined
     table = RequestTable()
     with pytest.raises(ValueError, match="next ids, from 0"):
-        table.add([Request(1, PASSENGER, ZoneId(0, 0), ZoneId(1, 1), 0, 1.0)])
+        table.add([Request(1, PASSENGER, ZoneId(0, 0), ZoneId(1, 1), 0)])
     for start in range(0, 600, 3):  # past the first buffer, three a tick
-        table.add([Request(rid, GOODS, ZoneId(0, 0), ZoneId(1, 1), start // 3, 0.5)
+        table.add([Request(rid, GOODS, ZoneId(0, 0), ZoneId(1, 1), start // 3)
                    for rid in range(start, start + 3)])
         if start % 7 == 0:
             table.set_status(start, "rejected")
@@ -365,25 +376,24 @@ def test_request_table_columns_grow_with_the_requests():
     assert [table[rid].id for rid in range(600)] == list(range(600))
     assert [c.dtype.itemsize for c in columns] == [1, 4, 8, 8]
     # the buffers hold more entries than the table: an id past its end is refused
-    for read in (table.status_of, lambda rid: table.set_status(rid, "assigned")):
+    for read in (table.status_of, lambda rid: table.set_status(rid, "held")):
         with pytest.raises(IndexError):
             read(600)
 
 
 def relay_table():
-    """A picked-up passenger, a picked-up direct package and a two-leg
-    package on its first leg, created at tick 2, and a request queued at
-    tick 5 behind them."""
+    """A held passenger, a held direct package and a two-leg package on its
+    first leg, created at tick 2, and a request queued at tick 5 behind
+    them."""
     hub, dest = ZoneId(0, 3), ZoneId(0, 6)
     table = RequestTable()
-    table.add([Request(0, PASSENGER, ZoneId(0, 0), dest, 2, 1.0),
-               Request(1, GOODS, ZoneId(0, 0), dest, 2, 0.5),
-               Request(2, GOODS, ZoneId(0, 0), dest, 2, 0.5,
+    table.add([Request(0, PASSENGER, ZoneId(0, 0), dest, 2),
+               Request(1, GOODS, ZoneId(0, 0), dest, 2),
+               Request(2, GOODS, ZoneId(0, 0), dest, 2,
                        legs=((ZoneId(0, 0), hub), (hub, dest)))])
-    table.add([Request(3, GOODS, ZoneId(1, 1), dest, 5, 0.5)])
+    table.add([Request(3, GOODS, ZoneId(1, 1), dest, 5)])
     for rid in (0, 1):
-        table.set_status(rid, "assigned")
-        table.set_status(rid, "picked_up")
+        table.set_status(rid, "held")
     return table
 
 
@@ -393,33 +403,30 @@ def table_rows(table):
 
 
 def test_hand_off_queues_the_package_for_its_next_leg():
-    # picked up -> queued, the cursor on the next leg, queued since the
-    # handoff tick and ranked behind every earlier entry, request 3 included
+    # held -> queued, the cursor on the next leg, queued since the handoff
+    # tick and ranked behind every earlier entry, request 3 included
     table = relay_table()
-    table.set_status(2, "assigned")
-    table.set_status(2, "picked_up")
+    table.set_status(2, "held")
     table.hand_off(2, tick=7)
-    assert table_rows(table) == [[2, 2, 0, 0], [0, 0, 1, 0], [2, 2, 7, 5], [0, 1, 4, 3], 5]
+    assert table_rows(table) == [[1, 1, 0, 0], [0, 0, 1, 0], [2, 2, 7, 5], [0, 1, 4, 3], 5]
     assert table.queued().tolist() == [3, 2]
-    assert table.status_of(2) == "queued" and "queued" not in REQUEST_TRANSITIONS["picked_up"]
+    assert table.status_of(2) == "queued" and "queued" not in REQUEST_TRANSITIONS["held"]
     # the next entry ranks behind the handoff
-    table.add([Request(4, GOODS, ZoneId(1, 1), ZoneId(0, 6), 8, 0.5)])
+    table.add([Request(4, GOODS, ZoneId(1, 1), ZoneId(0, 6), 8)])
     assert table.queued().tolist() == [3, 2, 4] and table.rank[4] == 5
 
 
-@pytest.mark.parametrize("case", ["passenger", "direct", "last-leg", "queued", "assigned",
-                                  "delivered"])
+@pytest.mark.parametrize("case", ["passenger", "direct", "last-leg", "queued", "delivered"])
 def test_hand_off_refuses_a_passenger_a_last_leg_and_a_row_not_picked_up(case):
+    # a row not held is queued or closed
     table = relay_table()
     rid = {"passenger": 0, "direct": 1}.get(case, 2)
-    path = {"last-leg": ["assigned", "picked_up"], "assigned": ["assigned"],
-            "delivered": ["assigned", "picked_up", "delivered"]}.get(case, [])
+    path = {"last-leg": ["held"], "delivered": ["held", "delivered"]}.get(case, [])
     for status in path:
         table.set_status(rid, status)
     if case == "last-leg":
         table.hand_off(rid, tick=6)
-        for status in ("assigned", "picked_up"):
-            table.set_status(rid, status)
+        table.set_status(rid, "held")
     before = table_rows(table)
     with pytest.raises(ValueError, match=f"^request {rid}: no hand-off for a "):
         table.hand_off(rid, tick=9)

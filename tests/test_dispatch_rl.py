@@ -50,7 +50,16 @@ def empty_world(width=20, height=20):
 
 def encode(supply, forecast, v):
     """The state vector of one vehicle, a batch of one."""
-    return encode_state(observation_maps(supply, forecast), v.fleet, [v.id], window=WINDOW)[0]
+    return encode_state(observation_maps(supply, forecast, WINDOW), v.fleet, [v.id])[0]
+
+
+def padded_windows(maps, window):
+    """The window x window crop around every zone of ``maps`` (channels,
+    height, width), zero off the grid, as ``observation_maps`` gives its
+    channels to ``encode_state``."""
+    half = window // 2
+    padded = np.pad(maps, ((0, 0), (half, half), (half, half)))
+    return np.lib.stride_tricks.sliding_window_view(padded, (window, window), axis=(1, 2))
 
 
 def reference_crop(arr, center, window):
@@ -217,16 +226,17 @@ def test_encode_from_tick_maps_equals_per_call_sums(seed):
         fleet = random_fleet(rng, grid)
         table = fleet[0].fleet
         forecast = forecaster.forecast()
-        maps = observation_maps(project_supply(table, grid), forecast)
+        supply = project_supply(table, grid)
+        maps = {window: observation_maps(supply, forecast, window) for window in (1, 3, 15)}
         available, projected = reference_project_supply(fleet, grid)
         for v in fleet:
             window = int(rng.choice([1, 3, 15]))
-            got = encode_state(maps, table, [v.id], window=window)[0]
+            got = encode_state(maps[window], table, [v.id])[0]
             want = reference_encode(available, projected, forecast, v, window)
             assert got.tobytes() == want.tobytes(), (seed, trial, v.id, window)
         # the whole fleet in one batch, rows in fleet order
         window = int(rng.choice([1, 3, 15]))
-        batch = encode_state(maps, table, [v.id for v in fleet], window=window)
+        batch = encode_state(maps[window], table, [v.id for v in fleet])
         assert batch.shape == (len(fleet), state_dim(window))
         for v, got in zip(fleet, batch):
             want = reference_encode(available, projected, forecast, v, window)
@@ -238,16 +248,18 @@ def test_freeing_channels_count_within_their_reach():
     # (ticks until free, row, col): eta 0 is free already, 31 is out of reach
     supply.freeing = np.array([[0, 0, 0], [1, 0, 0], [15, 0, 1], [16, 0, 1], [30, 0, 2],
                                [31, 0, 2]])
-    maps = observation_maps(supply, forecast)
+    maps = observation_maps(supply, forecast, 1)[..., 0, 0]  # a window of 1: the maps alone
     assert maps[2].tolist() == [[1, 1, 0]]  # within 15 ticks
     assert maps[3].tolist() == [[1, 2, 1]]  # within 30 ticks
+    with pytest.raises(ValueError, match="window must be odd"):
+        observation_maps(supply, forecast, 2)
 
 
 def test_encoded_crop_is_identity_inside():
     arr = np.arange(100.0).reshape(10, 10)
     maps = np.stack([arr, 2 * arr, 3 * arr, 4 * arr])
     fleet = vehicles_in_table(GridWorld(width=10, height=10), [(5, 5)])[0].fleet
-    vec = encode_state(maps, fleet, [0], window=3)[0]
+    vec = encode_state(padded_windows(maps, 3), fleet, [0])[0]
     assert np.array_equal(channels(vec, window=3), maps[:, 4:7, 4:7])
 
 
@@ -268,16 +280,17 @@ def test_encoder_batch_equals_per_vehicle_crops_at_corners_and_edges(window):
     add(vehicles[4], ManifestEntry(0, PASSENGER, ZoneId(0, 4), ZoneId(1, 4)))
     fleet = vehicles[0].fleet
     vids = [7, 0, 9, 4, 1, 2, 8, 3, 6, 5]
-    batch = encode_state(maps, fleet, vids, window=window)
+    windows = padded_windows(maps, window)
+    batch = encode_state(windows, fleet, vids)
     assert batch.shape == (len(vehicles), state_dim(window))
     for vid, row in zip(vids, batch):
         v = vehicles[vid]
-        single = encode_state(maps, fleet, [vid], window=window)[0]
+        single = encode_state(windows, fleet, [vid])[0]
         assert row.tobytes() == single.tobytes(), v.location
         assert channels(row, window).tobytes() == reference_crop(maps, v.location, window).tobytes()
         assert row[-N_SCALARS:].tolist() == list(free_capacity(v))
     assert free_capacity(vehicles[4]) == (3, 2)
-    assert encode_state(maps, fleet, [], window=window).shape == (0, state_dim(window))
+    assert encode_state(windows, fleet, []).shape == (0, state_dim(window))
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 500])

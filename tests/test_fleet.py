@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hopfleet.demand import GOODS, PASSENGER
+from hopfleet.demand import GOODS, PASSENGER, URGENCY
 from hopfleet.fleet import (
     ALLOWED_TRANSITIONS,
     DISPATCHED,
@@ -40,7 +40,8 @@ from fleet_rows import (
     manifest,
     odometer,
     put,
-    set_manifest,
+    reference_process_arrivals,
+    route_state,
     vehicles_in_table,
     zoned,
 )
@@ -644,40 +645,6 @@ def test_planned_stops_equal_the_reference():
     assert ties > 1000 and colocated > 1000
 
 
-def reference_process_arrivals(v):
-    """process_arrivals as it was before it advanced the plan: every
-    resolution rebuilds the stop plan with replan(). Returns (the dropped
-    requests, the picked-up requests)."""
-    drops, pickups = [], []
-    if v.status == DISPATCHING and flat(v, v.location) == v.fleet.target[v.id]:
-        v.set_status(DISPATCHED)
-    if v.status == SERVING:
-        if manifest(v) and all(zone != flat(v, v.location) for zone, _ in v.stops):
-            return drops, pickups
-        entries = manifest(v)
-        for e in [e for e in entries if e.onboard and e.destination == v.location]:
-            entries.remove(e)
-            drops.append(e.request_id)
-        for i, e in enumerate(entries):
-            if not e.onboard and e.origin == v.location:
-                entries[i] = e._replace(onboard=True)
-                pickups.append(e.request_id)
-        if drops or pickups:
-            set_manifest(v, entries)
-        if not manifest(v):
-            v.set_status(IDLE)
-    return drops, pickups
-
-
-def route_state(v):
-    """What a vehicle's route is, whichever distance the stored plan is
-    measured from: the plan and its zone index as seen from the vehicle,
-    and its table row but for the odometer."""
-    index = {zone: cum - odometer(v) for zone, cum in stop_index(v.stops).items()}
-    row = {name: value for name, value in v.fleet.row(v.id).items() if name != "driven"}
-    return (v.status, v.location, manifest(v), v.remaining_stops(), index, row)
-
-
 def drive_against_the_reference(got, want, grid, tick=0, ticks=60):
     """Alternate arrivals and moves on two copies of a vehicle, two rows of
     one table moved in one pass, one through process_arrivals and one
@@ -873,8 +840,9 @@ def reference_late_orders(vehicles, registry, tick, speed):
     """The late orders as the engine's settle found them before the order
     table: a loop over the loaded vehicles in id order and their onboard
     orders in manifest order, each ETA read from the drop zone's entry in
-    the zone index through ticks_to, and each request's created tick,
-    urgency and hop index read from the registry."""
+    the zone index through ticks_to, the direct trip from the order's leg,
+    each request's queue tick and leg index read from the registry and its
+    urgency from its kind."""
     owner, urgency, extra, max_hops = [], [], [], [0] * len(vehicles)
     for v in vehicles:
         if not v.fleet.onboard[v.id]:
@@ -884,13 +852,14 @@ def reference_late_orders(vehicles, registry, tick, speed):
                 continue
             req = registry[e.request_id]
             eta = v.ticks_to(stop_index(v.stops)[flat(v, e.destination)], speed)
-            delay = tick - req.created_tick + eta - e.direct_ticks
+            direct = math.ceil(manhattan(e.origin, e.destination) / speed)
+            delay = tick - req.since + eta - direct
             if delay > 0:
                 owner.append(v.id)
-                urgency.append(req.urgency)
+                urgency.append(URGENCY[e.kind])
                 extra.append(delay)
-            if e.kind == GOODS and req.hops > max_hops[v.id]:
-                max_hops[v.id] = req.hops
+            if e.kind == GOODS and req.leg > max_hops[v.id]:
+                max_hops[v.id] = req.leg
     return owner, urgency, extra, max_hops
 
 
@@ -911,7 +880,7 @@ def test_late_orders_equal_the_reference_loop(speed):
         n = int(rng.integers(1, 8))
         vehicles = vehicles_in_table(grid, [zone() for _ in range(n)], status=SERVING,
                                      seats_total=3, trunk_total=3)
-        fleet, registry, tick = vehicles[0].fleet, {}, 20
+        fleet, registry, tick = vehicles[0].fleet, [], 20
         for v in vehicles:
             for _ in range(int(rng.integers(0, 6))):
                 kind = GOODS if rng.random() < 0.5 else PASSENGER
@@ -920,14 +889,14 @@ def test_late_orders_equal_the_reference_loop(speed):
                 origin, dest = zone(), zone()
                 while dest == origin:
                     dest = zone()
-                # the order's leg, its queue entry tick and its hop index
-                req = SimpleNamespace(id=len(registry), created_tick=int(rng.integers(8, tick + 1)),
-                                      urgency=float(rng.choice([0.5, 1.0, rng.uniform(0.05, 1.0)])),
-                                      hops=int(rng.integers(4)) if kind == GOODS else 0)
-                registry[req.id] = req
-                add(v, ManifestEntry(req.id, kind, origin, dest, bool(rng.random() < 0.7),
-                                     created_tick=req.created_tick, urgency=req.urgency,
-                                     hops=req.hops))
+                # the tick the order's leg joined the queue and its index
+                registry.append(SimpleNamespace(since=int(rng.integers(8, tick + 1)),
+                                                leg=int(rng.integers(4)) if kind == GOODS else 0))
+                add(v, ManifestEntry(len(registry) - 1, kind, origin, dest,
+                                     bool(rng.random() < 0.7)))
+        # the request table's columns of those names
+        since = np.array([req.since for req in registry], dtype=np.int64)
+        leg = np.array([req.leg for req in registry], dtype=np.int32)
         for v in vehicles:
             if not v.stops:
                 v.set_status(IDLE)  # serving with nothing to serve, as an arrival leaves it
@@ -936,7 +905,7 @@ def test_late_orders_equal_the_reference_loop(speed):
             for vid in fleet.arriving:
                 process_arrivals(vehicles[vid])
         want = reference_late_orders(vehicles, registry, tick, speed)
-        got = late_orders(fleet, tick, speed)
+        got = late_orders(fleet, tick, speed, since, leg)
         assert got[0].tolist() == want[0], trial
         assert [u.hex() for u in got[1].tolist()] == [float(u).hex() for u in want[1]], trial
         assert got[2].tolist() == want[2] and got[3].tolist() == want[3], trial

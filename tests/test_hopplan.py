@@ -7,7 +7,7 @@ from hopfleet.hopplan import HopTrip, assign_hop_zones, eligible_hop_zone
 
 
 def goods(origin, dest, rid=0):
-    return Request(rid, GOODS, ZoneId(*origin), ZoneId(*dest), 0, 0.5)
+    return Request(rid, GOODS, ZoneId(*origin), ZoneId(*dest), 0)
 
 
 def test_no_hop_zones_single_leg():
@@ -39,7 +39,7 @@ def test_max_depth_zero_is_direct():
 
 def test_passengers_rejected():
     grid = GridWorld(width=12, height=12)
-    r = Request(0, PASSENGER, ZoneId(0, 0), ZoneId(0, 5), 0, 1.0)
+    r = Request(0, PASSENGER, ZoneId(0, 0), ZoneId(0, 5), 0)
     with pytest.raises(ValueError):
         assign_hop_zones(r, grid, max_depth=4)
 

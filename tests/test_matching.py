@@ -14,11 +14,11 @@ def make_grid(speed=1):
 
 
 def passenger(rid, origin, dest=(11, 11)):
-    return Request(rid, PASSENGER, ZoneId(*origin), ZoneId(*dest), 0, 1.0)
+    return Request(rid, PASSENGER, ZoneId(*origin), ZoneId(*dest), 0)
 
 
 def goods(rid, origin, dest=(11, 11)):
-    return Request(rid, GOODS, ZoneId(*origin), ZoneId(*dest), 0, 0.5)
+    return Request(rid, GOODS, ZoneId(*origin), ZoneId(*dest), 0)
 
 
 def origins(requests):
@@ -204,7 +204,7 @@ def test_random_instances_satisfy_dominance(seed):
         d = ZoneId(int(rng.integers(8)), int(rng.integers(8)))
         if o == d:
             d = ZoneId((o.row + 1) % 8, o.col)
-        reqs.append(Request(i, kind, o, d, 0, 1.0 if kind == PASSENGER else 0.5))
+        reqs.append(Request(i, kind, o, d, 0))
     specs = [((int(rng.integers(8)), int(rng.integers(8))), int(rng.integers(0, 3)),
               int(rng.integers(0, 3))) for _ in range(n_veh)]
     vehicles = vehicles_in_table(grid, [loc for loc, _, _ in specs],
@@ -278,7 +278,7 @@ def random_instance(rng):
         kind = PASSENGER if rng.random() < 0.5 else GOODS
         o = zone()
         d = ZoneId((o.row + 1) % side, o.col)
-        reqs.append(Request(100 + rid, kind, o, d, 0, 1.0 if kind == PASSENGER else 0.5))
+        reqs.append(Request(100 + rid, kind, o, d, 0))
     # drawn vehicle by vehicle in a shuffled id order: capacity, zone, and the
     # seats and trunk slots to fill once the table holds them in id order
     specs = {}

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 SETUP_PARTS = ["config", "policy", "layout", "placement", "warmup", "hubs", "other"]
-DISPATCH_PARTS = ["encode", "q_pass", "rest"]
+DISPATCH_PARTS = ["maps", "encode", "q_pass", "rest"]
 
 
 def test_phase_split_prints_every_phase():
@@ -52,7 +52,7 @@ def test_phase_split_prints_every_phase():
         if label == "part" or not title.startswith("tick 0"):
             assert all(float(row[1]) > 0 for row in rows if row[0] != "other"), rows
     # the dispatch parts add up to tick 0's dispatch phase: at tick 0 the
-    # encoder and the network run in that phase alone
+    # maps, the encoder and the network run in that phase alone
     phase = next(line for line in by_title["tick 0: "] if line.startswith("dispatch"))
     parts = float(by_title["tick 0 dispatch: "][0].split()[-2])
     assert abs(parts - float(phase.split()[1])) < 0.002

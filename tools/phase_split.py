@@ -8,8 +8,9 @@ builds them (its ``WORKLOADS``, ``world_seeds`` and ``set_up``), and prints
 phase of ``Simulation.step``, as a share of the tick. Tick 0, where every
 vehicle of the fleet is idle and decides, is printed in ms per world, and
 its dispatch phase split into the parts of ``DISPATCH_PARTS``: the thread
-time of the calls to ``dispatch_rl.encode_state`` and to
-``QNetwork.q_values``, and the rest. The ticks after it follow, in ms per
+time of the calls to ``dispatch_rl.observation_maps`` (the tick's maps,
+padded once), to ``dispatch_rl.encode_state`` and to ``QNetwork.q_values``,
+and the rest. The ticks after it follow, in ms per
 tick: first the steady ticks, which ``tick_ms.p50`` measures, then apart
 from them the full-check ticks (every ``FULL_CHECK_EVERY``-th), which run
 the full invariant check and weigh on ``tick_ms.p95``. Set-up, which
@@ -38,8 +39,9 @@ import run as bench  # noqa: E402  (pins BLAS to one thread before numpy loads)
 # warmup ticks; the hub tally and designation; and the rest (the config's
 # workload changes and the Simulation's construction)
 SETUP_PARTS = ("config", "policy", "layout", "placement", "warmup", "hubs", "other")
-# the parts of tick 0's dispatch phase: the state encoding, the Q pass, the rest
-DISPATCH_PARTS = ("encode", "q_pass", "rest")
+# the parts of tick 0's dispatch phase: the padded maps, the state encoding,
+# the Q pass, the rest
+DISPATCH_PARTS = ("maps", "encode", "q_pass", "rest")
 
 
 @contextmanager
@@ -132,8 +134,9 @@ def phase_split(workload: str, seed: int, worlds: int = 0) -> dict:
     full_every = prog.engine.FULL_CHECK_EVERY
     rl = prog.dispatch_rl
     # the replay buffer is empty at tick 0, so only its dispatch phase
-    # encodes states and evaluates the network
-    dispatch_calls = [(rl, "encode_state", "encode"), (rl.QNetwork, "q_values", "q_pass")]
+    # builds the maps, encodes states and evaluates the network
+    dispatch_calls = [(rl, "observation_maps", "maps"), (rl, "encode_state", "encode"),
+                      (rl.QNetwork, "q_values", "q_pass")]
     setup = dict.fromkeys(SETUP_PARTS, 0.0)
     dispatch = dict.fromkeys(DISPATCH_PARTS, 0.0)
     blocks = {block: dict.fromkeys(prog.engine.PHASES, 0.0)
