@@ -17,18 +17,20 @@ print(f"distance {tuple(a)} -> {tuple(b)}: {grid.distance(a, b)} zones "
       f"({grid.distance(a, b) * grid.zone_edge_m / 1000:.2f} km)")
 print(f"eta at speed {grid.vehicle_speed}: {grid.eta(a, b).ticks} ticks")
 
-# Hubs: every third intersection, kept only where pickups concentrate.
+# Hubs: every third intersection, kept only where pickups concentrate: a
+# candidate's pickups plus those within 1 zone of it must reach 10.
 rng = np.random.default_rng(0)
-counts = {z: 0 for z in grid.all_zones()}
+counts = np.zeros((grid.height, grid.width))
 for _ in range(600):  # synthetic pickup history clustered in two corners
     center = ZoneId(4, 4) if rng.random() < 0.6 else ZoneId(15, 16)
-    z = grid.clamp(center.row + int(rng.integers(-3, 4)), center.col + int(rng.integers(-3, 4)))
-    counts[z] += 1
+    offset = rng.integers(-3, 4, size=2)
+    counts[tuple(np.clip(center + offset, 0, [grid.height - 1, grid.width - 1]))] += 1
 
-hubs = designate_hop_zones(grid, stride=3, pickup_counts=counts, min_pickups=10)
-print(f"\n{len(hubs)} relay hubs out of {sum(1 for _ in grid.all_zones())} zones:")
+hubs = designate_hop_zones(grid, stride=3, counts=counts, radius=1, min_pickups=10)
+print(f"\n{len(hubs)} relay hubs out of {grid.width * grid.height} zones:")
 for hz in sorted(hubs):
-    print(f"  hub {tuple(hz)} saw {counts[hz]} pickups")
+    nearby = counts[hz] + sum(counts[z] for z in grid.zones_within(hz, 1))
+    print(f"  hub {tuple(hz)} saw {nearby:.0f} pickups within 1 zone")
 
 print()
 for corner in (ZoneId(0, 0), ZoneId(19, 19)):

@@ -10,9 +10,8 @@ and it backs the demand channel of the dispatch observation.
 import numpy as np
 
 from hopfleet.demand import (
+    DemandSources,
     HistoricalAverageForecaster,
-    ServiceLocation,
-    demand_sources,
     generate_tick_requests,
     poisson_pmf,
 )
@@ -24,13 +23,13 @@ rng = np.random.default_rng(42)
 print("Poisson pmf sanity: p(0;0)=%.3f  p(1;1)=%.5f  p(2;3)=%.5f"
       % (poisson_pmf(0, 0), poisson_pmf(1, 1), poisson_pmf(2, 3)))
 
-locations = [
-    ServiceLocation(ZoneId(2, 2), "postal", 1.2),
-    ServiceLocation(ZoneId(7, 7), "meal", 0.8),
-]
-passenger_rates = {z: 0.02 for z in grid.all_zones()}
-# laid out once: validated origins and each site's reachable destinations
-sources = demand_sources(grid, locations, passenger_rates, goods_radius=4)
+# goods sites as (zone, rate): a postal office and a meal kitchen
+sites = [(ZoneId(2, 2), 1.2), (ZoneId(7, 7), 0.8)]
+passenger_rates = np.full((grid.height, grid.width), 0.02)
+# laid out once: validated origins and each site's reachable destinations;
+# a passenger heads to a hot zone with probability hot_weight
+sources = DemandSources(grid, passenger_rates, sites, goods_radius=4,
+                        hot_zones=[ZoneId(5, 5)], hot_weight=0.3)
 
 forecaster = HistoricalAverageForecaster(grid)
 total = {"passenger": 0, "goods": 0}

@@ -1,13 +1,14 @@
 """Passenger and goods request workload: generation, ingestion, forecasting,
 and the request table that holds each request's status.
 
-Generation takes two steps: :func:`demand_sources` lays the sources out once
-(validated origins with their cumulative rates, and each goods site's
-reachable destinations), then :func:`generate_tick_requests` draws one tick
-from them. Independent Poisson counts per passenger zone are the same process
-as one Poisson total over all zones, each request's origin drawn in
-proportion to the zones' rates, so a tick draws one total and one uniform per
-request rather than one per zone; each goods site draws its own count. Every
+Generation takes two steps: :class:`DemandSources` lays the sources out once
+(validated origins with their cumulative rates, the hot zones passengers
+head to, and each goods site's reachable destinations), then
+:func:`generate_tick_requests` draws one tick from them. Independent Poisson
+counts per passenger zone are the same process as one Poisson total over all
+zones, each request's origin drawn in proportion to the zones' rates, so a
+tick draws one total and one uniform per request rather than one per zone;
+each goods site draws its own count. Every
 count comes from numpy's ``Generator.poisson``, and identical seeds give
 identical request streams.
 Demand is stationary, so the demand forecaster is the flat per-zone mean of
@@ -22,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -160,17 +161,6 @@ class RequestTable:
         self.entries += 1
 
 
-@dataclass(frozen=True)
-class ServiceLocation:
-    zone: ZoneId
-    kind: str  # postal | meal | supermarket
-    rate: float
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
-
-
 def poisson_pmf(x: int, lam: float) -> float:
     """P(X = x) for X ~ Poisson(lam): e^-lam * lam^x / x!."""
     if x < 0 or int(x) != x:
@@ -183,84 +173,56 @@ def poisson_pmf(x: int, lam: float) -> float:
     return math.exp(x * math.log(lam) - lam - math.lgamma(x + 1))
 
 
-@dataclass
-class TripDistribution:
-    """Passenger destination model: city-wide trips with optional hot zones.
-
-    With probability ``hot_weight`` the destination is drawn uniformly from
-    ``hot_zones`` (skipping the origin), otherwise uniformly over the grid.
-    """
-
-    hot_zones: tuple = ()
-    hot_weight: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.hot_weight <= 1.0):
-            raise ValueError("hot_weight must be in [0, 1]")
-        self.hot_zones = tuple(ZoneId(*z) for z in self.hot_zones)
-
-    def sample_destination(self, grid: GridWorld, origin: ZoneId, rng: np.random.Generator) -> ZoneId:
-        hot = [z for z in self.hot_zones if z != origin]
-        if hot and rng.random() < self.hot_weight:
-            return hot[int(rng.integers(len(hot)))]
-        while True:
-            z = ZoneId(int(rng.integers(grid.height)), int(rng.integers(grid.width)))
-            if z != origin:
-                return z
-
-
-@dataclass(frozen=True)
 class DemandSources:
-    """Where demand arises, laid out once for a world by :func:`demand_sources`.
+    """Where demand arises, validated against the grid and laid out once for
+    :func:`generate_tick_requests`.
 
-    ``passenger`` holds ``(origin, rate)`` in ascending zone order for each
-    zone with a positive rate; ``passenger_total`` is the sum of those rates
-    and ``passenger_cum`` their running sums over it, whose last entry is
-    exactly 1.0. ``goods`` holds ``(origin, candidates)`` per goods site in
-    site order, ``candidates`` being the zones within the goods radius of
-    the site, and ``goods_rates`` their rates; a site with no zone in reach
-    is left out, as it can emit nothing.
+    ``passenger_rates`` is a (height, width) array of each zone's passenger
+    rate: ``origins`` holds the zones with a positive rate in row-major
+    order, ``passenger_total`` the sum of their rates and ``passenger_cum``
+    their running sums over it, whose last entry is exactly 1.0. A passenger
+    heads, with probability ``hot_weight``, to one of ``hot_zones`` other
+    than its origin, drawn uniformly, and otherwise to a uniform zone of the
+    grid other than its origin. ``goods_sites`` are ``(zone, rate)`` pairs:
+    ``goods`` holds ``(origin, candidates)`` per site in site order,
+    ``candidates`` being the zones within ``goods_radius`` of the site, and
+    ``goods_rates`` their rates; a site with no zone in reach is left out,
+    as it can emit nothing.
     """
 
-    grid: GridWorld
-    passenger: tuple
-    passenger_total: float
-    passenger_cum: np.ndarray
-    goods: tuple
-    goods_rates: np.ndarray
-
-
-def demand_sources(
-    grid: GridWorld,
-    locations: Sequence[ServiceLocation],
-    passenger_rates: Mapping,
-    goods_radius: int,
-) -> DemandSources:
-    """Validate the demand sources against the grid and lay them out for drawing."""
-    if goods_radius <= 0:
-        raise ValueError("goods_radius must be > 0")
-    origins = [z if type(z) is ZoneId else ZoneId(*z) for z in passenger_rates]
-    zones = grid.require_all(origins)
-    lams = np.fromiter(passenger_rates.values(), dtype=float, count=len(origins))
-    if (lams < 0).any():
-        raise ValueError("passenger rates must be >= 0")
-    order = np.argsort(zones[:, 0] * grid.width + zones[:, 1])
-    order = order[lams[order] > 0]
-    cum = np.cumsum(lams[order])
-    total = float(cum[-1]) if len(cum) else 0.0
-    # divided by the last entry, which becomes 1.0: a uniform below it
-    # never indexes past the end, as one scaled by the total might
-    cum /= total or 1.0
-    passenger = tuple(zip(map(origins.__getitem__, order.tolist()), lams[order].tolist()))
-    goods, rates, reach = [], [], {}  # reach: the candidates of each site zone
-    for loc in locations:
-        origin = grid.require(loc.zone)
-        if origin not in reach:
-            reach[origin] = tuple(grid.zones_within(origin, goods_radius))
-        if reach[origin]:
-            goods.append((origin, reach[origin]))
-            rates.append(loc.rate)
-    return DemandSources(grid, passenger, total, cum, tuple(goods), np.array(rates, dtype=float))
+    def __init__(self, grid: GridWorld, passenger_rates: np.ndarray, goods_sites: Sequence,
+                 goods_radius: int, hot_zones: Sequence = (), hot_weight: float = 0.0):
+        rates = np.asarray(passenger_rates, dtype=float)
+        if rates.shape != (grid.height, grid.width):
+            raise ValueError(f"passenger rates must be a {grid.height}x{grid.width} array, "
+                             f"got shape {rates.shape}")
+        if (rates < 0).any():
+            raise ValueError("passenger rates must be >= 0")
+        if goods_radius <= 0:
+            raise ValueError("goods_radius must be > 0")
+        if not 0.0 <= hot_weight <= 1.0:
+            raise ValueError("hot_weight must be in [0, 1]")
+        self.grid, self.hot_weight = grid, hot_weight
+        self.hot_zones = tuple(map(grid.require, hot_zones))
+        zones = np.flatnonzero(rates > 0)
+        rows, cols = np.divmod(zones, grid.width)
+        self.origins = list(map(ZoneId, rows.tolist(), cols.tolist()))
+        cum = np.cumsum(rates.ravel()[zones])
+        self.passenger_total = float(cum[-1]) if len(cum) else 0.0
+        # divided by the last entry, which becomes 1.0: a uniform below it
+        # never indexes past the end, as one scaled by the total might
+        self.passenger_cum = cum / (self.passenger_total or 1.0)
+        goods, goods_rates, reach = [], [], {}  # reach: the candidates of each site zone
+        for zone, rate in goods_sites:
+            origin = grid.require(zone)
+            if rate < 0:
+                raise ValueError("goods rates must be >= 0")
+            if origin not in reach:
+                reach[origin] = tuple(grid.zones_within(origin, goods_radius))
+            if reach[origin]:
+                goods.append((origin, reach[origin]))
+                goods_rates.append(rate)
+        self.goods, self.goods_rates = tuple(goods), np.array(goods_rates, dtype=float)
 
 
 def generate_tick_requests(
@@ -268,20 +230,24 @@ def generate_tick_requests(
     tick: int,
     rng: np.random.Generator,
     id_start: int = 0,
-    trip_distribution: TripDistribution | None = None,
 ) -> list[Request]:
     """Draw one tick of demand, numbered from ``id_start``: a Poisson total
     of passenger requests, each origin found by its uniform in the
-    cumulative rates and each destination drawn by ``trip_distribution``,
-    then a Poisson count per goods site, each destination uniform over the
-    site's candidates."""
-    grid, passenger = sources.grid, sources.passenger
-    trip_distribution = trip_distribution or TripDistribution()
+    cumulative rates and each destination drawn as :class:`DemandSources`
+    says (a uniform for the hot zones only when one other than the origin
+    exists), then a Poisson count per goods site, each destination uniform
+    over the site's candidates."""
+    height, width = sources.grid.height, sources.grid.width
+    origins, hot = sources.origins, sources.hot_zones
     out: list[Request] = []
     uniforms = rng.random(rng.poisson(sources.passenger_total))
     for i in np.searchsorted(sources.passenger_cum, uniforms, side="right").tolist():
-        origin = passenger[i][0]
-        dest = trip_distribution.sample_destination(grid, origin, rng)
+        origin = dest = origins[i]
+        others = [z for z in hot if z != origin]
+        if others and rng.random() < sources.hot_weight:
+            dest = others[int(rng.integers(len(others)))]
+        while dest == origin:
+            dest = ZoneId(int(rng.integers(height)), int(rng.integers(width)))
         out.append(Request(id_start + len(out), PASSENGER, origin, dest, tick))
     counts = rng.poisson(sources.goods_rates)
     for k in np.flatnonzero(counts).tolist():
@@ -330,25 +296,22 @@ def write_trip_records(path, requests: Iterable[Request]):
 
 
 class HistoricalAverageForecaster:
-    """Flat historical average of per-zone request counts: the mean count of
-    each zone over the ticks recorded so far, zero with no history. Demand
-    is stationary, so the mean serves every step ahead."""
+    """Flat historical average of per-zone request counts: ``total`` sums
+    each zone's requests over the ticks recorded so far, and the forecast is
+    its mean, zero with no history. Demand is stationary, so the mean serves
+    every step ahead."""
 
     def __init__(self, grid: GridWorld):
         self.grid = grid
-        self._total = np.zeros((grid.height, grid.width))
+        self.total = np.zeros((grid.height, grid.width))
         self._n = 0
 
-    def record(self, counts: np.ndarray):
-        self._total += counts
-        self._n += 1
-
     def record_requests(self, requests: Sequence[Request]):
-        counts = np.zeros((self.grid.height, self.grid.width))
+        """Record one tick: each request counts at its origin."""
         for r in requests:
-            counts[r.origin.row, r.origin.col] += 1
-        self.record(counts)
+            self.total[r.origin] += 1
+        self._n += 1
 
     def forecast(self) -> np.ndarray:
         """Expected request counts per zone in any one tick, shape (height, width)."""
-        return self._total / max(self._n, 1)
+        return self.total / max(self._n, 1)

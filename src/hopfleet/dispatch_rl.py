@@ -101,8 +101,7 @@ def observation_maps(supply: FleetSnapshot, forecast: np.ndarray, window: int) -
     if window % 2 == 0:
         raise ValueError("window must be odd")
     height, width = supply.available.shape
-    eta, rows, cols = supply.freeing.T
-    zones = rows * width + cols
+    eta, zones = supply.freeing.T
     freeing = [np.bincount(zones[(eta >= 1) & (eta <= reach)], minlength=height * width)
                for reach in FREEING_REACHES]
     half = window // 2

@@ -93,8 +93,7 @@ import numpy as np
 from . import demand as dm
 from . import dispatch_rl as rl
 from . import fleet as fl
-from .geo import (GridWorld, ZoneId, designate_hop_zones, hub_lattice, nearest_zone,
-                  neighborhood_counts)
+from .geo import GridWorld, ZoneId, designate_hop_zones, hub_lattice, nearest_zone
 from .hopplan import assign_hop_zones
 from .matching import match
 from .reward import (
@@ -412,7 +411,6 @@ class Simulation:
         self._initialized = False
         self._trip_table = None
         self._sources: dm.DemandSources | None = None
-        self._trip_distribution = dm.TripDistribution()
 
     @property
     def vehicles(self) -> list:
@@ -422,42 +420,35 @@ class Simulation:
     # -- demand sources ----------------------------------------------------
 
     def _build_demand(self):
-        cfg = self.cfg
+        cfg, grid = self.cfg, self.grid
         rng = np.random.default_rng(self._layout_seq)
         if cfg.demand.trips_csv:
-            records = dm.ingest_trip_records(cfg.demand.trips_csv, self.grid)
+            records = dm.ingest_trip_records(cfg.demand.trips_csv, grid)
             self._trip_table = {}
             for r in records:
                 self._trip_table.setdefault(r.created_tick, []).append(r)
             return
-        origin_hot = []
-        while len(origin_hot) < cfg.demand.origin_hot_zone_count:
-            z = ZoneId(int(rng.integers(self.grid.height)), int(rng.integers(self.grid.width)))
-            if z not in origin_hot:
-                origin_hot.append(z)
         # the busy centers both emit and attract passenger trips
-        self._trip_distribution = dm.TripDistribution(
-            hot_zones=tuple(origin_hot),
-            hot_weight=cfg.demand.hot_weight,
-        )
-        passenger_rates = dict.fromkeys(self.grid.all_zones(), cfg.demand.passenger_rate_per_zone)
-        for z in origin_hot:
-            passenger_rates[z] += cfg.demand.origin_hot_rate
-
-        lattice = np.array(hub_lattice(self.grid, cfg.grid.hop_stride))
-        locations = []
-        for kind in ("postal", "meal", "supermarket"):
-            for _ in range(cfg.demand.goods_locations_per_kind):
-                if origin_hot:
-                    # park goods sources on the relay lattice next to a busy
-                    # center, so their own corner never splits their trips
-                    hub = origin_hot[int(rng.integers(len(origin_hot)))]
-                    z = nearest_zone(lattice, hub)
-                else:
-                    z = ZoneId(int(rng.integers(self.grid.height)), int(rng.integers(self.grid.width)))
-                locations.append(dm.ServiceLocation(z, kind, cfg.demand.goods_location_rate))
-        self._sources = dm.demand_sources(self.grid, locations, passenger_rates,
-                                          cfg.demand.goods_radius_zones)
+        hot = []
+        while len(hot) < cfg.demand.origin_hot_zone_count:
+            z = ZoneId(int(rng.integers(grid.height)), int(rng.integers(grid.width)))
+            if z not in hot:
+                hot.append(z)
+        rates = np.full((grid.height, grid.width), cfg.demand.passenger_rate_per_zone)
+        for z in hot:
+            rates[z] += cfg.demand.origin_hot_rate
+        lattice = np.array(hub_lattice(grid, cfg.grid.hop_stride))
+        sites = []
+        for _ in range(3 * cfg.demand.goods_locations_per_kind):  # postal, meal, supermarket
+            if hot:
+                # park goods sources on the relay lattice next to a busy
+                # center, so their own corner never splits their trips
+                z = nearest_zone(lattice, hot[int(rng.integers(len(hot)))])
+            else:
+                z = ZoneId(int(rng.integers(grid.height)), int(rng.integers(grid.width)))
+            sites.append((z, cfg.demand.goods_location_rate))
+        self._sources = dm.DemandSources(grid, rates, sites, cfg.demand.goods_radius_zones, hot,
+                                         cfg.demand.hot_weight)
 
     def _draw_requests(self, tick: int, rng, id_start: int) -> list:
         """The tick's requests, numbered from ``id_start``; a trip file hands each out once."""
@@ -466,13 +457,17 @@ class Simulation:
             for i, r in enumerate(out, id_start):
                 r.id = i
             return out
-        return dm.generate_tick_requests(self._sources, tick, rng, id_start=id_start,
-                                         trip_distribution=self._trip_distribution)
+        return dm.generate_tick_requests(self._sources, tick, rng, id_start)
 
     # -- initialization ----------------------------------------------------
 
     def initialize(self):
-        """Place the fleet, run the no-dispatch warmup, designate hop-zones."""
+        """Place the fleet, run the no-dispatch warmup and designate hop-zones.
+
+        The warmup ticks -``warmup_ticks``..-1 draw their requests as any
+        tick does, from the demand stream or the trip file's rows at those
+        ticks, and only the forecaster records them; its summed counts then
+        pick the hop-zones."""
         cfg = self.cfg
         self._build_demand()
 
@@ -489,8 +484,7 @@ class Simulation:
             place_rng = np.random.default_rng(self.place_seq)
             guard = 0
             while len(origins) < cfg.n_vehicles:
-                batch = dm.generate_tick_requests(self._sources, 0, place_rng,
-                                                  trip_distribution=self._trip_distribution)
+                batch = dm.generate_tick_requests(self._sources, 0, place_rng)
                 origins.extend(r.origin for r in batch)
                 guard += 1
                 if guard > 100_000:
@@ -504,22 +498,14 @@ class Simulation:
         self.fleet = fl.FleetTable(self.grid, seats, trunk, origins[: cfg.n_vehicles])
         self.prev_active = np.zeros(cfg.n_vehicles, dtype=np.int64)
 
-        # warmup: demand history and pickup counts only, no dispatch, no queueing
-        height, width = self.grid.height, self.grid.width
-        pickups: list[int] = []  # the flat origin zone of each warmup request
-        for k in range(cfg.warmup_ticks):
-            tick = -cfg.warmup_ticks + k
-            # warmup ids are discarded with the requests
-            batch = self._draw_requests(tick, self.demand_rng, 0) if self._sources else []
-            self.forecaster.record_requests(batch)
-            pickups.extend(r.origin.row * width + r.origin.col for r in batch)
-        counts = np.bincount(np.array(pickups, dtype=np.int64), minlength=height * width)
-
-        # candidates qualify on pickups in their neighborhood, so relay hubs
-        # land next to busy blocks rather than exactly on them
-        smoothed = neighborhood_counts(self.grid, cfg.grid.hop_stride, counts.reshape(height, -1),
-                                       cfg.grid.hop_count_radius)
-        designate_hop_zones(self.grid, cfg.grid.hop_stride, smoothed, cfg.grid.hop_min_pickups)
+        # warmup: demand history only, no dispatch, no queueing; warmup ids
+        # are discarded with the requests
+        for tick in range(-cfg.warmup_ticks, 0):
+            self.forecaster.record_requests(self._draw_requests(tick, self.demand_rng, 0))
+        # candidates qualify on the warmup pickups in their neighborhood, so
+        # relay hubs land next to busy blocks rather than exactly on them
+        designate_hop_zones(self.grid, cfg.grid.hop_stride, self.forecaster.total,
+                            cfg.grid.hop_count_radius, cfg.grid.hop_min_pickups)
 
         self.log = EpisodeLog(
             n_vehicles=cfg.n_vehicles,

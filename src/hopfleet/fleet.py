@@ -446,7 +446,7 @@ class FleetSnapshot:
     """Vehicles free now per zone, and where and when each busy one frees."""
 
     available: np.ndarray  # (height, width), vehicles with free capacity now
-    freeing: np.ndarray  # (busy vehicles, 3) int: ticks until free, row, col
+    freeing: np.ndarray  # (busy vehicles, 2) int: ticks until free, flat zone
 
 
 def project_supply(fleet: FleetTable, grid: GridWorld) -> FleetSnapshot:
@@ -459,5 +459,5 @@ def project_supply(fleet: FleetTable, grid: GridWorld) -> FleetSnapshot:
     for vid in np.flatnonzero(~free).tolist():
         v = fleet.vehicles[vid]
         if v.stops:
-            freeing.append((v.route_eta(grid.vehicle_speed), *divmod(v.stops[-1][0], grid.width)))
-    return FleetSnapshot(available, np.array(freeing, dtype=np.int64).reshape(-1, 3))
+            freeing.append((v.route_eta(grid.vehicle_speed), v.stops[-1][0]))
+    return FleetSnapshot(available, np.array(freeing, dtype=np.int64).reshape(-1, 2))

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, product
-from typing import Iterator, Mapping, NamedTuple
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,13 +75,6 @@ class GridWorld:
             self.require(tuple(arr[int(np.argmax(outside))].tolist()))
         return arr
 
-    def clamp(self, row: int, col: int) -> ZoneId:
-        return ZoneId(min(max(row, 0), self.height - 1), min(max(col, 0), self.width - 1))
-
-    def all_zones(self) -> Iterator[ZoneId]:
-        """Every zone, in row-major order."""
-        return map(ZoneId._make, product(range(self.height), range(self.width)))
-
     def distance(self, a, b) -> int:
         """Manhattan distance in zone-units; a metric, zero iff a == b."""
         return manhattan(self.require(a), self.require(b))
@@ -121,33 +114,27 @@ def nearest_zone(zones: np.ndarray, target) -> ZoneId:
     return ZoneId(*zones[int(np.argmin(distance))].tolist())
 
 
-def neighborhood_counts(grid: GridWorld, stride: int, counts: np.ndarray,
-                        radius: int) -> dict:
-    """Each :func:`hub_lattice` zone with its count plus those of the zones
-    within ``radius`` of it (:meth:`GridWorld.zones_within`), from a
-    (height, width) array of counts: the array shifted by every offset of
-    the Manhattan diamond and summed, with zeros beyond the grid's edges."""
-    padded = np.zeros((grid.height + 2 * radius, grid.width + 2 * radius), dtype=counts.dtype)
-    padded[radius : radius + grid.height, radius : radius + grid.width] = counts
-    sums = np.zeros_like(counts)
+def designate_hop_zones(grid: GridWorld, stride: int, counts: np.ndarray, radius: int,
+                        min_pickups: int) -> frozenset:
+    """Pick hop-zones on a stride lattice, keeping only zones where demand is.
+
+    Candidates are the :func:`hub_lattice` zones; a candidate survives when
+    its count plus those of the zones within ``radius`` of it
+    (:meth:`GridWorld.zones_within`) reach ``min_pickups``. ``counts`` is a
+    (height, width) array, shifted by every offset of the Manhattan diamond
+    and summed, with zeros beyond the grid's edges. The result is stored on
+    ``grid.hop_zones`` and returned.
+    """
+    if stride < 1 or min_pickups < 0:
+        raise ValueError(f"stride must be >= 1 and min_pickups >= 0, got {stride} and {min_pickups}")
+    height, width = grid.height, grid.width
+    padded = np.zeros((height + 2 * radius, width + 2 * radius))
+    padded[radius : radius + height, radius : radius + width] = counts
+    sums = np.zeros((height, width))
     for row in range(2 * radius + 1):
         rem = radius - abs(row - radius)
         for col in range(radius - rem, radius + rem + 1):
-            sums += padded[row : row + grid.height, col : col + grid.width]
-    return dict(zip(hub_lattice(grid, stride), sums[::stride, ::stride].ravel().tolist()))
-
-
-def designate_hop_zones(grid: GridWorld, stride: int, pickup_counts: Mapping,
-                        min_pickups: int) -> frozenset:
-    """Pick hop-zones on a stride lattice, keeping only busy-enough zones.
-
-    Candidates are the :func:`hub_lattice` zones; a candidate survives when
-    its pickup count is at least ``min_pickups``. The result is stored on
-    ``grid.hop_zones`` and returned.
-    """
-    if min_pickups < 0:
-        raise ValueError("min_pickups must be >= 0")
-    counts = {ZoneId(*z): c for z, c in pickup_counts.items()}
-    grid.hop_zones = frozenset(z for z in hub_lattice(grid, stride)
-                               if counts.get(z, 0) >= min_pickups)
+            sums += padded[row : row + height, col : col + width]
+    rows, cols = np.nonzero(sums[::stride, ::stride] >= min_pickups)
+    grid.hop_zones = frozenset(map(ZoneId, (rows * stride).tolist(), (cols * stride).tolist()))
     return grid.hop_zones

@@ -32,9 +32,6 @@ class HopTrip:
             if d1 != o2:
                 raise ValueError("legs must chain: each destination starts the next leg")
 
-    def total_distance(self) -> int:
-        return sum(manhattan(o, d) for o, d in self.legs)
-
 
 def eligible_hop_zone(grid: GridWorld, origin: ZoneId, dest: ZoneId) -> ZoneId | None:
     """Nearest hop-zone to ``origin`` that splits (origin, dest) acceptably."""

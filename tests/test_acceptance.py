@@ -211,7 +211,7 @@ def _check_hop_instance(rng) -> bool:
     if expected != trip.legs:
         return False
     # per-split bound implies the whole chain stays under 2^depth of direct
-    return trip.total_distance() <= (2 ** depth) * max(manhattan(o, d), 1)
+    return sum(manhattan(o, d) for o, d in trip.legs) <= (2 ** depth) * max(manhattan(o, d), 1)
 
 
 def test_criterion_3_hop_planning_oracle():

@@ -12,22 +12,33 @@ from hopfleet.demand import (
     REQUEST_STATUSES,
     REQUEST_TRANSITIONS,
     Request,
+    DemandSources,
     RequestTable,
-    ServiceLocation,
-    TripDistribution,
     TripRecordError,
-    demand_sources,
     generate_tick_requests,
     ingest_trip_records,
     poisson_pmf,
     write_trip_records,
 )
-from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId
+from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId, hub_lattice
 
 
 @pytest.fixture
 def grid():
     return GridWorld(width=10, height=10)
+
+
+def rate_array(grid, rates: dict) -> np.ndarray:
+    """A (height, width) array of passenger rates, ``rates`` at its zones and
+    zero elsewhere."""
+    out = np.zeros((grid.height, grid.width))
+    for zone, rate in rates.items():
+        out[zone] = rate
+    return out
+
+
+def quiet(grid) -> np.ndarray:
+    return np.zeros((grid.height, grid.width))
 
 
 def test_poisson_pmf_examples():
@@ -51,14 +62,13 @@ def test_poisson_pmf_sums_to_one(lam):
 
 def test_generate_zero_rates_empty(grid):
     rng = np.random.default_rng(0)
-    reqs = generate_tick_requests(demand_sources(grid, [], {ZoneId(0, 0): 0.0}, 2), 0, rng)
+    reqs = generate_tick_requests(DemandSources(grid, quiet(grid), [], 2), 0, rng)
     assert reqs == []
 
 
 def test_generate_goods_radius_respected(grid):
     rng = np.random.default_rng(1)
-    locs = [ServiceLocation(ZoneId(5, 5), "meal", 4.0), ServiceLocation(ZoneId(0, 0), "postal", 4.0)]
-    sources = demand_sources(grid, locs, {}, goods_radius=2)
+    sources = DemandSources(grid, quiet(grid), [(ZoneId(5, 5), 4.0), (ZoneId(0, 0), 4.0)], 2)
     for tick in range(50):
         for r in generate_tick_requests(sources, tick, rng):
             assert r.kind == GOODS
@@ -67,9 +77,7 @@ def test_generate_goods_radius_respected(grid):
 
 def test_generate_ids_unique_increasing(grid):
     rng = np.random.default_rng(2)
-    rates = {z: 0.2 for z in grid.all_zones()}
-    locs = [ServiceLocation(ZoneId(3, 3), "supermarket", 1.0)]
-    sources = demand_sources(grid, locs, rates, goods_radius=5)
+    sources = DemandSources(grid, np.full((10, 10), 0.2), [(ZoneId(3, 3), 1.0)], goods_radius=5)
     seen = []
     next_id = 0
     for tick in range(20):
@@ -80,9 +88,7 @@ def test_generate_ids_unique_increasing(grid):
 
 
 def test_generate_seed_determinism(grid):
-    rates = {z: 0.3 for z in grid.all_zones()}
-    locs = [ServiceLocation(ZoneId(2, 7), "meal", 2.0)]
-    sources = demand_sources(grid, locs, rates, goods_radius=4)
+    sources = DemandSources(grid, np.full((10, 10), 0.3), [(ZoneId(2, 7), 2.0)], goods_radius=4)
 
     def stream(seed):
         rng = np.random.default_rng(seed)
@@ -100,9 +106,8 @@ def test_generate_seed_determinism(grid):
 
 def test_generate_default_urgency(grid):
     rng = np.random.default_rng(5)
-    rates = {ZoneId(1, 1): 3.0}
-    locs = [ServiceLocation(ZoneId(8, 8), "postal", 3.0)]
-    reqs = generate_tick_requests(demand_sources(grid, locs, rates, goods_radius=3), 0, rng)
+    sources = DemandSources(grid, rate_array(grid, {(1, 1): 3.0}), [(ZoneId(8, 8), 3.0)], 3)
+    reqs = generate_tick_requests(sources, 0, rng)
     # urgency is a fact of the kind: a request carries none of its own
     assert URGENCY == {PASSENGER: 1.0, GOODS: 0.5}
     assert {r.kind for r in reqs} == {PASSENGER, GOODS}
@@ -111,8 +116,7 @@ def test_generate_default_urgency(grid):
 
 def test_generate_mean_rate_statistics(grid):
     rng = np.random.default_rng(11)
-    locs = [ServiceLocation(ZoneId(4, 4), "meal", 5.0)]
-    sources = demand_sources(grid, locs, {}, goods_radius=3)
+    sources = DemandSources(grid, quiet(grid), [(ZoneId(4, 4), 5.0)], goods_radius=3)
     total = 0
     ticks = 10_000
     for tick in range(ticks):
@@ -124,23 +128,21 @@ def test_tick_counts_match_their_rates():
     # one Poisson total per tick with origins drawn by rate is the process of
     # independent per-zone counts: over T ticks a zone of rate lam emits
     # lam * T on average with standard deviation sqrt(lam * T), and each
-    # zone's total must lie within 5 of those of it; zero-rate zones and
-    # zones left out of the rates never emit
+    # zone's total must lie within 5 of those of it; zero-rate zones never emit
     grid = GridWorld(width=6, height=5)
     rng = np.random.default_rng(26)
     levels = (0.0, 0.002, 0.05, 0.3, 1.0, 2.5)
-    rates = {z: levels[i % len(levels)] for i, z in enumerate(grid.all_zones()) if i != 7}
-    sources = demand_sources(grid, [], rates, goods_radius=2)
-    dist = TripDistribution(hot_zones=((0, 0), (4, 5)), hot_weight=0.5)
+    rates = np.resize(levels, grid.height * grid.width)
+    rates[7] = 0.0
+    rates = rates.reshape(grid.height, grid.width)
+    sources = DemandSources(grid, rates, [], 2, hot_zones=((0, 0), (4, 5)), hot_weight=0.5)
     ticks = 4000
     counts = np.zeros((grid.height, grid.width))
     for tick in range(ticks):
-        for r in generate_tick_requests(sources, tick, rng, trip_distribution=dist):
+        for r in generate_tick_requests(sources, tick, rng):
             assert r.kind == PASSENGER and r.created_tick == tick and r.destination != r.origin
             counts[r.origin] += 1
-    want = np.zeros_like(counts)
-    for z, lam in rates.items():
-        want[z] = lam * ticks
+    want = rates * ticks
     assert counts[want == 0].sum() == 0
     assert np.all(np.abs(counts - want) <= 5 * np.sqrt(want)), (counts, want)
 
@@ -153,10 +155,9 @@ def test_large_totals_keep_their_mean():
     # within 2% over 50 ticks, more than 6 standard deviations of the mean
     grid = GridWorld(width=50, height=40)
     rng = np.random.default_rng(9)
-    passengers = demand_sources(grid, [], dict.fromkeys(grid.all_zones(), 1.0), goods_radius=2)
+    passengers = DemandSources(grid, np.ones((40, 50)), [], goods_radius=2)
     assert passengers.passenger_total == pytest.approx(2000.0)
-    site = demand_sources(grid, [ServiceLocation(ZoneId(20, 25), "postal", 1000.0)], {},
-                          goods_radius=3)
+    site = DemandSources(grid, quiet(grid), [(ZoneId(20, 25), 1000.0)], goods_radius=3)
     for sources, rate in ((passengers, 2000.0), (site, 1000.0)):
         sizes = [len(generate_tick_requests(sources, tick, rng)) for tick in range(50)]
         assert abs(np.mean(sizes) - rate) <= 0.02 * rate, (rate, np.mean(sizes))
@@ -164,54 +165,62 @@ def test_large_totals_keep_their_mean():
 
 def test_sources_reject_off_grid_zones(grid):
     with pytest.raises(InvalidZoneError):
-        demand_sources(grid, [], {ZoneId(0, 0): 0.1, ZoneId(10, 3): 0.1}, goods_radius=2)
+        DemandSources(grid, quiet(grid), [(ZoneId(3, -1), 1.0)], goods_radius=2)
     with pytest.raises(InvalidZoneError):
-        demand_sources(grid, [ServiceLocation(ZoneId(3, -1), "meal", 1.0)], {}, goods_radius=2)
+        DemandSources(grid, quiet(grid), [], 2, hot_zones=[ZoneId(10, 3)])
+    # the rates cover the grid, one per zone
+    for shape in ((10, 9), (11, 10), (100,)):
+        with pytest.raises(ValueError, match="passenger rates must be a 10x10 array"):
+            DemandSources(grid, np.zeros(shape), [], goods_radius=2)
 
 
 @pytest.mark.parametrize("radius", [0, -1])
 def test_sources_reject_nonpositive_goods_radius(grid, radius):
     with pytest.raises(ValueError, match="goods_radius"):
-        demand_sources(grid, [ServiceLocation(ZoneId(3, 3), "meal", 1.0)], {}, goods_radius=radius)
+        DemandSources(grid, quiet(grid), [(ZoneId(3, 3), 1.0)], goods_radius=radius)
 
 
 def test_sources_laid_out_in_draw_order(grid):
-    rates = {ZoneId(4, 1): 0.5, ZoneId(0, 9): 0.2, (0, 3): 0.1, ZoneId(2, 2): 0.0}
-    locs = [ServiceLocation(ZoneId(9, 9), "meal", 2.0), ServiceLocation(ZoneId(0, 0), "postal", 1.0)]
-    sources = demand_sources(grid, locs, rates, goods_radius=2)
+    rates = rate_array(grid, {(4, 1): 0.5, (0, 9): 0.2, (0, 3): 0.1, (2, 2): 0.0})
+    sources = DemandSources(grid, rates, [(ZoneId(9, 9), 2.0), ((0, 0), 1.0)], goods_radius=2)
     # a zero rate can draw no origin, so its zone is left out
-    assert sources.passenger == ((ZoneId(0, 3), 0.1), (ZoneId(0, 9), 0.2), (ZoneId(4, 1), 0.5))
+    assert sources.origins == [ZoneId(0, 3), ZoneId(0, 9), ZoneId(4, 1)]
+    assert all(type(z) is ZoneId and type(z.row) is int for z in sources.origins)
     assert sources.passenger_total == 0.1 + 0.2 + 0.5
     assert sources.passenger_cum.tolist() == [0.1 / 0.8, (0.1 + 0.2) / 0.8, 1.0]
-    with pytest.raises(ValueError, match="passenger rates must be >= 0"):
-        demand_sources(grid, [], {ZoneId(1, 1): -0.1}, goods_radius=2)
+    for negative in (rate_array(grid, {(1, 1): -0.1}), -np.ones((10, 10))):
+        with pytest.raises(ValueError, match="passenger rates must be >= 0"):
+            DemandSources(grid, negative, [], goods_radius=2)
+    with pytest.raises(ValueError, match="goods rates must be >= 0"):
+        DemandSources(grid, rates, [(ZoneId(9, 9), 2.0), (ZoneId(1, 1), -0.5)], goods_radius=2)
     assert [o for o, _ in sources.goods] == [ZoneId(9, 9), ZoneId(0, 0)]
     assert sources.goods_rates.tolist() == [2.0, 1.0]
     assert sources.goods[1][1] == tuple(grid.zones_within(ZoneId(0, 0), 2))
     # on a 1x1 grid a goods site reaches no zone and emits nothing
     lone = GridWorld(width=1, height=1)
-    assert demand_sources(lone, [ServiceLocation(ZoneId(0, 0), "meal", 5.0)], {}, 1).goods == ()
+    assert DemandSources(lone, quiet(lone), [(ZoneId(0, 0), 5.0)], 1).goods == ()
     # with no positive rate there is nothing to draw from
-    quiet = demand_sources(grid, [], {ZoneId(1, 1): 0.0}, goods_radius=2)
-    assert (quiet.passenger, quiet.passenger_total, quiet.passenger_cum.tolist()) == ((), 0.0, [])
+    none = DemandSources(grid, quiet(grid), [], goods_radius=2)
+    assert (none.origins, none.passenger_total, none.passenger_cum.tolist()) == ([], 0.0, [])
+    for weight in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"hot_weight must be in \[0, 1\]"):
+            DemandSources(grid, rates, [], 2, hot_zones=[(1, 1)], hot_weight=weight)
 
 
 def test_layout_equals_the_per_zone_layout():
-    # rates in random insertion order, keyed by ZoneId or plain tuples, zero
-    # rates and rates shared by many zones, against the per-zone layout
+    # rates at random zones, zero rates and rates shared by many zones,
+    # against the per-zone layout
     for seed in range(100):
         rng = np.random.default_rng(seed)
         grid = GridWorld(width=int(rng.integers(1, 12)), height=int(rng.integers(1, 12)))
-        zones = list(grid.all_zones())
+        zones = hub_lattice(grid, 1)
         shared = rng.uniform(0.0, 3.0, size=3).tolist()
         rates = {}
         for i in rng.permutation(len(zones))[: int(rng.integers(0, len(zones) + 1))]:
-            key = tuple(zones[i]) if rng.random() < 0.3 else zones[i]
-            rates[key] = float(rng.choice([0.0, *shared, rng.uniform(0.0, 3.0)]))
-        sources = demand_sources(grid, [], rates, goods_radius=2)
-        want = [(grid.require(z), lam) for z, lam in sorted(rates.items()) if lam > 0]
-        assert sources.passenger == tuple(want), seed
-        assert all(type(z) is ZoneId for z, _ in sources.passenger)
+            rates[zones[i]] = float(rng.choice([0.0, *shared, rng.uniform(0.0, 3.0)]))
+        sources = DemandSources(grid, rate_array(grid, rates), [], goods_radius=2)
+        want = [(z, lam) for z, lam in sorted(rates.items()) if lam > 0]
+        assert sources.origins == [z for z, _ in want], seed
         if not want:
             assert (sources.passenger_total, len(sources.passenger_cum)) == (0.0, 0), seed
             continue
@@ -223,10 +232,29 @@ def test_layout_equals_the_per_zone_layout():
 
 
 def test_hot_zone_trip_distribution(grid):
+    # a weight of 1 sends every passenger to a hot zone other than its
+    # origin; with the origin the only hot zone, the draw is uniform and
+    # takes no uniform for the hot zones
     rng = np.random.default_rng(3)
-    dist = TripDistribution(hot_zones=((9, 9),), hot_weight=1.0)
-    for _ in range(20):
-        assert dist.sample_destination(grid, ZoneId(0, 0), rng) == ZoneId(9, 9)
+    sources = DemandSources(grid, rate_array(grid, {(0, 0): 2.0, (9, 9): 1.0}), [], 2,
+                            hot_zones=[(9, 9)], hot_weight=1.0)
+    reqs = [r for tick in range(20) for r in generate_tick_requests(sources, tick, rng)]
+    assert {r.origin for r in reqs} == {ZoneId(0, 0), ZoneId(9, 9)}
+    assert all(r.destination == ZoneId(9, 9) for r in reqs if r.origin == ZoneId(0, 0))
+    lone = DemandSources(grid, rate_array(grid, {(9, 9): 1.0}), [], 2, hot_zones=[(9, 9)],
+                         hot_weight=1.0)
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    drawn = 0
+    for tick in range(10):
+        batch = generate_tick_requests(lone, tick, a)
+        b.random(b.poisson(1.0))  # the total and the origins' uniforms
+        for r in batch:
+            z = r.origin
+            while z == r.origin:
+                z = ZoneId(int(b.integers(10)), int(b.integers(10)))
+            assert r.destination == z
+        drawn += len(batch)
+    assert len(reqs) > 20 and drawn >= 5
 
 
 def test_trip_records_round_trip(tmp_path, grid):
@@ -272,14 +300,23 @@ def test_forecast_empty_history(grid):
     assert np.all(fc == 0)
 
 
+def record_counts(forecaster, counts):
+    """Record one tick of ``counts[zone]`` requests at each zone."""
+    grid = forecaster.grid
+    forecaster.record_requests([
+        Request(0, PASSENGER, zone, ZoneId(0, 0) if zone != (0, 0) else ZoneId(0, 1), 0)
+        for zone in hub_lattice(grid, 1) for _ in range(int(counts[zone]))])
+
+
 def test_forecast_constant_rate(grid):
     f = HistoricalAverageForecaster(grid)
     for t in range(48):
         arr = np.zeros((10, 10))
         arr[3, 3] = 2.0
-        f.record(arr)
+        record_counts(f, arr)
     assert f.forecast()[3, 3] == 2.0
     assert f.forecast().sum() == 2.0
+    assert f.total[3, 3] == 96.0 and f.total.sum() == 96.0
 
 
 def test_forecast_is_the_mean_over_all_recorded_ticks(grid):
@@ -289,7 +326,7 @@ def test_forecast_is_the_mean_over_all_recorded_ticks(grid):
     for count in (1.0, 3.0, 8.0):
         arr = np.zeros((10, 10))
         arr[1, 1] = count
-        f.record(arr)
+        record_counts(f, arr)
     f.record_requests([])
     f.record_requests([Request(0, PASSENGER, ZoneId(0, 2), ZoneId(5, 5), 0)])
     fc = f.forecast()
@@ -301,7 +338,7 @@ def test_forecast_nonnegative(grid):
     f = HistoricalAverageForecaster(grid)
     rng = np.random.default_rng(8)
     for t in range(100):
-        f.record(rng.poisson(1.0, size=(10, 10)).astype(float))
+        record_counts(f, rng.poisson(1.0, size=(10, 10)))
     assert np.all(f.forecast() >= 0)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hopfleet.demand import GOODS, PASSENGER, HistoricalAverageForecaster
+from hopfleet.demand import GOODS, PASSENGER
 from hopfleet.dispatch_rl import (
     CLIP_NORM,
     DEMAND_REACH,
@@ -43,7 +43,7 @@ RADIUS, WINDOW = 7, 15  # the desk's rl.action_radius and rl.window
 def empty_world(width=20, height=20):
     grid = GridWorld(width=width, height=height)
     supply = FleetSnapshot(available=np.zeros((height, width)),
-                           freeing=np.zeros((0, 3), dtype=np.int64))
+                           freeing=np.zeros((0, 2), dtype=np.int64))
     forecast = np.zeros((height, width))
     return grid, supply, forecast
 
@@ -220,12 +220,13 @@ def test_encode_from_tick_maps_equals_per_call_sums(seed):
     for trial in range(20):
         height, width = (int(n) for n in rng.integers(1, 25, size=2))
         grid = GridWorld(width=width, height=height, vehicle_speed=int(rng.integers(1, 4)))
-        forecaster = HistoricalAverageForecaster(grid)
-        for t in range(int(rng.integers(0, 80))):
-            forecaster.record(rng.poisson(0.3, size=(height, width)) * rng.random())
+        # a flat mean of fractional counts, as the forecaster's mean is
+        total, ticks = np.zeros((height, width)), int(rng.integers(0, 80))
+        for t in range(ticks):
+            total += rng.poisson(0.3, size=(height, width)) * rng.random()
         fleet = random_fleet(rng, grid)
         table = fleet[0].fleet
-        forecast = forecaster.forecast()
+        forecast = total / max(ticks, 1)
         supply = project_supply(table, grid)
         maps = {window: observation_maps(supply, forecast, window) for window in (1, 3, 15)}
         available, projected = reference_project_supply(fleet, grid)
@@ -245,9 +246,8 @@ def test_encode_from_tick_maps_equals_per_call_sums(seed):
 
 def test_freeing_channels_count_within_their_reach():
     _, supply, forecast = empty_world(width=3, height=1)
-    # (ticks until free, row, col): eta 0 is free already, 31 is out of reach
-    supply.freeing = np.array([[0, 0, 0], [1, 0, 0], [15, 0, 1], [16, 0, 1], [30, 0, 2],
-                               [31, 0, 2]])
+    # (ticks until free, flat zone): eta 0 is free already, 31 is out of reach
+    supply.freeing = np.array([[0, 0], [1, 0], [15, 1], [16, 1], [30, 2], [31, 2]])
     maps = observation_maps(supply, forecast, 1)[..., 0, 0]  # a window of 1: the maps alone
     assert maps[2].tolist() == [[1, 1, 0]]  # within 15 ticks
     assert maps[3].tolist() == [[1, 2, 1]]  # within 30 ticks

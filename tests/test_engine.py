@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from hopfleet.engine import (
     SimConfig,
     Simulation,
 )
-from hopfleet.geo import InvalidZoneError, ZoneId, manhattan
+from hopfleet.geo import InvalidZoneError, ZoneId, hub_lattice, manhattan
 from hopfleet.reward import agent_reward
 
 from desk_config import desk_config, desk_yaml, locate
@@ -166,6 +167,74 @@ def test_initialize_zero_warmup_runs():
     sim = Simulation(small_cfg(warmup_ticks=0))
     sim.initialize()
     assert sim.tick == 0
+
+
+def oracle_hubs(grid, cfg_grid, origins) -> set:
+    """The lattice zones whose pickups among ``origins``, plus those within
+    ``hop_count_radius`` of them (``GridWorld.zones_within``), reach
+    ``hop_min_pickups``."""
+    pickups = Counter(origins)
+    return {z for z in hub_lattice(grid, cfg_grid.hop_stride)
+            if pickups[z] + sum(pickups[nb] for nb in grid.zones_within(z, cfg_grid.hop_count_radius))
+            >= cfg_grid.hop_min_pickups}
+
+
+@pytest.mark.parametrize("side, n_vehicles", [(20, 50), (60, 500)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_initialize_designates_the_hubs_of_the_warmup_pickups(side, n_vehicles, seed):
+    # the desk world and the 60 x 60 one: the hubs initialize designates
+    # from the forecaster's counts are the oracle's over the warmup requests,
+    # drawn again from a twin simulation's demand stream, which placing the
+    # fleet does not touch
+    desk = desk_config().sim
+    cfg = replace(desk, seed=seed, n_vehicles=n_vehicles,
+                  grid=replace(desk.grid, width=side, height=side))
+    sim = Simulation(cfg)
+    sim.initialize()
+    twin = Simulation(cfg)
+    twin._build_demand()
+    origins = [r.origin for tick in range(-cfg.warmup_ticks, 0)
+               for r in twin._draw_requests(tick, twin.demand_rng, 0)]
+    want = oracle_hubs(sim.grid, cfg.grid, origins)
+    assert sim.grid.hop_zones == want
+    assert 0 < len(want) < len(hub_lattice(sim.grid, cfg.grid.hop_stride))
+    assert sim.forecaster.total.sum() == len(origins)
+
+
+def test_trip_file_warmup_rows_feed_the_forecaster_and_the_hubs(tmp_path):
+    # rows at ticks -warmup_ticks..-1 are the warmup's requests: they feed
+    # the forecaster and pick the hubs, as the oracle gives over them; older
+    # rows, here around the far corner, are never read, and the episode
+    # serves the rows from tick 0 under ids from 0
+    cfg = small_cfg(seed=4, warmup_ticks=20, grid=desk_config().sim.grid)
+    rng = np.random.default_rng(31)
+    rows = []
+    for tick, center, spread in ((-30, (16, 16), 2), (-20, (4, 4), 2), (-5, (10, 10), 9),
+                                 (0, (16, 16), 3), (3, (8, 8), 9)):
+        for _ in range(60):
+            origin = ZoneId(*np.clip(np.add(center, rng.integers(-spread, spread + 1, size=2)),
+                                     0, 19).tolist())
+            dest = ZoneId(*(int(x) for x in rng.integers(20, size=2)))
+            if dest != origin:
+                rows.append(Request(len(rows), PASSENGER, origin, dest,
+                                    tick + int(rng.integers(0, 5 if tick < 0 else 2))))
+    path = tmp_path / "trips.csv"
+    write_trip_records(path, rows)
+    cfg = replace(cfg, demand=replace(cfg.demand, trips_csv=str(path)))
+    sim = Simulation(cfg)
+    sim.initialize()
+    warm = [r.origin for r in rows if -20 <= r.created_tick < 0]
+    want = oracle_hubs(sim.grid, cfg.grid, warm)
+    assert sim.grid.hop_zones == want and want
+    assert all(z.row < 12 and z.col < 12 for z in want)  # none near the unread rows
+    counts = np.zeros((20, 20))
+    for z in warm:
+        counts[z] += 1
+    assert sim.forecaster.forecast().tolist() == (counts / 20).tolist()
+    log = sim.run(ticks=5)
+    served = sorted((r for r in rows if 0 <= r.created_tick < 5), key=lambda r: r.created_tick)
+    assert [(e["request"], e["tick"], e["origin"]) for e in log.by_kind("request")] == [
+        (i, r.created_tick, list(r.origin)) for i, r in enumerate(served)]
 
 
 def test_step_without_requests_only_advances_clock(tmp_path):
@@ -711,7 +780,7 @@ def test_replay_transitions_discount_the_rewards_between_decisions(seed, monkeyp
 def test_dispatch_chunk_writes_what_a_per_vehicle_loop_writes():
     # one chunk of acting vehicles, written as columns, against a loop over
     # the vehicles: each one's draws, its own single-row pass, then
-    # action_to_offset, GridWorld.clamp and GridWorld.eta. The greedy action
+    # action_to_offset, a clamp to the grid and GridWorld.eta. The greedy action
     # is (-3, 5) everywhere, so vehicle 0 in the corner clamps to (0, 5),
     # vehicle 2 in the opposite corner clamps onto itself and holds, and
     # vehicle 3 by the edge clamps in one coordinate; vehicles 1, 4 and 9
@@ -740,7 +809,8 @@ def test_dispatch_chunk_writes_what_a_per_vehicle_loop_writes():
             explored.append(v.id)
         dr, dc = rl.action_to_offset(action, radius)
         at = v.location
-        to = grid.clamp(at.row + dr, at.col + dc)
+        to = ZoneId(min(max(at.row + dr, 0), grid.height - 1),
+                    min(max(at.col + dc, 0), grid.width - 1))
         if to != (at.row + dr, at.col + dc):
             clamped.append(v.id)
         if to == at:

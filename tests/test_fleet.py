@@ -400,7 +400,7 @@ def test_project_supply_all_idle():
     assert snap.available[2, 3] == 7
     assert snap.available.sum() == 7
     assert snap.available.dtype == np.float64
-    assert snap.freeing.shape == (0, 3)
+    assert snap.freeing.shape == (0, 2)
 
 
 def test_project_supply_busy_vehicle_eta():
@@ -410,9 +410,9 @@ def test_project_supply_busy_vehicle_eta():
     add(v, entry(1, PASSENGER, (0, 0), (0, 3), onboard=True))
     snap = project_supply(fleet, grid)
     assert snap.available.sum() == 0  # full vehicle
-    assert snap.freeing.tolist() == [[3, 0, 3]]  # free in 3 ticks at (0, 3)
+    assert snap.freeing.tolist() == [[3, 3]]  # free in 3 ticks at flat zone 3, (0, 3)
     move_one(v, grid)
-    assert project_supply(fleet, grid).freeing.tolist() == [[2, 0, 3]]
+    assert project_supply(fleet, grid).freeing.tolist() == [[2, 3]]
 
 
 def test_project_supply_counts_vehicles_by_zone_from_the_table():

@@ -12,7 +12,6 @@ from hopfleet.geo import (
     hub_lattice,
     manhattan,
     nearest_zone,
-    neighborhood_counts,
 )
 
 
@@ -66,60 +65,71 @@ def test_eta_monotone_in_distance():
 
 def test_designate_hop_zones_stride_lattice():
     g = make_grid(w=9, h=9)
-    counts = {z: 100 for z in g.all_zones()}
-    chosen = designate_hop_zones(g, stride=3, pickup_counts=counts, min_pickups=10)
+    chosen = designate_hop_zones(g, 3, np.full((9, 9), 100), radius=0, min_pickups=10)
     assert chosen == frozenset(ZoneId(r, c) for r in (0, 3, 6) for c in (0, 3, 6))
     assert g.hop_zones == chosen
+    assert all(type(z) is ZoneId and type(z.row) is int for z in chosen)
 
 
 def test_designate_hop_zones_threshold_filters_all():
     g = make_grid(w=9, h=9)
-    counts = {z: 3 for z in g.all_zones()}
-    assert designate_hop_zones(g, stride=3, pickup_counts=counts, min_pickups=10) == frozenset()
+    assert designate_hop_zones(g, 3, np.full((9, 9), 3), radius=0, min_pickups=10) == frozenset()
 
 
 def test_designate_hop_zones_candidate_count_full_scale():
     g = make_grid(w=219, h=212)
-    counts = {z: 10 for z in g.all_zones()}
-    chosen = designate_hop_zones(g, stride=3, pickup_counts=counts, min_pickups=10)
+    chosen = designate_hop_zones(g, 3, np.full((212, 219), 10), radius=0, min_pickups=10)
     assert len(chosen) == math.ceil(212 / 3) * math.ceil(219 / 3)
 
 
 def test_designate_hop_zones_respects_filter_exactly():
     g = make_grid(w=12, h=12)
     rng = np.random.default_rng(7)
-    counts = {z: int(rng.integers(0, 20)) for z in g.all_zones()}
-    chosen = designate_hop_zones(g, stride=3, pickup_counts=counts, min_pickups=10)
+    counts = rng.integers(0, 20, size=(12, 12))
+    chosen = designate_hop_zones(g, 3, counts, radius=0, min_pickups=10)
     lattice = {ZoneId(r, c) for r in range(0, 12, 3) for c in range(0, 12, 3)}
     assert chosen <= lattice
     for z in lattice:
         assert (z in chosen) == (counts[z] >= 10)
 
 
+def test_designate_hop_zones_rejects_bad_arguments():
+    g = make_grid(w=6, h=4)
+    for stride, min_pickups in ((0, 1), (2, -1)):
+        with pytest.raises(ValueError, match="stride must be >= 1 and min_pickups >= 0"):
+            designate_hop_zones(g, stride, np.zeros((4, 6)), radius=1, min_pickups=min_pickups)
+
+
 def test_hub_lattice_row_major():
     g = make_grid(w=7, h=5)
     assert hub_lattice(g, stride=3) == [ZoneId(r, c) for r in (0, 3) for c in (0, 3, 6)]
-    assert hub_lattice(g, stride=1) == list(g.all_zones())
+    assert hub_lattice(g, stride=1) == [ZoneId(r, c) for r in range(5) for c in range(7)]
     with pytest.raises(ValueError):
         hub_lattice(g, stride=0)
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2, 3])
-def test_neighborhood_counts_equal_the_zones_within_loop(radius):
+def test_designated_hubs_equal_the_zones_within_oracle(radius):
+    # a lattice zone is a hub when its count plus those of the zones within
+    # the radius reach the threshold, drawn so that some zones pass and some
+    # do not
     rng = np.random.default_rng(60 + radius)
-    far_edge = 0
+    far_edge = split = 0
     for _ in range(60):
         stride = int(rng.integers(1, 5))
         # a side of a multiple of the stride plus one puts hubs on the far edge
         g = make_grid(w=int(rng.choice([rng.integers(1, 14), 2 * stride + 1])),
                       h=int(rng.choice([rng.integers(1, 14), 3 * stride + 1])))
         counts = rng.integers(0, 9, size=(g.height, g.width)) * (rng.random((g.height, g.width)) < 0.6)
-        got = neighborhood_counts(g, stride, counts, radius)
-        want = {z: int(counts[z]) + sum(int(counts[nb]) for nb in g.zones_within(z, radius))
+        sums = {z: int(counts[z]) + sum(int(counts[nb]) for nb in g.zones_within(z, radius))
                 for z in hub_lattice(g, stride)}
-        assert list(got.items()) == list(want.items()), (g, stride)
+        threshold = int(rng.integers(0, max(sums.values()) + 2))
+        got = designate_hop_zones(g, stride, counts, radius, threshold)
+        want = {z for z, total in sums.items() if total >= threshold}
+        assert got == want and g.hop_zones == got, (g, stride, threshold)
         far_edge += sum(z.row == g.height - 1 or z.col == g.width - 1 for z in got)
-    assert far_edge >= 20
+        split += 0 < len(got) < len(sums)
+    assert far_edge >= 10 and split >= 20
 
 
 def test_nearest_zone_takes_the_first_of_ties():

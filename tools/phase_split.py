@@ -108,8 +108,8 @@ def timed_set_up(prog, wl, world: int, trips) -> tuple:
              (eng.Simulation, "initialize", "layout_in", "hubs_out"),
              (eng.Simulation, "_build_demand", None, "layout_out"),
              (prog.fleet.FleetTable, "__init__", None, "placement_out"),
-             # the engine's own reference: the hub tally
-             (eng, "neighborhood_counts", "warmup_out", None)]
+             # the engine's own reference: the hub tally and designation
+             (eng, "designate_hop_zones", "warmup_out", None)]
     with marked(calls) as marks:
         start = time.thread_time()
         sim = bench.set_up(prog, wl, world, trips)
