@@ -1,14 +1,16 @@
 """Nearest-first matching under seat and trunk capacity.
 
-Candidate pairs inside the reject radius are consumed in ascending pickup
-ETA; passengers need a free seat, packages a free trunk slot, and equal-ETA
-ties are settled uniformly at random.
+The queue is priced by its pickup zones and kind codes alone. Candidate
+pairs inside the pickup bound are consumed in ascending pickup ETA;
+passengers need a free seat, packages a free trunk slot, and equal-ETA ties
+are settled uniformly at random. Each assignment is a (queue position,
+vehicle id, ETA) row.
 """
 
 import numpy as np
 
 from hopfleet.demand import GOODS, PASSENGER, Request
-from hopfleet.fleet import FleetTable
+from hopfleet.fleet import KINDS, SLOTS, FleetTable
 from hopfleet.geo import GridWorld, ZoneId
 from hopfleet.matching import match
 
@@ -26,17 +28,19 @@ fleet = FleetTable(grid, seats_total=[4, 4, 4], trunk_total=[5, 5, 0],
                    locations=[ZoneId(0, 1), ZoneId(2, 4), ZoneId(4, 4)])
 
 # the pool is every vehicle of the table, by id; each request is picked up
-# at its origin (a package relayed at a hub would be picked up there)
-for a in match(requests, range(len(fleet.vehicles)), fleet, grid, reject_radius=6, rng=rng,
-               origins=[r.origin for r in requests]):
-    r = requests[a.request_id]
-    print(f"request {a.request_id} ({r.kind:9s} at {tuple(r.origin)}) -> "
-          f"vehicle {a.vehicle_id} in the {a.slot}, pickup eta {a.eta_ticks}")
-print("request 3 stays queued: nothing within the reject radius.\n")
+# at its origin (a package relayed at a hub would be picked up there), and
+# the bound is 6 ticks, a 6-zone reject radius at one zone a tick
+kinds = [KINDS.index(r.kind) for r in requests]
+for pos, vid, eta in match([r.origin for r in requests], range(len(fleet.vehicles)), fleet,
+                           kinds, bound=6, rng=rng):
+    r = requests[pos]
+    print(f"request {r.id} ({r.kind:9s} at {tuple(r.origin)}) -> "
+          f"vehicle {vid} in the {SLOTS[kinds[pos]]}, pickup eta {eta}")
+print("request 3 stays queued: nothing within the pickup bound.\n")
 
 # full vehicles never accept more than their capacity
 small = FleetTable(grid, seats_total=[1], trunk_total=[0], locations=[ZoneId(0, 0)])
 crowd = [Request(i, PASSENGER, ZoneId(0, i + 1), ZoneId(5, 5), 0) for i in range(3)]
-got = match(crowd, [0], small, grid, reject_radius=8, rng=rng, origins=[r.origin for r in crowd])
+got = match([r.origin for r in crowd], [0], small, [KINDS.index(PASSENGER)] * len(crowd), bound=8, rng=rng)
 print(f"one seat, three passengers: {len(got)} assignment ->",
-      [(a.request_id, a.eta_ticks) for a in got])
+      [(crowd[pos].id, eta) for pos, _, eta in got])

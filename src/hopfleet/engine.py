@@ -34,11 +34,11 @@ and phase 6 prices its orders in one pass over the columns each:
      with one ``np.bincount`` over the zone column; on a full-check tick the
      fleet table is checked against a fresh count first, since supply and
      matching read it
-  4. greedy matching binds queued requests, in queue order and each priced
-     from its current leg's origin, to dispatched vehicles and to partially
-     filled serving vehicles, a pool whose zones and free capacity it reads
-     from the table; a dispatched vehicle serves from its first assignment.
-     Stale requests expire
+  4. greedy matching binds queued requests, in queue order, each priced by
+     its current leg's origin and its kind code within ``reject_ticks``, to
+     dispatched vehicles and to partially filled serving vehicles, a pool
+     whose zones and free capacity it reads from the table; a dispatched
+     vehicle serves from its first assignment. Stale requests expire
   5. one ``fleet.move`` pass advances every vehicle that is not parked,
      i.e. neither idle nor dispatched, toward its objective, in integer
      arrays over the zone and target columns; a serving vehicle adds the
@@ -85,6 +85,7 @@ out of the log so that it stays bit-identical.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -93,7 +94,7 @@ import numpy as np
 from . import demand as dm
 from . import dispatch_rl as rl
 from . import fleet as fl
-from .geo import GridWorld, ZoneId, designate_hop_zones, hub_lattice, nearest_zone
+from .geo import GridWorld, ZoneId, designate_hop_zones, hub_lattice, nearest_zone, travel_ticks
 from .hopplan import assign_hop_zones
 from .matching import match
 from .reward import (
@@ -250,8 +251,9 @@ class SimConfig:
         self.weights()  # an unknown weights_preset fails here, not at the first tick
 
     @property
-    def reject_radius_zones(self) -> float:
-        return self.reject_radius_m / self.grid.zone_edge_m
+    def reject_ticks(self) -> int:
+        """The pickup-ETA bound: the reject radius in ticks, rounded up."""
+        return math.ceil(self.reject_radius_m / self.grid.zone_edge_m / self.grid.vehicle_speed)
 
     def weights(self) -> RewardWeights:
         w = RewardWeights.preset(self.weights_preset, discount=self.discount)
@@ -426,7 +428,8 @@ class Simulation:
             records = dm.ingest_trip_records(cfg.demand.trips_csv, grid)
             self._trip_table = {}
             for r in records:
-                self._trip_table.setdefault(r.created_tick, []).append(r)
+                if r.created_tick >= -cfg.warmup_ticks:  # older rows are never drawn
+                    self._trip_table.setdefault(r.created_tick, []).append(r)
             return
         # the busy centers both emit and attract passenger trips
         hot = []
@@ -471,7 +474,7 @@ class Simulation:
         cfg = self.cfg
         self._build_demand()
 
-        # fleet at the origins of the first requests drawn from a placement stream
+        # fleet at the origins of the first requests a run draws, or a placement stream
         origins: list[ZoneId] = []
         if self._trip_table is not None:
             for t in sorted(self._trip_table):
@@ -597,7 +600,7 @@ class Simulation:
             moving = (targets != origins).any(axis=1)  # a hold stays idle, unmatched
             vids, origins, targets = chunk[moving], origins[moving], targets[moving]
             self.fleet.dispatch(vids, targets[:, 0] * grid.width + targets[:, 1])
-            eta = -(-abs(targets - origins).sum(axis=1) // grid.vehicle_speed)  # ceil
+            eta = travel_ticks(abs(targets - origins).sum(axis=1), grid.vehicle_speed)
             dispatch_time += int(eta.sum())
             for vid, at, to, ticks in zip(vids.tolist(), origins.tolist(), targets.tolist(),
                                           eta.tolist()):
@@ -616,11 +619,11 @@ class Simulation:
         requests = list(map(registry.requests.__getitem__, queue.tolist()))
         # each package is picked up where its current leg starts
         origins = [r.legs[leg][0] for r, leg in zip(requests, registry.leg[queue].tolist())]
-        assignments = match(requests, pool, fleet, self.grid, cfg.reject_radius_zones,
-                            self.match_rng, origins)
-        for a in assignments:
-            v = fleet.vehicles[a.vehicle_id]
-            rid = a.request_id
+        kinds = [fl.KINDS.index(r.kind) for r in requests]
+        assignments = match(origins, pool, fleet, kinds, cfg.reject_ticks, self.match_rng)
+        for pos, vid, eta in assignments:
+            v = fleet.vehicles[vid]
+            rid = requests[pos].id
             leg = registry.leg.item(rid)
             before = v.route_eta(speed) if v.stops else None
             v.add_entry(registry[rid], leg)
@@ -631,7 +634,7 @@ class Simulation:
             if v.status == fl.DISPATCHED:
                 v.set_status(fl.SERVING)
             self.log.add(self.tick, "assign", request=rid, parent=rid if leg else None,
-                         vehicle=v.id, slot=a.slot, eta=a.eta_ticks)
+                         vehicle=vid, slot=fl.SLOTS[kinds[pos]], eta=eta)
         # expire stale requests still queued on their first leg; a relayed package waits at its hub
         expired = queue[(registry.status[queue] == _QUEUED) & (registry.leg[queue] == 0)
                         & (registry.since[queue] <= self.tick - cfg.patience_ticks)].tolist()

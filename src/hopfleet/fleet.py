@@ -15,13 +15,13 @@ distance) pairs measured from where it was built, on an odometer:
 ``driven`` counts the steps moved since, so the plan as seen from the
 vehicle is ``(zone, cum - driven)``. That view is exact: a step toward the
 first stop shortens only the first leg, and ties break on the zone, so the
-greedy order holds. Every ETA is the one rule ``ticks_to``: ``ceil((cum -
-driven) / speed)``. A vehicle that reaches the plan's first stop resolves
-there what the greedy resolved there (no order ends where it starts), and
-the greedy from that stop is the rest of the plan, so ``process_arrivals``
-drops the stop and rewrites its rows with ``index``; only an added order or
-a drop at a later stop rebuilds the plan with ``replan``, which resets the
-odometer.
+greedy order holds. Every ETA is the one rule ``geo.travel_ticks`` of a
+distance, on the plan ``ticks_to`` of ``cum - driven``. A vehicle that
+reaches the plan's first stop resolves there what the greedy resolved there
+(no order ends where it starts), and the greedy from that stop is the rest
+of the plan, so ``process_arrivals`` drops the stop and rewrites its rows
+with ``index``; only an added order or a drop at a later stop rebuilds the
+plan with ``replan``, which resets the odometer.
 
 A ``FleetTable`` builds the vehicles as its rows (vehicle ``i`` at index
 ``i``) from their seats, trunk slots and locations, and is the one stored
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import GOODS, PASSENGER, URGENCY
-from .geo import GridWorld, ZoneId
+from .geo import GridWorld, ZoneId, travel_ticks
 
 IDLE = "idle"
 DISPATCHING = "dispatching"
@@ -89,6 +89,7 @@ class VehicleStateError(RuntimeError):
 ORDER_FIELDS = ("request", "kind", "origin", "destination", "onboard", "drop_cum")
 REQUEST, KIND, ORIGIN, DESTINATION, ONBOARD, DROP_CUM = range(6)
 KINDS = (PASSENGER, GOODS)
+SLOTS = ("seat", "trunk")  # the capacity each kind takes, by kind index
 _URGENCY = np.array([URGENCY[kind] for kind in KINDS])  # by kind index
 NO_ORDERS = ((),) * len(ORDER_FIELDS)  # an empty vehicle's rows, as ``rows`` reads them
 _DISPATCHING, _SERVING = STATUS_CODE[DISPATCHING], STATUS_CODE[SERVING]
@@ -229,7 +230,7 @@ class VehicleState:
     def ticks_to(self, cum: int, speed: int) -> int:
         """Ticks until the plan's point at cumulative distance ``cum`` is
         reached; every ETA on the stored plan goes through this rule."""
-        return math.ceil((cum - self.fleet.driven.item(self.id)) / speed)
+        return travel_ticks(cum - self.fleet.driven.item(self.id), speed)
 
     def route_eta(self, speed: int) -> int:
         """Ticks to finish the whole manifest (last planned stop)."""
@@ -368,10 +369,9 @@ def late_orders(fleet: FleetTable, tick: int, speed: int, since: np.ndarray,
     rids, width = onboard[REQUEST], fleet.grid.width
     (o_row, d_row), (o_col, d_col) = np.divmod(onboard[ORIGIN : DESTINATION + 1], width)
     length = np.abs(d_row - o_row) + np.abs(d_col - o_col)  # of the leg
-    # less the direct trip, ceil(length / speed) = -((-length) // speed), plus
-    # the ETA, ceil((drop_cum - driven) / speed) = -((driven - drop_cum) // speed)
-    delay = (tick - since[rids] + (-length) // speed
-             - (fleet.driven[vid] - onboard[DROP_CUM]) // speed)
+    # less the direct trip, plus the ETA
+    delay = (tick - since[rids] - travel_ticks(length, speed)
+             + travel_ticks(onboard[DROP_CUM] - fleet.driven[vid], speed))
     late = np.flatnonzero(delay > 0)
     # in leg's dtype: ufunc.at is several times slower when it must cast
     max_hops = np.zeros(len(fleet.vehicles), dtype=leg.dtype)

@@ -6,7 +6,6 @@ Manhattan in zone-units; meters are zone-units times ``zone_edge_m``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -26,6 +25,12 @@ class ZoneId(NamedTuple):
 class TravelEstimate(NamedTuple):
     ticks: int
     distance: int
+
+
+def travel_ticks(distance, speed: int):
+    """Ticks to cover ``distance`` zone-units at ``speed`` zones per tick,
+    ceil(distance / speed) in integers; ints and int arrays alike."""
+    return -(-distance // speed)
 
 
 def manhattan(a: ZoneId, b: ZoneId) -> int:
@@ -80,9 +85,9 @@ class GridWorld:
         return manhattan(self.require(a), self.require(b))
 
     def eta(self, a, b) -> TravelEstimate:
-        """Constant-speed travel estimate: ticks = ceil(distance / speed)."""
+        """Constant-speed travel estimate: ``travel_ticks`` of the distance."""
         d = self.distance(a, b)
-        return TravelEstimate(math.ceil(d / self.vehicle_speed), d)
+        return TravelEstimate(travel_ticks(d, self.vehicle_speed), d)
 
     def zones_within(self, center, radius: int) -> list[ZoneId]:
         """All zones at distance 1..radius of ``center``, lexicographic order."""

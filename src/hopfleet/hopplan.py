@@ -5,11 +5,11 @@ sub-legs are split again, until no eligible hop-zone remains or the depth cap
 is hit. Eligibility for h on leg (o, d):
 
   * h is not o or d,
-  * dist(o, h) + dist(h, d) <= 2 * dist(o, d),
   * both sub-legs are strictly shorter than the leg.
 
-The strict-decrease condition guarantees termination; the 2x bound caps the
-extra travel added by any single split.
+The strict decrease guarantees termination, and it implies the 2x cap
+dist(o, h) + dist(h, d) <= 2 * dist(o, d) on the extra travel added by any
+single split.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ def eligible_hop_zone(grid: GridWorld, origin: ZoneId, dest: ZoneId) -> ZoneId |
         first = manhattan(origin, hz)
         second = manhattan(hz, dest)
         if first >= direct or second >= direct:
-            continue
-        if first + second > 2 * direct:
             continue
         if best is None or first < best[0]:
             best = (first, hz)

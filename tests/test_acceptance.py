@@ -41,10 +41,10 @@ from hopfleet.engine import (
     MODE_TRAIN,
     Simulation,
 )
-from hopfleet.fleet import FleetTable
+from hopfleet.fleet import KINDS, FleetTable
 from hopfleet.geo import GridWorld, ZoneId, manhattan
 from hopfleet.hopplan import assign_hop_zones, eligible_hop_zone
-from hopfleet.matching import SEAT, TRUNK, match, reject_radius_ticks
+from hopfleet.matching import match
 from hopfleet.metrics import (
     build_report,
     effective_distance_ratio,
@@ -123,30 +123,28 @@ def _check_matching_instance(rng) -> bool:
     fleet = FleetTable(grid, [seats for _, seats, _ in specs], [trunk for _, _, trunk in specs],
                        [ZoneId(*loc) for loc, _, _ in specs])
     vehicles = fleet.vehicles
-    radius = float(rng.integers(2, 12))
-    got = match(reqs, np.arange(n_veh), fleet, grid, radius, rng, [r.origin for r in reqs])
-    bound = reject_radius_ticks(grid, radius)
+    bound = math.ceil(float(rng.integers(2, 12)) / grid.vehicle_speed)
+    got = match([r.origin for r in reqs], np.arange(n_veh), fleet,
+                [KINDS.index(r.kind) for r in reqs], bound, rng)
 
     seats = {v.id: free_capacity(v)[0] for v in vehicles}
     trunks = {v.id: free_capacity(v)[1] for v in vehicles}
     assigned = set()
-    for a in got:
-        r = next(r for r in reqs if r.id == a.request_id)
-        if a.request_id in assigned:
+    for pos, vid, eta in got:
+        r = reqs[pos]
+        if pos in assigned:
             return False
-        assigned.add(a.request_id)
-        if a.slot != (SEAT if r.kind == PASSENGER else TRUNK):
+        assigned.add(pos)
+        if eta > bound or eta != grid.eta(vehicles[vid].location, r.origin).ticks:
             return False
-        if a.eta_ticks > bound:
-            return False
-        pool = seats if a.slot == SEAT else trunks
-        pool[a.vehicle_id] -= 1
-        if pool[a.vehicle_id] < 0:
+        pool = seats if r.kind == PASSENGER else trunks
+        pool[vid] -= 1
+        if pool[vid] < 0:
             return False
     if got:
-        worst = max(a.eta_ticks for a in got)
-        for r in reqs:
-            if r.id in assigned:
+        worst = max(eta for _, _, eta in got)
+        for pos, r in enumerate(reqs):
+            if pos in assigned:
                 continue
             for v in vehicles:
                 free = seats[v.id] if r.kind == PASSENGER else trunks[v.id]

@@ -237,6 +237,27 @@ def test_trip_file_warmup_rows_feed_the_forecaster_and_the_hubs(tmp_path):
         (i, r.created_tick, list(r.origin)) for i, r in enumerate(served)]
 
 
+def test_trip_file_rows_older_than_the_warmup_place_no_vehicle(tmp_path):
+    # the tick -30 rows, in one corner, are older than the 20-tick warmup:
+    # no run draws them, so the fleet stands at the first rows from tick -20
+    cfg = small_cfg(n_vehicles=8, warmup_ticks=20, grid=desk_config().sim.grid)
+    rng = np.random.default_rng(5)
+    rows = []
+    for tick in (-30, -30, -30, -20, -20, -12, -3, 0, 2):
+        for _ in range(3):
+            low, high = (0, 3) if tick == -30 else (10, 20)
+            origin = ZoneId(*(int(x) for x in rng.integers(low, high, size=2)))
+            rows.append(Request(len(rows), PASSENGER, origin, ZoneId(19 - origin.row, 5), tick))
+    path = tmp_path / "trips.csv"
+    write_trip_records(path, rows)
+    sim = Simulation(replace(cfg, demand=replace(cfg.demand, trips_csv=str(path))))
+    sim.initialize()
+    corner = {r.origin for r in rows if r.created_tick == -30}
+    placed = [v.location for v in sim.vehicles]
+    assert not corner.intersection(placed)
+    assert placed == [r.origin for r in rows if r.created_tick >= -20][:8]
+
+
 def test_step_without_requests_only_advances_clock(tmp_path):
     reqs = [Request(0, PASSENGER, ZoneId(2, 2), ZoneId(3, 3), 999)]
     path = tmp_path / "trips.csv"

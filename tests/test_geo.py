@@ -12,6 +12,7 @@ from hopfleet.geo import (
     hub_lattice,
     manhattan,
     nearest_zone,
+    travel_ticks,
 )
 
 
@@ -52,6 +53,16 @@ def test_eta_examples():
     assert g2.eta((3, 3), (3, 3)) == TravelEstimate(ticks=0, distance=0)
     g3 = make_grid(speed=3)
     assert g3.eta((0, 0), (0, 7)).ticks == 3
+
+
+@pytest.mark.parametrize("speed", range(1, 6))
+def test_travel_ticks_is_ceil_division(speed):
+    distances = range(501)
+    want = [math.ceil(d / speed) for d in distances]
+    assert [travel_ticks(d, speed) for d in distances] == want
+    assert all(type(travel_ticks(d, speed)) is int for d in distances)
+    ticks = travel_ticks(np.arange(501), speed)
+    assert ticks.dtype.kind == "i" and ticks.tolist() == want
 
 
 def test_eta_monotone_in_distance():

@@ -1,11 +1,15 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hopfleet.demand import GOODS, PASSENGER, Request
-from hopfleet.fleet import IDLE, SERVING, FleetTable, process_arrivals
+from hopfleet.fleet import IDLE, KINDS, SERVING, FleetTable, process_arrivals
 from hopfleet.geo import GridWorld, InvalidZoneError, ZoneId
-from hopfleet.matching import SEAT, TRUNK, Assignment, match, reject_radius_ticks
+from hopfleet.matching import match
 
+from desk_config import desk_config
 from fleet_rows import ManifestEntry, add, free_capacity, put, vehicles_in_table
 
 
@@ -26,11 +30,27 @@ def origins(requests):
     return [r.origin for r in requests]
 
 
-def match_all(requests, vehicles, grid, reject_radius, rng):
-    """match over a pool of every vehicle of one table."""
+def kinds(requests):
+    """Each request's kind code, its index in ``fleet.KINDS``."""
+    return [KINDS.index(r.kind) for r in requests]
+
+
+def bound_ticks(grid, reject_radius):
+    """The pickup-ETA bound of a reject radius in zones at the grid's speed."""
+    return math.ceil(reject_radius / grid.vehicle_speed)
+
+
+def match_all(requests, vehicles, grid, bound, rng):
+    """match of ``requests`` at their origins over a pool of every vehicle
+    of one table, within ``bound`` ticks."""
     fleet = vehicles[0].fleet if vehicles else FleetTable(grid, [], [], [])
-    return match(requests, np.arange(len(vehicles)), fleet, grid, reject_radius, rng,
-                 origins(requests))
+    return match(origins(requests), np.arange(len(vehicles)), fleet, kinds(requests), bound, rng)
+
+
+def slot_of(requests, row):
+    """The capacity column, 0 for seats and 1 for trunk slots, that an
+    assignment row's request takes."""
+    return KINDS.index(requests[row[0]].kind)
 
 
 def occupy(v, n_pass=0, n_goods=0):
@@ -65,7 +85,7 @@ def test_passenger_goes_to_nearest_vehicle():
     grid = make_grid()
     vs = vehicles_in_table(grid, [(0, 2), (0, 5)])
     got = match_all([passenger(0, (0, 0))], vs, grid, 10, rng)
-    assert got == [Assignment(0, 0, SEAT, 2)]
+    assert got == [(0, 0, 2)]
 
 
 def test_capacity_exhaustion_leaves_farthest_queued():
@@ -74,8 +94,8 @@ def test_capacity_exhaustion_leaves_farthest_queued():
     v = vehicles_in_table(grid, [(0, 0)], seats_total=2)[0]
     reqs = [passenger(0, (0, 1)), passenger(1, (0, 2)), passenger(2, (0, 3))]
     got = match_all(reqs, [v], grid, 10, rng)
-    assert {a.request_id for a in got} == {0, 1}
-    assert all(a.vehicle_id == 0 and a.slot == SEAT for a in got)
+    assert {pos for pos, _, _ in got} == {0, 1}
+    assert all(row[1] == 0 and slot_of(reqs, row) == 0 for row in got)
 
 
 def test_goods_need_trunk_passengers_need_seats():
@@ -84,11 +104,11 @@ def test_goods_need_trunk_passengers_need_seats():
     seat_only, trunk_only = vehicles_in_table(grid, [(0, 1), (0, 2)])
     occupy(seat_only, n_goods=5)  # trunk full
     occupy(trunk_only, n_pass=4)  # seats full
-    got = match_all([passenger(0, (0, 0)), goods(1, (0, 0))], [seat_only, trunk_only], grid, 10,
-                    rng)
-    by_req = {a.request_id: a for a in got}
-    assert by_req[0].vehicle_id == 0 and by_req[0].slot == SEAT
-    assert by_req[1].vehicle_id == 1 and by_req[1].slot == TRUNK
+    reqs = [passenger(0, (0, 0)), goods(1, (0, 0))]
+    got = match_all(reqs, [seat_only, trunk_only], grid, 10, rng)
+    by_pos = {row[0]: row for row in got}
+    assert by_pos[0][1] == 0 and slot_of(reqs, by_pos[0]) == 0
+    assert by_pos[1][1] == 1 and slot_of(reqs, by_pos[1]) == 1
 
 
 def test_only_the_pool_is_matched():
@@ -96,8 +116,9 @@ def test_only_the_pool_is_matched():
     grid = make_grid()
     fleet = vehicles_in_table(grid, [(0, 5), (0, 1), (0, 4)])[0].fleet
     reqs = [passenger(0, (0, 0))]
-    got = match(reqs, np.array([0, 2]), fleet, grid, 10, np.random.default_rng(0), origins(reqs))
-    assert got == [Assignment(0, 2, SEAT, 4)]
+    got = match(origins(reqs), np.array([0, 2]), fleet, kinds(reqs), 10,
+                np.random.default_rng(0))
+    assert got == [(0, 2, 4)]
 
 
 def test_free_capacity_is_read_from_the_table():
@@ -110,30 +131,36 @@ def test_free_capacity_is_read_from_the_table():
     fleet = near.fleet
     add(near, ManifestEntry(50, PASSENGER, ZoneId(0, 1), ZoneId(0, 2), onboard=True))
     pool, reqs = np.arange(2), [passenger(0, (0, 0))]
-    assert match(reqs, pool, fleet, grid, 10, np.random.default_rng(0),
-                 origins(reqs)) == [Assignment(0, 1, SEAT, 3)]
+    assert match(origins(reqs), pool, fleet, kinds(reqs), 10,
+                 np.random.default_rng(0)) == [(0, 1, 3)]
     put(near, (0, 2))
     assert process_arrivals(near) == ([50], [])
     put(near, (0, 1))
-    assert match(reqs, pool, fleet, grid, 10, np.random.default_rng(0),
-                 origins(reqs)) == [Assignment(0, 0, SEAT, 1)]
+    assert match(origins(reqs), pool, fleet, kinds(reqs), 10,
+                 np.random.default_rng(0)) == [(0, 0, 1)]
 
 
 def test_out_of_radius_requests_skipped():
     rng = np.random.default_rng(0)
     grid = make_grid()
     got = match_all([passenger(0, (0, 0))], vehicles_in_table(grid, [(11, 11)]), grid,
-                    reject_radius=5, rng=rng)
+                    bound=5, rng=rng)
     assert got == []
 
 
 def test_radius_bound_uses_eta():
+    cfg = desk_config().sim
+    cfg = replace(cfg, reject_radius_m=5 * cfg.grid.zone_edge_m,
+                  grid=replace(cfg.grid, vehicle_speed=2))
+    assert cfg.reject_ticks == 3  # a 5-zone radius at 2 zones a tick
     grid = make_grid(speed=2)
-    assert reject_radius_ticks(grid, 5) == 3
     rng = np.random.default_rng(0)
     # distance 6, eta 3 ticks: inside the 5-zone radius expressed as ETA
-    got = match_all([passenger(0, (0, 6))], vehicles_in_table(grid, [(0, 0)]), grid, 5, rng)
-    assert got and got[0].eta_ticks == 3
+    got = match_all([passenger(0, (0, 6))], vehicles_in_table(grid, [(0, 0)]), grid,
+                    cfg.reject_ticks, rng)
+    assert got and got[0][2] == 3
+    assert match_all([passenger(0, (0, 7))], vehicles_in_table(grid, [(0, 0)]), grid,
+                     cfg.reject_ticks, rng) == []  # eta 4
 
 
 def test_tie_break_is_uniform_over_tied_vehicles():
@@ -144,8 +171,8 @@ def test_tie_break_is_uniform_over_tied_vehicles():
     n = 3000
     rng = np.random.default_rng(123)
     for _ in range(n):
-        (a,) = match_all(reqs, vs, grid, 10, rng)
-        counts[a.vehicle_id] += 1
+        ((_, vid, _),) = match_all(reqs, vs, grid, 10, rng)
+        counts[vid] += 1
     for vid in counts:
         assert abs(counts[vid] / n - 1 / 3) < 0.05
 
@@ -161,28 +188,26 @@ def test_deterministic_given_seed():
     assert run(5) == run(5)
 
 
-def brute_force_check(reqs, vehicles, grid, radius, assignments):
-    bound = reject_radius_ticks(grid, radius)
-    assigned_ids = {a.request_id for a in assignments}
+def brute_force_check(reqs, vehicles, grid, bound, assignments):
+    assigned = {pos for pos, _, _ in assignments}
     # per-vehicle remaining capacity after the run
     seats = {v.id: free_capacity(v)[0] for v in vehicles}
     trunks = {v.id: free_capacity(v)[1] for v in vehicles}
-    for a in assignments:
-        if a.slot == SEAT:
-            seats[a.vehicle_id] -= 1
+    for pos, vid, eta in assignments:
+        if reqs[pos].kind == PASSENGER:
+            seats[vid] -= 1
         else:
-            trunks[a.vehicle_id] -= 1
+            trunks[vid] -= 1
+        assert eta == math.ceil(grid.distance(vehicles[vid].location, reqs[pos].origin)
+                                / grid.vehicle_speed)
+        assert eta <= bound
     assert all(c >= 0 for c in seats.values()) and all(c >= 0 for c in trunks.values())
-    assert len(assigned_ids) == len(assignments)  # one assignment per request
-    for a in assignments:
-        r = next(r for r in reqs if r.id == a.request_id)
-        assert a.slot == (SEAT if r.kind == PASSENGER else TRUNK)
-        assert a.eta_ticks <= bound
+    assert len(assigned) == len(assignments)  # one assignment per request
     # greedy dominance: no unassigned feasible pair beats any made assignment
     if assignments:
-        worst = max(a.eta_ticks for a in assignments)
-        for r in reqs:
-            if r.id in assigned_ids:
+        worst = max(eta for _, _, eta in assignments)
+        for pos, r in enumerate(reqs):
+            if pos in assigned:
                 continue
             for v in vehicles:
                 free = seats[v.id] if r.kind == PASSENGER else trunks[v.id]
@@ -210,16 +235,16 @@ def test_random_instances_satisfy_dominance(seed):
     vehicles = vehicles_in_table(grid, [loc for loc, _, _ in specs],
                                  seats_total=[seats for _, seats, _ in specs],
                                  trunk_total=[trunk for _, _, trunk in specs])
-    radius = int(rng.integers(2, 12))
-    got = match_all(reqs, vehicles, grid, radius, np.random.default_rng(seed + 1))
-    brute_force_check(reqs, vehicles, grid, radius, got)
+    bound = bound_ticks(grid, int(rng.integers(2, 12)))
+    got = match_all(reqs, vehicles, grid, bound, np.random.default_rng(seed + 1))
+    brute_force_check(reqs, vehicles, grid, bound, got)
 
 
-def reference_match(requests, vehicles, grid, reject_radius, rng):
-    """The scalar request x vehicle loop: one ``grid.eta`` per pair, ties
-    on ETA broken by the request's position in the list (its place in the
-    queue), then by vehicle id."""
-    bound = reject_radius_ticks(grid, reject_radius)
+def reference_match(requests, vehicles, grid, bound, rng):
+    """The scalar request x vehicle loop: one ETA, ceil(distance / speed),
+    per pair, ties on ETA broken by the request's position in the list (its
+    place in the queue), then by vehicle id; (position, vehicle id, ETA)
+    rows."""
     seats_free = {v.id: free_capacity(v)[0] for v in vehicles}
     trunk_free = {v.id: free_capacity(v)[1] for v in vehicles}
 
@@ -229,7 +254,7 @@ def reference_match(requests, vehicles, grid, reject_radius, rng):
         for v in vehicles:
             if free[v.id] <= 0:
                 continue
-            eta = grid.eta(v.location, r.origin).ticks
+            eta = math.ceil(grid.distance(v.location, r.origin) / grid.vehicle_speed)
             if eta <= bound:
                 candidates.append((eta, pos, v.id))
     candidates.sort()
@@ -254,9 +279,8 @@ def reference_match(requests, vehicles, grid, reject_radius, rng):
             continue
         vid = tied[0] if len(tied) == 1 else tied[int(rng.integers(len(tied)))]
         free[vid] -= 1
-        a = Assignment(requests[pos].id, vid, SEAT if kind == PASSENGER else TRUNK, eta)
-        assigned[pos] = a
-        out.append(a)
+        assigned[pos] = vid
+        out.append((pos, vid, eta))
     return out
 
 
@@ -300,7 +324,8 @@ def random_instance(rng):
 @pytest.mark.parametrize("seed", range(250))
 def test_matches_reference_loop(seed):
     reqs, vehicles, grid, radius = random_instance(np.random.default_rng(seed))
+    bound = bound_ticks(grid, radius)
     rng_new, rng_ref = np.random.default_rng(seed + 7), np.random.default_rng(seed + 7)
-    assert match_all(reqs, vehicles, grid, radius, rng_new) == \
-        reference_match(reqs, vehicles, grid, radius, rng_ref)
+    assert match_all(reqs, vehicles, grid, bound, rng_new) == \
+        reference_match(reqs, vehicles, grid, bound, rng_ref)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
