@@ -13,7 +13,7 @@ from hopfleet.reward import (
 )
 
 weights = RewardWeights.preset("init")
-print(f"training weights: b1..b5 = {tuple(weights.as_vector())}, discount {weights.discount}")
+print(f"training weights: b1..b5 = {tuple(weights.as_vector())}")
 
 demand = [3, 1, 0, 2]
 supply = [1, 2, 1, 0]

@@ -4,7 +4,8 @@ Scaled down from the shipped defaults in configs/default.yaml so it finishes
 in under a minute; bump the tick counts to reproduce real runs.
 """
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from hopfleet.cli import load_config
@@ -31,4 +32,4 @@ sim.initialize()
 log = sim.run(mode=MODE_EVAL)
 print(f"\nevaluation episode: {len(log.events)} logged events")
 print()
-print(build_report(log).to_json())
+print(json.dumps(asdict(build_report(log)), sort_keys=True, indent=2))

@@ -8,12 +8,14 @@ Subcommands:
   compare   tabulate metric deltas between report files
   gen-data  emit a synthetic trip-record CSV
 
-``train`` and ``eval`` also write ``timings.json``: the cpu seconds the
+``train`` and ``eval`` run their episodes through one loop,
+:func:`run_episodes`, which also writes ``timings.json``: the cpu seconds the
 simulating thread spent in each phase of a tick, summed over the command's
-episodes, and the tick count.
+episodes, and the tick count. ``train`` writes a checkpoint after every
+episode.
 
 Config files are YAML; every run is fully determined by config plus seed.
-The output directory resolves flag > HOPFLEET_OUT > config value.
+The output directory is ``--out``, else the config's ``out_dir``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 import os
 import sys
 import types
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -45,16 +47,13 @@ from .engine import (
     generate_workload,
 )
 
-ENV_OUT_DIR = "HOPFLEET_OUT"
-
 
 @dataclass
 class TrainSettings:
     episodes: int
-    checkpoint_every: int  # episodes between checkpoint files
 
     def __post_init__(self):
-        check_lower_bounds(self, "train.", (("episodes", 1), ("checkpoint_every", 1)))
+        check_lower_bounds(self, "train.", (("episodes", 1),))
 
 
 @dataclass
@@ -129,39 +128,17 @@ def load_config(path) -> ExperimentConfig:
     return build_config(ExperimentConfig, data)
 
 
-def _resolve_out(cfg: ExperimentConfig, flag_value) -> str:
-    out = flag_value or os.environ.get(ENV_OUT_DIR) or cfg.out_dir
+def _resolve_out(cfg: ExperimentConfig, args) -> str:
+    out = args.out or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    sim = cfg.sim
-    if getattr(args, "seed", None) is not None:
-        sim = replace(sim, seed=args.seed)
-    if getattr(args, "baseline", None) is not None:
-        sim = replace(sim, baseline=args.baseline)
-    if getattr(args, "ticks", None) is not None:
-        sim = replace(sim, episode_ticks=args.ticks)
-    cfg.sim = sim
+    overrides = {"seed": args.seed, "episode_ticks": args.ticks,
+                 "baseline": getattr(args, "baseline", None)}
+    cfg.sim = replace(cfg.sim, **{k: v for k, v in overrides.items() if v is not None})
     return cfg
-
-
-class Timings:
-    """Host time per tick phase, summed over the episodes of one command."""
-
-    def __init__(self):
-        self.ticks = 0
-        self.phase_seconds = dict.fromkeys(PHASES, 0.0)
-
-    def add(self, sim: Simulation):
-        self.ticks += sim.tick
-        for phase, seconds in sim.phase_seconds.items():
-            self.phase_seconds[phase] += seconds
-
-    def write(self, out: str):
-        with open(os.path.join(out, "timings.json"), "w") as fh:
-            json.dump({"ticks": self.ticks, "phase_seconds": self.phase_seconds}, fh, indent=2)
 
 
 class InputError(Exception):
@@ -190,12 +167,34 @@ def _load_checkpoint(policy: DispatchPolicy, path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# episodes
+
+
+def run_episodes(cfg: ExperimentConfig, policy: DispatchPolicy, seeds, mode: str, out: str):
+    """Run one episode of ``policy`` per seed in ``mode``; yield each one's
+    simulation, event log and metrics report. After the last episode, write
+    ``timings.json`` to ``out``: the tick count and the phase seconds summed
+    over the episodes."""
+    ticks, phase_seconds = 0, dict.fromkeys(PHASES, 0.0)
+    for seed in seeds:
+        sim = Simulation(replace(cfg.sim, seed=seed), policy=policy)
+        sim.initialize()
+        log = sim.run(mode=mode)
+        ticks += sim.tick
+        for phase, seconds in sim.phase_seconds.items():
+            phase_seconds[phase] += seconds
+        yield sim, log, mx.build_report(log, cfg.sim.effective_distance_includes_dispatch)
+    with open(os.path.join(out, "timings.json"), "w") as fh:
+        json.dump({"ticks": ticks, "phase_seconds": phase_seconds}, fh, indent=2)
+
+
+# ---------------------------------------------------------------------------
 # train
 
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
-    out = _resolve_out(cfg, args.out)
+    out = _resolve_out(cfg, args)
 
     policy = DispatchPolicy(cfg.sim)
     start_episode = 0
@@ -205,38 +204,28 @@ def cmd_train(args) -> int:
         print(f"resumed from {args.checkpoint} at step {policy.schedule_step}")
 
     curve_path = os.path.join(out, "training_curve.csv")
-    curve_mode = "a" if args.checkpoint and os.path.exists(curve_path) else "w"
+    resume_curve = args.checkpoint and os.path.exists(curve_path)
+    seeds = [cfg.sim.seed + start_episode + i for i in range(cfg.train.episodes)]
     episode_rows = []
-    timings = Timings()
-    with open(curve_path, curve_mode, newline="") as curve_fh:
-        writer = csv.writer(curve_fh)
-        if curve_mode == "w":
-            writer.writerow(["step", "q_max", "loss", "epsilon", "act_probability"])
-        last_log = None
-        for episode in range(start_episode, start_episode + cfg.train.episodes):
-            sim = Simulation(replace(cfg.sim, seed=cfg.sim.seed + episode), policy=policy)
-            sim.initialize()
-            log = sim.run(mode=MODE_TRAIN)
-            timings.add(sim)
-            last_log = log
-            for row in sim.curve:
-                writer.writerow([row["step"], row["q_max"], row["loss"],
-                                 row["epsilon"], row["act_probability"]])
-            report = mx.build_report(log, cfg.sim.effective_distance_includes_dispatch)
+    with open(curve_path, "a" if resume_curve else "w", newline="") as curve_fh:
+        curve = csv.DictWriter(curve_fh, ["step", "q_max", "loss", "epsilon", "act_probability"])
+        if not resume_curve:
+            curve.writeheader()
+        for i, (sim, log, report) in enumerate(run_episodes(cfg, policy, seeds, MODE_TRAIN, out)):
+            episode = start_episode + i
+            curve.writerows(sim.curve)
             episode_rows.append({"episode": episode, "seed": log.seed,
                                  "steps": policy.schedule_step,
                                  "accept_rate": report.accept_rate_overall,
                                  "delivered": report.delivered})
-            if (episode + 1 - start_episode) % cfg.train.checkpoint_every == 0:
-                policy.save(os.path.join(out, f"checkpoint_ep{episode:03d}.npz"),
-                            extra={"episode": episode + 1})
+            policy.save(os.path.join(out, f"checkpoint_ep{episode:03d}.npz"),
+                        extra={"episode": episode + 1})
             print(f"episode {episode}: steps={policy.schedule_step} "
                   f"accept={report.accept_rate_overall}")
 
     final_ckpt = os.path.join(out, "checkpoint_final.npz")
     policy.save(final_ckpt, extra={"episode": start_episode + cfg.train.episodes})
-    if last_log is not None:
-        last_log.to_jsonl(os.path.join(out, "last_episode.jsonl"))
+    log.to_jsonl(os.path.join(out, "last_episode.jsonl"))
     summary = {
         "episodes": episode_rows,
         "total_steps": policy.schedule_step,
@@ -246,7 +235,6 @@ def cmd_train(args) -> int:
     }
     with open(os.path.join(out, "train_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-    timings.write(out)
     print(f"wrote {final_ckpt}")
     return 0
 
@@ -256,19 +244,12 @@ def cmd_train(args) -> int:
 
 
 def evaluate(cfg: ExperimentConfig, policy: DispatchPolicy, checkpoint: str | None,
-             timings: Timings) -> dict:
+             out: str) -> dict:
     """Frozen-policy evaluation over the held-out seeds; returns the report
-    dict and adds each episode's phase times to ``timings``.
-
-    ``checkpoint`` names the file ``policy`` was loaded from, for the report."""
-    per_seed = []
-    for seed in cfg.eval.seeds:
-        sim = Simulation(replace(cfg.sim, seed=int(seed)), policy=policy)
-        sim.initialize()
-        log = sim.run(mode=MODE_EVAL)
-        timings.add(sim)
-        report = mx.build_report(log, cfg.sim.effective_distance_includes_dispatch)
-        per_seed.append(json.loads(report.to_json()))
+    dict. ``checkpoint`` names the file ``policy`` was loaded from, for the
+    report; the episodes' ``timings.json`` goes to ``out``."""
+    per_seed = [asdict(report) for _, _, report
+                in run_episodes(cfg, policy, cfg.eval.seeds, MODE_EVAL, out)]
     keys = ["accept_rate_overall", "accept_rate_passenger", "accept_rate_goods",
             "fuel_cost_per_delivery", "active_vehicle_ratio", "mean_wait_ticks",
             "mean_wait_minutes", "effective_distance_ratio", "hop_transfers", "delivered"]
@@ -279,7 +260,7 @@ def evaluate(cfg: ExperimentConfig, policy: DispatchPolicy, checkpoint: str | No
     return {
         "baseline": cfg.sim.baseline,
         "checkpoint": checkpoint,
-        "eval_seeds": [int(s) for s in cfg.eval.seeds],
+        "eval_seeds": cfg.eval.seeds,
         "ticks": cfg.sim.episode_ticks,
         "n_vehicles": cfg.sim.n_vehicles,
         "aggregate": aggregate,
@@ -289,26 +270,20 @@ def evaluate(cfg: ExperimentConfig, policy: DispatchPolicy, checkpoint: str | No
 
 def cmd_eval(args) -> int:
     cfg = _run_config(args)
-    out = _resolve_out(cfg, args.out)
+    out = _resolve_out(cfg, args)
     policy = DispatchPolicy(cfg.sim)
     if args.checkpoint:
         _load_checkpoint(policy, args.checkpoint)
-    timings = Timings()
-    report = evaluate(cfg, policy, args.checkpoint, timings)
+    report = evaluate(cfg, policy, args.checkpoint, out)
     path = os.path.join(out, f"report_{cfg.sim.baseline}.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
-    timings.write(out)
-    day_csv = os.path.join(out, f"report_{cfg.sim.baseline}_days.csv")
-    with open(day_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "day", "generated", "accept_rate", "mean_wait_ticks",
-                         "active_vehicle_ratio"])
+    with open(os.path.join(out, f"report_{cfg.sim.baseline}_days.csv"), "w", newline="") as fh:
+        days = csv.DictWriter(fh, ["seed", "day", "generated", "accept_rate",
+                                   "mean_wait_ticks", "active_vehicle_ratio"])
+        days.writeheader()
         for seed_report in report["per_seed"]:
-            for row in seed_report["per_day"]:
-                writer.writerow([seed_report["seed"], row["day"], row["generated"],
-                                 row["accept_rate"], row["mean_wait_ticks"],
-                                 row["active_vehicle_ratio"]])
+            days.writerows({"seed": seed_report["seed"], **row} for row in seed_report["per_day"])
     print(f"baseline {cfg.sim.baseline} over seeds {report['eval_seeds']}:")
     for key, value in report["aggregate"].items():
         print(f"  {key:<26} {value if value is not None else 'n/a'}")
@@ -396,35 +371,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hopfleet",
                                      description="fleet dispatch simulator and trainer")
     sub = parser.add_subparsers(dest="command", required=True)
+    configured = argparse.ArgumentParser(add_help=False)  # train, eval and gen-data
+    configured.add_argument("--config", required=True)
+    configured.add_argument("--seed", type=int)
+    configured.add_argument("--ticks", type=int)
+    episodes = argparse.ArgumentParser(add_help=False, parents=[configured])  # train and eval
+    episodes.add_argument("--out")
+    episodes.add_argument("--checkpoint", help="start from this checkpoint; train resumes it")
+    episodes.add_argument("--baseline", choices=BASELINES)
 
-    train = sub.add_parser("train", help="train a dispatch policy")
-    train.add_argument("--config", required=True)
-    train.add_argument("--seed", type=int)
-    train.add_argument("--out")
-    train.add_argument("--checkpoint", help="resume from this checkpoint")
-    train.add_argument("--ticks", type=int)
-    train.add_argument("--baseline", choices=BASELINES)
-    train.set_defaults(func=cmd_train)
-
-    ev = sub.add_parser("eval", help="evaluate a frozen policy")
-    ev.add_argument("--config", required=True)
-    ev.add_argument("--checkpoint")
-    ev.add_argument("--seed", type=int)
-    ev.add_argument("--out")
-    ev.add_argument("--ticks", type=int)
-    ev.add_argument("--baseline", choices=BASELINES)
-    ev.set_defaults(func=cmd_eval)
+    sub.add_parser("train", parents=[episodes],
+                   help="train a dispatch policy").set_defaults(func=cmd_train)
+    sub.add_parser("eval", parents=[episodes],
+                   help="evaluate a frozen policy").set_defaults(func=cmd_eval)
 
     cp = sub.add_parser("compare", help="compare metric reports")
     cp.add_argument("reports", nargs="+")
     cp.add_argument("--out")
     cp.set_defaults(func=cmd_compare)
 
-    gen = sub.add_parser("gen-data", help="write a synthetic trip-record CSV")
-    gen.add_argument("--config", required=True)
+    gen = sub.add_parser("gen-data", parents=[configured],
+                         help="write a synthetic trip-record CSV")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--ticks", type=int)
-    gen.add_argument("--seed", type=int)
     gen.set_defaults(func=cmd_gen_data)
     return parser
 

@@ -139,11 +139,10 @@ class QNetwork:
     """Fully connected ReLU network mapping a state vector to action values."""
 
     def __init__(self, input_dim: int, n_actions: int, hidden: Sequence[int],
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator):
         self.input_dim = input_dim
         self.n_actions = n_actions
         self.hidden = tuple(hidden)
-        rng = rng or np.random.default_rng()
         sizes = [input_dim, *hidden, n_actions]
         self.weights = []
         self.biases = []

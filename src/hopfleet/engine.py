@@ -87,7 +87,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -238,6 +238,8 @@ class SimConfig:
                                       ("separate_goods_trunk", 0), ("max_hop_depth", 0),
                                       ("reject_radius_m", 0), ("patience_ticks", 0),
                                       ("warmup_ticks", 0)))
+        if not 0.0 < self.discount < 1.0:
+            raise ValueError(f"discount must be in (0, 1), got {self.discount}")
         if not 0.0 <= self.separate_split <= 1.0:
             raise ValueError(f"separate_split must be in [0, 1], got {self.separate_split}")
         if not self.dt_minutes > 0:
@@ -256,10 +258,7 @@ class SimConfig:
         return math.ceil(self.reject_radius_m / self.grid.zone_edge_m / self.grid.vehicle_speed)
 
     def weights(self) -> RewardWeights:
-        w = RewardWeights.preset(self.weights_preset, discount=self.discount)
-        if self.baseline == BASELINE_FLEX_NOHOPS or self.baseline == BASELINE_SEPARATE:
-            w = replace(w, b5=0.0)  # no hop-trips, no hop penalty
-        return w
+        return RewardWeights.preset(self.weights_preset)
 
 
 # ---------------------------------------------------------------------------

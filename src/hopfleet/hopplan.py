@@ -2,10 +2,9 @@
 
 Each leg (o, d) is split at the nearest eligible hop-zone h and the two
 sub-legs are split again, until no eligible hop-zone remains or the depth cap
-is hit. Eligibility for h on leg (o, d):
-
-  * h is not o or d,
-  * both sub-legs are strictly shorter than the leg.
+is hit. A hop-zone h is eligible on leg (o, d) when both sub-legs are
+strictly shorter than the leg. That rules out h = o and h = d, where one
+sub-leg is the whole leg.
 
 The strict decrease guarantees termination, and it implies the 2x cap
 dist(o, h) + dist(h, d) <= 2 * dist(o, d) on the extra travel added by any
@@ -38,8 +37,6 @@ def eligible_hop_zone(grid: GridWorld, origin: ZoneId, dest: ZoneId) -> ZoneId |
     direct = manhattan(origin, dest)
     best = None
     for hz in sorted(grid.hop_zones):
-        if hz == origin or hz == dest:
-            continue
         first = manhattan(origin, hz)
         second = manhattan(hz, dest)
         if first >= direct or second >= direct:

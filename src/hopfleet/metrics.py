@@ -7,7 +7,6 @@ charged per non-idle vehicle-hour at a flat gallons-per-hour burn rate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 from .geo import manhattan
@@ -126,9 +125,6 @@ class MetricsReport:
     hop_transfers: int = 0
     delivered: int = 0
     per_day: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True, indent=2)
 
 
 def per_day_series(index: LogIndex) -> list:

@@ -36,19 +36,16 @@ class RewardWeights:
     b3: float = 0.5
     b4: float = 1.0
     b5: float = 1.0
-    discount: float = 0.98
 
     def __post_init__(self):
-        if not (0.0 < self.discount < 1.0):
-            raise ValueError("discount must be in (0, 1)")
         if min(self.b1, self.b2, self.b3, self.b4, self.b5) < 0:
             raise ValueError("weights must be nonnegative")
 
     @classmethod
-    def preset(cls, name: str, discount: float = 0.98) -> "RewardWeights":
+    def preset(cls, name: str) -> "RewardWeights":
         if name not in WEIGHT_PRESETS:
             raise ValueError(f"unknown weights_preset {name!r}; choose from {sorted(WEIGHT_PRESETS)}")
-        return cls(*WEIGHT_PRESETS[name], discount=discount)
+        return cls(*WEIGHT_PRESETS[name])
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.b1, self.b2, self.b3, self.b4, self.b5])

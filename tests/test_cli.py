@@ -104,7 +104,7 @@ def test_missing_config_exit_2():
         ("rl.window", -1),
         ("horizon", 30),  # removed: the observation fixes its own look-ahead
         ("grid.hop_offset", 0),  # removed: hubs sit on multiples of hop_stride
-        ("train.checkpoint_every", 0),
+        ("train.checkpoint_every", 0),  # removed: a checkpoint follows every episode
         ("dt_minutes", 0),  # the report's minute-based metrics would read 0.0
         ("train.episodes", 0),
         ("train.episodes", -2),
@@ -128,6 +128,8 @@ def test_missing_config_exit_2():
         ("rl.hidden", 128),
         ("rl.hidden", [1.5]),
         ("eval.seeds", [1.5]),
+        ("discount", 1.0),
+        ("discount", 0.0),
     ],
 )
 def test_bad_config_exit_2(command, sim, tmp_path, capsys):
@@ -258,6 +260,20 @@ def test_train_resume_continues_steps(smoke_config):
     assert header2["step"] == 60  # counter continued, no reinitialization
 
 
+def test_train_resume_appends_to_curve(smoke_config):
+    # the resumed run appends its rows under the first run's one header
+    path, cfg = smoke_config
+    assert main(["train", "--config", path]) == 0
+    ckpt = os.path.join(cfg.out_dir, "checkpoint_final.npz")
+    assert main(["train", "--config", path, "--checkpoint", ckpt]) == 0
+    with open(os.path.join(cfg.out_dir, "training_curve.csv"), newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[0] == ["step", "q_max", "loss", "epsilon", "act_probability"]
+    steps = [int(line[0]) for line in lines[1:]]
+    assert len(steps) == 2 * cfg.sim.episode_ticks
+    assert steps == sorted(steps)
+
+
 def test_eval_with_random_init_runs(smoke_config, capsys):
     path, cfg = smoke_config
     assert main(["eval", "--config", path]) == 0
@@ -380,14 +396,6 @@ def test_gen_data_round_trips(smoke_config, tmp_path):
     records = ingest_trip_records(out_csv, grid)
     assert records
     assert all(0 <= r.created_tick < 20 for r in records)
-
-
-def test_env_var_overrides_out_dir(smoke_config, tmp_path, monkeypatch):
-    path, cfg = smoke_config
-    override = str(tmp_path / "env_out")
-    monkeypatch.setenv("HOPFLEET_OUT", override)
-    assert main(["eval", "--config", path]) == 0
-    assert os.path.exists(os.path.join(override, "report_flex_hops.json"))
 
 
 def test_eval_reproducible_outputs(smoke_config, tmp_path, monkeypatch):

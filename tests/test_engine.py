@@ -1279,6 +1279,8 @@ def test_bad_baseline_rejected():
                      id="origin_hot_rate-negative"),
         pytest.param(("demand.goods_location_rate", -0.2),
                      "demand.goods_location_rate must be >= 0", id="goods_location_rate-negative"),
+        pytest.param(("discount", 1.0), "discount must be in", id="discount-1"),
+        pytest.param(("discount", 0.0), "discount must be in", id="discount-0"),
     ],
 )
 def test_bad_config_rejected_when_built(kw, msg):

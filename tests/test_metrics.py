@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -185,7 +186,7 @@ def test_report_round_trip():
     report = build_report(log)
     assert report.accept_rate_overall == 1.0
     assert report.delivered == 2
-    back = MetricsReport(**json.loads(report.to_json()))
+    back = MetricsReport(**json.loads(json.dumps(asdict(report))))
     assert back.accept_rate_overall == report.accept_rate_overall
 
 

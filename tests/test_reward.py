@@ -190,6 +190,4 @@ def test_weight_presets():
 
 def test_weight_validation():
     with pytest.raises(ValueError):
-        RewardWeights(discount=1.0)
-    with pytest.raises(ValueError):
         RewardWeights(b3=-0.1)
